@@ -49,6 +49,10 @@ class NonGenericAnchorsError(RuntimeError):
 class RankDeficiencyError(RuntimeError):
     """A spanning certificate came out below the expected rank."""
 
+    def __init__(self, message: str, rank: int):
+        super().__init__(message)
+        self.rank = rank
+
 
 def differential_dimension(genus: int, weight: int) -> int:
     """Dimension (2n-1)(g-1) + [n=1] of the weight-n differential space."""
@@ -286,7 +290,8 @@ def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=
     petri.rank_certificate = _product_rank(petri, fresh_points)
     if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
         raise RankDeficiencyError(
-            f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}"
+            f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}",
+            petri.rank_certificate,
         )
     return petri
 

@@ -3,19 +3,24 @@
 The series is evaluated after translating the argument into the
 fundamental cell by quasi-periodicity; the translation prefactor is kept
 as a separate log scale so nothing overflows.  Truncation radii come
-from a certified Gaussian tail bound.  On top of the engine: the reduced
-prime form, the brute-force search for the Riemann-constant half-period,
-the Fay trisecant residual, and the end-to-end cross-ratio comparison
-between cardinal bases and theta quotients on a genus-2 Jacobian.
+from a certified Gaussian tail bound that does not depend on the
+argument, so a batch of arguments at one tau shares a single lattice
+sum.  On top of the engine: the reduced prime form, the brute-force
+search for the Riemann-constant half-period, the Fay trisecant residual
+with an O(m^3) scaled determinant, and the end-to-end cross-ratio
+comparison between cardinal bases and theta quotients on a genus-2
+Jacobian.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bases import (
     NonGenericAnchorsError,
     cardinal_basis,
@@ -34,7 +39,9 @@ __all__ = [
     "ThetaCharacteristic",
     "ThetaEvalConfig",
     "theta",
+    "theta_batch",
     "theta_value",
+    "scaled_det",
     "reduced_prime_form",
     "odd_characteristics",
     "fay_residual",
@@ -47,7 +54,8 @@ __all__ = [
 
 
 class TruncationError(RuntimeError):
-    """The lattice sum cannot meet the target error within the radius cap."""
+    """The lattice sum cannot meet the target error within the radius cap,
+    or would exceed the configured term budget."""
 
 
 class ThetaNearZeroError(RuntimeError):
@@ -198,14 +206,19 @@ def odd_characteristics(g: int, count=None) -> list:
 
 @dataclass(frozen=True)
 class ThetaEvalConfig:
-    """Truncation policy: target error relative to the peak term, radius cap."""
+    """Truncation policy: target error relative to the peak term, radius cap,
+    and a budget on lattice points times batch rows summed in one call.
+    """
 
     eps: float = 1e-13
     radius_cap: float = 40.0
+    max_terms: int = 1 << 22
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be positive")
 
 
 DEFAULT_CFG = ThetaEvalConfig()
@@ -231,6 +244,32 @@ class _ThetaContext:
                 break
         self.comb_bound = 2.0 * total
 
+    def truncation(self, cfg: ThetaEvalConfig):
+        """(radius, mu, log of the lattice-sum factor) meeting cfg.eps.
+
+        Terms outside the radius-R box around the peak are bounded by
+        exp(-mu R^2) times the peak term times exp(log_tb); none of this
+        depends on the argument z.
+        """
+        g = self.tau.shape[0]
+        mu = np.pi * self.lambda_min / 2.0
+        log_tb = g * np.log(self.comb_bound)
+        radius = np.sqrt(max((log_tb - np.log(cfg.eps)) / mu, 0.0))
+        radius = max(radius, 3.0)
+        if radius > cfg.radius_cap:
+            achieved = np.exp(-mu * cfg.radius_cap**2 + log_tb)
+            raise TruncationError(
+                f"needs radius {radius:.1f} > cap {cfg.radius_cap:.1f}; "
+                f"best relative bound at the cap is {achieved:.3e}"
+            )
+        return radius, mu, log_tb
+
+    def reduce(self, v: np.ndarray):
+        """Rows v = tau m + n + r with integer rows m, n and small remainders r."""
+        mvec = np.rint(v.imag @ self.y_inv.T)
+        nvec = np.rint((v - mvec @ self.tau.T).real)
+        return v - mvec @ self.tau.T - nvec, mvec, nvec
+
 
 _CONTEXT_CACHE: dict = {}
 
@@ -249,62 +288,67 @@ def _context(tau) -> _ThetaContext:
     return ctx
 
 
-def theta(z, tau, char: ThetaCharacteristic | None = None,
-          cfg: ThetaEvalConfig | None = None) -> ScaledComplex:
-    """Theta series with characteristic at z, as a scaled complex value.
+def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
+                cfg: ThetaEvalConfig | None = None) -> list[ScaledComplex]:
+    """Theta series with characteristic at every row of zs, one lattice sum.
 
-    The argument is first translated into the fundamental cell; the
-    quasi-periodicity prefactor goes into the log scale.  The truncation
-    radius is chosen so the neglected tail is below cfg.eps relative to
-    the largest term, and that certified bound is stored in `err`.
+    Each row is first translated into the fundamental cell; the
+    quasi-periodicity prefactor goes into its log scale.  The truncation
+    radius does not depend on z, so one lattice box, the union of the
+    per-row boxes, serves every row: the neglected tail of each row is
+    below cfg.eps relative to its largest term, and that certified bound
+    is stored in `err`.  Raises TruncationError before allocating when
+    lattice points times rows would exceed cfg.max_terms.
     """
     ctx = _context(tau)
     cfg = cfg or DEFAULT_CFG
     g = ctx.tau.shape[0]
-    z = np.asarray(z, dtype=complex).reshape(g)
+    zs = np.asarray(zs, dtype=complex)
+    if zs.size % g:
+        raise ValueError(f"arguments do not split into rows of length {g}")
+    zs = zs.reshape(-1, g)
     if char is None:
         char = ThetaCharacteristic.zero(g)
     if char.g != g:
         raise ValueError(f"characteristic has length {char.g}, expected {g}")
     a, b = char.a, char.b
 
-    mvec = np.rint(ctx.y_inv @ z.imag)
-    nvec = np.rint((z - ctx.tau @ mvec).real)
-    z0 = z - ctx.tau @ mvec - nvec
-    pref = (-1j * np.pi * (mvec @ ctx.tau @ mvec)
-            - 2j * np.pi * (mvec @ (z0 + nvec + b))
-            + 2j * np.pi * (a @ nvec))
-
+    z0, mvec, nvec = ctx.reduce(zs)
+    pref = (-1j * np.pi * np.einsum("bi,ij,bj->b", mvec, ctx.tau, mvec)
+            - 2j * np.pi * np.sum(mvec * (z0 + nvec + b), axis=1)
+            + 2j * np.pi * (nvec @ a))
     y0 = z0.imag
-    c0 = ctx.y_inv @ y0
-    peak_log = float(np.pi * (y0 @ c0))
-    mu = np.pi * ctx.lambda_min / 2.0
-    log_tb = g * np.log(ctx.comb_bound)
-    radius = np.sqrt(max((log_tb - np.log(cfg.eps)) / mu, 0.0))
-    radius = max(radius, 3.0)
-    if radius > cfg.radius_cap:
-        achieved = np.exp(-mu * cfg.radius_cap**2 + log_tb)
-        raise TruncationError(
-            f"needs radius {radius:.1f} > cap {cfg.radius_cap:.1f}; "
-            f"best relative bound at the cap is {achieved:.3e}"
-        )
+    c0 = y0 @ ctx.y_inv.T
+    peak_log = np.pi * np.sum(y0 * c0, axis=1)
+    radius, mu, log_tb = ctx.truncation(cfg)
 
     center = -a - c0
-    axes = [
-        np.arange(int(np.ceil(center[i] - radius)), int(np.floor(center[i] + radius)) + 1)
-        for i in range(g)
-    ]
+    lo = np.ceil(np.min(center, axis=0) - radius).astype(int)
+    hi = np.floor(np.max(center, axis=0) + radius).astype(int)
+    terms = len(zs) * math.prod(int(n) for n in hi - lo + 1)
+    if terms > cfg.max_terms:
+        raise TruncationError(
+            f"lattice sum needs {terms} terms (points x rows) > budget {cfg.max_terms}"
+        )
+    axes = [np.arange(lo[i], hi[i] + 1) for i in range(g)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.ravel() for m in mesh], axis=1).astype(float)
-    u = lattice + a
-    w = (1j * np.pi * np.einsum("ij,jk,ik->i", u, ctx.tau, u)
-         + 2j * np.pi * (u @ (z0 + b)))
-    mx = float(np.max(w.real)) if len(w) else 0.0
-    mant = complex(np.sum(np.exp(w - mx)))
-    peak_mant = float(np.exp(peak_log - mx))
-    tail = peak_mant * float(np.exp(-mu * radius**2 + log_tb))
-    return ScaledComplex(mant * np.exp(1j * pref.imag),
-                         mx + pref.real, err=tail, peak=peak_mant)
+    u = np.stack([m.ravel() for m in mesh], axis=1).astype(float) + a
+    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", u, ctx.tau, u)
+    w = quad[:, None] + 2j * np.pi * (u @ (z0 + b).T)
+    mx = np.max(w.real, axis=0)
+    mant = np.sum(np.exp(w - mx), axis=0) * np.exp(1j * pref.imag)
+    peak_mant = np.exp(peak_log - mx)
+    tail = peak_mant * np.exp(-mu * radius**2 + log_tb)
+    return [ScaledComplex(mk, sk, err=ek, peak=pk)
+            for mk, sk, ek, pk in zip(mant, mx + pref.real, tail, peak_mant)]
+
+
+def theta(z, tau, char: ThetaCharacteristic | None = None,
+          cfg: ThetaEvalConfig | None = None) -> ScaledComplex:
+    """Theta series with characteristic at one argument z; see theta_batch."""
+    g = _context(tau).tau.shape[0]
+    z = np.asarray(z, dtype=complex).reshape(g)
+    return theta_batch(z[None, :], tau, char, cfg)[0]
 
 
 def theta_value(z, tau, char=None, cfg=None) -> complex:
@@ -325,36 +369,47 @@ def reduced_prime_form(u, v, tau, delta: ThetaCharacteristic,
 def lattice_reduce_tau(v, tau):
     """Split v = tau m + n + r with integer m, n and a small remainder r."""
     ctx = _context(tau)
-    v = np.asarray(v, dtype=complex).reshape(ctx.tau.shape[0])
-    mvec = np.rint(ctx.y_inv @ v.imag)
-    nvec = np.rint((v - ctx.tau @ mvec).real)
-    return v - ctx.tau @ mvec - nvec, mvec, nvec
+    v = np.asarray(v, dtype=complex).reshape(1, ctx.tau.shape[0])
+    r, mvec, nvec = ctx.reduce(v)
+    return r[0], mvec[0], nvec[0]
 
 
 def _check_separation(points, tau, min_sep):
-    for i, j in itertools.combinations(range(len(points)), 2):
-        r, _, _ = lattice_reduce_tau(points[i] - points[j], tau)
-        if np.max(np.abs(r)) < min_sep:
-            raise CoincidentPointsError(
-                f"points {i} and {j} are within {min_sep} on the Jacobian"
-            )
+    pts = np.asarray(points, dtype=complex)
+    i, j = np.triu_indices(len(pts), 1)
+    r, _, _ = _context(tau).reduce(pts[i] - pts[j])
+    close = np.flatnonzero(np.max(np.abs(r), axis=1) < min_sep)
+    if len(close):
+        k = close[0]
+        raise CoincidentPointsError(
+            f"points {i[k]} and {j[k]} are within {min_sep} on the Jacobian"
+        )
 
 
-def _perm_det(entries) -> ScaledComplex:
-    m = len(entries)
-    terms = []
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = list(perm)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = ScaledComplex(float(sign))
-        for i in range(m):
-            prod = prod * entries[i][perm[i]]
-        terms.append(prod)
-    return ScaledComplex.sum(terms)
+def scaled_det(entries) -> ScaledComplex:
+    """Determinant of a square matrix of scaled entries, by pivoted elimination.
+
+    Every row, then every column, is brought to the scale of its largest
+    entry, so the mantissa matrix handed to `linalg.det` has entries of
+    modulus at most one; the row and column scales return as a log scale.
+    """
+    rows = [[e.normalized() for e in row] for row in entries]
+    mant = np.array([[e.mantissa for e in row] for row in rows], dtype=complex)
+    logs = np.array([[e.log_scale for e in row] for row in rows])
+    logs[mant == 0] = -np.inf
+    row_top = np.max(logs, axis=1, keepdims=True)
+    row_top[~np.isfinite(row_top)] = 0.0
+    col_top = np.max(logs - row_top, axis=0, keepdims=True)
+    col_top[~np.isfinite(col_top)] = 0.0
+    scaled = mant * np.exp(logs - row_top - col_top)
+    return ScaledComplex(linalg.det(scaled), float(np.sum(row_top) + np.sum(col_top)))
+
+
+def _scaled_prod(items) -> ScaledComplex:
+    """Product of scaled values with every factor normalized first."""
+    items = [it.normalized() for it in items]
+    return ScaledComplex(np.prod([it.mantissa for it in items]),
+                         sum(it.log_scale for it in items))
 
 
 THETA_FLOOR = 1e-8
@@ -373,28 +428,30 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
         raise ValueError("need m >= 2 points on each side")
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
-    xs = [np.asarray(x, dtype=complex) for x in xs]
-    ys = [np.asarray(y, dtype=complex) for y in ys]
-    _check_separation(xs + ys, tau, min_sep)
+    g = _context(tau).tau.shape[0]
+    w = np.asarray(w, dtype=complex).reshape(g)
+    xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
+    ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
+    _check_separation(np.concatenate([xs, ys]), tau, min_sep)
     tw = theta(w, tau, cfg=cfg)
     if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
         raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
 
-    exy = [[reduced_prime_form(xs[i], ys[j], tau, delta, cfg) for j in range(m)]
-           for i in range(m)]
-    shift = sum(xs) - sum(ys)
-    lhs = theta(np.asarray(w) + shift, tau, cfg=cfg)
-    for i, j in itertools.combinations(range(m), 2):
-        lhs = lhs * reduced_prime_form(xs[i], xs[j], tau, delta, cfg)
-        lhs = lhs * reduced_prime_form(ys[i], ys[j], tau, delta, cfg)
-    lhs = lhs / tw
-    for i in range(m):
-        for j in range(m):
-            lhs = lhs / exy[i][j]
+    # One odd batch: the m^2 prime forms E(x_i, y_j), then E(x_i, x_j) and
+    # E(y_i, y_j) for i < j.  One even batch: the shifted theta(w + sum x -
+    # sum y), then the m^2 matrix numerators theta(w + x_i - y_j).
+    iu, ju = np.triu_indices(m, 1)
+    cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
+    odd = theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
+                      tau, delta, cfg)
+    shift = w + xs.sum(axis=0) - ys.sum(axis=0)
+    even = theta_batch(np.concatenate([shift[None, :], w + cross]), tau, cfg=cfg)
+    exy = odd[:m * m]
 
-    entries = [[theta(np.asarray(w) + xs[i] - ys[j], tau, cfg=cfg) / (tw * exy[i][j])
-                for j in range(m)] for i in range(m)]
-    rhs = _perm_det(entries)
+    lhs = _scaled_prod([even[0]] + odd[m * m:]) / _scaled_prod([tw] + exy)
+    entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]
+               for i in range(m)]
+    rhs = scaled_det(entries)
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return scaled_rel_diff(lhs, rhs)
@@ -422,27 +479,24 @@ def find_riemann_constants(tau, probe_images, cfg=None, *,
     """
     ctx = _context(tau)
     g = ctx.tau.shape[0]
-    probes = [np.asarray(p, dtype=complex).reshape(g) for p in probe_images]
+    probes = np.array([np.asarray(p, dtype=complex).reshape(g) for p in probe_images])
     if len(probes) < 2 * g:
         raise ValueError(f"need at least {2 * g} probe images, got {len(probes)}")
-    scored = []
-    for ia in range(2**g):
-        for ib in range(2**g):
-            a = np.array([(ia >> i) & 1 for i in range(g)], dtype=float) / 2
-            b = np.array([(ib >> i) & 1 for i in range(g)], dtype=float) / 2
-            h = ctx.tau @ a + b
-            worst = 0.0
-            for p in probes:
-                val = theta(p - h, tau, cfg=cfg)
-                worst = max(worst, abs(val.mantissa) / val.peak)
-            scored.append((worst, ia, ib, h, a, b))
-    scored.sort(key=lambda t: t[0])
-    best, second = scored[0], scored[1]
-    if best[0] > vanish_tol or second[0] < separation:
+    chars = [ThetaCharacteristic.from_bits(ia, ib, g)
+             for ia in range(2**g) for ib in range(2**g)]
+    hs = np.array([ctx.tau @ ch.a + ch.b for ch in chars])
+    diffs = probes[None, :, :] - hs[:, None, :]
+    vals = theta_batch(diffs.reshape(-1, g), tau, cfg=cfg)
+    ratio = np.array([abs(v.mantissa) / v.peak for v in vals])
+    worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
+    best, second = np.argsort(worst, kind="stable")[:2]
+    if worst[best] > vanish_tol or worst[second] < separation:
         raise AmbiguousConstantsError(
-            f"no separated minimizer: best {best[0]:.3e}, runner-up {second[0]:.3e}"
+            f"no separated minimizer: best {worst[best]:.3e}, "
+            f"runner-up {worst[second]:.3e}"
         )
-    return RiemannConstants(best[3], best[4], best[5], best[0], second[0])
+    return RiemannConstants(hs[best], chars[best].a, chars[best].b,
+                            float(worst[best]), float(worst[second]))
 
 
 def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
@@ -452,19 +506,15 @@ def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
     Every factor that depends on local trivializations or on the
     half-differential normalization cancels in this combination.
     """
+    if not delta.is_odd:
+        raise ValueError("the prime-form characteristic must be odd")
     w = np.asarray(w, dtype=complex)
-    factors_num = [
-        theta(w + z1 - pi_img, tau, cfg=cfg),
-        theta(w + z2 - pj_img, tau, cfg=cfg),
-        reduced_prime_form(z1, pj_img, tau, delta, cfg),
-        reduced_prime_form(z2, pi_img, tau, delta, cfg),
-    ]
-    factors_den = [
-        theta(w + z2 - pi_img, tau, cfg=cfg),
-        theta(w + z1 - pj_img, tau, cfg=cfg),
-        reduced_prime_form(z1, pi_img, tau, delta, cfg),
-        reduced_prime_form(z2, pj_img, tau, delta, cfg),
-    ]
+    ev = theta_batch([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img],
+                     tau, cfg=cfg)
+    od = theta_batch([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img],
+                     tau, delta, cfg)
+    factors_num = ev[:2] + od[:2]
+    factors_den = ev[2:] + od[2:]
     for f in factors_num + factors_den:
         if abs(f.mantissa) < 1e-10 * f.peak:
             raise ThetaNearZeroError("cross-ratio factor too close to zero")

@@ -1,9 +1,11 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-and hand-written 2x2 inverses, sharing no code path with the package.
+hand-written 2x2 inverses and term-by-term lattice sums, sharing no code
+path with the package.
 """
 
+import cmath
 import itertools
 
 import numpy as np
@@ -54,4 +56,23 @@ def weighted_minor_g2(t2, pm, rows, cols):
             entry *= 2.0 - (1.0 if ra == rb else 0.0)
             term *= entry
         total += term
+    return total
+
+
+def lattice_theta(z, tau, a, b, radius):
+    """Theta series with characteristic (a, b), summed over |n_i| <= radius.
+
+    Terms exp(i pi u.tau.u + 2 pi i u.(z + b)), u = n + a, are added one
+    at a time in plain complex arithmetic: no reduction of z into the
+    fundamental cell, no scaling, no truncation bound.
+    """
+    z = [complex(v) for v in np.ravel(z)]
+    g = len(z)
+    tau = np.asarray(tau, dtype=complex).tolist()
+    total = 0.0j
+    for n in itertools.product(range(-radius, radius + 1), repeat=g):
+        u = [n[i] + float(a[i]) for i in range(g)]
+        quad = sum(u[i] * tau[i][j] * u[j] for i in range(g) for j in range(g))
+        lin = sum(u[i] * (z[i] + float(b[i])) for i in range(g))
+        total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
     return total

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from holodiff import bases, cli
 from holodiff.cli import main
 
 
@@ -109,6 +110,30 @@ def test_petri_hyperelliptic_warns(tmp_path, capsys):
     assert "overall=PASS checks=3 failures=0 warnings=2" in out
 
 
+def test_petri_rank_retries_rank_deficient_draw(capsys):
+    # the first anchor draw at this seed certifies rank 14 < 15
+    assert main(["verify-petri", "--seed", "5039"]) == 0
+    out = capsys.readouterr().out
+    assert ("check=petri-rank anchor=product-rank status=PASS" in out
+            and "rank=15 expected=15" in out)
+
+
+def test_petri_rank_deficient_on_every_draw_fails(monkeypatch, capsys):
+    calls = []
+
+    def deficient(model, anchors, **kwargs):
+        calls.append(kwargs["certificate_seed"])
+        raise bases.RankDeficiencyError("unexpected rank deficiency", 14)
+
+    monkeypatch.setattr(bases, "petri_basis", deficient)
+    assert main(["verify-petri"]) == 1
+    out = capsys.readouterr().out
+    assert len(calls) == 4
+    assert "check=petri-rank anchor=product-rank status=FAIL" in out
+    assert "rank=14 expected=15" in out
+    assert "internal-error" not in out
+
+
 def test_fay_genus_one_passes(capsys):
     assert main(["verify-fay", "--genus", "1", "-m", "2"]) == 0
     out = capsys.readouterr().out
@@ -120,6 +145,24 @@ def test_fay_pair_count_validation(capsys):
     assert main(["verify-fay", "-m", "1"]) == 2
     err = capsys.readouterr().err
     assert "at least 2" in err
+
+
+def test_fay_pair_count_upper_limit(monkeypatch, capsys):
+    # rejected while parsing: the check, and its theta batch, is never built
+    def never_built(*args):
+        raise AssertionError("the trisecant check must not be built")
+
+    monkeypatch.setattr(cli, "_fay_check", never_built)
+    too_many = str(cli.FAY_MAX_PAIRS + 1)
+    assert main(["verify-fay", "--genus", "2", "-m", too_many]) == 2
+    assert f"at most {cli.FAY_MAX_PAIRS} point pairs" in capsys.readouterr().err
+
+
+def test_fay_genus_two_survives_determinant_cancellation(capsys):
+    # a permutation-sum determinant lost this draw to cancellation (3e-3)
+    assert main(["verify-fay", "--genus", "2", "-m", "6", "--seed", "1017"]) == 0
+    out = capsys.readouterr().out
+    assert "check=fay-trisecant anchor=fay-trisecant status=PASS" in out
 
 
 def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):

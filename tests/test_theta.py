@@ -6,6 +6,8 @@ import pytest
 from holodiff import theta as th
 from holodiff.siegel import random_siegel_point
 
+from oracles import lattice_theta, leibniz_det
+
 
 def test_scaled_complex_algebra():
     a = th.ScaledComplex(2.0 + 0j, 3.0)
@@ -247,3 +249,87 @@ def test_riemann_constants_ambiguous_for_generic_probes(rng):
     probes = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
     with pytest.raises(th.AmbiguousConstantsError, match="minimizer"):
         th.find_riemann_constants(tau.z, probes)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("odd", [False, True])
+def test_theta_batch_matches_lattice_oracle(g, odd, rng):
+    tau = random_siegel_point(g, rng)
+    char = th.ThetaCharacteristic.first_odd(g) if odd else th.ThetaCharacteristic.zero(g)
+    zs = 0.4 * (rng.standard_normal((5, g)) + 1j * rng.standard_normal((5, g)))
+    # one row outside the fundamental cell exercises the translation
+    # prefactor; two rows at opposite corners of the cell widen the
+    # shared lattice box
+    shifted = zs[0] + tau.z @ rng.choice([-1.0, 1.0], size=g) + 1.0
+    corner = 0.45 * tau.z @ np.ones(g)
+    zs = np.vstack([corner, zs, shifted, -corner])
+    # the oracle box reaches 2 past sqrt(40 / (pi lam)), so the terms it
+    # leaves out are below exp(-40) of the largest, even for the shifted row
+    lam = float(np.min(np.linalg.eigvalsh(tau.y)))
+    radius = int(np.ceil(np.sqrt(40.0 / (np.pi * lam)))) + 2
+    got = th.theta_batch(zs, tau.z, char)
+    assert len(got) == len(zs)
+    for z, val in zip(zs, got):
+        want = lattice_theta(z, tau.z, char.a, char.b, radius)
+        assert abs(val.value - want) <= 1e-13 * abs(want)
+
+
+def test_theta_is_one_row_of_theta_batch(rng):
+    tau = random_siegel_point(2, rng)
+    z = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    one = th.theta(z, tau.z)
+    row = th.theta_batch([z], tau.z)[0]
+    assert (one.mantissa, one.log_scale, one.err, one.peak) == (
+        row.mantissa, row.log_scale, row.err, row.peak)
+    with pytest.raises(ValueError, match="rows of length"):
+        th.theta_batch(np.zeros(3), tau.z)
+
+
+def test_theta_batch_term_budget(rng):
+    # 20 rows over a box of at least 7 x 7 points need > 980 terms; the
+    # check runs before the lattice is built
+    tau = random_siegel_point(2, rng)
+    zs = 0.3 * (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)))
+    cfg = th.ThetaEvalConfig(max_terms=900)
+    with pytest.raises(th.TruncationError, match="budget 900"):
+        th.theta_batch(zs, tau.z, cfg=cfg)
+    assert len(th.theta_batch(zs[:1], tau.z, cfg=th.ThetaEvalConfig(max_terms=10**4))) == 1
+    with pytest.raises(ValueError, match="max_terms"):
+        th.ThetaEvalConfig(max_terms=0)
+
+
+def _scaled_matrix(mant, logs):
+    m = mant.shape[0]
+    return [[th.ScaledComplex(mant[i, j], logs[i, j]) for j in range(m)]
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_scaled_det_matches_leibniz(m, rng):
+    mant = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    logs = rng.uniform(-2.0, 2.0, (m, m))
+    want = leibniz_det(mant * np.exp(logs))
+    got = th.scaled_det(_scaled_matrix(mant, logs)).value
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_scaled_det_survives_extreme_scales(rng):
+    # entry log scales r_i + c_j span [-800, 800]; exp(800) overflows a
+    # float and exp(-800) underflows, so no entry can be formed directly
+    m = 5
+    mant = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    r = np.array([400.0, -400.0, 400.0, -400.0, 0.0])
+    c = np.array([400.0, -400.0, 0.0, -400.0, 400.0])
+    logs = r[:, None] + c[None, :]
+    assert logs.max() == 800.0 and logs.min() == -800.0
+    got = th.scaled_det(_scaled_matrix(mant, logs))
+    assert np.isfinite(got.mantissa) and got.mantissa != 0
+    base = leibniz_det(mant)
+    expect = th.ScaledComplex(base, float(r.sum() + c.sum()))
+    assert th.scaled_rel_diff(got, expect) <= 1e-12
+
+
+def test_scaled_det_zero_row():
+    zero = th.ScaledComplex(0.0)
+    one = th.ScaledComplex(1.0, 900.0)
+    assert th.scaled_det([[zero, zero], [one, one]]).mantissa == 0
