@@ -51,14 +51,13 @@ def _load_curve(path, default_name):
     return curves.parse_curve_spec(text), sha256_digest(text)
 
 
+def _seed_seq(seed: int, name: str) -> np.random.SeedSequence:
+    """The seed sequence of the check called `name`, derived from the run seed."""
+    return np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()),))
+
+
 def _sub_seed(seed: int, name: str) -> int:
-    ss = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()),))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _rng(seed: int, name: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()),))
-    return np.random.default_rng(ss)
+    return int(_seed_seq(seed, name).generate_state(1, np.uint64)[0])
 
 
 def _rand_complex(rng, shape, scale=1.0):
@@ -127,9 +126,12 @@ def _petri_checks(model, seed, tol):
             fresh = curves.sample_points(
                 model, 20, _sub_seed(seed, "petri-annihilation-points"))
             omega_fresh = bases.holomorphic_basis(model).evaluate(fresh)
+            a = petri.a_tensor(inp)
+            dmat = petri.minor_table(inp)
             worst = 0.0
             for k, l in petri.relation_labels(g):
-                rc = petri.relation_coefficients(inp, 1, k, l)
+                rc = petri.coefficients_from_matrices(
+                    petri.build_A(inp, k, l, a), dmat, 1, g, k, l)
                 res = petri.annihilation_residual(rc.coefficients, omega_fresh)
                 worst = max(worst, float(np.max(res)))
             return _record("petri-annihilation", "annihilation", worst, t)
@@ -188,7 +190,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 
     def check_functoriality():
         t = tol.get("functoriality", 1e-10)
-        rng = _rng(seed, "siegel-functoriality")
+        rng = np.random.default_rng(_seed_seq(seed, "siegel-functoriality"))
         a = _rand_complex(rng, (genus, genus))
         u = _rand_complex(rng, (genus,))
         lhs = sym_square(a, pm) @ pair_vector(u, pm)
@@ -198,7 +200,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 
     def check_det_power():
         t = tol.get("det-power", 1e-10)
-        rng = _rng(seed, "siegel-det-power")
+        rng = np.random.default_rng(_seed_seq(seed, "siegel-det-power"))
         a = _rand_complex(rng, (genus, genus))
         a /= np.sqrt(genus) * float(np.max(np.abs(a)))
         d1 = linalg.det(sym_square(a, pm))
@@ -208,7 +210,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 
     def check_trace():
         t = tol.get("trace", 1e-12)
-        rng = _rng(seed, "siegel-trace")
+        rng = np.random.default_rng(_seed_seq(seed, "siegel-trace"))
         tau = siegel.random_siegel_point(genus, rng)
         metric = siegel.siegel_metric(tau.y, pm)
         dz = _rand_complex(rng, (genus, genus))
@@ -225,7 +227,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 
     def check_invariance():
         t = tol.get("invariance", 1e-10)
-        rng = _rng(seed, "siegel-invariance")
+        rng = np.random.default_rng(_seed_seq(seed, "siegel-invariance"))
         tau = siegel.random_siegel_point(genus, rng)
         dz = _rand_complex(rng, (genus, genus))
         dz = (dz + dz.T) / 2
@@ -240,7 +242,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 
     def check_density():
         t = tol.get("density", 1e-10)
-        rng = _rng(seed, "siegel-density")
+        rng = np.random.default_rng(_seed_seq(seed, "siegel-density"))
         tau = siegel.random_siegel_point(genus, rng)
         lhs, rhs = siegel.ambient_volume_density(tau.y, pm)
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -261,7 +263,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
 def _fay_check(model, genus, m, seed, tol):
     def check():
         t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
-        rng = _rng(seed, "fay-trisecant")
+        rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
         delta = theta.ThetaCharacteristic.first_odd(genus)
         worst = 0.0
         pd = None
@@ -339,7 +341,7 @@ def _periods_records(model, tol):
 def _selftest_checks(seed, tol):
     def check_pairindex():
         t = tol.get("functoriality", 1e-10)
-        rng = _rng(seed, "self-pairindex")
+        rng = np.random.default_rng(_seed_seq(seed, "self-pairindex"))
         pm = build_pair_index(3)
         a = _rand_complex(rng, (3, 3))
         u = _rand_complex(rng, (3,))
@@ -350,7 +352,7 @@ def _selftest_checks(seed, tol):
 
     def check_linalg():
         t = tol.get("solve", 1e-10)
-        rng = _rng(seed, "self-linalg")
+        rng = np.random.default_rng(_seed_seq(seed, "self-linalg"))
         a = _rand_complex(rng, (8, 8))
         b = _rand_complex(rng, (8,))
         x = linalg.solve(a, b)
@@ -360,7 +362,7 @@ def _selftest_checks(seed, tol):
 
     def check_theta():
         t = tol.get("theta", 1e-10)
-        rng = _rng(seed, "self-theta")
+        rng = np.random.default_rng(_seed_seq(seed, "self-theta"))
         tau = siegel.random_siegel_point(2, rng)
         char = theta.ThetaCharacteristic.from_bits(1, 2, 2)
         z = _rand_complex(rng, (2,), 0.5)
@@ -385,7 +387,7 @@ def _selftest_checks(seed, tol):
 
     def check_fay():
         t = tol.get("fay", 1e-9)
-        rng = _rng(seed, "self-fay")
+        rng = np.random.default_rng(_seed_seq(seed, "self-fay"))
         delta = theta.ThetaCharacteristic.first_odd(1)
         for attempt in range(8):
             tau = np.array([[rng.uniform(-0.3, 0.3) + 1j * rng.uniform(0.9, 1.6)]])

@@ -128,13 +128,20 @@ class PlaneCurve:
         m = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         return self.coeff_scale * m**self.degree
 
-    def y_poly_coeffs(self, x: complex) -> np.ndarray:
-        """Coefficients of F(x, .) as a polynomial in y, highest power first."""
+    def _y_poly(self, term_values) -> np.ndarray:
         c = np.zeros(self.degree + 1, dtype=complex)
-        xp = np.asarray(x, dtype=complex) ** self._r
-        for s, v in zip(self._s, self._c * xp):
+        for s, v in zip(self._s, term_values):
             c[self.degree - s] += v
         return c
+
+    def y_poly_coeffs(self, x: complex) -> np.ndarray:
+        """Coefficients of F(x, .) as a polynomial in y, highest power first."""
+        return self._y_poly(self._c * np.asarray(x, dtype=complex) ** self._r)
+
+    def fx_y_poly_coeffs(self, x: complex) -> np.ndarray:
+        """Coefficients of F_x(x, .) as a polynomial in y, highest power first."""
+        xp = np.asarray(x, dtype=complex) ** np.maximum(self._r - 1, 0)
+        return self._y_poly(self._c * self._r * xp)
 
     def __repr__(self) -> str:
         return f"PlaneCurve(degree={self.degree}, genus={self.genus})"
@@ -212,6 +219,18 @@ def _draw_x(rng, mode: str) -> complex:
     return complex(r * np.cos(phi), r * np.sin(phi))
 
 
+def _horner(coeffs, z: complex) -> complex:
+    """Value at z of the polynomial with `coeffs`, highest power first.
+
+    Plain Python complex arithmetic: on one scalar, a NumPy call's
+    overhead costs more than the whole loop.
+    """
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
 def _sample_plane(model: PlaneCurve, count, rng, mode):
     pts: list[CurvePoint] = []
     last_reason = "no draws attempted"
@@ -228,16 +247,19 @@ def _sample_plane(model: PlaneCurve, count, rng, mode):
                 last_reason = "no y roots at drawn x"
                 continue
             y = complex(roots[rng.integers(len(roots))])
+            f_coeffs = coeffs.tolist()
+            fy_coeffs = np.polyder(coeffs).tolist()
             for _ in range(3):  # Newton polish on the drawn root
-                dfy = model.fy(x, y)[0]
+                dfy = _horner(fy_coeffs, y)
                 if abs(dfy) == 0:
                     break
-                y = y - model.f(x, y)[0] / dfy
-            fv = abs(model.f(x, y)[0])
+                y = y - _horner(f_coeffs, y) / dfy
+            fv = abs(_horner(f_coeffs, y))
             if fv > ON_CURVE_RTOL * model.on_curve_scale(x, y)[0]:
                 last_reason = "root polish left the curve residual too large"
                 continue
-            gx, gy = abs(model.fx(x, y)[0]), abs(model.fy(x, y)[0])
+            gx = abs(_horner(model.fx_y_poly_coeffs(x).tolist(), y))
+            gy = abs(_horner(fy_coeffs, y))
             grad = gx + gy
             if grad == 0.0:
                 last_reason = "vanishing gradient (singular point)"

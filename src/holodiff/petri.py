@@ -208,23 +208,32 @@ def coefficients_from_matrices(amat: np.ndarray, dmat: np.ndarray, row: int, g: 
     label (a,b), by D[a,i]*D[b,j]; the determinant is expanded along that
     row through the cofactors of the original matrix, and normalized by
     the cofactor of the last column.
+
+    The cofactor row of `row` spans the null space of the matrix with
+    that row deleted, so by Cramer's rule the normalized row cof/delta is
+    the null vector whose last entry is 1: one solve, not one elimination
+    per cofactor.  Only delta = cof[-1] is computed as a minor.
     """
     size = amat.shape[0]
     if not 1 <= row <= size:
         raise ValueError(f"row must be in 1..{size}, got {row}")
     r0 = row - 1
-    cof = np.array(
-        [linalg.signed_minor(amat, r0, c) for c in range(size)], dtype=complex
-    )
-    delta = cof[-1]
-    if abs(delta) < DELTA_RTOL * max(np.max(np.abs(cof)), 1e-300):
+    delta = linalg.signed_minor(amat, r0, size - 1)
+    rest = np.delete(amat, r0, axis=0)
+    try:
+        y = linalg.solve(rest[:, :-1], -rest[:, -1])
+    except linalg.DegenerateMatrixError:
+        y = None
+    # max|cof| / |delta| = max(1, max|y|)
+    if y is None or np.max(np.abs(y)) > 1.0 / DELTA_RTOL:
         raise DegenerateRowError(
             f"normalizing cofactor vanished for row {row}; try a different row"
         )
+    ratios = np.append(y, 1.0)
     labels = fixed_column_labels(g) + [(k, l)]
     raw = np.zeros((g, g), dtype=complex)
     for c, (a, b) in enumerate(labels):
-        raw += (cof[c] / delta) * np.outer(dmat[a - 1], dmat[b - 1])
+        raw += ratios[c] * np.outer(dmat[a - 1], dmat[b - 1])
     return RelationCoefficients((k, l), row, (raw + raw.T) / 2, raw, delta)
 
 

@@ -29,6 +29,22 @@ def leibniz_det(a):
     return total
 
 
+def cofactor_row(a, r):
+    """Cofactors (-1)^(r+c) det(a without row r and column c), one per column c.
+
+    Each minor is its own Leibniz sum over an explicitly rebuilt submatrix.
+    """
+    a = np.asarray(a)
+    n = a.shape[0]
+    rows = [i for i in range(n) if i != r]
+    out = []
+    for c in range(n):
+        cols = [j for j in range(n) if j != c]
+        sub = np.array([[a[i, j] for j in cols] for i in rows])
+        out.append((-1.0) ** (r + c) * leibniz_det(sub))
+    return np.array(out)
+
+
 def weighted_minor_g2(t2, pm, rows, cols):
     """Weighted symmetric-square minor at genus 2, rebuilt entry by entry.
 

@@ -134,6 +134,15 @@ def test_petri_rank_deficient_on_every_draw_fails(monkeypatch, capsys):
     assert "internal-error" not in out
 
 
+@pytest.mark.parametrize("seed", ["14127", "73751"])
+def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
+    # one elimination per cofactor of the corank-1 matrix left these draws
+    # at 3.96e-7 and 3.41e-8 against the 1e-8 tolerance
+    assert main(["verify-petri", "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert "check=petri-annihilation anchor=annihilation status=PASS" in out
+
+
 def test_fay_genus_one_passes(capsys):
     assert main(["verify-fay", "--genus", "1", "-m", "2"]) == 0
     out = capsys.readouterr().out

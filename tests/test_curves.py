@@ -101,6 +101,28 @@ def test_implicit_derivative_consistency(quintic):
         assert abs(slope - implicit) < 1e-5 * max(1.0, abs(implicit))
 
 
+MIXED_QUARTIC = [(4, 0, 1.0), (0, 4, 1.0 + 0.5j), (0, 0, 1.0), (1, 1, 0.3 - 0.2j),
+                 (2, 1, -0.7j), (1, 2, 0.4), (3, 0, 0.25 + 0.1j)]
+
+
+@pytest.mark.parametrize("terms", [None, MIXED_QUARTIC])
+def test_y_poly_horner_matches_direct_evaluation(quintic, terms):
+    model = quintic if terms is None else curves.PlaneCurve(4, terms)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        f_y = model.y_poly_coeffs(x)
+        pairs = (
+            (f_y, model.f),
+            (np.polyder(f_y), model.fy),
+            (model.fx_y_poly_coeffs(x), model.fx),
+        )
+        for coeffs, direct in pairs:
+            want = direct(x, y)[0]
+            got = curves._horner(coeffs.tolist(), y)
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
+
+
 def test_parse_plane_spec():
     model = curves.parse_curve_spec(
         '{"type": "plane", "degree": 5,'

@@ -7,6 +7,8 @@ from holodiff import linalg, petri
 from holodiff.bases import holomorphic_basis, petri_basis
 from holodiff.curves import sample_points
 
+from oracles import cofactor_row
+
 SEED = 1234
 
 
@@ -227,6 +229,24 @@ def test_degenerate_row_raises(rng):
     dmat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     with pytest.raises(petri.DegenerateRowError, match="cofactor"):
         petri.coefficients_from_matrices(amat, dmat, 1, 4, 3, 4)
+
+
+def test_cofactor_row_matches_leibniz_oracle(rng):
+    # genus 4 sizing: labels (1,2),(1,3),(1,4),(2,3),(2,4) and (3,4)
+    labels = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    for _ in range(3):
+        amat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        dmat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for row in range(1, 7):
+            rc = petri.coefficients_from_matrices(amat, dmat, row, 4, 3, 4)
+            cof = cofactor_row(amat, row - 1)
+            want = sum(
+                (cof[c] / cof[-1]) * np.outer(dmat[a - 1], dmat[b - 1])
+                for c, (a, b) in enumerate(labels)
+            )
+            assert np.max(np.abs(rc.raw - want)) <= 1e-12 * np.max(np.abs(want))
+            assert rc.delta == linalg.signed_minor(amat, row - 1, 5)
+            assert abs(rc.delta - cof[-1]) <= 1e-12 * abs(cof[-1])
 
 
 def test_block_report_structure(rel_input, quintic_petri):
