@@ -179,6 +179,15 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _cardinal(basis: DifferentialBasis, anchors):
+    """(cardinal basis at the anchors, condition number of the evaluation)."""
+    phi = basis.evaluate(anchors)
+    cond = linalg.cond1(phi)
+    if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
+        raise NonGenericAnchorsError("non-generic anchors", cond)
+    return basis.transform(linalg.inverse(phi)), cond
+
+
 def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
     """Basis gamma with gamma_i(anchor_j) = delta_ij.
 
@@ -187,11 +196,7 @@ def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
     """
     if len(anchors) != basis.dim:
         raise ValueError(f"need {basis.dim} anchors, got {len(anchors)}")
-    phi = basis.evaluate(anchors)
-    cond = linalg.cond1(phi)
-    if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
-        raise NonGenericAnchorsError("non-generic anchors", cond)
-    return basis.transform(linalg.inverse(phi))
+    return _cardinal(basis, anchors)[0]
 
 
 def product_layout(g: int) -> list[tuple[int, int]]:
@@ -278,13 +283,8 @@ def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=
     if len(anchors) != g:
         raise ValueError(f"need {g} anchors, got {len(anchors)}")
     omega = holomorphic_basis(model, 1)
-    phi = omega.evaluate(anchors)
-    cond = linalg.cond1(phi)
-    if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
-        raise NonGenericAnchorsError("non-generic anchors", cond)
-    sigma_coeffs = linalg.inverse(phi)
-    sigma = omega.transform(sigma_coeffs)
-    petri = PetriBasis(model, anchors, sigma, omega, sigma_coeffs, cond, rank=-1)
+    sigma, cond = _cardinal(omega, anchors)
+    petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
     if fresh_points is None:
         fresh_points = sample_points(model, 3 * g - 3, certificate_seed)
     petri.rank_certificate = _product_rank(petri, fresh_points)

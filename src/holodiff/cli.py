@@ -12,7 +12,6 @@ import argparse
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -69,11 +68,10 @@ def _record(name, anchor, residual, tol, note=""):
     return CheckRecord(name, anchor, status, residual, tol, note=note)
 
 
-def _run_checks(checks, threads):
-    """checks: list of (name, zero-arg callable returning CheckRecord)."""
-
-    def run_one(item):
-        name, fn = item
+def _run_checks(checks):
+    """checks: list of (name, zero-arg callable returning CheckRecord), run in order."""
+    records = []
+    for name, fn in checks:
         t0 = time.perf_counter()
         try:
             rec = fn()
@@ -83,12 +81,8 @@ def _run_checks(checks, threads):
                 note=f"{type(exc).__name__}: {exc}",
             )
         rec.ms = (time.perf_counter() - t0) * 1000.0
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, checks))
-    return [run_one(item) for item in checks]
+        records.append(rec)
+    return records
 
 
 def _emit(rep: Report, report_path) -> int:
@@ -185,18 +179,20 @@ def _petri_checks(model, seed, tol):
 # ---------------------------------------------------------------- siegel
 
 
+def _functoriality_check(name, pm, seed, tol):
+    """sym_square(A) pair_vector(u) = pair_vector(A u) on a draw seeded by `name`."""
+    t = tol.get("functoriality", 1e-10)
+    rng = np.random.default_rng(_seed_seq(seed, name))
+    a = _rand_complex(rng, (pm.g, pm.g))
+    u = _rand_complex(rng, (pm.g,))
+    lhs = sym_square(a, pm) @ pair_vector(u, pm)
+    rhs = pair_vector(a @ u, pm)
+    resid = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0)
+    return _record(name, "sym-square-functoriality", resid, t)
+
+
 def _siegel_checks(genus, seed, tol, force_failure):
     pm = build_pair_index(genus)
-
-    def check_functoriality():
-        t = tol.get("functoriality", 1e-10)
-        rng = np.random.default_rng(_seed_seq(seed, "siegel-functoriality"))
-        a = _rand_complex(rng, (genus, genus))
-        u = _rand_complex(rng, (genus,))
-        lhs = sym_square(a, pm) @ pair_vector(u, pm)
-        rhs = pair_vector(a @ u, pm)
-        resid = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0)
-        return _record("siegel-functoriality", "sym-square-functoriality", resid, t)
 
     def check_det_power():
         t = tol.get("det-power", 1e-10)
@@ -249,7 +245,8 @@ def _siegel_checks(genus, seed, tol, force_failure):
         return _record("siegel-density", "volume-density", resid, t)
 
     return [
-        ("siegel-functoriality", check_functoriality),
+        ("siegel-functoriality",
+         lambda: _functoriality_check("siegel-functoriality", pm, seed, tol)),
         ("siegel-det-power", check_det_power),
         ("siegel-trace", check_trace),
         ("siegel-invariance", check_invariance),
@@ -339,17 +336,6 @@ def _periods_records(model, tol):
 
 
 def _selftest_checks(seed, tol):
-    def check_pairindex():
-        t = tol.get("functoriality", 1e-10)
-        rng = np.random.default_rng(_seed_seq(seed, "self-pairindex"))
-        pm = build_pair_index(3)
-        a = _rand_complex(rng, (3, 3))
-        u = _rand_complex(rng, (3,))
-        lhs = sym_square(a, pm) @ pair_vector(u, pm)
-        rhs = pair_vector(a @ u, pm)
-        resid = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0)
-        return _record("self-pairindex", "sym-square-functoriality", resid, t)
-
     def check_linalg():
         t = tol.get("solve", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "self-linalg"))
@@ -410,7 +396,8 @@ def _selftest_checks(seed, tol):
         return _record("self-periods", "lemniscatic-tau", resid, t)
 
     return [
-        ("self-pairindex", check_pairindex),
+        ("self-pairindex",
+         lambda: _functoriality_check("self-pairindex", build_pair_index(3), seed, tol)),
         ("self-linalg", check_linalg),
         ("self-theta", check_theta),
         ("self-petri", check_petri),
@@ -429,7 +416,8 @@ def _add_common(sub, with_spec):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                      help="override a named tolerance; repeatable")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; checks always run in order")
     sub.add_argument("--report", default=None,
                      help="also write a timing-pinned report file")
 
@@ -513,12 +501,12 @@ def _dispatch(args, parser, tol) -> int:
 
     if args.command == "verify-petri":
         checks = _petri_checks(model, args.seed, tol)
-        records = _run_checks(checks, args.threads)
+        records = _run_checks(checks)
     elif args.command == "verify-siegel":
         if args.genus < 1 or args.genus > 8:
             parser.error("--genus must be between 1 and 8")
         checks = _siegel_checks(args.genus, args.seed, tol, args.force_failure)
-        records = _run_checks(checks, args.threads)
+        records = _run_checks(checks)
     elif args.command == "verify-fay":
         if args.m < 2:
             parser.error("the trisecant check needs at least 2 point pairs")
@@ -529,12 +517,12 @@ def _dispatch(args, parser, tol) -> int:
         ):
             parser.error("genus 2 mode needs a genus-2 hyperelliptic curve file")
         checks = _fay_check(model, args.genus, args.m, args.seed, tol)
-        records = _run_checks(checks, args.threads)
+        records = _run_checks(checks)
     elif args.command == "periods":
         records = _periods_records(model, tol)
     elif args.command == "selftest":
         checks = _selftest_checks(args.seed, tol)
-        records = _run_checks(checks, args.threads)
+        records = _run_checks(checks)
     else:  # pragma: no cover
         parser.error(f"unknown command {args.command!r}")
 

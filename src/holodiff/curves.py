@@ -9,8 +9,8 @@ hyperelliptic curves a sheet sign.
 
 Sampling is deterministic given a seed: x is drawn from a disk of radius
 2 (complex mode) or the interval [-2, 2] (real mode), the remaining
-coordinate comes from companion-matrix root finding plus one Newton
-polish, and candidates are rejected while they sit too close to a chart
+coordinate comes from companion-matrix root finding plus three Newton
+steps, and candidates are rejected while they sit too close to a chart
 breakdown, a branch point, or a previously accepted point.
 """
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, theta
 from .curves import CurvePoint, HyperellipticCurve
 from .siegel import SiegelPoint
 
@@ -70,6 +70,26 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * k - 1) * np.pi / (2 * n))[::-1]
 
 
+def _node_doubling(rule, rtol: float, cap: int, what: str):
+    """Node doubling: rule(n) for n = 32, 64, ... up to cap.
+
+    Stops when two successive values agree to `rtol` in the max norm and
+    returns (value, |value - previous value|), elementwise for vectors.
+    """
+    n, prev, gap = 32, None, np.inf
+    while n <= cap:
+        val = rule(n)
+        if prev is not None:
+            gap = abs(val - prev)
+            if np.max(gap) <= rtol * max(np.max(abs(val)), 1e-300):
+                return val, gap
+        prev = val
+        n *= 2
+    raise QuadratureError(
+        f"{what}: no convergence at {cap} nodes; last difference {np.max(gap):.3e}"
+    )
+
+
 def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
                  rtol: float = QUAD_RTOL, cap: int = QUAD_CAP):
     """Integrate f over [a, b] with inverse-square-root endpoint flags.
@@ -77,46 +97,44 @@ def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
     Both ends flagged: Gauss-Chebyshev absorbs both singularities.  One
     end flagged: the substitution x = a + t^2 (resp. b - t^2) removes it,
     then Gauss-Legendre.  Node counts double until two successive values
-    agree to `rtol`; returns (value, last doubling difference).
+    agree to `rtol`; returns (value, last doubling difference).  An f
+    returning rows of shape (k, n) integrates all k rows on shared nodes
+    and returns both as length-k vectors.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     half = (b - a) / 2
     mid = (a + b) / 2
 
-    def rule(n: int) -> complex:
+    def rule(n: int):
         if sing_a and sing_b:
             t = _chebyshev_nodes(n)
             x = mid + half * t
-            return (np.pi / n) * complex(np.sum(f(x) * half * np.sqrt(1.0 - t * t)))
+            return (np.pi / n) * np.sum(f(x) * half * np.sqrt(1.0 - t * t), axis=-1)
         if sing_a or sing_b:
             width = np.sqrt(b - a)
             t, w = _gauss_legendre(n)
             tt = (t + 1) * (width / 2)
             ww = w * (width / 2)
             x = a + tt * tt if sing_a else b - tt * tt
-            return complex(np.sum(f(x) * 2.0 * tt * ww))
+            return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
         t, w = _gauss_legendre(n)
         x = mid + half * t
-        return complex(np.sum(f(x) * w * half))
+        return np.sum(f(x) * w * half, axis=-1)
 
-    n = 32
-    prev = None
-    while n <= cap:
-        val = rule(n)
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff <= rtol * max(abs(val), 1e-300):
-                return val, diff
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"no convergence at {cap} nodes; last difference {abs(val - prev):.3e}"
-    )
+    val, gap = _node_doubling(rule, rtol, cap, "segment quadrature")
+    if np.ndim(val) == 0:
+        return complex(val), float(gap)
+    return val, gap
 
 
 def _sqrt_abs_f(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(curve.f(x).real))
+
+
+def _monomial_rows(curve: HyperellipticCurve):
+    """quad_segment integrand with rows x^k / sqrt|f(x)|, k = 0..g-1."""
+    return lambda x: np.stack([x**k for k in range(curve.genus)]) / _sqrt_abs_f(curve, x)
 
 
 def _segment_phase(curve: HyperellipticCurve, seg_index: int) -> complex:
@@ -157,15 +175,12 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     nseg = 2 * g
     seg = np.empty((nseg, g), dtype=complex)
     seg_err = np.empty((nseg, g))
+    rows = _monomial_rows(curve)
     for j in range(nseg):
-        phase = _segment_phase(curve, j)
-        for k in range(g):
-            val, err = quad_segment(
-                lambda x, kk=k: x**kk / _sqrt_abs_f(curve, x),
-                float(e[j]), float(e[j + 1]), True, True, rtol=SEGMENT_RTOL,
-            )
-            seg[j, k] = phase * val
-            seg_err[j, k] = err
+        val, seg_err[j] = quad_segment(
+            rows, float(e[j]), float(e[j + 1]), True, True, rtol=SEGMENT_RTOL
+        )
+        seg[j] = _segment_phase(curve, j) * val
 
     # cycle i rings the cut [e_{2i}, e_{2i+1}] (0-based); its crossing
     # partner rings [e_{2i+1}, e_{2g}], where the traversals above and
@@ -234,13 +249,11 @@ def _real_chain(pd: PeriodData, x_target: float):
 
     if x_target < e[0]:
         phase = _segment_phase(curve, -1)  # all branch points to the right
-        for k in range(g):
-            val, dq = quad_segment(
-                lambda x, kk=k: x**kk / _sqrt_abs_f(curve, x),
-                float(x_target), float(e[0]), False, True,
-            )
-            total[k] = -phase * val
-            err += dq
+        val, dq = quad_segment(
+            _monomial_rows(curve), float(x_target), float(e[0]), False, True
+        )
+        total = -phase * val
+        err += float(np.sum(dq))
         path.append(f"real:{e[0]}->{x_target}")
         y_end = phase_y(curve, x_target, phase)
         return total, y_end, tuple(path), err
@@ -263,13 +276,9 @@ def _real_chain(pd: PeriodData, x_target: float):
             phase = _segment_phase(curve, j)
         else:
             phase = 1.0 + 0.0j  # right of every branch point
-        for k in range(g):
-            val, dq = quad_segment(
-                lambda x, kk=k: x**kk / _sqrt_abs_f(curve, x),
-                start, float(x_target), True, False,
-            )
-            total[k] += phase * val
-            err += dq
+        val, dq = quad_segment(_monomial_rows(curve), start, float(x_target), True, False)
+        total += phase * val
+        err += float(np.sum(dq))
         path.append(f"partial:{start}->{x_target}")
     y_end = phase_y(curve, x_target, None)
     return total, y_end, tuple(path), err
@@ -315,7 +324,10 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
             f"leg {z0} -> {z1} passes within {BRANCH_CLEARANCE} of a branch point"
         )
 
+    y_end = None
+
     def rule(n: int):
+        nonlocal y_end
         t, w = _gauss_legendre(n)
         tt = (t + 1) / 2
         zs = z0 + tt * (z1 - z0)
@@ -328,23 +340,13 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
         vals = np.empty(g, dtype=complex)
         for k in range(g):
             vals[k] = np.sum(w / 2 * zs**k * (z1 - z0) / ys)
-        y_last = np.sqrt(curve.f(np.array([z1]))[0])
-        if abs(y_last - prev) > abs(y_last + prev):
-            y_last = -y_last
-        return vals, y_last
+        y_end = np.sqrt(curve.f(np.array([z1]))[0])
+        if abs(y_end - prev) > abs(y_end + prev):
+            y_end = -y_end
+        return vals
 
-    n = 32
-    prev_vals = None
-    while n <= QUAD_CAP:
-        vals, y_end = rule(n)
-        if prev_vals is not None:
-            diff = float(np.max(np.abs(vals - prev_vals)))
-            scale = max(float(np.max(np.abs(vals))), 1e-300)
-            if diff <= QUAD_RTOL * scale:
-                return vals, y_end, diff
-        prev_vals = vals
-        n *= 2
-    raise QuadratureError(f"leg integration failed to converge at {QUAD_CAP} nodes")
+    vals, gap = _node_doubling(rule, QUAD_RTOL, QUAD_CAP, "leg integration")
+    return vals, y_end, float(np.max(gap))
 
 
 def abel_map(pd: PeriodData, p: CurvePoint, *, via=None) -> AbelImage:
@@ -390,22 +392,10 @@ def abel_map(pd: PeriodData, p: CurvePoint, *, via=None) -> AbelImage:
     return AbelImage(p, vec, tuple(path), err)
 
 
-def _tau_matrix(source) -> np.ndarray:
-    if isinstance(source, PeriodData):
-        return source.tau.z
-    if isinstance(source, SiegelPoint):
-        return source.z
-    return np.asarray(source, dtype=complex)
-
-
 def lattice_reduce(source, v):
     """Split v = tau m + n + r, integer m and n, remainder r small."""
-    tau = _tau_matrix(source)
-    y_inv = linalg.inverse(np.ascontiguousarray(tau.imag)).real
-    v = np.asarray(v, dtype=complex).reshape(tau.shape[0])
-    mvec = np.rint(y_inv @ v.imag)
-    nvec = np.rint((v - tau @ mvec).real)
-    return v - tau @ mvec - nvec, mvec, nvec
+    tau = source.tau if isinstance(source, PeriodData) else source
+    return theta.lattice_reduce_tau(v, tau)
 
 
 def lattice_distance(source, v) -> float:
@@ -422,21 +412,17 @@ def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex,
     dist = _point_segment_distance(third, p, q)
     if dist < 1e-9:
         raise PathError("third root sits on the integration segment")
-    n = 32
-    prev = None
-    while n <= QUAD_CAP:
+
+    def rule(n: int) -> complex:
         t = _chebyshev_nodes(n)
         x = mid + half * t
         s = np.sqrt(x - third)
         for idx in range(1, len(s)):
             if abs(s[idx] - s[idx - 1]) > abs(s[idx] + s[idx - 1]):
                 s[idx] = -s[idx]
-        val = (np.pi / n) * complex(np.sum(1.0 / s))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError("cubic segment sum failed to converge")
+        return (np.pi / n) * complex(np.sum(1.0 / s))
+
+    return _node_doubling(rule, rtol, QUAD_CAP, "cubic segment sum")[0]
 
 
 def _point_segment_distance(pt: complex, a: complex, b: complex) -> float:

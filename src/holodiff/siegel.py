@@ -155,10 +155,14 @@ def random_symplectic(g: int, rng: np.random.Generator, steps: int = 6) -> Sympl
     return elem
 
 
-def _as_matrix(y) -> np.ndarray:
+def _y_inverse(y) -> np.ndarray:
+    """Y^-1 of a SiegelPoint (cached) or of a positive-definite matrix."""
     if isinstance(y, SiegelPoint):
-        return y.y
-    return np.asarray(y, dtype=float)
+        return y.y_inv
+    ymat = np.asarray(y, dtype=float)
+    if not linalg.is_positive_definite(ymat):
+        raise ValueError("needs a positive-definite matrix")
+    return linalg.inverse(ymat).real
 
 
 def siegel_metric(y, pm: PairIndexMap) -> np.ndarray:
@@ -167,11 +171,7 @@ def siegel_metric(y, pm: PairIndexMap) -> np.ndarray:
     Symmetric because the weights cancel the asymmetric normalization of
     the symmetric square.
     """
-    ymat = _as_matrix(y)
-    if not linalg.is_positive_definite(ymat):
-        raise ValueError("metric needs a positive-definite matrix")
-    s = sym_square(linalg.inverse(ymat).real, pm)
-    return pm.weight[:, None] * s
+    return pm.weight[:, None] * sym_square(_y_inverse(y), pm)
 
 
 def modular_transform(tau: SiegelPoint, m: SymplecticElement):
@@ -207,10 +207,7 @@ def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:
             raise ValueError(f"slot index out of range 0..{pm.m - 1}")
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ValueError("selections must be strictly increasing")
-    t2 = _as_matrix(tau2)
-    if not linalg.is_positive_definite(t2):
-        raise ValueError("needs a positive-definite matrix")
-    s = sym_square(linalg.inverse(t2).real, pm)
+    s = sym_square(_y_inverse(tau2), pm)
     sub = s[np.ix_(rows, cols)]
     return linalg.det(sub) * float(np.prod(pm.weight[rows]))
 
@@ -224,33 +221,28 @@ def induced_metric_xi(w_table: np.ndarray, tau2, pm: PairIndexMap) -> np.ndarray
     w_table = np.asarray(w_table, dtype=complex)
     if w_table.ndim != 2 or w_table.shape[0] != pm.m:
         raise ValueError(f"expected table with {pm.m} rows, got shape {w_table.shape}")
-    t2 = _as_matrix(tau2)
-    s = sym_square(linalg.inverse(t2).real, pm)
-    h = pm.weight[:, None] * s
-    return w_table.T @ h @ np.conj(w_table)
+    return w_table.T @ siegel_metric(tau2, pm) @ np.conj(w_table)
 
 
 def bergman_kernel(omega_at_z, omega_at_w, tau2) -> complex:
     """Kernel value: omega(z)^T tau2^-1 conj(omega(w))."""
     u = np.asarray(omega_at_z, dtype=complex)
     v = np.asarray(omega_at_w, dtype=complex)
-    t2 = _as_matrix(tau2)
-    return complex(u @ linalg.inverse(t2).real @ np.conj(v))
+    return complex(u @ _y_inverse(tau2) @ np.conj(v))
 
 
 def bergman_square_lhs(u, v, tau2, pm: PairIndexMap) -> complex:
     """Pair-index double sum that must reproduce the squared kernel."""
     uu = pair_vector(np.asarray(u, dtype=complex), pm)
     vv = pair_vector(np.asarray(v, dtype=complex), pm)
-    t2 = _as_matrix(tau2)
-    s = sym_square(linalg.inverse(t2).real, pm)
+    s = sym_square(_y_inverse(tau2), pm)
     return complex((pm.weight * uu) @ s @ np.conj(vv))
 
 
 def ambient_volume_density(y, pm: PairIndexMap):
     """Determinant of the metric and its closed form 2^(M-g)/det(Y)^(g+1)."""
-    ymat = _as_matrix(y)
-    metric = siegel_metric(ymat, pm)
+    metric = siegel_metric(y, pm)
     det_metric = linalg.det(metric).real
+    ymat = y.y if isinstance(y, SiegelPoint) else np.asarray(y, dtype=float)
     closed = 2.0 ** (pm.m - pm.g) / linalg.det(ymat).real ** (pm.g + 1)
     return det_metric, closed

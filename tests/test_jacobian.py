@@ -35,6 +35,22 @@ def test_quad_segment_validation_and_cap():
         jac.quad_segment(lambda x: 1.0 / x, 0.0, 1.0, False, False, cap=256)
 
 
+@pytest.mark.parametrize("sing_a, sing_b", [(True, True), (False, True), (True, False)])
+def test_quad_segment_rows_match_scalar_calls(sing_a, sing_b):
+    # inverse-square-root singular exactly at the flagged ends of [-1, 2]
+    weight = lambda x: (x + 1.0) ** (-0.5 * sing_a) * (2.0 - x) ** (-0.5 * sing_b)
+
+    def row(k):
+        return lambda x: np.exp(0.3 * k * x) * weight(x)
+
+    rows = lambda x: np.stack([row(k)(x) for k in range(3)])
+    vals, gaps = jac.quad_segment(rows, -1.0, 2.0, sing_a, sing_b)
+    assert vals.shape == gaps.shape == (3,)
+    for k in range(3):
+        val, _ = jac.quad_segment(row(k), -1.0, 2.0, sing_a, sing_b)
+        assert abs(vals[k] - val) <= 1e-12 * abs(val)
+
+
 def test_lemniscatic_periods_give_square_lattice(pd_g1):
     assert abs(pd_g1.tau.z[0, 0] - 1j) <= 1e-8
 

@@ -222,3 +222,23 @@ def test_induced_metric_sandwich_reproduces_squared_kernel(quintic, rng):
         ]
     )
     assert np.max(np.abs(h - kern**2)) <= 1e-12 * np.max(np.abs(kern**2))
+
+
+_Y_INVERSE_USERS = {
+    "siegel_metric": lambda y, pm: siegel.siegel_metric(y, pm),
+    "volume_minor": lambda y, pm: siegel.volume_minor(y, pm, [0, 1], [0, 1]),
+    "induced_metric_xi": lambda y, pm: siegel.induced_metric_xi(
+        np.ones((pm.m, 2), dtype=complex), y, pm),
+    "bergman_kernel": lambda y, pm: siegel.bergman_kernel(np.ones(pm.g), np.ones(pm.g), y),
+    "bergman_square_lhs": lambda y, pm: siegel.bergman_square_lhs(
+        np.ones(pm.g), np.ones(pm.g), y, pm),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_Y_INVERSE_USERS))
+def test_y_inverse_users_reject_non_positive_definite(user, rng):
+    pm = build_pair_index(3)
+    y = _rand_pd(rng, 3)
+    _Y_INVERSE_USERS[user](y, pm)
+    with pytest.raises(ValueError, match="positive-definite"):
+        _Y_INVERSE_USERS[user](-y, pm)
