@@ -264,10 +264,7 @@ class PetriBasis:
 
 
 def _product_rank(petri: PetriBasis, points) -> int:
-    v = petri.v_matrix(points)
-    rows = np.max(np.abs(v), axis=1)
-    rows[rows == 0] = 1.0
-    return linalg.numerical_rank(v / rows[:, None], rtol=RANK_RTOL)
+    return linalg.numerical_rank(linalg.scale_rows(petri.v_matrix(points)), rtol=RANK_RTOL)
 
 
 def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=None) -> PetriBasis:

@@ -317,7 +317,7 @@ def _periods_records(model, tol):
     rec.ms = ms
     records.append(rec)
 
-    lam = float(np.min(np.linalg.eigvalsh(pd.tau.y)))
+    lam = pd.tau.lambda_min
     rec = _record("periods-positivity", "tau-positivity",
                   0.0 if lam > 0 else 1.0, 0.5, note=f"min-eig={lam:.6e}")
     records.append(rec)
@@ -473,16 +473,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        tol = _parse_tols(args.tol, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        return _dispatch(args, parser, tol)
+        return _dispatch(args, parser, _parse_tols(args.tol, parser))
     except SystemExit as exc:
         return int(exc.code or 0)
     except curves.CurveSpecError as exc:

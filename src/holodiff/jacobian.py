@@ -303,16 +303,17 @@ def phase_y(curve: HyperellipticCurve, x: float, phase=None) -> complex:
 
 
 def _segment_branch_distance(curve: HyperellipticCurve, z0: complex, z1: complex) -> float:
-    d = z1 - z0
-    length2 = abs(d) ** 2
-    worst = np.inf
-    for ee in curve.branch_points:
-        if length2 == 0:
-            worst = min(worst, abs(ee - z0))
-            continue
-        t = np.clip(((ee - z0) * np.conj(d)).real / length2, 0.0, 1.0)
-        worst = min(worst, abs(ee - (z0 + t * d)))
-    return float(worst)
+    return min(_point_segment_distance(ee, z0, z1) for ee in curve.branch_points)
+
+
+def _tracked_sqrt(s: np.ndarray, prev: complex) -> np.ndarray:
+    """Square roots s with signs flipped in order so that each stays on the
+    branch of its predecessor, the first one on the branch of `prev`."""
+    for idx in range(len(s)):
+        if abs(s[idx] - prev) > abs(s[idx] + prev):
+            s[idx] = -s[idx]
+        prev = s[idx]
+    return s
 
 
 def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
@@ -331,19 +332,10 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
         t, w = _gauss_legendre(n)
         tt = (t + 1) / 2
         zs = z0 + tt * (z1 - z0)
-        ys = np.sqrt(curve.f(zs))
-        prev = y_start
-        for idx in range(len(zs)):
-            if abs(ys[idx] - prev) > abs(ys[idx] + prev):
-                ys[idx] = -ys[idx]
-            prev = ys[idx]
-        vals = np.empty(g, dtype=complex)
-        for k in range(g):
-            vals[k] = np.sum(w / 2 * zs**k * (z1 - z0) / ys)
-        y_end = np.sqrt(curve.f(np.array([z1]))[0])
-        if abs(y_end - prev) > abs(y_end + prev):
-            y_end = -y_end
-        return vals
+        ys = _tracked_sqrt(np.sqrt(curve.f(zs)), y_start)
+        y_end = _tracked_sqrt(np.sqrt(curve.f(np.array([z1]))), ys[-1])[0]
+        powers = np.stack([zs**k for k in range(g)])
+        return np.sum(w / 2 * powers * (z1 - z0) / ys, axis=-1)
 
     vals, gap = _node_doubling(rule, QUAD_RTOL, QUAD_CAP, "leg integration")
     return vals, y_end, float(np.max(gap))
@@ -417,10 +409,7 @@ def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex,
         t = _chebyshev_nodes(n)
         x = mid + half * t
         s = np.sqrt(x - third)
-        for idx in range(1, len(s)):
-            if abs(s[idx] - s[idx - 1]) > abs(s[idx] + s[idx - 1]):
-                s[idx] = -s[idx]
-        return (np.pi / n) * complex(np.sum(1.0 / s))
+        return (np.pi / n) * complex(np.sum(1.0 / _tracked_sqrt(s, s[0])))
 
     return _node_doubling(rule, rtol, QUAD_CAP, "cubic segment sum")[0]
 

@@ -20,7 +20,9 @@ __all__ = [
     "solve",
     "inverse",
     "cond1",
+    "pivot_rows",
     "numerical_rank",
+    "scale_rows",
     "is_positive_definite",
 ]
 
@@ -47,7 +49,7 @@ def hadamard_bound(a) -> float:
     a = _as_square(a)
     if a.shape[0] == 0:
         return 1.0
-    return float(np.prod(np.linalg.norm(a, axis=1)))
+    return float(np.prod(np.sqrt(np.sum((a.conj() * a).real, axis=1))))
 
 
 def _lu(a):
@@ -143,34 +145,49 @@ def cond1(a) -> float:
     return na * ni
 
 
-def numerical_rank(a, rtol: float = 1e-8) -> int:
-    """Rank by complete-pivoting elimination at a relative threshold.
+def pivot_rows(a, rtol: float = 1e-8) -> list[int]:
+    """Rows chosen as pivots by complete-pivoting elimination, in pivot order.
 
     Pivots are accepted while they stay above rtol times the largest
-    magnitude of the original matrix.
+    magnitude of the original matrix; the rows never chosen depend
+    numerically on the chosen ones.
     """
     m = np.array(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     if m.size == 0:
-        return 0
+        return []
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
-        return 0
-    rank = 0
+        return []
+    rows = list(range(m.shape[0]))
+    pivots = []
     for _ in range(min(m.shape)):
         flat = int(np.argmax(np.abs(m)))
         i, j = divmod(flat, m.shape[1])
         piv = m[i, j]
         if abs(piv) < rtol * scale:
             break
-        rank += 1
+        pivots.append(rows.pop(i))
         col = m[:, j] / piv
         m = m - np.outer(col, m[i, :])
         m = np.delete(np.delete(m, i, axis=0), j, axis=1)
         if m.size == 0:
             break
-    return rank
+    return pivots
+
+
+def numerical_rank(a, rtol: float = 1e-8) -> int:
+    """Rank by complete-pivoting elimination at a relative threshold."""
+    return len(pivot_rows(a, rtol))
+
+
+def scale_rows(a) -> np.ndarray:
+    """Each row divided by its largest magnitude; zero rows stay zero."""
+    a = np.asarray(a)
+    rows = np.max(np.abs(a), axis=1)
+    rows[rows == 0] = 1.0
+    return a / rows[:, None]
 
 
 def is_positive_definite(a, floor_rtol: float = 1e-12) -> bool:

@@ -290,13 +290,11 @@ def build_relation_set(inp: RelationInput, row: int = 1, provenance=None) -> Rel
         for idx, lab in enumerate(labels):
             c = coeffs[lab].coefficients
             flat[idx] = c[pm.first, pm.second]
-        rows = np.max(np.abs(flat), axis=1)
-        rows[rows == 0] = 1.0
-        rank = linalg.numerical_rank(flat / rows[:, None], rtol=RANK_RTOL)
+        pivots = linalg.pivot_rows(linalg.scale_rows(flat), rtol=RANK_RTOL)
+        rank = len(pivots)
         expected = (g - 2) * (g - 3) // 2
         if rank < expected:
-            # pivoted elimination on the normalized rows names the dependents
-            bad = _dependent_rows(flat / rows[:, None], labels)
+            bad = [lab for idx, lab in enumerate(labels) if idx not in pivots]
             raise RelationRankError(
                 f"relation rank {rank} below expected {expected}; "
                 f"dependent labels: {bad}",
@@ -307,23 +305,3 @@ def build_relation_set(inp: RelationInput, row: int = 1, provenance=None) -> Rel
         prov.update(provenance)
     return RelationSet(g, tuple(labels), coeffs, rank, prov)
 
-
-def _dependent_rows(mat: np.ndarray, labels) -> list:
-    work = mat.copy()
-    scale = np.max(np.abs(work))
-    alive = list(range(work.shape[0]))
-    used = []
-    while work.size and alive:
-        sub = np.abs(work[alive])
-        flat_idx = int(np.argmax(sub))
-        i_rel, j = divmod(flat_idx, work.shape[1])
-        if sub[i_rel, j] < RANK_RTOL * scale:
-            break
-        i = alive[i_rel]
-        used.append(i)
-        piv = work[i, j]
-        for other in alive:
-            if other != i:
-                work[other] -= (work[other, j] / piv) * work[i]
-        alive.remove(i)
-    return [labels[i] for i in sorted(set(range(len(labels))) - set(used))]

@@ -8,6 +8,8 @@ written through the symmetric-square machinery of `pairindex`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -31,7 +33,12 @@ SYMMETRY_RTOL = 1e-12
 
 
 class SiegelPoint:
-    """Symmetric complex matrix with positive-definite imaginary part."""
+    """Symmetric complex matrix with positive-definite imaginary part.
+
+    The one owner of what is derived from tau: the symmetry and
+    positivity checks run once here, and Y^-1 and the smallest
+    eigenvalue of Y are computed on first use and kept.
+    """
 
     def __init__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -46,13 +53,15 @@ class SiegelPoint:
         self.y = np.ascontiguousarray(self.z.imag)
         if not linalg.is_positive_definite(self.y):
             raise ValueError("imaginary part is not positive definite")
-        self._y_inv = None
 
-    @property
+    @cached_property
     def y_inv(self) -> np.ndarray:
-        if self._y_inv is None:
-            self._y_inv = linalg.inverse(self.y).real
-        return self._y_inv
+        return linalg.inverse(self.y).real
+
+    @cached_property
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of Y."""
+        return float(np.min(np.linalg.eigvalsh(self.y)))
 
     def __repr__(self) -> str:
         return f"SiegelPoint(g={self.g})"

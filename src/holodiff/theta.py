@@ -224,68 +224,51 @@ class ThetaEvalConfig:
 DEFAULT_CFG = ThetaEvalConfig()
 
 
-class _ThetaContext:
-    __slots__ = ("tau", "y", "y_inv", "lambda_min", "comb_bound")
-
-    def __init__(self, tau: np.ndarray):
-        self.tau = tau
-        self.y = np.ascontiguousarray(tau.imag)
-        self.y_inv = np.linalg.inv(self.y)
-        self.lambda_min = float(np.min(np.linalg.eigvalsh(self.y)))
-        if self.lambda_min <= 0:
-            raise ValueError("imaginary part is not positive definite")
-        mu4 = np.pi * self.lambda_min / 8.0
-        total, j = 0.0, 0
-        while True:
-            term = np.exp(-mu4 * j * j)
-            total += term
-            j += 1
-            if term < 1e-18 or j > 100000:
-                break
-        self.comb_bound = 2.0 * total
-
-    def truncation(self, cfg: ThetaEvalConfig):
-        """(radius, mu, log of the lattice-sum factor) meeting cfg.eps.
-
-        Terms outside the radius-R box around the peak are bounded by
-        exp(-mu R^2) times the peak term times exp(log_tb); none of this
-        depends on the argument z.
-        """
-        g = self.tau.shape[0]
-        mu = np.pi * self.lambda_min / 2.0
-        log_tb = g * np.log(self.comb_bound)
-        radius = np.sqrt(max((log_tb - np.log(cfg.eps)) / mu, 0.0))
-        radius = max(radius, 3.0)
-        if radius > cfg.radius_cap:
-            achieved = np.exp(-mu * cfg.radius_cap**2 + log_tb)
-            raise TruncationError(
-                f"needs radius {radius:.1f} > cap {cfg.radius_cap:.1f}; "
-                f"best relative bound at the cap is {achieved:.3e}"
-            )
-        return radius, mu, log_tb
-
-    def reduce(self, v: np.ndarray):
-        """Rows v = tau m + n + r with integer rows m, n and small remainders r."""
-        mvec = np.rint(v.imag @ self.y_inv.T)
-        nvec = np.rint((v - mvec @ self.tau.T).real)
-        return v - mvec @ self.tau.T - nvec, mvec, nvec
+def _siegel(tau) -> SiegelPoint:
+    """tau as a SiegelPoint: passed through, or validated from a matrix or a g=1 scalar."""
+    if isinstance(tau, SiegelPoint):
+        return tau
+    mat = np.asarray(tau, dtype=complex)
+    return SiegelPoint(mat.reshape(1, 1) if mat.ndim == 0 else mat)
 
 
-_CONTEXT_CACHE: dict = {}
+def _truncation(point: SiegelPoint, cfg: ThetaEvalConfig):
+    """(radius, mu, log of the lattice-sum factor) meeting cfg.eps.
+
+    Terms outside the radius-R box around the peak are bounded by
+    exp(-mu R^2) times the peak term times exp(log_tb); none of this
+    depends on the argument z.
+    """
+    lam = point.lambda_min
+    if not lam > 0:
+        # Y passed the pivot test but its computed spectrum reaches zero
+        raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
+    mu4 = np.pi * lam / 8.0
+    total, j = 0.0, 0
+    while True:
+        term = np.exp(-mu4 * j * j)
+        total += term
+        j += 1
+        if term < 1e-18 or j > 100000:
+            break
+    mu = np.pi * lam / 2.0
+    log_tb = point.g * np.log(2.0 * total)
+    radius = np.sqrt(max((log_tb - np.log(cfg.eps)) / mu, 0.0))
+    radius = max(radius, 3.0)
+    if radius > cfg.radius_cap:
+        achieved = np.exp(-mu * cfg.radius_cap**2 + log_tb)
+        raise TruncationError(
+            f"needs radius {radius:.1f} > cap {cfg.radius_cap:.1f}; "
+            f"best relative bound at the cap is {achieved:.3e}"
+        )
+    return radius, mu, log_tb
 
 
-def _context(tau) -> _ThetaContext:
-    mat = tau.z if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    key = mat.tobytes()
-    ctx = _CONTEXT_CACHE.get(key)
-    if ctx is None:
-        ctx = _ThetaContext(mat)
-        if len(_CONTEXT_CACHE) > 64:
-            _CONTEXT_CACHE.clear()
-        _CONTEXT_CACHE[key] = ctx
-    return ctx
+def _reduce(point: SiegelPoint, v: np.ndarray):
+    """Rows v = tau m + n + r with integer rows m, n and small remainders r."""
+    mvec = np.rint(v.imag @ point.y_inv.T)
+    nvec = np.rint((v - mvec @ point.z.T).real)
+    return v - mvec @ point.z.T - nvec, mvec, nvec
 
 
 def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
@@ -300,9 +283,9 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
     is stored in `err`.  Raises TruncationError before allocating when
     lattice points times rows would exceed cfg.max_terms.
     """
-    ctx = _context(tau)
+    point = _siegel(tau)
     cfg = cfg or DEFAULT_CFG
-    g = ctx.tau.shape[0]
+    g = point.g
     zs = np.asarray(zs, dtype=complex)
     if zs.size % g:
         raise ValueError(f"arguments do not split into rows of length {g}")
@@ -313,14 +296,14 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
         raise ValueError(f"characteristic has length {char.g}, expected {g}")
     a, b = char.a, char.b
 
-    z0, mvec, nvec = ctx.reduce(zs)
-    pref = (-1j * np.pi * np.einsum("bi,ij,bj->b", mvec, ctx.tau, mvec)
+    z0, mvec, nvec = _reduce(point, zs)
+    pref = (-1j * np.pi * np.einsum("bi,ij,bj->b", mvec, point.z, mvec)
             - 2j * np.pi * np.sum(mvec * (z0 + nvec + b), axis=1)
             + 2j * np.pi * (nvec @ a))
     y0 = z0.imag
-    c0 = y0 @ ctx.y_inv.T
+    c0 = y0 @ point.y_inv.T
     peak_log = np.pi * np.sum(y0 * c0, axis=1)
-    radius, mu, log_tb = ctx.truncation(cfg)
+    radius, mu, log_tb = _truncation(point, cfg)
 
     center = -a - c0
     lo = np.ceil(np.min(center, axis=0) - radius).astype(int)
@@ -333,7 +316,7 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(g)]
     mesh = np.meshgrid(*axes, indexing="ij")
     u = np.stack([m.ravel() for m in mesh], axis=1).astype(float) + a
-    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", u, ctx.tau, u)
+    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", u, point.z, u)
     w = quad[:, None] + 2j * np.pi * (u @ (z0 + b).T)
     mx = np.max(w.real, axis=0)
     mant = np.sum(np.exp(w - mx), axis=0) * np.exp(1j * pref.imag)
@@ -346,9 +329,9 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
 def theta(z, tau, char: ThetaCharacteristic | None = None,
           cfg: ThetaEvalConfig | None = None) -> ScaledComplex:
     """Theta series with characteristic at one argument z; see theta_batch."""
-    g = _context(tau).tau.shape[0]
-    z = np.asarray(z, dtype=complex).reshape(g)
-    return theta_batch(z[None, :], tau, char, cfg)[0]
+    point = _siegel(tau)
+    z = np.asarray(z, dtype=complex).reshape(point.g)
+    return theta_batch(z[None, :], point, char, cfg)[0]
 
 
 def theta_value(z, tau, char=None, cfg=None) -> complex:
@@ -368,16 +351,16 @@ def reduced_prime_form(u, v, tau, delta: ThetaCharacteristic,
 
 def lattice_reduce_tau(v, tau):
     """Split v = tau m + n + r with integer m, n and a small remainder r."""
-    ctx = _context(tau)
-    v = np.asarray(v, dtype=complex).reshape(1, ctx.tau.shape[0])
-    r, mvec, nvec = ctx.reduce(v)
+    point = _siegel(tau)
+    v = np.asarray(v, dtype=complex).reshape(1, point.g)
+    r, mvec, nvec = _reduce(point, v)
     return r[0], mvec[0], nvec[0]
 
 
-def _check_separation(points, tau, min_sep):
+def _check_separation(points, point: SiegelPoint, min_sep):
     pts = np.asarray(points, dtype=complex)
     i, j = np.triu_indices(len(pts), 1)
-    r, _, _ = _context(tau).reduce(pts[i] - pts[j])
+    r, _, _ = _reduce(point, pts[i] - pts[j])
     close = np.flatnonzero(np.max(np.abs(r), axis=1) < min_sep)
     if len(close):
         k = close[0]
@@ -428,12 +411,13 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
         raise ValueError("need m >= 2 points on each side")
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
-    g = _context(tau).tau.shape[0]
+    point = _siegel(tau)
+    g = point.g
     w = np.asarray(w, dtype=complex).reshape(g)
     xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
-    _check_separation(np.concatenate([xs, ys]), tau, min_sep)
-    tw = theta(w, tau, cfg=cfg)
+    _check_separation(np.concatenate([xs, ys]), point, min_sep)
+    tw = theta(w, point, cfg=cfg)
     if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
         raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
 
@@ -443,9 +427,9 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
     odd = theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
-                      tau, delta, cfg)
+                      point, delta, cfg)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even = theta_batch(np.concatenate([shift[None, :], w + cross]), tau, cfg=cfg)
+    even = theta_batch(np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
     exy = odd[:m * m]
 
     lhs = _scaled_prod([even[0]] + odd[m * m:]) / _scaled_prod([tw] + exy)
@@ -477,16 +461,16 @@ def find_riemann_constants(tau, probe_images, cfg=None, *,
     the probe images; certifies the winner is below `vanish_tol` and the
     runner-up above `separation`.
     """
-    ctx = _context(tau)
-    g = ctx.tau.shape[0]
+    point = _siegel(tau)
+    g = point.g
     probes = np.array([np.asarray(p, dtype=complex).reshape(g) for p in probe_images])
     if len(probes) < 2 * g:
         raise ValueError(f"need at least {2 * g} probe images, got {len(probes)}")
     chars = [ThetaCharacteristic.from_bits(ia, ib, g)
              for ia in range(2**g) for ib in range(2**g)]
-    hs = np.array([ctx.tau @ ch.a + ch.b for ch in chars])
+    hs = np.array([point.z @ ch.a + ch.b for ch in chars])
     diffs = probes[None, :, :] - hs[:, None, :]
-    vals = theta_batch(diffs.reshape(-1, g), tau, cfg=cfg)
+    vals = theta_batch(diffs.reshape(-1, g), point, cfg=cfg)
     ratio = np.array([abs(v.mantissa) / v.peak for v in vals])
     worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
     best, second = np.argsort(worst, kind="stable")[:2]
@@ -508,22 +492,16 @@ def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
     """
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
+    point = _siegel(tau)
     w = np.asarray(w, dtype=complex)
     ev = theta_batch([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img],
-                     tau, cfg=cfg)
+                     point, cfg=cfg)
     od = theta_batch([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img],
-                     tau, delta, cfg)
-    factors_num = ev[:2] + od[:2]
-    factors_den = ev[2:] + od[2:]
-    for f in factors_num + factors_den:
+                     point, delta, cfg)
+    for f in ev + od:
         if abs(f.mantissa) < 1e-10 * f.peak:
             raise ThetaNearZeroError("cross-ratio factor too close to zero")
-    out = ScaledComplex(1.0)
-    for f in factors_num:
-        out = out * f
-    for f in factors_den:
-        out = out / f
-    return out.value
+    return (_scaled_prod(ev[:2] + od[:2]) / _scaled_prod(ev[2:] + od[2:])).value
 
 
 @dataclass

@@ -294,6 +294,25 @@ def test_expected_rank_formula(g, want):
     assert rs.expected_rank == want
 
 
+def test_relation_set_names_dependent_label(rel_input, monkeypatch):
+    # make (4, 6)'s relation a multiple of (3, 4)'s; after row scaling the
+    # two rows are equal, so the elimination picks (3, 4) and zeroes (4, 6)
+    real = petri.coefficients_from_matrices
+    seen = {}
+
+    def dependent(amat, dmat, row, g, k, l):
+        rc = real(amat, dmat, row, g, k, l)
+        seen[(k, l)] = rc
+        if (k, l) == (4, 6):
+            rc.coefficients = 2.5 * seen[(3, 4)].coefficients
+        return rc
+
+    monkeypatch.setattr(petri, "coefficients_from_matrices", dependent)
+    with pytest.raises(petri.RelationRankError, match="rank 5 below expected 6") as err:
+        petri.build_relation_set(rel_input)
+    assert err.value.offending_labels == ((4, 6),)
+
+
 def test_rank_error_carries_labels():
     err = petri.RelationRankError("rank 5 below expected 6", [(3, 4)])
     assert err.offending_labels == ((3, 4),)

@@ -40,6 +40,7 @@ def test_random_siegel_point_is_admissible(g, rng):
     pt = siegel.random_siegel_point(g, rng)
     assert np.array_equal(pt.z, pt.z.T)
     assert np.min(np.linalg.eigvalsh(pt.y)) > 0
+    assert pt.lambda_min == float(np.min(np.linalg.eigvalsh(pt.y)))
 
 
 def test_symplectic_constructors():

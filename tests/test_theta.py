@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holodiff import theta as th
-from holodiff.siegel import random_siegel_point
+from holodiff.siegel import SiegelPoint, random_siegel_point
 
 from oracles import lattice_theta, leibniz_det
 
@@ -164,6 +164,36 @@ def test_truncation_cap():
     cfg = th.ThetaEvalConfig(eps=1e-13, radius_cap=2.0)
     with pytest.raises(th.TruncationError, match="cap"):
         th.theta(0.0, 1j, cfg=cfg)
+
+
+def test_entry_points_reject_non_symmetric_tau():
+    tau = np.array([[1j, 0.3], [0.0, 1j]])
+    delta = th.ThetaCharacteristic.first_odd(2)
+    pts = [np.array([0.1, 0.2]), np.array([0.3 + 0.1j, -0.2])]
+    with pytest.raises(ValueError, match="symmetric"):
+        th.theta_batch(np.zeros((1, 2)), tau)
+    with pytest.raises(ValueError, match="symmetric"):
+        th.fay_residual(np.array([0.1j, 0.2]), pts, pts[::-1], tau, delta)
+
+
+def test_theta_at_point_matches_theta_at_matrix(rng):
+    point = random_siegel_point(3, rng)
+    char = th.ThetaCharacteristic.first_odd(3)
+    z = 0.3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) + point.z @ [1.0, 0.0, -1.0]
+    a = th.theta(z, point, char)
+    b = th.theta(z, point.z, char)
+    assert (a.mantissa, a.log_scale, a.err, a.peak) == (b.mantissa, b.log_scale, b.err, b.peak)
+
+
+def test_truncation_needs_positive_spectrum():
+    # Y = L L^T with unit lower-triangular L is positive definite (det 1)
+    # and passes the pivot test, but its smallest eigenvalue is below
+    # rounding; eigvalsh returns it as negative here (LAPACK may differ)
+    low = np.eye(6) + np.tril(np.full((6, 6), -50.0), -1)
+    point = SiegelPoint(1j * (low @ low.T))
+    reason = "smallest eigenvalue" if point.lambda_min <= 0 else "cap"
+    with pytest.raises(th.TruncationError, match=reason):
+        th.theta(np.zeros(6), point)
 
 
 def test_lattice_reduce_tau(rng):
