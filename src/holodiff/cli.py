@@ -354,10 +354,10 @@ def _selftest_checks(seed, tol):
         z = _rand_complex(rng, (2,), 0.5)
         mvec = np.array([1.0, -1.0])
         nvec = np.array([0.0, 2.0])
-        lhs = theta.theta(z + tau.z @ mvec + nvec, tau.z, char)
+        lhs = theta.theta(z + tau.z @ mvec + nvec, tau, char)
         factor_log = (-1j * np.pi * mvec @ tau.z @ mvec
                       - 2j * np.pi * mvec @ (z + char.b) + 2j * np.pi * char.a @ nvec)
-        rhs = theta.theta(z, tau.z, char) * theta.ScaledComplex(
+        rhs = theta.theta(z, tau, char) * theta.ScaledComplex(
             np.exp(1j * factor_log.imag), float(factor_log.real))
         resid = theta.scaled_rel_diff(lhs, rhs)
         return _record("self-theta", "theta-quasiperiodicity", resid, t)

@@ -49,7 +49,7 @@ def hadamard_bound(a) -> float:
     a = _as_square(a)
     if a.shape[0] == 0:
         return 1.0
-    return float(np.prod(np.sqrt(np.sum((a.conj() * a).real, axis=1))))
+    return float(np.prod(np.linalg.norm(a, axis=1)))
 
 
 def _lu(a):

@@ -186,14 +186,12 @@ def test_theta_at_point_matches_theta_at_matrix(rng):
 
 
 def test_truncation_needs_positive_spectrum():
-    # Y = L L^T with unit lower-triangular L is positive definite (det 1)
-    # and passes the pivot test, but its smallest eigenvalue is below
-    # rounding; eigvalsh returns it as negative here (LAPACK may differ)
-    low = np.eye(6) + np.tril(np.full((6, 6), -50.0), -1)
-    point = SiegelPoint(1j * (low @ low.T))
-    reason = "smallest eigenvalue" if point.lambda_min <= 0 else "cap"
-    with pytest.raises(th.TruncationError, match=reason):
-        th.theta(np.zeros(6), point)
+    # a Y can pass the pivot test while its computed smallest eigenvalue
+    # is not positive; the tail bound must refuse it, not fall to radius 3
+    point = SiegelPoint(1j * np.eye(2))
+    point.__dict__["lambda_min"] = 0.0
+    with pytest.raises(th.TruncationError, match="smallest eigenvalue"):
+        th.theta(np.zeros(2), point)
 
 
 def test_lattice_reduce_tau(rng):
