@@ -4,8 +4,9 @@ Submodules:
 
 - ``pairindex``: enumeration of unordered index pairs and the symmetric
   square calculus built on it.
-- ``linalg``: small dense complex linear algebra with explicit pivot
-  control and Hadamard-bound normalized determinant residuals.
+- ``linalg``: small dense complex linear algebra on LAPACK, with
+  degeneracy certificates and Hadamard-bound normalized determinant
+  residuals.
 - ``curves``: plane and hyperelliptic curve models, point sampling and
   curve description files.
 - ``bases``: bases of holomorphic n-differentials, cardinal bases

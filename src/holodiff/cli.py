@@ -416,8 +416,6 @@ def _add_common(sub, with_spec):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                      help="override a named tolerance; repeatable")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; checks always run in order")
     sub.add_argument("--report", default=None,
                      help="also write a timing-pinned report file")
 

@@ -195,7 +195,8 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     cond = linalg.cond1(a_mat)
     if not np.isfinite(cond) or cond > 1e10:
         raise PeriodCertificateError(f"cycle-period matrix ill conditioned: {cond:.3e}")
-    tau_raw = b_mat @ linalg.inverse(a_mat)
+    a_inv = linalg.inverse(a_mat)
+    tau_raw = b_mat @ a_inv
     scale = max(float(np.max(np.abs(tau_raw))), 1e-300)
     dev = float(np.max(np.abs(tau_raw - tau_raw.T))) / scale
     if dev > SYMMETRY_TOL:
@@ -206,7 +207,7 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
         tau = SiegelPoint((tau_raw + tau_raw.T) / 2)
     except ValueError as exc:
         raise PeriodCertificateError(f"positivity certificate failed: {exc}") from exc
-    normalization = linalg.inverse(a_mat.T)
+    normalization = a_inv.T
     return PeriodData(
         curve, a_mat, b_mat, normalization, tau, seg, seg_err, dev
     )

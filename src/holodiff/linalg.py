@@ -1,10 +1,11 @@
-"""Small dense complex linear algebra with explicit pivot control.
+"""Small dense complex linear algebra with certified degeneracy checks.
 
-Everything here targets matrices of size at most a few dozen, where an
-explicitly coded elimination is both fast enough and preferable to opaque
-library calls: determinant residuals are normalized by a Hadamard bound,
-near-singular solves fail loudly with the offending pivot magnitude, and
-numerical rank uses complete pivoting with a relative threshold.
+Determinants, solves, inverses and the positive-definiteness test are
+numpy's LAPACK calls.  What this module adds is the certification around
+them: determinant residuals are normalized by a Hadamard bound, a solve or
+inverse whose row-scaled reciprocal condition falls below a threshold
+fails loudly with that magnitude, and numerical rank uses complete
+pivoting (which LAPACK's LU does not offer) with a relative threshold.
 """
 
 from __future__ import annotations
@@ -27,10 +28,18 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+PIVOT_RTOL = 1e-13  # floor on the row-scaled reciprocal condition in solve/inverse
+FLOOR_RTOL = 1e-12  # floor on each Cholesky pivot, relative to the trace
 
 
 class DegenerateMatrixError(ArithmeticError):
-    """Raised when elimination meets a pivot too small to trust."""
+    """Raised when a matrix is too close to singular to trust.
+
+    `pivot` is the magnitude that failed its threshold.  From `solve` and
+    `inverse` it is the row-scaled reciprocal condition number of the
+    matrix, computed from its LAPACK inverse, or 0 when LAPACK meets an
+    exactly zero pivot.
+    """
 
     def __init__(self, message: str, pivot: float):
         super().__init__(f"{message} (pivot magnitude {pivot:.3e})")
@@ -52,39 +61,9 @@ def hadamard_bound(a) -> float:
     return float(np.prod(np.linalg.norm(a, axis=1)))
 
 
-def _lu(a):
-    """Partially pivoted elimination.
-
-    Returns (lu, perm, sign, rownorm) where lu holds U above the diagonal
-    and the multipliers below it, perm[i] is the original index of the row
-    now in position i, and rownorm are max-abs norms of the original rows.
-    """
-    u = np.array(a, dtype=complex)
-    n = u.shape[0]
-    rownorm = np.max(np.abs(u), axis=1) if n else np.empty(0)
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(u[k:, k])))
-        if r != k:
-            u[[k, r]] = u[[r, k]]
-            perm[[k, r]] = perm[[r, k]]
-            sign = -sign
-        piv = u[k, k]
-        if piv != 0 and k + 1 < n:
-            fac = u[k + 1 :, k] / piv
-            u[k + 1 :, k + 1 :] -= np.outer(fac, u[k, k + 1 :])
-            u[k + 1 :, k] = fac
-    return u, perm, sign, rownorm
-
-
 def det(a) -> complex:
-    """Determinant via partially pivoted elimination."""
-    a = _as_square(a)
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    u, _, sign, _ = _lu(a)
-    return complex(sign * np.prod(np.diagonal(u)))
+    """Determinant through LAPACK's partially pivoted LU."""
+    return complex(np.linalg.det(_as_square(a)))
 
 
 def det_with_bound(a):
@@ -103,33 +82,54 @@ def signed_minor(a, p: int, q: int) -> complex:
     return (-1.0) ** (p + q) * det(sub)
 
 
-def solve(a, b, *, pivot_rtol: float = 1e-13) -> np.ndarray:
-    """Solve a x = b, rejecting pivots below pivot_rtol times the row norm."""
+def _certify_inverse(a: np.ndarray, a_inv: np.ndarray) -> None:
+    """Refuse a when its row-scaled reciprocal condition is below PIVOT_RTOL.
+
+    That condition is 1/(|D^-1 a|_inf |a^-1 D|_inf) with D the row
+    max-norms of a, so scaling a row of a leaves it unchanged.
+    """
+    if a.shape[0] == 0:
+        return
+    abs_a = np.abs(a)
+    d = np.maximum(abs_a.max(axis=1), _TINY)
+    rcond = 1.0 / float((abs_a.sum(axis=1) / d).max() * (np.abs(a_inv) @ d).max())
+    if rcond < PIVOT_RTOL:
+        raise DegenerateMatrixError(
+            "degenerate configuration: row-scaled reciprocal condition below threshold",
+            rcond,
+        )
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b, refusing a numerically singular a.
+
+    One LAPACK factorization also yields a^-1 for `_certify_inverse`; the
+    reported magnitude is the row-scaled reciprocal condition of a, or 0
+    when LAPACK meets an exactly zero pivot.
+    """
     a = _as_square(a)
     b = np.asarray(b, dtype=complex)
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
-    u, perm, _, rownorm = _lu(a)
-    for k in range(n):
-        floor = pivot_rtol * max(rownorm[perm[k]], _TINY)
-        if abs(u[k, k]) < floor:
-            raise DegenerateMatrixError(
-                "degenerate configuration: elimination pivot below threshold",
-                abs(u[k, k]),
-            )
-    x = b[perm].astype(complex, copy=True)
-    for k in range(n):  # forward substitution with unit lower factor
-        x[k + 1 :] -= np.multiply.outer(u[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
-    return x
+    try:
+        sol = np.linalg.solve(a, np.column_stack([b, np.eye(n, dtype=complex)]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMatrixError("degenerate configuration: singular matrix", 0.0) from exc
+    k = sol.shape[1] - n
+    _certify_inverse(a, sol[:, k:])
+    return sol[:, :k].reshape(b.shape)
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse through the pivot-checked solver."""
+    """Matrix inverse through LAPACK, with the same degeneracy test as `solve`."""
     a = _as_square(a)
-    return solve(a, np.eye(a.shape[0], dtype=complex))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMatrixError("degenerate configuration: singular matrix", 0.0) from exc
+    _certify_inverse(a, a_inv)
+    return a_inv
 
 
 def cond1(a) -> float:
@@ -190,19 +190,17 @@ def scale_rows(a) -> np.ndarray:
     return a / rows[:, None]
 
 
-def is_positive_definite(a, floor_rtol: float = 1e-12) -> bool:
-    """Positive definiteness of a Hermitian matrix by symmetric elimination.
+def is_positive_definite(a) -> bool:
+    """Positive definiteness of a Hermitian matrix by LAPACK's Cholesky.
 
-    Successive diagonal pivots must exceed floor_rtol times the trace.
+    Each squared Cholesky diagonal entry, the pivot of symmetric
+    elimination, must exceed FLOOR_RTOL times the trace.
     """
     h = np.array(a, dtype=complex)
     h = (h + h.conj().T) / 2.0
-    n = h.shape[0]
-    floor = floor_rtol * max(abs(float(np.trace(h).real)), _TINY)
-    for k in range(n):
-        piv = h[k, k].real
-        if piv <= floor:
-            return False
-        col = h[k + 1 :, k]
-        h[k + 1 :, k + 1 :] -= np.outer(col, col.conj()) / piv
-    return True
+    floor = FLOOR_RTOL * max(abs(float(np.trace(h).real)), _TINY)
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diagonal(chol).real ** 2 > floor))

@@ -283,25 +283,24 @@ def build_relation_set(inp: RelationInput, row: int = 1, provenance=None) -> Rel
     for k, l in labels:
         amats[(k, l)] = build_A(inp, k, l, a)
         coeffs[(k, l)] = coefficients_from_matrices(amats[(k, l)], dmat, row, g, k, l)
-    pm = build_pair_index(g)
-    rank = 0
+    prov = {"row": row}
+    if provenance:
+        prov.update(provenance)
+    rs = RelationSet(g, tuple(labels), coeffs, 0, prov)
     if labels:
+        pm = build_pair_index(g)
         flat = np.empty((len(labels), pm.m), dtype=complex)
         for idx, lab in enumerate(labels):
             c = coeffs[lab].coefficients
             flat[idx] = c[pm.first, pm.second]
         pivots = linalg.pivot_rows(linalg.scale_rows(flat), rtol=RANK_RTOL)
-        rank = len(pivots)
-        expected = (g - 2) * (g - 3) // 2
-        if rank < expected:
+        rs.rank = len(pivots)
+        if rs.rank < rs.expected_rank:
             bad = [lab for idx, lab in enumerate(labels) if idx not in pivots]
             raise RelationRankError(
-                f"relation rank {rank} below expected {expected}; "
+                f"relation rank {rs.rank} below expected {rs.expected_rank}; "
                 f"dependent labels: {bad}",
                 bad,
             )
-    prov = {"row": row}
-    if provenance:
-        prov.update(provenance)
-    return RelationSet(g, tuple(labels), coeffs, rank, prov)
+    return rs
 

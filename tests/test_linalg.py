@@ -86,20 +86,26 @@ def test_solve_matrix_rhs():
     assert np.max(np.abs(a @ x - b)) < 1e-10
 
 
+def _solve_ones(a):
+    return linalg.solve(a, np.ones(a.shape[0]))
+
+
 def test_singular_matrix_raises_with_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(linalg.DegenerateMatrixError) as exc:
-        linalg.solve(a, np.ones(2))
-    assert exc.value.pivot < 1e-10
-    assert "pivot" in str(exc.value)
+    for call in (_solve_ones, linalg.inverse):
+        with pytest.raises(linalg.DegenerateMatrixError) as exc:
+            call(a)
+        assert exc.value.pivot < 1e-10
+        assert "pivot" in str(exc.value)
 
 
 def test_pivot_threshold_scales_with_rows():
     # the same relative degeneracy must be rejected at any overall scale
     base = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
-    for scale in (1.0, 1e12, 1e-12):
-        with pytest.raises(linalg.DegenerateMatrixError):
-            linalg.solve(scale * base, np.ones(2))
+    for call in (_solve_ones, linalg.inverse):
+        for scale in (1.0, 1e12, 1e-12):
+            with pytest.raises(linalg.DegenerateMatrixError):
+                call(scale * base)
 
 
 def test_inverse_round_trip():
@@ -148,3 +154,6 @@ def test_is_positive_definite():
     assert not linalg.is_positive_definite(-h)
     ind = np.diag([1.0, -1.0, 3.0])
     assert not linalg.is_positive_definite(ind)
+    # positive definite, but the second pivot is below 1e-12 times the trace
+    assert not linalg.is_positive_definite(np.diag([1.0, 1e-13]))
+    assert linalg.is_positive_definite(np.diag([1.0, 1e-11]))

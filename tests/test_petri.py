@@ -295,8 +295,9 @@ def test_expected_rank_formula(g, want):
 
 
 def test_relation_set_names_dependent_label(rel_input, monkeypatch):
-    # make (4, 6)'s relation a multiple of (3, 4)'s; after row scaling the
-    # two rows are equal, so the elimination picks (3, 4) and zeroes (4, 6)
+    # make (4, 6)'s relation a power-of-two multiple of (3, 4)'s, so after
+    # row scaling the two rows are bit-equal and the elimination picks
+    # (3, 4) and zeroes (4, 6)
     real = petri.coefficients_from_matrices
     seen = {}
 
@@ -304,7 +305,7 @@ def test_relation_set_names_dependent_label(rel_input, monkeypatch):
         rc = real(amat, dmat, row, g, k, l)
         seen[(k, l)] = rc
         if (k, l) == (4, 6):
-            rc.coefficients = 2.5 * seen[(3, 4)].coefficients
+            rc.coefficients = 4.0 * seen[(3, 4)].coefficients
         return rc
 
     monkeypatch.setattr(petri, "coefficients_from_matrices", dependent)
