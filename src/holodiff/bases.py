@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curves import CurvePoint, HyperellipticCurve, PlaneCurve, ChartError, sample_points
+from .curves import HyperellipticCurve, PlaneCurve, ChartError, sample_points
 from .pairindex import PairIndexMap, build_pair_index
 
 __all__ = [
@@ -83,6 +83,13 @@ def _hyperelliptic_monomials(genus: int, weight: int) -> list[tuple[int, int]]:
     return mono
 
 
+def _refuse(points, bad, what, values) -> None:
+    """Raise ChartError naming the first point flagged in `bad`."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ChartError(f"chart breakdown at {points[i]!r}: {what} = {abs(values[i]):.3e}")
+
+
 class DifferentialBasis:
     """Linear combinations of a monomial differential family on one model."""
 
@@ -111,44 +118,26 @@ class DifferentialBasis:
         return names
 
     def _raw_values(self, points) -> np.ndarray:
-        vals = np.empty((len(self.monomials), len(points)), dtype=complex)
-        for col, pt in enumerate(points):
-            if pt.model is not self.model:
-                raise ValueError("point does not belong to this basis's model")
-            vals[:, col] = self._raw_at(pt)
-        return vals
-
-    def _raw_at(self, pt: CurvePoint) -> np.ndarray:
-        if isinstance(self.model, PlaneCurve):
-            return self._raw_plane(pt)
-        return self._raw_hyperelliptic(pt)
-
-    def _raw_plane(self, pt: CurvePoint) -> np.ndarray:
+        """Monomial values, shape (len(monomials), len(points)), in one array pass."""
+        if any(pt.model is not self.model for pt in points):
+            raise ValueError("point does not belong to this basis's model")
+        x = np.array([pt.x for pt in points], dtype=complex)
+        y = np.array([pt.y for pt in points], dtype=complex)
+        a, b = (np.array(e)[:, None] for e in zip(*self.monomials))
         model = self.model
-        x, y = pt.x, pt.y
-        scale = model.coeff_scale * max(1.0, abs(x), abs(y)) ** (model.degree - 1)
-        if pt.chart == "x":
-            denom = model.fy(x, y)[0]
-            sign = 1.0
-        else:
-            denom = model.fx(x, y)[0]
-            sign = (-1.0) ** self.weight
-        if abs(denom) < CHART_FLOOR * scale:
-            raise ChartError(f"chart breakdown at {pt!r}: |denominator| = {abs(denom):.3e}")
-        out = np.empty(len(self.monomials), dtype=complex)
-        for t, (r, s) in enumerate(self.monomials):
-            out[t] = sign * (x**r) * (y**s) / denom**self.weight
-        return out
-
-    def _raw_hyperelliptic(self, pt: CurvePoint) -> np.ndarray:
-        x, y = pt.x, pt.y
-        scale = np.sqrt(self.model.on_curve_scale(x, y)[0])
-        out = np.empty(len(self.monomials), dtype=complex)
-        for t, (j, m) in enumerate(self.monomials):
-            if m > 0 and abs(y) < CHART_FLOOR * scale:
-                raise ChartError(f"chart breakdown at {pt!r}: |y| = {abs(y):.3e}")
-            out[t] = x**j / y**m if m > 0 else x**j
-        return out
+        if isinstance(model, PlaneCurve):
+            on_x = np.array([pt.chart == "x" for pt in points], dtype=bool)
+            denom = np.where(on_x, model.fy(x, y), model.fx(x, y))
+            big = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+            scale = model.coeff_scale * big ** (model.degree - 1)
+            _refuse(points, np.abs(denom) < CHART_FLOOR * scale, "|denominator|", denom)
+            sign = np.where(on_x, 1.0, (-1.0) ** self.weight)
+            return sign * x**a * y**b / denom**self.weight
+        # hyperelliptic: x^j / y^m
+        if np.any(b > 0):
+            scale = np.sqrt(model.on_curve_scale(x, y))
+            _refuse(points, np.abs(y) < CHART_FLOOR * scale, "|y|", y)
+        return x**a / y**b
 
     def evaluate(self, points) -> np.ndarray:
         """Matrix [basis_i(points_j)] of chart coefficients, shape (dim, len(points))."""
@@ -181,11 +170,10 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
 
 def _cardinal(basis: DifferentialBasis, anchors):
     """(cardinal basis at the anchors, condition number of the evaluation)."""
-    phi = basis.evaluate(anchors)
-    cond = linalg.cond1(phi)
+    phi_inv, cond = linalg.inverse_cond1(basis.evaluate(anchors))
     if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
         raise NonGenericAnchorsError("non-generic anchors", cond)
-    return basis.transform(linalg.inverse(phi)), cond
+    return basis.transform(phi_inv), cond
 
 
 def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:

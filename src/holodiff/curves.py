@@ -8,10 +8,12 @@ saying which coordinate trivializes differentials at that point, and for
 hyperelliptic curves a sheet sign.
 
 Sampling is deterministic given a seed: x is drawn from a disk of radius
-2 (complex mode) or the interval [-2, 2] (real mode), the remaining
-coordinate comes from companion-matrix root finding plus three Newton
-steps, and candidates are rejected while they sit too close to a chart
-breakdown, a branch point, or a previously accepted point.
+2 (complex mode) or the interval [-2, 2] (real mode), and candidates are
+rejected while they sit too close to a chart breakdown, a branch point,
+or a previously accepted point.  On a plane curve the draws still needed
+are made as one batch: y comes from one stacked companion-matrix
+`eigvals` call over the batch plus three row-wise Newton steps, and the
+candidates are then accepted or rejected one by one in draw order.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class PlaneCurve:
         if not np.any(self._r + self._s == self.degree):
             raise ValueError("no monomial of total degree equal to the stated degree")
         self.coeffs = tuple(terms)
+        # term t adds into the coefficient of y^s_t, column degree - s_t
+        self._y_slots = np.zeros((len(terms), self.degree + 1))
+        self._y_slots[np.arange(len(terms)), self.degree - self._s] = 1.0
         self.coeff_scale = float(np.max(np.abs(self._c)))
         self.genus = (self.degree - 1) * (self.degree - 2) // 2
 
@@ -128,20 +133,18 @@ class PlaneCurve:
         m = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         return self.coeff_scale * m**self.degree
 
-    def _y_poly(self, term_values) -> np.ndarray:
-        c = np.zeros(self.degree + 1, dtype=complex)
-        for s, v in zip(self._s, term_values):
-            c[self.degree - s] += v
-        return c
+    def y_poly_coeffs(self, x) -> np.ndarray:
+        """Coefficients of F(x, .) as a polynomial in y, highest power first.
 
-    def y_poly_coeffs(self, x: complex) -> np.ndarray:
-        """Coefficients of F(x, .) as a polynomial in y, highest power first."""
-        return self._y_poly(self._c * np.asarray(x, dtype=complex) ** self._r)
+        For an array of x the coefficients run along a new last axis.
+        """
+        x = np.asarray(x, dtype=complex)[..., None]
+        return (self._c * x**self._r) @ self._y_slots
 
-    def fx_y_poly_coeffs(self, x: complex) -> np.ndarray:
+    def fx_y_poly_coeffs(self, x) -> np.ndarray:
         """Coefficients of F_x(x, .) as a polynomial in y, highest power first."""
-        xp = np.asarray(x, dtype=complex) ** np.maximum(self._r - 1, 0)
-        return self._y_poly(self._c * self._r * xp)
+        x = np.asarray(x, dtype=complex)[..., None]
+        return (self._c * self._r * x ** np.maximum(self._r - 1, 0)) @ self._y_slots
 
     def __repr__(self) -> str:
         return f"PlaneCurve(degree={self.degree}, genus={self.genus})"
@@ -219,90 +222,116 @@ def _draw_x(rng, mode: str) -> complex:
     return complex(r * np.cos(phi), r * np.sin(phi))
 
 
-def _horner(coeffs, z: complex) -> complex:
-    """Value at z of the polynomial with `coeffs`, highest power first.
-
-    Plain Python complex arithmetic: on one scalar, a NumPy call's
-    overhead costs more than the whole loop.
-    """
-    acc = 0j
-    for c in coeffs:
+def _horner_rows(coeffs, z):
+    """Value at z[i] of the polynomial with coefficients coeffs[i], highest power first."""
+    acc = np.zeros_like(z)
+    for c in coeffs.T:
         acc = acc * z + c
     return acc
 
 
-def _sample_plane(model: PlaneCurve, count, rng, mode):
-    pts: list[CurvePoint] = []
-    last_reason = "no draws attempted"
-    for _ in range(count):
-        for _ in range(MAX_DRAWS_PER_POINT):
-            x = _draw_x(rng, mode)
-            coeffs = model.y_poly_coeffs(x)
-            nz = np.nonzero(np.abs(coeffs) > 0)[0]
-            if len(nz) == 0 or len(coeffs) - 1 - nz[0] < 1:
-                last_reason = "no y roots at drawn x"
-                continue
-            roots = np.roots(coeffs[nz[0] :])
-            if len(roots) == 0:
-                last_reason = "no y roots at drawn x"
-                continue
-            y = complex(roots[rng.integers(len(roots))])
-            f_coeffs = coeffs.tolist()
-            fy_coeffs = np.polyder(coeffs).tolist()
-            for _ in range(3):  # Newton polish on the drawn root
-                dfy = _horner(fy_coeffs, y)
-                if abs(dfy) == 0:
-                    break
-                y = y - _horner(f_coeffs, y) / dfy
-            fv = abs(_horner(f_coeffs, y))
-            if fv > ON_CURVE_RTOL * model.on_curve_scale(x, y)[0]:
-                last_reason = "root polish left the curve residual too large"
-                continue
-            gx = abs(_horner(model.fx_y_poly_coeffs(x).tolist(), y))
-            gy = abs(_horner(fy_coeffs, y))
-            grad = gx + gy
-            if grad == 0.0:
-                last_reason = "vanishing gradient (singular point)"
-                continue
-            if gy >= CHART_RATIO_MIN * grad:
-                chart = "x"
-            elif gx >= CHART_RATIO_MIN * grad:
-                chart = "y"
-            else:
-                last_reason = "near-singular chart"
-                continue
-            if _too_close(x, y, pts):
-                last_reason = "duplicate of an accepted point"
-                continue
-            pts.append(CurvePoint(model, complex(x), complex(y), chart))
-            break
-        else:
-            raise SamplingError(
-                f"gave up after {MAX_DRAWS_PER_POINT} draws; last rejection: {last_reason}"
-            )
-    return pts
+def _pick_roots(coeffs, pick):
+    """Root number pick[i] of row i's polynomial, listed as np.roots lists them.
+
+    As in np.roots, leading and trailing zero coefficients are stripped, the
+    companion-matrix eigenvalues come first and the stripped zero roots last.
+    Rows of one stripped degree share one stacked `eigvals` call.
+    """
+    nz = coeffs != 0
+    lead = np.argmax(nz, axis=1)
+    deg = coeffs.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1) - lead
+    roots = np.zeros(len(pick), dtype=complex)
+    for m in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == m)
+        p = np.take_along_axis(coeffs[rows], lead[rows, None] + np.arange(m + 1), axis=1)
+        comp = np.zeros((len(rows), m, m), dtype=complex)
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        eig = np.linalg.eigvals(comp)
+        hit = pick[rows] < m
+        roots[rows[hit]] = eig[hit, pick[rows[hit]]]
+    return roots
 
 
-def _sample_hyperelliptic(model: HyperellipticCurve, count, rng, mode, branch_margin):
+def _plane_candidates(model: PlaneCurve, n, rng, mode):
+    """n draws as (x, y, chart, sheet, reason); reason is None when acceptable.
+
+    The RNG is read as one draw at a time would read it: x, then the root
+    index when the y-polynomial at x has degree k >= 1.
+    """
+    d = model.degree
+    xs = np.empty(n, dtype=complex)
+    coeffs = np.empty((n, d + 1), dtype=complex)
+    pick = np.full(n, -1)
+    for i in range(n):
+        xs[i] = _draw_x(rng, mode)
+        coeffs[i] = model.y_poly_coeffs(xs[i])
+        nz = coeffs[i].nonzero()[0]
+        if len(nz) and nz[0] < d:
+            pick[i] = rng.integers(d - nz[0])
+    ok = np.flatnonzero(pick >= 0)
+    x, f = xs[ok], coeffs[ok]
+    y = _pick_roots(f, pick[ok])
+    fy = f[:, :-1] * np.arange(d, 0, -1)
+    for _ in range(3):  # Newton polish on the drawn roots
+        dfy = _horner_rows(fy, y)
+        y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
+    fv = np.abs(_horner_rows(f, y))
+    gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
+    gy = np.abs(_horner_rows(fy, y))
+    grad = gx + gy
+    verdict = np.select(
+        [
+            fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
+            grad == 0.0,
+            gy >= CHART_RATIO_MIN * grad,
+            gx >= CHART_RATIO_MIN * grad,
+        ],
+        [
+            "root polish left the curve residual too large",
+            "vanishing gradient (singular point)",
+            "x",
+            "y",
+        ],
+        "near-singular chart",
+    )
+    xl = xs.tolist()
+    out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
+    for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
+        out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
+    return out
+
+
+def _hyperelliptic_candidates(model: HyperellipticCurve, n, rng, mode, branch_margin):
+    """n draws as (x, y, chart, sheet, reason); reason is None when acceptable."""
+    out = []
+    for _ in range(n):
+        x = _draw_x(rng, mode)
+        if model.branch_distance(x)[0] < branch_margin:
+            out.append((x, 0j, None, None, "too close to a branch point"))
+            continue
+        sheet = 1 if rng.uniform() < 0.5 else -1
+        out.append((x, sheet * np.sqrt(model.f(x)[0]), "x", sheet, None))
+    return out
+
+
+def _accept(model, count, draw):
+    """Accept `draw(n)`'s candidates in draw order, within the per-point budget."""
     pts: list[CurvePoint] = []
-    last_reason = "no draws attempted"
-    for _ in range(count):
-        for _ in range(MAX_DRAWS_PER_POINT):
-            x = _draw_x(rng, mode)
-            if model.branch_distance(x)[0] < branch_margin:
-                last_reason = "too close to a branch point"
+    misses = 0  # draws rejected since the last accepted point
+    while len(pts) < count:
+        for x, y, chart, sheet, reason in draw(count - len(pts)):
+            if reason is None and _too_close(x, y, pts):
+                reason = "duplicate of an accepted point"
+            if reason is None:
+                pts.append(CurvePoint(model, complex(x), complex(y), chart, sheet))
+                misses = 0
                 continue
-            sheet = 1 if rng.uniform() < 0.5 else -1
-            y = sheet * np.sqrt(model.f(x)[0])
-            if _too_close(x, y, pts):
-                last_reason = "duplicate of an accepted point"
-                continue
-            pts.append(CurvePoint(model, complex(x), complex(y), "x", sheet))
-            break
-        else:
-            raise SamplingError(
-                f"gave up after {MAX_DRAWS_PER_POINT} draws; last rejection: {last_reason}"
-            )
+            misses += 1
+            if misses == MAX_DRAWS_PER_POINT:
+                raise SamplingError(
+                    f"gave up after {MAX_DRAWS_PER_POINT} draws; last rejection: {reason}"
+                )
     return pts
 
 
@@ -326,9 +355,13 @@ def sample_points(
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     if isinstance(model, PlaneCurve):
-        return _sample_plane(model, count, rng, mode)
+        return _accept(model, count, lambda n: _plane_candidates(model, n, rng, mode))
     if isinstance(model, HyperellipticCurve):
-        return _sample_hyperelliptic(model, count, rng, mode, branch_margin)
+        return _accept(
+            model,
+            count,
+            lambda n: _hyperelliptic_candidates(model, n, rng, mode, branch_margin),
+        )
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

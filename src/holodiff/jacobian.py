@@ -192,10 +192,9 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
         a_mat[i] = 2.0 * seg[2 * i]
         b_mat[i] = 2.0 * np.sum(seg[2 * i + 1 :: 2], axis=0)
 
-    cond = linalg.cond1(a_mat)
+    a_inv, cond = linalg.inverse_cond1(a_mat)
     if not np.isfinite(cond) or cond > 1e10:
         raise PeriodCertificateError(f"cycle-period matrix ill conditioned: {cond:.3e}")
-    a_inv = linalg.inverse(a_mat)
     tau_raw = b_mat @ a_inv
     scale = max(float(np.max(np.abs(tau_raw))), 1e-300)
     dev = float(np.max(np.abs(tau_raw - tau_raw.T))) / scale

@@ -20,6 +20,7 @@ __all__ = [
     "signed_minor",
     "solve",
     "inverse",
+    "inverse_cond1",
     "cond1",
     "pivot_rows",
     "numerical_rank",
@@ -132,17 +133,25 @@ def inverse(a) -> np.ndarray:
     return a_inv
 
 
-def cond1(a) -> float:
-    """1-norm condition number; infinite when the solve degenerates."""
+def inverse_cond1(a):
+    """(a^-1, 1-norm condition number of a) from one inversion.
+
+    A matrix that `inverse` refuses gives (None, inf).
+    """
     a = _as_square(a)
     if a.shape[0] == 0:
-        return 1.0
-    na = float(np.max(np.sum(np.abs(a), axis=0)))
+        return np.zeros((0, 0), dtype=complex), 1.0
     try:
-        ni = float(np.max(np.sum(np.abs(inverse(a)), axis=0)))
+        a_inv = inverse(a)
     except DegenerateMatrixError:
-        return float("inf")
-    return na * ni
+        return None, float("inf")
+    na = float(np.max(np.sum(np.abs(a), axis=0)))
+    return a_inv, na * float(np.max(np.sum(np.abs(a_inv), axis=0)))
+
+
+def cond1(a) -> float:
+    """1-norm condition number; infinite when the solve degenerates."""
+    return inverse_cond1(a)[1]
 
 
 def pivot_rows(a, rtol: float = 1e-8) -> list[int]:

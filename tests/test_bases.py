@@ -78,6 +78,50 @@ def test_hyperelliptic_weight2_monomials(hyp_g2):
             assert vals[row, col] == pytest.approx(p.x**j / p.y**mpow)
 
 
+def test_batched_evaluate_matches_per_point_formula(quintic, hyp_g4):
+    plane = bases.holomorphic_basis(quintic)
+    pts = curves.sample_points(quintic, 7, 61)
+    # the same affine point carried in the y chart: divide by F_x, sign (-1)^1
+    pts.append(curves.CurvePoint(quintic, pts[0].x, pts[0].y, "y"))
+    vals = plane.evaluate(pts)
+    for col, p in enumerate(pts):
+        if p.chart == "x":
+            denom, sign = quintic.fy(p.x, p.y)[0], 1.0
+        else:
+            denom, sign = quintic.fx(p.x, p.y)[0], -1.0
+        for row, (r, s) in enumerate(plane.monomials):
+            want = sign * p.x**r * p.y**s / denom
+            assert abs(vals[row, col] - want) <= 1e-14 * abs(want)
+    hyp = bases.holomorphic_basis(hyp_g4, weight=2)
+    pts = curves.sample_points(hyp_g4, 5, 62)
+    vals = hyp.evaluate(pts)
+    for col, p in enumerate(pts):
+        for row, (j, m) in enumerate(hyp.monomials):
+            want = p.x**j / p.y**m
+            assert abs(vals[row, col] - want) <= 1e-14 * abs(want)
+
+
+def test_chart_error_names_the_offending_point(quintic, hyp_g2):
+    good = curves.sample_points(quintic, 1, 63)[0]
+    # F_y = 5 y^4 vanishes at (-1, 0), so the x chart breaks down there
+    bad = curves.CurvePoint(quintic, -1.0 + 0j, 0j, "x")
+    with pytest.raises(curves.ChartError) as exc:
+        bases.holomorphic_basis(quintic).evaluate([good, bad, good])
+    assert repr(bad) in str(exc.value)
+    assert "|denominator|" in str(exc.value)
+    branch = curves.CurvePoint(hyp_g2, 0j, 0j, "x", 1)
+    with pytest.raises(curves.ChartError) as exc:
+        bases.holomorphic_basis(hyp_g2).evaluate([branch])
+    assert repr(branch) in str(exc.value)
+    assert "|y|" in str(exc.value)
+
+
+def test_evaluate_rejects_points_of_another_model(quintic, quartic):
+    pts = curves.sample_points(quintic, 2, 64) + curves.sample_points(quartic, 1, 65)
+    with pytest.raises(ValueError, match="does not belong"):
+        bases.holomorphic_basis(quintic).evaluate(pts)
+
+
 def test_linear_independence_at_samples(quintic, hyp_g4):
     for model in (quintic, hyp_g4):
         basis = bases.holomorphic_basis(model)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holodiff import curves
+from oracles import sample_plane
 
 
 def test_plane_curve_validation():
@@ -81,6 +82,15 @@ def test_sampling_failure_reports_reason(hyp_g2):
     assert "branch" in str(exc.value)
 
 
+def test_plane_sampling_budget_reports_chart_reason(quintic, monkeypatch):
+    # no gradient share can reach 2.0, so every draw fails the chart test
+    monkeypatch.setattr(curves, "CHART_RATIO_MIN", 2.0)
+    with pytest.raises(curves.SamplingError) as exc:
+        curves.sample_points(quintic, 3, 0)
+    assert f"gave up after {curves.MAX_DRAWS_PER_POINT} draws" in str(exc.value)
+    assert "near-singular chart" in str(exc.value)
+
+
 def test_sample_mode_validation(hyp_g2):
     with pytest.raises(ValueError):
         curves.sample_points(hyp_g2, 3, 0, mode="imaginary")
@@ -119,8 +129,46 @@ def test_y_poly_horner_matches_direct_evaluation(quintic, terms):
         )
         for coeffs, direct in pairs:
             want = direct(x, y)[0]
-            got = curves._horner(coeffs.tolist(), y)
+            got = curves._horner_rows(coeffs[None, :], np.array([y]))[0]
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+@pytest.mark.parametrize(
+    "terms,seeds,count",
+    [(None, 2000, 16), (MIXED_QUARTIC, 500, 10)],
+    ids=["quintic", "mixed-quartic"],
+)
+def test_batched_sampler_matches_one_draw_oracle(quintic, terms, seeds, count, mode):
+    model = quintic if terms is None else curves.PlaneCurve(4, terms)
+    for seed in range(seeds):
+        pts = curves.sample_points(model, count, seed, mode)
+        want = sample_plane(model, count, seed, mode)
+        assert [(p.x, p.chart) for p in pts] == [(x, c) for x, _, c in want]
+        for p, (_, y, _) in zip(pts, want):
+            assert abs(p.y - y) <= 1e-15 * abs(y)
+
+
+def test_draw_budget_matches_one_draw_oracle(quintic, monkeypatch):
+    # a small budget and a wide separation make duplicates common, so some
+    # seeds exhaust the budget of one point and others only spread misses
+    # over several points; the budget must restart at every accepted point
+    monkeypatch.setattr(curves, "MAX_DRAWS_PER_POINT", 3)
+    monkeypatch.setattr(curves, "MIN_POINT_SEPARATION", 1.5)
+
+    def outcome(sample):
+        try:
+            return [(x, c) for x, _, c in sample()]
+        except curves.SamplingError as exc:
+            return str(exc)
+
+    outcomes = []
+    for seed in range(200):
+        got = outcome(lambda: [(p.x, p.y, p.chart)
+                               for p in curves.sample_points(quintic, 8, seed)])
+        assert got == outcome(lambda: sample_plane(quintic, 8, seed))
+        outcomes.append(isinstance(got, str))
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_parse_plane_spec():

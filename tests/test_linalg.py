@@ -131,6 +131,17 @@ def test_cond1_singular_is_infinite():
     assert linalg.cond1(a) == float("inf")
 
 
+def test_inverse_cond1_is_one_inversion():
+    rng = np.random.default_rng(7)
+    a = _rand_c(rng, (5, 5)) + np.eye(5)
+    a_inv, cond = linalg.inverse_cond1(a)
+    assert np.array_equal(a_inv, linalg.inverse(a))
+    norm1 = lambda m: np.max(np.sum(np.abs(m), axis=0))
+    assert cond == norm1(a) * norm1(a_inv)
+    singular = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
+    assert linalg.inverse_cond1(singular) == (None, float("inf"))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 4])
 def test_numerical_rank_constructed(rank):
     rng = np.random.default_rng(rank)

@@ -11,7 +11,8 @@ stripped, in OUT.json.  The default seeds give 6 x 40 + 2 = 242 runs.
 
 `diff` prints every changed exit code, every changed report line and every
 changed check verdict, then each check's FAIL count per command on both
-sides.
+sides, then for each check the number of changed residuals and the
+largest |log10(after/before)| among them (inf when one side is 0).
 It exits 1 when an exit code or a verdict changed, else 0.  To compare two
 commits, run the sweep once with ``--src`` pointing at each checkout.
 """
@@ -23,6 +24,7 @@ import contextlib
 import difflib
 import io
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -40,6 +42,7 @@ PERIOD_CURVES = ("hyperelliptic_g2.json", "lemniscatic_g1.json")
 
 _MS = re.compile(r" ms=\S+")
 _CHECK = re.compile(r"^check=(\S+) .*?status=(\S+)")
+_RESIDUAL = re.compile(r"^check=(\S+) .*?residual=(\S+)")
 
 
 def _seed_range(text: str) -> range:
@@ -74,6 +77,19 @@ def _verdicts(report: list[str]) -> dict:
     return dict(m.groups() for m in map(_CHECK.match, report) if m)
 
 
+def _residuals(report: list[str]) -> dict:
+    return {m[1]: float(m[2]) for m in map(_RESIDUAL.match, report) if m}
+
+
+def _log_drift(before: float, after: float) -> float:
+    """|log10(after/before)|; inf when exactly one side is 0."""
+    if before == after:
+        return 0.0
+    if before == 0.0 or after == 0.0:
+        return math.inf
+    return abs(math.log10(after / before))
+
+
 def _command(key: str) -> str:
     return key.split(" --seed ")[0]
 
@@ -85,6 +101,7 @@ def diff_sweeps(before: dict, after: dict) -> int:
         print(f"only in {'before' if key in a else 'after'}: {key}")
         changed += 1
     lines = same = 0
+    drift: dict[str, list[float]] = {}
     for key in (k for k in a if k in b):
         ra, rb = a[key], b[key]
         if ra == rb:
@@ -103,6 +120,10 @@ def diff_sweeps(before: dict, after: dict) -> int:
             if va.get(check) != vb.get(check):
                 print(f"  verdict {check}: {va.get(check)} -> {vb.get(check)}")
                 changed += 1
+        xa, xb = _residuals(ra["report"]), _residuals(rb["report"])
+        for check in xa.keys() & xb.keys():
+            if xa[check] != xb[check]:
+                drift.setdefault(check, []).append(_log_drift(xa[check], xb[check]))
     print(f"runs: {len(a)} before, {len(b)} after, {same} identical, "
           f"{lines} changed lines, {changed} changed exit codes or verdicts")
     runs = Counter(_command(key) for key in a)
@@ -113,6 +134,9 @@ def diff_sweeps(before: dict, after: dict) -> int:
         n = runs[command]
         print(f"FAIL {check} in {command}: {fails[0][command, check]} of {n} before, "
               f"{fails[1][command, check]} of {n} after")
+    for check, logs in sorted(drift.items()):
+        print(f"residual drift {check}: {len(logs)} changed, "
+              f"max |log10(after/before)| = {max(logs):.3g}")
     return 1 if changed else 0
 
 
