@@ -9,6 +9,7 @@ status: 0 when every check passes or is merely skipped with a warning,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import zlib
@@ -280,7 +281,7 @@ def _fay_check(model, genus, m, seed, tol):
                     else:
                         s = _sub_seed(seed, f"fay-points-{trial}") + attempt
                         pts = curves.sample_points(model, 2 * m, s, mode="real")
-                        imgs = [jacobian.abel_map(pd, p).vector for p in pts]
+                        imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
                         w = _rand_complex(rng, (2,), 0.4)
                         r = theta.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
                     worst = max(worst, r)
@@ -420,7 +421,10 @@ def _add_common(sub, with_spec):
                      help="also write a timing-pinned report file")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged, and
+    # the --tol list default is copied, never appended to in place
     parser = argparse.ArgumentParser(
         prog="holodiff",
         description="numerical checks for differentials, relations, and theta identities",

@@ -8,7 +8,9 @@ computed, not assumed, and any bookkeeping error fails hard there.
 
 Abel maps integrate the normalized differentials along a real-axis
 chain plus, for complex targets, straight legs with continuity-tracked
-square roots.  A separate helper handles genus-1 cubics with complex
+square roots.  A sequence of points shares one array quadrature for the
+real-axis parts, each point doubling its nodes until it converges, and
+gives the same vectors bit for bit as one point at a time.  A separate helper handles genus-1 cubics with complex
 roots, where the real-segment machinery does not apply.
 """
 
@@ -70,24 +72,56 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * k - 1) * np.pi / (2 * n))[::-1]
 
 
-def _node_doubling(rule, rtol: float, cap: int, what: str):
-    """Node doubling: rule(n) for n = 32, 64, ... up to cap.
+def _node_doubling(rule, count: int, rtol: float, cap: int, what: str):
+    """Node doubling on `count` integrals at once, each stopping on its own.
 
-    Stops when two successive values agree to `rtol` in the max norm and
-    returns (value, |value - previous value|), elementwise for vectors.
+    rule(n, idx) returns the values of the integrals idx at n nodes, one
+    per leading index, for n = 32, 64, ... up to cap.  An integral stops
+    when two successive values agree to `rtol` in its max norm; returns
+    (values, |value - previous value|) for all integrals in index order.
     """
-    n, prev, gap = 32, None, np.inf
+    idx = np.arange(count)
+    n, prev, gap = 32, None, np.full(1, np.inf)
     while n <= cap:
-        val = rule(n)
-        if prev is not None:
+        val = rule(n, idx)
+        if prev is None:
+            out, gaps = np.empty_like(val), np.empty(val.shape)
+        else:
             gap = abs(val - prev)
-            if np.max(gap) <= rtol * max(np.max(abs(val)), 1e-300):
-                return val, gap
+            axes = tuple(range(1, val.ndim))
+            scale = np.maximum(np.max(abs(val), axis=axes), 1e-300)
+            done = np.max(gap, axis=axes) <= rtol * scale
+            out[idx[done]] = val[done]
+            gaps[idx[done]] = gap[done]
+            idx, val, gap = idx[~done], val[~done], gap[~done]
+            if not len(idx):
+                return out, gaps
         prev = val
         n *= 2
     raise QuadratureError(
-        f"{what}: no convergence at {cap} nodes; last difference {np.max(gap):.3e}"
+        f"{what}: no convergence at {cap} nodes; last difference {np.max(gap[0]):.3e}"
     )
+
+
+def _node_doubling_one(rule, rtol: float, cap: int, what: str):
+    """_node_doubling on a single integral given by rule(n)."""
+    vals, gaps = _node_doubling(lambda n, _: np.asarray(rule(n))[None], 1, rtol, cap, what)
+    return vals[0], gaps[0]
+
+
+def _one_sided_rule(f, a, b, sing_a, n: int):
+    """Gauss-Legendre rule at n nodes after x = a + t^2 (sing_a) or b - t^2.
+
+    The substitution removes an inverse-square-root singularity at the
+    flagged end.  a, b and sing_a are scalars, or (k, 1) columns for k
+    intervals at once; then f maps (k, n) abscissae to (rows, k, n).
+    """
+    width = np.sqrt(b - a)
+    t, w = _gauss_legendre(n)
+    tt = (t + 1) * (width / 2)
+    ww = w * (width / 2)
+    x = np.where(sing_a, a + tt * tt, b - tt * tt)
+    return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
 
 
 def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
@@ -112,24 +146,19 @@ def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
             x = mid + half * t
             return (np.pi / n) * np.sum(f(x) * half * np.sqrt(1.0 - t * t), axis=-1)
         if sing_a or sing_b:
-            width = np.sqrt(b - a)
-            t, w = _gauss_legendre(n)
-            tt = (t + 1) * (width / 2)
-            ww = w * (width / 2)
-            x = a + tt * tt if sing_a else b - tt * tt
-            return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
+            return _one_sided_rule(f, a, b, sing_a, n)
         t, w = _gauss_legendre(n)
         x = mid + half * t
         return np.sum(f(x) * w * half, axis=-1)
 
-    val, gap = _node_doubling(rule, rtol, cap, "segment quadrature")
+    val, gap = _node_doubling_one(rule, rtol, cap, "segment quadrature")
     if np.ndim(val) == 0:
         return complex(val), float(gap)
     return val, gap
 
 
 def _sqrt_abs_f(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.abs(curve.f(x).real))
+    return np.sqrt(np.abs(curve.f(x.ravel()).real)).reshape(x.shape)
 
 
 def _monomial_rows(curve: HyperellipticCurve):
@@ -222,84 +251,86 @@ class AbelImage:
     err: float
 
 
-def _branch_index(curve: HyperellipticCurve, x: float):
+# i^k for k = 0..3, as Python's complex power gives them
+_I_POWERS = np.array([1j**k for k in range(4)])
+
+
+def _axis_y(curve: HyperellipticCurve, xs: np.ndarray) -> np.ndarray:
+    """Continued y values at real abscissae on the tracked sheet."""
     e = np.asarray(curve.branch_points)
-    hits = np.nonzero(np.abs(e - x) <= 1e-12)[0]
-    return int(hits[0]) if len(hits) else None
+    seg = np.searchsorted(e, xs) - 1  # -1 left of every branch point
+    y = _I_POWERS[(2 * curve.genus - seg) % 4] * _sqrt_abs_f(curve, xs)
+    right = xs > e[-1]
+    y[right] = np.sqrt(curve.f(xs[right]).real)
+    return y
 
 
-def _real_chain(pd: PeriodData, x_target: float):
-    """Monomial integrals from the first branch point to a real abscissa.
+def phase_y(curve: HyperellipticCurve, x: float) -> complex:
+    """Continued y value at a real abscissa on the tracked sheet."""
+    return complex(_axis_y(curve, np.array([float(x)]))[0])
 
-    Returns (vector, continued y at the endpoint, path record, error).
-    Full cached segments are chained; the final partial segment uses
-    singular quadrature at its branch-point end.
+
+def _real_chains(pd: PeriodData, xs: np.ndarray):
+    """Monomial integrals from the first branch point to real abscissae.
+
+    Returns (vectors, continued y at the endpoints, path records,
+    errors), one row or entry per abscissa.  Full cached segments are
+    chained in order; the final partial segment, or the leg left of the
+    first branch point, runs as one array quadrature over all abscissae,
+    singular at its branch-point end, each abscissa doubling its nodes
+    until it alone converges.
     """
     curve = pd.curve
     g = curve.genus
     e = np.asarray(curve.branch_points)
-    total = np.zeros(g, dtype=complex)
-    err = 0.0
-    path = []
-    bidx = _branch_index(curve, x_target)
-    if bidx is None and float(np.min(np.abs(e - x_target))) < BRANCH_CLEARANCE:
-        raise PathError(
-            f"endpoint {x_target} is within {BRANCH_CLEARANCE} of a branch point"
-        )
+    dist = np.abs(xs[:, None] - e[None, :])
+    on_branch = np.any(dist <= 1e-12, axis=1)
+    for x, d, hit in zip(xs, np.min(dist, axis=1), on_branch):
+        if not hit and d < BRANCH_CLEARANCE:
+            raise PathError(
+                f"endpoint {float(x)} is within {BRANCH_CLEARANCE} of a branch point"
+            )
 
-    if x_target < e[0]:
-        phase = _segment_phase(curve, -1)  # all branch points to the right
-        val, dq = quad_segment(
-            _monomial_rows(curve), float(x_target), float(e[0]), False, True
-        )
-        total = -phase * val
-        err += float(np.sum(dq))
-        path.append(f"real:{e[0]}->{x_target}")
-        y_end = phase_y(curve, x_target, phase)
-        return total, y_end, tuple(path), err
-
+    # sequential sums over the leading segments, as a point-by-point
+    # chain adds them
+    prefix = np.zeros((len(e), g), dtype=complex)
+    err_prefix = [0.0]
     for j in range(len(e) - 1):
-        if e[j + 1] > x_target + 1e-12:
-            break
-        total += pd.seg_values[j]
-        err += float(np.sum(pd.seg_errors[j]))
-        path.append(f"seg:{j}")
-    if bidx is not None:
-        y_end = 0.0 + 0.0j
-        return total, y_end, tuple(path), err
+        prefix[j + 1] = prefix[j] + pd.seg_values[j]
+        err_prefix.append(err_prefix[j] + float(np.sum(pd.seg_errors[j])))
+    left = xs < e[0]
+    chained = np.where(left, 0, np.searchsorted(e[1:], xs + 1e-12, side="right"))
+    totals = prefix[chained]
+    errs = [err_prefix[c] for c in chained]
+    paths = [[f"seg:{j}" for j in range(c)] for c in chained]
 
-    # partial segment from its left branch point to the target
-    j = int(np.searchsorted(e, x_target) - 1)
-    start = float(e[j])
-    if x_target > start + 1e-12:
-        if j < 2 * curve.genus:
-            phase = _segment_phase(curve, j)
-        else:
-            phase = 1.0 + 0.0j  # right of every branch point
-        val, dq = quad_segment(_monomial_rows(curve), start, float(x_target), True, False)
-        total += phase * val
-        err += float(np.sum(dq))
-        path.append(f"partial:{start}->{x_target}")
-    y_end = phase_y(curve, x_target, None)
-    return total, y_end, tuple(path), err
-
-
-def phase_y(curve: HyperellipticCurve, x: float, phase=None) -> complex:
-    """Continued y value at a real abscissa on the tracked sheet."""
-    e = np.asarray(curve.branch_points)
-    if phase is None:
-        if x < e[0]:
-            seg = -1
-        elif x > e[-1]:
-            return complex(np.sqrt(curve.f(x)[0].real))
-        else:
-            seg = int(np.searchsorted(e, x) - 1)
-        m = 2 * curve.genus - seg
-        phase_val = 1j ** (m % 4)
-    else:
-        # phase passed in is the 1/y phase; invert it for y itself
-        phase_val = 1.0 / phase
-    return phase_val * float(_sqrt_abs_f(curve, np.array([x]))[0])
+    # partial segments start at the branch point left of the abscissa;
+    # right of every branch point y continues as +sqrt|f|
+    j_left = np.searchsorted(e, xs) - 1
+    phases = np.array([_segment_phase(curve, j) for j in range(2 * g)] + [1.0 + 0.0j])
+    k = np.flatnonzero(left | ~on_branch)
+    if len(k):
+        lo = np.where(left[k], xs[k], e[j_left[k]])[:, None]
+        hi = np.where(left[k], e[0], xs[k])[:, None]
+        sing_lo = ~left[k][:, None]
+        rows = _monomial_rows(curve)
+        vals, gaps = _node_doubling(
+            lambda n, idx: _one_sided_rule(rows, lo[idx], hi[idx], sing_lo[idx], n).T,
+            len(k), QUAD_RTOL, QUAD_CAP, "segment quadrature",
+        )
+        coef = np.where(left[k], -_segment_phase(curve, -1), phases[j_left[k]])
+        part = coef[:, None] * vals
+        totals[k] = np.where(left[k][:, None], part, totals[k] + part)
+        for i, kk in enumerate(k):
+            errs[kk] += float(np.sum(gaps[i]))
+            x = float(xs[kk])
+            if left[kk]:
+                paths[kk].append(f"real:{e[0]}->{x}")
+            else:
+                paths[kk].append(f"partial:{float(e[j_left[kk]])}->{x}")
+    ys = _axis_y(curve, xs)
+    ys[on_branch & ~left] = 0.0
+    return totals, ys, paths, errs
 
 
 def _segment_branch_distance(curve: HyperellipticCurve, z0: complex, z1: complex) -> float:
@@ -337,51 +368,62 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
         powers = np.stack([zs**k for k in range(g)])
         return np.sum(w / 2 * powers * (z1 - z0) / ys, axis=-1)
 
-    vals, gap = _node_doubling(rule, QUAD_RTOL, QUAD_CAP, "leg integration")
+    vals, gap = _node_doubling_one(rule, QUAD_RTOL, QUAD_CAP, "leg integration")
     return vals, y_end, float(np.max(gap))
 
 
-def abel_map(pd: PeriodData, p: CurvePoint, *, via=None) -> AbelImage:
+def abel_map(pd: PeriodData, p, *, via=None):
     """Integral of the normalized differentials from the first branch point.
 
-    Real targets use the segment chain; complex targets add a straight
-    leg from the real axis, optionally detoured through `via` for
-    path-independence experiments.  Landing on the opposite sheet is
-    fixed by negation, which is exact for a branch-point base.
+    `p` is one CurvePoint, giving one AbelImage, or a sequence of them,
+    giving a list with one AbelImage per point.  Real targets use the
+    segment chain, computed for all points of a sequence at once; complex
+    targets add a straight leg from the real axis per point, optionally
+    detoured through `via` for path-independence experiments.  Landing on
+    the opposite sheet is fixed by negation, which is exact for a
+    branch-point base.
     """
+    points = [p] if isinstance(p, CurvePoint) else list(p)
     curve = pd.curve
-    if p.model is not curve:
+    if any(q.model is not curve for q in points):
         raise ValueError("point does not belong to this period data's curve")
-    x_t = complex(p.x)
-    y_t = complex(p.y)
-    legs = []
+    if not points:
+        return []
     if via is not None:
         via = complex(via)
-        anchor = via.real
-        legs = [(anchor, via), (via, x_t)]
-    elif abs(x_t.imag) > 1e-14:
-        anchor = x_t.real
-        legs = [(anchor, x_t)]
-    else:
-        anchor = x_t.real
+    anchors, routes = [], []
+    for q in points:
+        x_t = complex(q.x)
+        if via is not None:
+            anchors.append(via.real)
+            routes.append([(via.real, via), (via, x_t)])
+        elif abs(x_t.imag) > 1e-14:
+            anchors.append(x_t.real)
+            routes.append([(x_t.real, x_t)])
+        else:
+            anchors.append(x_t.real)
+            routes.append([])
 
-    total, y_run, path, err = _real_chain(pd, float(anchor))
-    path = list(path)
-    for z0, z1 in legs:
-        z0c = complex(z0)
-        if abs(z0c - z1) < 1e-15:
-            continue
-        vals, y_run, dq = _complex_leg(pd, z0c, z1, y_run)
-        total = total + vals
-        err += dq
-        path.append(f"leg:{z0c}->{z1}")
+    totals, ys, paths, errs = _real_chains(pd, np.array(anchors, dtype=float))
+    out = []
+    for q, legs, total, y_run, path, err in zip(points, routes, totals, ys, paths, errs):
+        for z0, z1 in legs:
+            z0c = complex(z0)
+            if abs(z0c - z1) < 1e-15:
+                continue
+            vals, y_run, dq = _complex_leg(pd, z0c, z1, y_run)
+            total = total + vals
+            err += dq
+            path.append(f"leg:{z0c}->{z1}")
 
-    vec = pd.normalization @ total
-    if abs(y_t) > 0 and abs(y_run) > 0:
-        if abs(y_run - y_t) > abs(y_run + y_t):
-            vec = -vec
-            path.append("sheet-flip")
-    return AbelImage(p, vec, tuple(path), err)
+        vec = pd.normalization @ total
+        y_t = complex(q.y)
+        if abs(y_t) > 0 and abs(y_run) > 0:
+            if abs(y_run - y_t) > abs(y_run + y_t):
+                vec = -vec
+                path.append("sheet-flip")
+        out.append(AbelImage(q, vec, tuple(path), err))
+    return out[0] if isinstance(p, CurvePoint) else out
 
 
 def lattice_reduce(source, v):
@@ -411,7 +453,7 @@ def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex,
         s = np.sqrt(x - third)
         return (np.pi / n) * complex(np.sum(1.0 / _tracked_sqrt(s, s[0])))
 
-    return _node_doubling(rule, rtol, QUAD_CAP, "cubic segment sum")[0]
+    return _node_doubling_one(rule, rtol, QUAD_CAP, "cubic segment sum")[0]
 
 
 def _point_segment_distance(pt: complex, a: complex, b: complex) -> float:

@@ -271,18 +271,9 @@ def _reduce(point: SiegelPoint, v: np.ndarray):
     return v - mvec @ point.z.T - nvec, mvec, nvec
 
 
-def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
-                cfg: ThetaEvalConfig | None = None) -> list[ScaledComplex]:
-    """Theta series with characteristic at every row of zs, one lattice sum.
-
-    Each row is first translated into the fundamental cell; the
-    quasi-periodicity prefactor goes into its log scale.  The truncation
-    radius does not depend on z, so one lattice box, the union of the
-    per-row boxes, serves every row: the neglected tail of each row is
-    below cfg.eps relative to its largest term, and that certified bound
-    is stored in `err`.  Raises TruncationError before allocating when
-    lattice points times rows would exceed cfg.max_terms.
-    """
+def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None,
+                  cfg: ThetaEvalConfig | None = None):
+    """theta_batch as arrays: (mantissa, log scale, err, peak), one entry per row."""
     point = _siegel(tau)
     cfg = cfg or DEFAULT_CFG
     g = point.g
@@ -322,8 +313,23 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
     mant = np.sum(np.exp(w - mx), axis=0) * np.exp(1j * pref.imag)
     peak_mant = np.exp(peak_log - mx)
     tail = peak_mant * np.exp(-mu * radius**2 + log_tb)
+    return mant, mx + pref.real, tail, peak_mant
+
+
+def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
+                cfg: ThetaEvalConfig | None = None) -> list[ScaledComplex]:
+    """Theta series with characteristic at every row of zs, one lattice sum.
+
+    Each row is first translated into the fundamental cell; the
+    quasi-periodicity prefactor goes into its log scale.  The truncation
+    radius does not depend on z, so one lattice box, the union of the
+    per-row boxes, serves every row: the neglected tail of each row is
+    below cfg.eps relative to its largest term, and that certified bound
+    is stored in `err`.  Raises TruncationError before allocating when
+    lattice points times rows would exceed cfg.max_terms.
+    """
     return [ScaledComplex(mk, sk, err=ek, peak=pk)
-            for mk, sk, ek, pk in zip(mant, mx + pref.real, tail, peak_mant)]
+            for mk, sk, ek, pk in zip(*_theta_arrays(zs, tau, char, cfg))]
 
 
 def theta(z, tau, char: ThetaCharacteristic | None = None,
@@ -369,23 +375,37 @@ def _check_separation(points, point: SiegelPoint, min_sep):
         )
 
 
-def scaled_det(entries) -> ScaledComplex:
-    """Determinant of a square matrix of scaled entries, by pivoted elimination.
+def _normalized(mant: np.ndarray, logs: np.ndarray):
+    """Array form of ScaledComplex.normalized: unit mantissas, moduli moved
+    into the log scales; zero mantissas stay zero."""
+    mod = np.abs(mant)
+    mod[mod == 0] = 1.0
+    return mant / mod, logs + np.log(mod)
 
-    Every row, then every column, is brought to the scale of its largest
-    entry, so the mantissa matrix handed to `linalg.det` has entries of
-    modulus at most one; the row and column scales return as a log scale.
+
+def _scaled_det(mant: np.ndarray, logs: np.ndarray):
+    """(mantissa, log scale) of det(mant * exp(logs)), by pivoted elimination.
+
+    After normalizing each entry, every row, then every column, is brought
+    to the scale of its largest entry, so the mantissa matrix handed to
+    `linalg.det` has entries of modulus at most one; the row and column
+    scales return as the log scale.
     """
-    rows = [[e.normalized() for e in row] for row in entries]
-    mant = np.array([[e.mantissa for e in row] for row in rows], dtype=complex)
-    logs = np.array([[e.log_scale for e in row] for row in rows])
+    mant, logs = _normalized(mant, logs)
     logs[mant == 0] = -np.inf
     row_top = np.max(logs, axis=1, keepdims=True)
     row_top[~np.isfinite(row_top)] = 0.0
     col_top = np.max(logs - row_top, axis=0, keepdims=True)
     col_top[~np.isfinite(col_top)] = 0.0
     scaled = mant * np.exp(logs - row_top - col_top)
-    return ScaledComplex(linalg.det(scaled), float(np.sum(row_top) + np.sum(col_top)))
+    return linalg.det(scaled), float(np.sum(row_top) + np.sum(col_top))
+
+
+def scaled_det(entries) -> ScaledComplex:
+    """Determinant of a square matrix of scaled entries; see _scaled_det."""
+    mant = np.array([[e.mantissa for e in row] for row in entries], dtype=complex)
+    logs = np.array([[e.log_scale for e in row] for row in entries], dtype=float)
+    return ScaledComplex(*_scaled_det(mant, logs))
 
 
 def _scaled_prod(items) -> ScaledComplex:
@@ -403,8 +423,9 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
     """Relative deviation between the two sides of the trisecant identity.
 
     Both sides are formed from theta translates and reduced prime forms
-    in scaled arithmetic; the half-differential normalizations cancel
-    between the two sides, so the reduced form suffices.
+    in scaled arithmetic, as arrays of mantissas and log scales; the
+    half-differential normalizations cancel between the two sides, so the
+    reduced form suffices.
     """
     m = len(xs)
     if m < 2 or len(ys) != m:
@@ -424,18 +445,28 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
     # One odd batch: the m^2 prime forms E(x_i, y_j), then E(x_i, x_j) and
     # E(y_i, y_j) for i < j.  One even batch: the shifted theta(w + sum x -
     # sum y), then the m^2 matrix numerators theta(w + x_i - y_j).
+    k = m * m
     iu, ju = np.triu_indices(m, 1)
-    cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
-    odd = theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
-                      point, delta, cfg)
+    cross = (xs[:, None, :] - ys[None, :, :]).reshape(k, g)
+    odd_m, odd_l, _, _ = _theta_arrays(
+        np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), point, delta, cfg)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even = theta_batch(np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
-    exy = odd[:m * m]
+    even_m, even_l, _, _ = _theta_arrays(
+        np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
+    if np.any(odd_m[:k] == 0):
+        raise ZeroDivisionError("division by an exactly zero scaled value")
 
-    lhs = _scaled_prod([even[0]] + odd[m * m:]) / _scaled_prod([tw] + exy)
-    entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]
-               for i in range(m)]
-    rhs = scaled_det(entries)
+    # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
+    # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
+    # (theta(w) E(x_i, y_j))
+    num_m, num_l = _normalized(np.append(even_m[0], odd_m[k:]),
+                               np.append(even_l[0], odd_l[k:]))
+    den_m, den_l = _normalized(np.append(tw.mantissa, odd_m[:k]),
+                               np.append(tw.log_scale, odd_l[:k]))
+    lhs = ScaledComplex(np.prod(num_m) / np.prod(den_m), np.sum(num_l) - np.sum(den_l))
+    rhs = ScaledComplex(*_scaled_det(
+        (even_m[1:] / (tw.mantissa * odd_m[:k])).reshape(m, m),
+        (even_l[1:] - (tw.log_scale + odd_l[:k])).reshape(m, m)))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return scaled_rel_diff(lhs, rhs)
@@ -470,8 +501,8 @@ def find_riemann_constants(tau, probe_images, cfg=None, *,
              for ia in range(2**g) for ib in range(2**g)]
     hs = np.array([point.z @ ch.a + ch.b for ch in chars])
     diffs = probes[None, :, :] - hs[:, None, :]
-    vals = theta_batch(diffs.reshape(-1, g), point, cfg=cfg)
-    ratio = np.array([abs(v.mantissa) / v.peak for v in vals])
+    mant, _, _, peak = _theta_arrays(diffs.reshape(-1, g), point, cfg=cfg)
+    ratio = np.abs(mant) / peak
     worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
     best, second = np.argsort(worst, kind="stable")[:2]
     if worst[best] > vanish_tol or worst[second] < separation:
@@ -537,12 +568,10 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int,
         pts = sample_points(curve, n + 6, s, mode="real")
         anchors = pts[:n]
         probes = pts[n:n + 2]
-        vrc_pts = pts[n + 2:]
         try:
             gam = cardinal_basis(basis_n, anchors)
-            anchor_imgs = [abel_map(pd, p).vector for p in anchors]
-            probe_imgs = [abel_map(pd, p).vector for p in probes]
-            vrc_imgs = [abel_map(pd, p).vector for p in vrc_pts]
+            imgs = [img.vector for img in abel_map(pd, pts)]
+            anchor_imgs, probe_imgs, vrc_imgs = imgs[:n], imgs[n:n + 2], imgs[n + 2:]
             constants = find_riemann_constants(pd.tau, vrc_imgs, cfg)
             w = sum(anchor_imgs) - (2 * weight - 1) * constants.vector
             tw = theta(w, pd.tau, cfg=cfg)

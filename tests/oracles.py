@@ -1,11 +1,14 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-hand-written 2x2 inverses, term-by-term lattice sums and a one-draw-at-a-
-time point sampler, sharing no code path with the package.
+hand-written 2x2 inverses, term-by-term lattice sums, a one-draw-at-a-time
+point sampler, a one-point-at-a-time Abel map and an object-form trisecant
+residual.  The last two repeat the package's arithmetic step for step, so
+the package's array forms can be held to equal or near-equal results.
 """
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -170,3 +173,147 @@ def sample_plane(model, count, seed, mode="complex"):
                 f"last rejection: {last_reason}"
             )
     return pts
+
+
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def abel_map_per_point(pd, p, via=None):
+    """(vector, path, err) of one Abel image, real chain one point at a time.
+
+    Cached segments are added one by one; the partial segment, or the leg
+    left of the first branch point, gets its own node-doubling loop of
+    one-sided Gauss-Legendre rules.  Complex legs use the package's
+    `_complex_leg`, which works one point at a time anyway.
+    """
+    from holodiff import jacobian as jac
+
+    curve = pd.curve
+    g = curve.genus
+    e = np.asarray(curve.branch_points)
+
+    def sqrt_abs_f(x):
+        return np.sqrt(np.abs(curve.f(x).real))
+
+    def phase(seg):
+        # 1/y phase on the segment with 2g - seg branch points to its right
+        return (-1j) ** ((2 * g - seg) % 4)
+
+    def one_sided(a, b, sing_a):
+        width = np.sqrt(b - a)
+        n, prev = 32, None
+        while n <= jac.QUAD_CAP:
+            t, w = _leggauss(n)
+            tt = (t + 1) * (width / 2)
+            ww = w * (width / 2)
+            x = a + tt * tt if sing_a else b - tt * tt
+            rows = np.stack([x**k for k in range(g)]) / sqrt_abs_f(x)
+            val = np.sum(rows * 2.0 * tt * ww, axis=-1)
+            if prev is not None:
+                gap = abs(val - prev)
+                if np.max(gap) <= jac.QUAD_RTOL * max(np.max(abs(val)), 1e-300):
+                    return val, gap
+            prev = val
+            n *= 2
+        raise jac.QuadratureError("segment quadrature did not converge")
+
+    x_t, y_t = complex(p.x), complex(p.y)
+    legs = []
+    if via is not None:
+        via = complex(via)
+        anchor = via.real
+        legs = [(anchor, via), (via, x_t)]
+    elif abs(x_t.imag) > 1e-14:
+        anchor = x_t.real
+        legs = [(anchor, x_t)]
+    else:
+        anchor = x_t.real
+    x = float(anchor)
+    on_branch = bool(np.any(np.abs(e - x) <= 1e-12))
+    if not on_branch and float(np.min(np.abs(e - x))) < jac.BRANCH_CLEARANCE:
+        raise jac.PathError(
+            f"endpoint {x} is within {jac.BRANCH_CLEARANCE} of a branch point")
+
+    path, err = [], 0.0
+    if x < e[0]:
+        val, dq = one_sided(x, float(e[0]), False)
+        total = -phase(-1) * val
+        err += float(np.sum(dq))
+        path.append(f"real:{e[0]}->{x}")
+        y_run = (1.0 / phase(-1)) * float(sqrt_abs_f(np.array([x]))[0])
+    else:
+        total = np.zeros(g, dtype=complex)
+        for j in range(len(e) - 1):
+            if e[j + 1] > x + 1e-12:
+                break
+            total += pd.seg_values[j]
+            err += float(np.sum(pd.seg_errors[j]))
+            path.append(f"seg:{j}")
+        if on_branch:
+            y_run = 0j
+        else:
+            j = int(np.searchsorted(e, x) - 1)
+            start = float(e[j])
+            val, dq = one_sided(start, x, True)
+            total += (phase(j) if j < 2 * g else 1.0 + 0.0j) * val
+            err += float(np.sum(dq))
+            path.append(f"partial:{start}->{x}")
+            if x > e[-1]:
+                y_run = complex(np.sqrt(curve.f(x)[0].real))
+            else:
+                y_run = 1j ** ((2 * g - j) % 4) * float(sqrt_abs_f(np.array([x]))[0])
+
+    for z0, z1 in legs:
+        z0c = complex(z0)
+        if abs(z0c - z1) < 1e-15:
+            continue
+        vals, y_run, dq = jac._complex_leg(pd, z0c, z1, y_run)
+        total = total + vals
+        err += dq
+        path.append(f"leg:{z0c}->{z1}")
+
+    vec = pd.normalization @ total
+    if abs(y_t) > 0 and abs(y_run) > 0 and abs(y_run - y_t) > abs(y_run + y_t):
+        vec = -vec
+        path.append("sheet-flip")
+    return vec, tuple(path), err
+
+
+def fay_residual_objects(w, xs, ys, tau, delta, cfg=None, min_sep=1e-4):
+    """Trisecant residual assembled from one ScaledComplex per factor.
+
+    Same theta batches as the package, then every quotient, product and
+    determinant entry is an object operation: normalize, multiply,
+    divide, and `scaled_det` over a list of lists.
+    """
+    from holodiff import theta as th
+
+    def prod(items):
+        items = [it.normalized() for it in items]
+        return th.ScaledComplex(np.prod([it.mantissa for it in items]),
+                                sum(it.log_scale for it in items))
+
+    m = len(xs)
+    point = th._siegel(tau)
+    g = point.g
+    w = np.asarray(w, dtype=complex).reshape(g)
+    xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
+    ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
+    th._check_separation(np.concatenate([xs, ys]), point, min_sep)
+    tw = th.theta(w, point, cfg=cfg)
+    if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
+        raise th.ThetaNearZeroError("theta(w) is below the nonvanishing floor")
+    iu, ju = np.triu_indices(m, 1)
+    cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
+    odd = th.theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
+                         point, delta, cfg)
+    shift = w + xs.sum(axis=0) - ys.sum(axis=0)
+    even = th.theta_batch(np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
+    exy = odd[:m * m]
+    lhs = prod([even[0]] + odd[m * m:]) / prod([tw] + exy)
+    entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]
+               for i in range(m)]
+    rhs = th.scaled_det(entries)
+    if (m * (m - 1) // 2) % 2 == 1:
+        rhs = -rhs
+    return th.scaled_rel_diff(lhs, rhs)

@@ -70,6 +70,30 @@ def test_tolerance_overrides_echoed(capsys):
     assert "check=siegel-det-power anchor=det-power status=FAIL" in out
 
 
+def test_tolerance_override_does_not_carry_into_next_call(capsys):
+    # the parser is built once per process; a --tol list from one call
+    # must not reach the next call's arguments or report
+    assert main(["verify-siegel", "--genus", "2", "--tol", "trace=1e-3"]) == 0
+    assert "tolerance trace=1.000000e-03" in capsys.readouterr().out
+    assert main(["verify-siegel", "--genus", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "tolerance" not in out
+    assert "check=siegel-trace anchor=metric-trace status=PASS" in out
+    assert "tol=1.000000e-12" in next(ln for ln in out.splitlines()
+                                      if ln.startswith("check=siegel-trace"))
+
+
+def test_usage_errors_exit_two_with_cached_parser(capsys):
+    assert main(["verify-siegel", "--genus", "2"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["verify-fay", "--genus", "3"]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main(["verify-siegel", "--genus", "9"]) == 2
+    capsys.readouterr()
+    assert main(["verify-siegel", "--genus", "2"]) == 0
+    assert "overall=PASS" in capsys.readouterr().out
+
+
 def test_tolerance_syntax_errors(capsys):
     assert main(["verify-siegel", "--tol", "noequals"]) == 2
     assert main(["verify-siegel", "--tol", "x=-1"]) == 2

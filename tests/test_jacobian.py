@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from holodiff import cli, curves
 from holodiff import jacobian as jac
 from holodiff.curves import CurvePoint, HyperellipticCurve
+
+from oracles import abel_map_per_point
 
 
 def test_quad_segment_both_singular_endpoints():
@@ -157,6 +160,77 @@ def test_abel_rejects_foreign_point(pd_g2, lemniscatic):
     p = CurvePoint(lemniscatic, 0.5, 0.1)
     with pytest.raises(ValueError, match="curve"):
         jac.abel_map(pd_g2, p)
+
+
+@pytest.fixture(scope="module")
+def pd_bundled():
+    curve = curves.parse_curve_spec(cli._builtin_text("hyperelliptic_g2.json"))
+    return jac.compute_periods(curve)
+
+
+def _assert_matches_oracle(pd, pts, imgs, via=None):
+    assert len(imgs) == len(pts)
+    for p, img in zip(pts, imgs):
+        vec, path, err = abel_map_per_point(pd, p, via)
+        assert img.point is p
+        assert np.array_equal(img.vector, vec)
+        assert img.path == path
+        assert img.err == err
+
+
+def test_abel_sequence_matches_per_point_chain(pd_bundled):
+    # 200 seeds x 12 real points: one call per point set, bit for bit the
+    # per-point vectors, path records and error sums
+    for seed in range(200):
+        pts = curves.sample_points(pd_bundled.curve, 12, seed, mode="real")
+        _assert_matches_oracle(pd_bundled, pts, jac.abel_map(pd_bundled, pts))
+
+
+def _on_curve(curve, x, sheet=1.0):
+    return CurvePoint(curve, x, sheet * np.sqrt(complex(curve.f(x)[0])))
+
+
+def test_abel_sequence_matches_per_point_chain_on_hand_built_points(pd_bundled):
+    curve = pd_bundled.curve
+    e = curve.branch_points
+    pts = [
+        _on_curve(curve, e[0] - 0.7),                 # left of e0
+        _on_curve(curve, e[0] - 0.7, -1.0),           # ... on the opposite sheet
+        _on_curve(curve, e[-1] + 0.5),                # right of the last branch point
+        _on_curve(curve, e[-1] + 0.5, -1.0),
+        CurvePoint(curve, e[0], 0.0),                 # exactly on branch points
+        CurvePoint(curve, e[2], 0.0),
+        CurvePoint(curve, e[-1], 0.0),
+        _on_curve(curve, 0.6 + 0.8j),                 # complex x
+        _on_curve(curve, 0.6 + 0.8j, -1.0),
+        _on_curve(curve, e[0] - 0.5 + 0.3j),          # leg from left of e0
+        _on_curve(curve, e[-1] + 0.3 - 0.4j),
+        _on_curve(curve, 0.3),
+        _on_curve(curve, -1.4, -1.0),
+    ]
+    # one mixed real/complex sequence, and each point as a one-element call
+    _assert_matches_oracle(pd_bundled, pts, jac.abel_map(pd_bundled, pts))
+    for p in pts:
+        _assert_matches_oracle(pd_bundled, [p], [jac.abel_map(pd_bundled, p)])
+    # a via detour applies to every point of the sequence
+    detoured = pts[7:9] + pts[11:]
+    for via in (0.6 + 1.6j, e[0] - 1.0 + 0.5j):
+        imgs = jac.abel_map(pd_bundled, detoured, via=via)
+        _assert_matches_oracle(pd_bundled, detoured, imgs, via)
+        assert all(any(tag.startswith("leg:") for tag in img.path) for img in imgs)
+
+
+def test_abel_sequence_errors(pd_g2, lemniscatic):
+    curve = pd_g2.curve
+    good = _on_curve(curve, 0.5)
+    near = curve.branch_points[1] + 1e-8
+    bad = CurvePoint(curve, near, 0.1)
+    with pytest.raises(jac.PathError) as info:
+        jac.abel_map(pd_g2, [good, bad, good])
+    assert str(info.value) == f"endpoint {near} is within {jac.BRANCH_CLEARANCE} of a branch point"
+    with pytest.raises(ValueError, match="curve"):
+        jac.abel_map(pd_g2, [good, CurvePoint(lemniscatic, 0.5, 0.1)])
+    assert jac.abel_map(pd_g2, []) == []
 
 
 def test_abel_path_error_near_branch_point(pd_g2):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from holodiff import theta as th
+from holodiff.curves import sample_points
+from holodiff.jacobian import abel_map
 from holodiff.siegel import SiegelPoint, random_siegel_point
 
-from oracles import lattice_theta, leibniz_det
+from oracles import fay_residual_objects, lattice_theta, leibniz_det
 
 
 def test_scaled_complex_algebra():
@@ -232,6 +234,34 @@ def test_fay_trisecant_genus_one(m):
         except th.ThetaNearZeroError:
             continue
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_fay_residual_matches_object_form(m, pd_g2):
+    rng = np.random.default_rng(4100 + m)
+    delta1 = th.ThetaCharacteristic.first_odd(1)
+    delta2 = th.ThetaCharacteristic.first_odd(2)
+    compared = 0
+    for trial in range(6):
+        tau = np.array([[rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.8, 1.8)]])
+        args1 = (0.3 * (rng.standard_normal(1) + 1j * rng.standard_normal(1)),
+                 [0.4 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
+                  for _ in range(m)],
+                 [0.4 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
+                  for _ in range(m)],
+                 tau, delta1)
+        imgs = [img.vector for img in
+                abel_map(pd_g2, sample_points(pd_g2.curve, 2 * m, 50 + trial, mode="real"))]
+        args2 = (0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+                 imgs[:m], imgs[m:], pd_g2.tau, delta2)
+        for args in (args1, args2):
+            try:
+                want = fay_residual_objects(*args)
+            except (th.ThetaNearZeroError, th.CoincidentPointsError):
+                continue
+            assert abs(th.fay_residual(*args) - want) <= 1e-12
+            compared += 1
+    assert compared >= 8
 
 
 def test_fay_residual_validation():
