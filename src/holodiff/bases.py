@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 ANCHOR_COND_LIMIT = 1e8
-RANK_RTOL = 1e-8
 CHART_FLOOR = 1e-10
 
 
@@ -106,16 +105,6 @@ class DifferentialBasis:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def element_names(self) -> list[str]:
-        names = []
-        if isinstance(self.model, PlaneCurve):
-            for r, s in self.monomials:
-                names.append(f"x^{r} y^{s} (dx)^{self.weight} / F_y^{self.weight}")
-        else:
-            for j, m in self.monomials:
-                names.append(f"x^{j} (dx)^{self.weight} / y^{m}")
-        return names
 
     def _raw_values(self, points) -> np.ndarray:
         """Monomial values, shape (len(monomials), len(points)), in one array pass."""
@@ -252,10 +241,10 @@ class PetriBasis:
 
 
 def _product_rank(petri: PetriBasis, points) -> int:
-    return linalg.numerical_rank(linalg.scale_rows(petri.v_matrix(points)), rtol=RANK_RTOL)
+    return linalg.numerical_rank(linalg.scale_rows(petri.v_matrix(points)))
 
 
-def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=None) -> PetriBasis:
+def petri_basis(model, anchors, *, certificate_seed: int = 104729) -> PetriBasis:
     """Build the cardinal sigma basis and certify the span of its products.
 
     The rank certificate is the numerical rank of the first 3g-3 products
@@ -270,9 +259,8 @@ def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=
     omega = holomorphic_basis(model, 1)
     sigma, cond = _cardinal(omega, anchors)
     petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
-    if fresh_points is None:
-        fresh_points = sample_points(model, 3 * g - 3, certificate_seed)
-    petri.rank_certificate = _product_rank(petri, fresh_points)
+    petri.rank_certificate = _product_rank(
+        petri, sample_points(model, 3 * g - 3, certificate_seed))
     if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
         raise RankDeficiencyError(
             f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}",
@@ -281,7 +269,7 @@ def petri_basis(model, anchors, *, certificate_seed: int = 104729, fresh_points=
     return petri
 
 
-def expansion_coefficients(petri: PetriBasis, nodes, omega_basis=None) -> np.ndarray:
+def expansion_coefficients(petri: PetriBasis, nodes) -> np.ndarray:
     """Table of product expansions in the quadratic basis, shape (M, N).
 
     Row i holds the coordinates of omega_a*omega_b (pair slot i) in the
@@ -292,9 +280,6 @@ def expansion_coefficients(petri: PetriBasis, nodes, omega_basis=None) -> np.nda
     if len(nodes) != n:
         raise ValueError(f"need exactly {n} nodes, got {len(nodes)}")
     vmat = petri.v_matrix(nodes)
-    basis = petri.omega if omega_basis is None else omega_basis
-    if basis.dim != petri.genus:
-        raise ValueError("omega basis must have one element per genus dimension")
-    om = basis.evaluate(nodes)
+    om = petri.omega.evaluate(nodes)
     u = pair_products(om, petri.pm)
     return linalg.solve(vmat.T, u.T).T

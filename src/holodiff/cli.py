@@ -26,9 +26,18 @@ FAY_TRIALS = 3
 # Upper limit on verify-fay -m.  One residual sums its largest theta batch,
 # 2m^2 - m odd translates, over one lattice box (about 160 points on the
 # bundled genus-2 curve), then factors an m x m matrix.  At m = 48 that
-# batch is about 0.7M terms, a sixth of the default theta budget, and the
+# batch is about 0.7M terms, a sixth of theta.MAX_TERMS, and the
 # elimination is negligible beside it.
 FAY_MAX_PAIRS = 48
+
+# the --tol names each subcommand reads
+TOLERANCE_NAMES = {
+    "verify-petri": ("det", "annihilation"),
+    "verify-siegel": ("functoriality", "det-power", "trace", "invariance", "density"),
+    "verify-fay": ("fay",),
+    "periods": ("symmetry",),
+    "selftest": ("functoriality", "solve", "theta", "det", "fay", "lemniscatic"),
+}
 
 _BUILTIN_CURVES = {
     "verify-petri": "fermat_quintic.json",
@@ -121,12 +130,8 @@ def _petri_checks(model, seed, tol):
             fresh = curves.sample_points(
                 model, 20, _sub_seed(seed, "petri-annihilation-points"))
             omega_fresh = bases.holomorphic_basis(model).evaluate(fresh)
-            a = petri.a_tensor(inp)
-            dmat = petri.minor_table(inp)
             worst = 0.0
-            for k, l in petri.relation_labels(g):
-                rc = petri.coefficients_from_matrices(
-                    petri.build_A(inp, k, l, a), dmat, 1, g, k, l)
+            for rc in petri.label_relations(inp).values():
                 res = petri.annihilation_residual(rc.coefficients, omega_fresh)
                 worst = max(worst, float(np.max(res)))
             return _record("petri-annihilation", "annihilation", worst, t)
@@ -455,7 +460,8 @@ def _build_parser():
     return parser
 
 
-def _parse_tols(pairs, parser):
+def _parse_tols(pairs, command, parser):
+    known = TOLERANCE_NAMES[command]
     out = {}
     for item in pairs:
         name, sep, value = item.partition("=")
@@ -467,6 +473,9 @@ def _parse_tols(pairs, parser):
             parser.error(f"--tol value for {name!r} is not a number: {value!r}")
         if val <= 0:
             parser.error(f"--tol value for {name!r} must be positive")
+        if name not in known:
+            parser.error(f"{command} reads no tolerance {name!r}; "
+                         f"accepted names: {', '.join(known)}")
         out[name] = val
     return out
 
@@ -475,7 +484,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args, parser, _parse_tols(args.tol, parser))
+        return _dispatch(args, parser, _parse_tols(args.tol, args.command, parser))
     except SystemExit as exc:
         return int(exc.code or 0)
     except curves.CurveSpecError as exc:

@@ -39,6 +39,8 @@ ON_CURVE_RTOL = 1e-10
 CHART_RATIO_MIN = 1e-6
 MIN_POINT_SEPARATION = 1e-4
 MAX_DRAWS_PER_POINT = 50
+BRANCH_MARGIN = 0.05  # hyperelliptic draws closer than this to a branch point are rejected
+MIN_BRANCH_SEPARATION = 1e-3
 
 
 class CurveSpecError(ValueError):
@@ -155,7 +157,7 @@ class HyperellipticCurve:
 
     kind = "hyperelliptic"
 
-    def __init__(self, branch_points, min_separation: float = 1e-3):
+    def __init__(self, branch_points):
         e = np.asarray(branch_points, dtype=float)
         if e.ndim != 1 or len(e) < 3 or len(e) % 2 == 0:
             raise ValueError(
@@ -163,9 +165,9 @@ class HyperellipticCurve:
             )
         if np.any(np.diff(e) <= 0):
             raise ValueError("branch points must be strictly increasing")
-        if np.min(np.diff(e)) < min_separation:
+        if np.min(np.diff(e)) < MIN_BRANCH_SEPARATION:
             raise ValueError(
-                f"branch points closer than the separation floor {min_separation}"
+                f"branch points closer than the separation floor {MIN_BRANCH_SEPARATION}"
             )
         self.branch_points = tuple(float(v) for v in e)
         self._e = e
@@ -302,12 +304,12 @@ def _plane_candidates(model: PlaneCurve, n, rng, mode):
     return out
 
 
-def _hyperelliptic_candidates(model: HyperellipticCurve, n, rng, mode, branch_margin):
+def _hyperelliptic_candidates(model: HyperellipticCurve, n, rng, mode):
     """n draws as (x, y, chart, sheet, reason); reason is None when acceptable."""
     out = []
     for _ in range(n):
         x = _draw_x(rng, mode)
-        if model.branch_distance(x)[0] < branch_margin:
+        if model.branch_distance(x)[0] < BRANCH_MARGIN:
             out.append((x, 0j, None, None, "too close to a branch point"))
             continue
         sheet = 1 if rng.uniform() < 0.5 else -1
@@ -335,14 +337,7 @@ def _accept(model, count, draw):
     return pts
 
 
-def sample_points(
-    model,
-    count: int,
-    seed: int,
-    mode: str = "complex",
-    *,
-    branch_margin: float = 0.05,
-):
+def sample_points(model, count: int, seed: int, mode: str = "complex"):
     """Draw `count` distinct generic points of the model, deterministically.
 
     mode 'complex' draws x from the disk of radius 2, mode 'real' from the
@@ -357,11 +352,7 @@ def sample_points(
     if isinstance(model, PlaneCurve):
         return _accept(model, count, lambda n: _plane_candidates(model, n, rng, mode))
     if isinstance(model, HyperellipticCurve):
-        return _accept(
-            model,
-            count,
-            lambda n: _hyperelliptic_candidates(model, n, rng, mode, branch_margin),
-        )
+        return _accept(model, count, lambda n: _hyperelliptic_candidates(model, n, rng, mode))
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

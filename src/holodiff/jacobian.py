@@ -33,7 +33,6 @@ __all__ = [
     "quad_segment",
     "compute_periods",
     "abel_map",
-    "lattice_reduce",
     "lattice_distance",
     "elliptic_tau_from_cubic",
 ]
@@ -124,14 +123,13 @@ def _one_sided_rule(f, a, b, sing_a, n: int):
     return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
 
 
-def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
-                 rtol: float = QUAD_RTOL, cap: int = QUAD_CAP):
+def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool):
     """Integrate f over [a, b] with inverse-square-root endpoint flags.
 
     Both ends flagged: Gauss-Chebyshev absorbs both singularities.  One
     end flagged: the substitution x = a + t^2 (resp. b - t^2) removes it,
     then Gauss-Legendre.  Node counts double until two successive values
-    agree to `rtol`; returns (value, last doubling difference).  An f
+    agree to SEGMENT_RTOL; returns (value, last doubling difference).  An f
     returning rows of shape (k, n) integrates all k rows on shared nodes
     and returns both as length-k vectors.
     """
@@ -151,7 +149,7 @@ def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool,
         x = mid + half * t
         return np.sum(f(x) * w * half, axis=-1)
 
-    val, gap = _node_doubling_one(rule, rtol, cap, "segment quadrature")
+    val, gap = _node_doubling_one(rule, SEGMENT_RTOL, QUAD_CAP, "segment quadrature")
     if np.ndim(val) == 0:
         return complex(val), float(gap)
     return val, gap
@@ -206,9 +204,7 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     seg_err = np.empty((nseg, g))
     rows = _monomial_rows(curve)
     for j in range(nseg):
-        val, seg_err[j] = quad_segment(
-            rows, float(e[j]), float(e[j + 1]), True, True, rtol=SEGMENT_RTOL
-        )
+        val, seg_err[j] = quad_segment(rows, float(e[j]), float(e[j + 1]), True, True)
         seg[j] = _segment_phase(curve, j) * val
 
     # cycle i rings the cut [e_{2i}, e_{2i+1}] (0-based); its crossing
@@ -426,20 +422,14 @@ def abel_map(pd: PeriodData, p, *, via=None):
     return out[0] if isinstance(p, CurvePoint) else out
 
 
-def lattice_reduce(source, v):
-    """Split v = tau m + n + r, integer m and n, remainder r small."""
-    tau = source.tau if isinstance(source, PeriodData) else source
-    return theta.lattice_reduce_tau(v, tau)
-
-
 def lattice_distance(source, v) -> float:
-    """Max-norm distance of v from the period lattice."""
-    r, _, _ = lattice_reduce(source, v)
+    """Max-norm distance of v from the period lattice of source (PeriodData or tau)."""
+    tau = source.tau if isinstance(source, PeriodData) else source
+    r, _, _ = theta.lattice_reduce_tau(v, tau)
     return float(np.max(np.abs(r)))
 
 
-def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex,
-                              rtol: float = SEGMENT_RTOL):
+def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex):
     """Chebyshev sum of 1/sqrt(x - third) along [p, q], branch tracked."""
     half = (q - p) / 2
     mid = (p + q) / 2
@@ -453,7 +443,7 @@ def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex,
         s = np.sqrt(x - third)
         return (np.pi / n) * complex(np.sum(1.0 / _tracked_sqrt(s, s[0])))
 
-    return _node_doubling_one(rule, rtol, QUAD_CAP, "cubic segment sum")[0]
+    return _node_doubling_one(rule, SEGMENT_RTOL, QUAD_CAP, "cubic segment sum")[0]
 
 
 def _point_segment_distance(pt: complex, a: complex, b: complex) -> float:

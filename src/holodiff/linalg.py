@@ -31,6 +31,7 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 PIVOT_RTOL = 1e-13  # floor on the row-scaled reciprocal condition in solve/inverse
 FLOOR_RTOL = 1e-12  # floor on each Cholesky pivot, relative to the trace
+RANK_RTOL = 1e-8  # floor on each rank pivot, relative to the largest entry
 
 
 class DegenerateMatrixError(ArithmeticError):
@@ -154,10 +155,10 @@ def cond1(a) -> float:
     return inverse_cond1(a)[1]
 
 
-def pivot_rows(a, rtol: float = 1e-8) -> list[int]:
+def pivot_rows(a) -> list[int]:
     """Rows chosen as pivots by complete-pivoting elimination, in pivot order.
 
-    Pivots are accepted while they stay above rtol times the largest
+    Pivots are accepted while they stay above RANK_RTOL times the largest
     magnitude of the original matrix; the rows never chosen depend
     numerically on the chosen ones.
     """
@@ -175,7 +176,7 @@ def pivot_rows(a, rtol: float = 1e-8) -> list[int]:
         flat = int(np.argmax(np.abs(m)))
         i, j = divmod(flat, m.shape[1])
         piv = m[i, j]
-        if abs(piv) < rtol * scale:
+        if abs(piv) < RANK_RTOL * scale:
             break
         pivots.append(rows.pop(i))
         col = m[:, j] / piv
@@ -186,9 +187,9 @@ def pivot_rows(a, rtol: float = 1e-8) -> list[int]:
     return pivots
 
 
-def numerical_rank(a, rtol: float = 1e-8) -> int:
-    """Rank by complete-pivoting elimination at a relative threshold."""
-    return len(pivot_rows(a, rtol))
+def numerical_rank(a) -> int:
+    """Rank by complete-pivoting elimination at the RANK_RTOL threshold."""
+    return len(pivot_rows(a))
 
 
 def scale_rows(a) -> np.ndarray:

@@ -37,13 +37,14 @@ __all__ = [
     "verify_block_singular",
     "relation_coefficients",
     "coefficients_from_matrices",
+    "label_relations",
     "annihilation_residual",
     "build_relation_set",
 ]
 
 DET_TOL = 1e-8
 DELTA_RTOL = 1e-10
-RANK_RTOL = 1e-8
+EXPANDED_ROW = 1  # the replaced row build_relation_set expands every label along
 
 
 class DegenerateRowError(RuntimeError):
@@ -61,14 +62,14 @@ class RelationRankError(RuntimeError):
 class RelationInput:
     """Evaluation data for the relation machinery: base and probe points."""
 
-    def __init__(self, model, p_points, q_points, basis=None):
+    def __init__(self, model, p_points, q_points):
         g = model.genus
         if len(p_points) != g:
             raise ValueError(f"need {g} base points, got {len(p_points)}")
         if len(q_points) != 2 * g - 2:
             raise ValueError(f"need {2 * g - 2} probe points, got {len(q_points)}")
         self.model = model
-        self.basis = holomorphic_basis(model, 1) if basis is None else basis
+        self.basis = holomorphic_basis(model, 1)
         self.p_points = tuple(p_points)
         self.q_points = tuple(q_points)
         self.omega_p = self.basis.evaluate(self.p_points)
@@ -244,6 +245,16 @@ def relation_coefficients(inp: RelationInput, row: int, k: int, l: int) -> Relat
     return coefficients_from_matrices(amat, dmat, row, inp.genus, k, l)
 
 
+def label_relations(inp: RelationInput) -> dict:
+    """Coefficients of every label's relation along EXPANDED_ROW, keyed by label."""
+    g = inp.genus
+    a = a_tensor(inp)
+    dmat = minor_table(inp)
+    return {(k, l): coefficients_from_matrices(
+                build_A(inp, k, l, a), dmat, EXPANDED_ROW, g, k, l)
+            for k, l in relation_labels(g)}
+
+
 def annihilation_residual(coeff: np.ndarray, omega_values: np.ndarray) -> np.ndarray:
     """Per-point relative residual of sum_ij c_ij w_i(z) w_j(z).
 
@@ -272,18 +283,12 @@ class RelationSet:
         return (g - 2) * (g - 3) // 2
 
 
-def build_relation_set(inp: RelationInput, row: int = 1, provenance=None) -> RelationSet:
+def build_relation_set(inp: RelationInput, provenance=None) -> RelationSet:
     """Extract every label's coefficients and certify their joint rank."""
     g = inp.genus
     labels = relation_labels(g)
-    amats = {}
-    a = a_tensor(inp)
-    dmat = minor_table(inp)
-    coeffs = {}
-    for k, l in labels:
-        amats[(k, l)] = build_A(inp, k, l, a)
-        coeffs[(k, l)] = coefficients_from_matrices(amats[(k, l)], dmat, row, g, k, l)
-    prov = {"row": row}
+    coeffs = label_relations(inp)
+    prov = {"row": EXPANDED_ROW}
     if provenance:
         prov.update(provenance)
     rs = RelationSet(g, tuple(labels), coeffs, 0, prov)
@@ -293,7 +298,7 @@ def build_relation_set(inp: RelationInput, row: int = 1, provenance=None) -> Rel
         for idx, lab in enumerate(labels):
             c = coeffs[lab].coefficients
             flat[idx] = c[pm.first, pm.second]
-        pivots = linalg.pivot_rows(linalg.scale_rows(flat), rtol=RANK_RTOL)
+        pivots = linalg.pivot_rows(linalg.scale_rows(flat))
         rs.rank = len(pivots)
         if rs.rank < rs.expected_rank:
             bad = [lab for idx, lab in enumerate(labels) if idx not in pivots]

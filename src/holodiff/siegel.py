@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+SYMPLECTIC_WORD_LENGTH = 6  # factors in a random_symplectic word
 
 
 class SiegelPoint:
@@ -145,10 +146,10 @@ class SymplecticElement:
         return SymplecticElement.from_matrix(self.matrix() @ other.matrix())
 
 
-def random_symplectic(g: int, rng: np.random.Generator, steps: int = 6) -> SymplecticElement:
+def random_symplectic(g: int, rng: np.random.Generator) -> SymplecticElement:
     """Random word in shears and the inversion; exact integer arithmetic."""
     elem = SymplecticElement.identity(g)
-    for _ in range(steps):
+    for _ in range(SYMPLECTIC_WORD_LENGTH):
         kind = rng.integers(3)
         if kind == 2:
             factor = SymplecticElement.inversion(g)

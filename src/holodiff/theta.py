@@ -37,7 +37,6 @@ __all__ = [
     "AmbiguousConstantsError",
     "ScaledComplex",
     "ThetaCharacteristic",
-    "ThetaEvalConfig",
     "theta",
     "theta_batch",
     "theta_value",
@@ -55,7 +54,7 @@ __all__ = [
 
 class TruncationError(RuntimeError):
     """The lattice sum cannot meet the target error within the radius cap,
-    or would exceed the configured term budget."""
+    or would exceed the term budget."""
 
 
 class ThetaNearZeroError(RuntimeError):
@@ -204,24 +203,11 @@ def odd_characteristics(g: int, count=None) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ThetaEvalConfig:
-    """Truncation policy: target error relative to the peak term, radius cap,
-    and a budget on lattice points times batch rows summed in one call.
-    """
-
-    eps: float = 1e-13
-    radius_cap: float = 40.0
-    max_terms: int = 1 << 22
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-DEFAULT_CFG = ThetaEvalConfig()
+# Truncation policy: target error relative to the peak term, radius cap,
+# and a budget on lattice points times batch rows summed in one call.
+THETA_EPS = 1e-13
+RADIUS_CAP = 40.0
+MAX_TERMS = 1 << 22
 
 
 def _siegel(tau) -> SiegelPoint:
@@ -232,8 +218,8 @@ def _siegel(tau) -> SiegelPoint:
     return SiegelPoint(mat.reshape(1, 1) if mat.ndim == 0 else mat)
 
 
-def _truncation(point: SiegelPoint, cfg: ThetaEvalConfig):
-    """(radius, mu, log of the lattice-sum factor) meeting cfg.eps.
+def _truncation(point: SiegelPoint):
+    """(radius, mu, log of the lattice-sum factor) meeting THETA_EPS.
 
     Terms outside the radius-R box around the peak are bounded by
     exp(-mu R^2) times the peak term times exp(log_tb); none of this
@@ -253,12 +239,12 @@ def _truncation(point: SiegelPoint, cfg: ThetaEvalConfig):
             break
     mu = np.pi * lam / 2.0
     log_tb = point.g * np.log(2.0 * total)
-    radius = np.sqrt(max((log_tb - np.log(cfg.eps)) / mu, 0.0))
+    radius = np.sqrt(max((log_tb - np.log(THETA_EPS)) / mu, 0.0))
     radius = max(radius, 3.0)
-    if radius > cfg.radius_cap:
-        achieved = np.exp(-mu * cfg.radius_cap**2 + log_tb)
+    if radius > RADIUS_CAP:
+        achieved = np.exp(-mu * RADIUS_CAP**2 + log_tb)
         raise TruncationError(
-            f"needs radius {radius:.1f} > cap {cfg.radius_cap:.1f}; "
+            f"needs radius {radius:.1f} > cap {RADIUS_CAP:.1f}; "
             f"best relative bound at the cap is {achieved:.3e}"
         )
     return radius, mu, log_tb
@@ -271,11 +257,9 @@ def _reduce(point: SiegelPoint, v: np.ndarray):
     return v - mvec @ point.z.T - nvec, mvec, nvec
 
 
-def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None,
-                  cfg: ThetaEvalConfig | None = None):
+def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None):
     """theta_batch as arrays: (mantissa, log scale, err, peak), one entry per row."""
     point = _siegel(tau)
-    cfg = cfg or DEFAULT_CFG
     g = point.g
     zs = np.asarray(zs, dtype=complex)
     if zs.size % g:
@@ -294,15 +278,15 @@ def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None,
     y0 = z0.imag
     c0 = y0 @ point.y_inv.T
     peak_log = np.pi * np.sum(y0 * c0, axis=1)
-    radius, mu, log_tb = _truncation(point, cfg)
+    radius, mu, log_tb = _truncation(point)
 
     center = -a - c0
     lo = np.ceil(np.min(center, axis=0) - radius).astype(int)
     hi = np.floor(np.max(center, axis=0) + radius).astype(int)
     terms = len(zs) * math.prod(int(n) for n in hi - lo + 1)
-    if terms > cfg.max_terms:
+    if terms > MAX_TERMS:
         raise TruncationError(
-            f"lattice sum needs {terms} terms (points x rows) > budget {cfg.max_terms}"
+            f"lattice sum needs {terms} terms (points x rows) > budget {MAX_TERMS}"
         )
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(g)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -316,43 +300,40 @@ def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None,
     return mant, mx + pref.real, tail, peak_mant
 
 
-def theta_batch(zs, tau, char: ThetaCharacteristic | None = None,
-                cfg: ThetaEvalConfig | None = None) -> list[ScaledComplex]:
+def theta_batch(zs, tau, char: ThetaCharacteristic | None = None) -> list[ScaledComplex]:
     """Theta series with characteristic at every row of zs, one lattice sum.
 
     Each row is first translated into the fundamental cell; the
     quasi-periodicity prefactor goes into its log scale.  The truncation
     radius does not depend on z, so one lattice box, the union of the
     per-row boxes, serves every row: the neglected tail of each row is
-    below cfg.eps relative to its largest term, and that certified bound
+    below THETA_EPS relative to its largest term, and that certified bound
     is stored in `err`.  Raises TruncationError before allocating when
-    lattice points times rows would exceed cfg.max_terms.
+    lattice points times rows would exceed MAX_TERMS.
     """
     return [ScaledComplex(mk, sk, err=ek, peak=pk)
-            for mk, sk, ek, pk in zip(*_theta_arrays(zs, tau, char, cfg))]
+            for mk, sk, ek, pk in zip(*_theta_arrays(zs, tau, char))]
 
 
-def theta(z, tau, char: ThetaCharacteristic | None = None,
-          cfg: ThetaEvalConfig | None = None) -> ScaledComplex:
+def theta(z, tau, char: ThetaCharacteristic | None = None) -> ScaledComplex:
     """Theta series with characteristic at one argument z; see theta_batch."""
     point = _siegel(tau)
     z = np.asarray(z, dtype=complex).reshape(point.g)
-    return theta_batch(z[None, :], point, char, cfg)[0]
+    return theta_batch(z[None, :], point, char)[0]
 
 
-def theta_value(z, tau, char=None, cfg=None) -> complex:
+def theta_value(z, tau, char=None) -> complex:
     """Plain complex theta value; only safe at moderate scales."""
-    return theta(z, tau, char, cfg).value
+    return theta(z, tau, char).value
 
 
-def reduced_prime_form(u, v, tau, delta: ThetaCharacteristic,
-                       cfg=None) -> ScaledComplex:
+def reduced_prime_form(u, v, tau, delta: ThetaCharacteristic) -> ScaledComplex:
     """Odd theta translate theta[delta](u - v); antisymmetric in (u, v)."""
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    return theta(u - v, tau, delta, cfg)
+    return theta(u - v, tau, delta)
 
 
 def lattice_reduce_tau(v, tau):
@@ -363,15 +344,15 @@ def lattice_reduce_tau(v, tau):
     return r[0], mvec[0], nvec[0]
 
 
-def _check_separation(points, point: SiegelPoint, min_sep):
+def _check_separation(points, point: SiegelPoint):
     pts = np.asarray(points, dtype=complex)
     i, j = np.triu_indices(len(pts), 1)
     r, _, _ = _reduce(point, pts[i] - pts[j])
-    close = np.flatnonzero(np.max(np.abs(r), axis=1) < min_sep)
+    close = np.flatnonzero(np.max(np.abs(r), axis=1) < MIN_SEPARATION)
     if len(close):
         k = close[0]
         raise CoincidentPointsError(
-            f"points {i[k]} and {j[k]} are within {min_sep} on the Jacobian"
+            f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian"
         )
 
 
@@ -416,10 +397,17 @@ def _scaled_prod(items) -> ScaledComplex:
 
 
 THETA_FLOOR = 1e-8
+# Jacobian points closer than this, modulo the lattice, count as coincident
+MIN_SEPARATION = 1e-4
+# find_riemann_constants: the winner must score below VANISH_TOL and the
+# runner-up at least RUNNER_UP_FLOOR
+VANISH_TOL = 1e-6
+RUNNER_UP_FLOOR = 1e-2
+# draws gamma_cross_ratio_check makes before it gives up
+CROSS_RATIO_ATTEMPTS = 6
 
 
-def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
-                 cfg=None, *, min_sep: float = 1e-4) -> float:
+def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic) -> float:
     """Relative deviation between the two sides of the trisecant identity.
 
     Both sides are formed from theta translates and reduced prime forms
@@ -437,8 +425,8 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
     w = np.asarray(w, dtype=complex).reshape(g)
     xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
-    _check_separation(np.concatenate([xs, ys]), point, min_sep)
-    tw = theta(w, point, cfg=cfg)
+    _check_separation(np.concatenate([xs, ys]), point)
+    tw = theta(w, point)
     if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
         raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
 
@@ -449,10 +437,10 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic,
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(k, g)
     odd_m, odd_l, _, _ = _theta_arrays(
-        np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), point, delta, cfg)
+        np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), point, delta)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
     even_m, even_l, _, _ = _theta_arrays(
-        np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
+        np.concatenate([shift[None, :], w + cross]), point)
     if np.any(odd_m[:k] == 0):
         raise ZeroDivisionError("division by an exactly zero scaled value")
 
@@ -483,14 +471,12 @@ class RiemannConstants:
     runner_up: float
 
 
-def find_riemann_constants(tau, probe_images, cfg=None, *,
-                           vanish_tol: float = 1e-6,
-                           separation: float = 1e-2) -> RiemannConstants:
+def find_riemann_constants(tau, probe_images) -> RiemannConstants:
     """Brute-force search over all 4^g half-periods.
 
     Scores each candidate h by the worst normalized theta magnitude over
-    the probe images; certifies the winner is below `vanish_tol` and the
-    runner-up above `separation`.
+    the probe images; certifies the winner is below VANISH_TOL and the
+    runner-up above RUNNER_UP_FLOOR.
     """
     point = _siegel(tau)
     g = point.g
@@ -501,11 +487,11 @@ def find_riemann_constants(tau, probe_images, cfg=None, *,
              for ia in range(2**g) for ib in range(2**g)]
     hs = np.array([point.z @ ch.a + ch.b for ch in chars])
     diffs = probes[None, :, :] - hs[:, None, :]
-    mant, _, _, peak = _theta_arrays(diffs.reshape(-1, g), point, cfg=cfg)
+    mant, _, _, peak = _theta_arrays(diffs.reshape(-1, g), point)
     ratio = np.abs(mant) / peak
     worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
     best, second = np.argsort(worst, kind="stable")[:2]
-    if worst[best] > vanish_tol or worst[second] < separation:
+    if worst[best] > VANISH_TOL or worst[second] < RUNNER_UP_FLOOR:
         raise AmbiguousConstantsError(
             f"no separated minimizer: best {worst[best]:.3e}, "
             f"runner-up {worst[second]:.3e}"
@@ -515,7 +501,7 @@ def find_riemann_constants(tau, probe_images, cfg=None, *,
 
 
 def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
-                           delta: ThetaCharacteristic, cfg=None) -> complex:
+                           delta: ThetaCharacteristic) -> complex:
     """Cross-ratio of theta translates and prime forms at two probes.
 
     Every factor that depends on local trivializations or on the
@@ -526,9 +512,9 @@ def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
     point = _siegel(tau)
     w = np.asarray(w, dtype=complex)
     ev = theta_batch([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img],
-                     point, cfg=cfg)
+                     point)
     od = theta_batch([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img],
-                     point, delta, cfg)
+                     point, delta)
     for f in ev + od:
         if abs(f.mantissa) < 1e-10 * f.peak:
             raise ThetaNearZeroError("cross-ratio factor too close to zero")
@@ -545,8 +531,7 @@ class CrossRatioResult:
     constants: RiemannConstants
 
 
-def gamma_cross_ratio_check(pd, weight: int, seed: int,
-                            cfg=None, retries: int = 6) -> CrossRatioResult:
+def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
     """Compare cardinal-basis cross-ratios against theta quotients, genus 2.
 
     Anchors and probes are sampled on the curve, mapped to the Jacobian,
@@ -563,7 +548,7 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int,
     delta = ThetaCharacteristic.first_odd(2)
     basis_n = holomorphic_basis(curve, weight)
     last_error = None
-    for attempt in range(retries):
+    for attempt in range(CROSS_RATIO_ATTEMPTS):
         s = seed + 7919 * attempt
         pts = sample_points(curve, n + 6, s, mode="real")
         anchors = pts[:n]
@@ -572,9 +557,9 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int,
             gam = cardinal_basis(basis_n, anchors)
             imgs = [img.vector for img in abel_map(pd, pts)]
             anchor_imgs, probe_imgs, vrc_imgs = imgs[:n], imgs[n:n + 2], imgs[n + 2:]
-            constants = find_riemann_constants(pd.tau, vrc_imgs, cfg)
+            constants = find_riemann_constants(pd.tau, vrc_imgs)
             w = sum(anchor_imgs) - (2 * weight - 1) * constants.vector
-            tw = theta(w, pd.tau, cfg=cfg)
+            tw = theta(w, pd.tau)
             if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
                 raise ThetaNearZeroError("theta(w) below floor")
             gvals = gam.evaluate(probes)
@@ -585,7 +570,7 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int,
                 curve_ratio = (gvals[i, 0] * gvals[j, 1]) / (gvals[i, 1] * gvals[j, 0])
                 theta_ratio = theta_side_cross_ratio(
                     w, probe_imgs[0], probe_imgs[1],
-                    anchor_imgs[i], anchor_imgs[j], pd.tau, delta, cfg,
+                    anchor_imgs[i], anchor_imgs[j], pd.tau, delta,
                 )
                 dev = abs(curve_ratio - theta_ratio) / max(
                     abs(curve_ratio), abs(theta_ratio)
@@ -596,5 +581,5 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int,
                 AmbiguousConstantsError) as exc:
             last_error = exc
     raise ThetaNearZeroError(
-        f"no usable configuration after {retries} attempts: {last_error}"
+        f"no usable configuration after {CROSS_RATIO_ATTEMPTS} attempts: {last_error}"
     )

@@ -279,7 +279,7 @@ def abel_map_per_point(pd, p, via=None):
     return vec, tuple(path), err
 
 
-def fay_residual_objects(w, xs, ys, tau, delta, cfg=None, min_sep=1e-4):
+def fay_residual_objects(w, xs, ys, tau, delta):
     """Trisecant residual assembled from one ScaledComplex per factor.
 
     Same theta batches as the package, then every quotient, product and
@@ -299,16 +299,16 @@ def fay_residual_objects(w, xs, ys, tau, delta, cfg=None, min_sep=1e-4):
     w = np.asarray(w, dtype=complex).reshape(g)
     xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
-    th._check_separation(np.concatenate([xs, ys]), point, min_sep)
-    tw = th.theta(w, point, cfg=cfg)
+    th._check_separation(np.concatenate([xs, ys]), point)
+    tw = th.theta(w, point)
     if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
         raise th.ThetaNearZeroError("theta(w) is below the nonvanishing floor")
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
     odd = th.theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
-                         point, delta, cfg)
+                         point, delta)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even = th.theta_batch(np.concatenate([shift[None, :], w + cross]), point, cfg=cfg)
+    even = th.theta_batch(np.concatenate([shift[None, :], w + cross]), point)
     exy = odd[:m * m]
     lhs = prod([even[0]] + odd[m * m:]) / prod([tw] + exy)
     entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]

@@ -101,6 +101,21 @@ def test_tolerance_syntax_errors(capsys):
     capsys.readouterr()
 
 
+def test_tolerance_name_the_subcommand_never_reads(capsys):
+    # the siegel check is "invariance"; a misspelt name must not be
+    # echoed as if it took effect
+    assert main(["verify-siegel", "--genus", "2", "--tol", "invariants=1", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance invariants" not in captured.out
+    assert "'invariants'" in captured.err
+    assert "functoriality, det-power, trace, invariance, density" in captured.err
+    # a name read by another subcommand is refused here too
+    assert main(["periods", "--tol", "fay=1"]) == 2
+    assert "accepted names: symmetry" in capsys.readouterr().err
+    assert main(["verify-siegel", "--genus", "2", "--tol", "invariance=1", "--seed", "3"]) == 0
+    assert "tolerance invariance=1.000000e+00" in capsys.readouterr().out
+
+
 def test_petri_default_quintic(capsys):
     assert main(["verify-petri"]) == 0
     out = capsys.readouterr().out

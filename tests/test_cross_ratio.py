@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holodiff import theta as th
+from holodiff.bases import NonGenericAnchorsError
 from holodiff.curves import sample_points
 from holodiff.jacobian import abel_map
 
@@ -20,6 +21,20 @@ def test_cross_ratio_matches_theta_side(pd_g2, weight):
 def test_cross_ratio_needs_genus_two(pd_g1):
     with pytest.raises(ValueError, match="genus-2"):
         th.gamma_cross_ratio_check(pd_g1, 1, seed=0)
+
+
+def test_cross_ratio_gives_up_after_every_attempt_fails(pd_g2, monkeypatch):
+    calls = []
+
+    def non_generic(basis, anchors):
+        calls.append(len(anchors))
+        raise NonGenericAnchorsError("forced", 1e20)
+
+    monkeypatch.setattr(th, "cardinal_basis", non_generic)
+    with pytest.raises(th.ThetaNearZeroError,
+                       match=f"no usable configuration after {th.CROSS_RATIO_ATTEMPTS} attempts"):
+        th.gamma_cross_ratio_check(pd_g2, 1, seed=20260818)
+    assert len(calls) == th.CROSS_RATIO_ATTEMPTS == 6
 
 
 def test_riemann_constants_from_curve_probes(pd_g2):

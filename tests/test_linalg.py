@@ -150,10 +150,12 @@ def test_numerical_rank_constructed(rank):
     assert linalg.numerical_rank(left @ right) == rank
 
 
-def test_numerical_rank_threshold():
+def test_numerical_rank_threshold(monkeypatch):
     a = np.diag([1.0, 1e-4, 1e-12]).astype(complex)
-    assert linalg.numerical_rank(a, rtol=1e-8) == 2
-    assert linalg.numerical_rank(a, rtol=1e-15) == 3
+    assert linalg.RANK_RTOL == 1e-8
+    assert linalg.numerical_rank(a) == 2
+    monkeypatch.setattr(linalg, "RANK_RTOL", 1e-15)
+    assert linalg.numerical_rank(a) == 3
     assert linalg.numerical_rank(np.zeros((3, 3))) == 0
 
 

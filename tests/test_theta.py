@@ -84,11 +84,6 @@ def test_odd_characteristic_counts(g, count):
         th.odd_characteristics(g, count + 1)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="eps"):
-        th.ThetaEvalConfig(eps=0.0)
-
-
 def test_theta_reference_value_at_i():
     # independent oracle: direct n in [-30, 30] sum of exp(-pi n^2)
     n = np.arange(-30, 31)
@@ -162,10 +157,10 @@ def test_characteristic_length_mismatch(rng):
         th.theta(np.zeros(2), tau.z, th.ThetaCharacteristic([0.5], [0.5]))
 
 
-def test_truncation_cap():
-    cfg = th.ThetaEvalConfig(eps=1e-13, radius_cap=2.0)
+def test_truncation_cap(monkeypatch):
+    monkeypatch.setattr(th, "RADIUS_CAP", 2.0)
     with pytest.raises(th.TruncationError, match="cap"):
-        th.theta(0.0, 1j, cfg=cfg)
+        th.theta(0.0, 1j)
 
 
 def test_entry_points_reject_non_symmetric_tau():
@@ -343,17 +338,16 @@ def test_theta_is_one_row_of_theta_batch(rng):
         th.theta_batch(np.zeros(3), tau.z)
 
 
-def test_theta_batch_term_budget(rng):
+def test_theta_batch_term_budget(rng, monkeypatch):
     # 20 rows over a box of at least 7 x 7 points need > 980 terms; the
     # check runs before the lattice is built
     tau = random_siegel_point(2, rng)
     zs = 0.3 * (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)))
-    cfg = th.ThetaEvalConfig(max_terms=900)
+    monkeypatch.setattr(th, "MAX_TERMS", 900)
     with pytest.raises(th.TruncationError, match="budget 900"):
-        th.theta_batch(zs, tau.z, cfg=cfg)
-    assert len(th.theta_batch(zs[:1], tau.z, cfg=th.ThetaEvalConfig(max_terms=10**4))) == 1
-    with pytest.raises(ValueError, match="max_terms"):
-        th.ThetaEvalConfig(max_terms=0)
+        th.theta_batch(zs, tau.z)
+    monkeypatch.setattr(th, "MAX_TERMS", 10**4)
+    assert len(th.theta_batch(zs[:1], tau.z)) == 1
 
 
 def _scaled_matrix(mant, logs):
