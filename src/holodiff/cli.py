@@ -214,7 +214,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
         t = tol.get("trace", 1e-12)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-trace"))
         tau = siegel.random_siegel_point(genus, rng)
-        metric = siegel.siegel_metric(tau.y, pm)
+        metric = siegel.siegel_metric(tau, pm)
         dz = _rand_complex(rng, (genus, genus))
         dz = (dz + dz.T) / 2
         dzp = dz[pm.first, pm.second]
@@ -246,7 +246,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
         t = tol.get("density", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-density"))
         tau = siegel.random_siegel_point(genus, rng)
-        lhs, rhs = siegel.ambient_volume_density(tau.y, pm)
+        lhs, rhs = siegel.ambient_volume_density(tau, pm)
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return _record("siegel-density", "volume-density", resid, t)
 

@@ -11,6 +11,8 @@ convert double sums over ordinary indices into single sums over pair slots.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -73,6 +75,17 @@ class PairIndexMap:
         except KeyError:
             raise IndexError(f"pair ({a}, {b}) out of range for size {self.g}")
 
+    @cached_property
+    def square_grids(self) -> tuple:
+        """The np.ix_ grids (ff, ss, fs, sf) that `sym_square` reads through."""
+        f, s = self.first, self.second
+        return np.ix_(f, f), np.ix_(s, s), np.ix_(f, s), np.ix_(s, f)
+
+    @cached_property
+    def square_divisor(self) -> np.ndarray:
+        """Column divisor 1 + delta of `sym_square`, as a (1, M) row."""
+        return (1.0 + self.diagonal.astype(float))[None, :]
+
     def __repr__(self) -> str:
         return f"PairIndexMap(g={self.g}, m={self.m})"
 
@@ -101,9 +114,8 @@ def sym_square(a, pm: PairIndexMap) -> np.ndarray:
     a = np.asarray(a)
     if a.shape != (pm.g, pm.g):
         raise ValueError(f"expected {pm.g} x {pm.g} matrix, got shape {a.shape}")
-    f, s = pm.first, pm.second
-    num = a[np.ix_(f, f)] * a[np.ix_(s, s)] + a[np.ix_(f, s)] * a[np.ix_(s, f)]
-    return num / (1.0 + pm.diagonal.astype(float))[None, :]
+    ff, ss, fs, sf = pm.square_grids
+    return (a[ff] * a[ss] + a[fs] * a[sf]) / pm.square_divisor
 
 
 def resummation_pair(f, pm: PairIndexMap):

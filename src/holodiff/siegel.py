@@ -76,14 +76,30 @@ def random_siegel_point(g: int, rng: np.random.Generator) -> SiegelPoint:
     return SiegelPoint((x + x.T) / 2 + 1j * y)
 
 
+def _int64_block(x) -> np.ndarray:
+    """x as an int64 array; ValueError unless every entry is an integer value.
+
+    Dtypes that cast to int64 exactly pass on a dtype test alone; others
+    must hold finite integer values below 2^63 in magnitude.
+    """
+    x = np.asarray(x)
+    if not np.can_cast(x.dtype, np.int64):
+        if x.dtype.kind not in "fcu" or not np.all(
+            (np.round(x.real) == x) & (np.abs(x) < 2.0**63)
+        ):
+            raise ValueError("symplectic blocks must hold integer values within int64")
+        x = x.real
+    return x.astype(np.int64, copy=False)
+
+
 class SymplecticElement:
     """Integer block matrix [[A,B],[C,D]] preserving the standard symplectic form."""
 
     def __init__(self, a, b, c, d):
-        self.a = np.asarray(a, dtype=np.int64)
-        self.b = np.asarray(b, dtype=np.int64)
-        self.c = np.asarray(c, dtype=np.int64)
-        self.d = np.asarray(d, dtype=np.int64)
+        self.a = _int64_block(a)
+        self.b = _int64_block(b)
+        self.c = _int64_block(c)
+        self.d = _int64_block(d)
         g = self.a.shape[0]
         for blk in (self.a, self.b, self.c, self.d):
             if blk.shape != (g, g):
@@ -102,11 +118,17 @@ class SymplecticElement:
         return j
 
     def matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        g = self.g
+        m = np.empty((2 * g, 2 * g), dtype=np.int64)
+        m[:g, :g] = self.a
+        m[:g, g:] = self.b
+        m[g:, :g] = self.c
+        m[g:, g:] = self.d
+        return m
 
     @classmethod
     def from_matrix(cls, m) -> "SymplecticElement":
-        m = np.asarray(m, dtype=np.int64)
+        m = _int64_block(m)
         g = m.shape[0] // 2
         return cls(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
 
@@ -124,7 +146,7 @@ class SymplecticElement:
 
     @classmethod
     def upper_shear(cls, s) -> "SymplecticElement":
-        s = np.asarray(s, dtype=np.int64)
+        s = _int64_block(s)
         g = s.shape[0]
         if not np.array_equal(s, s.T):
             raise ValueError("shear block must be symmetric")
@@ -134,7 +156,7 @@ class SymplecticElement:
 
     @classmethod
     def lower_shear(cls, s) -> "SymplecticElement":
-        s = np.asarray(s, dtype=np.int64)
+        s = _int64_block(s)
         g = s.shape[0]
         if not np.array_equal(s, s.T):
             raise ValueError("shear block must be symmetric")
@@ -147,22 +169,32 @@ class SymplecticElement:
 
 
 def random_symplectic(g: int, rng: np.random.Generator) -> SymplecticElement:
-    """Random word in shears and the inversion; exact integer arithmetic."""
-    elem = SymplecticElement.identity(g)
+    """Random word in shears and the inversion; exact integer arithmetic.
+
+    The word is the product, left to right, of SYMPLECTIC_WORD_LENGTH
+    factors.  Each factor is applied to the running blocks in place of a
+    full matrix product: an upper shear [[I,S],[0,I]] sends (A,B,C,D) to
+    (A, AS+B, C, CS+D), a lower shear [[I,0],[S,I]] to (A+BS, B, C+DS, D)
+    and the inversion [[0,-I],[I,0]] to (B, -A, D, -C).
+    """
+    a = np.eye(g, dtype=np.int64)
+    b = np.zeros((g, g), dtype=np.int64)
+    c = np.zeros((g, g), dtype=np.int64)
+    d = np.eye(g, dtype=np.int64)
     for _ in range(SYMPLECTIC_WORD_LENGTH):
         kind = rng.integers(3)
         if kind == 2:
-            factor = SymplecticElement.inversion(g)
+            a, b, c, d = b, -a, d, -c
+            continue
+        raw = rng.integers(-2, 3, size=(g, g))
+        s = raw + raw.T
+        if kind == 0:
+            b = a @ s + b
+            d = c @ s + d
         else:
-            raw = rng.integers(-2, 3, size=(g, g))
-            s = np.asarray(raw + raw.T, dtype=np.int64)
-            factor = (
-                SymplecticElement.upper_shear(s)
-                if kind == 0
-                else SymplecticElement.lower_shear(s)
-            )
-        elem = elem @ factor
-    return elem
+            a = a + b @ s
+            c = c + d @ s
+    return SymplecticElement(a, b, c, d)
 
 
 def _y_inverse(y) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: explicit loops, permutation sums,
 hand-written 2x2 inverses, term-by-term lattice sums, a one-draw-at-a-time
-point sampler, a one-point-at-a-time Abel map and an object-form trisecant
-residual.  The last two repeat the package's arithmetic step for step, so
-the package's array forms can be held to equal or near-equal results.
+point sampler, a one-point-at-a-time Abel map, an object-form trisecant
+residual and a factor-by-factor symplectic word.  The last three repeat
+the package's arithmetic step for step, so the package's array forms can
+be held to equal or near-equal results.
 """
 
 import cmath
@@ -317,3 +318,25 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return th.scaled_rel_diff(lhs, rhs)
+
+
+def random_symplectic_word(g, rng):
+    """Random word in shears and the inversion, one factor element at a time.
+
+    Reads the RNG as `siegel.random_symplectic` does and multiplies whole
+    `SymplecticElement`s with `@`, each factor built by its constructor.
+    """
+    from holodiff.siegel import SYMPLECTIC_WORD_LENGTH, SymplecticElement
+
+    elem = SymplecticElement.identity(g)
+    for _ in range(SYMPLECTIC_WORD_LENGTH):
+        kind = rng.integers(3)
+        if kind == 2:
+            factor = SymplecticElement.inversion(g)
+        else:
+            raw = rng.integers(-2, 3, size=(g, g))
+            s = raw + raw.T
+            factor = (SymplecticElement.upper_shear(s) if kind == 0
+                      else SymplecticElement.lower_shear(s))
+        elem = elem @ factor
+    return elem

@@ -70,6 +70,23 @@ def test_sym_square_functoriality(g, seed):
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_sym_square_matches_explicit_index_formula(g, rng):
+    pm = build_pair_index(g)
+    f, s = pm.first, pm.second
+    divisor = (1.0 + pm.diagonal.astype(float))[None, :]
+    for a in (rng.standard_normal((g, g)), _rand_c(rng, (g, g))):
+        num = a[np.ix_(f, f)] * a[np.ix_(s, s)] + a[np.ix_(f, s)] * a[np.ix_(s, f)]
+        assert np.array_equal(sym_square(a, pm), num / divisor)
+
+
+def test_sym_square_grids_are_built_on_first_use():
+    pm = build_pair_index(3)
+    assert "square_grids" not in vars(pm) and "square_divisor" not in vars(pm)
+    sym_square(np.eye(3), pm)
+    assert "square_grids" in vars(pm) and "square_divisor" in vars(pm)
+
+
 def test_sym_square_identity():
     pm = build_pair_index(4)
     assert np.allclose(sym_square(np.eye(4), pm), np.eye(pm.m), atol=1e-15)

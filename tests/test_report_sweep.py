@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_sweep.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "report_sweep.py"
 
 
 def _load_tool():
@@ -53,6 +54,14 @@ def test_sweep_of_one_seed_matches_itself(sweep, capsys):
     code, out = _diff(sweep, sweep, capsys)
     assert code == 0
     assert "runs: 8 before, 8 after, 8 identical, 0 changed lines" in out
+
+
+def test_sweep_records_the_holodiff_it_imported(sweep, capsys):
+    data = json.loads(sweep.read_text(encoding="utf-8"))
+    init = str(ROOT / "src" / "holodiff" / "__init__.py")
+    assert data["holodiff"] == init
+    code, out = _diff(sweep, sweep, capsys)
+    assert out.splitlines()[0] == f"holodiff: {init} -> {init}"
 
 
 def test_sweep_diff_counts_an_edited_residual_digit(sweep, tmp_path, capsys):

@@ -8,7 +8,7 @@ from holodiff.bases import holomorphic_basis
 from holodiff.curves import sample_points
 from holodiff.pairindex import build_pair_index, pair_vector, sym_square
 
-from oracles import weighted_minor_g2
+from oracles import random_symplectic_word, weighted_minor_g2
 
 
 def _rand_pd(rng, g):
@@ -67,6 +67,29 @@ def test_symplectic_rejects_bad_blocks():
         siegel.SymplecticElement.upper_shear(np.array([[0, 1], [2, 0]]))
     with pytest.raises(ValueError, match="square"):
         siegel.SymplecticElement(np.eye(3, dtype=int), eye, eye, eye)
+    zero = np.zeros((2, 2), dtype=int)
+    with pytest.raises(ValueError, match="integer"):
+        siegel.SymplecticElement(eye, 0.7 * eye, zero, eye)
+    with pytest.raises(ValueError, match="integer"):
+        siegel.SymplecticElement.upper_shear(np.array([[1.5, 0.0], [0.0, 0.0]]))
+
+
+def test_symplectic_accepts_integer_valued_blocks():
+    eye = np.eye(2)
+    elem = siegel.SymplecticElement(eye, 2.0 * eye, np.zeros((2, 2)), eye + 0j)
+    shear = siegel.SymplecticElement.upper_shear(2 * np.eye(2, dtype=int))
+    assert elem.matrix().dtype == np.int64
+    assert np.array_equal(elem.matrix(), shear.matrix())
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_random_symplectic_matches_factor_by_factor_word(g):
+    for seed in range(300):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        word = siegel.random_symplectic(g, rng)
+        ref = random_symplectic_word(g, ref_rng)
+        assert np.array_equal(word.matrix(), ref.matrix()), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -181,6 +204,14 @@ def test_volume_density_closed_form(g, rng):
     y = _rand_pd(rng, g)
     det_metric, closed = siegel.ambient_volume_density(y, pm)
     assert abs(det_metric - closed) <= 1e-10 * abs(closed)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_point_and_its_imaginary_part_give_the_same_bits(g, rng):
+    pm = build_pair_index(g)
+    tau = siegel.random_siegel_point(g, rng)
+    assert np.array_equal(siegel.siegel_metric(tau, pm), siegel.siegel_metric(tau.y, pm))
+    assert siegel.ambient_volume_density(tau, pm) == siegel.ambient_volume_density(tau.y, pm)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

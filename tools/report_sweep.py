@@ -6,13 +6,17 @@
 `run` imports ``holodiff`` from DIR (default: this checkout's ``src``) and
 runs each command below in-process through ``holodiff.cli.main``, once per
 seed, plus ``periods`` on the bundled genus-2 and lemniscatic curves.  It
-stores every run's exit code and report, with the ``ms=`` timings
-stripped, in OUT.json.  The default seeds give 6 x 40 + 2 = 242 runs.
+stores the resolved path of the ``holodiff/__init__.py`` it imported, and
+every run's exit code and report with the ``ms=`` timings stripped, in
+OUT.json.  The default seeds give 6 x 40 + 2 = 242 runs.
 
-`diff` prints every changed exit code, every changed report line and every
-changed check verdict, then each check's FAIL count per command on both
-sides, then for each check the number of changed residuals and the
-largest |log10(after/before)| among them (inf when one side is 0).
+`diff` first prints the two sides' ``holodiff`` paths (``?`` for a file
+written before they were stored), so a sweep that loaded the same tree
+twice shows at once.  Then it prints every changed exit code, every
+changed report line and every changed check verdict, then each check's
+FAIL count per command on both sides, then for each check the number of
+changed residuals and the largest |log10(after/before)| among them (inf
+when one side is 0).
 It exits 1 when an exit code or a verdict changed, else 0.  To compare two
 commits, run the sweep once with ``--src`` pointing at each checkout.
 """
@@ -70,7 +74,8 @@ def run_sweep(src: Path, seeds: range) -> dict:
             runs[key] = _run_one(main, key.split())
     for name in PERIOD_CURVES:
         runs[f"periods {name}"] = _run_one(main, ["periods", "--spec", str(data / name)])
-    return {"seeds": [seeds.start, seeds.stop - 1], "runs": runs}
+    return {"holodiff": str(Path(holodiff.__file__).resolve()),
+            "seeds": [seeds.start, seeds.stop - 1], "runs": runs}
 
 
 def _verdicts(report: list[str]) -> dict:
@@ -95,6 +100,7 @@ def _command(key: str) -> str:
 
 
 def diff_sweeps(before: dict, after: dict) -> int:
+    print(f"holodiff: {before.get('holodiff', '?')} -> {after.get('holodiff', '?')}")
     a, b = before["runs"], after["runs"]
     changed = 0
     for key in sorted(a.keys() ^ b.keys()):
