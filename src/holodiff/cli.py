@@ -23,11 +23,11 @@ from .report import CheckRecord, Report, sha256_digest
 
 DEFAULT_SEED = 20260818
 FAY_TRIALS = 3
-# Upper limit on verify-fay -m.  One residual sums its largest theta batch,
-# 2m^2 - m odd translates, over one lattice box (about 160 points on the
-# bundled genus-2 curve), then factors an m x m matrix.  At m = 48 that
-# batch is about 0.7M terms, a sixth of theta.MAX_TERMS, and the
-# elimination is negligible beside it.
+# Upper limit on verify-fay -m.  One residual sums all its 3m^2 - m + 2
+# theta rows, even and odd translates together, over one lattice box (169
+# points on the bundled genus-2 curve), then factors an m x m matrix.  At
+# m = 48 that is 6866 rows, about 1.16M terms, 0.28 of theta.MAX_TERMS,
+# and the elimination is negligible beside it.
 FAY_MAX_PAIRS = 48
 
 # the --tol names each subcommand reads
@@ -234,8 +234,7 @@ def _siegel_checks(genus, seed, tol, force_failure):
         dz = _rand_complex(rng, (genus, genus))
         dz = (dz + dz.T) / 2
         mm = siegel.random_symplectic(genus, rng)
-        tau2, den_t = siegel.modular_transform(tau, mm)
-        inv_den = linalg.inverse(den_t.T)
+        tau2, _, inv_den = siegel.modular_transform(tau, mm)
         dz2 = inv_den.T @ dz @ inv_den
         q1 = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
         q2 = complex(np.trace(tau2.y_inv @ dz2 @ tau2.y_inv @ np.conj(dz2))).real

@@ -219,19 +219,22 @@ def siegel_metric(y, pm: PairIndexMap) -> np.ndarray:
 def modular_transform(tau: SiegelPoint, m: SymplecticElement):
     """Transformed point (A tau + B)(C tau + D)^-1 and the transport cocycle.
 
-    Returns (new SiegelPoint, (C tau + D)^T).  Symmetry and positivity of
-    the result are asserted, not assumed.
+    Returns (new SiegelPoint, (C tau + D)^T, (C tau + D)^-1): the inverse
+    is the one the transformation used, so callers that transport tangent
+    vectors need not invert the cocycle again.  Symmetry and positivity
+    of the result are asserted, not assumed.
     """
     if m.g != tau.g:
         raise ValueError("genus mismatch between point and group element")
     den = m.c @ tau.z + m.d.astype(complex)
     num = m.a @ tau.z + m.b.astype(complex)
-    zt = num @ linalg.inverse(den)
+    inv_den = linalg.inverse(den)
+    zt = num @ inv_den
     scale = max(float(np.max(np.abs(zt))), 1e-300)
     dev = float(np.max(np.abs(zt - zt.T)))
     if dev > 1e-10 * scale:
         raise AssertionError(f"transformed point lost symmetry: {dev:.3e}")
-    return SiegelPoint((zt + zt.T) / 2), den.T
+    return SiegelPoint((zt + zt.T) / 2), den.T, inv_den
 
 
 def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:

@@ -1,15 +1,20 @@
 """Theta functions with half-integer characteristics and their identities.
 
-The series is evaluated after translating the argument into the
-fundamental cell by quasi-periodicity; the translation prefactor is kept
-as a separate log scale so nothing overflows.  Truncation radii come
-from a certified Gaussian tail bound that does not depend on the
-argument, so a batch of arguments at one tau shares a single lattice
-sum.  On top of the engine: the reduced prime form, the brute-force
-search for the Riemann-constant half-period, the Fay trisecant residual
-with an O(m^3) scaled determinant, and the end-to-end cross-ratio
-comparison between cardinal bases and theta quotients on a genus-2
-Jacobian.
+A characteristic is folded into the argument,
+theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
+so the engine sums over Z^g only and rows of different characteristics
+share one sum.  Each row is translated into the fundamental cell by
+quasi-periodicity; the prefactors are kept as a separate log scale so
+nothing overflows.  Truncation radii come from a certified Gaussian tail
+bound that does not depend on the argument, so a batch of arguments at
+one tau shares a single lattice box.  Within it, term moduli come from
+one real matmul and one real exp, and only the unit phases are factored
+per lattice point and per axis, with no complex exp per term.  On top of
+the engine: the reduced prime form, the brute-force search for the
+Riemann-constant half-period, the Fay trisecant residual (one lattice
+sum of 3m^2 - m + 2 rows, then an O(m^3) scaled determinant), and the
+end-to-end cross-ratio comparison between cardinal bases and theta
+quotients on a genus-2 Jacobian (one lattice sum of eight rows).
 """
 
 from __future__ import annotations
@@ -218,6 +223,15 @@ def _siegel(tau) -> SiegelPoint:
     return SiegelPoint(mat.reshape(1, 1) if mat.ndim == 0 else mat)
 
 
+def _half_gauss_sum(a: float) -> float:
+    """Upper bound on sum_{j>=0} exp(-a j^2), a > 0.
+
+    The j = 0 and j = 1 terms exactly, then the decreasing tail j >= 2
+    bounded by its integral from 1: sqrt(pi/a) erfc(sqrt(a)) / 2.
+    """
+    return 1.0 + math.exp(-a) + 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a))
+
+
 def _truncation(point: SiegelPoint):
     """(radius, mu, log of the lattice-sum factor) meeting THETA_EPS.
 
@@ -229,18 +243,9 @@ def _truncation(point: SiegelPoint):
     if not lam > 0:
         # Y passed the pivot test but its computed spectrum reaches zero
         raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
-    mu4 = np.pi * lam / 8.0
-    total, j = 0.0, 0
-    while True:
-        term = np.exp(-mu4 * j * j)
-        total += term
-        j += 1
-        if term < 1e-18 or j > 100000:
-            break
-    mu = np.pi * lam / 2.0
-    log_tb = point.g * np.log(2.0 * total)
-    radius = np.sqrt(max((log_tb - np.log(THETA_EPS)) / mu, 0.0))
-    radius = max(radius, 3.0)
+    mu = math.pi * lam / 2.0
+    log_tb = point.g * math.log(2.0 * _half_gauss_sum(math.pi * lam / 8.0))
+    radius = max(math.sqrt(max((log_tb - math.log(THETA_EPS)) / mu, 0.0)), 3.0)
     if radius > RADIUS_CAP:
         achieved = np.exp(-mu * RADIUS_CAP**2 + log_tb)
         raise TruncationError(
@@ -250,51 +255,141 @@ def _truncation(point: SiegelPoint):
     return radius, mu, log_tb
 
 
-def _reduce(point: SiegelPoint, v: np.ndarray):
-    """Rows v = tau m + n + r with integer rows m, n and small remainders r."""
+def _reduce(point: SiegelPoint, v: np.ndarray, tau: np.ndarray | None = None):
+    """Rows v = tau m + n + r with integer rows m, n and small remainders r.
+
+    tau defaults to the point's matrix; any matrix with the point's
+    imaginary part may stand in for it.
+    """
+    tau = point.z if tau is None else tau
     mvec = np.rint(v.imag @ point.y_inv.T)
-    nvec = np.rint((v - mvec @ point.z.T).real)
-    return v - mvec @ point.z.T - nvec, mvec, nvec
+    nvec = np.rint((v - mvec @ tau.T).real)
+    return v - mvec @ tau.T - nvec, mvec, nvec
 
 
-def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None):
-    """theta_batch as arrays: (mantissa, log scale, err, peak), one entry per row."""
-    point = _siegel(tau)
+def _split_real(point: SiegelPoint):
+    """(tau - S, S) for the integer symmetric S, even on the diagonal, that
+    brings Re tau into [-1, 1] on the diagonal and [-1/2, 1/2] off it.
+
+    exp(i pi n.S.n) = 1 for integer n, so a theta sum over Z^g is the same
+    at tau and tau - S; the subtraction is exact, and phases computed at
+    tau - S no longer lose digits to a large Re tau.
+    """
+    period = 1.0 + np.eye(point.g)
+    s = period * np.rint(point.z.real / period)
+    return point.z - s, s
+
+
+def _fold(point: SiegelPoint, zs, char: ThetaCharacteristic | None = None):
+    """Rows z + tau a + b and log factors i pi a.tau.a + 2 pi i a.(z + b).
+
+    theta[a,b](z) = exp(log factor) theta(z + tau a + b), so a lattice sum
+    over Z^g at the returned rows serves any characteristic, and rows of
+    different characteristics can share one sum.
+    """
     g = point.g
     zs = np.asarray(zs, dtype=complex)
     if zs.size % g:
         raise ValueError(f"arguments do not split into rows of length {g}")
     zs = zs.reshape(-1, g)
     if char is None:
-        char = ThetaCharacteristic.zero(g)
+        return zs, np.zeros(len(zs), dtype=complex)
     if char.g != g:
         raise ValueError(f"characteristic has length {char.g}, expected {g}")
     a, b = char.a, char.b
+    # with tau = tau_s + S: exp(i pi a.S.a) and the shift S a matter only
+    # modulo 2 and modulo 1, and both are exact multiples of 1/2
+    tau, s = _split_real(point)
+    sa = s @ a
+    log_fac = 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((zs + b) @ a)
+    return zs + (tau @ a + b + sa % 1.0), log_fac
 
-    z0, mvec, nvec = _reduce(point, zs)
-    pref = (-1j * np.pi * np.einsum("bi,ij,bj->b", mvec, point.z, mvec)
-            - 2j * np.pi * np.sum(mvec * (z0 + nvec + b), axis=1)
-            + 2j * np.pi * (nvec @ a))
+
+def _joined(*folds):
+    """Rows and log factors of several `_fold` results, in order, for one sum."""
+    return tuple(np.concatenate(parts) for parts in zip(*folds))
+
+
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _box_phase(axes, x: np.ndarray) -> np.ndarray:
+    """exp(i pi u.x.u) at every point u of the box spanned by axes, C order.
+
+    Built axis by axis from unit-modulus tables, exp(i pi x_kk u_k^2) and
+    exp(2 pi i x_lk u_l u_k) for l < k: about g complex products per
+    point in place of one complex exp.
+    """
+    out = np.ones(())
+    for k, ak in enumerate(axes):
+        factor = np.exp(1j * np.pi * x[k, k] * ak**2)
+        for l in range(k):
+            shape = [1] * (k + 1)
+            shape[l], shape[k] = len(axes[l]), len(ak)
+            pair = np.exp(2j * np.pi * x[l, k] * np.multiply.outer(axes[l], ak))
+            factor = factor * pair.reshape(shape)
+        out = out[..., None] * factor
+    return out.ravel()
+
+
+def _theta_arrays(point: SiegelPoint, zs: np.ndarray, log_fac: np.ndarray):
+    """exp(log_fac) theta(z) at every row of zs, by one lattice sum over Z^g.
+
+    Returns arrays (mantissa, log scale, err, peak), one entry per row.
+    Each term is a modulus exp(Re w) times a unit phase, with
+    Re w = -pi u.Y.u - 2 pi u.y0 at the reduced argument z0 = x0 + i y0.
+    The moduli come from one real matmul and one real exp, after the
+    row's largest exponent is subtracted.  Only the phases are factored:
+    exp(i pi u.X.u) per lattice point, with X reduced modulo the integer
+    symmetric matrices that leave it unchanged on Z^g, and
+    exp(2 pi i u_k x0_k) per axis, contracted one axis at a time by
+    batched np.matmul.
+    Factoring the moduli would overflow at large Y even where their
+    product does not.
+    """
+    g = point.g
+    radius, mu, log_tb = _truncation(point)
+    tau, _ = _split_real(point)
+    z0, mvec, _ = _reduce(point, zs, tau)
+    # quasi-periodicity: -i pi m.tau.m - 2 pi i m.z0
+    pref = log_fac - 1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * z0)
     y0 = z0.imag
     c0 = y0 @ point.y_inv.T
-    peak_log = np.pi * np.sum(y0 * c0, axis=1)
-    radius, mu, log_tb = _truncation(point)
+    peak_log = np.pi * np.einsum("bi,bi->b", y0, c0)
 
-    center = -a - c0
-    lo = np.ceil(np.min(center, axis=0) - radius).astype(int)
-    hi = np.floor(np.max(center, axis=0) + radius).astype(int)
-    terms = len(zs) * math.prod(int(n) for n in hi - lo + 1)
+    lo = np.ceil(-c0.max(axis=0) - radius).astype(int)
+    hi = np.floor(radius - c0.min(axis=0)).astype(int)
+    sizes = [int(n) for n in hi - lo + 1]
+    rows = len(zs)
+    terms = rows * math.prod(sizes)
     if terms > MAX_TERMS:
         raise TruncationError(
             f"lattice sum needs {terms} terms (points x rows) > budget {MAX_TERMS}"
         )
-    axes = [np.arange(lo[i], hi[i] + 1) for i in range(g)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([m.ravel() for m in mesh], axis=1).astype(float) + a
-    quad = 1j * np.pi * np.einsum("ij,jk,ik->i", u, point.z, u)
-    w = quad[:, None] + 2j * np.pi * (u @ (z0 + b).T)
-    mx = np.max(w.real, axis=0)
-    mant = np.sum(np.exp(w - mx), axis=0) * np.exp(1j * pref.imag)
+    axes = [np.arange(lo[k], hi[k] + 1, dtype=float) for k in range(g)]
+    # the box's lattice points as the columns of u, in C order
+    u = np.empty([g] + sizes)
+    for k in range(g):
+        u[k] = axes[k].reshape([-1] + [1] * (g - 1 - k))
+    u = u.reshape(g, -1)
+    # Re w for every (row, point) from one matmul of [2 y0, 1] by [u; u.Y.u]
+    quad = np.einsum("ij,ij->j", u, point.y @ u)
+    re_w = np.hstack([2.0 * y0, np.ones((rows, 1))]) @ np.vstack([u, quad])
+    re_w *= -np.pi
+    mx = re_w.max(axis=1)
+    re_w -= mx[:, None]
+    # moduli that would be subnormal are below 1e-307 of the row's largest
+    # term; dropping them changes no digit and keeps later products fast
+    re_w[re_w < _LOG_TINY] = -np.inf
+    np.exp(re_w, out=re_w)
+    acc = re_w.astype(complex)
+    acc *= _box_phase(axes, tau.real)
+    for k in range(g):
+        # one row vector of axis-k phases times the (n_k, rest) matrix of
+        # each row keeps np.matmul on BLAS for one row and for thousands
+        phase = np.exp(2j * np.pi * np.multiply.outer(z0[:, k].real, axes[k]))
+        acc = np.matmul(phase.reshape(rows, 1, sizes[k]), acc.reshape(rows, sizes[k], -1))
+    mant = acc.reshape(rows) * np.exp(1j * pref.imag)
     peak_mant = np.exp(peak_log - mx)
     tail = peak_mant * np.exp(-mu * radius**2 + log_tb)
     return mant, mx + pref.real, tail, peak_mant
@@ -303,16 +398,18 @@ def _theta_arrays(zs, tau, char: ThetaCharacteristic | None = None):
 def theta_batch(zs, tau, char: ThetaCharacteristic | None = None) -> list[ScaledComplex]:
     """Theta series with characteristic at every row of zs, one lattice sum.
 
-    Each row is first translated into the fundamental cell; the
-    quasi-periodicity prefactor goes into its log scale.  The truncation
-    radius does not depend on z, so one lattice box, the union of the
-    per-row boxes, serves every row: the neglected tail of each row is
-    below THETA_EPS relative to its largest term, and that certified bound
-    is stored in `err`.  Raises TruncationError before allocating when
-    lattice points times rows would exceed MAX_TERMS.
+    The characteristic is folded into the argument (see `_fold`), then
+    each row is translated into the fundamental cell; both prefactors go
+    into its log scale and phase.  The truncation radius does not depend
+    on z, so one lattice box, the union of the per-row boxes, serves every
+    row: the neglected tail of each row is below THETA_EPS relative to its
+    largest term, and that certified bound is stored in `err`.  Raises
+    TruncationError before allocating when lattice points times rows would
+    exceed MAX_TERMS.
     """
+    point = _siegel(tau)
     return [ScaledComplex(mk, sk, err=ek, peak=pk)
-            for mk, sk, ek, pk in zip(*_theta_arrays(zs, tau, char))]
+            for mk, sk, ek, pk in zip(*_theta_arrays(point, *_fold(point, zs, char)))]
 
 
 def theta(z, tau, char: ThetaCharacteristic | None = None) -> ScaledComplex:
@@ -389,13 +486,6 @@ def scaled_det(entries) -> ScaledComplex:
     return ScaledComplex(*_scaled_det(mant, logs))
 
 
-def _scaled_prod(items) -> ScaledComplex:
-    """Product of scaled values with every factor normalized first."""
-    items = [it.normalized() for it in items]
-    return ScaledComplex(np.prod([it.mantissa for it in items]),
-                         sum(it.log_scale for it in items))
-
-
 THETA_FLOOR = 1e-8
 # Jacobian points closer than this, modulo the lattice, count as coincident
 MIN_SEPARATION = 1e-4
@@ -426,35 +516,34 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic) -> float:
     xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
     _check_separation(np.concatenate([xs, ys]), point)
-    tw = theta(w, point)
-    if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
-        raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
 
-    # One odd batch: the m^2 prime forms E(x_i, y_j), then E(x_i, x_j) and
-    # E(y_i, y_j) for i < j.  One even batch: the shifted theta(w + sum x -
-    # sum y), then the m^2 matrix numerators theta(w + x_i - y_j).
+    # One lattice sum over 3m^2 - m + 2 rows: theta(w), the shifted
+    # theta(w + sum x - sum y) and the m^2 matrix numerators
+    # theta(w + x_i - y_j), then the odd translates: the m^2 prime forms
+    # E(x_i, y_j), and E(x_i, x_j), E(y_i, y_j) for i < j.
     k = m * m
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(k, g)
-    odd_m, odd_l, _, _ = _theta_arrays(
-        np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), point, delta)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even_m, even_l, _, _ = _theta_arrays(
-        np.concatenate([shift[None, :], w + cross]), point)
+    even = _fold(point, np.concatenate([w[None, :], shift[None, :], w + cross]))
+    odd = _fold(point, np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), delta)
+    mant, logs, _, peak = _theta_arrays(point, *_joined(even, odd))
+    if abs(mant[0]) < THETA_FLOOR * peak[0]:
+        raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
+    tw_m, sh_m, num_m, odd_m = mant[0], mant[1], mant[2:k + 2], mant[k + 2:]
+    tw_l, sh_l, num_l, odd_l = logs[0], logs[1], logs[2:k + 2], logs[k + 2:]
     if np.any(odd_m[:k] == 0):
         raise ZeroDivisionError("division by an exactly zero scaled value")
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
     # (theta(w) E(x_i, y_j))
-    num_m, num_l = _normalized(np.append(even_m[0], odd_m[k:]),
-                               np.append(even_l[0], odd_l[k:]))
-    den_m, den_l = _normalized(np.append(tw.mantissa, odd_m[:k]),
-                               np.append(tw.log_scale, odd_l[:k]))
-    lhs = ScaledComplex(np.prod(num_m) / np.prod(den_m), np.sum(num_l) - np.sum(den_l))
+    top_m, top_l = _normalized(np.append(sh_m, odd_m[k:]), np.append(sh_l, odd_l[k:]))
+    den_m, den_l = _normalized(np.append(tw_m, odd_m[:k]), np.append(tw_l, odd_l[:k]))
+    lhs = ScaledComplex(np.prod(top_m) / np.prod(den_m), np.sum(top_l) - np.sum(den_l))
     rhs = ScaledComplex(*_scaled_det(
-        (even_m[1:] / (tw.mantissa * odd_m[:k])).reshape(m, m),
-        (even_l[1:] - (tw.log_scale + odd_l[:k])).reshape(m, m)))
+        (num_m / (tw_m * odd_m[:k])).reshape(m, m),
+        (num_l - (tw_l + odd_l[:k])).reshape(m, m)))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return scaled_rel_diff(lhs, rhs)
@@ -487,7 +576,7 @@ def find_riemann_constants(tau, probe_images) -> RiemannConstants:
              for ia in range(2**g) for ib in range(2**g)]
     hs = np.array([point.z @ ch.a + ch.b for ch in chars])
     diffs = probes[None, :, :] - hs[:, None, :]
-    mant, _, _, peak = _theta_arrays(diffs.reshape(-1, g), point)
+    mant, _, _, peak = _theta_arrays(point, *_fold(point, diffs))
     ratio = np.abs(mant) / peak
     worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
     best, second = np.argsort(worst, kind="stable")[:2]
@@ -511,14 +600,16 @@ def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
         raise ValueError("the prime-form characteristic must be odd")
     point = _siegel(tau)
     w = np.asarray(w, dtype=complex)
-    ev = theta_batch([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img],
-                     point)
-    od = theta_batch([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img],
-                     point, delta)
-    for f in ev + od:
-        if abs(f.mantissa) < 1e-10 * f.peak:
-            raise ThetaNearZeroError("cross-ratio factor too close to zero")
-    return (_scaled_prod(ev[:2] + od[:2]) / _scaled_prod(ev[2:] + od[2:])).value
+    # one lattice sum: the four even translates, then the four odd ones
+    ev = _fold(point, [w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img])
+    od = _fold(point, [z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img], delta)
+    mant, logs, _, peak = _theta_arrays(point, *_joined(ev, od))
+    if np.any(np.abs(mant) < 1e-10 * peak):
+        raise ThetaNearZeroError("cross-ratio factor too close to zero")
+    mant, logs = _normalized(mant, logs)
+    num, den = [0, 1, 4, 5], [2, 3, 6, 7]
+    return complex(np.prod(mant[num]) / np.prod(mant[den])
+                   * np.exp(np.sum(logs[num]) - np.sum(logs[den])))
 
 
 @dataclass

@@ -108,13 +108,16 @@ def test_modular_transform_cocycle(rng):
     tau = siegel.random_siegel_point(g, rng)
     m1 = siegel.random_symplectic(g, rng)
     m2 = siegel.random_symplectic(g, rng)
-    mid, den1_t = siegel.modular_transform(tau, m1)
-    end, den2_t = siegel.modular_transform(mid, m2)
-    whole, den21_t = siegel.modular_transform(tau, m2 @ m1)
+    mid, den1_t, inv1 = siegel.modular_transform(tau, m1)
+    end, den2_t, inv2 = siegel.modular_transform(mid, m2)
+    whole, den21_t, inv21 = siegel.modular_transform(tau, m2 @ m1)
     assert np.max(np.abs(end.z - whole.z)) <= 1e-8 * np.max(np.abs(whole.z))
     # transport composes: (C21 tau + D21) = (C2 tau' + D2)(C1 tau + D1)
     composed = den1_t @ den2_t
     assert np.max(np.abs(den21_t - composed)) <= 1e-8 * np.max(np.abs(composed))
+    # the returned inverse is the exact inverse of the cocycle's transpose
+    for den_t, inv in ((den1_t, inv1), (den2_t, inv2), (den21_t, inv21)):
+        assert np.array_equal(inv, linalg.inverse(den_t.T))
 
 
 def test_modular_transform_genus_mismatch(rng):
@@ -152,8 +155,7 @@ def test_metric_form_is_modular_invariant(g, rng):
     tau = siegel.random_siegel_point(g, rng)
     dz = _rand_symmetric_complex(rng, g)
     mm = siegel.random_symplectic(g, rng)
-    tau2, den_t = siegel.modular_transform(tau, mm)
-    inv_den = linalg.inverse(den_t.T)
+    tau2, _, inv_den = siegel.modular_transform(tau, mm)
     dz2 = inv_den.T @ dz @ inv_den
     q1 = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
     q2 = complex(np.trace(tau2.y_inv @ dz2 @ tau2.y_inv @ np.conj(dz2))).real

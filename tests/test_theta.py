@@ -1,5 +1,9 @@
 """Tests for scaled theta evaluation with half-integer characteristics."""
 
+import math
+import time
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -182,6 +186,33 @@ def test_theta_at_point_matches_theta_at_matrix(rng):
     assert (a.mantissa, a.log_scale, a.err, a.peak) == (b.mantissa, b.log_scale, b.err, b.peak)
 
 
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0])
+def test_half_gauss_sum_bounds_the_sum(a):
+    # sum_{j>=2} exp(-a j^2) <= integral from 1 <= sum_{j>=1}, so the bound
+    # exceeds the sum by at most exp(-a); the direct sum stops where terms
+    # fall below exp(-800)
+    j = np.arange(int(np.sqrt(800.0 / a)) + 2, dtype=float)
+    exact = math.fsum(np.exp(-a * j * j))
+    bound = th._half_gauss_sum(a)
+    assert exact * (1 - 1e-14) <= bound <= (exact + np.exp(-a)) * (1 + 1e-14)
+
+
+def test_near_singular_imaginary_part_is_refused_at_once():
+    # Y = L L^T, L unit lower-triangular with entries -10: every Cholesky
+    # pivot is 1, so the point is accepted, but eigvalsh gives about 3e-15
+    g = 8
+    lower = np.eye(g) + np.tril(np.full((g, g), -10.0), -1)
+    point = SiegelPoint(1j * lower @ lower.T)
+    assert 0 < point.lambda_min < 1e-12
+    start = time.perf_counter()
+    with pytest.raises(th.TruncationError, match=r"needs radius \d+\.\d > cap"):
+        th._truncation(point)
+    # the tail bound is a closed form, not a loop over the 1-D sum
+    assert time.perf_counter() - start < 5e-3
+    with pytest.raises(th.TruncationError, match="needs radius"):
+        th.theta(np.zeros(g), point)
+
+
 def test_truncation_needs_positive_spectrum():
     # a Y can pass the pivot test while its computed smallest eigenvalue
     # is not positive; the tail bound must refuse it, not fall to radius 3
@@ -259,6 +290,26 @@ def test_fay_residual_matches_object_form(m, pd_g2):
     assert compared >= 8
 
 
+def test_fay_residual_sums_one_lattice(pd_g2, monkeypatch):
+    m = 4
+    delta = th.ThetaCharacteristic.first_odd(2)
+    imgs = [img.vector for img in
+            abel_map(pd_g2, sample_points(pd_g2.curve, 2 * m, 71, mode="real"))]
+    args = (np.array([0.1 + 0.2j, -0.3 + 0.1j]), imgs[:m], imgs[m:], pd_g2.tau, delta)
+    want = fay_residual_objects(*args)
+    rows = []
+    kernel = th._theta_arrays
+
+    def counted(point, zs, log_fac):
+        rows.append(len(zs))
+        return kernel(point, zs, log_fac)
+
+    monkeypatch.setattr(th, "_theta_arrays", counted)
+    got = th.fay_residual(*args)
+    assert rows == [3 * m * m - m + 2]
+    assert abs(got - want) <= 1e-12
+
+
 def test_fay_residual_validation():
     delta = th.ThetaCharacteristic.first_odd(1)
     tau = np.array([[1j]])
@@ -304,7 +355,7 @@ def test_riemann_constants_ambiguous_for_generic_probes(rng):
         th.find_riemann_constants(tau.z, probes)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 @pytest.mark.parametrize("odd", [False, True])
 def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     tau = random_siegel_point(g, rng)
@@ -316,6 +367,10 @@ def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     shifted = zs[0] + tau.z @ rng.choice([-1.0, 1.0], size=g) + 1.0
     corner = 0.45 * tau.z @ np.ones(g)
     zs = np.vstack([corner, zs, shifted, -corner])
+    if g == 4:
+        # the term-by-term oracle adds some 5e4 terms per row: keep the
+        # translated row and one corner
+        zs = zs[-2:]
     # the oracle box reaches 2 past sqrt(40 / (pi lam)), so the terms it
     # leaves out are below exp(-40) of the largest, even for the shifted row
     lam = float(np.min(np.linalg.eigvalsh(tau.y)))
@@ -325,6 +380,28 @@ def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     for z, val in zip(zs, got):
         want = lattice_theta(z, tau.z, char.a, char.b, radius)
         assert abs(val.value - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("im", [0.05, 1.0, 60.0])
+@pytest.mark.parametrize("odd", [False, True])
+def test_genus_one_theta_matches_mpmath_jtheta(im, odd):
+    # Re tau = 1e3: the phases must not lose the digits a large real part
+    # holds.  Each argument keeps |theta| near its largest term, so the
+    # relative error is the yardstick.
+    mpmath.mp.dps = 30
+    tau = complex(1e3, im)
+    nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+    if odd:
+        z = 0.45 - 0.3j
+        got = th.theta(np.array([z]), tau, th.ThetaCharacteristic([0.5], [0.5]))
+        want = -mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), nome)
+    else:
+        z = 0.1 + 0.02j
+        got = th.theta(np.array([z]), tau)
+        want = mpmath.jtheta(3, mpmath.pi * mpmath.mpc(z), nome)
+    assert np.isfinite(got.mantissa) and np.isfinite(got.log_scale)
+    value = mpmath.mpc(got.mantissa) * mpmath.exp(got.log_scale)
+    assert abs(value - want) <= 1e-13 * abs(want)
 
 
 def test_theta_is_one_row_of_theta_batch(rng):

@@ -1,0 +1,123 @@
+"""Per-call timings of the theta layer, written to BENCH_<tag>.json.
+
+    python tools/bench_layers.py --tag TAG [--src DIR]
+
+Imports ``holodiff`` from DIR (default: this checkout's ``src``) and
+times, as the minimum over REPEATS calls after one untimed warm-up call:
+
+- ``theta`` at one fixed argument, by genus 1..5, each at one seeded
+  random tau built once as a ``SiegelPoint``;
+- ``fay_residual`` by number of point pairs m, on the bundled genus-2
+  curve, at seeded curve points mapped by ``abel_map``.
+
+Each timed call is bracketed by two readings of the benchmark's
+reference work (``perfbench/speed.py``) and scaled to the speed at which
+that work takes ``speed.REFERENCE_S``, so a host that switches between
+fast and slow states gives comparable numbers from run to run.  Times
+are in milliseconds at that reference speed, on one thread: BLAS thread
+variables are set to 1 before numpy loads.
+
+The JSON goes to BENCH_<TAG>.json at the root of the checkout this
+script sits in, with the host's Python, numpy and CPU count, so two files
+from the same host compare one tree against another.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import speed  # noqa: E402  (perfbench/speed.py: host-speed scaling)
+
+THETA_GENERA = (1, 2, 3, 4, 5)
+FAY_PAIRS = (2, 6, 12, 24, 48)
+REPEATS = 15
+SEED = 11
+
+
+def _min_ms(call) -> float:
+    """Fastest of REPEATS calls, each scaled to the benchmark's reference speed."""
+    call()
+    best = float("inf")
+    for _ in range(REPEATS):
+        before = speed.reference_seconds()
+        t0 = perf_counter()
+        call()
+        elapsed = perf_counter() - t0
+        best = min(best, speed.scaled(elapsed, before, speed.reference_seconds()))
+    return 1e3 * best
+
+
+def bench_theta(theta, siegel, np) -> dict:
+    out = {}
+    for g in THETA_GENERA:
+        rng = np.random.default_rng([SEED, g])
+        point = siegel.random_siegel_point(g, rng)
+        z = 0.3 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+        out[str(g)] = _min_ms(lambda: theta.theta(z, point))
+    return out
+
+
+def bench_fay(holodiff, np) -> dict:
+    from holodiff import curves, jacobian, theta
+
+    spec = Path(holodiff.__file__).parent / "data" / "hyperelliptic_g2.json"
+    pd = jacobian.compute_periods(curves.load_curve_spec(spec))
+    delta = theta.ThetaCharacteristic.first_odd(2)
+    out = {}
+    for m in FAY_PAIRS:
+        rng = np.random.default_rng([SEED, m])
+        for attempt in range(8):
+            pts = curves.sample_points(pd.curve, 2 * m, SEED + 1000 * m + attempt, mode="real")
+            imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
+            w = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            args = (w, imgs[:m], imgs[m:], pd.tau, delta)
+            try:
+                theta.fay_residual(*args)
+            except (theta.ThetaNearZeroError, theta.CoincidentPointsError):
+                continue
+            out[str(m)] = _min_ms(lambda: theta.fay_residual(*args))
+            break
+        else:
+            raise RuntimeError(f"no usable point set for m={m}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src))
+    import numpy as np
+
+    import holodiff
+    from holodiff import siegel, theta
+
+    result = {
+        "tag": args.tag,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "repeats": REPEATS,
+        "reference_s": speed.REFERENCE_S,
+        "theta_ms_per_call": bench_theta(theta, siegel, np),
+        "fay_residual_ms_per_call": bench_fay(holodiff, np),
+    }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
