@@ -281,11 +281,12 @@ def _split_real(point: SiegelPoint):
 
 
 def _fold(point: SiegelPoint, zs, char: ThetaCharacteristic | None = None):
-    """Rows z + tau a + b and log factors i pi a.tau.a + 2 pi i a.(z + b).
+    """Rows w and log factors L with theta[a,b](z) = exp(L) theta(w).
 
-    theta[a,b](z) = exp(log factor) theta(z + tau a + b), so a lattice sum
-    over Z^g at the returned rows serves any characteristic, and rows of
-    different characteristics can share one sum.
+    By theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
+    w is z + tau a + b up to a lattice vector, so a lattice sum over Z^g at
+    the returned rows serves any characteristic, and rows of different
+    characteristics can share one sum.
     """
     g = point.g
     zs = np.asarray(zs, dtype=complex)
@@ -297,12 +298,18 @@ def _fold(point: SiegelPoint, zs, char: ThetaCharacteristic | None = None):
     if char.g != g:
         raise ValueError(f"characteristic has length {char.g}, expected {g}")
     a, b = char.a, char.b
-    # with tau = tau_s + S: exp(i pi a.S.a) and the shift S a matter only
-    # modulo 2 and modulo 1, and both are exact multiples of 1/2
     tau, s = _split_real(point)
+    # First z = tau m + n + r, with theta[a,b](z) =
+    # exp(-i pi m.tau.m - 2 pi i m.(r + b) + 2 pi i a.n) theta[a,b](r), so
+    # the fold's factor is formed at a small r.  With tau = tau_s + S the
+    # reduction at tau_s returns n + S m, and a.n, a.S.a and S a matter
+    # only modulo 1, 2 and 1: all exact multiples of 1/2.
+    r, mvec, nvec = _reduce(point, zs, tau)
     sa = s @ a
-    log_fac = 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((zs + b) @ a)
-    return zs + (tau @ a + b + sa % 1.0), log_fac
+    log_fac = (-1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * (r + b))
+               + 2j * np.pi * (((nvec - mvec @ s) @ a) % 1.0)
+               + 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((r + b) @ a))
+    return r + (tau @ a + b + sa % 1.0), log_fac
 
 
 def _joined(*folds):

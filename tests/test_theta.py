@@ -384,19 +384,20 @@ def test_theta_batch_matches_lattice_oracle(g, odd, rng):
 
 @pytest.mark.parametrize("im", [0.05, 1.0, 60.0])
 @pytest.mark.parametrize("odd", [False, True])
-def test_genus_one_theta_matches_mpmath_jtheta(im, odd):
+@pytest.mark.parametrize("translate", [False, True])
+def test_genus_one_theta_matches_mpmath_jtheta(im, odd, translate):
     # Re tau = 1e3: the phases must not lose the digits a large real part
-    # holds.  Each argument keeps |theta| near its largest term, so the
-    # relative error is the yardstick.
+    # holds, also for an argument a lattice vector tau + 3 away.  Each
+    # argument keeps |theta| near its largest term, so the relative error
+    # is the yardstick.
     mpmath.mp.dps = 30
     tau = complex(1e3, im)
     nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+    z = (0.45 - 0.3j if odd else 0.1 + 0.02j) + (tau + 3 if translate else 0)
     if odd:
-        z = 0.45 - 0.3j
         got = th.theta(np.array([z]), tau, th.ThetaCharacteristic([0.5], [0.5]))
         want = -mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), nome)
     else:
-        z = 0.1 + 0.02j
         got = th.theta(np.array([z]), tau)
         want = mpmath.jtheta(3, mpmath.pi * mpmath.mpc(z), nome)
     assert np.isfinite(got.mantissa) and np.isfinite(got.log_scale)
