@@ -285,8 +285,13 @@ def _fay_check(model, genus, m, seed, tol):
                     else:
                         s = _sub_seed(seed, f"fay-points-{trial}") + attempt
                         pts = curves.sample_points(model, 2 * m, s, mode="real")
-                        imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
                         w = _rand_complex(rng, (2,), 0.4)
+                        # a vanishing theta(w) fails the attempt before the
+                        # 2m Abel maps are paid for, not after them
+                        tw = theta.theta(w, pd.tau)
+                        if abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak:
+                            raise theta.ThetaNearZeroError("theta(w) below floor")
+                        imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
                         r = theta.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
                     worst = max(worst, r)
                     break

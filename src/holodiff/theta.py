@@ -8,8 +8,9 @@ quasi-periodicity; the prefactors are kept as a separate log scale so
 nothing overflows.  Truncation radii come from a certified Gaussian tail
 bound that does not depend on the argument, so a batch of arguments at
 one tau shares a single lattice box.  Within it, term moduli come from
-one real matmul and one real exp, and only the unit phases are factored
-per lattice point and per axis, with no complex exp per term.  On top of
+one real matmul and one real exp, and only the unit phases are factored:
+one complex exp per lattice point, shared by every row, and one per
+axis, so no complex exp runs per (row, point) term.  On top of
 the engine: the reduced prime form, the brute-force search for the
 Riemann-constant half-period, the Fay trisecant residual (one lattice
 sum of 3m^2 - m + 2 rows, then an O(m^3) scaled determinant), and the
@@ -280,83 +281,67 @@ def _split_real(point: SiegelPoint):
     return point.z - s, s
 
 
-def _fold(point: SiegelPoint, zs, char: ThetaCharacteristic | None = None):
-    """Rows w and log factors L with theta[a,b](z) = exp(L) theta(w).
+def _fold(point: SiegelPoint, *groups):
+    """(tau_s, rows w, log factors L) with theta[a,b](z) = exp(L) theta(w).
 
-    By theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
-    w is z + tau a + b up to a lattice vector, so a lattice sum over Z^g at
-    the returned rows serves any characteristic, and rows of different
-    characteristics can share one sum.
+    Each group is (zs, char), char a ThetaCharacteristic or None.  By
+    theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
+    w is z + tau a + b up to a lattice vector, so one lattice sum over Z^g
+    at the returned rows, in group order, serves every characteristic.
+    tau_s is the real-reduced matrix of `_split_real`, split once here
+    for the fold and for the kernel.
     """
     g = point.g
-    zs = np.asarray(zs, dtype=complex)
-    if zs.size % g:
-        raise ValueError(f"arguments do not split into rows of length {g}")
-    zs = zs.reshape(-1, g)
-    if char is None:
-        return zs, np.zeros(len(zs), dtype=complex)
-    if char.g != g:
-        raise ValueError(f"characteristic has length {char.g}, expected {g}")
-    a, b = char.a, char.b
     tau, s = _split_real(point)
-    # First z = tau m + n + r, with theta[a,b](z) =
-    # exp(-i pi m.tau.m - 2 pi i m.(r + b) + 2 pi i a.n) theta[a,b](r), so
-    # the fold's factor is formed at a small r.  With tau = tau_s + S the
-    # reduction at tau_s returns n + S m, and a.n, a.S.a and S a matter
-    # only modulo 1, 2 and 1: all exact multiples of 1/2.
-    r, mvec, nvec = _reduce(point, zs, tau)
-    sa = s @ a
-    log_fac = (-1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * (r + b))
-               + 2j * np.pi * (((nvec - mvec @ s) @ a) % 1.0)
-               + 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((r + b) @ a))
-    return r + (tau @ a + b + sa % 1.0), log_fac
-
-
-def _joined(*folds):
-    """Rows and log factors of several `_fold` results, in order, for one sum."""
-    return tuple(np.concatenate(parts) for parts in zip(*folds))
+    rows, logs = [], []
+    for zs, char in groups:
+        zs = np.asarray(zs, dtype=complex)
+        if zs.size % g:
+            raise ValueError(f"arguments do not split into rows of length {g}")
+        zs = zs.reshape(-1, g)
+        if char is None:
+            rows.append(zs)
+            logs.append(np.zeros(len(zs), dtype=complex))
+            continue
+        if char.g != g:
+            raise ValueError(f"characteristic has length {char.g}, expected {g}")
+        a, b = char.a, char.b
+        # First z = tau m + n + r, with theta[a,b](z) =
+        # exp(-i pi m.tau.m - 2 pi i m.(r + b) + 2 pi i a.n) theta[a,b](r), so
+        # the fold's factor is formed at a small r.  With tau = tau_s + S the
+        # reduction at tau_s returns n + S m, and a.n, a.S.a and S a matter
+        # only modulo 1, 2 and 1: all exact multiples of 1/2.
+        r, mvec, nvec = _reduce(point, zs, tau)
+        sa = s @ a
+        logs.append(-1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * (r + b))
+                    + 2j * np.pi * (((nvec - mvec @ s) @ a) % 1.0)
+                    + 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((r + b) @ a))
+        rows.append(r + (tau @ a + b + sa % 1.0))
+    return tau, np.concatenate(rows), np.concatenate(logs)
 
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _box_phase(axes, x: np.ndarray) -> np.ndarray:
-    """exp(i pi u.x.u) at every point u of the box spanned by axes, C order.
-
-    Built axis by axis from unit-modulus tables, exp(i pi x_kk u_k^2) and
-    exp(2 pi i x_lk u_l u_k) for l < k: about g complex products per
-    point in place of one complex exp.
-    """
-    out = np.ones(())
-    for k, ak in enumerate(axes):
-        factor = np.exp(1j * np.pi * x[k, k] * ak**2)
-        for l in range(k):
-            shape = [1] * (k + 1)
-            shape[l], shape[k] = len(axes[l]), len(ak)
-            pair = np.exp(2j * np.pi * x[l, k] * np.multiply.outer(axes[l], ak))
-            factor = factor * pair.reshape(shape)
-        out = out[..., None] * factor
-    return out.ravel()
-
-
-def _theta_arrays(point: SiegelPoint, zs: np.ndarray, log_fac: np.ndarray):
+def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: np.ndarray):
     """exp(log_fac) theta(z) at every row of zs, by one lattice sum over Z^g.
+
+    tau is the real-reduced matrix that `_fold` returns with the rows.
 
     Returns arrays (mantissa, log scale, err, peak), one entry per row.
     Each term is a modulus exp(Re w) times a unit phase, with
     Re w = -pi u.Y.u - 2 pi u.y0 at the reduced argument z0 = x0 + i y0.
     The moduli come from one real matmul and one real exp, after the
     row's largest exponent is subtracted.  Only the phases are factored:
-    exp(i pi u.X.u) per lattice point, with X reduced modulo the integer
-    symmetric matrices that leave it unchanged on Z^g, and
-    exp(2 pi i u_k x0_k) per axis, contracted one axis at a time by
-    batched np.matmul.
+    one complex exp(i pi u.X.u) per lattice point, shared by every row,
+    with X reduced modulo the integer symmetric matrices that leave it
+    unchanged on Z^g, and exp(2 pi i u_k x0_k) per axis, contracted one
+    axis at a time by batched np.matmul.
     Factoring the moduli would overflow at large Y even where their
     product does not.
     """
     g = point.g
     radius, mu, log_tb = _truncation(point)
-    tau, _ = _split_real(point)
     z0, mvec, _ = _reduce(point, zs, tau)
     # quasi-periodicity: -i pi m.tau.m - 2 pi i m.z0
     pref = log_fac - 1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * z0)
@@ -390,7 +375,7 @@ def _theta_arrays(point: SiegelPoint, zs: np.ndarray, log_fac: np.ndarray):
     re_w[re_w < _LOG_TINY] = -np.inf
     np.exp(re_w, out=re_w)
     acc = re_w.astype(complex)
-    acc *= _box_phase(axes, tau.real)
+    acc *= np.exp(1j * np.pi * np.einsum("ij,ij->j", u, tau.real @ u))
     for k in range(g):
         # one row vector of axis-k phases times the (n_k, rest) matrix of
         # each row keeps np.matmul on BLAS for one row and for thousands
@@ -416,7 +401,7 @@ def theta_batch(zs, tau, char: ThetaCharacteristic | None = None) -> list[Scaled
     """
     point = _siegel(tau)
     return [ScaledComplex(mk, sk, err=ek, peak=pk)
-            for mk, sk, ek, pk in zip(*_theta_arrays(point, *_fold(point, zs, char)))]
+            for mk, sk, ek, pk in zip(*_theta_arrays(point, *_fold(point, (zs, char))))]
 
 
 def theta(z, tau, char: ThetaCharacteristic | None = None) -> ScaledComplex:
@@ -532,9 +517,9 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic) -> float:
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(k, g)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even = _fold(point, np.concatenate([w[None, :], shift[None, :], w + cross]))
-    odd = _fold(point, np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), delta)
-    mant, logs, _, peak = _theta_arrays(point, *_joined(even, odd))
+    mant, logs, _, peak = _theta_arrays(point, *_fold(
+        point, (np.concatenate([w[None, :], shift[None, :], w + cross]), None),
+        (np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), delta)))
     if abs(mant[0]) < THETA_FLOOR * peak[0]:
         raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
     tw_m, sh_m, num_m, odd_m = mant[0], mant[1], mant[2:k + 2], mant[k + 2:]
@@ -583,7 +568,7 @@ def find_riemann_constants(tau, probe_images) -> RiemannConstants:
              for ia in range(2**g) for ib in range(2**g)]
     hs = np.array([point.z @ ch.a + ch.b for ch in chars])
     diffs = probes[None, :, :] - hs[:, None, :]
-    mant, _, _, peak = _theta_arrays(point, *_fold(point, diffs))
+    mant, _, _, peak = _theta_arrays(point, *_fold(point, (diffs, None)))
     ratio = np.abs(mant) / peak
     worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
     best, second = np.argsort(worst, kind="stable")[:2]
@@ -608,9 +593,9 @@ def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
     point = _siegel(tau)
     w = np.asarray(w, dtype=complex)
     # one lattice sum: the four even translates, then the four odd ones
-    ev = _fold(point, [w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img])
-    od = _fold(point, [z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img], delta)
-    mant, logs, _, peak = _theta_arrays(point, *_joined(ev, od))
+    mant, logs, _, peak = _theta_arrays(point, *_fold(
+        point, ([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img], None),
+        ([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img], delta)))
     if np.any(np.abs(mant) < 1e-10 * peak):
         raise ThetaNearZeroError("cross-ratio factor too close to zero")
     mant, logs = _normalized(mant, logs)
