@@ -23,11 +23,14 @@ from .report import CheckRecord, Report, sha256_digest
 
 DEFAULT_SEED = 20260818
 FAY_TRIALS = 3
-# Upper limit on verify-fay -m.  One residual sums all its 3m^2 - m + 2
-# theta rows, even and odd translates together, over one lattice box (169
-# points on the bundled genus-2 curve), then factors an m x m matrix.  At
-# m = 48 that is 6866 rows, about 1.16M terms, 0.28 of theta.MAX_TERMS,
-# and the elimination is negligible beside it.
+FAY_ATTEMPTS = 8  # draws per trial before the check gives up
+# Upper limit on verify-fay -m.  At genus 2 one round of trials sums the
+# 3m^2 - m + 2 theta rows of every trial, even and odd translates
+# together, over one lattice box (169 points on the bundled genus-2
+# curve), then factors one m x m matrix per trial.  At m = 48 that is
+# 3 x 6866 rows, about 3.48M terms, 0.83 of theta.MAX_TERMS; where a round
+# would exceed it, fay_residual splits its trials into groups that fit.
+# The elimination is negligible beside the sum.
 FAY_MAX_PAIRS = 48
 
 # the --tol names each subcommand reads
@@ -262,48 +265,92 @@ def _siegel_checks(genus, seed, tol, force_failure):
 # ------------------------------------------------------------------ fay
 
 
+_FAY_RETRY = (theta.ThetaNearZeroError, theta.CoincidentPointsError, curves.SamplingError)
+
+
 def _fay_check(model, genus, m, seed, tol):
     def check():
         t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
         rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
         delta = theta.ThetaCharacteristic.first_odd(genus)
-        worst = 0.0
-        pd = None
         if genus == 2:
-            pd = jacobian.compute_periods(model)
-        for trial in range(FAY_TRIALS):
-            last = None
-            for attempt in range(8):
-                try:
-                    if genus == 1:
-                        tau = np.array([[rng.uniform(-0.4, 0.4)
-                                         + 1j * rng.uniform(0.8, 1.8)]])
-                        w = _rand_complex(rng, (1,), 0.6)
-                        xs = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
-                        ys = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
-                        r = theta.fay_residual(w, xs, ys, tau, delta)
-                    else:
-                        s = _sub_seed(seed, f"fay-points-{trial}") + attempt
-                        pts = curves.sample_points(model, 2 * m, s, mode="real")
-                        w = _rand_complex(rng, (2,), 0.4)
-                        # a vanishing theta(w) fails the attempt before the
-                        # 2m Abel maps are paid for, not after them
-                        tw = theta.theta(w, pd.tau)
-                        if abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak:
-                            raise theta.ThetaNearZeroError("theta(w) below floor")
-                        imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
-                        r = theta.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
-                    worst = max(worst, r)
-                    break
-                except (theta.ThetaNearZeroError, theta.CoincidentPointsError,
-                        curves.SamplingError) as exc:
-                    last = exc
-            else:
-                raise last
+            worst = _fay_rounds(model, m, seed, rng, delta)
+        else:
+            worst = 0.0
+            for _ in range(FAY_TRIALS):
+                last = None
+                for _ in range(FAY_ATTEMPTS):
+                    tau = np.array([[rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.8, 1.8)]])
+                    w = _rand_complex(rng, (1,), 0.6)
+                    xs = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
+                    ys = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
+                    try:
+                        worst = max(worst, theta.fay_residual(w, xs, ys, tau, delta))
+                        break
+                    except _FAY_RETRY as exc:
+                        last = exc
+                else:
+                    raise last
         return _record("fay-trisecant", "fay-trisecant", worst, t,
                        note=f"genus={genus} m={m} trials={FAY_TRIALS}")
 
     return [("fay-trisecant", check)]
+
+
+def _fay_rounds(model, m, seed, rng, delta):
+    """Worst residual of the genus-2 trials, run in rounds of one batch.
+
+    A round draws, in trial order, the points and w of every trial still
+    to run, each trial retrying its own draws as a trial run alone would;
+    then it maps all the round's points with one `abel_map` call and
+    forms their residuals with one batched `fay_residual`.  When a
+    residual fails, the trials before it are done, the rng is put back
+    to its state right after the failing trial's w, and the next round
+    starts at that trial's next attempt.  So every trial gets the points
+    and w it would get if the trials ran one after another.
+    """
+    pd = jacobian.compute_periods(model)
+    worst = 0.0
+    trial, attempt, last = 0, 0, None
+    while trial < FAY_TRIALS:
+        drawn = []  # (attempt, points, w, rng state right after w)
+        t, a = trial, attempt
+        while t < FAY_TRIALS and a < FAY_ATTEMPTS:
+            try:
+                pts = curves.sample_points(
+                    model, 2 * m, _sub_seed(seed, f"fay-points-{t}") + a, mode="real")
+            except curves.SamplingError as exc:
+                last, a = exc, a + 1
+                continue
+            w = _rand_complex(rng, (2,), 0.4)
+            state = rng.bit_generator.state
+            # a vanishing theta(w) fails the attempt before the Abel maps
+            # are paid for, not after them
+            tw = theta.theta(w, pd.tau)
+            if abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak:
+                last, a = theta.ThetaNearZeroError("theta(w) below floor"), a + 1
+                continue
+            drawn.append((a, pts, w, state))
+            t, a = t + 1, 0
+        if drawn:
+            imgs = np.array([img.vector for img in jacobian.abel_map(
+                pd, [p for _, pts, _, _ in drawn for p in pts])]).reshape(len(drawn), 2, m, 2)
+            res, err = theta.fay_residual(np.array([d[2] for d in drawn]),
+                                          imgs[:, 0], imgs[:, 1], pd.tau, delta)
+            worst = max([worst] + res)
+            trial += len(res)
+            if err is not None:
+                if not isinstance(err, _FAY_RETRY):
+                    raise err
+                a, _, _, state = drawn[len(res)]
+                if a + 1 == FAY_ATTEMPTS:
+                    raise err
+                rng.bit_generator.state = state
+                attempt, last = a + 1, err
+                continue
+        if t < FAY_TRIALS:  # trial t used up its attempts before its residual
+            raise last
+    return worst
 
 
 # -------------------------------------------------------------- periods

@@ -13,7 +13,9 @@ rejected while they sit too close to a chart breakdown, a branch point,
 or a previously accepted point.  On a plane curve the draws still needed
 are made as one batch: y comes from one stacked companion-matrix
 `eigvals` call over the batch plus three row-wise Newton steps, and the
-candidates are then accepted or rejected one by one in draw order.
+candidates are then accepted or rejected one by one in draw order.  On
+a hyperelliptic curve every draw is a uniform double, so the doubles are
+read in blocks and decoded on arrays, then walked in draw order.
 """
 
 from __future__ import annotations
@@ -304,17 +306,51 @@ def _plane_candidates(model: PlaneCurve, n, rng, mode):
     return out
 
 
-def _hyperelliptic_candidates(model: HyperellipticCurve, n, rng, mode):
-    """n draws as (x, y, chart, sheet, reason); reason is None when acceptable."""
-    out = []
-    for _ in range(n):
-        x = _draw_x(rng, mode)
-        if model.branch_distance(x)[0] < BRANCH_MARGIN:
-            out.append((x, 0j, None, None, "too close to a branch point"))
-            continue
-        sheet = 1 if rng.uniform() < 0.5 else -1
-        out.append((x, sheet * np.sqrt(model.f(x)[0]), "x", sheet, None))
-    return out
+def _hyperelliptic_draws(model: HyperellipticCurve, rng, mode):
+    """draw(n) for `_accept` on a hyperelliptic curve: n candidates as
+    (x, y, chart, sheet, reason); reason is None when acceptable.
+
+    A candidate reads uniform doubles: x in real mode, or a radius and an
+    angle in complex mode, then the sheet when x is far enough from the
+    branch points.  rng.uniform(lo, hi) is lo + (hi - lo) rng.random() bit
+    for bit, so the doubles come from rng.random(k) into a buffer whose
+    unused tail carries over to the next call.  Every buffer position is
+    decoded on arrays as if a candidate started there, and a plain loop
+    walks the buffer candidate by candidate.
+    """
+    per_x = 1 if mode == "real" else 2
+    buf = np.empty(0)
+
+    def draw(n):
+        nonlocal buf
+        need = (per_x + 1) * n
+        if len(buf) < need:
+            buf = np.concatenate([buf, rng.random(need - len(buf))])
+        if mode == "real":
+            x = (-2.0 + 4.0 * buf).astype(complex)
+        else:
+            r = 2.0 * np.sqrt(buf[:-1])
+            phi = 2.0 * np.pi * buf[1:]
+            x = np.empty(len(r), dtype=complex)
+            x.real = r * np.cos(phi)
+            x.imag = r * np.sin(phi)
+        usable = len(buf) - per_x  # positions followed by a sheet double
+        near = (model.branch_distance(x[:usable]) < BRANCH_MARGIN).tolist()
+        sheet = np.where(buf[per_x:] < 0.5, 1, -1)
+        y = (sheet * np.sqrt(model.f(x[:usable]))).tolist()
+        xl, sheet = x.tolist(), sheet.tolist()
+        out, pos = [], 0
+        for _ in range(n):
+            if near[pos]:
+                out.append((xl[pos], 0j, None, None, "too close to a branch point"))
+                pos += per_x
+            else:
+                out.append((xl[pos], y[pos], "x", sheet[pos], None))
+                pos += per_x + 1
+        buf = buf[pos:]
+        return out
+
+    return draw
 
 
 def _accept(model, count, draw):
@@ -352,7 +388,7 @@ def sample_points(model, count: int, seed: int, mode: str = "complex"):
     if isinstance(model, PlaneCurve):
         return _accept(model, count, lambda n: _plane_candidates(model, n, rng, mode))
     if isinstance(model, HyperellipticCurve):
-        return _accept(model, count, lambda n: _hyperelliptic_candidates(model, n, rng, mode))
+        return _accept(model, count, _hyperelliptic_draws(model, rng, mode))
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

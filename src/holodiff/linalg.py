@@ -2,7 +2,8 @@
 
 Determinants, solves, inverses and the positive-definiteness test are
 numpy's LAPACK calls.  What this module adds is the certification around
-them: determinant residuals are normalized by a Hadamard bound, a solve or
+them: determinant residuals are ratios to a Hadamard bound, taken on the
+row-normalized matrix so that they cannot underflow, a solve or
 inverse whose row-scaled reciprocal condition falls below a threshold
 fails loudly with that magnitude, and numerical rank uses complete
 pivoting (which LAPACK's LU does not offer) with a relative threshold.
@@ -14,9 +15,8 @@ import numpy as np
 
 __all__ = [
     "DegenerateMatrixError",
-    "hadamard_bound",
+    "hadamard_ratio",
     "det",
-    "det_with_bound",
     "signed_minor",
     "solve",
     "inverse",
@@ -55,23 +55,30 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def hadamard_bound(a) -> float:
-    """Product of row 2-norms; an upper bound for |det a|."""
-    a = _as_square(a)
-    if a.shape[0] == 0:
-        return 1.0
-    return float(np.prod(np.linalg.norm(a, axis=1)))
+def hadamard_ratio(a) -> float:
+    """|det a| over its Hadamard bound, computed without underflow.
+
+    The ratio does not change when a row is scaled, so each row is first
+    divided by its largest magnitude (no square can then underflow) and
+    then by its 2-norm; the bound of the result is 1 and the ratio is its
+    |det|.  A zero row gives 0.
+    """
+    a = scale_rows(_as_square(a))
+    norms = np.linalg.norm(a, axis=1)
+    norms[norms == 0] = 1.0
+    return abs(det(a / norms[:, None]))
 
 
-def det(a) -> complex:
-    """Determinant through LAPACK's partially pivoted LU."""
+def det(a):
+    """Determinant through LAPACK's partially pivoted LU.
+
+    A square matrix gives a complex number; a stack of square matrices
+    (..., n, n) gives an array of determinants from one call.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim > 2 and a.shape[-1] == a.shape[-2]:
+        return np.linalg.det(a)
     return complex(np.linalg.det(_as_square(a)))
-
-
-def det_with_bound(a):
-    """(determinant, Hadamard bound) pair for residual normalization."""
-    a = _as_square(a)
-    return det(a), hadamard_bound(a)
 
 
 def signed_minor(a, p: int, q: int) -> complex:

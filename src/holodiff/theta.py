@@ -12,14 +12,18 @@ one real matmul and one real exp, and only the unit phases are factored:
 one complex exp per lattice point, shared by every row, and one per
 axis, so no complex exp runs per (row, point) term.  On top of
 the engine: the reduced prime form, the brute-force search for the
-Riemann-constant half-period, the Fay trisecant residual (one lattice
-sum of 3m^2 - m + 2 rows, then an O(m^3) scaled determinant), and the
+Riemann-constant half-period, the Fay trisecant residual, and the
 end-to-end cross-ratio comparison between cardinal bases and theta
-quotients on a genus-2 Jacobian (one lattice sum of eight rows).
+quotients on a genus-2 Jacobian (one lattice sum of eight rows).  The
+trisecant residual takes a batch of T trials at one tau: one lattice sum
+of T (3m^2 - m + 2) rows, split into groups only where MAX_TERMS demands
+it, then one stacked O(m^3) scaled determinant; a single trial is the
+batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -433,16 +437,29 @@ def lattice_reduce_tau(v, tau):
     return r[0], mvec[0], nvec[0]
 
 
-def _check_separation(points, point: SiegelPoint):
-    pts = np.asarray(points, dtype=complex)
-    i, j = np.triu_indices(len(pts), 1)
-    r, _, _ = _reduce(point, pts[i] - pts[j])
-    close = np.flatnonzero(np.max(np.abs(r), axis=1) < MIN_SEPARATION)
-    if len(close):
-        k = close[0]
-        raise CoincidentPointsError(
-            f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian"
-        )
+@functools.cache
+def _pairs(n: int):
+    """Read-only index arrays (i, j) of the pairs i < j below n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _separation(points, point: SiegelPoint):
+    """(t, error): the first point set of points (T, n, g) with two points
+    closer than MIN_SEPARATION modulo the lattice, and its
+    CoincidentPointsError; (T, None) when every set is separated."""
+    n, g = points.shape[1:]
+    i, j = _pairs(n)
+    r, _, _ = _reduce(point, (points[:, i] - points[:, j]).reshape(-1, g))
+    close = np.max(np.abs(r), axis=1).reshape(len(points), -1) < MIN_SEPARATION
+    bad = np.flatnonzero(close.any(axis=1))
+    if not len(bad):
+        return len(points), None
+    t = int(bad[0])
+    k = np.argmax(close[t])
+    return t, CoincidentPointsError(
+        f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian")
 
 
 def _normalized(mant: np.ndarray, logs: np.ndarray):
@@ -459,16 +476,17 @@ def _scaled_det(mant: np.ndarray, logs: np.ndarray):
     After normalizing each entry, every row, then every column, is brought
     to the scale of its largest entry, so the mantissa matrix handed to
     `linalg.det` has entries of modulus at most one; the row and column
-    scales return as the log scale.
+    scales return as the log scale.  A stack of matrices (..., m, m) gives
+    arrays of mantissas and log scales, one per matrix, from one `det`.
     """
     mant, logs = _normalized(mant, logs)
     logs[mant == 0] = -np.inf
-    row_top = np.max(logs, axis=1, keepdims=True)
+    row_top = np.max(logs, axis=-1, keepdims=True)
     row_top[~np.isfinite(row_top)] = 0.0
-    col_top = np.max(logs - row_top, axis=0, keepdims=True)
+    col_top = np.max(logs - row_top, axis=-2, keepdims=True)
     col_top[~np.isfinite(col_top)] = 0.0
     scaled = mant * np.exp(logs - row_top - col_top)
-    return linalg.det(scaled), float(np.sum(row_top) + np.sum(col_top))
+    return linalg.det(scaled), np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1))
 
 
 def scaled_det(entries) -> ScaledComplex:
@@ -489,56 +507,114 @@ RUNNER_UP_FLOOR = 1e-2
 CROSS_RATIO_ATTEMPTS = 6
 
 
-def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic) -> float:
+def _cell_box_points(point: SiegelPoint) -> int:
+    """Most lattice points one `_theta_arrays` box can hold at this tau.
+
+    Every row is reduced into the fundamental cell first, so its centre
+    offset c0 lies in [-1/2, 1/2]^g, and the box of any batch of rows
+    spans at most 2 floor(R + 1/2) + 1 points per axis (with a margin for
+    the rounding of c0).
+    """
+    radius = _truncation(point)[0]
+    return (2 * math.floor(radius + 0.5 + 1e-6) + 1) ** point.g
+
+
+def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
     """Relative deviation between the two sides of the trisecant identity.
 
     Both sides are formed from theta translates and reduced prime forms
     in scaled arithmetic, as arrays of mantissas and log scales; the
     half-differential normalizations cancel between the two sides, so the
     reduced form suffices.
+
+    With w of length g and m points xs and ys, the residual is returned
+    and a failing configuration raises.  With w of shape (T, g) and xs, ys
+    of shape (T, m, g), T trials at one tau run as one batch and the
+    result is (residuals, error): the residuals of the trials before the
+    first failing trial, in trial order, and that trial's
+    CoincidentPointsError, ThetaNearZeroError or ZeroDivisionError, or
+    None when every trial passes.  The batch makes one separation test,
+    one lattice sum of T (3m^2 - m + 2) rows and one stacked determinant;
+    trials whose rows would together exceed MAX_TERMS are split into the
+    fewest consecutive groups that fit, one lattice sum per group.
     """
-    m = len(xs)
-    if m < 2 or len(ys) != m:
+    one = np.ndim(w) != 2
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if one:
+        w, xs, ys = [w], xs[None], ys[None]
+    m = xs.shape[1]
+    if m < 2 or ys.shape[1] != m:
         raise ValueError("need m >= 2 points on each side")
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
     point = _siegel(tau)
     g = point.g
-    w = np.asarray(w, dtype=complex).reshape(g)
-    xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
-    ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
-    _check_separation(np.concatenate([xs, ys]), point)
+    w = np.asarray(w, dtype=complex).reshape(-1, g)
+    xs = xs.reshape(len(w), m, g)
+    ys = ys.reshape(len(w), m, g)
+    usable, error = _separation(np.concatenate([xs, ys], axis=1), point)
+    per_sum = max(1, MAX_TERMS // ((3 * m * m - m + 2) * _cell_box_points(point)))
+    out = []
+    for a in range(0, usable, per_sum):
+        b = min(a + per_sum, usable)
+        res, err = _fay_trials(point, w[a:b], xs[a:b], ys[a:b], delta)
+        out += res
+        if err is not None:
+            error = err
+            break
+    if not one:
+        return out, error
+    if error is not None:
+        raise error
+    return out[0]
 
-    # One lattice sum over 3m^2 - m + 2 rows: theta(w), the shifted
+
+def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
+    """(residuals, error) of fay_residual for trials at separated points,
+    from one lattice sum."""
+    trials, m, g = xs.shape
+    # Per trial, 3m^2 - m + 2 rows: theta(w), the shifted
     # theta(w + sum x - sum y) and the m^2 matrix numerators
     # theta(w + x_i - y_j), then the odd translates: the m^2 prime forms
     # E(x_i, y_j), and E(x_i, x_j), E(y_i, y_j) for i < j.
     k = m * m
-    iu, ju = np.triu_indices(m, 1)
-    cross = (xs[:, None, :] - ys[None, :, :]).reshape(k, g)
-    shift = w + xs.sum(axis=0) - ys.sum(axis=0)
+    iu, ju = _pairs(m)
+    cross = (xs[:, :, None, :] - ys[:, None, :, :]).reshape(trials, k, g)
+    shift = w + xs.sum(axis=1) - ys.sum(axis=1)
     mant, logs, _, peak = _theta_arrays(point, *_fold(
-        point, (np.concatenate([w[None, :], shift[None, :], w + cross]), None),
-        (np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]), delta)))
-    if abs(mant[0]) < THETA_FLOOR * peak[0]:
-        raise ThetaNearZeroError("theta(w) is below the nonvanishing floor")
-    tw_m, sh_m, num_m, odd_m = mant[0], mant[1], mant[2:k + 2], mant[k + 2:]
-    tw_l, sh_l, num_l, odd_l = logs[0], logs[1], logs[2:k + 2], logs[k + 2:]
-    if np.any(odd_m[:k] == 0):
-        raise ZeroDivisionError("division by an exactly zero scaled value")
+        point, (np.concatenate([w[:, None], shift[:, None], w[:, None] + cross], axis=1), None),
+        (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
+    even = trials * (k + 2)
+    even_m, odd_m = mant[:even].reshape(trials, k + 2), mant[even:].reshape(trials, -1)
+    even_l, odd_l = logs[:even].reshape(trials, k + 2), logs[even:].reshape(trials, -1)
+    low = np.abs(even_m[:, 0]) < THETA_FLOOR * peak[:even:k + 2]
+    zero = np.any(odd_m[:, :k] == 0, axis=1)
+    bad = np.flatnonzero(low | zero)
+    done, error = trials, None
+    if len(bad):
+        done = bad[0]
+        error = (ThetaNearZeroError("theta(w) is below the nonvanishing floor") if low[done]
+                 else ZeroDivisionError("division by an exactly zero scaled value"))
+    # only the trials before the first failing one go on
+    tw_m, sh_m, num_m, odd_m = (even_m[:done, :1], even_m[:done, 1:2], even_m[:done, 2:],
+                                odd_m[:done])
+    tw_l, sh_l, num_l, odd_l = (even_l[:done, :1], even_l[:done, 1:2], even_l[:done, 2:],
+                                odd_l[:done])
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
     # (theta(w) E(x_i, y_j))
-    top_m, top_l = _normalized(np.append(sh_m, odd_m[k:]), np.append(sh_l, odd_l[k:]))
-    den_m, den_l = _normalized(np.append(tw_m, odd_m[:k]), np.append(tw_l, odd_l[:k]))
-    lhs = ScaledComplex(np.prod(top_m) / np.prod(den_m), np.sum(top_l) - np.sum(den_l))
-    rhs = ScaledComplex(*_scaled_det(
-        (num_m / (tw_m * odd_m[:k])).reshape(m, m),
-        (num_l - (tw_l + odd_l[:k])).reshape(m, m)))
+    top_m, top_l = _normalized(np.hstack([sh_m, odd_m[:, k:]]), np.hstack([sh_l, odd_l[:, k:]]))
+    den_m, den_l = _normalized(np.hstack([tw_m, odd_m[:, :k]]), np.hstack([tw_l, odd_l[:, :k]]))
+    lhs_m = np.prod(top_m, axis=1) / np.prod(den_m, axis=1)
+    lhs_l = np.sum(top_l, axis=1) - np.sum(den_l, axis=1)
+    rhs_m, rhs_l = _scaled_det((num_m / (tw_m * odd_m[:, :k])).reshape(-1, m, m),
+                               (num_l - (tw_l + odd_l[:, :k])).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
-        rhs = -rhs
-    return scaled_rel_diff(lhs, rhs)
+        rhs_m = -rhs_m
+    return [scaled_rel_diff(ScaledComplex(*lhs), ScaledComplex(*rhs))
+            for lhs, rhs in zip(zip(lhs_m, lhs_l), zip(rhs_m, rhs_l))], error
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-hand-written 2x2 inverses, term-by-term lattice sums, a one-draw-at-a-time
-point sampler, a one-point-at-a-time Abel map, an object-form trisecant
-residual and a factor-by-factor symplectic word.  The last three repeat
+hand-written 2x2 inverses, term-by-term lattice sums, one-draw-at-a-time
+point samplers, a one-point-at-a-time Abel map, an object-form trisecant
+residual, the trial-by-trial CLI trisecant loop and a factor-by-factor
+symplectic word.  The last four, and the hyperelliptic sampler, repeat
 the package's arithmetic step for step, so the package's array forms can
 be held to equal or near-equal results.
 """
@@ -176,6 +177,47 @@ def sample_plane(model, count, seed, mode="complex"):
     return pts
 
 
+def sample_hyperelliptic(model, count, seed, mode="complex"):
+    """(x, y, chart, sheet) of `count` points of a hyperelliptic curve, one
+    draw at a time.
+
+    Each draw calls `rng.uniform` for x (radius and angle in complex mode)
+    and, when x clears the branch points, once more for the sheet; y is
+    the sheet times the square root of f(x) at that one x.  Rejection
+    rules and the per-point draw budget are the package's.
+    """
+    from holodiff import curves
+
+    rng = np.random.default_rng(seed)
+    pts = []
+    last_reason = "no draws attempted"
+    for _ in range(count):
+        for _ in range(curves.MAX_DRAWS_PER_POINT):
+            if mode == "real":
+                x = complex(rng.uniform(-2.0, 2.0))
+            else:
+                r = 2.0 * np.sqrt(rng.uniform())
+                phi = rng.uniform(0.0, 2.0 * np.pi)
+                x = complex(r * np.cos(phi), r * np.sin(phi))
+            if model.branch_distance(x)[0] < curves.BRANCH_MARGIN:
+                last_reason = "too close to a branch point"
+                continue
+            sheet = 1 if rng.uniform() < 0.5 else -1
+            y = sheet * np.sqrt(model.f(x)[0])
+            if any(abs(x - px) + abs(y - py) < curves.MIN_POINT_SEPARATION
+                   for px, py, _, _ in pts):
+                last_reason = "duplicate of an accepted point"
+                continue
+            pts.append((x, complex(y), "x", sheet))
+            break
+        else:
+            raise curves.SamplingError(
+                f"gave up after {curves.MAX_DRAWS_PER_POINT} draws; "
+                f"last rejection: {last_reason}"
+            )
+    return pts
+
+
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 
@@ -300,7 +342,12 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     w = np.asarray(w, dtype=complex).reshape(g)
     xs = np.array([np.asarray(x, dtype=complex).reshape(g) for x in xs])
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
-    th._check_separation(np.concatenate([xs, ys]), point)
+    pts = np.concatenate([xs, ys])
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        r, _, _ = th.lattice_reduce_tau(pts[i] - pts[j], point)
+        if np.max(np.abs(r)) < th.MIN_SEPARATION:
+            raise th.CoincidentPointsError(
+                f"points {i} and {j} are within {th.MIN_SEPARATION} on the Jacobian")
     tw = th.theta(w, point)
     if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
         raise th.ThetaNearZeroError("theta(w) is below the nonvanishing floor")
@@ -318,6 +365,41 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return th.scaled_rel_diff(lhs, rhs)
+
+
+def fay_check_sequential(model, m, seed, rng, delta):
+    """Worst genus-2 residual of the CLI trisecant check, one trial at a time.
+
+    Takes the arguments of `cli._fay_rounds` and runs the loop it
+    replaced: per trial and attempt, seeded points, a w from the shared
+    rng, a theta(w) floor test, the attempt's own `abel_map` call and a
+    single-trial `fay_residual`, retrying as the CLI does.
+    """
+    from holodiff import cli, curves, jacobian
+    from holodiff import theta as th
+
+    pd = jacobian.compute_periods(model)
+    worst = 0.0
+    for trial in range(cli.FAY_TRIALS):
+        last = None
+        for attempt in range(8):
+            try:
+                s = cli._sub_seed(seed, f"fay-points-{trial}") + attempt
+                pts = curves.sample_points(model, 2 * m, s, mode="real")
+                w = cli._rand_complex(rng, (2,), 0.4)
+                tw = th.theta(w, pd.tau)
+                if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
+                    raise th.ThetaNearZeroError("theta(w) below floor")
+                imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
+                r = th.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
+                worst = max(worst, r)
+                break
+            except (th.ThetaNearZeroError, th.CoincidentPointsError,
+                    curves.SamplingError) as exc:
+                last = exc
+        else:
+            raise last
+    return worst
 
 
 def random_symplectic_word(g, rng):

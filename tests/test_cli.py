@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from holodiff import bases, cli
+from holodiff import bases, cli, curves, jacobian
 from holodiff.cli import main
+
+from oracles import fay_check_sequential
 
 
 def _lines(capsys):
@@ -202,6 +204,103 @@ def test_fay_genus_two_survives_determinant_cancellation(capsys):
     assert main(["verify-fay", "--genus", "2", "-m", "6", "--seed", "1017"]) == 0
     out = capsys.readouterr().out
     assert "check=fay-trisecant anchor=fay-trisecant status=PASS" in out
+
+
+# seeds 1000-1599 whose genus-2 -m 6 check retries a trial (each once,
+# on a CoincidentPointsError from the residual)
+FAY_RETRY_SEEDS = (1003, 1081, 1124, 1142, 1169, 1178, 1203, 1223, 1288, 1381, 1531, 1584)
+
+
+def _fay_g2(seed, m=6):
+    """(exit code, fay-trisecant record) of verify-fay --genus 2."""
+    records = []
+    run = cli._run_checks
+
+    def spy(checks):
+        records.extend(run(checks))
+        return records
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_run_checks", spy)
+        code = main(["verify-fay", "--genus", "2", "-m", str(m), "--seed", str(seed)])
+    return code, records[0]
+
+
+def _assert_same_as_sequential(monkeypatch, seed, m=6):
+    """Runs the batched check, then the trial-by-trial oracle loop in its place."""
+    code, rec = _fay_g2(seed, m)
+    monkeypatch.setattr(cli, "_fay_rounds", fay_check_sequential)
+    want_code, want = _fay_g2(seed, m)
+    monkeypatch.undo()
+    assert (code, rec.status, rec.note) == (want_code, want.status, want.note)
+    assert rec.anchor == want.anchor
+    if want.residual is None:
+        assert rec.residual is None
+    else:
+        assert abs(rec.residual - want.residual) <= 1e-12
+    return rec
+
+
+@pytest.mark.parametrize("seed", list(range(1000, 1040)) + list(FAY_RETRY_SEEDS))
+def test_fay_rounds_match_sequential_trials(seed, monkeypatch, capsys):
+    _assert_same_as_sequential(monkeypatch, seed)
+
+
+def test_fay_retry_seed_runs_a_second_round(monkeypatch, capsys):
+    calls = []
+    abel = jacobian.abel_map
+    monkeypatch.setattr(jacobian, "abel_map", lambda pd, pts: calls.append(len(pts))
+                        or abel(pd, pts))
+    code, rec = _fay_g2(FAY_RETRY_SEEDS[0])
+    assert code == 0 and rec.status == "PASS"
+    # trial k fails in round one; round two redraws trials k..2
+    assert len(calls) == 2 and calls[0] == 3 * 12 and calls[1] < calls[0]
+
+
+def _faulty_sampler(monkeypatch, seed, fault):
+    """sample_points with fault(trial, attempt) -> None, "sampling" or
+    "coincident" applied to the fay-trisecant point draws of `seed`."""
+    sample = curves.sample_points
+    firsts = {cli._sub_seed(seed, f"fay-points-{t}"): t for t in range(cli.FAY_TRIALS)}
+
+    def faulty(model, count, s, mode="complex"):
+        hits = [(t, s - first) for first, t in firsts.items() if 0 <= s - first < 8]
+        kind = fault(*hits[0]) if hits else None
+        if kind == "sampling":
+            raise curves.SamplingError("injected sampling failure")
+        pts = sample(model, count, s, mode)
+        if kind == "coincident":
+            pts[1] = pts[0]
+        return pts
+
+    monkeypatch.setattr(curves, "sample_points", faulty)
+
+
+@pytest.mark.parametrize("seed", [1000, 1017])
+def test_fay_rounds_retry_trial_zero_residual(seed, monkeypatch, capsys):
+    calls = []
+    abel = jacobian.abel_map
+    monkeypatch.setattr(jacobian, "abel_map", lambda pd, pts: calls.append(len(pts))
+                        or abel(pd, pts))
+    _faulty_sampler(monkeypatch, seed, lambda t, a: "coincident" if (t, a) == (0, 0) else None)
+    rec = _assert_same_as_sequential(monkeypatch, seed)
+    assert rec.status == "PASS"
+    assert calls[:2] == [36, 36]  # trial 0 fails; all three trials run again
+
+
+def test_fay_rounds_retry_trial_one_sampling(monkeypatch, capsys):
+    seed = 1000
+    _faulty_sampler(monkeypatch, seed, lambda t, a: "sampling" if (t, a) == (1, 0) else None)
+    rec = _assert_same_as_sequential(monkeypatch, seed)
+    assert rec.status == "PASS"
+
+
+def test_fay_rounds_trial_two_fails_every_attempt(monkeypatch, capsys):
+    seed = 1000
+    _faulty_sampler(monkeypatch, seed, lambda t, a: "coincident" if t == 2 else None)
+    rec = _assert_same_as_sequential(monkeypatch, seed)
+    assert rec.anchor == "internal-error"
+    assert rec.note.startswith("CoincidentPointsError: points 0 and 1 are within")
 
 
 def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holodiff import curves
-from oracles import sample_plane
+from oracles import sample_hyperelliptic, sample_plane
 
 
 def test_plane_curve_validation():
@@ -168,6 +168,38 @@ def test_draw_budget_matches_one_draw_oracle(quintic, monkeypatch):
         got = outcome(lambda: [(p.x, p.y, p.chart)
                                for p in curves.sample_points(quintic, 8, seed)])
         assert got == outcome(lambda: sample_plane(quintic, 8, seed))
+        outcomes.append(isinstance(got, str))
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+def test_hyperelliptic_sampler_matches_one_draw_oracle(hyp_g2, hyp_g4, mode):
+    for seed in range(2000):
+        model = hyp_g4 if seed % 4 == 3 else hyp_g2
+        got = [(p.x, p.y, p.chart, p.sheet)
+               for p in curves.sample_points(model, 12, seed, mode)]
+        assert got == sample_hyperelliptic(model, 12, seed, mode)
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+def test_hyperelliptic_draw_budget_matches_one_draw_oracle(hyp_g2, monkeypatch, mode):
+    # wide branch margins and separations make both rejections common, so
+    # some seeds exhaust the budget and others carry misses across points
+    monkeypatch.setattr(curves, "MAX_DRAWS_PER_POINT", 4)
+    monkeypatch.setattr(curves, "BRANCH_MARGIN", 0.3)
+    monkeypatch.setattr(curves, "MIN_POINT_SEPARATION", 1.0)
+
+    def outcome(sample):
+        try:
+            return sample()
+        except curves.SamplingError as exc:
+            return str(exc)
+
+    outcomes = []
+    for seed in range(300):
+        got = outcome(lambda: [(p.x, p.y, p.chart, p.sheet)
+                               for p in curves.sample_points(hyp_g2, 6, seed, mode)])
+        assert got == outcome(lambda: sample_hyperelliptic(hyp_g2, 6, seed, mode))
         outcomes.append(isinstance(got, str))
     assert any(outcomes) and not all(outcomes)
 

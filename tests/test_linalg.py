@@ -51,8 +51,29 @@ def test_hadamard_bound_dominates(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(20):
         a = _rand_c(rng, (n, n))
-        d, bound = linalg.det_with_bound(a)
-        assert abs(d) <= bound * (1 + 1e-12)
+        ratio = linalg.hadamard_ratio(a)
+        assert ratio <= 1 + 1e-12
+        bound = np.prod(np.linalg.norm(a, axis=1))
+        assert ratio == pytest.approx(abs(linalg.det(a)) / bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_hadamard_ratio_survives_underflowing_rows(n):
+    rng = np.random.default_rng(200 + n)
+    a = _rand_c(rng, (n, n))
+    want = abs(linalg.det(a)) / np.prod(np.linalg.norm(a, axis=1))
+    # rows at 1e-120 underflow both det and bound: |det| / max(bound, 1e-300)
+    # reads 0.0
+    tiny = a * 1e-120
+    bound = np.prod(np.linalg.norm(tiny, axis=1))
+    assert abs(linalg.det(tiny)) / max(bound, 1e-300) == 0.0
+    assert linalg.hadamard_ratio(tiny) == pytest.approx(want, rel=1e-12)
+    # each row scaled on its own leaves the ratio unchanged
+    mixed = a * np.logspace(-150, 150, n)[:, None]
+    assert linalg.hadamard_ratio(mixed) == pytest.approx(want, rel=1e-12)
+    singular = a.copy()
+    singular[-1] = 0.0
+    assert linalg.hadamard_ratio(singular) == 0.0
 
 
 def test_signed_minor_expansion():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holodiff import linalg, petri
+from holodiff import curves, linalg, petri
 from holodiff.bases import holomorphic_basis, petri_basis
 from holodiff.curves import sample_points
 
@@ -143,20 +143,33 @@ def test_theorem1_hyperelliptic_vanishing(hyp_g4):
     assert max(r for _, r in ratios) <= 1e-8
 
 
+def test_theorem1_ratios_do_not_underflow_at_genus_ten():
+    # On the Fermat sextic, det and Hadamard bound of every 18 x 18 labeled
+    # matrix both fall below 1e-300, and |det| / max(bound, 1e-300) read
+    # 0.0; the row-normalized ratio keeps a certified nonzero value.
+    sextic = curves.PlaneCurve(6, [(6, 0, 1.0), (0, 6, 1.0), (0, 0, 1.0)])
+    pts = sample_points(sextic, 28, seed=5)
+    inp = petri.RelationInput(sextic, pts[:10], pts[10:])
+    mat = petri.build_A(inp, 3, 4)
+    bound = np.prod(np.linalg.norm(mat, axis=1))
+    assert abs(linalg.det(mat)) / max(bound, 1e-300) == 0.0
+    ratios, ok = petri.verify_theorem1(inp)
+    assert ok and len(ratios) == 28
+    assert all(0.0 < r <= 1e-8 for _, r in ratios)
+
+
 def test_scrambled_column_breaks_singularity(quintic):
     pts = sample_points(quintic, 16, seed=20260818)
     inp = petri.RelationInput(quintic, pts[:6], pts[6:])
     amat = petri.build_A(inp, 3, 4)
-    det, bound = linalg.det_with_bound(amat)
-    clean = abs(det) / bound
+    clean = linalg.hadamard_ratio(amat)
     assert clean <= 1e-8
     # column 0 is the (1,2) product, which carries relation weight; random
     # data there must restore a nonsingular determinant by many decades
     rng = np.random.default_rng(20260818)
     bad = amat.copy()
     bad[:, 0] = rng.normal(size=bad.shape[0]) * np.mean(np.abs(amat[:, 0]))
-    det_bad, bound_bad = linalg.det_with_bound(bad)
-    ratio = abs(det_bad) / bound_bad
+    ratio = linalg.hadamard_ratio(bad)
     assert ratio > 1e-7
     assert ratio >= 1e10 * clean
 
@@ -173,8 +186,7 @@ def test_relation_ignores_high_index_columns(quintic):
     bad = amat.copy()
     rng = np.random.default_rng(20260818)
     bad[:, col] = rng.normal(size=bad.shape[0]) * np.mean(np.abs(amat[:, col]))
-    det_bad, bound_bad = linalg.det_with_bound(bad)
-    assert abs(det_bad) / bound_bad <= 1e-10
+    assert linalg.hadamard_ratio(bad) <= 1e-10
 
 
 def test_coefficients_are_symmetric(rel_coeff):

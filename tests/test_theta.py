@@ -306,6 +306,81 @@ def test_fay_residual_sums_one_lattice(pd_g2, monkeypatch):
     assert abs(got - want) <= 1e-12
 
 
+def _fay_batch_args(pd, m, seed, trials=3):
+    rng = np.random.default_rng(seed)
+    imgs = np.array([img.vector for img in abel_map(
+        pd, sample_points(pd.curve, 2 * m * trials, seed, mode="real"))])
+    imgs = imgs.reshape(trials, 2, m, 2)
+    w = 0.4 * (rng.standard_normal((trials, 2)) + 1j * rng.standard_normal((trials, 2)))
+    return w, imgs[:, 0], imgs[:, 1], pd.tau, th.ThetaCharacteristic.first_odd(2)
+
+
+def _counted_kernel(monkeypatch):
+    rows = []
+    kernel = th._theta_arrays
+
+    def counted(point, tau, zs, log_fac):
+        rows.append(len(zs))
+        return kernel(point, tau, zs, log_fac)
+
+    monkeypatch.setattr(th, "_theta_arrays", counted)
+    return rows
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_fay_batch_matches_single_trials(m, pd_g2, monkeypatch):
+    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 300 + m)
+    want = [th.fay_residual(w[t], xs[t], ys[t], tau, delta) for t in range(3)]
+    rows = _counted_kernel(monkeypatch)
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    assert err is None and rows == [3 * (3 * m * m - m + 2)]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_fay_batch_stops_at_the_first_failing_trial(pd_g2, monkeypatch):
+    m = 3
+    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 310, trials=4)
+    xs[2, 1] = xs[2, 0]
+    first = th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+    rows = _counted_kernel(monkeypatch)
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    # trial 2's points coincide: trials 0 and 1 are summed, 2 and 3 are not
+    assert isinstance(err, th.CoincidentPointsError) and "points 0 and 1" in str(err)
+    assert len(got) == 2 and abs(got[0] - first) <= 1e-12
+    assert rows == [2 * (3 * m * m - m + 2)]
+    # theta(w) vanishing at trial 1 is reported after trial 0's residual
+    w[1] = pd_g2.tau.z @ [0.5, 0.0] + [0.5, 0.0]  # an odd half-period: theta = 0
+    rows.clear()
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    assert isinstance(err, th.ThetaNearZeroError) and len(got) == 1
+    with pytest.raises(th.ThetaNearZeroError, match="floor"):
+        th.fay_residual(w[1], xs[1], ys[1], tau, delta)
+
+
+def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
+    m = 3
+    rows_per_trial = 3 * m * m - m + 2
+    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 320)
+    whole, _ = th.fay_residual(w, xs, ys, tau, delta)
+    box = th._cell_box_points(th._siegel(tau))
+    # room for two trials per lattice sum, not three: groups [0, 1], [2]
+    monkeypatch.setattr(th, "MAX_TERMS", 2 * rows_per_trial * box)
+    rows = _counted_kernel(monkeypatch)
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    assert err is None and rows == [2 * rows_per_trial, rows_per_trial]
+    assert np.max(np.abs(np.subtract(got, whole))) <= 1e-12
+    monkeypatch.setattr(th, "MAX_TERMS", rows_per_trial * box)
+    rows.clear()
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    assert err is None and rows == [rows_per_trial] * 3
+    # below one trial's box a trial runs alone and is refused as a single call is
+    monkeypatch.setattr(th, "MAX_TERMS", rows_per_trial * box - 1)
+    with pytest.raises(th.TruncationError, match="budget"):
+        th.fay_residual(w, xs, ys, tau, delta)
+    with pytest.raises(th.TruncationError, match="budget"):
+        th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+
+
 def test_fay_residual_validation():
     delta = th.ThetaCharacteristic.first_odd(1)
     tau = np.array([[1j]])

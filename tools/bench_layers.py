@@ -1,4 +1,5 @@
-"""Per-call timings of the theta layer, written to BENCH_<tag>.json.
+"""Per-call timings of the theta, Abel-map and trisecant layers, written to
+BENCH_<tag>.json.
 
     python tools/bench_layers.py --tag TAG [--src DIR]
 
@@ -8,7 +9,10 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``theta`` at one fixed argument, by genus 1..5, each at one seeded
   random tau built once as a ``SiegelPoint``;
 - ``fay_residual`` by number of point pairs m, on the bundled genus-2
-  curve, at seeded curve points mapped by ``abel_map``.
+  curve, at seeded curve points mapped by ``abel_map``;
+- ``abel_map`` by number of seeded real points on that curve, as one call;
+- the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
+  and retries, periods included) by m, at one seed, without the report.
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -41,6 +45,9 @@ import speed  # noqa: E402  (perfbench/speed.py: host-speed scaling)
 
 THETA_GENERA = (1, 2, 3, 4, 5)
 FAY_PAIRS = (2, 6, 12, 24, 48)
+ABEL_POINTS = (1, 12, 36)
+FAY_CHECK_PAIRS = (6, 12)
+FAY_CHECK_SEED = 7
 REPEATS = 15
 SEED = 11
 
@@ -58,6 +65,13 @@ def _min_ms(call) -> float:
     return 1e3 * best
 
 
+def _bundled_g2(holodiff):
+    from holodiff import curves
+
+    spec = Path(holodiff.__file__).parent / "data" / "hyperelliptic_g2.json"
+    return curves.load_curve_spec(spec)
+
+
 def bench_theta(theta, siegel, np) -> dict:
     out = {}
     for g in THETA_GENERA:
@@ -71,8 +85,7 @@ def bench_theta(theta, siegel, np) -> dict:
 def bench_fay(holodiff, np) -> dict:
     from holodiff import curves, jacobian, theta
 
-    spec = Path(holodiff.__file__).parent / "data" / "hyperelliptic_g2.json"
-    pd = jacobian.compute_periods(curves.load_curve_spec(spec))
+    pd = jacobian.compute_periods(_bundled_g2(holodiff))
     delta = theta.ThetaCharacteristic.first_odd(2)
     out = {}
     for m in FAY_PAIRS:
@@ -90,6 +103,28 @@ def bench_fay(holodiff, np) -> dict:
             break
         else:
             raise RuntimeError(f"no usable point set for m={m}")
+    return out
+
+
+def bench_abel(holodiff) -> dict:
+    from holodiff import curves, jacobian
+
+    pd = jacobian.compute_periods(_bundled_g2(holodiff))
+    out = {}
+    for n in ABEL_POINTS:
+        pts = curves.sample_points(pd.curve, n, SEED + n, mode="real")
+        out[str(n)] = _min_ms(lambda: jacobian.abel_map(pd, pts))
+    return out
+
+
+def bench_fay_check(holodiff) -> dict:
+    from holodiff import cli
+
+    model = _bundled_g2(holodiff)
+    out = {}
+    for m in FAY_CHECK_PAIRS:
+        [(_, check)] = cli._fay_check(model, 2, m, FAY_CHECK_SEED, {})
+        out[str(m)] = _min_ms(check)
     return out
 
 
@@ -112,6 +147,8 @@ def main(argv=None) -> int:
         "reference_s": speed.REFERENCE_S,
         "theta_ms_per_call": bench_theta(theta, siegel, np),
         "fay_residual_ms_per_call": bench_fay(holodiff, np),
+        "abel_map_ms_per_call": bench_abel(holodiff),
+        "fay_check_g2_ms_per_call": bench_fay_check(holodiff),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
