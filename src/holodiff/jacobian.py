@@ -10,12 +10,16 @@ Abel maps integrate the normalized differentials along a real-axis
 chain plus, for complex targets, straight legs with continuity-tracked
 square roots.  A sequence of points shares one array quadrature for the
 real-axis parts, each point doubling its nodes until it converges, and
-gives the same vectors bit for bit as one point at a time.  A separate helper handles genus-1 cubics with complex
-roots, where the real-segment machinery does not apply.
+gives the same vectors bit for bit as one point at a time.  The Riemann
+constant for this base point and these cycles is a sum of branch-point
+images, read off the segment integrals.  A separate helper handles
+genus-1 cubics with complex roots, where the real-segment machinery does
+not apply.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     "quad_segment",
     "compute_periods",
     "abel_map",
+    "riemann_constant",
     "lattice_distance",
     "elliptic_tau_from_cubic",
 ]
@@ -57,13 +62,9 @@ class PeriodCertificateError(RuntimeError):
     """A period-matrix certificate (symmetry or positivity) failed."""
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gauss_legendre(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _chebyshev_nodes(n: int) -> np.ndarray:
@@ -420,6 +421,19 @@ def abel_map(pd: PeriodData, p, *, via=None):
                 path.append("sheet-flip")
         out.append(AbelImage(q, vec, tuple(path), err))
     return out[0] if isinstance(p, CurvePoint) else out
+
+
+def riemann_constant(pd: PeriodData) -> np.ndarray:
+    """Vector of Riemann constants K for the base point and cycles of pd.
+
+    With base e_0 and the cycles of `compute_periods`, K = sum_{j=1..g}
+    A(e_{2j}) in 0-based branch indices (Mumford, Tata Lectures on Theta
+    II, ch. IIIa), a half-period with theta(A(D) - K) = 0 for every
+    effective divisor D of degree g - 1.  A(e_k) chains the first k
+    segment integrals, so segment j enters the sum g - floor(j/2) times.
+    """
+    g = pd.genus
+    return pd.normalization @ ((g - np.arange(2 * g) // 2) @ pd.seg_values)
 
 
 def lattice_distance(source, v) -> float:

@@ -11,10 +11,10 @@ one tau shares a single lattice box.  Within it, term moduli come from
 one real matmul and one real exp, and only the unit phases are factored:
 one complex exp per lattice point, shared by every row, and one per
 axis, so no complex exp runs per (row, point) term.  On top of
-the engine: the reduced prime form, the brute-force search for the
-Riemann-constant half-period, the Fay trisecant residual, and the
+the engine: the reduced prime form, the Fay trisecant residual, and the
 end-to-end cross-ratio comparison between cardinal bases and theta
-quotients on a genus-2 Jacobian (one lattice sum of eight rows).  The
+quotients at genus 2 and up (one lattice sum of eight rows per pair),
+with the Riemann constant in closed form from `jacobian`.  The
 trisecant residual takes a batch of T trials at one tau: one lattice sum
 of T (3m^2 - m + 2) rows, split into groups only where MAX_TERMS demands
 it, then one stacked O(m^3) scaled determinant; a single trial is the
@@ -44,7 +44,6 @@ __all__ = [
     "TruncationError",
     "ThetaNearZeroError",
     "CoincidentPointsError",
-    "AmbiguousConstantsError",
     "ScaledComplex",
     "ThetaCharacteristic",
     "theta",
@@ -54,8 +53,6 @@ __all__ = [
     "reduced_prime_form",
     "odd_characteristics",
     "fay_residual",
-    "RiemannConstants",
-    "find_riemann_constants",
     "theta_side_cross_ratio",
     "CrossRatioResult",
     "gamma_cross_ratio_check",
@@ -73,10 +70,6 @@ class ThetaNearZeroError(RuntimeError):
 
 class CoincidentPointsError(ValueError):
     """Jacobian points required distinct are closer than the separation floor."""
-
-
-class AmbiguousConstantsError(RuntimeError):
-    """The half-period search found no clearly separated minimizer."""
 
 
 class ScaledComplex:
@@ -134,16 +127,6 @@ class ScaledComplex:
 
     def __repr__(self):
         return f"ScaledComplex({self.mantissa!r}, log_scale={self.log_scale:.6g})"
-
-    @staticmethod
-    def sum(items) -> "ScaledComplex":
-        items = [it.normalized() for it in items]
-        finite = [it for it in items if it.mantissa != 0]
-        if not finite:
-            return ScaledComplex(0.0)
-        top = max(it.log_scale for it in finite)
-        acc = sum(it.mantissa * np.exp(it.log_scale - top) for it in finite)
-        return ScaledComplex(acc, top)
 
 
 def scaled_rel_diff(a: ScaledComplex, b: ScaledComplex) -> float:
@@ -499,10 +482,6 @@ def scaled_det(entries) -> ScaledComplex:
 THETA_FLOOR = 1e-8
 # Jacobian points closer than this, modulo the lattice, count as coincident
 MIN_SEPARATION = 1e-4
-# find_riemann_constants: the winner must score below VANISH_TOL and the
-# runner-up at least RUNNER_UP_FLOOR
-VANISH_TOL = 1e-6
-RUNNER_UP_FLOOR = 1e-2
 # draws gamma_cross_ratio_check makes before it gives up
 CROSS_RATIO_ATTEMPTS = 6
 
@@ -617,46 +596,6 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
             for lhs, rhs in zip(zip(lhs_m, lhs_l), zip(rhs_m, rhs_l))], error
 
 
-@dataclass
-class RiemannConstants:
-    """Certified half-period minimizing theta over the probe images."""
-
-    vector: np.ndarray
-    a_half: np.ndarray
-    b_half: np.ndarray
-    score: float
-    runner_up: float
-
-
-def find_riemann_constants(tau, probe_images) -> RiemannConstants:
-    """Brute-force search over all 4^g half-periods.
-
-    Scores each candidate h by the worst normalized theta magnitude over
-    the probe images; certifies the winner is below VANISH_TOL and the
-    runner-up above RUNNER_UP_FLOOR.
-    """
-    point = _siegel(tau)
-    g = point.g
-    probes = np.array([np.asarray(p, dtype=complex).reshape(g) for p in probe_images])
-    if len(probes) < 2 * g:
-        raise ValueError(f"need at least {2 * g} probe images, got {len(probes)}")
-    chars = [ThetaCharacteristic.from_bits(ia, ib, g)
-             for ia in range(2**g) for ib in range(2**g)]
-    hs = np.array([point.z @ ch.a + ch.b for ch in chars])
-    diffs = probes[None, :, :] - hs[:, None, :]
-    mant, _, _, peak = _theta_arrays(point, *_fold(point, (diffs, None)))
-    ratio = np.abs(mant) / peak
-    worst = np.max(ratio.reshape(len(chars), len(probes)), axis=1)
-    best, second = np.argsort(worst, kind="stable")[:2]
-    if worst[best] > VANISH_TOL or worst[second] < RUNNER_UP_FLOOR:
-        raise AmbiguousConstantsError(
-            f"no separated minimizer: best {worst[best]:.3e}, "
-            f"runner-up {worst[second]:.3e}"
-        )
-    return RiemannConstants(hs[best], chars[best].a, chars[best].b,
-                            float(worst[best]), float(worst[second]))
-
-
 def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
                            delta: ThetaCharacteristic) -> complex:
     """Cross-ratio of theta translates and prime forms at two probes.
@@ -687,37 +626,37 @@ class CrossRatioResult:
     weight: int
     residual: float
     attempts: int
-    constants: RiemannConstants
 
 
 def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
-    """Compare cardinal-basis cross-ratios against theta quotients, genus 2.
+    """Compare cardinal-basis cross-ratios against theta quotients, genus >= 2.
 
     Anchors and probes are sampled on the curve, mapped to the Jacobian,
-    and the shift w is assembled from the anchor images and the certified
-    Riemann-constant half-period.  Non-generic draws retry with a bumped
-    seed.
+    and the shift w is assembled from the anchor images and the Riemann
+    constant of `jacobian.riemann_constant`.  Non-generic draws retry
+    with a bumped seed.
     """
-    from .jacobian import abel_map
+    from .jacobian import abel_map, riemann_constant
 
     curve = pd.curve
-    if curve.genus != 2:
-        raise ValueError("the cross-ratio check runs on genus-2 models")
-    n = differential_dimension(2, weight)
-    delta = ThetaCharacteristic.first_odd(2)
+    g = curve.genus
+    if g < 2:
+        raise ValueError(f"the cross-ratio check needs genus >= 2, got {g}")
+    n = differential_dimension(g, weight)
+    delta = ThetaCharacteristic.first_odd(g)
     basis_n = holomorphic_basis(curve, weight)
+    shift = (2 * weight - 1) * riemann_constant(pd)
     last_error = None
     for attempt in range(CROSS_RATIO_ATTEMPTS):
         s = seed + 7919 * attempt
-        pts = sample_points(curve, n + 6, s, mode="real")
+        pts = sample_points(curve, n + 2, s, mode="real")
         anchors = pts[:n]
-        probes = pts[n:n + 2]
+        probes = pts[n:]
         try:
             gam = cardinal_basis(basis_n, anchors)
             imgs = [img.vector for img in abel_map(pd, pts)]
-            anchor_imgs, probe_imgs, vrc_imgs = imgs[:n], imgs[n:n + 2], imgs[n + 2:]
-            constants = find_riemann_constants(pd.tau, vrc_imgs)
-            w = sum(anchor_imgs) - (2 * weight - 1) * constants.vector
+            anchor_imgs, probe_imgs = imgs[:n], imgs[n:]
+            w = sum(anchor_imgs) - shift
             tw = theta(w, pd.tau)
             if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
                 raise ThetaNearZeroError("theta(w) below floor")
@@ -735,9 +674,8 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
                     abs(curve_ratio), abs(theta_ratio)
                 )
                 worst = max(worst, dev)
-            return CrossRatioResult(weight, worst, attempt + 1, constants)
-        except (NonGenericAnchorsError, ThetaNearZeroError,
-                AmbiguousConstantsError) as exc:
+            return CrossRatioResult(weight, worst, attempt + 1)
+        except (NonGenericAnchorsError, ThetaNearZeroError) as exc:
             last_error = exc
     raise ThetaNearZeroError(
         f"no usable configuration after {CROSS_RATIO_ATTEMPTS} attempts: {last_error}"

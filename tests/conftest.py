@@ -22,6 +22,11 @@ def hyp_g2():
 
 
 @pytest.fixture(scope="session")
+def hyp_g3():
+    return curves.HyperellipticCurve([-3.1, -2.0, -0.7, 0.0, 1.3, 2.2, 3.5])
+
+
+@pytest.fixture(scope="session")
 def hyp_g4():
     return curves.HyperellipticCurve([float(k) for k in range(-4, 5)])
 
@@ -39,6 +44,11 @@ def pd_g1(lemniscatic):
 @pytest.fixture(scope="session")
 def pd_g2(hyp_g2):
     return jacobian.compute_periods(hyp_g2)
+
+
+@pytest.fixture(scope="session")
+def pd_g3(hyp_g3):
+    return jacobian.compute_periods(hyp_g3)
 
 
 @pytest.fixture

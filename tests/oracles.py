@@ -1,12 +1,13 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-hand-written 2x2 inverses, term-by-term lattice sums, one-draw-at-a-time
-point samplers, a one-point-at-a-time Abel map, an object-form trisecant
-residual, the trial-by-trial CLI trisecant loop and a factor-by-factor
-symplectic word.  The last four, and the hyperelliptic sampler, repeat
-the package's arithmetic step for step, so the package's array forms can
-be held to equal or near-equal results.
+hand-written 2x2 inverses, term-by-term lattice sums, a search over all
+half-periods for the Riemann constant, one-draw-at-a-time point samplers,
+a one-point-at-a-time Abel map, an object-form trisecant residual, the
+trial-by-trial CLI trisecant loop and a factor-by-factor symplectic word.
+The last four, and the hyperelliptic sampler, repeat the package's
+arithmetic step for step, so the package's array forms can be held to
+equal or near-equal results.
 """
 
 import cmath
@@ -97,6 +98,32 @@ def lattice_theta(z, tau, a, b, radius):
         lin = sum(u[i] * (z[i] + float(b[i])) for i in range(g))
         total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
     return total
+
+
+def riemann_constant_search(tau, probe_images):
+    """Half-periods ranked by how well theta vanishes at probe - h.
+
+    Every h = tau a + b with a, b in {0, 1/2}^g is scored by the worst
+    |theta(p - h)| over the probe images p, relative to the largest
+    series term.  Returns (half-periods, scores), best first; at genus 1
+    and 2, with single curve points as probes, the best is the Riemann
+    constant modulo the lattice.
+    """
+    from holodiff import theta as th
+
+    point = th._siegel(tau)
+    g = point.g
+    probes = np.array([np.asarray(p, dtype=complex).reshape(g) for p in probe_images])
+    halves, scores = [], []
+    for ia in range(2**g):
+        for ib in range(2**g):
+            ch = th.ThetaCharacteristic.from_bits(ia, ib, g)
+            h = point.z @ ch.a + ch.b
+            vals = th.theta_batch(probes - h, point)
+            halves.append(h)
+            scores.append(max(abs(v.mantissa) / v.peak for v in vals))
+    order = np.argsort(scores, kind="stable")
+    return np.array(halves)[order], np.array(scores)[order]
 
 
 def _horner(coeffs, z):

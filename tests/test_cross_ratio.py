@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from holodiff import jacobian as jac
 from holodiff import theta as th
 from holodiff.bases import NonGenericAnchorsError
 from holodiff.curves import sample_points
-from holodiff.jacobian import abel_map
+
+from oracles import riemann_constant_search
 
 
 @pytest.mark.parametrize("weight", [1, 2])
@@ -15,11 +17,18 @@ def test_cross_ratio_matches_theta_side(pd_g2, weight):
     assert result.weight == weight
     assert result.residual <= 1e-6
     assert result.attempts >= 1
-    assert result.constants.score <= 1e-6
+
+
+@pytest.mark.parametrize("weight", [1, 2])
+def test_cross_ratio_matches_theta_side_genus_three(pd_g3, weight):
+    result = th.gamma_cross_ratio_check(pd_g3, weight, seed=20260818)
+    assert result.weight == weight
+    assert result.residual <= 1e-6
 
 
 def test_cross_ratio_needs_genus_two(pd_g1):
-    with pytest.raises(ValueError, match="genus-2"):
+    # at genus 1 there is one anchor and so no pair to compare
+    with pytest.raises(ValueError, match="genus >= 2"):
         th.gamma_cross_ratio_check(pd_g1, 1, seed=0)
 
 
@@ -37,25 +46,26 @@ def test_cross_ratio_gives_up_after_every_attempt_fails(pd_g2, monkeypatch):
     assert len(calls) == th.CROSS_RATIO_ATTEMPTS == 6
 
 
+def _curve_probes(pd):
+    pts = sample_points(pd.curve, 4, seed=314, mode="real")
+    return [img.vector for img in jac.abel_map(pd, pts)]
+
+
 def test_riemann_constants_from_curve_probes(pd_g2):
-    pts = sample_points(pd_g2.curve, 4, seed=314, mode="real")
-    probes = [abel_map(pd_g2, p).vector for p in pts]
-    rc = th.find_riemann_constants(pd_g2.tau, probes)
-    assert rc.score <= 1e-6
-    assert rc.runner_up >= 1e-2
-    # the certified vector is a genuine half-period of this lattice
-    half = pd_g2.tau.z @ rc.a_half + rc.b_half
-    assert np.max(np.abs(rc.vector - half)) <= 1e-12
-    assert set(np.round(2 * rc.a_half).astype(int)) <= {0, 1}
-    assert set(np.round(2 * rc.b_half).astype(int)) <= {0, 1}
+    # the closed form is the half-period search's certified winner
+    halves, scores = riemann_constant_search(pd_g2.tau, _curve_probes(pd_g2))
+    assert scores[0] <= 1e-6
+    assert scores[1] >= 1e-2
+    k = jac.riemann_constant(pd_g2)
+    assert jac.lattice_distance(pd_g2, k - halves[0]) <= 1e-12
 
 
 def test_half_period_shift_flips_no_certification(pd_g2):
-    # shifting every probe by a fixed lattice vector leaves the winner alone
-    pts = sample_points(pd_g2.curve, 4, seed=314, mode="real")
-    probes = [abel_map(pd_g2, p).vector for p in pts]
+    # shifting every probe by a fixed lattice vector leaves the winner at K
     shift = pd_g2.tau.z @ np.array([1.0, -2.0]) + np.array([0.0, 3.0])
-    rc0 = th.find_riemann_constants(pd_g2.tau, probes)
-    rc1 = th.find_riemann_constants(pd_g2.tau, [p + shift for p in probes])
-    assert np.array_equal(rc0.a_half, rc1.a_half)
-    assert np.array_equal(rc0.b_half, rc1.b_half)
+    probes = [p + shift for p in _curve_probes(pd_g2)]
+    halves, scores = riemann_constant_search(pd_g2.tau, probes)
+    assert scores[0] <= 1e-6
+    assert scores[1] >= 1e-2
+    k = jac.riemann_constant(pd_g2)
+    assert jac.lattice_distance(pd_g2, k - halves[0]) <= 1e-12

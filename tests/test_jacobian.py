@@ -139,6 +139,34 @@ def test_abel_branch_points_are_half_periods(pd_g2):
         assert jac.lattice_distance(pd_g2, 2.0 * img.vector) <= 1e-6
 
 
+def test_riemann_constant_is_the_sum_of_even_branch_images(pd_g1, pd_g2, pd_g3):
+    for pd in (pd_g1, pd_g2, pd_g3):
+        e = pd.curve.branch_points
+        imgs = jac.abel_map(pd, [CurvePoint(pd.curve, e[2 * j], 0.0)
+                                 for j in range(1, pd.genus + 1)])
+        total = sum(img.vector for img in imgs)
+        assert np.max(np.abs(jac.riemann_constant(pd) - total)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["pd_g2", "pd_g3"])
+def test_riemann_vanishing_at_the_closed_form(name, request):
+    # theta(A(D) - K) = 0 on effective divisors D of degree g - 1; K plus
+    # any other half-period misses on some D
+    pd = request.getfixturevalue(name)
+    g = pd.genus
+    pts = curves.sample_points(pd.curve, 6 * (g - 1), seed=2718)
+    divisors = np.array([img.vector for img in jac.abel_map(pd, pts)])
+    divisors = divisors.reshape(6, g - 1, g).sum(axis=1)
+    halves = [pd.tau.z @ ch.a + ch.b
+              for ch in (theta.ThetaCharacteristic.from_bits(ia, ib, g)
+                         for ia in range(2**g) for ib in range(2**g))]
+    shifted = jac.riemann_constant(pd) + np.array(halves)
+    vals = theta.theta_batch((divisors[None] - shifted[:, None]).reshape(-1, g), pd.tau)
+    ratio = np.array([abs(v.mantissa) / v.peak for v in vals]).reshape(len(halves), 6)
+    assert np.max(ratio[0]) <= 1e-12
+    assert np.all(np.max(ratio[1:], axis=1) > 1e-2)
+
+
 def test_abel_path_independence(pd_g2):
     x = 0.6 + 0.8j
     y = np.sqrt(complex(pd_g2.curve.f(x)[0]))

@@ -1,5 +1,5 @@
-"""Per-call timings of the theta, Abel-map and trisecant layers, written to
-BENCH_<tag>.json.
+"""Per-call timings of the theta, Abel-map, trisecant and cross-ratio layers,
+written to BENCH_<tag>.json.
 
     python tools/bench_layers.py --tag TAG [--src DIR]
 
@@ -12,7 +12,11 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   curve, at seeded curve points mapped by ``abel_map``;
 - ``abel_map`` by number of seeded real points on that curve, as one call;
 - the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
-  and retries, periods included) by m, at one seed, without the report.
+  and retries, periods included) by m, at one seed, without the report;
+- ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
+  at one seed, on the bundled genus-2 curve and on a genus-3 curve with
+  real branch points; a genus the checkout refuses with ``ValueError``
+  has no key.
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -48,6 +52,8 @@ FAY_PAIRS = (2, 6, 12, 24, 48)
 ABEL_POINTS = (1, 12, 36)
 FAY_CHECK_PAIRS = (6, 12)
 FAY_CHECK_SEED = 7
+CROSS_RATIO_WEIGHTS = (1, 2)
+G3_BRANCH_POINTS = (-3.1, -2.0, -0.7, 0.0, 1.3, 2.2, 3.5)
 REPEATS = 15
 SEED = 11
 
@@ -128,6 +134,22 @@ def bench_fay_check(holodiff) -> dict:
     return out
 
 
+def bench_cross_ratio(holodiff) -> dict:
+    from holodiff import curves, jacobian, theta
+
+    out = {}
+    for curve in (_bundled_g2(holodiff), curves.HyperellipticCurve(list(G3_BRANCH_POINTS))):
+        pd = jacobian.compute_periods(curve)
+        for weight in CROSS_RATIO_WEIGHTS:
+            try:
+                theta.gamma_cross_ratio_check(pd, weight, SEED)
+            except ValueError:
+                continue
+            out[f"g{pd.genus}_w{weight}"] = _min_ms(
+                lambda: theta.gamma_cross_ratio_check(pd, weight, SEED))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
@@ -149,6 +171,7 @@ def main(argv=None) -> int:
         "fay_residual_ms_per_call": bench_fay(holodiff, np),
         "abel_map_ms_per_call": bench_abel(holodiff),
         "fay_check_g2_ms_per_call": bench_fay_check(holodiff),
+        "cross_ratio_ms_per_call": bench_cross_ratio(holodiff),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
