@@ -10,12 +10,15 @@ hyperelliptic curves a sheet sign.
 Sampling is deterministic given a seed: x is drawn from a disk of radius
 2 (complex mode) or the interval [-2, 2] (real mode), and candidates are
 rejected while they sit too close to a chart breakdown, a branch point,
-or a previously accepted point.  On a plane curve the draws still needed
-are made as one batch: y comes from one stacked companion-matrix
-`eigvals` call over the batch plus three row-wise Newton steps, and the
-candidates are then accepted or rejected one by one in draw order.  On
-a hyperelliptic curve every draw is a uniform double, so the doubles are
-read in blocks and decoded on arrays, then walked in draw order.
+or a previously accepted point.  A draw reads numpy's default Generator
+as its `uniform` and `integers` calls would, but the samplers decode it
+from the raw words of the bit generator, read in blocks (`_WordStream`):
+every word position is decoded on arrays as if a draw started there,
+and a plain loop walks the words draw by draw.  A plane-curve draw is x
+and then which root of F(x, .) to take; the drawn roots come from one
+stacked companion-matrix `eigvals` call plus three row-wise Newton
+steps.  A hyperelliptic draw is x and then the sheet.  The candidates
+are then accepted or rejected one by one in draw order.
 """
 
 from __future__ import annotations
@@ -218,14 +221,6 @@ def _too_close(x, y, accepted) -> bool:
     return False
 
 
-def _draw_x(rng, mode: str) -> complex:
-    if mode == "real":
-        return complex(rng.uniform(-2.0, 2.0))
-    r = 2.0 * np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(r * np.cos(phi), r * np.sin(phi))
-
-
 def _horner_rows(coeffs, z):
     """Value at z[i] of the polynomial with coefficients coeffs[i], highest power first."""
     acc = np.zeros_like(z)
@@ -257,86 +252,158 @@ def _pick_roots(coeffs, pick):
     return roots
 
 
-def _plane_candidates(model: PlaneCurve, n, rng, mode):
-    """n draws as (x, y, chart, sheet, reason); reason is None when acceptable.
+class _WordStream:
+    """A Generator's draws decoded from the raw 64-bit words of its PCG64.
 
-    The RNG is read as one draw at a time would read it: x, then the root
-    index when the y-polynomial at x has degree k >= 1.
+    numpy's Generator reads the stream this way, and so does this class: a
+    double (`random`, `uniform`) is (word >> 11) * 2**-53 of one fresh
+    word; `integers(k)` for 2 <= k <= 2**32 is Lemire's method on 32-bit
+    halves, the low half of a fresh word first and its high half kept for
+    the next bounded draw, drawing again while the low half of the product
+    is below (2**32 - k) % k; `integers(1)` reads nothing.  Words read
+    ahead and not yet used, and the kept half, carry over from one block
+    of draws to the next.
     """
+
+    def __init__(self, rng):
+        self._raw = rng.bit_generator.random_raw
+        self.words = np.empty(0, dtype=np.uint64)  # read ahead, not yet used
+        self.half = None  # high half kept by the last bounded draw
+
+    def read(self, count):
+        """Make at least `count` words unused, reading the shortfall as one block."""
+        if len(self.words) < count:
+            self.words = np.concatenate([self.words, self._raw(count - len(self.words))])
+
+    def doubles(self):
+        """The double rng.random() would read from each unused word."""
+        return (self.words >> 11) * 2.0**-53
+
+    def integer(self, k, pos):
+        """rng.integers(k), 1 <= k <= 2**32, with fresh words taken from
+        position `pos` on: (value, next position)."""
+        if k == 1:
+            return 0, pos
+        floor = (2**32 - k) % k
+        while True:
+            if self.half is None:
+                if pos == len(self.words):
+                    self.read(pos + 1)
+                word = int(self.words[pos])
+                pos += 1
+                low, self.half = word & 0xFFFFFFFF, word >> 32
+            else:
+                low, self.half = self.half, None
+            prod = low * k
+            if prod & 0xFFFFFFFF >= floor:
+                return prod >> 32, pos
+
+    def used(self, count):
+        """Drop the first `count` unused words."""
+        self.words = self.words[count:]
+
+
+def _x_draws(u, mode):
+    """x drawn at every position of the doubles u, as rng.uniform reads them.
+
+    Real mode: -2 + 4 u[i].  Complex mode: radius 2 sqrt(u[i]) and angle
+    2 pi u[i+1], so the last position starts no draw.
+    """
+    if mode == "real":
+        return (-2.0 + 4.0 * u).astype(complex)
+    r = 2.0 * np.sqrt(u[:-1])
+    phi = 2.0 * np.pi * u[1:]
+    x = np.empty(len(r), dtype=complex)
+    x.real = r * np.cos(phi)
+    x.imag = r * np.sin(phi)
+    return x
+
+
+def _plane_draws(model: PlaneCurve, words: _WordStream, mode):
+    """draw(n) for `_accept` on a plane curve: up to n candidates as
+    (x, y, chart, sheet, reason); reason is None when acceptable.
+
+    A draw reads x, then the root number rng.integers(k) when F(x, .) has
+    k >= 1 roots.  x, F(x, .) and k are decoded on arrays at every word
+    position, and a plain loop walks the words draw by draw.  The drawn
+    roots then come from one `_pick_roots` call and three row-wise Newton
+    steps.  Fewer than n candidates come back only when rejected bounded
+    draws ran past the words read for them.
+    """
+    per_x = 1 if mode == "real" else 2
     d = model.degree
-    xs = np.empty(n, dtype=complex)
-    coeffs = np.empty((n, d + 1), dtype=complex)
-    pick = np.full(n, -1)
-    for i in range(n):
-        xs[i] = _draw_x(rng, mode)
-        coeffs[i] = model.y_poly_coeffs(xs[i])
-        nz = coeffs[i].nonzero()[0]
-        if len(nz) and nz[0] < d:
-            pick[i] = rng.integers(d - nz[0])
-    ok = np.flatnonzero(pick >= 0)
-    x, f = xs[ok], coeffs[ok]
-    y = _pick_roots(f, pick[ok])
-    fy = f[:, :-1] * np.arange(d, 0, -1)
-    for _ in range(3):  # Newton polish on the drawn roots
-        dfy = _horner_rows(fy, y)
-        y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
-    fv = np.abs(_horner_rows(f, y))
-    gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
-    gy = np.abs(_horner_rows(fy, y))
-    grad = gx + gy
-    verdict = np.select(
-        [
-            fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
-            grad == 0.0,
-            gy >= CHART_RATIO_MIN * grad,
-            gx >= CHART_RATIO_MIN * grad,
-        ],
-        [
-            "root polish left the curve residual too large",
-            "vanishing gradient (singular point)",
-            "x",
-            "y",
-        ],
-        "near-singular chart",
-    )
-    xl = xs.tolist()
-    out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
-    for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
-        out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
-    return out
+
+    def draw(n):
+        words.read((per_x + 1) * n)
+        xs = _x_draws(words.doubles(), mode)
+        coeffs = model.y_poly_coeffs(xs)
+        nz = coeffs != 0
+        nroots = np.where(nz.any(axis=1), d - np.argmax(nz, axis=1), 0).tolist()
+        at, pick, pos = [], [], 0
+        while len(at) < n and pos < len(xs):
+            at.append(pos)
+            k = nroots[pos]
+            pos += per_x
+            if k:
+                v, pos = words.integer(k, pos)
+            else:
+                v = -1
+            pick.append(v)
+        words.used(pos)
+        xs, coeffs, pick = xs[at], coeffs[at], np.array(pick)
+        ok = np.flatnonzero(pick >= 0)
+        x, f = xs[ok], coeffs[ok]
+        y = _pick_roots(f, pick[ok])
+        fy = f[:, :-1] * np.arange(d, 0, -1)
+        for _ in range(3):  # Newton polish on the drawn roots
+            dfy = _horner_rows(fy, y)
+            y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
+        fv = np.abs(_horner_rows(f, y))
+        gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
+        gy = np.abs(_horner_rows(fy, y))
+        grad = gx + gy
+        verdict = np.select(
+            [
+                fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
+                grad == 0.0,
+                gy >= CHART_RATIO_MIN * grad,
+                gx >= CHART_RATIO_MIN * grad,
+            ],
+            [
+                "root polish left the curve residual too large",
+                "vanishing gradient (singular point)",
+                "x",
+                "y",
+            ],
+            "near-singular chart",
+        )
+        xl = xs.tolist()
+        out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
+        for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
+            out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
+        return out
+
+    return draw
 
 
-def _hyperelliptic_draws(model: HyperellipticCurve, rng, mode):
+def _hyperelliptic_draws(model: HyperellipticCurve, words: _WordStream, mode):
     """draw(n) for `_accept` on a hyperelliptic curve: n candidates as
     (x, y, chart, sheet, reason); reason is None when acceptable.
 
-    A candidate reads uniform doubles: x in real mode, or a radius and an
-    angle in complex mode, then the sheet when x is far enough from the
-    branch points.  rng.uniform(lo, hi) is lo + (hi - lo) rng.random() bit
-    for bit, so the doubles come from rng.random(k) into a buffer whose
-    unused tail carries over to the next call.  Every buffer position is
-    decoded on arrays as if a candidate started there, and a plain loop
-    walks the buffer candidate by candidate.
+    A candidate reads doubles: x, then the sheet when x is far enough
+    from the branch points.  Every word position is decoded on arrays as
+    if a candidate started there, and a plain loop walks the words
+    candidate by candidate.
     """
     per_x = 1 if mode == "real" else 2
-    buf = np.empty(0)
 
     def draw(n):
-        nonlocal buf
-        need = (per_x + 1) * n
-        if len(buf) < need:
-            buf = np.concatenate([buf, rng.random(need - len(buf))])
-        if mode == "real":
-            x = (-2.0 + 4.0 * buf).astype(complex)
-        else:
-            r = 2.0 * np.sqrt(buf[:-1])
-            phi = 2.0 * np.pi * buf[1:]
-            x = np.empty(len(r), dtype=complex)
-            x.real = r * np.cos(phi)
-            x.imag = r * np.sin(phi)
-        usable = len(buf) - per_x  # positions followed by a sheet double
+        words.read((per_x + 1) * n)
+        u = words.doubles()
+        x = _x_draws(u, mode)
+        usable = len(u) - per_x  # positions followed by a sheet double
         near = (model.branch_distance(x[:usable]) < BRANCH_MARGIN).tolist()
-        sheet = np.where(buf[per_x:] < 0.5, 1, -1)
+        sheet = np.where(u[per_x:] < 0.5, 1, -1)
         y = (sheet * np.sqrt(model.f(x[:usable]))).tolist()
         xl, sheet = x.tolist(), sheet.tolist()
         out, pos = [], 0
@@ -347,14 +414,15 @@ def _hyperelliptic_draws(model: HyperellipticCurve, rng, mode):
             else:
                 out.append((xl[pos], y[pos], "x", sheet[pos], None))
                 pos += per_x + 1
-        buf = buf[pos:]
+        words.used(pos)
         return out
 
     return draw
 
 
 def _accept(model, count, draw):
-    """Accept `draw(n)`'s candidates in draw order, within the per-point budget."""
+    """Accept the candidates of `draw(n)` calls in draw order, within the
+    per-point budget."""
     pts: list[CurvePoint] = []
     misses = 0  # draws rejected since the last accepted point
     while len(pts) < count:
@@ -384,11 +452,11 @@ def sample_points(model, count: int, seed: int, mode: str = "complex"):
         raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = np.random.default_rng(seed)
+    words = _WordStream(np.random.default_rng(seed))
     if isinstance(model, PlaneCurve):
-        return _accept(model, count, lambda n: _plane_candidates(model, n, rng, mode))
+        return _accept(model, count, _plane_draws(model, words, mode))
     if isinstance(model, HyperellipticCurve):
-        return _accept(model, count, _hyperelliptic_draws(model, rng, mode))
+        return _accept(model, count, _hyperelliptic_draws(model, words, mode))
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

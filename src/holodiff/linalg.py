@@ -48,25 +48,32 @@ class DegenerateMatrixError(ArithmeticError):
         self.pivot = pivot
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stack=False) -> np.ndarray:
+    """a as a complex square matrix, or with `stack` a stack (..., n, n) of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def hadamard_ratio(a) -> float:
+def hadamard_ratio(a):
     """|det a| over its Hadamard bound, computed without underflow.
 
     The ratio does not change when a row is scaled, so each row is first
     divided by its largest magnitude (no square can then underflow) and
     then by its 2-norm; the bound of the result is 1 and the ratio is its
-    |det|.  A zero row gives 0.
+    |det|.  A zero row gives 0.  A square matrix gives a float; a stack
+    (..., n, n) gives an array of ratios from one `det` call.  Its
+    magnitudes are Python's complex abs, as in the one-matrix case:
+    numpy's complex abs can differ from it in the last bit.
     """
-    a = scale_rows(_as_square(a))
-    norms = np.linalg.norm(a, axis=1)
+    a = scale_rows(_as_square(a, stack=True))
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
-    return abs(det(a / norms[:, None]))
+    d = det(a / norms)
+    if a.ndim == 2:
+        return abs(d)
+    return np.array([abs(v) for v in d.ravel().tolist()]).reshape(d.shape)
 
 
 def det(a):
@@ -81,13 +88,16 @@ def det(a):
     return complex(np.linalg.det(_as_square(a)))
 
 
-def signed_minor(a, p: int, q: int) -> complex:
-    """Cofactor (-1)^(p+q) det of a with row p and column q removed (0-based)."""
-    a = _as_square(a)
-    n = a.shape[0]
+def signed_minor(a, p: int, q: int):
+    """Cofactor (-1)^(p+q) det of a with row p and column q removed (0-based).
+
+    A stack (..., n, n) gives every matrix's cofactor from one `det` call.
+    """
+    a = _as_square(a, stack=True)
+    n = a.shape[-1]
     if not (0 <= p < n and 0 <= q < n):
         raise IndexError(f"minor position ({p}, {q}) out of range for size {n}")
-    sub = np.delete(np.delete(a, p, axis=0), q, axis=1)
+    sub = np.delete(np.delete(a, p, axis=-2), q, axis=-1)
     return (-1.0) ** (p + q) * det(sub)
 
 
@@ -95,13 +105,17 @@ def _certify_inverse(a: np.ndarray, a_inv: np.ndarray) -> None:
     """Refuse a when its row-scaled reciprocal condition is below PIVOT_RTOL.
 
     That condition is 1/(|D^-1 a|_inf |a^-1 D|_inf) with D the row
-    max-norms of a, so scaling a row of a leaves it unchanged.
+    max-norms of a, so scaling a row of a leaves it unchanged.  A stack of
+    matrices is refused when any one of them is, with the smallest
+    condition as the reported magnitude.
     """
-    if a.shape[0] == 0:
+    if a.size == 0:
         return
     abs_a = np.abs(a)
-    d = np.maximum(abs_a.max(axis=1), _TINY)
-    rcond = 1.0 / float((abs_a.sum(axis=1) / d).max() * (np.abs(a_inv) @ d).max())
+    d = np.maximum(abs_a.max(axis=-1), _TINY)
+    cond = (abs_a.sum(axis=-1) / d).max(axis=-1) * (
+        np.abs(a_inv) @ d[..., None]).max(axis=(-2, -1))
+    rcond = 1.0 / float(cond.max())
     if rcond < PIVOT_RTOL:
         raise DegenerateMatrixError(
             "degenerate configuration: row-scaled reciprocal condition below threshold",
@@ -114,20 +128,26 @@ def solve(a, b) -> np.ndarray:
 
     One LAPACK factorization also yields a^-1 for `_certify_inverse`; the
     reported magnitude is the row-scaled reciprocal condition of a, or 0
-    when LAPACK meets an exactly zero pivot.
+    when LAPACK meets an exactly zero pivot.  A stack a (..., n, n) with b
+    (..., n) or (..., n, k) is solved by one LAPACK call, certified matrix
+    by matrix; one refused matrix fails the call.
     """
-    a = _as_square(a)
+    a = _as_square(a, stack=True)
     b = np.asarray(b, dtype=complex)
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    n = a.shape[-1]
+    rhs = b[..., None] if b.ndim == a.ndim - 1 else b
+    if rhs.shape[-2] != n:
+        raise ValueError(f"right-hand side has {rhs.shape[-2]} rows, expected {n}")
+    k = rhs.shape[-1]
+    aug = np.zeros(a.shape[:-1] + (k + n,), dtype=complex)  # [b | I]
+    aug[..., :k] = rhs
+    aug[..., k:] = np.eye(n)
     try:
-        sol = np.linalg.solve(a, np.column_stack([b, np.eye(n, dtype=complex)]))
+        sol = np.linalg.solve(a, aug)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMatrixError("degenerate configuration: singular matrix", 0.0) from exc
-    k = sol.shape[1] - n
-    _certify_inverse(a, sol[:, k:])
-    return sol[:, :k].reshape(b.shape)
+    _certify_inverse(a, sol[..., k:])
+    return sol[..., :k].reshape(b.shape)
 
 
 def inverse(a) -> np.ndarray:
@@ -177,20 +197,20 @@ def pivot_rows(a) -> list[int]:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return []
-    rows = list(range(m.shape[0]))
+    # Elimination runs in place and zeroes each pivot's row and column, so
+    # the row-major scan below meets the remaining entries in the order of
+    # the remaining submatrix; a zeroed entry can win it only when every
+    # remaining entry is zero, and then the threshold ends the loop.
     pivots = []
     for _ in range(min(m.shape)):
-        flat = int(np.argmax(np.abs(m)))
-        i, j = divmod(flat, m.shape[1])
+        i, j = divmod(int(np.argmax(np.abs(m))), m.shape[1])
         piv = m[i, j]
         if abs(piv) < RANK_RTOL * scale:
             break
-        pivots.append(rows.pop(i))
-        col = m[:, j] / piv
-        m = m - np.outer(col, m[i, :])
-        m = np.delete(np.delete(m, i, axis=0), j, axis=1)
-        if m.size == 0:
-            break
+        pivots.append(i)
+        m -= (m[:, j] / piv)[:, None] * m[i]
+        m[i] = 0.0
+        m[:, j] = 0.0
     return pivots
 
 
@@ -202,9 +222,9 @@ def numerical_rank(a) -> int:
 def scale_rows(a) -> np.ndarray:
     """Each row divided by its largest magnitude; zero rows stay zero."""
     a = np.asarray(a)
-    rows = np.max(np.abs(a), axis=1)
+    rows = np.max(np.abs(a), axis=-1, keepdims=True)
     rows[rows == 0] = 1.0
-    return a / rows[:, None]
+    return a / rows
 
 
 def is_positive_definite(a) -> bool:

@@ -11,7 +11,7 @@ convert double sums over ordinary indices into single sums over pair slots.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class PairIndexMap:
     output.  The arrays ``first`` and ``second`` hold the 0-based version
     used for numpy indexing; ``diagonal`` flags slots whose pair repeats
     an index, and ``weight`` is the 2 - delta factor attached to a slot.
+    Every array is read-only, because `build_pair_index` hands one map per
+    size to every caller.
     """
 
     def __init__(self, g: int):
@@ -49,6 +51,8 @@ class PairIndexMap:
         self.second = np.array(second, dtype=np.intp)
         self.diagonal = self.first == self.second
         self.weight = 2.0 - self.diagonal.astype(float)
+        for arr in (self.first, self.second, self.diagonal, self.weight):
+            arr.flags.writeable = False
         self._slot = {}
         for i in range(self.m):
             a, b = int(self.first[i]) + 1, int(self.second[i]) + 1
@@ -84,14 +88,22 @@ class PairIndexMap:
     @cached_property
     def square_divisor(self) -> np.ndarray:
         """Column divisor 1 + delta of `sym_square`, as a (1, M) row."""
-        return (1.0 + self.diagonal.astype(float))[None, :]
+        out = (1.0 + self.diagonal.astype(float))[None, :]
+        out.flags.writeable = False
+        return out
 
     def __repr__(self) -> str:
         return f"PairIndexMap(g={self.g}, m={self.m})"
 
 
 def build_pair_index(g: int) -> PairIndexMap:
-    """Construct the pair enumeration for symmetric g x g arrays."""
+    """The pair enumeration for symmetric g x g arrays, built once per size
+    and shared by every caller."""
+    return _pair_index(g)
+
+
+@cache
+def _pair_index(g: int) -> PairIndexMap:
     return PairIndexMap(g)
 
 

@@ -120,6 +120,19 @@ def a_tensor(inp: RelationInput) -> np.ndarray:
     return np.einsum("ir,jr->ijr", d, d)
 
 
+def _column_pairs(g: int, labels) -> np.ndarray:
+    """(L, 2g-2, 2) 0-based pair members of the columns of each label's matrix:
+    the fixed labels, then the label itself."""
+    fixed = fixed_column_labels(g)
+    cols = np.array([fixed + [lab] for lab in labels], dtype=np.intp)
+    return cols.reshape(len(labels), len(fixed) + 1, 2) - 1
+
+
+def _labeled_matrices(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (L, 2g-2, 2g-2) stack of matrices with columns a[i,j,.] over `cols`."""
+    return np.ascontiguousarray(a[cols[..., 0], cols[..., 1]].transpose(0, 2, 1))
+
+
 def build_A(inp: RelationInput, k: int, l: int, a=None) -> np.ndarray:
     """(2g-2) x (2g-2) matrix with columns a[.,.,r] over the fixed labels plus (k,l)."""
     g = inp.genus
@@ -129,19 +142,14 @@ def build_A(inp: RelationInput, k: int, l: int, a=None) -> np.ndarray:
         raise ValueError(f"label ({k}, {l}) out of range: need 3 <= k < l <= {g}")
     if a is None:
         a = a_tensor(inp)
-    cols = fixed_column_labels(g) + [(k, l)]
-    out = np.empty((2 * g - 2, 2 * g - 2), dtype=complex)
-    for c, (i, j) in enumerate(cols):
-        out[:, c] = a[i - 1, j - 1, :]
-    return out
+    return _labeled_matrices(a, _column_pairs(g, [(k, l)]))[0]
 
 
 def verify_theorem1(inp: RelationInput, tol: float = DET_TOL):
     """Determinant-to-Hadamard ratios of every labeled matrix, plus overall PASS."""
-    a = a_tensor(inp)
-    ratios = []
-    for k, l in relation_labels(inp.genus):
-        ratios.append(((k, l), linalg.hadamard_ratio(build_A(inp, k, l, a))))
+    labels = relation_labels(inp.genus)
+    amats = _labeled_matrices(a_tensor(inp), _column_pairs(inp.genus, labels))
+    ratios = list(zip(labels, linalg.hadamard_ratio(amats).tolist()))
     ok = all(r <= tol for _, r in ratios)
     return ratios, ok
 
@@ -199,11 +207,11 @@ class RelationCoefficients:
     delta: complex
 
 
-def coefficients_from_matrices(amat: np.ndarray, dmat: np.ndarray, row: int, g: int,
-                               k: int, l: int) -> RelationCoefficients:
-    """Relation coefficients by expanding a replaced row of the labeled matrix.
+def _relations(amats: np.ndarray, dmat: np.ndarray, row: int, cols: np.ndarray,
+               labels) -> list[RelationCoefficients]:
+    """Relation coefficients of a stack of labeled matrices, one per label.
 
-    Row `row` (1-based) of the labeled matrix is replaced, per column
+    Row `row` (1-based) of each labeled matrix is replaced, per column
     label (a,b), by D[a,i]*D[b,j]; the determinant is expanded along that
     row through the cofactors of the original matrix, and normalized by
     the cofactor of the last column.
@@ -211,29 +219,42 @@ def coefficients_from_matrices(amat: np.ndarray, dmat: np.ndarray, row: int, g: 
     The cofactor row of `row` spans the null space of the matrix with
     that row deleted, so by Cramer's rule the normalized row cof/delta is
     the null vector whose last entry is 1: one solve, not one elimination
-    per cofactor.  Only delta = cof[-1] is computed as a minor.
+    per cofactor.  Only delta = cof[-1] is computed as a minor.  Every
+    delta comes from one stacked `det`, every null vector from one
+    stacked `solve`, and the raw coefficients from one pass over the
+    columns.
     """
-    size = amat.shape[0]
+    size = amats.shape[-1]
     if not 1 <= row <= size:
         raise ValueError(f"row must be in 1..{size}, got {row}")
     r0 = row - 1
-    delta = linalg.signed_minor(amat, r0, size - 1)
-    rest = np.delete(amat, r0, axis=0)
+    deltas = linalg.signed_minor(amats, r0, size - 1).tolist()
+    rest = np.delete(amats, r0, axis=-2)
     try:
-        y = linalg.solve(rest[:, :-1], -rest[:, -1])
+        y = linalg.solve(rest[..., :-1], -rest[..., -1])
     except linalg.DegenerateMatrixError:
         y = None
     # max|cof| / |delta| = max(1, max|y|)
-    if y is None or np.max(np.abs(y)) > 1.0 / DELTA_RTOL:
+    if y is None or np.max(np.abs(y), initial=0.0) > 1.0 / DELTA_RTOL:
         raise DegenerateRowError(
             f"normalizing cofactor vanished for row {row}; try a different row"
         )
-    ratios = np.append(y, 1.0)
-    labels = fixed_column_labels(g) + [(k, l)]
-    raw = np.zeros((g, g), dtype=complex)
-    for c, (a, b) in enumerate(labels):
-        raw += ratios[c] * np.outer(dmat[a - 1], dmat[b - 1])
-    return RelationCoefficients((k, l), row, (raw + raw.T) / 2, raw, delta)
+    ratios = np.concatenate([y, np.ones((len(y), 1))], axis=-1)
+    raw = np.zeros((len(y),) + (dmat.shape[-1],) * 2, dtype=complex)
+    for c in range(cols.shape[1]):
+        outer = dmat[cols[:, c, 0], :, None] * dmat[cols[:, c, 1], None, :]
+        raw += ratios[:, c, None, None] * outer
+    sym = (raw + raw.transpose(0, 2, 1)) / 2
+    return [RelationCoefficients(lab, row, sym[i], raw[i], deltas[i])
+            for i, lab in enumerate(labels)]
+
+
+def coefficients_from_matrices(amat: np.ndarray, dmat: np.ndarray, row: int, g: int,
+                               k: int, l: int) -> RelationCoefficients:
+    """Relation coefficients by expanding a replaced row of the labeled
+    matrix of label (k, l): the one-label case of `label_relations`."""
+    labels = [(k, l)]
+    return _relations(np.asarray(amat)[None], dmat, row, _column_pairs(g, labels), labels)[0]
 
 
 def relation_coefficients(inp: RelationInput, row: int, k: int, l: int) -> RelationCoefficients:
@@ -245,12 +266,10 @@ def relation_coefficients(inp: RelationInput, row: int, k: int, l: int) -> Relat
 
 def label_relations(inp: RelationInput) -> dict:
     """Coefficients of every label's relation along EXPANDED_ROW, keyed by label."""
-    g = inp.genus
-    a = a_tensor(inp)
-    dmat = minor_table(inp)
-    return {(k, l): coefficients_from_matrices(
-                build_A(inp, k, l, a), dmat, EXPANDED_ROW, g, k, l)
-            for k, l in relation_labels(g)}
+    labels = relation_labels(inp.genus)
+    cols = _column_pairs(inp.genus, labels)
+    amats = _labeled_matrices(a_tensor(inp), cols)
+    return dict(zip(labels, _relations(amats, minor_table(inp), EXPANDED_ROW, cols, labels)))
 
 
 def annihilation_residual(coeff: np.ndarray, omega_values: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ Everything here is deliberately naive: explicit loops, permutation sums,
 hand-written 2x2 inverses, term-by-term lattice sums, a search over all
 half-periods for the Riemann constant, one-draw-at-a-time point samplers,
 a one-point-at-a-time Abel map, an object-form trisecant residual, the
-trial-by-trial CLI trisecant loop and a factor-by-factor symplectic word.
-The last four, and the hyperelliptic sampler, repeat the package's
-arithmetic step for step, so the package's array forms can be held to
-equal or near-equal results.
+trial-by-trial CLI trisecant loop, a factor-by-factor symplectic word and
+a rank elimination that deletes each pivot's row and column.  The
+samplers call the Generator's own `uniform` and `integers` where the
+package decodes the raw words of its bit generator.  The last five, and
+the hyperelliptic sampler, repeat the package's arithmetic step for step,
+so the package's array forms can be held to equal or near-equal results.
 """
 
 import cmath
@@ -449,3 +451,29 @@ def random_symplectic_word(g, rng):
                       else SymplecticElement.lower_shear(s))
         elem = elem @ factor
     return elem
+
+
+def pivot_rows_by_deletion(a):
+    """Complete-pivoting pivot rows, rebuilding the remaining matrix each step.
+
+    Each step subtracts the pivot's rank-one update from the remaining
+    matrix, deletes the pivot's row and column with `np.delete`, and takes
+    the next pivot as the first largest entry of what is left, in
+    row-major order.  Pivots stop below `linalg.RANK_RTOL` times the
+    largest entry of a, as in the package.
+    """
+    from holodiff import linalg
+
+    m = np.array(a, dtype=complex)
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    rows = list(range(m.shape[0]))
+    pivots = []
+    while m.size and scale > 0.0:
+        i, j = divmod(int(np.argmax(np.abs(m))), m.shape[1])
+        piv = m[i, j]
+        if abs(piv) < linalg.RANK_RTOL * scale:
+            break
+        pivots.append(rows.pop(i))
+        m = m - np.outer(m[:, j] / piv, m[i, :])
+        m = np.delete(np.delete(m, i, axis=0), j, axis=1)
+    return pivots

@@ -172,6 +172,35 @@ def test_draw_budget_matches_one_draw_oracle(quintic, monkeypatch):
     assert any(outcomes) and not all(outcomes)
 
 
+@pytest.mark.parametrize("k", [1, 5, 3 * 2**30 + 1])
+def test_word_stream_matches_generator_draws(k):
+    # integers(1) reads no word; k = 5, the quintic's root count, rejects
+    # a 32-bit draw with probability 2**-32; k = 3 * 2**30 + 1 rejects
+    # about a quarter of them.  Blocks of draws carry unused words and the
+    # kept half-word from one block to the next, as the samplers do.
+    blocks = np.random.default_rng(k).integers(2, size=(40, 6)).tolist()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        words = curves._WordStream(np.random.default_rng(seed))
+        for block in blocks:
+            words.read(len(block))
+            pos = 0
+            for bounded in block:
+                if bounded:
+                    got, pos = words.integer(k, pos)
+                    assert got == rng.integers(k)
+                else:
+                    words.read(pos + 1)
+                    assert words.doubles()[pos] == rng.uniform()
+                    pos += 1
+            words.used(pos)
+        state = rng.bit_generator.state
+        assert (words.half is not None) == bool(state["has_uint32"])
+        assert words.half in (None, state["uinteger"])
+        words.read(1)
+        assert words.words[0] == rng.bit_generator.random_raw()
+
+
 @pytest.mark.parametrize("mode", ["complex", "real"])
 def test_hyperelliptic_sampler_matches_one_draw_oracle(hyp_g2, hyp_g4, mode):
     for seed in range(2000):

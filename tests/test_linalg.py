@@ -7,6 +7,8 @@ import pytest
 
 from holodiff import linalg
 
+from oracles import pivot_rows_by_deletion
+
 
 def _rand_c(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -178,6 +180,20 @@ def test_numerical_rank_threshold(monkeypatch):
     monkeypatch.setattr(linalg, "RANK_RTOL", 1e-15)
     assert linalg.numerical_rank(a) == 3
     assert linalg.numerical_rank(np.zeros((3, 3))) == 0
+
+
+def test_pivot_rows_match_deleting_oracle():
+    # small-integer factors give rank-deficient matrices whose entries,
+    # and after row scaling whole rows, tie in magnitude, so the pivot
+    # order rests on the row-major tie-break
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        r, c = (int(v) for v in rng.integers(1, 9, size=2))
+        rank = int(rng.integers(0, min(r, c) + 1))
+        left = rng.integers(-2, 3, size=(r, rank)) + 1j * rng.integers(-1, 2, size=(r, rank))
+        a = left @ rng.integers(-2, 3, size=(rank, c))
+        for m in (a, linalg.scale_rows(a)):
+            assert linalg.pivot_rows(m) == pivot_rows_by_deletion(m)
 
 
 def test_is_positive_definite():

@@ -5,6 +5,7 @@ import pytest
 
 from holodiff.bases import product_layout
 from holodiff.pairindex import (
+    PairIndexMap,
     build_pair_index,
     pair_vector,
     resummation_pair,
@@ -81,7 +82,7 @@ def test_sym_square_matches_explicit_index_formula(g, rng):
 
 
 def test_sym_square_grids_are_built_on_first_use():
-    pm = build_pair_index(3)
+    pm = PairIndexMap(3)  # build_pair_index shares one map, which earlier tests used
     assert "square_grids" not in vars(pm) and "square_divisor" not in vars(pm)
     sym_square(np.eye(3), pm)
     assert "square_grids" in vars(pm) and "square_divisor" in vars(pm)
@@ -151,3 +152,11 @@ def test_shape_validation():
         sym_square(np.zeros((3, 4)), pm)
     with pytest.raises(ValueError):
         build_pair_index(0)
+
+
+def test_pair_index_is_shared_and_read_only():
+    pm = build_pair_index(5)
+    assert build_pair_index(5) is pm
+    for arr in (pm.first, pm.second, pm.diagonal, pm.weight, pm.square_divisor):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0

@@ -310,17 +310,14 @@ def test_relation_set_names_dependent_label(rel_input, monkeypatch):
     # make (4, 6)'s relation a power-of-two multiple of (3, 4)'s, so after
     # row scaling the two rows are bit-equal and the elimination picks
     # (3, 4) and zeroes (4, 6)
-    real = petri.coefficients_from_matrices
-    seen = {}
+    real = petri.label_relations
 
-    def dependent(amat, dmat, row, g, k, l):
-        rc = real(amat, dmat, row, g, k, l)
-        seen[(k, l)] = rc
-        if (k, l) == (4, 6):
-            rc.coefficients = 4.0 * seen[(3, 4)].coefficients
-        return rc
+    def dependent(inp):
+        coeffs = real(inp)
+        coeffs[(4, 6)].coefficients = 4.0 * coeffs[(3, 4)].coefficients
+        return coeffs
 
-    monkeypatch.setattr(petri, "coefficients_from_matrices", dependent)
+    monkeypatch.setattr(petri, "label_relations", dependent)
     with pytest.raises(petri.RelationRankError, match="rank 5 below expected 6") as err:
         petri.build_relation_set(rel_input)
     assert err.value.offending_labels == ((4, 6),)

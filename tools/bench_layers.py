@@ -1,5 +1,5 @@
-"""Per-call timings of the theta, Abel-map, trisecant and cross-ratio layers,
-written to BENCH_<tag>.json.
+"""Per-call timings of the theta, Abel-map, trisecant, cross-ratio, sampling
+and relation layers, written to BENCH_<tag>.json.
 
     python tools/bench_layers.py --tag TAG [--src DIR]
 
@@ -16,7 +16,13 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
   at one seed, on the bundled genus-2 curve and on a genus-3 curve with
   real branch points; a genus the checkout refuses with ``ValueError``
-  has no key.
+  has no key;
+- ``sample_points`` at one seed: on the bundled plane quintic at the
+  point counts ``verify-petri`` draws (keys ``quintic_6`` ...), and on
+  the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
+  trial (key ``g2_12``);
+- ``label_relations`` (every label's relation, key ``quintic``) on the
+  bundled quintic, at seeded base and probe points.
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -54,6 +60,8 @@ FAY_CHECK_PAIRS = (6, 12)
 FAY_CHECK_SEED = 7
 CROSS_RATIO_WEIGHTS = (1, 2)
 G3_BRANCH_POINTS = (-3.1, -2.0, -0.7, 0.0, 1.3, 2.2, 3.5)
+PLANE_SAMPLES = (6, 16, 20)
+HYPERELLIPTIC_SAMPLES = 12
 REPEATS = 15
 SEED = 11
 
@@ -71,11 +79,10 @@ def _min_ms(call) -> float:
     return 1e3 * best
 
 
-def _bundled_g2(holodiff):
+def _bundled(holodiff, name):
     from holodiff import curves
 
-    spec = Path(holodiff.__file__).parent / "data" / "hyperelliptic_g2.json"
-    return curves.load_curve_spec(spec)
+    return curves.load_curve_spec(Path(holodiff.__file__).parent / "data" / name)
 
 
 def bench_theta(theta, siegel, np) -> dict:
@@ -91,7 +98,7 @@ def bench_theta(theta, siegel, np) -> dict:
 def bench_fay(holodiff, np) -> dict:
     from holodiff import curves, jacobian, theta
 
-    pd = jacobian.compute_periods(_bundled_g2(holodiff))
+    pd = jacobian.compute_periods(_bundled(holodiff, "hyperelliptic_g2.json"))
     delta = theta.ThetaCharacteristic.first_odd(2)
     out = {}
     for m in FAY_PAIRS:
@@ -115,7 +122,7 @@ def bench_fay(holodiff, np) -> dict:
 def bench_abel(holodiff) -> dict:
     from holodiff import curves, jacobian
 
-    pd = jacobian.compute_periods(_bundled_g2(holodiff))
+    pd = jacobian.compute_periods(_bundled(holodiff, "hyperelliptic_g2.json"))
     out = {}
     for n in ABEL_POINTS:
         pts = curves.sample_points(pd.curve, n, SEED + n, mode="real")
@@ -126,7 +133,7 @@ def bench_abel(holodiff) -> dict:
 def bench_fay_check(holodiff) -> dict:
     from holodiff import cli
 
-    model = _bundled_g2(holodiff)
+    model = _bundled(holodiff, "hyperelliptic_g2.json")
     out = {}
     for m in FAY_CHECK_PAIRS:
         [(_, check)] = cli._fay_check(model, 2, m, FAY_CHECK_SEED, {})
@@ -138,7 +145,8 @@ def bench_cross_ratio(holodiff) -> dict:
     from holodiff import curves, jacobian, theta
 
     out = {}
-    for curve in (_bundled_g2(holodiff), curves.HyperellipticCurve(list(G3_BRANCH_POINTS))):
+    for curve in (_bundled(holodiff, "hyperelliptic_g2.json"),
+                  curves.HyperellipticCurve(list(G3_BRANCH_POINTS))):
         pd = jacobian.compute_periods(curve)
         for weight in CROSS_RATIO_WEIGHTS:
             try:
@@ -148,6 +156,28 @@ def bench_cross_ratio(holodiff) -> dict:
             out[f"g{pd.genus}_w{weight}"] = _min_ms(
                 lambda: theta.gamma_cross_ratio_check(pd, weight, SEED))
     return out
+
+
+def bench_sample_points(holodiff) -> dict:
+    from holodiff import curves
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    out = {f"quintic_{n}": _min_ms(lambda: curves.sample_points(quintic, n, SEED))
+           for n in PLANE_SAMPLES}
+    g2 = _bundled(holodiff, "hyperelliptic_g2.json")
+    out[f"g2_{HYPERELLIPTIC_SAMPLES}"] = _min_ms(
+        lambda: curves.sample_points(g2, HYPERELLIPTIC_SAMPLES, SEED, mode="real"))
+    return out
+
+
+def bench_label_relations(holodiff) -> dict:
+    from holodiff import curves, petri
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    g = quintic.genus
+    pts = curves.sample_points(quintic, 3 * g - 2, SEED)
+    inp = petri.RelationInput(quintic, pts[:g], pts[g:])
+    return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 
 def main(argv=None) -> int:
@@ -172,6 +202,8 @@ def main(argv=None) -> int:
         "abel_map_ms_per_call": bench_abel(holodiff),
         "fay_check_g2_ms_per_call": bench_fay_check(holodiff),
         "cross_ratio_ms_per_call": bench_cross_ratio(holodiff),
+        "sample_points_ms_per_call": bench_sample_points(holodiff),
+        "label_relations_ms_per_call": bench_label_relations(holodiff),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
