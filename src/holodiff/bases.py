@@ -35,6 +35,7 @@ __all__ = [
 
 ANCHOR_COND_LIMIT = 1e8
 CHART_FLOOR = 1e-10
+CERTIFICATE_SEED = 104729  # petri_basis draws its certificate points here by default
 
 
 class NonGenericAnchorsError(RuntimeError):
@@ -244,12 +245,13 @@ def _product_rank(petri: PetriBasis, points) -> int:
     return linalg.numerical_rank(linalg.scale_rows(petri.v_matrix(points)))
 
 
-def petri_basis(model, anchors, *, certificate_seed: int = 104729) -> PetriBasis:
+def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
     """Build the cardinal sigma basis and certify the span of its products.
 
     The rank certificate is the numerical rank of the first 3g-3 products
-    over 3g-3 fresh sample points.  A plane model must certify at full
-    rank; other models report whatever rank the products actually have.
+    over the 3g-3 points `certificate`, by default drawn at
+    CERTIFICATE_SEED.  A plane model must certify at full rank; other
+    models report whatever rank the products actually have.
     """
     g = model.genus
     if g < 2:
@@ -259,8 +261,9 @@ def petri_basis(model, anchors, *, certificate_seed: int = 104729) -> PetriBasis
     omega = holomorphic_basis(model, 1)
     sigma, cond = _cardinal(omega, anchors)
     petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
-    petri.rank_certificate = _product_rank(
-        petri, sample_points(model, 3 * g - 3, certificate_seed))
+    if certificate is None:
+        certificate = sample_points(model, 3 * g - 3, CERTIFICATE_SEED)
+    petri.rank_certificate = _product_rank(petri, certificate)
     if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
         raise RankDeficiencyError(
             f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}",

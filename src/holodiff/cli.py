@@ -113,9 +113,30 @@ def _petri_checks(model, seed, tol):
     g = model.genus
     plane = isinstance(model, curves.PlaneCurve)
     checks = []
+    rank_seed = _sub_seed(seed, "petri-rank")
+    # (count, seed) of every point set a request draws unless the rank
+    # check retries; all are drawn in one sampler pass on first use
+    sets = {}
+    if plane:
+        for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
+            sets[name] = (3 * g - 2, _sub_seed(seed, name))
+        sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
+    sets["petri-rank"] = (g, rank_seed)
+    sets["petri-rank-certificate"] = (3 * g - 3, rank_seed + 7919)
 
-    def fresh_input(name, offset=0):
-        pts = curves.sample_points(model, 3 * g - 2, _sub_seed(seed, name) + offset)
+    @functools.cache
+    def drawn():
+        return dict(zip(sets, curves.sample_sets(model, list(sets.values()))))
+
+    def points(name):
+        """The points of set `name`; raises the SamplingError its draw ended with."""
+        pts = drawn()[name]
+        if isinstance(pts, curves.SamplingError):
+            raise pts
+        return pts
+
+    def fresh_input(name):
+        pts = points(name)
         return petri.RelationInput(model, pts[:g], pts[g:])
 
     if plane:
@@ -130,8 +151,7 @@ def _petri_checks(model, seed, tol):
         def check_annihilation():
             t = tol.get("annihilation", 1e-8)
             inp = fresh_input("petri-annihilation")
-            fresh = curves.sample_points(
-                model, 20, _sub_seed(seed, "petri-annihilation-points"))
+            fresh = points("petri-annihilation-points")
             omega_fresh = bases.holomorphic_basis(model).evaluate(fresh)
             worst = 0.0
             for rc in petri.label_relations(inp).values():
@@ -162,13 +182,21 @@ def _petri_checks(model, seed, tol):
 
     def check_rank():
         expected = 3 * g - 3 if plane else 2 * g - 1
-        base = _sub_seed(seed, "petri-rank")
         rank, last = None, None
         for attempt in range(4):
             try:
-                anchors = curves.sample_points(model, g, base + attempt)
-                pb = bases.petri_basis(model, anchors,
-                                       certificate_seed=base + 7919 + attempt)
+                if attempt:
+                    anchors = curves.sample_points(model, g, rank_seed + attempt)
+                    [certificate] = curves.sample_sets(
+                        model, [(3 * g - 3, rank_seed + 7919 + attempt)])
+                else:
+                    anchors = points("petri-rank")
+                    certificate = drawn()["petri-rank-certificate"]
+                if isinstance(certificate, curves.SamplingError):
+                    # fail where petri_basis would draw it: after the anchors pass
+                    bases.cardinal_basis(bases.holomorphic_basis(model), anchors)
+                    raise certificate
+                pb = bases.petri_basis(model, anchors, certificate=certificate)
                 rank = pb.rank_certificate
                 break
             except bases.RankDeficiencyError as exc:

@@ -17,8 +17,18 @@ every word position is decoded on arrays as if a draw started there,
 and a plain loop walks the words draw by draw.  A plane-curve draw is x
 and then which root of F(x, .) to take; the drawn roots come from one
 stacked companion-matrix `eigvals` call plus three row-wise Newton
-steps.  A hyperelliptic draw is x and then the sheet.  The candidates
-are then accepted or rejected one by one in draw order.
+steps.  A hyperelliptic draw is x and then the sheet.
+
+`sample_sets` draws several point sets, each from its own seed, in one
+pass: each round walks every unfinished set's own stream, evaluates the
+candidates of all sets together (the plane-curve roots of all sets in
+one `_pick_roots` call), and then lets each set accept its own
+candidates in its own draw order.  Duplicates of earlier points are
+found from one distance array per set.  Each set keeps its own budget of MAX_DRAWS_PER_POINT
+rejected draws per point, and a set that exhausts it ends with its own
+`SamplingError` while the others go on, so every set gets the points,
+or the error, that drawing it alone gives.  `sample_points` is its
+one-set case.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ __all__ = [
     "HyperellipticCurve",
     "CurvePoint",
     "sample_points",
+    "sample_sets",
     "load_curve_spec",
     "parse_curve_spec",
 ]
@@ -214,13 +225,6 @@ class CurvePoint:
         return f"CurvePoint(x={self.x:.6g}, y={self.y:.6g}, chart={self.chart!r})"
 
 
-def _too_close(x, y, accepted) -> bool:
-    for p in accepted:
-        if abs(x - p.x) + abs(y - p.y) < MIN_POINT_SEPARATION:
-            return True
-    return False
-
-
 def _horner_rows(coeffs, z):
     """Value at z[i] of the polynomial with coefficients coeffs[i], highest power first."""
     acc = np.zeros_like(z)
@@ -319,126 +323,205 @@ def _x_draws(u, mode):
     return x
 
 
-def _plane_draws(model: PlaneCurve, words: _WordStream, mode):
-    """draw(n) for `_accept` on a plane curve: up to n candidates as
+class _PointSet:
+    """One requested point set: its word stream, the points accepted so far,
+    the draw budget spent since the last one, and the error that ended it."""
+
+    def __init__(self, count, seed):
+        self.count = count
+        self.words = _WordStream(np.random.default_rng(seed))
+        self.points: list[CurvePoint] = []
+        self.misses = 0  # draws rejected since the last accepted point
+        self.error = None
+
+    @property
+    def short(self):
+        return self.count - len(self.points)
+
+
+def _plane_round(model: PlaneCurve, sets, mode):
+    """One draw per set of as many candidates as it is short, as lists of
     (x, y, chart, sheet, reason); reason is None when acceptable.
 
     A draw reads x, then the root number rng.integers(k) when F(x, .) has
-    k >= 1 roots.  x, F(x, .) and k are decoded on arrays at every word
-    position, and a plain loop walks the words draw by draw.  The drawn
-    roots then come from one `_pick_roots` call and three row-wise Newton
-    steps.  Fewer than n candidates come back only when rejected bounded
-    draws ran past the words read for them.
+    k >= 1 roots.  x is decoded at every word position of each set, F(x, .)
+    and k at all of them at once, and a plain loop walks each set's words
+    draw by draw.  The drawn roots of every set then come from one
+    `_pick_roots` call and three row-wise Newton steps.  A set gets fewer
+    candidates than it is short only when rejected bounded draws ran past
+    the words read for them.
     """
     per_x = 1 if mode == "real" else 2
     d = model.degree
-
-    def draw(n):
-        words.read((per_x + 1) * n)
-        xs = _x_draws(words.doubles(), mode)
-        coeffs = model.y_poly_coeffs(xs)
-        nz = coeffs != 0
-        nroots = np.where(nz.any(axis=1), d - np.argmax(nz, axis=1), 0).tolist()
-        at, pick, pos = [], [], 0
-        while len(at) < n and pos < len(xs):
-            at.append(pos)
-            k = nroots[pos]
+    xs = []
+    for s in sets:
+        s.words.read((per_x + 1) * s.short)
+        xs.append(_x_draws(s.words.doubles(), mode))
+    sizes = [len(x) for x in xs]
+    xs = np.concatenate(xs)
+    coeffs = model.y_poly_coeffs(xs)
+    nz = coeffs != 0
+    nroots = np.where(nz.any(axis=1), d - np.argmax(nz, axis=1), 0).tolist()
+    at, pick, ends, start = [], [], [], 0
+    for s, size in zip(sets, sizes):
+        stop, pos = len(at) + s.short, 0
+        while len(at) < stop and pos < size:
+            at.append(start + pos)
+            k = nroots[start + pos]
             pos += per_x
             if k:
-                v, pos = words.integer(k, pos)
+                v, pos = s.words.integer(k, pos)
             else:
                 v = -1
             pick.append(v)
-        words.used(pos)
-        xs, coeffs, pick = xs[at], coeffs[at], np.array(pick)
-        ok = np.flatnonzero(pick >= 0)
-        x, f = xs[ok], coeffs[ok]
-        y = _pick_roots(f, pick[ok])
-        fy = f[:, :-1] * np.arange(d, 0, -1)
-        for _ in range(3):  # Newton polish on the drawn roots
-            dfy = _horner_rows(fy, y)
-            y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
-        fv = np.abs(_horner_rows(f, y))
-        gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
-        gy = np.abs(_horner_rows(fy, y))
-        grad = gx + gy
-        verdict = np.select(
-            [
-                fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
-                grad == 0.0,
-                gy >= CHART_RATIO_MIN * grad,
-                gx >= CHART_RATIO_MIN * grad,
-            ],
-            [
-                "root polish left the curve residual too large",
-                "vanishing gradient (singular point)",
-                "x",
-                "y",
-            ],
-            "near-singular chart",
-        )
-        xl = xs.tolist()
-        out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
-        for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
-            out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
-        return out
+        s.words.used(pos)
+        ends.append(len(at))
+        start += size
+    xs, coeffs, pick = xs[at], coeffs[at], np.array(pick)
+    ok = np.flatnonzero(pick >= 0)
+    x, f = xs[ok], coeffs[ok]
+    y = _pick_roots(f, pick[ok])
+    fy = f[:, :-1] * np.arange(d, 0, -1)
+    for _ in range(3):  # Newton polish on the drawn roots
+        dfy = _horner_rows(fy, y)
+        y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
+    fv = np.abs(_horner_rows(f, y))
+    gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
+    gy = np.abs(_horner_rows(fy, y))
+    grad = gx + gy
+    verdict = np.select(
+        [
+            fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
+            grad == 0.0,
+            gy >= CHART_RATIO_MIN * grad,
+            gx >= CHART_RATIO_MIN * grad,
+        ],
+        [
+            "root polish left the curve residual too large",
+            "vanishing gradient (singular point)",
+            "x",
+            "y",
+        ],
+        "near-singular chart",
+    )
+    xl = xs.tolist()
+    out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
+    for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
+        out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
+    return [out[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
-    return draw
 
-
-def _hyperelliptic_draws(model: HyperellipticCurve, words: _WordStream, mode):
-    """draw(n) for `_accept` on a hyperelliptic curve: n candidates as
-    (x, y, chart, sheet, reason); reason is None when acceptable.
+def _hyperelliptic_round(model: HyperellipticCurve, sets, mode):
+    """One draw per set, as lists of (x, y, chart, sheet, reason); reason
+    is None when acceptable.
 
     A candidate reads doubles: x, then the sheet when x is far enough
-    from the branch points.  Every word position is decoded on arrays as
-    if a candidate started there, and a plain loop walks the words
-    candidate by candidate.
+    from the branch points.  Every word position of every set is decoded
+    at once as if a candidate started there, and a plain loop walks each
+    set's words candidate by candidate until the set has as many
+    candidates clear of the branch points as it is short.  Each set reads
+    twice the words that takes when no draw is rejected, so that it
+    seldom needs a second round.
     """
     per_x = 1 if mode == "real" else 2
-
-    def draw(n):
-        words.read((per_x + 1) * n)
-        u = words.doubles()
-        x = _x_draws(u, mode)
+    xs, sheets = [], []
+    for s in sets:
+        s.words.read(2 * (per_x + 1) * s.short)
+        u = s.words.doubles()
         usable = len(u) - per_x  # positions followed by a sheet double
-        near = (model.branch_distance(x[:usable]) < BRANCH_MARGIN).tolist()
-        sheet = np.where(u[per_x:] < 0.5, 1, -1)
-        y = (sheet * np.sqrt(model.f(x[:usable]))).tolist()
-        xl, sheet = x.tolist(), sheet.tolist()
-        out, pos = [], 0
-        for _ in range(n):
+        xs.append(_x_draws(u, mode)[:usable])
+        sheets.append(u[per_x:])
+    x = np.concatenate(xs)
+    near = (model.branch_distance(x) < BRANCH_MARGIN).tolist()
+    sheet = np.where(np.concatenate(sheets) < 0.5, 1, -1)
+    y = (sheet * np.sqrt(model.f(x))).tolist()
+    xl, sheet = x.tolist(), sheet.tolist()
+    out, start = [], 0
+    for s, block in zip(sets, xs):
+        cands, pos, end, clear = [], start, start + len(block), 0
+        while clear < s.short and pos < end:
             if near[pos]:
-                out.append((xl[pos], 0j, None, None, "too close to a branch point"))
+                cands.append((xl[pos], 0j, None, None, "too close to a branch point"))
                 pos += per_x
             else:
-                out.append((xl[pos], y[pos], "x", sheet[pos], None))
+                cands.append((xl[pos], y[pos], "x", sheet[pos], None))
+                clear += 1
                 pos += per_x + 1
-        words.used(pos)
-        return out
+        s.words.used(pos - start)
+        out.append(cands)
+        start = end
+    return out
 
-    return draw
+
+def _near_pairs(xs, ys, first):
+    """{i: [j, ...]} of the pairs j < i, i >= first, with
+    |x_i - x_j| + |y_i - y_j| < MIN_POINT_SEPARATION.
+
+    One distance array finds the candidates; numpy's complex abs can
+    differ from Python's in the last bit, so every pair within a factor 2
+    of the separation is decided by Python's expression.
+    """
+    x, y = np.array(xs), np.array(ys)
+    dist = np.abs(x[first:, None] - x) + np.abs(y[first:, None] - y)
+    rows, cols = np.nonzero(dist < 2.0 * MIN_POINT_SEPARATION)
+    pairs = {}
+    for i, j in zip((rows + first).tolist(), cols.tolist()):
+        if j < i and abs(xs[i] - xs[j]) + abs(ys[i] - ys[j]) < MIN_POINT_SEPARATION:
+            pairs.setdefault(i, []).append(j)
+    return pairs
 
 
-def _accept(model, count, draw):
-    """Accept the candidates of `draw(n)` calls in draw order, within the
-    per-point budget."""
-    pts: list[CurvePoint] = []
-    misses = 0  # draws rejected since the last accepted point
-    while len(pts) < count:
-        for x, y, chart, sheet, reason in draw(count - len(pts)):
-            if reason is None and _too_close(x, y, pts):
-                reason = "duplicate of an accepted point"
-            if reason is None:
-                pts.append(CurvePoint(model, complex(x), complex(y), chart, sheet))
-                misses = 0
-                continue
-            misses += 1
-            if misses == MAX_DRAWS_PER_POINT:
-                raise SamplingError(
-                    f"gave up after {MAX_DRAWS_PER_POINT} draws; last rejection: {reason}"
-                )
-    return pts
+def _accept(model, s: _PointSet, cands):
+    """Accept a set's candidates in draw order within its per-point budget;
+    the set's error is set when the budget runs out."""
+    first = len(s.points)
+    near = _near_pairs([p.x for p in s.points] + [c[0] for c in cands],
+                       [p.y for p in s.points] + [c[1] for c in cands], first)
+    taken = set(range(first))
+    for i, (x, y, chart, sheet, reason) in enumerate(cands, first):
+        if reason is None and i in near and any(j in taken for j in near[i]):
+            reason = "duplicate of an accepted point"
+        if reason is None:
+            s.points.append(CurvePoint(model, complex(x), complex(y), chart, sheet))
+            taken.add(i)
+            s.misses = 0
+            continue
+        s.misses += 1
+        if s.misses == MAX_DRAWS_PER_POINT:
+            s.error = SamplingError(
+                f"gave up after {MAX_DRAWS_PER_POINT} draws; last rejection: {reason}"
+            )
+            return
+
+
+def sample_sets(model, requests, mode: str = "complex"):
+    """Draw several point sets, each as `sample_points(model, count, seed,
+    mode)` draws it, in one pass.
+
+    `requests` lists (count, seed) pairs.  Every round draws the candidates
+    each unfinished set is short of from its own stream and evaluates all
+    of them together; then each set accepts its own candidates in its own
+    draw order, within its own per-point budget.  The result lists, per
+    request, its points, or the `SamplingError` that ended its draws; a
+    failing set leaves the others unchanged.
+    """
+    if mode not in ("real", "complex"):
+        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
+    if any(count < 0 for count, _ in requests):
+        raise ValueError("count must be nonnegative")
+    if isinstance(model, PlaneCurve):
+        draw = _plane_round
+    elif isinstance(model, HyperellipticCurve):
+        draw = _hyperelliptic_round
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    sets = [_PointSet(count, seed) for count, seed in requests]
+    pending = [s for s in sets if s.count]
+    while pending:
+        for s, cands in zip(pending, draw(model, pending, mode)):
+            _accept(model, s, cands)
+        pending = [s for s in pending if s.error is None and s.short]
+    return [s.error or s.points for s in sets]
 
 
 def sample_points(model, count: int, seed: int, mode: str = "complex"):
@@ -446,18 +529,13 @@ def sample_points(model, count: int, seed: int, mode: str = "complex"):
 
     mode 'complex' draws x from the disk of radius 2, mode 'real' from the
     interval [-2, 2].  Both reject points near chart breakdowns or branch
-    points and points indistinct from earlier accepted ones.
+    points and points indistinct from earlier accepted ones.  This is the
+    one-set case of `sample_sets`.
     """
-    if mode not in ("real", "complex"):
-        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    words = _WordStream(np.random.default_rng(seed))
-    if isinstance(model, PlaneCurve):
-        return _accept(model, count, _plane_draws(model, words, mode))
-    if isinstance(model, HyperellipticCurve):
-        return _accept(model, count, _hyperelliptic_draws(model, words, mode))
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    [points] = sample_sets(model, [(count, seed)], mode)
+    if isinstance(points, SamplingError):
+        raise points
+    return points
 
 
 def _require(cond, field, message):

@@ -65,9 +65,11 @@ def hadamard_ratio(a):
     |det|.  A zero row gives 0.  A square matrix gives a float; a stack
     (..., n, n) gives an array of ratios from one `det` call.  Its
     magnitudes are Python's complex abs, as in the one-matrix case:
-    numpy's complex abs can differ from it in the last bit.
+    numpy's complex abs can differ from it in the last bit.  The rows are
+    summed from a C-contiguous copy, so a transposed or sliced input
+    gives the ratios of its contiguous copy.
     """
-    a = scale_rows(_as_square(a, stack=True))
+    a = scale_rows(np.ascontiguousarray(_as_square(a, stack=True)))
     norms = np.linalg.norm(a, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     d = det(a / norms)

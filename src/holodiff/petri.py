@@ -72,8 +72,8 @@ class RelationInput:
         self.basis = holomorphic_basis(model, 1)
         self.p_points = tuple(p_points)
         self.q_points = tuple(q_points)
-        self.omega_p = self.basis.evaluate(self.p_points)
-        self.omega_q = self.basis.evaluate(self.q_points)
+        omega = self.basis.evaluate(self.p_points + self.q_points)
+        self.omega_p, self.omega_q = omega[:, :g], omega[:, g:]
         self.det_p = linalg.det(self.omega_p)
         ratio = linalg.hadamard_ratio(self.omega_p)
         if ratio < 1e-12:

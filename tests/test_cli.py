@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import re
 
 import pytest
 
@@ -154,16 +155,90 @@ def test_petri_rank_deficient_on_every_draw_fails(monkeypatch, capsys):
     calls = []
 
     def deficient(model, anchors, **kwargs):
-        calls.append(kwargs["certificate_seed"])
+        calls.append(kwargs["certificate"])
         raise bases.RankDeficiencyError("unexpected rank deficiency", 14)
 
     monkeypatch.setattr(bases, "petri_basis", deficient)
     assert main(["verify-petri"]) == 1
     out = capsys.readouterr().out
     assert len(calls) == 4
+    assert [len(pts) for pts in calls] == [15] * 4
     assert "check=petri-rank anchor=product-rank status=FAIL" in out
     assert "rank=14 expected=15" in out
     assert "internal-error" not in out
+
+
+def test_petri_draws_every_set_in_one_pass(monkeypatch, capsys):
+    calls = []
+    sample_sets = curves.sample_sets
+    monkeypatch.setattr(curves, "sample_sets", lambda model, requests, mode="complex":
+                        calls.append(list(requests)) or sample_sets(model, requests, mode))
+    monkeypatch.setattr(curves, "sample_points", None)  # nothing draws set by set
+    assert main(["verify-petri"]) == 0
+    capsys.readouterr()
+    seed = cli.DEFAULT_SEED
+    rank = cli._sub_seed(seed, "petri-rank")
+    assert calls == [[
+        (16, cli._sub_seed(seed, "petri-determinants")),
+        (16, cli._sub_seed(seed, "petri-annihilation")),
+        (16, cli._sub_seed(seed, "petri-relations")),
+        (20, cli._sub_seed(seed, "petri-annihilation-points")),
+        (6, rank),
+        (15, rank + 7919),
+    ]]
+
+
+def _report_lines(out):
+    return [re.sub(r" ms=\S+", "", ln) for ln in out.splitlines()]
+
+
+@pytest.mark.parametrize("target,check", [
+    ("petri-determinants", "petri-determinants"),
+    ("petri-annihilation", "petri-annihilation"),
+    ("petri-annihilation-points", "petri-annihilation"),
+    ("petri-relations", "petri-relations"),
+    ("petri-rank", "petri-rank"),
+    ("petri-rank-certificate", "petri-rank"),
+])
+def test_petri_failing_set_fails_only_its_check(target, check, monkeypatch, capsys):
+    seed = cli.DEFAULT_SEED
+    assert main(["verify-petri"]) == 0
+    want = _report_lines(capsys.readouterr().out)
+    rank = cli._sub_seed(seed, "petri-rank")
+    bad = rank + 7919 if target == "petri-rank-certificate" else cli._sub_seed(seed, target)
+    sample_sets = curves.sample_sets
+
+    def faulty(model, requests, mode="complex"):
+        out = sample_sets(model, requests, mode)
+        return [curves.SamplingError("injected sampling failure") if s == bad else pts
+                for (_, s), pts in zip(requests, out)]
+
+    monkeypatch.setattr(curves, "sample_sets", faulty)
+    assert main(["verify-petri"]) == 1
+    got = _report_lines(capsys.readouterr().out)
+    changed = [(a, b) for a, b in zip(want, got) if a != b]
+    assert len(want) == len(got)
+    assert [b for _, b in changed][:1] == [
+        f"check={check} anchor=internal-error status=FAIL residual=- tol=- "
+        "note=SamplingError: injected sampling failure"]
+    assert all(a.startswith(f"check={check} ") or a.startswith("overall=")
+               for a, _ in changed)
+
+
+def test_petri_certificate_failure_waits_for_the_anchor_test(monkeypatch, capsys):
+    # petri_basis tests the anchors before it needs the certificate points,
+    # so with every anchor draw refused the check reports the anchors,
+    # not the failed certificate set
+    bad = cli._sub_seed(cli.DEFAULT_SEED, "petri-rank") + 7919
+    sample_sets = curves.sample_sets
+    monkeypatch.setattr(curves, "sample_sets", lambda model, requests, mode="complex": [
+        curves.SamplingError("injected sampling failure") if s == bad else pts
+        for (_, s), pts in zip(requests, sample_sets(model, requests, mode))])
+    monkeypatch.setattr(bases, "ANCHOR_COND_LIMIT", 0.0)
+    assert main(["verify-petri"]) == 1
+    out = "\n".join(_report_lines(capsys.readouterr().out))
+    assert ("check=petri-rank anchor=internal-error status=FAIL residual=- tol=- "
+            "note=NonGenericAnchorsError: non-generic anchors") in out
 
 
 @pytest.mark.parametrize("seed", ["14127", "73751"])

@@ -233,6 +233,101 @@ def test_hyperelliptic_draw_budget_matches_one_draw_oracle(hyp_g2, monkeypatch, 
     assert any(outcomes) and not all(outcomes)
 
 
+def _as_tuples(points):
+    return [(p.x, p.y, p.chart, p.sheet) for p in points]
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+@pytest.mark.parametrize("kind", ["quintic", "g2", "g4"])
+def test_sample_sets_match_set_by_set_draws(quintic, hyp_g2, hyp_g4, kind, mode):
+    # mixed counts and seeds in each call, a zero count among them; every
+    # set is the points sample_points and the one-draw oracle give it alone
+    model = {"quintic": quintic, "g2": hyp_g2, "g4": hyp_g4}[kind]
+    counts = (16, 20, 0, 6, 15, 3)
+    for call in range(40):
+        requests = [(count, 97 * call + k) for k, count in enumerate(counts)]
+        got = curves.sample_sets(model, requests, mode)
+        assert len(got) == len(requests)
+        for (count, seed), pts in zip(requests, got):
+            assert _as_tuples(pts) == _as_tuples(curves.sample_points(model, count, seed, mode))
+            if kind == "quintic":
+                want = sample_plane(model, count, seed, mode)
+                assert [(p.x, p.chart) for p in pts] == [(x, c) for x, _, c in want]
+                for p, (_, y, _) in zip(pts, want):
+                    assert abs(p.y - y) <= 1e-15 * abs(y)
+            else:
+                assert [(p.x, p.y, p.chart, p.sheet) for p in pts] == sample_hyperelliptic(
+                    model, count, seed, mode)
+
+
+def test_sample_sets_budget_fails_only_its_own_set(quintic, hyp_g2, monkeypatch):
+    # at this separation forty points cannot all be told apart, so the
+    # 40-point set runs out of draws; the small sets around it still come back
+    monkeypatch.setattr(curves, "MIN_POINT_SEPARATION", 2.5)
+    for model, mode in ((quintic, "complex"), (hyp_g2, "real")):
+        requests = [(2, 0), (40, 1), (3, 2)]
+        got = curves.sample_sets(model, requests, mode)
+        assert isinstance(got[1], curves.SamplingError)
+        assert str(got[1]) == (f"gave up after {curves.MAX_DRAWS_PER_POINT} draws; "
+                               "last rejection: duplicate of an accepted point")
+        with pytest.raises(curves.SamplingError) as exc:
+            curves.sample_points(model, 40, 1, mode)
+        assert str(exc.value) == str(got[1])
+        for k in (0, 2):
+            count, seed = requests[k]
+            assert _as_tuples(got[k]) == _as_tuples(
+                curves.sample_points(model, count, seed, mode))
+    # every draw fails the chart test: each set gets its own error
+    monkeypatch.setattr(curves, "CHART_RATIO_MIN", 2.0)
+    got = curves.sample_sets(quintic, [(3, 0), (0, 1), (1, 2)])
+    assert got[1] == []
+    for err in (got[0], got[2]):
+        assert isinstance(err, curves.SamplingError)
+        assert "near-singular chart" in str(err)
+    assert got[0] is not got[2]
+
+
+def test_sample_sets_validation(quintic):
+    with pytest.raises(ValueError, match="mode"):
+        curves.sample_sets(quintic, [(3, 0)], mode="imaginary")
+    with pytest.raises(ValueError, match="nonnegative"):
+        curves.sample_sets(quintic, [(3, 0), (-1, 1)])
+    with pytest.raises(TypeError, match="unsupported model"):
+        curves.sample_sets(object(), [(3, 0)])
+    assert curves.sample_sets(quintic, []) == []
+
+
+def test_near_pairs_match_python_distances():
+    # clouds on the scale of the separation, each with one pair placed at
+    # the separation itself, where numpy's complex abs and Python's often
+    # disagree in the last bit; the pairs found must be exactly those of
+    # Python's expression
+    sep = curves.MIN_POINT_SEPARATION
+    rng = np.random.default_rng(5)
+    disagree = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        xs = sep * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        ys = sep * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        i, j = rng.choice(n, 2, replace=False).tolist()
+        dy = 0.3 * sep * complex(*rng.standard_normal(2))
+        step = complex(*rng.standard_normal(2))
+        xs[j] = xs[i] + step * (sep - abs(dy)) / abs(step)
+        ys[j] = ys[i] + dy
+        numpy_dist = np.abs(xs[j] - xs[i:i + 1]) + np.abs(ys[j] - ys[i:i + 1])
+        xs, ys = xs.tolist(), ys.tolist()
+        first = int(rng.integers(0, n))
+        want = {}
+        for a in range(first, n):
+            for b in range(a):
+                if abs(xs[a] - xs[b]) + abs(ys[a] - ys[b]) < sep:
+                    want.setdefault(a, []).append(b)
+        assert curves._near_pairs(xs, ys, first) == want
+        python_dist = abs(xs[j] - xs[i]) + abs(ys[j] - ys[i])
+        disagree += bool(numpy_dist[0] < sep) != (python_dist < sep)
+    assert disagree > 0
+
+
 def test_parse_plane_spec():
     model = curves.parse_curve_spec(
         '{"type": "plane", "degree": 5,'

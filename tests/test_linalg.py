@@ -78,6 +78,19 @@ def test_hadamard_ratio_survives_underflowing_rows(n):
     assert linalg.hadamard_ratio(singular) == 0.0
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_hadamard_ratio_independent_of_memory_layout(n):
+    # numpy sums a row norm pairwise only along contiguous rows; a
+    # transposed or column-sliced stack must read its contiguous copy's ratios
+    rng = np.random.default_rng(300 + n)
+    wide = _rand_c(rng, (300, n, n + 3))
+    for view in (wide.transpose(0, 2, 1)[:, :n], wide[..., 2:n + 2]):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        assert np.array_equal(linalg.hadamard_ratio(view), linalg.hadamard_ratio(copy))
+        assert linalg.hadamard_ratio(view[7]) == linalg.hadamard_ratio(copy[7])
+
+
 def test_signed_minor_expansion():
     rng = np.random.default_rng(7)
     a = _rand_c(rng, (5, 5))

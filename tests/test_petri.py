@@ -51,6 +51,20 @@ def test_relation_input_point_counts(quintic):
         petri.RelationInput(quintic, pts[:6], pts[6:15])
 
 
+def test_relation_input_evaluates_both_point_sets_at_once(quintic, monkeypatch):
+    basis = holomorphic_basis(quintic)
+    calls = []
+    evaluate = type(basis).evaluate
+    monkeypatch.setattr(type(basis), "evaluate",
+                        lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
+    for seed in range(40):
+        pts = sample_points(quintic, 16, seed=SEED + seed)
+        inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+        assert np.array_equal(inp.omega_p, evaluate(basis, pts[:6]))
+        assert np.array_equal(inp.omega_q, evaluate(basis, pts[6:]))
+    assert calls == [16] * 40
+
+
 def test_relation_input_rejects_singular_base(quintic):
     pts = sample_points(quintic, 16, seed=SEED)
     with pytest.raises(linalg.DegenerateMatrixError):

@@ -21,6 +21,12 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   point counts ``verify-petri`` draws (keys ``quintic_6`` ...), and on
   the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
   trial (key ``g2_12``);
+- the six point sets of one ``verify-petri`` request on the bundled
+  quintic at one seed (key ``quintic``): one ``sample_sets`` call, or, in
+  a checkout without it, one ``sample_points`` call per set;
+- ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
+  and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
+  point count of those six sets);
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, at seeded base and probe points.
 
@@ -62,6 +68,7 @@ CROSS_RATIO_WEIGHTS = (1, 2)
 G3_BRANCH_POINTS = (-3.1, -2.0, -0.7, 0.0, 1.3, 2.2, 3.5)
 PLANE_SAMPLES = (6, 16, 20)
 HYPERELLIPTIC_SAMPLES = 12
+EVALUATE_POINTS = (16, 89)
 REPEATS = 15
 SEED = 11
 
@@ -170,6 +177,40 @@ def bench_sample_points(holodiff) -> dict:
     return out
 
 
+def petri_sets(g, seed):
+    """(count, seed) of the six point sets a ``verify-petri`` request draws."""
+    from holodiff import cli
+
+    names = ("petri-determinants", "petri-annihilation", "petri-relations")
+    rank = cli._sub_seed(seed, "petri-rank")
+    return ([(3 * g - 2, cli._sub_seed(seed, name)) for name in names]
+            + [(20, cli._sub_seed(seed, "petri-annihilation-points")),
+               (g, rank), (3 * g - 3, rank + 7919)])
+
+
+def bench_petri_sets(holodiff) -> dict:
+    from holodiff import curves
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    requests = petri_sets(quintic.genus, SEED)
+    if hasattr(curves, "sample_sets"):
+        return {"quintic": _min_ms(lambda: curves.sample_sets(quintic, requests))}
+    return {"quintic": _min_ms(
+        lambda: [curves.sample_points(quintic, n, s) for n, s in requests])}
+
+
+def bench_evaluate(holodiff) -> dict:
+    from holodiff import bases, curves
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    basis = bases.holomorphic_basis(quintic)
+    out = {}
+    for n in EVALUATE_POINTS:
+        pts = curves.sample_points(quintic, n, SEED + n)
+        out[f"quintic_{n}"] = _min_ms(lambda: basis.evaluate(pts))
+    return out
+
+
 def bench_label_relations(holodiff) -> dict:
     from holodiff import curves, petri
 
@@ -203,6 +244,8 @@ def main(argv=None) -> int:
         "fay_check_g2_ms_per_call": bench_fay_check(holodiff),
         "cross_ratio_ms_per_call": bench_cross_ratio(holodiff),
         "sample_points_ms_per_call": bench_sample_points(holodiff),
+        "petri_sets_ms_per_call": bench_petri_sets(holodiff),
+        "evaluate_ms_per_call": bench_evaluate(holodiff),
         "label_relations_ms_per_call": bench_label_relations(holodiff),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
