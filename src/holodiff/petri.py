@@ -130,7 +130,7 @@ def _column_pairs(g: int, labels) -> np.ndarray:
 
 def _labeled_matrices(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The (L, 2g-2, 2g-2) stack of matrices with columns a[i,j,.] over `cols`."""
-    return np.ascontiguousarray(a[cols[..., 0], cols[..., 1]].transpose(0, 2, 1))
+    return a[cols[..., 0], cols[..., 1]].transpose(0, 2, 1)
 
 
 def build_A(inp: RelationInput, k: int, l: int, a=None) -> np.ndarray:
