@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curves import HyperellipticCurve, PlaneCurve, ChartError, sample_points
+from .curves import HyperellipticCurve, PlaneCurve, ChartError, SamplingError, sample_points
 from .pairindex import PairIndexMap, build_pair_index
 
 __all__ = [
@@ -250,8 +250,10 @@ def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
 
     The rank certificate is the numerical rank of the first 3g-3 products
     over the 3g-3 points `certificate`, by default drawn at
-    CERTIFICATE_SEED.  A plane model must certify at full rank; other
-    models report whatever rank the products actually have.
+    CERTIFICATE_SEED.  A `SamplingError` given as `certificate` is raised
+    once the anchors pass, where the default points would be drawn.  A
+    plane model must certify at full rank; other models report whatever
+    rank the products actually have.
     """
     g = model.genus
     if g < 2:
@@ -263,6 +265,8 @@ def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
     petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
     if certificate is None:
         certificate = sample_points(model, 3 * g - 3, CERTIFICATE_SEED)
+    elif isinstance(certificate, SamplingError):
+        raise certificate
     petri.rank_certificate = _product_rank(petri, certificate)
     if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
         raise RankDeficiencyError(

@@ -109,23 +109,33 @@ def _emit(rep: Report, report_path) -> int:
 # ---------------------------------------------------------------- petri
 
 
+def _petri_rank_sets(g, seed, attempt):
+    """(count, seed) of the anchor and certificate sets of a petri-rank attempt."""
+    rank_seed = _sub_seed(seed, "petri-rank") + attempt
+    return {"petri-rank": (g, rank_seed), "petri-rank-certificate": (3 * g - 3, rank_seed + 7919)}
+
+
+def _petri_point_sets(model, seed):
+    """(count, seed) of every point set a verify-petri request draws unless
+    its rank check retries, by name."""
+    g = model.genus
+    sets = {}
+    if isinstance(model, curves.PlaneCurve):
+        for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
+            sets[name] = (3 * g - 2, _sub_seed(seed, name))
+        sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
+    return sets | _petri_rank_sets(g, seed, 0)
+
+
 def _petri_checks(model, seed, tol):
     g = model.genus
     plane = isinstance(model, curves.PlaneCurve)
     checks = []
-    rank_seed = _sub_seed(seed, "petri-rank")
-    # (count, seed) of every point set a request draws unless the rank
-    # check retries; all are drawn in one sampler pass on first use
-    sets = {}
-    if plane:
-        for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
-            sets[name] = (3 * g - 2, _sub_seed(seed, name))
-        sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
-    sets["petri-rank"] = (g, rank_seed)
-    sets["petri-rank-certificate"] = (3 * g - 3, rank_seed + 7919)
+    sets = _petri_point_sets(model, seed)
 
     @functools.cache
     def drawn():
+        """Every set of `sets`, drawn in one sampler pass on first use."""
         return dict(zip(sets, curves.sample_sets(model, list(sets.values()))))
 
     def points(name):
@@ -184,18 +194,14 @@ def _petri_checks(model, seed, tol):
         expected = 3 * g - 3 if plane else 2 * g - 1
         rank, last = None, None
         for attempt in range(4):
+            if attempt:
+                anchors, certificate = curves.sample_sets(
+                    model, list(_petri_rank_sets(g, seed, attempt).values()))
+            else:
+                anchors, certificate = drawn()["petri-rank"], drawn()["petri-rank-certificate"]
+            if isinstance(anchors, curves.SamplingError):
+                raise anchors
             try:
-                if attempt:
-                    anchors = curves.sample_points(model, g, rank_seed + attempt)
-                    [certificate] = curves.sample_sets(
-                        model, [(3 * g - 3, rank_seed + 7919 + attempt)])
-                else:
-                    anchors = points("petri-rank")
-                    certificate = drawn()["petri-rank-certificate"]
-                if isinstance(certificate, curves.SamplingError):
-                    # fail where petri_basis would draw it: after the anchors pass
-                    bases.cardinal_basis(bases.holomorphic_basis(model), anchors)
-                    raise certificate
                 pb = bases.petri_basis(model, anchors, certificate=certificate)
                 rank = pb.rank_certificate
                 break

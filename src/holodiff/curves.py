@@ -23,12 +23,11 @@ steps.  A hyperelliptic draw is x and then the sheet.
 pass: each round walks every unfinished set's own stream, evaluates the
 candidates of all sets together (the plane-curve roots of all sets in
 one `_pick_roots` call), and then lets each set accept its own
-candidates in its own draw order.  Duplicates of earlier points are
-found from one distance array per set.  Each set keeps its own budget of MAX_DRAWS_PER_POINT
-rejected draws per point, and a set that exhausts it ends with its own
-`SamplingError` while the others go on, so every set gets the points,
-or the error, that drawing it alone gives.  `sample_points` is its
-one-set case.
+candidates in its own draw order.  Each set keeps its own budget of
+MAX_DRAWS_PER_POINT rejected draws per point, and a set that exhausts
+it ends with its own `SamplingError` while the others go on, so every
+set gets the points, or the error, that drawing it alone gives.
+`sample_points` is its one-set case.
 """
 
 from __future__ import annotations
@@ -225,6 +224,13 @@ class CurvePoint:
         return f"CurvePoint(x={self.x:.6g}, y={self.y:.6g}, chart={self.chart!r})"
 
 
+def _too_close(x, y, accepted) -> bool:
+    for p in accepted:
+        if abs(x - p.x) + abs(y - p.y) < MIN_POINT_SEPARATION:
+            return True
+    return False
+
+
 def _horner_rows(coeffs, z):
     """Value at z[i] of the polynomial with coefficients coeffs[i], highest power first."""
     acc = np.zeros_like(z)
@@ -412,21 +418,18 @@ def _plane_round(model: PlaneCurve, sets, mode):
 
 
 def _hyperelliptic_round(model: HyperellipticCurve, sets, mode):
-    """One draw per set, as lists of (x, y, chart, sheet, reason); reason
-    is None when acceptable.
+    """One draw per set of as many candidates as it is short, as lists of
+    (x, y, chart, sheet, reason); reason is None when acceptable.
 
     A candidate reads doubles: x, then the sheet when x is far enough
     from the branch points.  Every word position of every set is decoded
     at once as if a candidate started there, and a plain loop walks each
-    set's words candidate by candidate until the set has as many
-    candidates clear of the branch points as it is short.  Each set reads
-    twice the words that takes when no draw is rejected, so that it
-    seldom needs a second round.
+    set's words candidate by candidate.
     """
     per_x = 1 if mode == "real" else 2
     xs, sheets = [], []
     for s in sets:
-        s.words.read(2 * (per_x + 1) * s.short)
+        s.words.read((per_x + 1) * s.short)
         u = s.words.doubles()
         usable = len(u) - per_x  # positions followed by a sheet double
         xs.append(_x_draws(u, mode)[:usable])
@@ -438,52 +441,28 @@ def _hyperelliptic_round(model: HyperellipticCurve, sets, mode):
     xl, sheet = x.tolist(), sheet.tolist()
     out, start = [], 0
     for s, block in zip(sets, xs):
-        cands, pos, end, clear = [], start, start + len(block), 0
-        while clear < s.short and pos < end:
+        cands, pos = [], start
+        for _ in range(s.short):
             if near[pos]:
                 cands.append((xl[pos], 0j, None, None, "too close to a branch point"))
                 pos += per_x
             else:
                 cands.append((xl[pos], y[pos], "x", sheet[pos], None))
-                clear += 1
                 pos += per_x + 1
         s.words.used(pos - start)
         out.append(cands)
-        start = end
+        start += len(block)
     return out
-
-
-def _near_pairs(xs, ys, first):
-    """{i: [j, ...]} of the pairs j < i, i >= first, with
-    |x_i - x_j| + |y_i - y_j| < MIN_POINT_SEPARATION.
-
-    One distance array finds the candidates; numpy's complex abs can
-    differ from Python's in the last bit, so every pair within a factor 2
-    of the separation is decided by Python's expression.
-    """
-    x, y = np.array(xs), np.array(ys)
-    dist = np.abs(x[first:, None] - x) + np.abs(y[first:, None] - y)
-    rows, cols = np.nonzero(dist < 2.0 * MIN_POINT_SEPARATION)
-    pairs = {}
-    for i, j in zip((rows + first).tolist(), cols.tolist()):
-        if j < i and abs(xs[i] - xs[j]) + abs(ys[i] - ys[j]) < MIN_POINT_SEPARATION:
-            pairs.setdefault(i, []).append(j)
-    return pairs
 
 
 def _accept(model, s: _PointSet, cands):
     """Accept a set's candidates in draw order within its per-point budget;
     the set's error is set when the budget runs out."""
-    first = len(s.points)
-    near = _near_pairs([p.x for p in s.points] + [c[0] for c in cands],
-                       [p.y for p in s.points] + [c[1] for c in cands], first)
-    taken = set(range(first))
-    for i, (x, y, chart, sheet, reason) in enumerate(cands, first):
-        if reason is None and i in near and any(j in taken for j in near[i]):
+    for x, y, chart, sheet, reason in cands:
+        if reason is None and _too_close(x, y, s.points):
             reason = "duplicate of an accepted point"
         if reason is None:
             s.points.append(CurvePoint(model, complex(x), complex(y), chart, sheet))
-            taken.add(i)
             s.misses = 0
             continue
         s.misses += 1

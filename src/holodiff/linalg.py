@@ -109,11 +109,13 @@ def _certify_inverse(a: np.ndarray, a_inv: np.ndarray) -> None:
     That condition is 1/(|D^-1 a|_inf |a^-1 D|_inf) with D the row
     max-norms of a, so scaling a row of a leaves it unchanged.  A stack of
     matrices is refused when any one of them is, with the smallest
-    condition as the reported magnitude.
+    condition as the reported magnitude.  The rows are summed from a
+    C-contiguous copy, so a transposed or sliced a gets the condition of
+    its contiguous copy.
     """
     if a.size == 0:
         return
-    abs_a = np.abs(a)
+    abs_a = np.abs(np.ascontiguousarray(a))
     d = np.maximum(abs_a.max(axis=-1), _TINY)
     cond = (abs_a.sum(axis=-1) / d).max(axis=-1) * (
         np.abs(a_inv) @ d[..., None]).max(axis=(-2, -1))

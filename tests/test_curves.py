@@ -297,37 +297,6 @@ def test_sample_sets_validation(quintic):
     assert curves.sample_sets(quintic, []) == []
 
 
-def test_near_pairs_match_python_distances():
-    # clouds on the scale of the separation, each with one pair placed at
-    # the separation itself, where numpy's complex abs and Python's often
-    # disagree in the last bit; the pairs found must be exactly those of
-    # Python's expression
-    sep = curves.MIN_POINT_SEPARATION
-    rng = np.random.default_rng(5)
-    disagree = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 12))
-        xs = sep * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        ys = sep * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        i, j = rng.choice(n, 2, replace=False).tolist()
-        dy = 0.3 * sep * complex(*rng.standard_normal(2))
-        step = complex(*rng.standard_normal(2))
-        xs[j] = xs[i] + step * (sep - abs(dy)) / abs(step)
-        ys[j] = ys[i] + dy
-        numpy_dist = np.abs(xs[j] - xs[i:i + 1]) + np.abs(ys[j] - ys[i:i + 1])
-        xs, ys = xs.tolist(), ys.tolist()
-        first = int(rng.integers(0, n))
-        want = {}
-        for a in range(first, n):
-            for b in range(a):
-                if abs(xs[a] - xs[b]) + abs(ys[a] - ys[b]) < sep:
-                    want.setdefault(a, []).append(b)
-        assert curves._near_pairs(xs, ys, first) == want
-        python_dist = abs(xs[j] - xs[i]) + abs(ys[j] - ys[i])
-        disagree += bool(numpy_dist[0] < sep) != (python_dist < sep)
-    assert disagree > 0
-
-
 def test_parse_plane_spec():
     model = curves.parse_curve_spec(
         '{"type": "plane", "degree": 5,'

@@ -91,6 +91,27 @@ def test_hadamard_ratio_independent_of_memory_layout(n):
         assert linalg.hadamard_ratio(view[7]) == linalg.hadamard_ratio(copy[7])
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_solve_certificate_independent_of_memory_layout(n, monkeypatch):
+    # with every matrix refused, the reported magnitude is the certified
+    # condition itself; a transposed or column-sliced input must report
+    # its contiguous copy's
+    monkeypatch.setattr(linalg, "PIVOT_RTOL", 1.0)
+    rng = np.random.default_rng(400 + n)
+    wide = _rand_c(rng, (300, n, n + 3))
+    b = _rand_c(rng, (300, n))
+    for view in (wide.transpose(0, 2, 1)[:, :n], wide[..., 2:n + 2]):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        for call, args, args_copy in ((linalg.solve, (view, b), (copy, b)),
+                                      (linalg.inverse, (view[7],), (copy[7],))):
+            with pytest.raises(linalg.DegenerateMatrixError) as got:
+                call(*args)
+            with pytest.raises(linalg.DegenerateMatrixError) as want:
+                call(*args_copy)
+            assert got.value.pivot == want.value.pivot
+
+
 def test_signed_minor_expansion():
     rng = np.random.default_rng(7)
     a = _rand_c(rng, (5, 5))

@@ -22,8 +22,8 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
   trial (key ``g2_12``);
 - the six point sets of one ``verify-petri`` request on the bundled
-  quintic at one seed (key ``quintic``): one ``sample_sets`` call, or, in
-  a checkout without it, one ``sample_points`` call per set;
+  quintic at one seed (key ``quintic``), as one ``sample_sets`` call; a
+  checkout without ``sample_sets`` has no key;
 - ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
   and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
   point count of those six sets);
@@ -177,26 +177,14 @@ def bench_sample_points(holodiff) -> dict:
     return out
 
 
-def petri_sets(g, seed):
-    """(count, seed) of the six point sets a ``verify-petri`` request draws."""
-    from holodiff import cli
-
-    names = ("petri-determinants", "petri-annihilation", "petri-relations")
-    rank = cli._sub_seed(seed, "petri-rank")
-    return ([(3 * g - 2, cli._sub_seed(seed, name)) for name in names]
-            + [(20, cli._sub_seed(seed, "petri-annihilation-points")),
-               (g, rank), (3 * g - 3, rank + 7919)])
-
-
 def bench_petri_sets(holodiff) -> dict:
-    from holodiff import curves
+    from holodiff import cli, curves
 
+    if not hasattr(curves, "sample_sets"):
+        return {}
     quintic = _bundled(holodiff, "fermat_quintic.json")
-    requests = petri_sets(quintic.genus, SEED)
-    if hasattr(curves, "sample_sets"):
-        return {"quintic": _min_ms(lambda: curves.sample_sets(quintic, requests))}
-    return {"quintic": _min_ms(
-        lambda: [curves.sample_points(quintic, n, s) for n, s in requests])}
+    requests = list(cli._petri_point_sets(quintic, SEED).values())
+    return {"quintic": _min_ms(lambda: curves.sample_sets(quintic, requests))}
 
 
 def bench_evaluate(holodiff) -> dict:
