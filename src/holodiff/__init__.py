@@ -15,8 +15,8 @@ Submodules:
   on canonical curves and explicit relation coefficients.
 - ``siegel``: the Siegel upper half-space metric, symplectic transport,
   volume-form minors and the Bergman pairing.
-- ``theta``: Riemann theta functions with half-integer characteristics,
-  the reduced prime form and trisecant-type identity checks.
+- ``theta``: Riemann theta functions with half-integer characteristics
+  and trisecant-type identity checks.
 - ``jacobian``: period matrices and the Abel map for real hyperelliptic
   curves via adaptive singular quadrature.
 """

@@ -30,7 +30,6 @@ __all__ = [
     "petri_basis",
     "pair_products",
     "expansion_coefficients",
-    "product_layout",
 ]
 
 ANCHOR_COND_LIMIT = 1e8
@@ -175,24 +174,6 @@ def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
     if len(anchors) != basis.dim:
         raise ValueError(f"need {basis.dim} anchors, got {len(anchors)}")
     return _cardinal(basis, anchors)[0]
-
-
-def product_layout(g: int) -> list[tuple[int, int]]:
-    """Slot order of the product basis: squares first, then staggered pairs.
-
-    Slot i <= g holds the pair (i, i); slot i = k + j(2g - j + 1)/2 holds
-    (j, j + k).  The result coincides with the PairIndexMap tuple order.
-    """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    layout: dict[int, tuple[int, int]] = {i: (i, i) for i in range(1, g + 1)}
-    for j in range(1, g):
-        for k in range(1, g - j + 1):
-            layout[k + j * (2 * g - j + 1) // 2] = (j, j + k)
-    m = g * (g + 1) // 2
-    if sorted(layout) != list(range(1, m + 1)):
-        raise AssertionError("slot formula failed to enumerate 1..M")
-    return [layout[i] for i in range(1, m + 1)]
 
 
 def pair_products(values: np.ndarray, pm: PairIndexMap) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "CurvePoint",
     "sample_points",
     "sample_sets",
-    "load_curve_spec",
     "parse_curve_spec",
 ]
 
@@ -593,9 +592,3 @@ def parse_curve_spec(text: str):
         return HyperellipticCurve([float(v) for v in raw])
     except ValueError as exc:
         raise CurveSpecError(f"field 'branch_points': {exc}") from exc
-
-
-def load_curve_spec(path):
-    """Load a curve model from a JSON description file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_curve_spec(fh.read())

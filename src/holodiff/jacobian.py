@@ -262,11 +262,6 @@ def _axis_y(curve: HyperellipticCurve, xs: np.ndarray) -> np.ndarray:
     return y
 
 
-def phase_y(curve: HyperellipticCurve, x: float) -> complex:
-    """Continued y value at a real abscissa on the tracked sheet."""
-    return complex(_axis_y(curve, np.array([float(x)]))[0])
-
-
 def _real_chains(pd: PeriodData, xs: np.ndarray):
     """Monomial integrals from the first branch point to real abscissae.
 

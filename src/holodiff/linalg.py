@@ -21,7 +21,6 @@ __all__ = [
     "solve",
     "inverse",
     "inverse_cond1",
-    "cond1",
     "pivot_rows",
     "numerical_rank",
     "scale_rows",
@@ -179,11 +178,6 @@ def inverse_cond1(a):
         return None, float("inf")
     na = float(np.max(np.sum(np.abs(a), axis=0)))
     return a_inv, na * float(np.max(np.sum(np.abs(a_inv), axis=0)))
-
-
-def cond1(a) -> float:
-    """1-norm condition number; infinite when the solve degenerates."""
-    return inverse_cond1(a)[1]
 
 
 def pivot_rows(a) -> list[int]:

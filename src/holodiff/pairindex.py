@@ -4,9 +4,8 @@ A symmetric g x g array has M = g(g+1)/2 independent entries.  This module
 fixes one global enumeration of those entries -- the g diagonal pairs
 (1,1), ..., (g,g) first, then the off-diagonal pairs in lexicographic order
 (1,2), ..., (1,g), (2,3), ..., (g-1,g) -- and implements the calculus it
-induces: flattening a vector to its pair products, the symmetric square of
-a matrix acting on that flattening, and the resummation identities that
-convert double sums over ordinary indices into single sums over pair slots.
+induces: flattening a vector to its pair products and the symmetric square
+of a matrix acting on that flattening.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ __all__ = [
     "build_pair_index",
     "pair_vector",
     "sym_square",
-    "resummation_pair",
-    "resummation_weighted",
 ]
 
 
@@ -128,34 +125,3 @@ def sym_square(a, pm: PairIndexMap) -> np.ndarray:
         raise ValueError(f"expected {pm.g} x {pm.g} matrix, got shape {a.shape}")
     ff, ss, fs, sf = pm.square_grids
     return (a[ff] * a[ss] + a[fs] * a[sf]) / pm.square_divisor
-
-
-def resummation_pair(f, pm: PairIndexMap):
-    """Both sides of the double-sum resummation for a general g x g array.
-
-    Returns (sum over all (i, j), sum over slots of
-    (f[1k,2k] + f[2k,1k]) / (1 + delta_k)).  The two agree identically.
-    """
-    f = np.asarray(f)
-    if f.shape != (pm.g, pm.g):
-        raise ValueError(f"expected {pm.g} x {pm.g} array, got shape {f.shape}")
-    direct = f.sum()
-    folded = (
-        (f[pm.first, pm.second] + f[pm.second, pm.first])
-        / (1.0 + pm.diagonal.astype(float))
-    ).sum()
-    return complex(direct), complex(folded)
-
-
-def resummation_weighted(f, pm: PairIndexMap):
-    """Resummation of a symmetric array using the (2 - delta) weights.
-
-    Returns (sum over all (i, j), sum over slots of weight_k * f[1k,2k]).
-    Valid when f is symmetric, since 2 - delta = 2 / (1 + delta).
-    """
-    f = np.asarray(f)
-    if f.shape != (pm.g, pm.g):
-        raise ValueError(f"expected {pm.g} x {pm.g} array, got shape {f.shape}")
-    direct = f.sum()
-    folded = (pm.weight * f[pm.first, pm.second]).sum()
-    return complex(direct), complex(folded)

@@ -11,14 +11,13 @@ one tau shares a single lattice box.  Within it, term moduli come from
 one real matmul and one real exp, and only the unit phases are factored:
 one complex exp per lattice point, shared by every row, and one per
 axis, so no complex exp runs per (row, point) term.  On top of
-the engine: the reduced prime form, the Fay trisecant residual, and the
-end-to-end cross-ratio comparison between cardinal bases and theta
-quotients at genus 2 and up (one lattice sum of eight rows per pair),
-with the Riemann constant in closed form from `jacobian`.  The
-trisecant residual takes a batch of T trials at one tau: one lattice sum
-of T (3m^2 - m + 2) rows, split into groups only where MAX_TERMS demands
-it, then one stacked O(m^3) scaled determinant; a single trial is the
-batch of one.
+the engine: the Fay trisecant residual and the end-to-end cross-ratio
+comparison between cardinal bases and theta quotients at genus 2 and up
+(one lattice sum of eight rows per pair), with the Riemann constant in
+closed form from `jacobian`.  The trisecant residual takes a batch of T
+trials at one tau: one lattice sum of T (3m^2 - m + 2) rows, split into
+groups only where MAX_TERMS demands it, then one stacked O(m^3) scaled
+determinant; a single trial is the batch of one.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "theta_batch",
     "theta_value",
     "scaled_det",
-    "reduced_prime_form",
     "odd_characteristics",
     "fay_residual",
     "theta_side_cross_ratio",
@@ -92,11 +90,6 @@ class ScaledComplex:
     @property
     def value(self) -> complex:
         return self.mantissa * np.exp(self.log_scale)
-
-    def abs_log(self) -> float:
-        if self.mantissa == 0:
-            return -np.inf
-        return float(np.log(abs(self.mantissa)) + self.log_scale)
 
     def normalized(self) -> "ScaledComplex":
         m = abs(self.mantissa)
@@ -401,15 +394,6 @@ def theta(z, tau, char: ThetaCharacteristic | None = None) -> ScaledComplex:
 def theta_value(z, tau, char=None) -> complex:
     """Plain complex theta value; only safe at moderate scales."""
     return theta(z, tau, char).value
-
-
-def reduced_prime_form(u, v, tau, delta: ThetaCharacteristic) -> ScaledComplex:
-    """Odd theta translate theta[delta](u - v); antisymmetric in (u, v)."""
-    if not delta.is_odd:
-        raise ValueError("the prime-form characteristic must be odd")
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return theta(u - v, tau, delta)
 
 
 def lattice_reduce_tau(v, tau):

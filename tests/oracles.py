@@ -1,15 +1,16 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-hand-written 2x2 inverses, term-by-term lattice sums, a search over all
-half-periods for the Riemann constant, one-draw-at-a-time point samplers,
-a one-point-at-a-time Abel map, an object-form trisecant residual, the
-trial-by-trial CLI trisecant loop, a factor-by-factor symplectic word and
-a rank elimination that deletes each pivot's row and column.  The
-samplers call the Generator's own `uniform` and `integers` where the
-package decodes the raw words of its bit generator.  The last five, and
-the hyperelliptic sampler, repeat the package's arithmetic step for step,
-so the package's array forms can be held to equal or near-equal results.
+closed-form pair-slot offsets, hand-written 2x2 inverses, term-by-term
+lattice sums, a search over all half-periods for the Riemann constant,
+one-draw-at-a-time point samplers, a one-point-at-a-time Abel map, an
+object-form trisecant residual, the trial-by-trial CLI trisecant loop, a
+factor-by-factor symplectic word and a rank elimination that deletes
+each pivot's row and column.  The samplers call the Generator's own
+`uniform` and `integers` where the package decodes the raw words of its
+bit generator.  The last five, and the hyperelliptic sampler, repeat the
+package's arithmetic step for step, so the package's array forms can be
+held to equal or near-equal results.
 """
 
 import cmath
@@ -51,6 +52,19 @@ def cofactor_row(a, r):
         sub = np.array([[a[i, j] for j in cols] for i in rows])
         out.append((-1.0) ** (r + c) * leibniz_det(sub))
     return np.array(out)
+
+
+def product_layout(g):
+    """Pair-slot order from the closed-form offsets, not from an enumeration.
+
+    Slot i <= g holds the pair (i, i); slot i = k + j(2g - j + 1)/2 holds
+    (j, j + k).  Returns the pairs in slot order 1..g(g+1)/2.
+    """
+    layout = {i: (i, i) for i in range(1, g + 1)}
+    for j in range(1, g):
+        for k in range(1, g - j + 1):
+            layout[k + j * (2 * g - j + 1) // 2] = (j, j + k)
+    return [layout[i] for i in sorted(layout)]
 
 
 def weighted_minor_g2(t2, pm, rows, cols):

@@ -164,13 +164,6 @@ def test_cardinal_anchor_count(hyp_g2):
         bases.cardinal_basis(basis, curves.sample_points(hyp_g2, 3, 4))
 
 
-def test_product_layout_slot_formula():
-    # explicit closed-form offsets: diagonal block then staggered rows
-    layout = bases.product_layout(4)
-    assert layout[:4] == [(1, 1), (2, 2), (3, 3), (4, 4)]
-    assert layout[4:] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-
 def test_petri_rank_dichotomy(quintic, hyp_g4):
     anchors = curves.sample_points(quintic, 6, 31)
     pb = bases.petri_basis(quintic, anchors)

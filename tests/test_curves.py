@@ -329,13 +329,6 @@ def test_parse_reports_field():
     assert "field 'degree'" in str(exc.value)
 
 
-def test_load_curve_spec(tmp_path):
-    path = tmp_path / "curve.json"
-    path.write_text('{"type": "hyperelliptic", "branch_points": [-2, -1, 0, 1, 2]}')
-    model = curves.load_curve_spec(path)
-    assert model.genus == 2
-
-
 def test_point_chart_validation(hyp_g2):
     with pytest.raises(ValueError):
         curves.CurvePoint(hyp_g2, 0.5, 1.0, "z", 1)

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from holodiff.bases import product_layout
 from holodiff.pairindex import (
     PairIndexMap,
     build_pair_index,
     pair_vector,
-    resummation_pair,
-    resummation_weighted,
     sym_square,
 )
+
+from oracles import product_layout
 
 
 def _rand_c(rng, shape, scale=1.0):
@@ -122,26 +121,6 @@ def test_determinant_power(g):
     d1 = np.linalg.det(sym_square(a, pm))
     d2 = np.linalg.det(a) ** (g + 1)
     assert abs(d1 - d2) <= 1e-10 * abs(d2)
-
-
-@pytest.mark.parametrize("g", [2, 3, 5])
-def test_resummation_general_array(g):
-    rng = np.random.default_rng(30 + g)
-    pm = build_pair_index(g)
-    f = _rand_c(rng, (g, g))
-    direct, folded = resummation_pair(f, pm)
-    assert direct == pytest.approx(complex(f.sum()), abs=1e-14 * g * g)
-    assert abs(direct - folded) < 1e-12 * max(1.0, abs(direct))
-
-
-@pytest.mark.parametrize("g", [2, 3, 5])
-def test_resummation_weighted_symmetric(g):
-    rng = np.random.default_rng(40 + g)
-    pm = build_pair_index(g)
-    f = _rand_c(rng, (g, g))
-    f = f + f.T
-    direct, folded = resummation_weighted(f, pm)
-    assert abs(direct - folded) < 1e-12 * max(1.0, abs(direct))
 
 
 def test_shape_validation():

@@ -1,0 +1,97 @@
+"""Every public name of the package exists and has a caller.
+
+A module's ``__all__`` is its public surface.  A listed name that no
+longer exists breaks ``from holodiff.X import *``; a listed name that
+nothing outside its own definition refers to is code that only its own
+unit tests keep alive.  Callers are looked for in the package itself, the
+acceptance tests, the test oracles, the benchmark harness and the tools,
+but not in the unit tests.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import holodiff
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_FILES = (
+    sorted((ROOT / "src" / "holodiff").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
+    + sorted((ROOT / "perfbench").glob("*.py"))
+    + sorted((ROOT / "tools").glob("*.py"))
+)
+
+# Paper statements implemented ahead of the check that will call them:
+# the block-singularity test of the relation matrix (ROADMAP item 3) and
+# the induced metric on the moduli space (ROADMAP item 7).
+AWAITING_CHECK = ("verify_block_singular", "induced_metric_xi")
+
+
+def _public_modules():
+    for info in pkgutil.iter_modules(holodiff.__path__):
+        module = importlib.import_module(f"holodiff.{info.name}")
+        if hasattr(module, "__all__"):
+            yield module
+
+
+PUBLIC = {module.__name__: module for module in _public_modules()}
+
+
+def _defined_names(stmt) -> set[str]:
+    """Names a top-level statement binds, so it does not count as a caller."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _referenced(stmt) -> set[str]:
+    """Identifiers a statement uses: names, attributes, imports, and the
+    dotted parts of string constants such as "linalg.signed_minor.ms"."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def _callers() -> set[str]:
+    used = set()
+    for path in CALLER_FILES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = _defined_names(stmt)
+            if "__all__" not in defined:
+                used |= _referenced(stmt) - defined
+    return used
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_public_names_exist(name):
+    module = PUBLIC[name]
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_public_names_have_callers():
+    used = _callers()
+    idle = [f"{name}.{n}" for name, module in sorted(PUBLIC.items())
+            for n in module.__all__ if n not in used and n not in AWAITING_CHECK]
+    assert not idle, f"public names with no caller outside the unit tests: {idle}"
+
+
+def test_awaiting_names_are_still_idle():
+    # a name leaves AWAITING_CHECK once its check calls it
+    public = {n for module in PUBLIC.values() for n in module.__all__}
+    assert set(AWAITING_CHECK) <= public
+    assert not set(AWAITING_CHECK) & _callers()

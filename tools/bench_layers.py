@@ -89,7 +89,8 @@ def _min_ms(call) -> float:
 def _bundled(holodiff, name):
     from holodiff import curves
 
-    return curves.load_curve_spec(Path(holodiff.__file__).parent / "data" / name)
+    path = Path(holodiff.__file__).parent / "data" / name
+    return curves.parse_curve_spec(path.read_text(encoding="utf-8"))
 
 
 def bench_theta(theta, siegel, np) -> dict:
