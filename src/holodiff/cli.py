@@ -334,57 +334,58 @@ def _fay_check(model, genus, m, seed, tol):
 def _fay_rounds(model, m, seed, rng, delta):
     """Worst residual of the genus-2 trials, run in rounds of one batch.
 
-    A round draws, in trial order, the points and w of every trial still
-    to run, each trial retrying its own draws as a trial run alone would;
-    then it maps all the round's points with one `abel_map` call and
-    forms their residuals with one batched `fay_residual`.  When a
-    residual fails, the trials before it are done, the rng is put back
-    to its state right after the failing trial's w, and the next round
-    starts at that trial's next attempt.  So every trial gets the points
-    and w it would get if the trials ran one after another.
+    A round takes every trial still to run: one `sample_sets` call draws
+    their point sets, the first trial at its current attempt and the
+    others at their first; each trial with points then draws its w in
+    trial order, and one `theta` call on the stacked w rows tests them
+    against the floor.  The trials before the first failed set or
+    vanishing theta(w) are mapped with one `abel_map` call, and their
+    residuals come from one batched `fay_residual`.  At the first trial
+    whose set, theta(w) or residual fails, the trials before it are done,
+    the rng is put back to its state right after that trial's w (a failed
+    set draws none), the later w are dropped, and the next round starts
+    at that trial's next attempt.  So every trial gets the points and w
+    it would get if the trials ran one after another.
     """
     pd = jacobian.compute_periods(model)
+    firsts = [_sub_seed(seed, f"fay-points-{t}") for t in range(FAY_TRIALS)]
     worst = 0.0
-    trial, attempt, last = 0, 0, None
-    while trial < FAY_TRIALS:
-        drawn = []  # (attempt, points, w, rng state right after w)
-        t, a = trial, attempt
-        while t < FAY_TRIALS and a < FAY_ATTEMPTS:
-            try:
-                pts = curves.sample_points(
-                    model, 2 * m, _sub_seed(seed, f"fay-points-{t}") + a, mode="real")
-            except curves.SamplingError as exc:
-                last, a = exc, a + 1
-                continue
-            w = _rand_complex(rng, (2,), 0.4)
-            state = rng.bit_generator.state
-            # a vanishing theta(w) fails the attempt before the Abel maps
-            # are paid for, not after them
-            tw = theta.theta(w, pd.tau)
-            if abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak:
-                last, a = theta.ThetaNearZeroError("theta(w) below floor"), a + 1
-                continue
-            drawn.append((a, pts, w, state))
-            t, a = t + 1, 0
-        if drawn:
+    trial, attempt = 0, 0
+    while True:
+        sets = curves.sample_sets(model, [(2 * m, firsts[t] + (attempt if t == trial else 0))
+                                          for t in range(trial, FAY_TRIALS)], mode="real")
+        ws, states = [], []
+        for pts in sets:
+            if isinstance(pts, curves.SamplingError):
+                break
+            ws.append(_rand_complex(rng, (2,), 0.4))
+            states.append(rng.bit_generator.state)
+        ok = len(ws)  # the trials that reach their residual
+        if ws:
+            low = np.flatnonzero([abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak
+                                  for tw in theta.theta(np.array(ws), pd.tau)])
+            if len(low):
+                ok = int(low[0])
+        res, err = [], None
+        if ok:
             imgs = np.array([img.vector for img in jacobian.abel_map(
-                pd, [p for _, pts, _, _ in drawn for p in pts])]).reshape(len(drawn), 2, m, 2)
-            res, err = theta.fay_residual(np.array([d[2] for d in drawn]),
-                                          imgs[:, 0], imgs[:, 1], pd.tau, delta)
+                pd, [p for pts in sets[:ok] for p in pts])]).reshape(ok, 2, m, 2)
+            res, err = theta.fay_residual(np.array(ws[:ok]), imgs[:, 0], imgs[:, 1],
+                                          pd.tau, delta)
             worst = max([worst] + res)
-            trial += len(res)
-            if err is not None:
-                if not isinstance(err, _FAY_RETRY):
-                    raise err
-                a, _, _, state = drawn[len(res)]
-                if a + 1 == FAY_ATTEMPTS:
-                    raise err
-                rng.bit_generator.state = state
-                attempt, last = a + 1, err
-                continue
-        if t < FAY_TRIALS:  # trial t used up its attempts before its residual
-            raise last
-    return worst
+        j = len(res)  # the round's first trial without a residual
+        if j == len(sets):
+            return worst
+        if err is None:
+            err = sets[j] if j == len(ws) else theta.ThetaNearZeroError("theta(w) below floor")
+        elif not isinstance(err, _FAY_RETRY):
+            raise err
+        a = attempt if j == 0 else 0
+        if a + 1 == FAY_ATTEMPTS:
+            raise err
+        if j < len(ws):
+            rng.bit_generator.state = states[j]
+        trial, attempt = trial + j, a + 1
 
 
 # -------------------------------------------------------------- periods

@@ -2,9 +2,12 @@
 
 Segment integrals between consecutive branch points carry fixed sheet
 phases: on the segment with m branch points to its right, y continues
-as i^m sqrt|f|.  Crossing cycles are built from these segments; the
-symmetry and positivity certificates on the resulting period matrix are
-computed, not assumed, and any bookkeeping error fails hard there.
+as i^m sqrt|f|.  All 2g segments run in one node-doubling loop, each
+stopping on its own, with the same values bit for bit as one loop per
+segment; on the real axis |f| is a float64 product.  Crossing cycles are
+built from these segments; the symmetry and positivity certificates on
+the resulting period matrix are computed, not assumed, and any
+bookkeeping error fails hard there.
 
 Abel maps integrate the normalized differentials along a real-axis
 chain plus, for complex targets, straight legs with continuity-tracked
@@ -85,7 +88,7 @@ def _node_doubling(rule, count: int, rtol: float, cap: int, what: str):
     while n <= cap:
         val = rule(n, idx)
         if prev is None:
-            out, gaps = np.empty_like(val), np.empty(val.shape)
+            out, gaps = np.empty(val.shape, val.dtype), np.empty(val.shape)
         else:
             gap = abs(val - prev)
             axes = tuple(range(1, val.ndim))
@@ -124,7 +127,7 @@ def _one_sided_rule(f, a, b, sing_a, n: int):
     return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
 
 
-def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool):
+def quad_segment(f, a, b, sing_a: bool, sing_b: bool):
     """Integrate f over [a, b] with inverse-square-root endpoint flags.
 
     Both ends flagged: Gauss-Chebyshev absorbs both singularities.  One
@@ -133,31 +136,54 @@ def quad_segment(f, a: float, b: float, sing_a: bool, sing_b: bool):
     agree to SEGMENT_RTOL; returns (value, last doubling difference).  An f
     returning rows of shape (k, n) integrates all k rows on shared nodes
     and returns both as length-k vectors.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    half = (b - a) / 2
-    mid = (a + b) / 2
 
-    def rule(n: int):
+    a and b may also be arrays of intervals, all with the same flags,
+    integrated in one node-doubling loop, each interval stopping on its
+    own; f then maps (intervals, n) abscissae to (..., intervals, n), and
+    values and differences come back with the interval as leading index.
+    """
+    lo = np.atleast_1d(np.asarray(a, dtype=float))
+    hi = np.atleast_1d(np.asarray(b, dtype=float))
+    bad = np.flatnonzero(~(lo < hi))
+    if len(bad):
+        raise ValueError(f"need a < b, got [{lo[bad[0]]}, {hi[bad[0]]}]")
+    lo, hi = lo[:, None], hi[:, None]
+    half = (hi - lo) / 2
+    mid = (lo + hi) / 2
+
+    def rule(n: int, idx):
         if sing_a and sing_b:
             t = _chebyshev_nodes(n)
-            x = mid + half * t
-            return (np.pi / n) * np.sum(f(x) * half * np.sqrt(1.0 - t * t), axis=-1)
-        if sing_a or sing_b:
-            return _one_sided_rule(f, a, b, sing_a, n)
-        t, w = _gauss_legendre(n)
-        x = mid + half * t
-        return np.sum(f(x) * w * half, axis=-1)
+            x = mid[idx] + half[idx] * t
+            val = (np.pi / n) * np.sum(f(x) * half[idx] * np.sqrt(1.0 - t * t), axis=-1)
+        elif sing_a or sing_b:
+            val = _one_sided_rule(f, lo[idx], hi[idx], sing_a, n)
+        else:
+            t, w = _gauss_legendre(n)
+            val = np.sum(f(mid[idx] + half[idx] * t) * w * half[idx], axis=-1)
+        return np.moveaxis(val, -1, 0)
 
-    val, gap = _node_doubling_one(rule, SEGMENT_RTOL, QUAD_CAP, "segment quadrature")
-    if np.ndim(val) == 0:
-        return complex(val), float(gap)
-    return val, gap
+    vals, gaps = _node_doubling(rule, len(lo), SEGMENT_RTOL, QUAD_CAP, "segment quadrature")
+    if np.ndim(a):
+        return vals, gaps
+    if vals.ndim == 1:
+        return complex(vals[0]), float(gaps[0])
+    return vals[0], gaps[0]
+
+
+def _f_real(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
+    """f(x) at real abscissae, factor by factor in the order of
+    `HyperellipticCurve.f`: the real part of its complex product, bit for
+    bit, without the complex temporaries."""
+    e = np.asarray(curve.branch_points)
+    out = x - e[0]
+    for ei in e[1:]:
+        out *= x - ei
+    return out
 
 
 def _sqrt_abs_f(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.abs(curve.f(x.ravel()).real)).reshape(x.shape)
+    return np.sqrt(np.abs(_f_real(curve, x)))
 
 
 def _monomial_rows(curve: HyperellipticCurve):
@@ -200,13 +226,8 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     if g > GENUS_CAP:
         raise ValueError(f"genus {g} exceeds the supported cap {GENUS_CAP}")
     e = np.asarray(curve.branch_points)
-    nseg = 2 * g
-    seg = np.empty((nseg, g), dtype=complex)
-    seg_err = np.empty((nseg, g))
-    rows = _monomial_rows(curve)
-    for j in range(nseg):
-        val, seg_err[j] = quad_segment(rows, float(e[j]), float(e[j + 1]), True, True)
-        seg[j] = _segment_phase(curve, j) * val
+    vals, seg_err = quad_segment(_monomial_rows(curve), e[:-1], e[1:], True, True)
+    seg = np.array([_segment_phase(curve, j) for j in range(2 * g)])[:, None] * vals
 
     # cycle i rings the cut [e_{2i}, e_{2i+1}] (0-based); its crossing
     # partner rings [e_{2i+1}, e_{2g}], where the traversals above and
@@ -256,10 +277,8 @@ def _axis_y(curve: HyperellipticCurve, xs: np.ndarray) -> np.ndarray:
     """Continued y values at real abscissae on the tracked sheet."""
     e = np.asarray(curve.branch_points)
     seg = np.searchsorted(e, xs) - 1  # -1 left of every branch point
-    y = _I_POWERS[(2 * curve.genus - seg) % 4] * _sqrt_abs_f(curve, xs)
-    right = xs > e[-1]
-    y[right] = np.sqrt(curve.f(xs[right]).real)
-    return y
+    # right of every branch point the phase is 1 and y = +sqrt f
+    return _I_POWERS[(2 * curve.genus - seg) % 4] * _sqrt_abs_f(curve, xs)
 
 
 def _real_chains(pd: PeriodData, xs: np.ndarray):
@@ -277,23 +296,20 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
     e = np.asarray(curve.branch_points)
     dist = np.abs(xs[:, None] - e[None, :])
     on_branch = np.any(dist <= 1e-12, axis=1)
-    for x, d, hit in zip(xs, np.min(dist, axis=1), on_branch):
-        if not hit and d < BRANCH_CLEARANCE:
-            raise PathError(
-                f"endpoint {float(x)} is within {BRANCH_CLEARANCE} of a branch point"
-            )
+    near = np.flatnonzero(~on_branch & (np.min(dist, axis=1) < BRANCH_CLEARANCE))
+    if len(near):
+        raise PathError(
+            f"endpoint {float(xs[near[0]])} is within {BRANCH_CLEARANCE} of a branch point"
+        )
 
     # sequential sums over the leading segments, as a point-by-point
     # chain adds them
-    prefix = np.zeros((len(e), g), dtype=complex)
-    err_prefix = [0.0]
-    for j in range(len(e) - 1):
-        prefix[j + 1] = prefix[j] + pd.seg_values[j]
-        err_prefix.append(err_prefix[j] + float(np.sum(pd.seg_errors[j])))
+    prefix = np.cumsum(np.vstack([np.zeros(g), pd.seg_values]), axis=0)
+    err_prefix = np.cumsum(np.concatenate([[0.0], np.sum(pd.seg_errors, axis=1)]))
     left = xs < e[0]
     chained = np.where(left, 0, np.searchsorted(e[1:], xs + 1e-12, side="right"))
     totals = prefix[chained]
-    errs = [err_prefix[c] for c in chained]
+    errs = err_prefix[chained]
     paths = [[f"seg:{j}" for j in range(c)] for c in chained]
 
     # partial segments start at the branch point left of the abscissa;
@@ -313,16 +329,15 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
         coef = np.where(left[k], -_segment_phase(curve, -1), phases[j_left[k]])
         part = coef[:, None] * vals
         totals[k] = np.where(left[k][:, None], part, totals[k] + part)
-        for i, kk in enumerate(k):
-            errs[kk] += float(np.sum(gaps[i]))
-            x = float(xs[kk])
+        errs[k] += np.sum(gaps, axis=1)
+        for kk, x in zip(k.tolist(), xs[k].tolist()):
             if left[kk]:
                 paths[kk].append(f"real:{e[0]}->{x}")
             else:
                 paths[kk].append(f"partial:{float(e[j_left[kk]])}->{x}")
     ys = _axis_y(curve, xs)
     ys[on_branch & ~left] = 0.0
-    return totals, ys, paths, errs
+    return totals, ys, paths, errs.tolist()
 
 
 def _segment_branch_distance(curve: HyperellipticCurve, z0: complex, z1: complex) -> float:

@@ -46,7 +46,6 @@ __all__ = [
     "ScaledComplex",
     "ThetaCharacteristic",
     "theta",
-    "theta_batch",
     "theta_value",
     "scaled_det",
     "odd_characteristics",
@@ -99,11 +98,14 @@ class ScaledComplex:
         return ScaledComplex(self.mantissa / m, self.log_scale + shift,
                              self.err / m, self.peak / m)
 
+    # A product or quotient of two scaled values drops err and peak; a
+    # plain factor c scales both by |c|, and negation keeps them.
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
             return ScaledComplex(self.mantissa * other.mantissa,
                                  self.log_scale + other.log_scale)
-        return ScaledComplex(self.mantissa * other, self.log_scale)
+        c = abs(other)
+        return ScaledComplex(self.mantissa * other, self.log_scale, self.err * c, self.peak * c)
 
     __rmul__ = __mul__
 
@@ -113,10 +115,11 @@ class ScaledComplex:
                 raise ZeroDivisionError("division by an exactly zero scaled value")
             return ScaledComplex(self.mantissa / other.mantissa,
                                  self.log_scale - other.log_scale)
-        return ScaledComplex(self.mantissa / other, self.log_scale)
+        c = abs(other)
+        return ScaledComplex(self.mantissa / other, self.log_scale, self.err / c, self.peak / c)
 
     def __neg__(self):
-        return ScaledComplex(-self.mantissa, self.log_scale)
+        return ScaledComplex(-self.mantissa, self.log_scale, self.err, self.peak)
 
     def __repr__(self):
         return f"ScaledComplex({self.mantissa!r}, log_scale={self.log_scale:.6g})"
@@ -367,28 +370,26 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     return mant, mx + pref.real, tail, peak_mant
 
 
-def theta_batch(zs, tau, char: ThetaCharacteristic | None = None) -> list[ScaledComplex]:
-    """Theta series with characteristic at every row of zs, one lattice sum.
+def theta(z, tau, char: ThetaCharacteristic | None = None):
+    """Theta series with characteristic at z, by one lattice sum.
 
-    The characteristic is folded into the argument (see `_fold`), then
-    each row is translated into the fundamental cell; both prefactors go
-    into its log scale and phase.  The truncation radius does not depend
-    on z, so one lattice box, the union of the per-row boxes, serves every
-    row: the neglected tail of each row is below THETA_EPS relative to its
-    largest term, and that certified bound is stored in `err`.  Raises
-    TruncationError before allocating when lattice points times rows would
-    exceed MAX_TERMS.
+    z of shape (g,) gives one ScaledComplex; a stack of rows (n, g) gives
+    a list with one ScaledComplex per row.  The characteristic is folded
+    into the argument (see `_fold`), then each row is translated into the
+    fundamental cell; both prefactors go into its log scale and phase.
+    The truncation radius does not depend on z, so one lattice box, the
+    union of the per-row boxes, serves every row: the neglected tail of
+    each row is below THETA_EPS relative to its largest term, and that
+    certified bound is stored in `err`.  Raises TruncationError before
+    allocating when lattice points times rows would exceed MAX_TERMS.
     """
     point = _siegel(tau)
-    return [ScaledComplex(mk, sk, err=ek, peak=pk)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if zs.ndim > 2 or zs.shape[-1] != point.g:
+        raise ValueError(f"arguments are not rows of length {point.g}: shape {zs.shape}")
+    vals = [ScaledComplex(mk, sk, err=ek, peak=pk)
             for mk, sk, ek, pk in zip(*_theta_arrays(point, *_fold(point, (zs, char))))]
-
-
-def theta(z, tau, char: ThetaCharacteristic | None = None) -> ScaledComplex:
-    """Theta series with characteristic at one argument z; see theta_batch."""
-    point = _siegel(tau)
-    z = np.asarray(z, dtype=complex).reshape(point.g)
-    return theta_batch(z[None, :], point, char)[0]
+    return vals if zs.ndim == 2 else vals[0]
 
 
 def theta_value(z, tau, char=None) -> complex:

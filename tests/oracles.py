@@ -3,14 +3,15 @@
 Everything here is deliberately naive: explicit loops, permutation sums,
 closed-form pair-slot offsets, hand-written 2x2 inverses, term-by-term
 lattice sums, a search over all half-periods for the Riemann constant,
-one-draw-at-a-time point samplers, a one-point-at-a-time Abel map, an
-object-form trisecant residual, the trial-by-trial CLI trisecant loop, a
-factor-by-factor symplectic word and a rank elimination that deletes
-each pivot's row and column.  The samplers call the Generator's own
-`uniform` and `integers` where the package decodes the raw words of its
-bit generator.  The last five, and the hyperelliptic sampler, repeat the
-package's arithmetic step for step, so the package's array forms can be
-held to equal or near-equal results.
+one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
+a one-point-at-a-time Abel map, an object-form trisecant residual, the
+trial-by-trial CLI trisecant loop, a factor-by-factor symplectic word
+and a rank elimination that deletes each pivot's row and column.  The
+samplers call the Generator's own `uniform` and `integers` where the
+package decodes the raw words of its bit generator.  The last six, and
+the hyperelliptic sampler, repeat the package's arithmetic step for
+step, so the package's array forms can be held to equal or near-equal
+results.
 """
 
 import cmath
@@ -135,7 +136,7 @@ def riemann_constant_search(tau, probe_images):
         for ib in range(2**g):
             ch = th.ThetaCharacteristic.from_bits(ia, ib, g)
             h = point.z @ ch.a + ch.b
-            vals = th.theta_batch(probes - h, point)
+            vals = th.theta(probes - h, point)
             halves.append(h)
             scores.append(max(abs(v.mantissa) / v.peak for v in vals))
     order = np.argsort(scores, kind="stable")
@@ -259,6 +260,35 @@ def sample_hyperelliptic(model, count, seed, mode="complex"):
                 f"last rejection: {last_reason}"
             )
     return pts
+
+
+def periods_by_segment(curve):
+    """(tau, segment values, segment errors) of `jacobian.compute_periods`,
+    with one `quad_segment` call per segment.
+
+    Each call gets its own node-doubling loop, on rows x^k / sqrt|f(x)|
+    with f from the curve's complex product; tau is formed from the
+    segments as the package forms it, without the certificates.
+    """
+    from holodiff import jacobian as jac
+    from holodiff import linalg
+
+    g = curve.genus
+    e = np.asarray(curve.branch_points)
+
+    def rows(x):
+        sqrt_abs_f = np.sqrt(np.abs(curve.f(x.ravel()).real)).reshape(x.shape)
+        return np.stack([x**k for k in range(g)]) / sqrt_abs_f
+
+    seg = np.empty((2 * g, g), dtype=complex)
+    seg_err = np.empty((2 * g, g))
+    for j in range(2 * g):
+        val, seg_err[j] = jac.quad_segment(rows, float(e[j]), float(e[j + 1]), True, True)
+        seg[j] = (-1j) ** ((2 * g - j) % 4) * val
+    a_mat = np.array([2.0 * seg[2 * i] for i in range(g)])
+    b_mat = np.array([2.0 * np.sum(seg[2 * i + 1 :: 2], axis=0) for i in range(g)])
+    tau = b_mat @ linalg.inverse_cond1(a_mat)[0]
+    return (tau + tau.T) / 2, seg, seg_err
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
@@ -396,10 +426,10 @@ def fay_residual_objects(w, xs, ys, tau, delta):
         raise th.ThetaNearZeroError("theta(w) is below the nonvanishing floor")
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
-    odd = th.theta_batch(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
+    odd = th.theta(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
                          point, delta)
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
-    even = th.theta_batch(np.concatenate([shift[None, :], w + cross]), point)
+    even = th.theta(np.concatenate([shift[None, :], w + cross]), point)
     exy = odd[:m * m]
     lhs = prod([even[0]] + odd[m * m:]) / prod([tw] + exy)
     entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]

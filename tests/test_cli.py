@@ -3,9 +3,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from holodiff import bases, cli, curves, jacobian
+from holodiff import bases, cli, curves, jacobian, theta
 from holodiff.cli import main
 
 from oracles import fay_check_sequential
@@ -333,22 +334,24 @@ def test_fay_retry_seed_runs_a_second_round(monkeypatch, capsys):
 
 
 def _faulty_sampler(monkeypatch, seed, fault):
-    """sample_points with fault(trial, attempt) -> None, "sampling" or
-    "coincident" applied to the fay-trisecant point draws of `seed`."""
-    sample = curves.sample_points
+    """sample_sets with fault(trial, attempt) -> None, "sampling" or
+    "coincident" applied to each fay-trisecant point set of `seed`: a
+    SamplingError in that set's slot, or its first point repeated."""
+    sample = curves.sample_sets
     firsts = {cli._sub_seed(seed, f"fay-points-{t}"): t for t in range(cli.FAY_TRIALS)}
 
-    def faulty(model, count, s, mode="complex"):
-        hits = [(t, s - first) for first, t in firsts.items() if 0 <= s - first < 8]
-        kind = fault(*hits[0]) if hits else None
-        if kind == "sampling":
-            raise curves.SamplingError("injected sampling failure")
-        pts = sample(model, count, s, mode)
-        if kind == "coincident":
-            pts[1] = pts[0]
-        return pts
+    def faulty(model, requests, mode="complex"):
+        out = sample(model, requests, mode)
+        for k, (_, s) in enumerate(requests):
+            hits = [(t, s - first) for first, t in firsts.items() if 0 <= s - first < 8]
+            kind = fault(*hits[0]) if hits else None
+            if kind == "sampling":
+                out[k] = curves.SamplingError("injected sampling failure")
+            elif kind == "coincident":
+                out[k][1] = out[k][0]
+        return out
 
-    monkeypatch.setattr(curves, "sample_points", faulty)
+    monkeypatch.setattr(curves, "sample_sets", faulty)
 
 
 @pytest.mark.parametrize("seed", [1000, 1017])
@@ -376,6 +379,62 @@ def test_fay_rounds_trial_two_fails_every_attempt(monkeypatch, capsys):
     rec = _assert_same_as_sequential(monkeypatch, seed)
     assert rec.anchor == "internal-error"
     assert rec.note.startswith("CoincidentPointsError: points 0 and 1 are within")
+
+
+def _low_theta_draws(monkeypatch, seed, draws):
+    """theta with the w of the given fay-trisecant rng draws of `seed`
+    (0-based, in the order trials run one after another take them) set
+    below the floor, in a one-row call or in a row of a stacked call."""
+    rng = np.random.default_rng(cli._seed_seq(seed, "fay-trisecant"))
+    ws = [cli._rand_complex(rng, (2,), 0.4) for _ in range(max(draws) + 1)]
+    low = {ws[k].tobytes() for k in draws}
+    evaluate = theta.theta
+
+    def faulty(z, tau, char=None):
+        vals = evaluate(z, tau, char)
+        rows = np.asarray(z, dtype=complex).reshape(-1, 2)
+        out = [theta.ScaledComplex(0.0, v.log_scale, v.err, v.peak)
+               if r.tobytes() in low else v
+               for r, v in zip(rows, vals if isinstance(vals, list) else [vals])]
+        return out if isinstance(vals, list) else out[0]
+
+    monkeypatch.setattr(theta, "theta", faulty)
+
+
+@pytest.mark.parametrize("draws, abel_points, rounds, note", [
+    # trial 1 attempt 0 (the second w drawn): trial 0 is mapped in round
+    # one, trials 1 and 2 in round two
+    ((1,), [12, 24], 2, None),
+    # every attempt of trial 2 (draws 2-9): trials 0 and 1 are mapped in
+    # round one, then seven rounds of trial 2 alone map nothing
+    (tuple(range(2, 10)), [24], 8, "ThetaNearZeroError: theta(w) below floor"),
+])
+def test_fay_rounds_retry_theta_floor(draws, abel_points, rounds, note, monkeypatch, capsys):
+    seed = 1000
+    _low_theta_draws(monkeypatch, seed, draws)
+    abel, sample, evaluate = jacobian.abel_map, curves.sample_sets, theta.theta
+    calls = {"abel": [], "sample": 0, "theta": 0}
+
+    def count(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jacobian, "abel_map", lambda pd, pts: calls["abel"].append(len(pts))
+                   or abel(pd, pts))
+        mp.setattr(curves, "sample_sets", count("sample", sample))
+        mp.setattr(theta, "theta", count("theta", evaluate))
+        _fay_g2(seed)
+    # one sampler pass and one theta(w) call per round; the Abel maps of
+    # a round cover its trials before the first below the floor
+    assert calls == {"abel": abel_points, "sample": rounds, "theta": rounds}
+    rec = _assert_same_as_sequential(monkeypatch, seed)
+    if note is None:
+        assert rec.status == "PASS"
+    else:
+        assert rec.anchor == "internal-error" and rec.note == note
 
 
 def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):

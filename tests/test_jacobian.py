@@ -7,7 +7,7 @@ from holodiff import cli, curves, theta
 from holodiff import jacobian as jac
 from holodiff.curves import CurvePoint, HyperellipticCurve
 
-from oracles import abel_map_per_point
+from oracles import abel_map_per_point, periods_by_segment
 
 
 def test_quad_segment_both_singular_endpoints():
@@ -53,6 +53,51 @@ def test_quad_segment_rows_match_scalar_calls(sing_a, sing_b):
     for k in range(3):
         val, _ = jac.quad_segment(row(k), -1.0, 2.0, sing_a, sing_b)
         assert abs(vals[k] - val) <= 1e-12 * abs(val)
+
+
+def _assert_periods_match_segment_loop(curve):
+    pd = jac.compute_periods(curve)
+    tau, seg, seg_err = periods_by_segment(curve)
+    assert pd.tau.z.tobytes() == tau.tobytes()
+    assert pd.seg_values.tobytes() == seg.tobytes()
+    assert pd.seg_errors.tobytes() == seg_err.tobytes()
+
+
+def _real_branch_curve(rng, g):
+    gaps = rng.uniform(0.3, 1.5, 2 * g)
+    return HyperellipticCurve(np.concatenate([[0.0], np.cumsum(gaps)]) - gaps.sum() / 2)
+
+
+@pytest.mark.parametrize("name", ["lemniscatic_g1.json", "hyperelliptic_g2.json"])
+def test_periods_match_segment_loop_on_bundled_curves(name):
+    # all segments in one node-doubling loop, bit for bit the loop of one
+    # quad_segment call per segment
+    _assert_periods_match_segment_loop(curves.parse_curve_spec(cli._builtin_text(name)))
+
+
+def test_periods_match_segment_loop_on_random_curves(hyp_g3):
+    # hyp_g3 has the branch points of tools/bench_layers.G3_BRANCH_POINTS
+    _assert_periods_match_segment_loop(hyp_g3)
+    rng = np.random.default_rng(1717)
+    for _ in range(20):
+        _assert_periods_match_segment_loop(_real_branch_curve(rng, int(rng.integers(1, 4))))
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_periods_match_segment_loop_above_the_genus_cap(g, monkeypatch):
+    monkeypatch.setattr(jac, "GENUS_CAP", 6)
+    _assert_periods_match_segment_loop(_real_branch_curve(np.random.default_rng(g), g))
+
+
+def test_float_abs_f_matches_complex_f(hyp_g2, hyp_g3, lemniscatic):
+    # |f| from the real-axis product is |Re f| of the complex one, bit for
+    # bit, left of, between, on and right of the branch points
+    rng = np.random.default_rng(4)
+    for curve in (lemniscatic, hyp_g2, hyp_g3):
+        e = np.asarray(curve.branch_points)
+        x = np.concatenate([rng.uniform(e[0] - 2.0, e[-1] + 2.0, 400),
+                            e[-1] + rng.uniform(0.0, 3.0, 100), e])
+        assert np.abs(jac._f_real(curve, x)).tobytes() == np.abs(curve.f(x).real).tobytes()
 
 
 def test_lemniscatic_periods_give_square_lattice(pd_g1):
@@ -162,7 +207,7 @@ def test_riemann_vanishing_at_the_closed_form(name, request):
               for ch in (theta.ThetaCharacteristic.from_bits(ia, ib, g)
                          for ia in range(2**g) for ib in range(2**g))]
     shifted = jac.riemann_constant(pd) + np.array(halves)
-    vals = theta.theta_batch((divisors[None] - shifted[:, None]).reshape(-1, g), pd.tau)
+    vals = theta.theta((divisors[None] - shifted[:, None]).reshape(-1, g), pd.tau)
     ratio = np.array([abs(v.mantissa) / v.peak for v in vals]).reshape(len(halves), 6)
     assert np.max(ratio[0]) <= 1e-12
     assert np.all(np.max(ratio[1:], axis=1) > 1e-2)

@@ -30,6 +30,20 @@ def test_scaled_complex_algebra():
         a / th.ScaledComplex(0.0)
 
 
+def test_scaled_complex_plain_factors_keep_error_data():
+    # negation keeps err and peak; a plain factor c scales both by |c|
+    a = th.ScaledComplex(2.0 - 1j, 3.0, err=1e-14, peak=4.0)
+    neg = -a
+    assert (neg.mantissa, neg.log_scale, neg.err, neg.peak) == (-a.mantissa, 3.0, 1e-14, 4.0)
+    for c in (-2.5, 0.5j, 3 - 4j):
+        for prod in (a * c, c * a):
+            assert (prod.mantissa, prod.log_scale, prod.err, prod.peak) == (
+                a.mantissa * c, 3.0, 1e-14 * abs(c), 4.0 * abs(c))
+        quot = a / c
+        assert (quot.mantissa, quot.log_scale, quot.err, quot.peak) == (
+            a.mantissa / c, 3.0, 1e-14 / abs(c), 4.0 / abs(c))
+
+
 def test_scaled_rel_diff():
     a = th.ScaledComplex(1.0, 50.0)
     assert th.scaled_rel_diff(a, a) == 0.0
@@ -159,7 +173,7 @@ def test_entry_points_reject_non_symmetric_tau():
     delta = th.ThetaCharacteristic.first_odd(2)
     pts = [np.array([0.1, 0.2]), np.array([0.3 + 0.1j, -0.2])]
     with pytest.raises(ValueError, match="symmetric"):
-        th.theta_batch(np.zeros((1, 2)), tau)
+        th.theta(np.zeros((1, 2)), tau)
     with pytest.raises(ValueError, match="symmetric"):
         th.fay_residual(np.array([0.1j, 0.2]), pts, pts[::-1], tau, delta)
 
@@ -419,7 +433,7 @@ def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     # leaves out are below exp(-40) of the largest, even for the shifted row
     lam = float(np.min(np.linalg.eigvalsh(tau.y)))
     radius = int(np.ceil(np.sqrt(40.0 / (np.pi * lam)))) + 2
-    got = th.theta_batch(zs, tau.z, char)
+    got = th.theta(zs, tau.z, char)
     assert len(got) == len(zs)
     for z, val in zip(zs, got):
         want = lattice_theta(z, tau.z, char.a, char.b, radius)
@@ -450,11 +464,15 @@ def test_theta_is_one_row_of_theta_batch(rng):
     tau = random_siegel_point(2, rng)
     z = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     one = th.theta(z, tau.z)
-    row = th.theta_batch([z], tau.z)[0]
+    row = th.theta([z], tau.z)[0]
     assert (one.mantissa, one.log_scale, one.err, one.peak) == (
         row.mantissa, row.log_scale, row.err, row.peak)
-    with pytest.raises(ValueError, match="rows of length"):
-        th.theta_batch(np.zeros(3), tau.z)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="rows of length"):
+            th.theta(bad, tau.z)
+    # at genus 1 a stack is (n, 1); a scalar or a length-1 z is one value
+    assert len(th.theta(np.zeros((3, 1)), 1j)) == 3
+    assert isinstance(th.theta(0.2, 1j), th.ScaledComplex)
 
 
 def test_theta_batch_term_budget(rng, monkeypatch):
@@ -464,9 +482,9 @@ def test_theta_batch_term_budget(rng, monkeypatch):
     zs = 0.3 * (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)))
     monkeypatch.setattr(th, "MAX_TERMS", 900)
     with pytest.raises(th.TruncationError, match="budget 900"):
-        th.theta_batch(zs, tau.z)
+        th.theta(zs, tau.z)
     monkeypatch.setattr(th, "MAX_TERMS", 10**4)
-    assert len(th.theta_batch(zs[:1], tau.z)) == 1
+    assert len(th.theta(zs[:1], tau.z)) == 1
 
 
 def _scaled_matrix(mant, logs):

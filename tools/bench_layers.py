@@ -1,5 +1,5 @@
-"""Per-call timings of the theta, Abel-map, trisecant, cross-ratio, sampling
-and relation layers, written to BENCH_<tag>.json.
+"""Per-call timings of the theta, Abel-map, period, trisecant, cross-ratio,
+sampling and relation layers, written to BENCH_<tag>.json.
 
     python tools/bench_layers.py --tag TAG [--src DIR]
 
@@ -11,6 +11,8 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``fay_residual`` by number of point pairs m, on the bundled genus-2
   curve, at seeded curve points mapped by ``abel_map``;
 - ``abel_map`` by number of seeded real points on that curve, as one call;
+- ``compute_periods`` by genus: the bundled lemniscatic curve (g = 1), the
+  bundled genus-2 curve and a genus-3 curve with real branch points;
 - the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
   and retries, periods included) by m, at one seed, without the report;
 - ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
@@ -138,6 +140,17 @@ def bench_abel(holodiff) -> dict:
     return out
 
 
+def bench_periods(holodiff) -> dict:
+    from holodiff import curves, jacobian
+
+    out = {}
+    for curve in (_bundled(holodiff, "lemniscatic_g1.json"),
+                  _bundled(holodiff, "hyperelliptic_g2.json"),
+                  curves.HyperellipticCurve(list(G3_BRANCH_POINTS))):
+        out[str(curve.genus)] = _min_ms(lambda: jacobian.compute_periods(curve))
+    return out
+
+
 def bench_fay_check(holodiff) -> dict:
     from holodiff import cli
 
@@ -230,6 +243,7 @@ def main(argv=None) -> int:
         "theta_ms_per_call": bench_theta(theta, siegel, np),
         "fay_residual_ms_per_call": bench_fay(holodiff, np),
         "abel_map_ms_per_call": bench_abel(holodiff),
+        "compute_periods_ms_per_call": bench_periods(holodiff),
         "fay_check_g2_ms_per_call": bench_fay_check(holodiff),
         "cross_ratio_ms_per_call": bench_cross_ratio(holodiff),
         "sample_points_ms_per_call": bench_sample_points(holodiff),
