@@ -15,9 +15,11 @@ as its `uniform` and `integers` calls would, but the samplers decode it
 from the raw words of the bit generator, read in blocks (`_WordStream`):
 every word position is decoded on arrays as if a draw started there,
 and a plain loop walks the words draw by draw.  A plane-curve draw is x
-and then which root of F(x, .) to take; the drawn roots come from one
-stacked companion-matrix `eigvals` call plus three row-wise Newton
-steps.  A hyperelliptic draw is x and then the sheet.
+and then which root of F(x, .) to take, counting the roots in order of
+their distance from the fixed non-real point ROOT_ORDER_POINT; the drawn
+roots come from one Aberth-Ehrlich iteration on all rows of a degree
+(`_aberth`, numpy only, each row stopping on its own) plus three
+row-wise Newton steps.  A hyperelliptic draw is x and then the sheet.
 
 `sample_sets` draws several point sets, each from its own seed, in one
 pass: each round walks every unfinished set's own stream, evaluates the
@@ -55,6 +57,9 @@ MIN_POINT_SEPARATION = 1e-4
 MAX_DRAWS_PER_POINT = 50
 BRANCH_MARGIN = 0.05  # hyperelliptic draws closer than this to a branch point are rejected
 MIN_BRANCH_SEPARATION = 1e-3
+ABERTH_MAX_STEPS = 50
+# the drawn root index counts roots by their distance from this non-real point
+ROOT_ORDER_POINT = complex(0.6180339887498949, 0.7548776662466927)
 
 
 class CurveSpecError(ValueError):
@@ -238,27 +243,96 @@ def _horner_rows(coeffs, z):
     return acc
 
 
-def _pick_roots(coeffs, pick):
-    """Root number pick[i] of row i's polynomial, listed as np.roots lists them.
+def _aberth(c):
+    """Roots of the monic polynomials y^m + c[i, 0] y^(m-1) + ... + c[i, m-1],
+    one row of m roots per row of c, by Aberth-Ehrlich iteration.
 
-    As in np.roots, leading and trailing zero coefficients are stripped, the
-    companion-matrix eigenvalues come first and the stripped zero roots last.
-    Rows of one stripped degree share one stacked `eigvals` call.
+    All rows iterate at once (O. Aberth, Math. Comp. 27, 1973; D. A. Bini,
+    Numer. Algorithms 13, 1996).  Row i starts on the roots of the binomial
+    (y - s)^m + p(s), s = -c[i, 0] / m the mean of the roots, turned by 0.1
+    rad so that a real polynomial does not start symmetric under
+    conjugation.  A root rests while its correction w is below 4 eps |y|,
+    or while p(y) is within the rounding of its Horner evaluation (4 m eps
+    times the Horner sum of |c_j| |y|^j) and |w| is at least half the
+    correction of the step before: rounding, not distance to the root,
+    then drives w.  A row leaves the iteration at the first step at which
+    all its roots rest; a row still moving after ABERTH_MAX_STEPS steps
+    keeps its iterate.  Every operation is element by element within a row,
+    so a row's roots do not depend on the rows it is batched with.
+    """
+    m = c.shape[1]
+    c = c.T  # one row per power, one column per polynomial
+    s = -c[0] / m
+    ps = s + c[0]
+    for cj in c[1:]:
+        ps = ps * s + cj
+    radius = np.abs(ps) ** (1.0 / m)
+    if m > 1 and not radius.all():  # p(s) = 0: a circle through the Cauchy-type bound
+        bound = np.max(np.abs(c) ** (1.0 / np.arange(1, m + 1))[:, None], axis=0)
+        radius = np.where(radius == 0, bound, radius)
+    turn = np.exp(1j * ((2 * np.pi / m) * np.arange(m) + 0.1))[:, None]
+    z = s + radius * np.exp(1j * np.angle(-ps) / m) * turn
+    out = np.empty_like(z)
+    live = np.arange(z.shape[1])
+    abs_c = np.abs(c)
+    eps = np.finfo(float).eps
+    last = np.inf  # |w| of the step before
+    # a row whose iterate leaves the finite numbers just runs to the step cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_MAX_STEPS):
+            abs_z = np.abs(z)
+            f, df, scale = z + c[0], 1.0, abs_z + abs_c[0]
+            for cj, abs_cj in zip(c[1:], abs_c[1:]):
+                df = df * z + f
+                f = f * z + cj
+                scale = scale * abs_z + abs_cj
+            newton = f / df
+            diff = z[:, None] - z[None, :]  # diff[k, j] = z_k - z_j
+            diff.reshape(m * m, -1)[:: m + 1] = np.inf
+            recip = np.reciprocal(diff)
+            near = recip[:, 0]
+            for j in range(1, m):  # in order, so no batch-dependent summation
+                near = near + recip[:, j]
+            w = newton / (1.0 - newton * near)
+            step = np.abs(w)
+            rest = (step <= 4 * eps * abs_z) | (
+                (np.abs(f) <= 4 * m * eps * scale) & (step >= 0.5 * last))
+            done = np.logical_and.reduce(rest, axis=0)
+            if np.count_nonzero(done):
+                out[:, live[done]] = z[:, done]
+                live, keep = live[~done], ~done
+                if not len(live):
+                    return out.T
+                z, w, step, rest = z[:, keep], w[:, keep], step[:, keep], rest[:, keep]
+                c, abs_c = c[:, keep], abs_c[:, keep]
+            z = np.where(rest, z, z - w)
+            last = step
+    out[:, live] = z
+    return out.T
+
+
+def _pick_roots(coeffs, pick):
+    """Root number pick[i] of row i's polynomial, its roots ordered by their
+    distance from ROOT_ORDER_POINT.
+
+    Leading zero coefficients are stripped; trailing ones stand for roots
+    at 0, ordered with the rest.  Rows of one stripped degree share one
+    `_aberth` call.  The order needs no branch cut, and since the point is
+    not real it tells the two roots of a conjugate pair apart.
     """
     nz = coeffs != 0
-    lead = np.argmax(nz, axis=1)
-    deg = coeffs.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1) - lead
-    roots = np.zeros(len(pick), dtype=complex)
-    for m in np.unique(deg[deg > 0]):
-        rows = np.flatnonzero(deg == m)
-        p = np.take_along_axis(coeffs[rows], lead[rows, None] + np.arange(m + 1), axis=1)
-        comp = np.zeros((len(rows), m, m), dtype=complex)
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        eig = np.linalg.eigvals(comp)
-        hit = pick[rows] < m
-        roots[rows[hit]] = eig[hit, pick[rows[hit]]]
-    return roots
+    lead = nz.argmax(axis=1)
+    nroots = coeffs.shape[1] - 1 - lead
+    deg = nroots - nz[:, ::-1].argmax(axis=1)
+    roots = np.zeros((len(pick), coeffs.shape[1] - 1), dtype=complex)
+    for m in sorted(set(deg.tolist()) - {0}):
+        rows = (deg == m).nonzero()[0]
+        p = coeffs[rows[:, None], lead[rows, None] + np.arange(m + 1)]
+        roots[rows, :m] = _aberth(p[:, 1:] / p[:, :1])
+    dist = np.abs(roots - ROOT_ORDER_POINT)
+    dist[np.arange(roots.shape[1]) >= nroots[:, None]] = np.inf  # no root in these slots
+    at = np.arange(len(pick))
+    return roots[at, np.argsort(dist, axis=1, kind="stable")[at, pick]]
 
 
 class _WordStream:

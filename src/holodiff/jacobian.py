@@ -54,7 +54,8 @@ GENUS_CAP = 3
 
 
 class QuadratureError(RuntimeError):
-    """Node doubling failed to converge within the node cap."""
+    """Node doubling failed to converge within the node cap, or a rule
+    value was not finite."""
 
 
 class PathError(RuntimeError):
@@ -82,11 +83,14 @@ def _node_doubling(rule, count: int, rtol: float, cap: int, what: str):
     per leading index, for n = 32, 64, ... up to cap.  An integral stops
     when two successive values agree to `rtol` in its max norm; returns
     (values, |value - previous value|) for all integrals in index order.
+    A non-finite value raises, since inf - inf would never be tested.
     """
     idx = np.arange(count)
     n, prev, gap = 32, None, np.full(1, np.inf)
     while n <= cap:
         val = rule(n, idx)
+        if not np.isfinite(val).all():
+            raise QuadratureError(f"{what}: non-finite value at {n} nodes")
         if prev is None:
             out, gaps = np.empty(val.shape, val.dtype), np.empty(val.shape)
         else:

@@ -154,7 +154,10 @@ def sample_plane(model, count, seed, mode="complex"):
     """(x, y, chart) of `count` points of a plane curve, one draw at a time.
 
     Reads the RNG exactly as the package's sampler does, finds each y with
-    its own `np.roots` call and polishes it with three scalar Newton steps.
+    its own `np.roots` call (LAPACK eigenvalues of the companion matrix),
+    takes the drawn root in the package's order, by distance from
+    `curves.ROOT_ORDER_POINT`, and polishes it with three scalar Newton
+    steps.
     Rejection rules, thresholds and the per-point draw budget are the
     package's; the coefficients of F(x, .), F_y and F_x are rebuilt term by
     term from `model.coeffs`.
@@ -185,6 +188,7 @@ def sample_plane(model, count, seed, mode="complex"):
                 last_reason = "no y roots at drawn x"
                 continue
             roots = np.roots(np.array(f[nz[0]:]))
+            roots = roots[np.argsort(abs(roots - curves.ROOT_ORDER_POINT), kind="stable")]
             y = complex(roots[rng.integers(len(roots))])
             for _ in range(3):
                 dfy = _horner(fy, y)

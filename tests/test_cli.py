@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from holodiff import bases, cli, curves, jacobian, theta
+from holodiff import bases, cli, curves, jacobian, petri, theta
 from holodiff.cli import main
 
 from oracles import fay_check_sequential
@@ -144,10 +144,27 @@ def test_petri_hyperelliptic_warns(tmp_path, capsys):
     assert "overall=PASS checks=3 failures=0 warnings=2" in out
 
 
-def test_petri_rank_retries_rank_deficient_draw(capsys):
-    # the first anchor draw at this seed certifies rank 14 < 15
+def test_petri_rank_retries_rank_deficient_draw(monkeypatch, capsys):
+    # the first anchor draw at this seed certifies rank 14 < 15, and the
+    # retry certifies the full rank
+    outcomes = []
+    petri_basis = bases.petri_basis
+
+    def spy(model, anchors, **kwargs):
+        try:
+            pb = petri_basis(model, anchors, **kwargs)
+        except bases.RankDeficiencyError as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(pb)
+        return pb
+
+    monkeypatch.setattr(bases, "petri_basis", spy)
     assert main(["verify-petri", "--seed", "5039"]) == 0
     out = capsys.readouterr().out
+    assert isinstance(outcomes[0], bases.RankDeficiencyError)
+    assert outcomes[0].rank == 14
+    assert outcomes[-1].rank_certificate == 15
     assert ("check=petri-rank anchor=product-rank status=PASS" in out
             and "rank=15 expected=15" in out)
 
@@ -242,11 +259,23 @@ def test_petri_certificate_failure_waits_for_the_anchor_test(monkeypatch, capsys
             "note=NonGenericAnchorsError: non-generic anchors") in out
 
 
-@pytest.mark.parametrize("seed", ["14127", "73751"])
+@pytest.mark.parametrize("seed", [1094, 2804])
 def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
-    # one elimination per cofactor of the corank-1 matrix left these draws
-    # at 3.96e-7 and 3.41e-8 against the 1e-8 tolerance
-    assert main(["verify-petri", "--seed", seed]) == 0
+    # at these seeds a labeled matrix of the annihilation input, with the
+    # expanded row and the last column deleted, has a 1-norm condition
+    # number above 1e11; the relation's cofactor row is solved from that
+    # matrix (one elimination per cofactor left such draws at 4e-7 against
+    # the 1e-8 tolerance)
+    model = curves.parse_curve_spec(cli._builtin_text("fermat_quintic.json"))
+    g = model.genus
+    count, draw_seed = cli._petri_point_sets(model, seed)["petri-annihilation"]
+    pts = curves.sample_points(model, count, draw_seed)
+    inp = petri.RelationInput(model, pts[:g], pts[g:])
+    labels = petri.relation_labels(g)
+    amats = petri._labeled_matrices(petri.a_tensor(inp), petri._column_pairs(g, labels))
+    cofactor = np.delete(amats, petri.EXPANDED_ROW - 1, axis=-2)[..., :-1]
+    assert np.max(np.linalg.cond(cofactor, 1)) > 1e11
+    assert main(["verify-petri", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert "check=petri-annihilation anchor=annihilation status=PASS" in out
 

@@ -172,6 +172,145 @@ def test_draw_budget_matches_one_draw_oracle(quintic, monkeypatch):
     assert any(outcomes) and not all(outcomes)
 
 
+def _root_order(roots):
+    return roots[np.argsort(abs(roots - curves.ROOT_ORDER_POINT), kind="stable")]
+
+
+def _padded(poly, lead, trail, width=8):
+    """poly with `lead` leading and `trail` trailing zero coefficients, right-aligned
+    in a row of `width` with zeros in front."""
+    row = np.zeros(width, dtype=complex)
+    body = np.concatenate([np.zeros(lead), poly, np.zeros(trail)])
+    row[width - len(body):] = body
+    return row
+
+
+def _separated_roots(rng, m, real):
+    """m roots at least 0.2 apart, in the disk of radius 2; with `real`, the
+    set is closed under conjugation and holds several real roots."""
+    roots = []
+    while len(roots) < m:
+        if real and (len(roots) % 3 == 0 or len(roots) == m - 1):
+            cand = [complex(rng.uniform(-2, 2))]
+        else:
+            z = complex(*rng.uniform(-1.4, 1.4, 2))
+            cand = [z, z.conjugate()] if real else [z]
+            if real and abs(z.imag) < 0.1:
+                continue
+        if all(abs(c - r) >= 0.2 for c in cand for r in roots):
+            roots += cand
+    return np.array(roots)
+
+
+def test_pick_roots_matches_sorted_np_roots():
+    # every root of each row, drawn by index, against np.roots sorted by
+    # the same distance; rows mix complex and real coefficients (conjugate
+    # pairs, several real roots), leading and trailing zero coefficients
+    # (roots at 0 are ordered with the rest) and a near-double root.  Both
+    # root finders are backward stable, so they agree to a multiple of eps
+    # times each root's condition number sum |c_j| |y|^j / |p'(y)|; every
+    # tolerance is below half the gap between the distances of two roots,
+    # so a root taken in the wrong order cannot pass.
+    rng = np.random.default_rng(4)
+    eps = np.finfo(float).eps
+    coeffs, want, pick, tol = [], [], [], []
+    for _ in range(400):
+        m = int(rng.integers(1, 8))
+        kind = rng.integers(4)
+        if kind == 0:
+            poly = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        elif kind == 1:
+            poly = np.poly(_separated_roots(rng, m, real=True)) * rng.uniform(0.5, 2.0)
+            assert not np.any(poly.imag)
+        elif kind == 2:
+            poly = np.poly(_separated_roots(rng, m, real=False)) * complex(*rng.standard_normal(2))
+        else:
+            roots = _separated_roots(rng, max(m, 2) - 1, real=False)
+            # a second root 1e-5 from the first, along the ordering direction
+            away = roots[0] - curves.ROOT_ORDER_POINT
+            poly = np.poly(np.append(roots, roots[0] + 1e-5 * away / abs(away)))
+        lead = int(rng.integers(0, 8 - len(poly) + 1))
+        trail = int(rng.integers(0, 8 - len(poly) - lead + 1))
+        row = _padded(poly, lead, trail)
+        roots = _root_order(np.roots(row))
+        cond = np.polyval(abs(poly), abs(roots)) / abs(np.polyval(np.polyder(poly), roots))
+        row_tol = 200 * eps * np.where(roots == 0, 1.0, cond)  # roots at 0 are exact
+        key = abs(roots - curves.ROOT_ORDER_POINT)
+        gaps = np.diff(key)[roots[1:] != roots[:-1]]
+        assert np.all(row_tol < 0.5 * np.min(gaps, initial=np.inf))
+        coeffs += [row] * len(roots)
+        want += roots.tolist()
+        pick += range(len(roots))
+        tol += row_tol.tolist()
+    got = curves._pick_roots(np.array(coeffs), np.array(pick))
+    assert np.all(abs(got - np.array(want)) <= np.array(tol))
+
+
+@pytest.mark.parametrize("others", [[-2, 3j], [-2, 3j, 0.5 - 1.5j],
+                                    [1.5j, -1.25, 2 - 0.5j, -0.75j]])
+@pytest.mark.parametrize("base", [1, -0.5 + 1j, 1.25j])
+def test_pick_roots_resolves_near_double_root(base, others):
+    # roots base and base + 2**-20 next to others: every coefficient is
+    # exact, so the roots are known.  Stopping at the first step where
+    # |p(y)| reaches the rounding bound leaves such a pair up to 3e-8
+    # off; iterating on until the corrections stop shrinking gets within
+    # 1e-9, which np.roots (up to 3e-9 off here) does not beat
+    roots = np.array([base, base + 2.0**-20] + others, dtype=complex)
+    poly = np.array([1.0 + 0j])
+    for r in roots:
+        poly = np.convolve(poly, [1.0, -r])
+    want = _root_order(roots)
+    got = curves._pick_roots(np.tile(poly, (len(roots), 1)), np.arange(len(roots)))
+    assert np.max(abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("roots", [[1, 2, 3], [1 + 1j, 1 - 1j, 1]])
+def test_pick_roots_when_the_mean_of_the_roots_is_a_root(roots):
+    # the start circle around the mean s has radius |p(s)|^(1/m), here 0:
+    # the iteration starts on a circle through a bound on the roots instead
+    roots = np.array(roots, dtype=complex)
+    poly = np.poly(roots)
+    got = curves._pick_roots(np.tile(poly, (len(roots), 1)), np.arange(len(roots)))
+    assert np.max(abs(got - _root_order(roots))) <= 1e-14
+
+
+@pytest.mark.parametrize("terms", [None, MIXED_QUARTIC])
+def test_pick_roots_row_independent_of_batch(quintic, terms):
+    # a row alone gives bit for bit the root it gives inside a 200-row
+    # batch, so a point set drawn with other sets equals the set drawn alone
+    model = quintic if terms is None else curves.PlaneCurve(4, terms)
+    rng = np.random.default_rng(17)
+    x = 2 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    x[::7] = x[::7].real  # real draws among the complex ones
+    coeffs = model.y_poly_coeffs(x)
+    pick = rng.integers(model.degree, size=200)
+    batch = curves._pick_roots(coeffs, pick)
+    alone = [curves._pick_roots(coeffs[i:i + 1], pick[i:i + 1])[0] for i in range(200)]
+    assert batch.tolist() == alone
+
+
+def test_root_step_cap_accepts_only_points_on_the_curve(monkeypatch):
+    # one Aberth step leaves some mixed-quartic roots too far off for the
+    # three Newton steps; such a draw is a miss with the polish reason, and
+    # every accepted point still passes the on-curve test
+    model = curves.PlaneCurve(4, MIXED_QUARTIC)
+    monkeypatch.setattr(curves, "ABERTH_MAX_STEPS", 1)
+    monkeypatch.setattr(curves, "MAX_DRAWS_PER_POINT", 1)
+    reasons, accepted = set(), 0
+    for seed in range(40):
+        try:
+            pts = curves.sample_points(model, 20, seed)
+        except curves.SamplingError as exc:
+            reasons.add(str(exc).split("last rejection: ")[1])
+            continue
+        for p in pts:
+            resid = abs(model.f(p.x, p.y)[0])
+            assert resid <= curves.ON_CURVE_RTOL * model.on_curve_scale(p.x, p.y)[0]
+        accepted += len(pts)
+    assert "root polish left the curve residual too large" in reasons
+    assert accepted >= 200
+
+
 @pytest.mark.parametrize("k", [1, 5, 3 * 2**30 + 1])
 def test_word_stream_matches_generator_draws(k):
     # integers(1) reads no word; k = 5, the quintic's root count, rejects

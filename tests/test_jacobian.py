@@ -39,6 +39,22 @@ def test_quad_segment_validation_and_cap(monkeypatch):
         jac.quad_segment(lambda x: 1.0 / x, 0.0, 1.0, False, False)
 
 
+def test_abel_map_refuses_non_finite_leg_values():
+    # 1.6e-4 left of the first branch point, x = e0 - t^2 rounds onto e0 at
+    # 2048 nodes, f = 0 there and the leg values are inf; inf - inf passed
+    # the doubling test as inf <= inf, and the image came back as NaN with
+    # no error
+    curve = curves.HyperellipticCurve([-0.95, -0.746, 1.082, 1.241, 1.712, 1.944, 2.646])
+    pd = jac.compute_periods(curve)
+    x = -0.9501638
+    y = complex(np.sqrt(curve.f(np.array([x]))[0]))
+    point = curves.CurvePoint(curve, complex(x), y, "x", 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(jac.QuadratureError,
+                           match="segment quadrature: non-finite value at 2048 nodes"):
+            jac.abel_map(pd, point)
+
+
 @pytest.mark.parametrize("sing_a, sing_b", [(True, True), (False, True), (True, False)])
 def test_quad_segment_rows_match_scalar_calls(sing_a, sing_b):
     # inverse-square-root singular exactly at the flagged ends of [-1, 2]

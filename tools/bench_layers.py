@@ -26,6 +26,9 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - the six point sets of one ``verify-petri`` request on the bundled
   quintic at one seed (key ``quintic``), as one ``sample_sets`` call; a
   checkout without ``sample_sets`` has no key;
+- the root stage of plane sampling, ``curves._pick_roots``, on the
+  coefficient rows and root indices of the first round of those six sets
+  (key ``quintic_89``, one row per drawn root: 89 at the default seed);
 - ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
   and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
   point count of those six sets);
@@ -201,6 +204,24 @@ def bench_petri_sets(holodiff) -> dict:
     return {"quintic": _min_ms(lambda: curves.sample_sets(quintic, requests))}
 
 
+def bench_pick_roots(holodiff) -> dict:
+    from holodiff import cli, curves
+
+    if not hasattr(curves, "sample_sets"):
+        return {}
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    requests = list(cli._petri_point_sets(quintic, SEED).values())
+    calls = []
+    pick_roots = curves._pick_roots
+    curves._pick_roots = lambda coeffs, pick: calls.append((coeffs, pick)) or pick_roots(coeffs, pick)
+    try:
+        curves.sample_sets(quintic, requests)
+    finally:
+        curves._pick_roots = pick_roots
+    coeffs, pick = calls[0]
+    return {f"quintic_{len(pick)}": _min_ms(lambda: pick_roots(coeffs, pick))}
+
+
 def bench_evaluate(holodiff) -> dict:
     from holodiff import bases, curves
 
@@ -248,6 +269,7 @@ def main(argv=None) -> int:
         "cross_ratio_ms_per_call": bench_cross_ratio(holodiff),
         "sample_points_ms_per_call": bench_sample_points(holodiff),
         "petri_sets_ms_per_call": bench_petri_sets(holodiff),
+        "pick_roots_ms_per_call": bench_pick_roots(holodiff),
         "evaluate_ms_per_call": bench_evaluate(holodiff),
         "label_relations_ms_per_call": bench_label_relations(holodiff),
     }
