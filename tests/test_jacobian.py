@@ -39,9 +39,9 @@ def test_quad_segment_validation_and_cap(monkeypatch):
         jac.quad_segment(lambda x: 1.0 / x, 0.0, 1.0, False, False)
 
 
-def test_abel_map_refuses_non_finite_leg_values():
+def test_abel_map_refuses_non_finite_quadrature_values():
     # 1.6e-4 left of the first branch point, x = e0 - t^2 rounds onto e0 at
-    # 2048 nodes, f = 0 there and the leg values are inf; inf - inf passed
+    # 2048 nodes, f = 0 there and the quadrature values are inf; they passed
     # the doubling test as inf <= inf, and the image came back as NaN with
     # no error
     curve = curves.HyperellipticCurve([-0.95, -0.746, 1.082, 1.241, 1.712, 1.944, 2.646])
