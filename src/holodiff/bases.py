@@ -82,13 +82,6 @@ def _hyperelliptic_monomials(genus: int, weight: int) -> list[tuple[int, int]]:
     return mono
 
 
-def _refuse(points, bad, what, values) -> None:
-    """Raise ChartError naming the first point flagged in `bad`."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ChartError(f"chart breakdown at {points[i]!r}: {what} = {abs(values[i]):.3e}")
-
-
 class DifferentialBasis:
     """Linear combinations of a monomial differential family on one model."""
 
@@ -106,8 +99,10 @@ class DifferentialBasis:
     def dim(self) -> int:
         return self.coeffs.shape[0]
 
-    def _raw_values(self, points) -> np.ndarray:
-        """Monomial values, shape (len(monomials), len(points)), in one array pass."""
+    def _raw_values(self, points):
+        """Monomial values, shape (len(monomials), len(points)), in one array
+        pass, with the chart test: (values, flagged points, name of the
+        tested quantity, its values)."""
         if any(pt.model is not self.model for pt in points):
             raise ValueError("point does not belong to this basis's model")
         x = np.array([pt.x for pt in points], dtype=complex)
@@ -119,18 +114,56 @@ class DifferentialBasis:
             denom = np.where(on_x, model.fy(x, y), model.fx(x, y))
             big = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
             scale = model.coeff_scale * big ** (model.degree - 1)
-            _refuse(points, np.abs(denom) < CHART_FLOOR * scale, "|denominator|", denom)
             sign = np.where(on_x, 1.0, (-1.0) ** self.weight)
-            return sign * x**a * y**b / denom**self.weight
+            with np.errstate(divide="ignore", invalid="ignore"):  # flagged points
+                values = sign * x**a * y**b / denom**self.weight
+            return values, np.abs(denom) < CHART_FLOOR * scale, "|denominator|", denom
         # hyperelliptic: x^j / y^m
+        bad = np.zeros(len(points), dtype=bool)
         if np.any(b > 0):
-            scale = np.sqrt(model.on_curve_scale(x, y))
-            _refuse(points, np.abs(y) < CHART_FLOOR * scale, "|y|", y)
-        return x**a / y**b
+            bad = np.abs(y) < CHART_FLOOR * np.sqrt(model.on_curve_scale(x, y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x**a / y**b, bad, "|y|", y
 
-    def evaluate(self, points) -> np.ndarray:
-        """Matrix [basis_i(points_j)] of chart coefficients, shape (dim, len(points))."""
-        return self.coeffs @ self._raw_values(points)
+    def raw_sets(self, point_sets) -> list:
+        """Monomial values of several point sets in one array pass.
+
+        Per set, in order: its (len(monomials), len(set)) array, as a pass
+        over that set alone gives it, or the ChartError naming the set's
+        first point where the chart breaks down; a failing set leaves the
+        others unchanged.  Any basis on this monomial family turns a slot
+        into its own values through `evaluate(points, raw)`.
+        """
+        points = [pt for pts in point_sets for pt in pts]
+        values, bad, what, tested = self._raw_values(points)
+        out, start = [], 0
+        for pts in point_sets:
+            stop = start + len(pts)
+            flagged = np.flatnonzero(bad[start:stop])
+            if len(flagged):
+                i = start + int(flagged[0])
+                out.append(ChartError(
+                    f"chart breakdown at {points[i]!r}: {what} = {abs(tested[i]):.3e}"))
+            else:
+                out.append(values[:, start:stop].copy())
+            start = stop
+        return out
+
+    def evaluate(self, points, raw=None) -> np.ndarray:
+        """Matrix [basis_i(points_j)] of chart coefficients, shape (dim, len(points)).
+
+        The coefficients are applied to `raw`, the points' slot of a
+        `raw_sets` pass (a ChartError slot is raised), or, when no slot is
+        given, to the one-set pass `raw_sets([points])`.
+        """
+        if raw is None:
+            [raw] = self.raw_sets([points])
+        if isinstance(raw, ChartError):
+            raise raw
+        if raw.shape != (len(self.monomials), len(points)):
+            raise ValueError(f"monomial values of shape {raw.shape} do not match "
+                             f"{len(self.monomials)} monomials at {len(points)} points")
+        return self.coeffs @ raw
 
     def transform(self, matrix) -> "DifferentialBasis":
         """New basis whose elements are rows of `matrix` applied to this one."""
@@ -157,9 +190,10 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _cardinal(basis: DifferentialBasis, anchors):
-    """(cardinal basis at the anchors, condition number of the evaluation)."""
-    phi_inv, cond = linalg.inverse_cond1(basis.evaluate(anchors))
+def _cardinal(basis: DifferentialBasis, anchors, raw=None):
+    """(cardinal basis at the anchors, condition number of the evaluation);
+    `raw` is the anchors' slot of a `raw_sets` pass, if there was one."""
+    phi_inv, cond = linalg.inverse_cond1(basis.evaluate(anchors, raw))
     if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
         raise NonGenericAnchorsError("non-generic anchors", cond)
     return basis.transform(phi_inv), cond
@@ -212,21 +246,19 @@ class PetriBasis:
     def v_dim(self) -> int:
         return 3 * self.genus - 3
 
-    def products(self, points) -> np.ndarray:
-        """All M pair products sigma_a * sigma_b at the points, slot order."""
-        sig = self.sigma.evaluate(points)
+    def products(self, points, raw=None) -> np.ndarray:
+        """All M pair products sigma_a * sigma_b at the points, slot order;
+        `raw` as in `DifferentialBasis.evaluate`."""
+        sig = self.sigma.evaluate(points, raw)
         return pair_products(sig, self.pm)
 
-    def v_matrix(self, points) -> np.ndarray:
+    def v_matrix(self, points, raw=None) -> np.ndarray:
         """The first 3g-3 product rows (the quadratic basis) at the points."""
-        return self.products(points)[: self.v_dim]
+        return self.products(points, raw)[: self.v_dim]
 
 
-def _product_rank(petri: PetriBasis, points) -> int:
-    return linalg.numerical_rank(linalg.scale_rows(petri.v_matrix(points)))
-
-
-def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
+def petri_basis(model, anchors, *, certificate=None, anchor_raw=None,
+                certificate_raw=None) -> PetriBasis:
     """Build the cardinal sigma basis and certify the span of its products.
 
     The rank certificate is the numerical rank of the first 3g-3 products
@@ -235,6 +267,12 @@ def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
     once the anchors pass, where the default points would be drawn.  A
     plane model must certify at full rank; other models report whatever
     rank the products actually have.
+
+    `anchor_raw` and `certificate_raw` are the two sets' slots of one
+    `raw_sets` pass of the holomorphic basis: the anchors' columns go
+    through phi^-1 and the certificate's through sigma's coefficients, and
+    a ChartError slot is raised where that set's evaluation would raise.
+    Without them each set is evaluated on its own.
     """
     g = model.genus
     if g < 2:
@@ -242,13 +280,14 @@ def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
     if len(anchors) != g:
         raise ValueError(f"need {g} anchors, got {len(anchors)}")
     omega = holomorphic_basis(model, 1)
-    sigma, cond = _cardinal(omega, anchors)
+    sigma, cond = _cardinal(omega, anchors, anchor_raw)
     petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
     if certificate is None:
         certificate = sample_points(model, 3 * g - 3, CERTIFICATE_SEED)
     elif isinstance(certificate, SamplingError):
         raise certificate
-    petri.rank_certificate = _product_rank(petri, certificate)
+    vmat = petri.v_matrix(certificate, certificate_raw)
+    petri.rank_certificate = linalg.numerical_rank(linalg.scale_rows(vmat))
     if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
         raise RankDeficiencyError(
             f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}",

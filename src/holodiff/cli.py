@@ -132,22 +132,29 @@ def _petri_checks(model, seed, tol):
     plane = isinstance(model, curves.PlaneCurve)
     checks = []
     sets = _petri_point_sets(model, seed)
+    omega = bases.holomorphic_basis(model)
 
     @functools.cache
     def drawn():
-        """Every set of `sets`, drawn in one sampler pass on first use."""
-        return dict(zip(sets, curves.sample_sets(model, list(sets.values()))))
+        """(points, monomial values) of every set of `sets`, on first use:
+        the points from one sampler pass, the values of the sets that drew
+        from one `raw_sets` pass, each a list or the error of its slot."""
+        pts = dict(zip(sets, curves.sample_sets(model, list(sets.values()))))
+        ok = [name for name in sets if not isinstance(pts[name], curves.SamplingError)]
+        raw = dict(zip(ok, omega.raw_sets([pts[name] for name in ok])))
+        return {name: (pts[name], raw.get(name)) for name in sets}
 
     def points(name):
-        """The points of set `name`; raises the SamplingError its draw ended with."""
-        pts = drawn()[name]
+        """(points, monomial values) of set `name`; raises the SamplingError
+        its draw ended with."""
+        pts, raw = drawn()[name]
         if isinstance(pts, curves.SamplingError):
             raise pts
-        return pts
+        return pts, raw
 
     def fresh_input(name):
-        pts = points(name)
-        return petri.RelationInput(model, pts[:g], pts[g:])
+        pts, raw = points(name)
+        return petri.RelationInput(model, pts[:g], pts[g:], raw=raw)
 
     if plane:
         def check_dets():
@@ -161,13 +168,11 @@ def _petri_checks(model, seed, tol):
         def check_annihilation():
             t = tol.get("annihilation", 1e-8)
             inp = fresh_input("petri-annihilation")
-            fresh = points("petri-annihilation-points")
-            omega_fresh = bases.holomorphic_basis(model).evaluate(fresh)
-            worst = 0.0
-            for rc in petri.label_relations(inp).values():
-                res = petri.annihilation_residual(rc.coefficients, omega_fresh)
-                worst = max(worst, float(np.max(res)))
-            return _record("petri-annihilation", "annihilation", worst, t)
+            omega_fresh = omega.evaluate(*points("petri-annihilation-points"))
+            coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
+            res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
+            return _record("petri-annihilation", "annihilation",
+                           float(np.max(res, initial=0.0)), t)
 
         def check_relation_set():
             inp = fresh_input("petri-relations")
@@ -197,12 +202,16 @@ def _petri_checks(model, seed, tol):
             if attempt:
                 anchors, certificate = curves.sample_sets(
                     model, list(_petri_rank_sets(g, seed, attempt).values()))
+                anchor_raw = certificate_raw = None  # petri_basis evaluates them
             else:
-                anchors, certificate = drawn()["petri-rank"], drawn()["petri-rank-certificate"]
+                (anchors, anchor_raw), (certificate, certificate_raw) = (
+                    drawn()["petri-rank"], drawn()["petri-rank-certificate"])
             if isinstance(anchors, curves.SamplingError):
                 raise anchors
             try:
-                pb = bases.petri_basis(model, anchors, certificate=certificate)
+                pb = bases.petri_basis(model, anchors, certificate=certificate,
+                                       anchor_raw=anchor_raw,
+                                       certificate_raw=certificate_raw)
                 rank = pb.rank_certificate
                 break
             except bases.RankDeficiencyError as exc:

@@ -120,15 +120,18 @@ def _one_sided_rule(f, a, b, sing_a, n: int):
     """Gauss-Legendre rule at n nodes after x = a + t^2 (sing_a) or b - t^2.
 
     The substitution removes an inverse-square-root singularity at the
-    flagged end.  a, b and sing_a are scalars, or (k, 1) columns for k
+    flagged end.  f(x, d) gets the abscissae and their offsets d = +t^2
+    (resp. -t^2) from the flagged end, exact where x - end recomputed
+    from the rounded x is not, so the integrand can take its singular
+    factor from d.  a, b and sing_a are scalars, or (k, 1) columns for k
     intervals at once; then f maps (k, n) abscissae to (rows, k, n).
     """
     width = np.sqrt(b - a)
     t, w = _gauss_legendre(n)
     tt = (t + 1) * (width / 2)
     ww = w * (width / 2)
-    x = np.where(sing_a, a + tt * tt, b - tt * tt)
-    return np.sum(f(x) * 2.0 * tt * ww, axis=-1)
+    d = tt * tt * np.where(sing_a, 1.0, -1.0)
+    return np.sum(f(np.where(sing_a, a, b) + d, d) * 2.0 * tt * ww, axis=-1)
 
 
 def quad_segment(f, a, b, sing_a: bool, sing_b: bool):
@@ -161,7 +164,7 @@ def quad_segment(f, a, b, sing_a: bool, sing_b: bool):
             x = mid[idx] + half[idx] * t
             val = (np.pi / n) * np.sum(f(x) * half[idx] * np.sqrt(1.0 - t * t), axis=-1)
         elif sing_a or sing_b:
-            val = _one_sided_rule(f, lo[idx], hi[idx], sing_a, n)
+            val = _one_sided_rule(lambda x, _: f(x), lo[idx], hi[idx], sing_a, n)
         else:
             t, w = _gauss_legendre(n)
             val = np.sum(f(mid[idx] + half[idx] * t) * w * half[idx], axis=-1)
@@ -186,13 +189,32 @@ def _f_real(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _f_off_end(curve: HyperellipticCurve, end: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """f at x = e[end] + d, one branch index per row of d, in the factor
+    order of `_f_real`, each factor x - e_i formed as (e[end] - e_i) + d:
+    the singular factor is d itself, exact where x - e[end] recomputed
+    from the rounded x is not."""
+    e = np.asarray(curve.branch_points)
+    gaps = e[end][:, None] - e
+    out = gaps[:, :1] + d
+    for i in range(1, len(e)):
+        out *= gaps[:, i : i + 1] + d
+    return out
+
+
 def _sqrt_abs_f(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(_f_real(curve, x)))
 
 
-def _monomial_rows(curve: HyperellipticCurve):
-    """quad_segment integrand with rows x^k / sqrt|f(x)|, k = 0..g-1."""
-    return lambda x: np.stack([x**k for k in range(curve.genus)]) / _sqrt_abs_f(curve, x)
+def _monomial_rows(curve: HyperellipticCurve, end=None):
+    """Integrand with rows x^k / sqrt|f(x)|, k = 0..g-1: of x for
+    quad_segment, or with `end` of (x, d) for `_one_sided_rule`, singular
+    at branch points e[end], one per row, with f from `_f_off_end`."""
+    g = curve.genus
+    if end is None:
+        return lambda x: np.stack([x**k for k in range(g)]) / _sqrt_abs_f(curve, x)
+    return lambda x, d: (np.stack([x**k for k in range(g)])
+                         / np.sqrt(np.abs(_f_off_end(curve, end, d))))
 
 
 def _segment_phase(curve: HyperellipticCurve, seg_index: int) -> complex:
@@ -325,9 +347,10 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
         lo = np.where(left[k], xs[k], e[j_left[k]])[:, None]
         hi = np.where(left[k], e[0], xs[k])[:, None]
         sing_lo = ~left[k][:, None]
-        rows = _monomial_rows(curve)
+        end = np.where(left[k], 0, j_left[k])  # the singular branch point
         vals, gaps = _node_doubling(
-            lambda n, idx: _one_sided_rule(rows, lo[idx], hi[idx], sing_lo[idx], n).T,
+            lambda n, idx: _one_sided_rule(_monomial_rows(curve, end[idx]), lo[idx], hi[idx],
+                                           sing_lo[idx], n).T,
             len(k), QUAD_RTOL, QUAD_CAP, "segment quadrature",
         )
         coef = np.where(left[k], -_segment_phase(curve, -1), phases[j_left[k]])

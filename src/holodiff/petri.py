@@ -60,9 +60,16 @@ class RelationRankError(RuntimeError):
 
 
 class RelationInput:
-    """Evaluation data for the relation machinery: base and probe points."""
+    """Evaluation data for the relation machinery: base and probe points.
 
-    def __init__(self, model, p_points, q_points):
+    The holomorphic basis is evaluated at p_points + q_points in one pass
+    and sliced into omega_p and omega_q.  `raw` is that point list's slot
+    of a `DifferentialBasis.raw_sets` pass that also served other point
+    sets (a ChartError slot is raised here); without it the pass covers
+    this input alone.
+    """
+
+    def __init__(self, model, p_points, q_points, *, raw=None):
         g = model.genus
         if len(p_points) != g:
             raise ValueError(f"need {g} base points, got {len(p_points)}")
@@ -72,7 +79,7 @@ class RelationInput:
         self.basis = holomorphic_basis(model, 1)
         self.p_points = tuple(p_points)
         self.q_points = tuple(q_points)
-        omega = self.basis.evaluate(self.p_points + self.q_points)
+        omega = self.basis.evaluate(self.p_points + self.q_points, raw)
         self.omega_p, self.omega_q = omega[:, :g], omega[:, g:]
         self.det_p = linalg.det(self.omega_p)
         ratio = linalg.hadamard_ratio(self.omega_p)
@@ -275,12 +282,17 @@ def label_relations(inp: RelationInput) -> dict:
 def annihilation_residual(coeff: np.ndarray, omega_values: np.ndarray) -> np.ndarray:
     """Per-point relative residual of sum_ij c_ij w_i(z) w_j(z).
 
-    `omega_values` has one column per evaluation point.  The scale is
-    the largest coefficient magnitude times the squared largest basis
+    `omega_values` has one column per evaluation point.  `coeff` is one
+    (g, g) matrix, giving one residual per point, or a stack (L, g, g),
+    giving shape (L, points), each row bit for bit as its matrix alone
+    gives it (except in the last bits at g = 2 with one point, where
+    einsum picks another loop order).  The scale is the largest
+    coefficient magnitude of the matrix times the squared largest basis
     value at each point.
     """
-    quad = np.einsum("ij,ip,jp->p", coeff, omega_values, omega_values)
-    scale = np.max(np.abs(coeff)) * np.max(np.abs(omega_values), axis=0) ** 2
+    quad = np.einsum("...ij,ip,jp->...p", coeff, omega_values, omega_values)
+    peak = np.max(np.abs(coeff), axis=(-2, -1))[..., None]
+    scale = peak * np.max(np.abs(omega_values), axis=0) ** 2
     return np.abs(quad) / np.maximum(scale, 1e-300)
 
 

@@ -171,7 +171,9 @@ class ThetaCharacteristic:
 
     @classmethod
     def first_odd(cls, g: int) -> "ThetaCharacteristic":
-        return odd_characteristics(g, 1)[0]
+        """odd_characteristics(g)[0]: every a-bits 0 is even, and at a-bits 1
+        the b-bits 1 is the first odd one."""
+        return cls.from_bits(1, 1, g)
 
     def __repr__(self):
         return f"ThetaCharacteristic(a={self.a.tolist()}, b={self.b.tolist()})"

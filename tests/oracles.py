@@ -303,7 +303,9 @@ def abel_map_per_point(pd, p, via=None):
 
     Cached segments are added one by one; the partial segment, or the leg
     left of the first branch point, gets its own node-doubling loop of
-    one-sided Gauss-Legendre rules.  Complex legs use the package's
+    one-sided Gauss-Legendre rules, whose f forms each factor x - e_i
+    from the offset d = +-t^2 from the singular branch point e_end, as
+    (e_end - e_i) + d, from the curve's complex product.  Complex legs use the package's
     `_complex_leg`, which works one point at a time anyway.
     """
     from holodiff import jacobian as jac
@@ -319,15 +321,19 @@ def abel_map_per_point(pd, p, via=None):
         # 1/y phase on the segment with 2g - seg branch points to its right
         return (-1j) ** ((2 * g - seg) % 4)
 
-    def one_sided(a, b, sing_a):
+    def one_sided(a, b, sing_a, end):
         width = np.sqrt(b - a)
         n, prev = 32, None
         while n <= jac.QUAD_CAP:
             t, w = _leggauss(n)
             tt = (t + 1) * (width / 2)
             ww = w * (width / 2)
-            x = a + tt * tt if sing_a else b - tt * tt
-            rows = np.stack([x**k for k in range(g)]) / sqrt_abs_f(x)
+            d = tt * tt if sing_a else -(tt * tt)
+            x = a + d if sing_a else b + d
+            # each factor x - e_i as (e_end - e_i) + d, so the singular one is d
+            factors = (e[end] - e)[None, :].astype(complex) + d[:, None]
+            f = np.prod(factors, axis=1).real
+            rows = np.stack([x**k for k in range(g)]) / np.sqrt(np.abs(f))
             val = np.sum(rows * 2.0 * tt * ww, axis=-1)
             if prev is not None:
                 gap = abs(val - prev)
@@ -356,7 +362,7 @@ def abel_map_per_point(pd, p, via=None):
 
     path, err = [], 0.0
     if x < e[0]:
-        val, dq = one_sided(x, float(e[0]), False)
+        val, dq = one_sided(x, float(e[0]), False, 0)
         total = -phase(-1) * val
         err += float(np.sum(dq))
         path.append(f"real:{e[0]}->{x}")
@@ -374,7 +380,7 @@ def abel_map_per_point(pd, p, via=None):
         else:
             j = int(np.searchsorted(e, x) - 1)
             start = float(e[j])
-            val, dq = one_sided(start, x, True)
+            val, dq = one_sided(start, x, True, j)
             total += (phase(j) if j < 2 * g else 1.0 + 0.0j) * val
             err += float(np.sum(dq))
             path.append(f"partial:{start}->{x}")

@@ -116,6 +116,34 @@ def test_chart_error_names_the_offending_point(quintic, hyp_g2):
     assert "|y|" in str(exc.value)
 
 
+def test_raw_sets_slots_are_one_set_passes(quintic, hyp_g2):
+    # one pass over several sets gives each set the values, bit for bit,
+    # and the chart error a pass over that set alone gives it
+    bad = curves.CurvePoint(quintic, -1.0 + 0j, 0j, "x")
+    for model, mode in ((quintic, "complex"), (hyp_g2, "real")):
+        basis = bases.holomorphic_basis(model)
+        for seed in range(30):
+            sets = curves.sample_sets(model, [(n, 100 * seed + n) for n in (6, 15, 0, 20)], mode)
+            for raw, pts in zip(basis.raw_sets(sets), sets):
+                alone = basis._raw_values(pts)[0]
+                assert raw.flags.c_contiguous and raw.tobytes() == alone.tobytes()
+                assert basis.evaluate(pts, raw).tobytes() == basis.evaluate(pts).tobytes()
+    basis = bases.holomorphic_basis(quintic)
+    sets = [curves.sample_points(quintic, 4, s) for s in (1, 2, 3)]
+    sets[1][2] = bad
+    slots = basis.raw_sets(sets)
+    assert isinstance(slots[1], curves.ChartError) and repr(bad) in str(slots[1])
+    with pytest.raises(curves.ChartError) as exc:
+        basis.evaluate(sets[1])
+    assert str(exc.value) == str(slots[1])
+    with pytest.raises(curves.ChartError, match="chart breakdown"):
+        basis.evaluate(sets[1], slots[1])
+    for k in (0, 2):
+        assert slots[k].tobytes() == basis._raw_values(sets[k])[0].tobytes()
+    with pytest.raises(ValueError, match="do not match"):
+        basis.evaluate(sets[0][:3], slots[0])
+
+
 def test_evaluate_rejects_points_of_another_model(quintic, quartic):
     pts = curves.sample_points(quintic, 2, 64) + curves.sample_points(quartic, 1, 65)
     with pytest.raises(ValueError, match="does not belong"):

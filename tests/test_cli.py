@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ def test_petri_draws_every_set_in_one_pass(monkeypatch, capsys):
     ]]
 
 
+def test_petri_evaluates_every_set_in_one_pass(monkeypatch, capsys):
+    # at attempt 0 the six sets of a request share one monomial-value pass
+    sizes = []
+    raw_values = bases.DifferentialBasis._raw_values
+    monkeypatch.setattr(bases.DifferentialBasis, "_raw_values",
+                        lambda self, points: sizes.append(len(points)) or raw_values(self, points))
+    assert main(["verify-petri"]) == 0
+    capsys.readouterr()
+    assert sizes == [16 + 16 + 16 + 20 + 6 + 15]
+
+
 def _report_lines(out):
     return [re.sub(r" ms=\S+", "", ln) for ln in out.splitlines()]
 
@@ -239,6 +251,45 @@ def test_petri_failing_set_fails_only_its_check(target, check, monkeypatch, caps
     assert [b for _, b in changed][:1] == [
         f"check={check} anchor=internal-error status=FAIL residual=- tol=- "
         "note=SamplingError: injected sampling failure"]
+    assert all(a.startswith(f"check={check} ") or a.startswith("overall=")
+               for a, _ in changed)
+
+
+@pytest.mark.parametrize("target,check", [
+    ("petri-determinants", "petri-determinants"),
+    ("petri-annihilation", "petri-annihilation"),
+    ("petri-annihilation-points", "petri-annihilation"),
+    ("petri-relations", "petri-relations"),
+    ("petri-rank", "petri-rank"),
+    ("petri-rank-certificate", "petri-rank"),
+])
+def test_petri_chart_breakdown_fails_only_its_check(target, check, monkeypatch, capsys):
+    # two points where F_y = 5 y^4 vanishes, put into one set; the check
+    # that evaluates the set names the first of them, the others pass
+    seed = cli.DEFAULT_SEED
+    assert main(["verify-petri"]) == 0
+    want = _report_lines(capsys.readouterr().out)
+    rank = cli._sub_seed(seed, "petri-rank")
+    bad = rank + 7919 if target == "petri-rank-certificate" else cli._sub_seed(seed, target)
+    first, second = (curves.CurvePoint(None, np.exp(1j * np.pi * k / 5), 0j, "x")
+                     for k in (3, 5))
+    sample_sets = curves.sample_sets
+
+    def faulty(model, requests, mode="complex"):
+        out = sample_sets(model, requests, mode)
+        for (_, s), pts in zip(requests, out):
+            if s == bad:
+                pts[1:3] = [replace(first, model=model), replace(second, model=model)]
+        return out
+
+    monkeypatch.setattr(curves, "sample_sets", faulty)
+    assert main(["verify-petri"]) == 1
+    got = _report_lines(capsys.readouterr().out)
+    changed = [(a, b) for a, b in zip(want, got) if a != b]
+    assert len(want) == len(got)
+    assert [b for _, b in changed][:1] == [
+        f"check={check} anchor=internal-error status=FAIL residual=- tol=- "
+        f"note=ChartError: chart breakdown at {first!r}: |denominator| = 0.000e+00"]
     assert all(a.startswith(f"check={check} ") or a.startswith("overall=")
                for a, _ in changed)
 

@@ -1,5 +1,6 @@
 """Tests for period matrices, Abel maps, and elliptic reduction."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,20 +40,41 @@ def test_quad_segment_validation_and_cap(monkeypatch):
         jac.quad_segment(lambda x: 1.0 / x, 0.0, 1.0, False, False)
 
 
-def test_abel_map_refuses_non_finite_quadrature_values():
-    # 1.6e-4 left of the first branch point, x = e0 - t^2 rounds onto e0 at
-    # 2048 nodes, f = 0 there and the quadrature values are inf; they passed
-    # the doubling test as inf <= inf, and the image came back as NaN with
-    # no error
-    curve = curves.HyperellipticCurve([-0.95, -0.746, 1.082, 1.241, 1.712, 1.944, 2.646])
+def test_node_doubling_refuses_non_finite_values():
+    # inf - inf is never tested by the doubling gap, so a non-finite rule
+    # value raises at the node count that produced it
+    def f(x):
+        return np.full(x.shape, np.inf if x.shape[-1] >= 64 else 1.0)
+
+    with pytest.raises(jac.QuadratureError, match="segment quadrature: non-finite value at 64 nodes"):
+        jac.quad_segment(f, 0.0, 1.0, False, True)
+
+
+def test_abel_map_converges_next_to_a_branch_point():
+    # 1.6e-4 left of the first branch point: with x - e0 recomputed from the
+    # rounded x = e0 - t^2 the leg drifted from 32 to 1024 nodes and x
+    # rounded onto e0 at 2048; the rule now passes the exact -t^2 as that
+    # factor.  Oracle: mpmath at 40 digits after t = e0 - s^2, with y
+    # continued along the axis to the point's own y.
+    e = [-0.95, -0.746, 1.082, 1.241, 1.712, 1.944, 2.646]
+    curve = curves.HyperellipticCurve(e)
     pd = jac.compute_periods(curve)
     x = -0.9501638
     y = complex(np.sqrt(curve.f(np.array([x]))[0]))
-    point = curves.CurvePoint(curve, complex(x), y, "x", 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(jac.QuadratureError,
-                           match="segment quadrature: non-finite value at 2048 nodes"):
-            jac.abel_map(pd, point)
+    img = jac.abel_map(pd, curves.CurvePoint(curve, complex(x), y, "x", 1))
+    assert img.path[0] == "real:-0.95->-0.9501638"
+    with mpmath.workdps(40):
+        e0, reach = mpmath.mpf(e[0]), mpmath.sqrt(mpmath.mpf(e[0]) - mpmath.mpf(x))
+
+        def rest(t):
+            return abs(mpmath.fprod(t - mpmath.mpf(ei) for ei in e[1:]))
+
+        legs = [mpmath.quad(lambda s, k=k: 2 * (e0 - s * s) ** k / mpmath.sqrt(rest(e0 - s * s)),
+                            [0, reach]) for k in range(curve.genus)]
+        scale = -mpmath.sqrt(abs(mpmath.fprod(mpmath.mpf(x) - mpmath.mpf(ei) for ei in e))) / y
+        want = pd.normalization @ np.array([complex(scale * leg) for leg in legs])
+    assert np.max(np.abs(img.vector - want)) <= 1e-12 * np.max(np.abs(want))
+    assert img.err <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("sing_a, sing_b", [(True, True), (False, True), (True, False)])

@@ -79,6 +79,14 @@ def test_characteristic_bits_and_first_odd():
     assert d2.is_odd
 
 
+@pytest.mark.parametrize("g", range(1, 7))
+def test_first_odd_is_the_first_enumerated_odd_characteristic(g):
+    # first_odd builds from_bits(1, 1, g) without walking the enumeration
+    first, want = th.ThetaCharacteristic.first_odd(g), th.odd_characteristics(g, 1)[0]
+    assert first.a.tobytes() == want.a.tobytes()
+    assert first.b.tobytes() == want.b.tobytes()
+
+
 @pytest.mark.parametrize("g,count", [(1, 1), (2, 6), (3, 28)])
 def test_odd_characteristic_counts(g, count):
     odd = th.odd_characteristics(g)

@@ -31,7 +31,10 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   (key ``quintic_89``, one row per drawn root: 89 at the default seed);
 - ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
   and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
-  point count of those six sets);
+  point count of those six sets), and on those six sets as one request
+  evaluates them: one ``raw_sets`` pass, then each set's ``evaluate`` on
+  its slot (key ``quintic_sets``; a checkout without ``raw_sets`` has no
+  key);
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, at seeded base and probe points.
 
@@ -223,7 +226,7 @@ def bench_pick_roots(holodiff) -> dict:
 
 
 def bench_evaluate(holodiff) -> dict:
-    from holodiff import bases, curves
+    from holodiff import bases, cli, curves
 
     quintic = _bundled(holodiff, "fermat_quintic.json")
     basis = bases.holomorphic_basis(quintic)
@@ -231,6 +234,10 @@ def bench_evaluate(holodiff) -> dict:
     for n in EVALUATE_POINTS:
         pts = curves.sample_points(quintic, n, SEED + n)
         out[f"quintic_{n}"] = _min_ms(lambda: basis.evaluate(pts))
+    if hasattr(basis, "raw_sets"):
+        sets = curves.sample_sets(quintic, list(cli._petri_point_sets(quintic, SEED).values()))
+        out["quintic_sets"] = _min_ms(lambda: [
+            basis.evaluate(pts, raw) for pts, raw in zip(sets, basis.raw_sets(sets))])
     return out
 
 
