@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curves import HyperellipticCurve, PlaneCurve, ChartError, SamplingError, sample_points
-from .pairindex import PairIndexMap, build_pair_index
+from .curves import HyperellipticCurve, PlaneCurve, ChartError, sample_points
+from .pairindex import build_pair_index, pair_vector
 
 __all__ = [
     "NonGenericAnchorsError",
@@ -28,7 +28,6 @@ __all__ = [
     "holomorphic_basis",
     "cardinal_basis",
     "petri_basis",
-    "pair_products",
     "expansion_coefficients",
 ]
 
@@ -125,14 +124,13 @@ class DifferentialBasis:
         with np.errstate(divide="ignore", invalid="ignore"):
             return x**a / y**b, bad, "|y|", y
 
-    def raw_sets(self, point_sets) -> list:
-        """Monomial values of several point sets in one array pass.
+    def evaluate_sets(self, point_sets) -> list:
+        """Values of the basis on several point sets, from one array pass.
 
-        Per set, in order: its (len(monomials), len(set)) array, as a pass
-        over that set alone gives it, or the ChartError naming the set's
-        first point where the chart breaks down; a failing set leaves the
-        others unchanged.  Any basis on this monomial family turns a slot
-        into its own values through `evaluate(points, raw)`.
+        Per set, in order: its (dim, len(set)) matrix of chart
+        coefficients, bit for bit what `evaluate` gives on that set alone,
+        or the ChartError naming the set's first point where the chart
+        breaks down; a failing set leaves the others unchanged.
         """
         points = [pt for pts in point_sets for pt in pts]
         values, bad, what, tested = self._raw_values(points)
@@ -145,25 +143,17 @@ class DifferentialBasis:
                 out.append(ChartError(
                     f"chart breakdown at {points[i]!r}: {what} = {abs(tested[i]):.3e}"))
             else:
-                out.append(values[:, start:stop].copy())
+                out.append(self.coeffs @ values[:, start:stop])
             start = stop
         return out
 
-    def evaluate(self, points, raw=None) -> np.ndarray:
-        """Matrix [basis_i(points_j)] of chart coefficients, shape (dim, len(points)).
-
-        The coefficients are applied to `raw`, the points' slot of a
-        `raw_sets` pass (a ChartError slot is raised), or, when no slot is
-        given, to the one-set pass `raw_sets([points])`.
-        """
-        if raw is None:
-            [raw] = self.raw_sets([points])
-        if isinstance(raw, ChartError):
-            raise raw
-        if raw.shape != (len(self.monomials), len(points)):
-            raise ValueError(f"monomial values of shape {raw.shape} do not match "
-                             f"{len(self.monomials)} monomials at {len(points)} points")
-        return self.coeffs @ raw
+    def evaluate(self, points) -> np.ndarray:
+        """Matrix [basis_i(points_j)] of chart coefficients, shape (dim, len(points));
+        the one-set case of `evaluate_sets`, raising its ChartError."""
+        [values] = self.evaluate_sets([points])
+        if isinstance(values, ChartError):
+            raise values
+        return values
 
     def transform(self, matrix) -> "DifferentialBasis":
         """New basis whose elements are rows of `matrix` applied to this one."""
@@ -190,13 +180,12 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _cardinal(basis: DifferentialBasis, anchors, raw=None):
-    """(cardinal basis at the anchors, condition number of the evaluation);
-    `raw` is the anchors' slot of a `raw_sets` pass, if there was one."""
-    phi_inv, cond = linalg.inverse_cond1(basis.evaluate(anchors, raw))
+def _cardinal(phi: np.ndarray):
+    """(phi^-1, condition number of phi) for the basis values phi at the anchors."""
+    phi_inv, cond = linalg.inverse_cond1(phi)
     if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
         raise NonGenericAnchorsError("non-generic anchors", cond)
-    return basis.transform(phi_inv), cond
+    return phi_inv, cond
 
 
 def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
@@ -207,92 +196,75 @@ def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
     """
     if len(anchors) != basis.dim:
         raise ValueError(f"need {basis.dim} anchors, got {len(anchors)}")
-    return _cardinal(basis, anchors)[0]
-
-
-def pair_products(values: np.ndarray, pm: PairIndexMap) -> np.ndarray:
-    """Rows of pairwise products: out[i] = values[first_i] * values[second_i].
-
-    `values` has g rows (one per element); works on vectors and matrices.
-    """
-    values = np.asarray(values)
-    if values.shape[0] != pm.g:
-        raise ValueError(f"expected {pm.g} rows, got {values.shape[0]}")
-    return values[pm.first] * values[pm.second]
+    return basis.transform(_cardinal(basis.evaluate(anchors))[0])
 
 
 class PetriBasis:
     """Cardinal weight-1 basis sigma plus its quadratic product family.
 
-    The first N = 3g-3 product slots form the distinguished quadratic
-    basis v; all M = g(g+1)/2 products are exposed for relation work.
+    Built from `omega_anchors`, the values of the weight-1 basis `omega`
+    at the g anchors: sigma = phi^-1 omega with phi = omega_anchors, so
+    sigma at any points is phi^-1 times omega's columns there.  The first
+    N = 3g-3 product slots form the distinguished quadratic basis v; all
+    M = g(g+1)/2 products are exposed for relation work.  The rank
+    certificate is set by `certify`.
     """
 
-    def __init__(self, model, anchors, sigma, omega, sigma_coeffs, condition, rank):
-        self.model = model
-        self.anchors = tuple(anchors)
-        self.sigma = sigma
+    def __init__(self, omega: DifferentialBasis, omega_anchors):
+        g = omega.model.genus
+        if g < 2:
+            raise ValueError("product bases need genus >= 2")
+        if omega_anchors.shape[1] != g:
+            raise ValueError(f"need {g} anchors, got {omega_anchors.shape[1]}")
         self.omega = omega
-        self.sigma_coeffs = sigma_coeffs
-        self.anchor_condition = condition
-        self.rank_certificate = rank
-        self.pm = build_pair_index(model.genus)
+        self.omega_anchors = omega_anchors
+        self.phi_inv, self.anchor_condition = _cardinal(omega_anchors)
+        self.sigma = omega.transform(self.phi_inv)
+        self.rank_certificate = -1
+        self.pm = build_pair_index(g)
 
     @property
     def genus(self) -> int:
-        return self.model.genus
+        return self.pm.g
 
     @property
     def v_dim(self) -> int:
         return 3 * self.genus - 3
 
-    def products(self, points, raw=None) -> np.ndarray:
-        """All M pair products sigma_a * sigma_b at the points, slot order;
-        `raw` as in `DifferentialBasis.evaluate`."""
-        sig = self.sigma.evaluate(points, raw)
-        return pair_products(sig, self.pm)
+    def products(self, omega_values) -> np.ndarray:
+        """All M pair products sigma_a * sigma_b, slot order, at the points
+        whose omega columns are `omega_values`."""
+        return pair_vector(self.phi_inv @ omega_values, self.pm)
 
-    def v_matrix(self, points, raw=None) -> np.ndarray:
-        """The first 3g-3 product rows (the quadratic basis) at the points."""
-        return self.products(points, raw)[: self.v_dim]
+    def v_matrix(self, omega_values) -> np.ndarray:
+        """The first 3g-3 product rows (the quadratic basis) at those points."""
+        return self.products(omega_values)[: self.v_dim]
+
+    def certify(self, omega_certificate) -> int:
+        """Set and return the rank certificate: the numerical rank of the
+        first 3g-3 products at the 3g-3 points whose omega columns are
+        `omega_certificate`.  A plane model must certify at full rank;
+        other models report whatever rank the products actually have.
+        """
+        vmat = self.v_matrix(omega_certificate)
+        self.rank_certificate = linalg.numerical_rank(linalg.scale_rows(vmat))
+        if isinstance(self.omega.model, PlaneCurve) and self.rank_certificate < self.v_dim:
+            raise RankDeficiencyError(
+                f"unexpected rank deficiency: certified {self.rank_certificate} < {self.v_dim}",
+                self.rank_certificate,
+            )
+        return self.rank_certificate
 
 
-def petri_basis(model, anchors, *, certificate=None, anchor_raw=None,
-                certificate_raw=None) -> PetriBasis:
-    """Build the cardinal sigma basis and certify the span of its products.
-
-    The rank certificate is the numerical rank of the first 3g-3 products
-    over the 3g-3 points `certificate`, by default drawn at
-    CERTIFICATE_SEED.  A `SamplingError` given as `certificate` is raised
-    once the anchors pass, where the default points would be drawn.  A
-    plane model must certify at full rank; other models report whatever
-    rank the products actually have.
-
-    `anchor_raw` and `certificate_raw` are the two sets' slots of one
-    `raw_sets` pass of the holomorphic basis: the anchors' columns go
-    through phi^-1 and the certificate's through sigma's coefficients, and
-    a ChartError slot is raised where that set's evaluation would raise.
-    Without them each set is evaluated on its own.
-    """
-    g = model.genus
-    if g < 2:
-        raise ValueError("product bases need genus >= 2")
-    if len(anchors) != g:
-        raise ValueError(f"need {g} anchors, got {len(anchors)}")
+def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
+    """Build the cardinal sigma basis at `anchors` and certify the span of
+    its products at the 3g-3 points `certificate`, by default drawn at
+    CERTIFICATE_SEED once the anchors pass."""
     omega = holomorphic_basis(model, 1)
-    sigma, cond = _cardinal(omega, anchors, anchor_raw)
-    petri = PetriBasis(model, anchors, sigma, omega, sigma.coeffs, cond, rank=-1)
+    petri = PetriBasis(omega, omega.evaluate(anchors))
     if certificate is None:
-        certificate = sample_points(model, 3 * g - 3, CERTIFICATE_SEED)
-    elif isinstance(certificate, SamplingError):
-        raise certificate
-    vmat = petri.v_matrix(certificate, certificate_raw)
-    petri.rank_certificate = linalg.numerical_rank(linalg.scale_rows(vmat))
-    if isinstance(model, PlaneCurve) and petri.rank_certificate < petri.v_dim:
-        raise RankDeficiencyError(
-            f"unexpected rank deficiency: certified {petri.rank_certificate} < {petri.v_dim}",
-            petri.rank_certificate,
-        )
+        certificate = sample_points(model, 3 * model.genus - 3, CERTIFICATE_SEED)
+    petri.certify(omega.evaluate(certificate))
     return petri
 
 
@@ -306,7 +278,7 @@ def expansion_coefficients(petri: PetriBasis, nodes) -> np.ndarray:
     n = petri.v_dim
     if len(nodes) != n:
         raise ValueError(f"need exactly {n} nodes, got {len(nodes)}")
-    vmat = petri.v_matrix(nodes)
     om = petri.omega.evaluate(nodes)
-    u = pair_products(om, petri.pm)
+    vmat = petri.v_matrix(om)
+    u = pair_vector(om, petri.pm)
     return linalg.solve(vmat.T, u.T).T

@@ -131,30 +131,27 @@ def _petri_checks(model, seed, tol):
     g = model.genus
     plane = isinstance(model, curves.PlaneCurve)
     checks = []
-    sets = _petri_point_sets(model, seed)
     omega = bases.holomorphic_basis(model)
 
-    @functools.cache
-    def drawn():
-        """(points, monomial values) of every set of `sets`, on first use:
-        the points from one sampler pass, the values of the sets that drew
-        from one `raw_sets` pass, each a list or the error of its slot."""
+    def evaluated(sets):
+        """omega's values on every set of `sets`, by name: the points from
+        one sampler pass, the values of the sets that drew from one
+        `evaluate_sets` pass, each slot the values or its set's error."""
         pts = dict(zip(sets, curves.sample_sets(model, list(sets.values()))))
         ok = [name for name in sets if not isinstance(pts[name], curves.SamplingError)]
-        raw = dict(zip(ok, omega.raw_sets([pts[name] for name in ok])))
-        return {name: (pts[name], raw.get(name)) for name in sets}
+        return pts | dict(zip(ok, omega.evaluate_sets([pts[name] for name in ok])))
 
-    def points(name):
-        """(points, monomial values) of set `name`; raises the SamplingError
-        its draw ended with."""
-        pts, raw = drawn()[name]
-        if isinstance(pts, curves.SamplingError):
-            raise pts
-        return pts, raw
+    request = functools.cache(lambda: evaluated(_petri_point_sets(model, seed)))
+
+    def values(slots, name):
+        """omega's values on set `name`; raises the error its slot holds."""
+        if isinstance(slots[name], Exception):
+            raise slots[name]
+        return slots[name]
 
     def fresh_input(name):
-        pts, raw = points(name)
-        return petri.RelationInput(model, pts[:g], pts[g:], raw=raw)
+        om = values(request(), name)
+        return petri.RelationInput(om[:, :g], om[:, g:])
 
     if plane:
         def check_dets():
@@ -168,7 +165,7 @@ def _petri_checks(model, seed, tol):
         def check_annihilation():
             t = tol.get("annihilation", 1e-8)
             inp = fresh_input("petri-annihilation")
-            omega_fresh = omega.evaluate(*points("petri-annihilation-points"))
+            omega_fresh = values(request(), "petri-annihilation-points")
             coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
             res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
             return _record("petri-annihilation", "annihilation",
@@ -199,20 +196,10 @@ def _petri_checks(model, seed, tol):
         expected = 3 * g - 3 if plane else 2 * g - 1
         rank, last = None, None
         for attempt in range(4):
-            if attempt:
-                anchors, certificate = curves.sample_sets(
-                    model, list(_petri_rank_sets(g, seed, attempt).values()))
-                anchor_raw = certificate_raw = None  # petri_basis evaluates them
-            else:
-                (anchors, anchor_raw), (certificate, certificate_raw) = (
-                    drawn()["petri-rank"], drawn()["petri-rank-certificate"])
-            if isinstance(anchors, curves.SamplingError):
-                raise anchors
+            slots = request() if attempt == 0 else evaluated(_petri_rank_sets(g, seed, attempt))
             try:
-                pb = bases.petri_basis(model, anchors, certificate=certificate,
-                                       anchor_raw=anchor_raw,
-                                       certificate_raw=certificate_raw)
-                rank = pb.rank_certificate
+                pb = bases.PetriBasis(omega, values(slots, "petri-rank"))
+                rank = pb.certify(values(slots, "petri-rank-certificate"))
                 break
             except bases.RankDeficiencyError as exc:
                 rank, last = exc.rank, exc
@@ -468,7 +455,8 @@ def _selftest_checks(seed, tol):
         model = curves.parse_curve_spec(_builtin_text("fermat_quintic.json"))
         g = model.genus
         pts = curves.sample_points(model, 3 * g - 2, _sub_seed(seed, "self-petri"))
-        inp = petri.RelationInput(model, pts[:g], pts[g:])
+        om = bases.holomorphic_basis(model).evaluate(pts)
+        inp = petri.RelationInput(om[:, :g], om[:, g:])
         ratios, _ = petri.verify_theorem1(inp, tol=t)
         return _record("self-petri", "theorem1-dets", max(r for _, r in ratios), t)
 

@@ -105,10 +105,11 @@ def _pair_index(g: int) -> PairIndexMap:
 
 
 def pair_vector(u, pm: PairIndexMap) -> np.ndarray:
-    """Flatten a vector u to its pair products u_a * u_b, one per slot."""
+    """Pair products u_a * u_b, one row per slot, of a vector u of length g,
+    or of each column of a (g, n) matrix u."""
     u = np.asarray(u)
-    if u.shape != (pm.g,):
-        raise ValueError(f"expected vector of length {pm.g}, got shape {u.shape}")
+    if u.ndim not in (1, 2) or u.shape[0] != pm.g:
+        raise ValueError(f"expected {pm.g} rows, got shape {u.shape}")
     return u[pm.first] * u[pm.second]
 
 

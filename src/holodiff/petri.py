@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .bases import PetriBasis, holomorphic_basis, pair_products
+from .bases import PetriBasis
 from .pairindex import build_pair_index
 
 __all__ = [
@@ -60,27 +60,20 @@ class RelationRankError(RuntimeError):
 
 
 class RelationInput:
-    """Evaluation data for the relation machinery: base and probe points.
+    """Evaluation data for the relation machinery.
 
-    The holomorphic basis is evaluated at p_points + q_points in one pass
-    and sliced into omega_p and omega_q.  `raw` is that point list's slot
-    of a `DifferentialBasis.raw_sets` pass that also served other point
-    sets (a ChartError slot is raised here); without it the pass covers
-    this input alone.
+    `omega_p` and `omega_q` hold the values of a basis of holomorphic
+    differentials, one column per point, at the g base points and at the
+    2g-2 probe points; the genus is read from their shape.
     """
 
-    def __init__(self, model, p_points, q_points, *, raw=None):
-        g = model.genus
-        if len(p_points) != g:
-            raise ValueError(f"need {g} base points, got {len(p_points)}")
-        if len(q_points) != 2 * g - 2:
-            raise ValueError(f"need {2 * g - 2} probe points, got {len(q_points)}")
-        self.model = model
-        self.basis = holomorphic_basis(model, 1)
-        self.p_points = tuple(p_points)
-        self.q_points = tuple(q_points)
-        omega = self.basis.evaluate(self.p_points + self.q_points, raw)
-        self.omega_p, self.omega_q = omega[:, :g], omega[:, g:]
+    def __init__(self, omega_p, omega_q):
+        g = omega_p.shape[0]
+        if omega_p.shape[1] != g:
+            raise ValueError(f"need {g} base points, got {omega_p.shape[1]}")
+        if omega_q.shape[1] != 2 * g - 2:
+            raise ValueError(f"need {2 * g - 2} probe points, got {omega_q.shape[1]}")
+        self.omega_p, self.omega_q = omega_p, omega_q
         self.det_p = linalg.det(self.omega_p)
         ratio = linalg.hadamard_ratio(self.omega_p)
         if ratio < 1e-12:
@@ -90,7 +83,7 @@ class RelationInput:
 
     @property
     def genus(self) -> int:
-        return self.model.genus
+        return self.omega_p.shape[0]
 
 
 def relation_labels(g: int) -> list[tuple[int, int]]:
@@ -140,16 +133,14 @@ def _labeled_matrices(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return a[cols[..., 0], cols[..., 1]].transpose(0, 2, 1)
 
 
-def build_A(inp: RelationInput, k: int, l: int, a=None) -> np.ndarray:
+def build_A(inp: RelationInput, k: int, l: int) -> np.ndarray:
     """(2g-2) x (2g-2) matrix with columns a[.,.,r] over the fixed labels plus (k,l)."""
     g = inp.genus
     if g < 4:
         raise ValueError("labels need genus >= 4")
     if not (3 <= k < l <= g):
         raise ValueError(f"label ({k}, {l}) out of range: need 3 <= k < l <= {g}")
-    if a is None:
-        a = a_tensor(inp)
-    return _labeled_matrices(a, _column_pairs(g, [(k, l)]))[0]
+    return _labeled_matrices(a_tensor(inp), _column_pairs(g, [(k, l)]))[0]
 
 
 def verify_theorem1(inp: RelationInput, tol: float = DET_TOL):
@@ -176,18 +167,18 @@ def verify_block_singular(inp: RelationInput, petri: PetriBasis, k: int, l: int)
     """Stack the quadratic basis and one extra product at all points.
 
     Columns are v_1..v_N, sigma_k*sigma_l; rows are values at the base
-    points then the probes.  The matrix is singular, its top-left block
-    is the identity, its top-right block vanishes, and its bottom-right
-    block is proportional to the labeled determinant matrix by
-    1/det(base evaluation)^2.
+    points then the probes, formed from the input's omega columns, so the
+    product basis must be anchored where omega_p was taken.  The matrix is
+    singular, its top-left block is the identity, its top-right block
+    vanishes, and its bottom-right block is proportional to the labeled
+    determinant matrix by 1/det(base evaluation)^2.
     """
     g = inp.genus
-    if petri.anchors != inp.p_points:
+    if not np.array_equal(petri.omega_anchors, inp.omega_p):
         raise ValueError("product basis must be anchored at the same base points")
     if not (3 <= k < l <= g):
         raise ValueError(f"label ({k}, {l}) out of range: need 3 <= k < l <= {g}")
-    points = list(inp.p_points) + list(inp.q_points)
-    prods = petri.products(points)
+    prods = petri.products(np.hstack([inp.omega_p, inp.omega_q]))
     n = petri.v_dim
     pm = petri.pm
     big = np.empty((3 * g - 2, 3 * g - 2), dtype=complex)

@@ -238,10 +238,11 @@ def modular_transform(tau: SiegelPoint, m: SymplecticElement):
 
 
 def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:
-    """Weighted minor of sym_square(tau2^-1) on the given slot selections.
+    """Minor of the Siegel metric on the given slot selections: the
+    determinant of sym_square(tau2^-1) on them, times the row weights.
 
     Both selections are strictly increasing 0-based slot lists of equal
-    length; the weight product runs over the row selection.
+    length.
     """
     rows = list(rows)
     cols = list(cols)
@@ -252,9 +253,7 @@ def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:
             raise ValueError(f"slot index out of range 0..{pm.m - 1}")
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ValueError("selections must be strictly increasing")
-    s = sym_square(_y_inverse(tau2), pm)
-    sub = s[np.ix_(rows, cols)]
-    return linalg.det(sub) * float(np.prod(pm.weight[rows]))
+    return linalg.det(siegel_metric(tau2, pm)[np.ix_(rows, cols)])
 
 
 def induced_metric_xi(w_table: np.ndarray, tau2, pm: PairIndexMap) -> np.ndarray:
@@ -280,8 +279,7 @@ def bergman_square_lhs(u, v, tau2, pm: PairIndexMap) -> complex:
     """Pair-index double sum that must reproduce the squared kernel."""
     uu = pair_vector(np.asarray(u, dtype=complex), pm)
     vv = pair_vector(np.asarray(v, dtype=complex), pm)
-    s = sym_square(_y_inverse(tau2), pm)
-    return complex((pm.weight * uu) @ s @ np.conj(vv))
+    return complex(uu @ siegel_metric(tau2, pm) @ np.conj(vv))
 
 
 def ambient_volume_density(y, pm: PairIndexMap):

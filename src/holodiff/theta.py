@@ -74,7 +74,12 @@ class ScaledComplex:
 
     `err` bounds the absolute error of the mantissa; `peak` records the
     mantissa-scale magnitude of the largest series term, the natural
-    yardstick for is-this-zero tests.
+    yardstick for is-this-zero tests.  Negation keeps both, and a plain
+    factor c scales both by |c|.  For a = a.m + da with |da| <= a.err, and
+    b alike, a * b has err |a.m| b.err + |b.m| a.err + a.err b.err and
+    peak a.peak b.peak; a / b has err (|b.m| a.err + |a.m| b.err) /
+    (|b.m| (|b.m| - b.err)), infinite once b.err reaches |b.m|, and peak
+    a.peak / |b.m|.
     """
 
     __slots__ = ("mantissa", "log_scale", "err", "peak")
@@ -98,12 +103,12 @@ class ScaledComplex:
         return ScaledComplex(self.mantissa / m, self.log_scale + shift,
                              self.err / m, self.peak / m)
 
-    # A product or quotient of two scaled values drops err and peak; a
-    # plain factor c scales both by |c|, and negation keeps them.
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
+            err = (abs(self.mantissa) * other.err + abs(other.mantissa) * self.err
+                   + self.err * other.err)
             return ScaledComplex(self.mantissa * other.mantissa,
-                                 self.log_scale + other.log_scale)
+                                 self.log_scale + other.log_scale, err, self.peak * other.peak)
         c = abs(other)
         return ScaledComplex(self.mantissa * other, self.log_scale, self.err * c, self.peak * c)
 
@@ -113,8 +118,12 @@ class ScaledComplex:
         if isinstance(other, ScaledComplex):
             if other.mantissa == 0:
                 raise ZeroDivisionError("division by an exactly zero scaled value")
+            b = abs(other.mantissa)
+            err = math.inf
+            if other.err < b:
+                err = (b * self.err + abs(self.mantissa) * other.err) / (b * (b - other.err))
             return ScaledComplex(self.mantissa / other.mantissa,
-                                 self.log_scale - other.log_scale)
+                                 self.log_scale - other.log_scale, err, self.peak / b)
         c = abs(other)
         return ScaledComplex(self.mantissa / other, self.log_scale, self.err / c, self.peak / c)
 

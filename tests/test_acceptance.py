@@ -13,12 +13,7 @@ import pytest
 from holodiff import jacobian as jac
 from holodiff import linalg, petri, siegel
 from holodiff import theta as th
-from holodiff.bases import (
-    expansion_coefficients,
-    holomorphic_basis,
-    pair_products,
-    petri_basis,
-)
+from holodiff.bases import expansion_coefficients, holomorphic_basis, petri_basis
 from holodiff.cli import main as cli_main
 from holodiff.curves import CurvePoint, sample_points
 from holodiff.pairindex import build_pair_index, pair_vector, sym_square
@@ -26,6 +21,12 @@ from holodiff.pairindex import build_pair_index, pair_vector, sym_square
 from oracles import weighted_minor_g2
 
 SEED = 20260818
+
+
+def _input(model, base, probes):
+    """Relation input of the holomorphic basis's values at the base and probe points."""
+    basis = holomorphic_basis(model)
+    return petri.RelationInput(basis.evaluate(base), basis.evaluate(probes))
 
 
 def _verdict(capsys, name, ok, detail):
@@ -39,12 +40,12 @@ def test_criterion_01_labeled_determinants_vanish(quintic, capsys):
     worst = 0.0
     for seed in range(5):
         pts = sample_points(quintic, 16, seed=SEED + seed)
-        inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+        inp = _input(quintic, pts[:6], pts[6:])
         ratios, ok = petri.verify_theorem1(inp, tol=1e-8)
         worst = max(worst, max(r for _, r in ratios))
         assert ok and len(ratios) == 6
     pts = sample_points(quintic, 16, seed=SEED)
-    control = petri.RelationInput(quintic, pts[:6], pts[6:])
+    control = _input(quintic, pts[:6], pts[6:])
     crng = np.random.default_rng(SEED)
     control.omega_q = (
         crng.normal(size=control.omega_q.shape) * np.mean(np.abs(control.omega_q)) + 0j
@@ -62,7 +63,7 @@ def test_criterion_01_labeled_determinants_vanish(quintic, capsys):
 def test_criterion_02_relation_coefficients(quintic, capsys):
     t0 = time.perf_counter()
     pts = sample_points(quintic, 16, seed=SEED)
-    inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+    inp = _input(quintic, pts[:6], pts[6:])
     rs = petri.build_relation_set(inp, provenance={"seed": SEED})
     fresh = sample_points(quintic, 20, seed=SEED + 11)
     omega_fresh = holomorphic_basis(quintic).evaluate(fresh)
@@ -72,7 +73,7 @@ def test_criterion_02_relation_coefficients(quintic, capsys):
                                           omega_fresh)
         worst = max(worst, float(np.max(res)))
     alt_probes = sample_points(quintic, 10, seed=SEED + 23)
-    alt = petri.RelationInput(quintic, inp.p_points, alt_probes)
+    alt = petri.RelationInput(inp.omega_p, holomorphic_basis(quintic).evaluate(alt_probes))
     c0 = rs.coefficients[(3, 4)].coefficients
     c1 = petri.relation_coefficients(alt, 1, 3, 4).coefficients
     i, j = np.unravel_index(np.argmax(np.abs(c0)), c0.shape)
@@ -103,8 +104,9 @@ def test_criterion_04_expansion_tables(quintic, capsys):
     nodes = sample_points(quintic, pb.v_dim, seed=SEED + 1)
     w = expansion_coefficients(pb, nodes)
     fresh = sample_points(quintic, 30, seed=SEED + 2)
-    u_fresh = pair_products(pb.omega.evaluate(fresh), pb.pm)
-    v_fresh = pb.v_matrix(fresh)
+    omega_fresh = pb.omega.evaluate(fresh)
+    u_fresh = pair_vector(omega_fresh, pb.pm)
+    v_fresh = pb.v_matrix(omega_fresh)
     resid = float(np.max(np.abs(w @ v_fresh - u_fresh))
                   / np.max(np.abs(u_fresh)))
     nodes2 = sample_points(quintic, pb.v_dim, seed=SEED + 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holodiff import bases, curves, linalg
+from holodiff.pairindex import pair_vector
 
 
 def test_dimension_formula():
@@ -116,32 +117,28 @@ def test_chart_error_names_the_offending_point(quintic, hyp_g2):
     assert "|y|" in str(exc.value)
 
 
-def test_raw_sets_slots_are_one_set_passes(quintic, hyp_g2):
+def test_evaluate_sets_slots_are_one_set_passes(quintic, hyp_g2, rng):
     # one pass over several sets gives each set the values, bit for bit,
     # and the chart error a pass over that set alone gives it
     bad = curves.CurvePoint(quintic, -1.0 + 0j, 0j, "x")
     for model, mode in ((quintic, "complex"), (hyp_g2, "real")):
         basis = bases.holomorphic_basis(model)
+        mixed = basis.transform(rng.standard_normal((basis.dim, basis.dim)) + 0j)
         for seed in range(30):
             sets = curves.sample_sets(model, [(n, 100 * seed + n) for n in (6, 15, 0, 20)], mode)
-            for raw, pts in zip(basis.raw_sets(sets), sets):
-                alone = basis._raw_values(pts)[0]
-                assert raw.flags.c_contiguous and raw.tobytes() == alone.tobytes()
-                assert basis.evaluate(pts, raw).tobytes() == basis.evaluate(pts).tobytes()
+            for b in (basis, mixed):
+                for values, pts in zip(b.evaluate_sets(sets), sets):
+                    assert values.tobytes() == b.evaluate(pts).tobytes()
     basis = bases.holomorphic_basis(quintic)
     sets = [curves.sample_points(quintic, 4, s) for s in (1, 2, 3)]
     sets[1][2] = bad
-    slots = basis.raw_sets(sets)
+    slots = basis.evaluate_sets(sets)
     assert isinstance(slots[1], curves.ChartError) and repr(bad) in str(slots[1])
     with pytest.raises(curves.ChartError) as exc:
         basis.evaluate(sets[1])
     assert str(exc.value) == str(slots[1])
-    with pytest.raises(curves.ChartError, match="chart breakdown"):
-        basis.evaluate(sets[1], slots[1])
     for k in (0, 2):
-        assert slots[k].tobytes() == basis._raw_values(sets[k])[0].tobytes()
-    with pytest.raises(ValueError, match="do not match"):
-        basis.evaluate(sets[0][:3], slots[0])
+        assert slots[k].tobytes() == basis.evaluate(sets[k]).tobytes()
 
 
 def test_evaluate_rejects_points_of_another_model(quintic, quartic):
@@ -208,14 +205,28 @@ def test_petri_products_are_pair_products(quintic):
     anchors = curves.sample_points(quintic, 6, 33)
     pb = bases.petri_basis(quintic, anchors)
     pts = curves.sample_points(quintic, 4, 34)
-    prods = pb.products(pts)
+    omega_pts = pb.omega.evaluate(pts)
+    prods = pb.products(omega_pts)
     sig = pb.sigma.evaluate(pts)
     for slot in range(pb.pm.m):
         a, b = pb.pm.pair_at(slot + 1)
         assert np.allclose(prods[slot], sig[a - 1] * sig[b - 1], rtol=1e-12)
     # the v family is the leading slice of the product family
-    vmat = pb.v_matrix(pts)
+    vmat = pb.v_matrix(omega_pts)
     assert np.allclose(vmat, prods[: pb.v_dim], rtol=1e-12)
+
+
+def test_petri_products_do_not_depend_on_the_omega_basis(quintic, rng):
+    # sigma = phi^-1 omega is the cardinal basis whichever basis omega is
+    basis = bases.holomorphic_basis(quintic)
+    mixed = basis.transform(rng.standard_normal((6, 6)) + 0.5 * np.eye(6))
+    anchors = curves.sample_points(quintic, 6, 43)
+    pts = curves.sample_points(quintic, 4, 44)
+    plain = bases.PetriBasis(basis, basis.evaluate(anchors))
+    other = bases.PetriBasis(mixed, mixed.evaluate(anchors))
+    want = plain.products(basis.evaluate(pts))
+    got = other.products(mixed.evaluate(pts))
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_expansion_coefficients_reproduce_products(quintic):
@@ -225,8 +236,9 @@ def test_expansion_coefficients_reproduce_products(quintic):
     table = bases.expansion_coefficients(pb, nodes)
     assert table.shape == (21, 15)
     fresh = curves.sample_points(quintic, 30, 37)
-    prods = bases.pair_products(pb.omega.evaluate(fresh), pb.pm)
-    vmat = pb.v_matrix(fresh)
+    omega_fresh = pb.omega.evaluate(fresh)
+    prods = pair_vector(omega_fresh, pb.pm)
+    vmat = pb.v_matrix(omega_fresh)
     resid = np.max(np.abs(prods - table @ vmat))
     assert resid <= 1e-9 * max(1.0, np.max(np.abs(prods)))
 

@@ -149,18 +149,18 @@ def test_petri_rank_retries_rank_deficient_draw(monkeypatch, capsys):
     # the first anchor draw at this seed certifies rank 14 < 15, and the
     # retry certifies the full rank
     outcomes = []
-    petri_basis = bases.petri_basis
+    certify = bases.PetriBasis.certify
 
-    def spy(model, anchors, **kwargs):
+    def spy(self, omega_certificate):
         try:
-            pb = petri_basis(model, anchors, **kwargs)
+            rank = certify(self, omega_certificate)
         except bases.RankDeficiencyError as exc:
             outcomes.append(exc)
             raise
-        outcomes.append(pb)
-        return pb
+        outcomes.append(self)
+        return rank
 
-    monkeypatch.setattr(bases, "petri_basis", spy)
+    monkeypatch.setattr(bases.PetriBasis, "certify", spy)
     assert main(["verify-petri", "--seed", "5039"]) == 0
     out = capsys.readouterr().out
     assert isinstance(outcomes[0], bases.RankDeficiencyError)
@@ -173,15 +173,15 @@ def test_petri_rank_retries_rank_deficient_draw(monkeypatch, capsys):
 def test_petri_rank_deficient_on_every_draw_fails(monkeypatch, capsys):
     calls = []
 
-    def deficient(model, anchors, **kwargs):
-        calls.append(kwargs["certificate"])
+    def deficient(self, omega_certificate):
+        calls.append(omega_certificate)
         raise bases.RankDeficiencyError("unexpected rank deficiency", 14)
 
-    monkeypatch.setattr(bases, "petri_basis", deficient)
+    monkeypatch.setattr(bases.PetriBasis, "certify", deficient)
     assert main(["verify-petri"]) == 1
     out = capsys.readouterr().out
     assert len(calls) == 4
-    assert [len(pts) for pts in calls] == [15] * 4
+    assert [om.shape[1] for om in calls] == [15] * 4
     assert "check=petri-rank anchor=product-rank status=FAIL" in out
     assert "rank=14 expected=15" in out
     assert "internal-error" not in out
@@ -208,13 +208,18 @@ def test_petri_draws_every_set_in_one_pass(monkeypatch, capsys):
 
 
 def test_petri_evaluates_every_set_in_one_pass(monkeypatch, capsys):
-    # at attempt 0 the six sets of a request share one monomial-value pass
-    sizes = []
+    # a request whose rank check needs no retry builds one holomorphic
+    # basis, and its six sets share one monomial-value pass
+    built, sizes = [], []
+    holomorphic_basis = bases.holomorphic_basis
     raw_values = bases.DifferentialBasis._raw_values
+    monkeypatch.setattr(bases, "holomorphic_basis",
+                        lambda *args: built.append(args) or holomorphic_basis(*args))
     monkeypatch.setattr(bases.DifferentialBasis, "_raw_values",
                         lambda self, points: sizes.append(len(points)) or raw_values(self, points))
     assert main(["verify-petri"]) == 0
-    capsys.readouterr()
+    assert "rank=15 expected=15" in capsys.readouterr().out
+    assert len(built) == 1
     assert sizes == [16 + 16 + 16 + 20 + 6 + 15]
 
 
@@ -295,7 +300,7 @@ def test_petri_chart_breakdown_fails_only_its_check(target, check, monkeypatch, 
 
 
 def test_petri_certificate_failure_waits_for_the_anchor_test(monkeypatch, capsys):
-    # petri_basis tests the anchors before it needs the certificate points,
+    # PetriBasis tests the anchors before the certificate's values are read,
     # so with every anchor draw refused the check reports the anchors,
     # not the failed certificate set
     bad = cli._sub_seed(cli.DEFAULT_SEED, "petri-rank") + 7919
@@ -321,7 +326,8 @@ def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
     g = model.genus
     count, draw_seed = cli._petri_point_sets(model, seed)["petri-annihilation"]
     pts = curves.sample_points(model, count, draw_seed)
-    inp = petri.RelationInput(model, pts[:g], pts[g:])
+    om = bases.holomorphic_basis(model).evaluate(pts)
+    inp = petri.RelationInput(om[:, :g], om[:, g:])
     labels = petri.relation_labels(g)
     amats = petri._labeled_matrices(petri.a_tensor(inp), petri._column_pairs(g, labels))
     cofactor = np.delete(amats, petri.EXPANDED_ROW - 1, axis=-2)[..., :-1]

@@ -12,10 +12,16 @@ from oracles import cofactor_row
 SEED = 1234
 
 
+def _input(model, base, probes):
+    """Relation input of the holomorphic basis's values at the base and probe points."""
+    basis = holomorphic_basis(model)
+    return petri.RelationInput(basis.evaluate(base), basis.evaluate(probes))
+
+
 @pytest.fixture(scope="module")
 def rel_input(quintic):
     pts = sample_points(quintic, 16, seed=SEED)
-    return petri.RelationInput(quintic, pts[:6], pts[6:])
+    return _input(quintic, pts[:6], pts[6:])
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +30,8 @@ def rel_coeff(rel_input):
 
 
 @pytest.fixture(scope="module")
-def quintic_petri(quintic, rel_input):
-    return petri_basis(quintic, rel_input.p_points)
+def quintic_petri(quintic):
+    return petri_basis(quintic, sample_points(quintic, 6, seed=SEED))
 
 
 def test_relation_labels_enumeration():
@@ -46,30 +52,15 @@ def test_fixed_column_labels():
 def test_relation_input_point_counts(quintic):
     pts = sample_points(quintic, 16, seed=SEED)
     with pytest.raises(ValueError, match="base points"):
-        petri.RelationInput(quintic, pts[:5], pts[6:])
+        _input(quintic, pts[:5], pts[6:])
     with pytest.raises(ValueError, match="probe points"):
-        petri.RelationInput(quintic, pts[:6], pts[6:15])
-
-
-def test_relation_input_evaluates_both_point_sets_at_once(quintic, monkeypatch):
-    basis = holomorphic_basis(quintic)
-    calls = []
-    evaluate = type(basis).evaluate
-    monkeypatch.setattr(type(basis), "evaluate",
-                        lambda self, pts, raw=None:
-                        calls.append(len(pts)) or evaluate(self, pts, raw))
-    for seed in range(40):
-        pts = sample_points(quintic, 16, seed=SEED + seed)
-        inp = petri.RelationInput(quintic, pts[:6], pts[6:])
-        assert np.array_equal(inp.omega_p, evaluate(basis, pts[:6]))
-        assert np.array_equal(inp.omega_q, evaluate(basis, pts[6:]))
-    assert calls == [16] * 40
+        _input(quintic, pts[:6], pts[6:15])
 
 
 def test_relation_input_rejects_singular_base(quintic):
     pts = sample_points(quintic, 16, seed=SEED)
     with pytest.raises(linalg.DegenerateMatrixError):
-        petri.RelationInput(quintic, (pts[0],) * 6, pts[6:])
+        _input(quintic, (pts[0],) * 6, pts[6:])
 
 
 def test_substituted_determinants_match_cramer(rel_input):
@@ -124,7 +115,7 @@ def test_build_a_rejects_bad_labels(rel_input, quartic):
     with pytest.raises(ValueError):
         petri.build_A(rel_input, 5, 7)
     pts = sample_points(quartic, 7, seed=SEED)
-    inp3 = petri.RelationInput(quartic, pts[:3], pts[3:])
+    inp3 = _input(quartic, pts[:3], pts[3:])
     with pytest.raises(ValueError, match="genus >= 4"):
         petri.build_A(inp3, 3, 4)
 
@@ -140,7 +131,7 @@ def test_theorem1_detects_off_curve_data(quintic):
     # replace all probe values with random data of matching scale; every
     # determinant must climb far above the singularity threshold
     pts = sample_points(quintic, 16, seed=20260818)
-    inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+    inp = _input(quintic, pts[:6], pts[6:])
     rng = np.random.default_rng(20260818)
     inp.omega_q = rng.normal(size=inp.omega_q.shape) * np.mean(np.abs(inp.omega_q)) + 0j
     ratios, ok = petri.verify_theorem1(inp)
@@ -151,7 +142,7 @@ def test_theorem1_detects_off_curve_data(quintic):
 def test_theorem1_hyperelliptic_vanishing(hyp_g4):
     # products depend on the index sum only, so two label columns coincide
     pts = sample_points(hyp_g4, 10, seed=20260818)
-    inp = petri.RelationInput(hyp_g4, pts[:4], pts[4:])
+    inp = _input(hyp_g4, pts[:4], pts[4:])
     ratios, ok = petri.verify_theorem1(inp)
     assert ok
     assert [lab for lab, _ in ratios] == [(3, 4)]
@@ -165,7 +156,7 @@ def test_theorem1_ratios_do_not_underflow_at_genus_ten():
     # value.  The first two asserts check that this draw is such a case.
     sextic = curves.PlaneCurve(6, [(6, 0, 1.0), (0, 6, 1.0), (0, 0, 1.0)])
     pts = sample_points(sextic, 28, seed=4)
-    inp = petri.RelationInput(sextic, pts[:10], pts[10:])
+    inp = _input(sextic, pts[:10], pts[10:])
     mat = petri.build_A(inp, 3, 4)
     bound = np.prod(np.linalg.norm(mat, axis=1))
     assert bound < 1e-300
@@ -177,7 +168,7 @@ def test_theorem1_ratios_do_not_underflow_at_genus_ten():
 
 def test_scrambled_column_breaks_singularity(quintic):
     pts = sample_points(quintic, 16, seed=20260818)
-    inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+    inp = _input(quintic, pts[:6], pts[6:])
     amat = petri.build_A(inp, 3, 4)
     clean = linalg.hadamard_ratio(amat)
     assert clean <= 1e-8
@@ -196,7 +187,7 @@ def test_relation_ignores_high_index_columns(quintic):
     # weights pairs drawn from {1,2,3,4}, so corrupting the (1,5) column
     # leaves the matrix singular
     pts = sample_points(quintic, 16, seed=20260818)
-    inp = petri.RelationInput(quintic, pts[:6], pts[6:])
+    inp = _input(quintic, pts[:6], pts[6:])
     amat = petri.build_A(inp, 3, 4)
     labels = petri.fixed_column_labels(6) + [(3, 4)]
     col = labels.index((1, 5))
@@ -234,7 +225,7 @@ def test_row_choice_rescales_coefficients(rel_input, rel_coeff):
 
 def test_probe_choice_rescales_coefficients(quintic, rel_input, rel_coeff):
     fresh = sample_points(quintic, 10, seed=SEED + 77)
-    alt = petri.RelationInput(quintic, rel_input.p_points, fresh)
+    alt = petri.RelationInput(rel_input.omega_p, holomorphic_basis(quintic).evaluate(fresh))
     c_alt = petri.relation_coefficients(alt, 1, 3, 4).coefficients
     c = rel_coeff.coefficients
     i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
@@ -309,7 +300,7 @@ def test_relation_set_spans_expected_rank(rel_input):
 
 def test_relation_set_empty_below_genus_four(quartic):
     pts = sample_points(quartic, 7, seed=SEED)
-    inp = petri.RelationInput(quartic, pts[:3], pts[3:])
+    inp = _input(quartic, pts[:3], pts[3:])
     rs = petri.build_relation_set(inp)
     assert rs.labels == ()
     assert rs.rank == 0

@@ -50,10 +50,12 @@ def _diff(before, after, capsys):
 def test_sweep_of_one_seed_matches_itself(sweep, capsys):
     data = json.loads(sweep.read_text(encoding="utf-8"))
     assert data["seeds"] == [1000, 1000]
-    assert len(data["runs"]) == 6 + 2
+    assert len(data["runs"]) == 7 + 2
+    petri_g4 = data["runs"]["verify-petri --spec hyperelliptic_g4.json --seed 1000"]["report"]
+    assert any("rank=7 expected=7" in line for line in petri_g4)
     code, out = _diff(sweep, sweep, capsys)
     assert code == 0
-    assert "runs: 8 before, 8 after, 8 identical, 0 changed lines" in out
+    assert "runs: 9 before, 9 after, 9 identical, 0 changed lines" in out
 
 
 def test_sweep_records_the_holodiff_it_imported(sweep, capsys):

@@ -42,6 +42,25 @@ def test_scaled_complex_plain_factors_keep_error_data():
         quot = a / c
         assert (quot.mantissa, quot.log_scale, quot.err, quot.peak) == (
             a.mantissa / c, 3.0, 1e-14 / abs(c), 4.0 / abs(c))
+    # two scaled values: the product's err and peak follow from the
+    # operands' bounds, the quotient's err holds until the divisor's err
+    # reaches its modulus and is infinite from there
+    b = th.ScaledComplex(0.6 + 0.8j, -1.0, err=1e-13, peak=2.5)
+    prod = a * b
+    assert (prod.mantissa, prod.log_scale, prod.peak) == (a.mantissa * b.mantissa, 2.0, 10.0)
+    assert prod.err == abs(a.mantissa) * 1e-13 + 1.0 * 1e-14 + 1e-27
+    quot = a / b
+    assert (quot.mantissa, quot.log_scale, quot.peak) == (a.mantissa / b.mantissa, 4.0, 4.0)
+    assert quot.err == (1.0 * 1e-14 + abs(a.mantissa) * 1e-13) / (1.0 * (1.0 - 1e-13))
+    for err in (1.0, 2.0):
+        assert (a / th.ScaledComplex(0.6 + 0.8j, 0.0, err=err)).err == math.inf
+    # the bounds hold on the perturbed operands
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        da, db = (e * rng.uniform() * np.exp(2j * np.pi * rng.uniform()) for e in (a.err, b.err))
+        x, y = a.mantissa + da, b.mantissa + db
+        assert abs(x * y - prod.mantissa) <= prod.err * (1 + 1e-9)
+        assert abs(x / y - quot.mantissa) <= quot.err * (1 + 1e-9)
 
 
 def test_scaled_rel_diff():

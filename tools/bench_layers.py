@@ -32,11 +32,13 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
   and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
   point count of those six sets), and on those six sets as one request
-  evaluates them: one ``raw_sets`` pass, then each set's ``evaluate`` on
-  its slot (key ``quintic_sets``; a checkout without ``raw_sets`` has no
-  key);
+  evaluates them: one ``evaluate_sets`` pass (key ``quintic_sets``; on a
+  checkout with ``raw_sets`` instead, that pass and each set's
+  ``evaluate`` on its slot; a checkout with neither has no key);
 - ``label_relations`` (every label's relation, key ``quintic``) on the
-  bundled quintic, at seeded base and probe points.
+  bundled quintic, on the holomorphic basis's values at seeded base and
+  probe points (on a checkout whose ``RelationInput`` takes points, at
+  those points).
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -234,20 +236,27 @@ def bench_evaluate(holodiff) -> dict:
     for n in EVALUATE_POINTS:
         pts = curves.sample_points(quintic, n, SEED + n)
         out[f"quintic_{n}"] = _min_ms(lambda: basis.evaluate(pts))
-    if hasattr(basis, "raw_sets"):
+    if hasattr(curves, "sample_sets"):
         sets = curves.sample_sets(quintic, list(cli._petri_point_sets(quintic, SEED).values()))
+    if hasattr(basis, "evaluate_sets"):
+        out["quintic_sets"] = _min_ms(lambda: basis.evaluate_sets(sets))
+    elif hasattr(basis, "raw_sets"):
         out["quintic_sets"] = _min_ms(lambda: [
             basis.evaluate(pts, raw) for pts, raw in zip(sets, basis.raw_sets(sets))])
     return out
 
 
 def bench_label_relations(holodiff) -> dict:
-    from holodiff import curves, petri
+    from holodiff import bases, curves, petri
 
     quintic = _bundled(holodiff, "fermat_quintic.json")
     g = quintic.genus
     pts = curves.sample_points(quintic, 3 * g - 2, SEED)
-    inp = petri.RelationInput(quintic, pts[:g], pts[g:])
+    if hasattr(bases.DifferentialBasis, "evaluate_sets"):
+        om = bases.holomorphic_basis(quintic).evaluate(pts)
+        inp = petri.RelationInput(om[:, :g], om[:, g:])
+    else:
+        inp = petri.RelationInput(quintic, pts[:g], pts[g:])
     return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 

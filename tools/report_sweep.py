@@ -5,10 +5,12 @@
 
 `run` imports ``holodiff`` from DIR (default: this checkout's ``src``) and
 runs each command below in-process through ``holodiff.cli.main``, once per
-seed, plus ``periods`` on the bundled genus-2 and lemniscatic curves.  It
+seed, plus ``periods`` on the bundled genus-2 and lemniscatic curves.  A
+``--spec`` names a curve file of the imported package's ``data/``; the run
+is keyed by the file name, so sweeps of two checkouts line up.  It
 stores the resolved path of the ``holodiff/__init__.py`` it imported, and
 every run's exit code and report with the ``ms=`` timings stripped, in
-OUT.json.  The default seeds give 6 x 40 + 2 = 242 runs.
+OUT.json.  The default seeds give 7 x 40 + 2 = 282 runs.
 
 `diff` first prints the two sides' ``holodiff`` paths (``?`` for a file
 written before they were stored), so a sweep that loaded the same tree
@@ -40,6 +42,7 @@ SEEDED_COMMANDS = (
     "verify-siegel --genus 8",
     "verify-siegel --genus 3",
     "verify-petri",
+    "verify-petri --spec hyperelliptic_g4.json",
     "selftest",
 )
 PERIOD_CURVES = ("hyperelliptic_g2.json", "lemniscatic_g1.json")
@@ -71,7 +74,11 @@ def run_sweep(src: Path, seeds: range) -> dict:
     for command in SEEDED_COMMANDS:
         for seed in seeds:
             key = f"{command} --seed {seed}"
-            runs[key] = _run_one(main, key.split())
+            argv = key.split()
+            if "--spec" in argv:
+                at = argv.index("--spec") + 1
+                argv[at] = str(data / argv[at])
+            runs[key] = _run_one(main, argv)
     for name in PERIOD_CURVES:
         runs[f"periods {name}"] = _run_one(main, ["periods", "--spec", str(data / name)])
     return {"holodiff": str(Path(holodiff.__file__).resolve()),
