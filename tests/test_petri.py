@@ -57,6 +57,24 @@ def test_relation_input_point_counts(quintic):
         _input(quintic, pts[:6], pts[6:15])
 
 
+def test_relation_input_evaluates_both_point_sets_at_once(quintic, monkeypatch):
+    # base and probe columns come from one evaluate_sets pass, bit for bit
+    # what a separate evaluate gives on each set
+    basis = holomorphic_basis(quintic)
+    sizes = []
+    raw_values = type(basis)._raw_values
+    monkeypatch.setattr(type(basis), "_raw_values",
+                        lambda self, points:
+                        sizes.append(len(points)) or raw_values(self, points))
+    for seed in range(40):
+        pts = sample_points(quintic, 16, seed=SEED + seed)
+        inp = petri.RelationInput(*basis.evaluate_sets([pts[:6], pts[6:]]))
+        assert sizes == [16]
+        assert np.array_equal(inp.omega_p, basis.evaluate(pts[:6]))
+        assert np.array_equal(inp.omega_q, basis.evaluate(pts[6:]))
+        sizes.clear()
+
+
 def test_relation_input_rejects_singular_base(quintic):
     pts = sample_points(quintic, 16, seed=SEED)
     with pytest.raises(linalg.DegenerateMatrixError):
