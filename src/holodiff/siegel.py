@@ -37,8 +37,9 @@ class SiegelPoint:
     """Symmetric complex matrix with positive-definite imaginary part.
 
     The one owner of what is derived from tau: the symmetry and
-    positivity checks run once here, and Y^-1 and the smallest
-    eigenvalue of Y are computed on first use and kept.
+    positivity checks run once here, and Y^-1, the smallest eigenvalue
+    of Y and the radius of the theta truncation ellipsoid are computed on
+    first use and kept.
     """
 
     def __init__(self, z):
@@ -63,6 +64,15 @@ class SiegelPoint:
     def lambda_min(self) -> float:
         """Smallest eigenvalue of Y."""
         return float(np.min(np.linalg.eigvalsh(self.y)))
+
+    @cached_property
+    def theta_ellipsoid(self) -> tuple:
+        """(R_e, bound) of `theta._ellipsoid_radius`: the theta lattice terms
+        outside pi v.Y.v < R_e^2 around a row's centre sum to at most bound
+        times its peak term."""
+        from .theta import _ellipsoid_radius
+
+        return _ellipsoid_radius(self.g, self.lambda_min)
 
     def __repr__(self) -> str:
         return f"SiegelPoint(g={self.g})"

@@ -5,11 +5,14 @@ theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
 so the engine sums over Z^g only and rows of different characteristics
 share one sum.  Each row is translated into the fundamental cell by
 quasi-periodicity; the prefactors are kept as a separate log scale so
-nothing overflows.  Truncation radii come from a certified Gaussian tail
-bound that does not depend on the argument, so a batch of arguments at
-one tau shares a single lattice box.  Within it, term moduli come from
-one real matmul and one real exp, and only the unit phases are factored:
-one complex exp per lattice point, shared by every row, and one per
+nothing overflows.  Truncation follows Deconinck, Heil, Bobenko, van
+Hoeij and Schmies (2004): terms outside the ellipsoid pi v.Y.v < R_e^2
+around a row's centre sum to a certified fraction of its peak term, and
+R_e, solved once per tau, does not depend on the argument.  The sum runs
+over the ellipsoid's bounding box, so a batch of arguments at one tau
+shares a single lattice box.  Within it, term moduli come from one real
+matmul and one real exp, and only the unit phases are factored: one
+complex exp per lattice point, shared by every row, and two per row and
 axis, so no complex exp runs per (row, point) term.  On top of
 the engine: the Fay trisecant residual and the end-to-end cross-ratio
 comparison between cardinal bases and theta quotients at genus 2 and up
@@ -218,36 +221,107 @@ def _siegel(tau) -> SiegelPoint:
     return SiegelPoint(mat.reshape(1, 1) if mat.ndim == 0 else mat)
 
 
-def _half_gauss_sum(a: float) -> float:
-    """Upper bound on sum_{j>=0} exp(-a j^2), a > 0.
+def _tail_bound(g: int, r: float, radius: float):
+    """(bound, slope): an upper bound on the sum of exp(-|v|^2) over the
+    points v, |v| >= radius, of any translate of a lattice in R^g whose
+    nonzero vectors are all at least 2r long, and its derivative in the
+    radius (Deconinck, Heil, Bobenko, van Hoeij and Schmies, *Computing
+    Riemann theta functions*, Math. Comp. 73 (2004), Thm 2).  For
+    radius >= 2r, with a = radius - 2r,
 
-    The j = 0 and j = 1 terms exactly, then the decreasing tail j >= 2
-    bounded by its integral from 1: sqrt(pi/a) erfc(sqrt(a)) / 2.
+        bound = (g / 2r^g) sum_{k<g} C(g-1, k) r^(g-1-k) Gamma((k+1)/2, a^2),
+        slope = -(g / r^g) (a + r)^(g-1) exp(-a^2).
+
+    Proof.  The balls B(v, r) are disjoint, and for |v| >= radius they lie
+    in |x| >= radius - r >= r.  On B(v, r), |x| <= |v| + r, and
+    h(s) = exp(-(s - r)^2) decreases for s >= r, so
+    exp(-|v|^2) = h(|v| + r) <= h(|x|): each term is at most the mean of
+    h(|x|) over its ball, of volume V_g r^g.  Summing over the disjoint
+    balls and integrating in polar coordinates (unit sphere area g V_g),
+    the tail is at most (g / r^g) int_{radius-r}^inf s^(g-1) h(s) ds
+    = (g / r^g) int_a^inf (t + r)^(g-1) exp(-t^2) dt.  The binomial
+    expansion of (t + r)^(g-1) gives the sum above, since
+    int_a^inf t^k exp(-t^2) dt = Gamma((k+1)/2, a^2) / 2 for a >= 0; the
+    slope is minus the integrand at a.  At half-integer orders
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), Gamma(1, x) = exp(-x) and
+    Gamma(s + 1, x) = s Gamma(s, x) + x^s exp(-x).
     """
-    return 1.0 + math.exp(-a) + 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a))
+    a = radius - 2.0 * r
+    x = a * a
+    gam = [math.sqrt(math.pi) * math.erfc(a), math.exp(-x)]
+    for k in range(2, g):
+        s = (k - 1) / 2
+        gam.append(s * gam[k - 2] + (math.exp(s * math.log(x) - x) if x else 0.0))
+    # powers of 1/r by float products, which overflow to inf, not an error
+    acc, rise = 0.0, math.exp(-x)
+    for k in reversed(range(g)):
+        acc = acc / r + math.comb(g - 1, k) * gam[k]
+        rise *= 1.0 + a / r if k else 1.0
+    return g / (2.0 * r) * acc, -g / r * rise
 
 
-def _truncation(point: SiegelPoint):
-    """(radius, mu, log of the lattice-sum factor) meeting THETA_EPS.
+def _ellipsoid_radius(g: int, lam: float):
+    """(R_e, bound): the radius where `_tail_bound` falls to THETA_EPS for
+    the lattice sqrt(pi) T Z^g, Y = T^T T, whose smallest eigenvalue is
+    lam, and the bound there.
 
-    Terms outside the radius-R box around the peak are bounded by
-    exp(-mu R^2) times the peak term times exp(log_tb); none of this
-    depends on the argument z.
+    A nonzero n has pi n.Y.n >= pi lam, so r = sqrt(pi lam) / 2 is half a
+    lower bound on its shortest vector.  The log of the bound is concave
+    in the radius: it is the tail integral of the log-concave
+    (t + r)^(g-1) exp(-t^2) (Prekopa).  So Newton's method on it steps
+    past the root at most once and then descends to it from above, where
+    the bound holds up to rounding; `err` carries the bound itself.
     """
-    lam = point.lambda_min
     if not lam > 0:
         # Y passed the pivot test but its computed spectrum reaches zero
         raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
-    mu = math.pi * lam / 2.0
-    log_tb = point.g * math.log(2.0 * _half_gauss_sum(math.pi * lam / 8.0))
-    radius = max(math.sqrt(max((log_tb - math.log(THETA_EPS)) / mu, 0.0)), 3.0)
-    if radius > RADIUS_CAP:
-        achieved = np.exp(-mu * RADIUS_CAP**2 + log_tb)
+    r = math.sqrt(math.pi * lam) / 2.0
+    radius = 2.0 * r
+    bound, slope = _tail_bound(g, r, radius)
+    if not math.isfinite(bound):
+        raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
+    step = 0.0
+    if bound > THETA_EPS:
+        # start where exp(-a^2) alone is THETA_EPS
+        radius += math.sqrt(-math.log(THETA_EPS))
+        bound, slope = _tail_bound(g, r, radius)
+        step = math.inf
+    while abs(step) > 1e-9 * radius:
+        step = math.log(bound / THETA_EPS) * bound / -slope
+        # a step so long that the bound underflows is halved back into range
+        while not ((nxt := _tail_bound(g, r, radius + step))[0] > 0.0 and nxt[1] < 0.0):
+            step /= 2.0
+        radius += step
+        bound, slope = nxt
+    return radius, bound
+
+
+def _truncation(point: SiegelPoint):
+    """(half-widths h, bound): the box |n_k + c0_k| <= h_k around a row's
+    centre -c0 holds its ellipsoid pi (n + c0).Y.(n + c0) < R_e^2, and the
+    terms outside that sum to at most bound times the peak term.
+
+    On that ellipsoid (n + c0)_k reaches at most (R_e / sqrt(pi))
+    sqrt((Y^-1)_kk), by Cauchy-Schwarz in the Y inner product.  R_e is
+    solved once per point (`SiegelPoint.theta_ellipsoid`); none of this
+    depends on the argument z.
+    """
+    radius, bound = point.theta_ellipsoid
+    # max_k (Y^-1)_kk >= tr(Y^-1) / g >= 1 / (g lam_min), so a Y too close
+    # to singular is refused from its spectrum, before Y^-1 is formed
+    widest = radius / math.sqrt(math.pi * point.g * point.lambda_min)
+    if widest <= RADIUS_CAP:
+        half = radius / math.sqrt(math.pi) * np.sqrt(np.diag(point.y_inv))
+        widest = float(np.max(half))
+    if widest > RADIUS_CAP:
+        # the radius whose widest half-width is the cap
+        at_cap = radius * RADIUS_CAP / widest
+        achieved = _tail_bound(point.g, math.sqrt(math.pi * point.lambda_min) / 2.0, at_cap)[0]
         raise TruncationError(
-            f"needs radius {radius:.1f} > cap {RADIUS_CAP:.1f}; "
+            f"needs radius {widest:.1f} > cap {RADIUS_CAP:.1f}; "
             f"best relative bound at the cap is {achieved:.3e}"
         )
-    return radius, mu, log_tb
+    return half, bound
 
 
 def _reduce(point: SiegelPoint, v: np.ndarray, tau: np.ndarray | None = None):
@@ -329,13 +403,14 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     row's largest exponent is subtracted.  Only the phases are factored:
     one complex exp(i pi u.X.u) per lattice point, shared by every row,
     with X reduced modulo the integer symmetric matrices that leave it
-    unchanged on Z^g, and exp(2 pi i u_k x0_k) per axis, contracted one
+    unchanged on Z^g, and the axis phases exp(2 pi i u_k x0_k), two complex
+    exps per row and axis and a running product along it, contracted one
     axis at a time by batched np.matmul.
     Factoring the moduli would overflow at large Y even where their
     product does not.
     """
     g = point.g
-    radius, mu, log_tb = _truncation(point)
+    half, bound = _truncation(point)
     z0, mvec, _ = _reduce(point, zs, tau)
     # quasi-periodicity: -i pi m.tau.m - 2 pi i m.z0
     pref = log_fac - 1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * z0)
@@ -343,8 +418,8 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     c0 = y0 @ point.y_inv.T
     peak_log = np.pi * np.einsum("bi,bi->b", y0, c0)
 
-    lo = np.ceil(-c0.max(axis=0) - radius).astype(int)
-    hi = np.floor(radius - c0.min(axis=0)).astype(int)
+    lo = np.ceil(-c0.max(axis=0) - half).astype(int)
+    hi = np.floor(half - c0.min(axis=0)).astype(int)
     sizes = [int(n) for n in hi - lo + 1]
     rows = len(zs)
     terms = rows * math.prod(sizes)
@@ -371,14 +446,18 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     acc = re_w.astype(complex)
     acc *= np.exp(1j * np.pi * np.einsum("ij,ij->j", u, tau.real @ u))
     for k in range(g):
-        # one row vector of axis-k phases times the (n_k, rest) matrix of
-        # each row keeps np.matmul on BLAS for one row and for thousands
-        phase = np.exp(2j * np.pi * np.multiply.outer(z0[:, k].real, axes[k]))
-        acc = np.matmul(phase.reshape(rows, 1, sizes[k]), acc.reshape(rows, sizes[k], -1))
+        # axis-k phases exp(2 pi i x0_k u) at u = lo_k .. hi_k: per row one
+        # exp for the first and one for the ratio, then a running product
+        phase = np.empty((sizes[k], rows), dtype=complex)
+        phase[0] = np.exp(2j * np.pi * lo[k] * z0[:, k].real)
+        phase[1:] = np.exp(2j * np.pi * z0[:, k].real)
+        np.cumprod(phase, axis=0, out=phase)
+        # one row vector of phases times the (n_k, rest) matrix of each row
+        # keeps np.matmul on BLAS for one row and for thousands
+        acc = np.matmul(phase.T[:, None, :], acc.reshape(rows, sizes[k], -1))
     mant = acc.reshape(rows) * np.exp(1j * pref.imag)
     peak_mant = np.exp(peak_log - mx)
-    tail = peak_mant * np.exp(-mu * radius**2 + log_tb)
-    return mant, mx + pref.real, tail, peak_mant
+    return mant, mx + pref.real, peak_mant * bound, peak_mant
 
 
 def theta(z, tau, char: ThetaCharacteristic | None = None):
@@ -487,11 +566,11 @@ def _cell_box_points(point: SiegelPoint) -> int:
 
     Every row is reduced into the fundamental cell first, so its centre
     offset c0 lies in [-1/2, 1/2]^g, and the box of any batch of rows
-    spans at most 2 floor(R + 1/2) + 1 points per axis (with a margin for
-    the rounding of c0).
+    spans at most 2 floor(h_k + 1/2) + 1 points on axis k (with a margin
+    for the rounding of c0).
     """
-    radius = _truncation(point)[0]
-    return (2 * math.floor(radius + 0.5 + 1e-6) + 1) ** point.g
+    half = _truncation(point)[0]
+    return math.prod(2 * math.floor(h + 0.5 + 1e-6) + 1 for h in half.tolist())
 
 
 def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):

@@ -1,5 +1,6 @@
 """Tests for scaled theta evaluation with half-integer characteristics."""
 
+import itertools
 import math
 
 import mpmath
@@ -215,14 +216,56 @@ def test_theta_at_point_matches_theta_at_matrix(rng):
 
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0])
-def test_half_gauss_sum_bounds_the_sum(a):
-    # sum_{j>=2} exp(-a j^2) <= integral from 1 <= sum_{j>=1}, so the bound
-    # exceeds the sum by at most exp(-a); the direct sum stops where terms
-    # fall below exp(-800)
-    j = np.arange(int(np.sqrt(800.0 / a)) + 2, dtype=float)
-    exact = math.fsum(np.exp(-a * j * j))
-    bound = th._half_gauss_sum(a)
-    assert exact * (1 - 1e-14) <= bound <= (exact + np.exp(-a)) * (1 + 1e-14)
+def test_tail_bound_at_genus_one(a):
+    # at g = 1, Y = a / pi: the shifted lattice is sqrt(a) (Z + c), with
+    # r = sqrt(a) / 2; the direct sum stops where terms fall below exp(-800)
+    r = math.sqrt(a) / 2.0
+    j = np.arange(-int(np.sqrt(800.0 / a)) - 2, int(np.sqrt(800.0 / a)) + 3, dtype=float)
+    for c in (0.0, 0.3, 0.5):
+        v2 = a * (j + c) ** 2
+        for radius in (2.0 * r, 2.0 * r + 0.5, 2.0 * r + 2.0, 2.0 * r + 5.0):
+            tail = math.fsum(np.exp(-v2[v2 >= radius * radius]))
+            assert tail <= th._tail_bound(1, r, radius)[0] * (1 + 1e-12)
+
+
+def _brute_tail(y, c, radius, box):
+    """sum of exp(-pi (n + c).Y.(n + c)) over n in the box |n_i| <= box with
+    pi (n + c).Y.(n + c) >= radius^2: lattice_theta's whole sum at
+    z = i Y c, tau = i Y, scaled to the peak exp(pi c.Y.c), less the
+    terms inside the ellipsoid, added one at a time."""
+    g = len(c)
+    whole = lattice_theta(1j * (y @ c), 1j * y, np.zeros(g), np.zeros(g), box).real
+    whole *= math.exp(-math.pi * (c @ y @ c))
+    inside = []
+    for n in itertools.product(range(-box, box + 1), repeat=g):
+        v = np.add(n, c)
+        q = math.pi * (v @ y @ v)
+        if q < radius * radius:
+            inside.append(math.exp(-q))
+    return whole - math.fsum(inside)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_tail_bound_holds_against_a_brute_tail(g, monkeypatch):
+    # Y with eigenvalues from 0.25 to 25 in random directions; the radius
+    # is solved for bounds from 1e-2 down to THETA_EPS, so the tails are
+    # far above the rounding of the whole sum (about 1e-15 of it).  The
+    # oracle box reaches past sqrt(40 / (pi lam_min)) + 1, so the terms it
+    # leaves out are below exp(-40).
+    rng = np.random.default_rng(1300 + g)
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+        lam = np.exp(rng.uniform(math.log(0.25), math.log(25.0), g))
+        lam[0] = 0.25
+        y = (q * lam) @ q.T
+        c = rng.uniform(-0.5, 0.5, g)
+        box = int(math.ceil(math.sqrt(40.0 / (math.pi * 0.25)))) + 2
+        for eps in (1e-2, 1e-5, 1e-8, th.THETA_EPS):
+            monkeypatch.setattr(th, "THETA_EPS", eps)
+            radius, bound = th._ellipsoid_radius(g, float(np.min(np.linalg.eigvalsh(y))))
+            assert bound <= eps * (1 + 1e-12)
+            tail = _brute_tail(y, c, radius, box)
+            assert tail <= bound + 1e-15
 
 
 def test_near_singular_imaginary_part_is_refused_at_once():
@@ -245,6 +288,78 @@ def test_truncation_needs_positive_spectrum():
     point.__dict__["lambda_min"] = 0.0
     with pytest.raises(th.TruncationError, match="smallest eigenvalue"):
         th.theta(np.zeros(2), point)
+
+
+# theta values from the engine that summed the cube of half-width
+# R(lambda_min) on every axis, at the points of _pinned_cases, in order
+PINNED_THETA = {
+    1: [293461.55512702744 + 31125.74900653862j, 178.89821881358915 - 223.73280028446226j,
+        -115532.30671623896 + 226413.4985016452j, -105.13050743621471 - 139.37616805502802j,
+        17.198213830751342 - 9.093150603345554j, -27.973140076208313 + 147.97009248105994j,
+        -14.979421463119037 - 2.576570696350655j, 128.25351429411083 - 75.91683438711331j],
+    2: [170369.86377331466 - 469957.0903495119j, 0.3794815696481971 + 0.3633936930725373j,
+        28804.883382820215 + 40445.00791905698j, -3.7725357458228133 - 1.2284819428473996j,
+        -215479.9391226461 - 9779.504491496087j, -12.441333418420214 - 6.042263449995365j,
+        -137811.58619406115 + 147600.97877337466j, -12.882523334106754 + 4.3840221896648215j],
+    3: [-1224895588.3829744 - 1007035025.8338925j, 14823908041.380568 - 20113947299.218975j,
+        20114880.832403526 - 117571018.36969785j, -908989079.9347346 + 226915141.452868j,
+        0.9867722511356299 + 0.001328231169547911j, 75.56650466754496 + 32.19911520111132j,
+        -0.014484002846469477 + 0.014717847742768143j, 3553.5758072131266 - 3485.995537441105j],
+}
+
+
+def _pinned_cases(g):
+    """(rows, point, characteristic): a random point and one whose Im tau
+    spans two decades, two rows each, even and odd."""
+    rng = np.random.default_rng([2021, g])
+    q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    y = q @ np.diag(np.geomspace(0.3, 30.0, g) if g > 1 else [0.3]) @ q.T
+    x = rng.standard_normal((g, g))
+    for point in (random_siegel_point(g, rng), SiegelPoint((x + x.T) / 2 + 1j * y)):
+        zs = rng.standard_normal((2, g)) + 1j * rng.standard_normal((2, g))
+        for char in (None, th.ThetaCharacteristic.from_bits(1, 1, g)):
+            yield zs, point, char
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_ellipsoid_box_matches_the_cube_engine(g):
+    got = [v.value for case in _pinned_cases(g) for v in th.theta(*case)]
+    assert len(got) == len(PINNED_THETA[g])
+    for val, want in zip(got, PINNED_THETA[g]):
+        assert abs(val - want) <= 1e-13 * abs(want)
+
+
+def test_genus_six_point_beyond_the_cube_budget_evaluates():
+    # the cube of half-width R(lambda_min) needed 8 067 360 terms for one
+    # row at this point, beyond MAX_TERMS; the ellipsoid's box fits
+    rng = np.random.default_rng([11, 6])
+    point = random_siegel_point(6, rng)
+    assert th._cell_box_points(point) <= th.MAX_TERMS
+    z = 0.3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    m = rng.integers(-1, 2, size=6).astype(float)
+    n = rng.integers(-2, 3, size=6).astype(float)
+    for char in (th.ThetaCharacteristic.zero(6), th.ThetaCharacteristic.first_odd(6)):
+        base, shifted, mirrored = th.theta(np.stack([z, z + point.z @ m + n, -z]), point, char)
+        assert base.err <= th.THETA_EPS * (1 + 1e-12) * base.peak
+        fac = (-1j * np.pi * (m @ point.z @ m) - 2j * np.pi * (m @ (z + char.b))
+               + 2j * np.pi * (char.a @ n))
+        assert th.scaled_rel_diff(
+            shifted, base * th.ScaledComplex(np.exp(1j * fac.imag), fac.real)) <= 1e-10
+        assert th.scaled_rel_diff(mirrored, -base if char.is_odd else base) <= 1e-10
+
+
+def test_ellipsoid_radius_is_solved_once_per_point(monkeypatch):
+    solves = []
+    solve = th._ellipsoid_radius
+    monkeypatch.setattr(th, "_ellipsoid_radius", lambda g, lam: solves.append(g) or solve(g, lam))
+    tau = np.array([[1.2j, 0.3 + 0.2j], [0.3 + 0.2j, 0.9j]])
+    point = SiegelPoint(tau)
+    th.theta(np.zeros(2), point)
+    th.theta(np.ones((3, 2)), point)
+    assert len(solves) == 1
+    # an equal point solves again: nothing is shared across points
+    th.theta(np.zeros(2), SiegelPoint(tau))
+    assert len(solves) == 2
 
 
 def test_lattice_reduce_tau(rng):
@@ -503,10 +618,13 @@ def test_theta_is_one_row_of_theta_batch(rng):
 
 
 def test_theta_batch_term_budget(rng, monkeypatch):
-    # 20 rows over a box of at least 7 x 7 points need > 980 terms; the
-    # check runs before the lattice is built
+    # a row's box spans at least floor(2 h_k) points on axis k, so enough
+    # rows need more than 900 terms; the check runs before the lattice is
+    # built
     tau = random_siegel_point(2, rng)
-    zs = 0.3 * (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)))
+    least = math.prod(math.floor(2.0 * h) for h in th._truncation(tau)[0])
+    rows = 900 // least + 1
+    zs = 0.3 * (rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2)))
     monkeypatch.setattr(th, "MAX_TERMS", 900)
     with pytest.raises(th.TruncationError, match="budget 900"):
         th.theta(zs, tau.z)
