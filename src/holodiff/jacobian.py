@@ -50,7 +50,6 @@ QUAD_RTOL = 1e-10
 SEGMENT_RTOL = 1e-12
 BRANCH_CLEARANCE = 1e-6
 SYMMETRY_TOL = 1e-6
-GENUS_CAP = 3
 
 
 class QuadratureError(RuntimeError):
@@ -249,8 +248,6 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     Certificate failures raise, they are never patched over.
     """
     g = curve.genus
-    if g > GENUS_CAP:
-        raise ValueError(f"genus {g} exceeds the supported cap {GENUS_CAP}")
     e = np.asarray(curve.branch_points)
     vals, seg_err = quad_segment(_monomial_rows(curve), e[:-1], e[1:], True, True)
     seg = np.array([_segment_phase(curve, j) for j in range(2 * g)])[:, None] * vals

@@ -206,8 +206,9 @@ def odd_characteristics(g: int, count=None) -> list:
     return out
 
 
-# Truncation policy: target error relative to the peak term, radius cap,
-# and a budget on lattice points times batch rows summed in one call.
+# Truncation policy: target error relative to the peak term, cap on the
+# widest half-width of the lattice box, and a budget on lattice points
+# times batch rows summed in one call.
 THETA_EPS = 1e-13
 RADIUS_CAP = 40.0
 MAX_TERMS = 1 << 22

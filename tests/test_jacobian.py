@@ -1,5 +1,7 @@
 """Tests for period matrices, Abel maps, and elliptic reduction."""
 
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -122,8 +124,7 @@ def test_periods_match_segment_loop_on_random_curves(hyp_g3):
 
 
 @pytest.mark.parametrize("g", [4, 5, 6])
-def test_periods_match_segment_loop_above_the_genus_cap(g, monkeypatch):
-    monkeypatch.setattr(jac, "GENUS_CAP", 6)
+def test_periods_match_segment_loop_above_the_genus_cap(g):
     _assert_periods_match_segment_loop(_real_branch_curve(np.random.default_rng(g), g))
 
 
@@ -198,9 +199,15 @@ def test_genus3_periods():
     assert np.min(np.linalg.eigvalsh(pd.tau.y)) > 0
 
 
-def test_genus_cap(hyp_g4):
-    with pytest.raises(ValueError, match="cap"):
-        jac.compute_periods(hyp_g4)
+def test_periods_report_on_the_bundled_genus_four_curve(capsys):
+    # periods evaluate no theta, so compute_periods has no genus cap
+    spec = Path(cli.__file__).parent / "data" / "hyperelliptic_g4.json"
+    assert cli.main(["periods", "--spec", str(spec)]) == 0
+    records = {ln.split()[0]: dict(kv.split("=", 1) for kv in ln.split()[1:])
+               for ln in capsys.readouterr().out.splitlines() if ln.startswith("check=")}
+    assert {r["status"] for r in records.values()} == {"PASS"}
+    assert float(records["check=periods-symmetry"]["residual"]) <= 1e-13
+    assert abs(float(records["check=periods-positivity"]["note"].split("=")[1]) - 0.5311) <= 1e-6
 
 
 def test_phase_y_squares_to_f(hyp_g2):

@@ -6,8 +6,10 @@ sampling and relation layers, written to BENCH_<tag>.json.
 Imports ``holodiff`` from DIR (default: this checkout's ``src``) and
 times, as the minimum over REPEATS calls after one untimed warm-up call:
 
-- ``theta`` at one fixed argument, by genus 1..5, each at one seeded
-  random tau built once as a ``SiegelPoint``;
+- ``theta`` at one fixed argument, by genus 1..6, each at one seeded
+  random tau built once as a ``SiegelPoint`` (a genus the checkout
+  refuses with ``TruncationError`` has no key), and at the period matrix
+  of the bundled ``hyperelliptic_g4.json`` (key ``g4_hyperelliptic``);
 - ``fay_residual`` by number of point pairs m, on the bundled genus-2
   curve, at seeded curve points mapped by ``abel_map``;
 - ``abel_map`` by number of seeded real points on that curve, as one call;
@@ -24,21 +26,17 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
   trial (key ``g2_12``);
 - the six point sets of one ``verify-petri`` request on the bundled
-  quintic at one seed (key ``quintic``), as one ``sample_sets`` call; a
-  checkout without ``sample_sets`` has no key;
+  quintic at one seed (key ``quintic``), as one ``sample_sets`` call;
 - the root stage of plane sampling, ``curves._pick_roots``, on the
   coefficient rows and root indices of the first round of those six sets
   (key ``quintic_89``, one row per drawn root: 89 at the default seed);
 - ``DifferentialBasis.evaluate`` of the quintic's holomorphic basis at 16
   and at 89 seeded points (keys ``quintic_16``, ``quintic_89``; 89 is the
   point count of those six sets), and on those six sets as one request
-  evaluates them: one ``evaluate_sets`` pass (key ``quintic_sets``; on a
-  checkout with ``raw_sets`` instead, that pass and each set's
-  ``evaluate`` on its slot; a checkout with neither has no key);
+  evaluates them: one ``evaluate_sets`` pass (key ``quintic_sets``);
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, on the holomorphic basis's values at seeded base and
-  probe points (on a checkout whose ``RelationInput`` takes points, at
-  those points).
+  probe points.
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -69,7 +67,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import speed  # noqa: E402  (perfbench/speed.py: host-speed scaling)
 
-THETA_GENERA = (1, 2, 3, 4, 5)
+THETA_GENERA = (1, 2, 3, 4, 5, 6)
+# Im tau of the bundled hyperelliptic_g4.json curve as compute_periods gives
+# it (its real part is zero), upper triangle by rows
+HYPERELLIPTIC_G4_Y = (1.4959228059907947, 0.8059756641399558, 0.5296940621115547,
+                      0.3092517720189305, 1.3886995884164448, 0.6839722468737323,
+                      0.37054075091075456, 1.2453665359638166, 0.49473775863340697,
+                      0.9942697166921114)
 FAY_PAIRS = (2, 6, 12, 24, 48)
 ABEL_POINTS = (1, 12, 36)
 FAY_CHECK_PAIRS = (6, 12)
@@ -104,12 +108,22 @@ def _bundled(holodiff, name):
 
 
 def bench_theta(theta, siegel, np) -> dict:
-    out = {}
+    points = {}
     for g in THETA_GENERA:
         rng = np.random.default_rng([SEED, g])
-        point = siegel.random_siegel_point(g, rng)
-        z = 0.3 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-        out[str(g)] = _min_ms(lambda: theta.theta(z, point))
+        points[str(g)] = siegel.random_siegel_point(g, rng), rng
+    y = np.zeros((4, 4))
+    y[np.triu_indices(4)] = HYPERELLIPTIC_G4_Y
+    points["g4_hyperelliptic"] = (siegel.SiegelPoint(1j * (y + np.triu(y, 1).T)),
+                                  np.random.default_rng([SEED, 4]))
+    out = {}
+    for key, (point, rng) in points.items():
+        z = 0.3 * (rng.standard_normal(point.g) + 1j * rng.standard_normal(point.g))
+        try:
+            theta.theta(z, point)
+        except theta.TruncationError:
+            continue
+        out[key] = _min_ms(lambda: theta.theta(z, point))
     return out
 
 
@@ -202,8 +216,6 @@ def bench_sample_points(holodiff) -> dict:
 def bench_petri_sets(holodiff) -> dict:
     from holodiff import cli, curves
 
-    if not hasattr(curves, "sample_sets"):
-        return {}
     quintic = _bundled(holodiff, "fermat_quintic.json")
     requests = list(cli._petri_point_sets(quintic, SEED).values())
     return {"quintic": _min_ms(lambda: curves.sample_sets(quintic, requests))}
@@ -212,8 +224,6 @@ def bench_petri_sets(holodiff) -> dict:
 def bench_pick_roots(holodiff) -> dict:
     from holodiff import cli, curves
 
-    if not hasattr(curves, "sample_sets"):
-        return {}
     quintic = _bundled(holodiff, "fermat_quintic.json")
     requests = list(cli._petri_point_sets(quintic, SEED).values())
     calls = []
@@ -236,13 +246,8 @@ def bench_evaluate(holodiff) -> dict:
     for n in EVALUATE_POINTS:
         pts = curves.sample_points(quintic, n, SEED + n)
         out[f"quintic_{n}"] = _min_ms(lambda: basis.evaluate(pts))
-    if hasattr(curves, "sample_sets"):
-        sets = curves.sample_sets(quintic, list(cli._petri_point_sets(quintic, SEED).values()))
-    if hasattr(basis, "evaluate_sets"):
-        out["quintic_sets"] = _min_ms(lambda: basis.evaluate_sets(sets))
-    elif hasattr(basis, "raw_sets"):
-        out["quintic_sets"] = _min_ms(lambda: [
-            basis.evaluate(pts, raw) for pts, raw in zip(sets, basis.raw_sets(sets))])
+    sets = curves.sample_sets(quintic, list(cli._petri_point_sets(quintic, SEED).values()))
+    out["quintic_sets"] = _min_ms(lambda: basis.evaluate_sets(sets))
     return out
 
 
@@ -252,11 +257,8 @@ def bench_label_relations(holodiff) -> dict:
     quintic = _bundled(holodiff, "fermat_quintic.json")
     g = quintic.genus
     pts = curves.sample_points(quintic, 3 * g - 2, SEED)
-    if hasattr(bases.DifferentialBasis, "evaluate_sets"):
-        om = bases.holomorphic_basis(quintic).evaluate(pts)
-        inp = petri.RelationInput(om[:, :g], om[:, g:])
-    else:
-        inp = petri.RelationInput(quintic, pts[:g], pts[g:])
+    om = bases.holomorphic_basis(quintic).evaluate(pts)
+    inp = petri.RelationInput(om[:, :g], om[:, g:])
     return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 
