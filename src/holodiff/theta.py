@@ -261,22 +261,35 @@ def _tail_bound(g: int, r: float, radius: float):
     return g / (2.0 * r) * acc, -g / r * rise
 
 
+def _packing_radius(g: int, lam: float) -> float:
+    """The ball radius r that `_tail_bound` uses for the lattice
+    sqrt(pi) T Z^g, Y = T^T T, whose smallest eigenvalue is lam.
+
+    A nonzero n has pi n.Y.n >= pi lam, so any r <= sqrt(pi lam) / 2 keeps
+    the balls disjoint.  For a large radius R the log of the bound moves
+    with r as -g / r + 4R, so it is least near r = g / (4R).  The solved
+    R_e lies between sqrt(-log THETA_EPS) and 1.5 times it up to g = 8,
+    and the bound is flat near its least: r = g / (4 sqrt(-log THETA_EPS))
+    gives an R_e within 0.3% of the best r's, without a search.
+    """
+    return min(math.sqrt(math.pi * lam) / 2.0, g / (4.0 * math.sqrt(-math.log(THETA_EPS))))
+
+
 def _ellipsoid_radius(g: int, lam: float):
     """(R_e, bound): the radius where `_tail_bound` falls to THETA_EPS for
     the lattice sqrt(pi) T Z^g, Y = T^T T, whose smallest eigenvalue is
-    lam, and the bound there.
+    lam, with the ball radius of `_packing_radius`, and the bound there.
 
-    A nonzero n has pi n.Y.n >= pi lam, so r = sqrt(pi lam) / 2 is half a
-    lower bound on its shortest vector.  The log of the bound is concave
-    in the radius: it is the tail integral of the log-concave
-    (t + r)^(g-1) exp(-t^2) (Prekopa).  So Newton's method on it steps
-    past the root at most once and then descends to it from above, where
-    the bound holds up to rounding; `err` carries the bound itself.
+    The log of the bound is concave in the radius: it is the tail integral
+    of the log-concave (t + r)^(g-1) exp(-t^2) (Prekopa).  So Newton's
+    method on it steps past the root at most once and then descends to it
+    from above, where the bound holds up to rounding; `err` carries the
+    bound itself.
     """
     if not lam > 0:
         # Y passed the pivot test but its computed spectrum reaches zero
         raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
-    r = math.sqrt(math.pi * lam) / 2.0
+    r = _packing_radius(g, lam)
     radius = 2.0 * r
     bound, slope = _tail_bound(g, r, radius)
     if not math.isfinite(bound):
@@ -303,21 +316,25 @@ def _truncation(point: SiegelPoint):
     terms outside that sum to at most bound times the peak term.
 
     On that ellipsoid (n + c0)_k reaches at most (R_e / sqrt(pi))
-    sqrt((Y^-1)_kk), by Cauchy-Schwarz in the Y inner product.  R_e is
-    solved once per point (`SiegelPoint.theta_ellipsoid`); none of this
-    depends on the argument z.
+    sqrt((Y^-1)_kk), by Cauchy-Schwarz in the Y inner product; h_k is that,
+    or 1 where that is smaller.  R_e is solved once per point
+    (`SiegelPoint.theta_ellipsoid`); none of this depends on the argument
+    z.
     """
     radius, bound = point.theta_ellipsoid
     # max_k (Y^-1)_kk >= tr(Y^-1) / g >= 1 / (g lam_min), so a Y too close
     # to singular is refused from its spectrum, before Y^-1 is formed
     widest = radius / math.sqrt(math.pi * point.g * point.lambda_min)
     if widest <= RADIUS_CAP:
-        half = radius / math.sqrt(math.pi) * np.sqrt(np.diag(point.y_inv))
+        # at least one step on each axis: where Y is so large that the
+        # ellipsoid is narrower than that, theta can sit far below the peak
+        # term, and the lattice points on both sides of the centre carry it
+        half = np.maximum(radius / math.sqrt(math.pi) * np.sqrt(np.diag(point.y_inv)), 1.0)
         widest = float(np.max(half))
     if widest > RADIUS_CAP:
         # the radius whose widest half-width is the cap
         at_cap = radius * RADIUS_CAP / widest
-        achieved = _tail_bound(point.g, math.sqrt(math.pi * point.lambda_min) / 2.0, at_cap)[0]
+        achieved = _tail_bound(point.g, _packing_radius(point.g, point.lambda_min), at_cap)[0]
         raise TruncationError(
             f"needs radius {widest:.1f} > cap {RADIUS_CAP:.1f}; "
             f"best relative bound at the cap is {achieved:.3e}"

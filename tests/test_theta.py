@@ -348,6 +348,20 @@ def test_genus_six_point_beyond_the_cube_budget_evaluates():
         assert th.scaled_rel_diff(mirrored, -base if char.is_odd else base) <= 1e-10
 
 
+def test_theta_far_below_its_peak_keeps_relative_accuracy():
+    # Im tau_11 = 60: the ellipsoid is narrower than one lattice step on
+    # that axis, and at centres between two lattice points theta sits near
+    # 1e-20 of its peak term; the box still holds both sides
+    tau = np.array([[0.3 + 0.5j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 60j]])
+    for c in ([0.3, 0.45], [0.0, 0.5], [-0.49, 0.49]):
+        z = np.array([0.2, -0.1]) + 1j * (tau.imag @ c)
+        for char in (th.ThetaCharacteristic.zero(2), th.ThetaCharacteristic.first_odd(2)):
+            got = th.theta(z, tau, char)
+            want = lattice_theta(z, tau, char.a, char.b, 12)
+            assert abs(want) <= 1e-15 * got.peak * math.exp(got.log_scale)
+            assert abs(got.value - want) <= 1e-13 * abs(want)
+
+
 def test_ellipsoid_radius_is_solved_once_per_point(monkeypatch):
     solves = []
     solve = th._ellipsoid_radius
