@@ -26,9 +26,9 @@ FAY_TRIALS = 3
 FAY_ATTEMPTS = 8  # draws per trial before the check gives up
 # Upper limit on verify-fay -m.  At genus 2 one round of trials sums the
 # 3m^2 - m + 2 theta rows of every trial, even and odd translates
-# together, over one lattice box (at most 9 x 9 = 81 points on the bundled
+# together, over one lattice box (at most 7 x 9 = 63 points on the bundled
 # genus-2 curve), then factors one m x m matrix per trial.  At m = 48 that
-# is 3 x 6866 rows, at most about 1.67M terms, 0.40 of theta.MAX_TERMS;
+# is 3 x 6866 rows, at most about 1.30M terms, 0.31 of theta.MAX_TERMS;
 # where a round would exceed it, fay_residual splits its trials into groups
 # that fit.  The elimination is negligible beside the sum.
 FAY_MAX_PAIRS = 48

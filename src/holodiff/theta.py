@@ -485,9 +485,9 @@ def theta(z, tau, char: ThetaCharacteristic | None = None):
     a list with one ScaledComplex per row.  The characteristic is folded
     into the argument (see `_fold`), then each row is translated into the
     fundamental cell; both prefactors go into its log scale and phase.
-    The truncation radius does not depend on z, so one lattice box, the
+    The truncation ellipsoid does not depend on z, so one lattice box, the
     union of the per-row boxes, serves every row: the neglected tail of
-    each row is below THETA_EPS relative to its largest term, and that
+    each row is below THETA_EPS relative to its peak term, and that
     certified bound is stored in `err`.  Raises TruncationError before
     allocating when lattice points times rows would exceed MAX_TERMS.
     """

@@ -217,15 +217,16 @@ def test_theta_at_point_matches_theta_at_matrix(rng):
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0])
 def test_tail_bound_at_genus_one(a):
-    # at g = 1, Y = a / pi: the shifted lattice is sqrt(a) (Z + c), with
-    # r = sqrt(a) / 2; the direct sum stops where terms fall below exp(-800)
-    r = math.sqrt(a) / 2.0
+    # at g = 1, Y = a / pi: the shifted lattice is sqrt(a) (Z + c), and any
+    # r up to sqrt(a) / 2 serves; the direct sum stops where terms fall
+    # below exp(-800)
     j = np.arange(-int(np.sqrt(800.0 / a)) - 2, int(np.sqrt(800.0 / a)) + 3, dtype=float)
-    for c in (0.0, 0.3, 0.5):
-        v2 = a * (j + c) ** 2
-        for radius in (2.0 * r, 2.0 * r + 0.5, 2.0 * r + 2.0, 2.0 * r + 5.0):
-            tail = math.fsum(np.exp(-v2[v2 >= radius * radius]))
-            assert tail <= th._tail_bound(1, r, radius)[0] * (1 + 1e-12)
+    for r in (math.sqrt(a) / 2.0, math.sqrt(a) / 20.0, th._packing_radius(1, a / math.pi)):
+        for c in (0.0, 0.3, 0.5):
+            v2 = a * (j + c) ** 2
+            for radius in (2.0 * r, 2.0 * r + 0.5, 2.0 * r + 2.0, 2.0 * r + 5.0):
+                tail = math.fsum(np.exp(-v2[v2 >= radius * radius]))
+                assert tail <= th._tail_bound(1, r, radius)[0] * (1 + 1e-12)
 
 
 def _brute_tail(y, c, radius, box):
