@@ -252,12 +252,15 @@ def _tail_bound(g: int, r: float, radius: float):
     gam = [math.sqrt(math.pi) * math.erfc(a), math.exp(-x)]
     for k in range(2, g):
         s = (k - 1) / 2
+        # x^s exp(-x) as one exp, which cannot overflow
         gam.append(s * gam[k - 2] + (math.exp(s * math.log(x) - x) if x else 0.0))
     # powers of 1/r by float products, which overflow to inf, not an error
-    acc, rise = 0.0, math.exp(-x)
+    acc = 0.0
     for k in reversed(range(g)):
         acc = acc / r + math.comb(g - 1, k) * gam[k]
-        rise *= 1.0 + a / r if k else 1.0
+    rise = math.exp(-x)
+    for _ in range(g - 1):
+        rise *= 1.0 + a / r
     return g / (2.0 * r) * acc, -g / r * rise
 
 
