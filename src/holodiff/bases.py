@@ -5,7 +5,8 @@ A weight-n differential is always evaluated as the coefficient of
 Every identity verified downstream is a ratio in which this per-point
 trivialization choice cancels.
 
-The module provides the raw monomial families, cardinal bases
+The monomial families and their chart values come from the curve
+model.  The module provides bases over them, cardinal bases
 normalized to gamma_i(anchor_j) = delta_ij, the product basis of
 quadratic differentials built from a cardinal weight-1 basis, and the
 expansion table of pair products in that product basis.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curves import HyperellipticCurve, PlaneCurve, ChartError, sample_points
+from .curves import ChartError, sample_points
 from .pairindex import build_pair_index, pair_vector
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 ANCHOR_COND_LIMIT = 1e8
-CHART_FLOOR = 1e-10
 CERTIFICATE_SEED = 104729  # petri_basis draws its certificate points here by default
 
 
@@ -63,24 +63,6 @@ def differential_dimension(genus: int, weight: int) -> int:
     return (2 * weight - 1) * (genus - 1)
 
 
-def _plane_monomials(degree: int) -> list[tuple[int, int]]:
-    return [
-        (r, s)
-        for r in range(degree - 2)
-        for s in range(degree - 2 - r)
-    ]
-
-
-def _hyperelliptic_monomials(genus: int, weight: int) -> list[tuple[int, int]]:
-    # x^j (dx)^n / y^n is holomorphic up to j = n(g-1); the y^(n-1) family
-    # only exists once n(2g-2) clears the ramification weight 2g+1.
-    mono = [(j, weight) for j in range(weight * (genus - 1) + 1)]
-    extra = weight * (2 * genus - 2) - (2 * genus + 1)
-    if extra >= 0:
-        mono.extend((j, weight - 1) for j in range(extra // 2 + 1))
-    return mono
-
-
 class DifferentialBasis:
     """Linear combinations of a monomial differential family on one model."""
 
@@ -99,30 +81,10 @@ class DifferentialBasis:
         return self.coeffs.shape[0]
 
     def _raw_values(self, points):
-        """Monomial values, shape (len(monomials), len(points)), in one array
-        pass, with the chart test: (values, flagged points, name of the
-        tested quantity, its values)."""
+        """The model's `chart_values` of the monomials at points of this basis's model."""
         if any(pt.model is not self.model for pt in points):
             raise ValueError("point does not belong to this basis's model")
-        x = np.array([pt.x for pt in points], dtype=complex)
-        y = np.array([pt.y for pt in points], dtype=complex)
-        a, b = (np.array(e)[:, None] for e in zip(*self.monomials))
-        model = self.model
-        if isinstance(model, PlaneCurve):
-            on_x = np.array([pt.chart == "x" for pt in points], dtype=bool)
-            denom = np.where(on_x, model.fy(x, y), model.fx(x, y))
-            big = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-            scale = model.coeff_scale * big ** (model.degree - 1)
-            sign = np.where(on_x, 1.0, (-1.0) ** self.weight)
-            with np.errstate(divide="ignore", invalid="ignore"):  # flagged points
-                values = sign * x**a * y**b / denom**self.weight
-            return values, np.abs(denom) < CHART_FLOOR * scale, "|denominator|", denom
-        # hyperelliptic: x^j / y^m
-        bad = np.zeros(len(points), dtype=bool)
-        if np.any(b > 0):
-            bad = np.abs(y) < CHART_FLOOR * np.sqrt(model.on_curve_scale(x, y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return x**a / y**b, bad, "|y|", y
+        return self.model.chart_values(points, self.monomials, self.weight)
 
     def evaluate_sets(self, point_sets) -> list:
         """Values of the basis on several point sets, from one array pass.
@@ -169,15 +131,7 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
     """The monomial basis of holomorphic weight-n differentials on the model."""
     if weight < 1:
         raise ValueError("weight must be >= 1")
-    if isinstance(model, PlaneCurve):
-        if weight != 1:
-            raise ValueError("plane models only carry the weight-1 monomial family")
-        return DifferentialBasis(model, 1, _plane_monomials(model.degree))
-    if isinstance(model, HyperellipticCurve):
-        if weight >= 2 and model.genus < 2:
-            raise ValueError("weight >= 2 requires genus >= 2")
-        return DifferentialBasis(model, weight, _hyperelliptic_monomials(model.genus, weight))
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return DifferentialBasis(model, weight, model.monomials(weight))
 
 
 def _cardinal(phi: np.ndarray):
@@ -243,12 +197,12 @@ class PetriBasis:
     def certify(self, omega_certificate) -> int:
         """Set and return the rank certificate: the numerical rank of the
         first 3g-3 products at the 3g-3 points whose omega columns are
-        `omega_certificate`.  A plane model must certify at full rank;
+        `omega_certificate`.  A canonical model must certify at full rank;
         other models report whatever rank the products actually have.
         """
         vmat = self.v_matrix(omega_certificate)
         self.rank_certificate = linalg.numerical_rank(linalg.scale_rows(vmat))
-        if isinstance(self.omega.model, PlaneCurve) and self.rank_certificate < self.v_dim:
+        if self.omega.model.canonical and self.rank_certificate < self.v_dim:
             raise RankDeficiencyError(
                 f"unexpected rank deficiency: certified {self.rank_certificate} < {self.v_dim}",
                 self.rank_certificate,

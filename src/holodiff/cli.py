@@ -120,7 +120,7 @@ def _petri_point_sets(model, seed):
     its rank check retries, by name."""
     g = model.genus
     sets = {}
-    if isinstance(model, curves.PlaneCurve):
+    if model.canonical:
         for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
             sets[name] = (3 * g - 2, _sub_seed(seed, name))
         sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
@@ -129,7 +129,6 @@ def _petri_point_sets(model, seed):
 
 def _petri_checks(model, seed, tol):
     g = model.genus
-    plane = isinstance(model, curves.PlaneCurve)
     checks = []
     omega = bases.holomorphic_basis(model)
 
@@ -153,7 +152,7 @@ def _petri_checks(model, seed, tol):
         om = values(request(), name)
         return petri.RelationInput(om[:, :g], om[:, g:])
 
-    if plane:
+    if model.canonical:
         def check_dets():
             t = tol.get("det", 1e-8)
             inp = fresh_input("petri-determinants")
@@ -193,7 +192,7 @@ def _petri_checks(model, seed, tol):
         ]
 
     def check_rank():
-        expected = 3 * g - 3 if plane else 2 * g - 1
+        expected = 3 * g - 3 if model.canonical else 2 * g - 1
         rank, last = None, None
         for attempt in range(4):
             slots = request() if attempt == 0 else evaluated(_petri_rank_sets(g, seed, attempt))
@@ -230,7 +229,7 @@ def _functoriality_check(name, pm, seed, tol):
     return _record(name, "sym-square-functoriality", resid, t)
 
 
-def _siegel_checks(genus, seed, tol, force_failure):
+def _siegel_checks(genus, seed, tol):
     pm = build_pair_index(genus)
 
     def check_det_power():
@@ -254,10 +253,6 @@ def _siegel_checks(genus, seed, tol, force_failure):
         quad = complex(dzp @ metric @ np.conj(dzp)).real
         direct = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
         resid = abs(quad - direct) / max(abs(direct), 1e-30)
-        if force_failure:
-            resid += 1.0
-            return _record("siegel-trace", "metric-trace", resid, t,
-                           note="forced failure injected")
         return _record("siegel-trace", "metric-trace", resid, t)
 
     def check_invariance():
@@ -525,8 +520,6 @@ def _build_parser():
 
     p = subs.add_parser("verify-siegel", help="pair-index metric identities")
     p.add_argument("--genus", type=int, default=3)
-    p.add_argument("--force-failure", action="store_true",
-                   help="inject a failing check to exercise the failure path")
     _add_common(p, with_spec=False)
 
     p = subs.add_parser("verify-fay", help="trisecant identity checks")
@@ -590,20 +583,22 @@ def _dispatch(args, parser, tol) -> int:
     elif args.command == "verify-siegel":
         if args.genus < 1 or args.genus > 8:
             parser.error("--genus must be between 1 and 8")
-        checks = _siegel_checks(args.genus, args.seed, tol, args.force_failure)
+        checks = _siegel_checks(args.genus, args.seed, tol)
         records = _run_checks(checks)
     elif args.command == "verify-fay":
         if args.m < 2:
             parser.error("the trisecant check needs at least 2 point pairs")
         if args.m > FAY_MAX_PAIRS:
             parser.error(f"the trisecant check takes at most {FAY_MAX_PAIRS} point pairs")
-        if args.genus == 2 and not (
-            isinstance(model, curves.HyperellipticCurve) and model.genus == 2
-        ):
+        if args.genus == 1 and args.spec:
+            parser.error("genus 1 mode draws its own tau and reads no curve file")
+        if args.genus == 2 and (model.canonical or model.genus != 2):
             parser.error("genus 2 mode needs a genus-2 hyperelliptic curve file")
         checks = _fay_check(model, args.genus, args.m, args.seed, tol)
         records = _run_checks(checks)
     elif args.command == "periods":
+        if model.canonical:
+            parser.error("periods needs a hyperelliptic curve file")
         records = _periods_records(model, tol)
     elif args.command == "selftest":
         checks = _selftest_checks(args.seed, tol)

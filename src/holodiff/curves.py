@@ -3,9 +3,12 @@
 Two families are supported: smooth plane curves F(x, y) = 0 of degree
 d >= 4 given by monomial coefficients, and hyperelliptic curves
 y^2 = f(x) with f a monic polynomial whose 2g+1 real branch points are
-pairwise separated.  Points carry their affine coordinates, a chart tag
-saying which coordinate trivializes differentials at that point, and for
-hyperelliptic curves a sheet sign.
+pairwise separated.  Each model class owns what its kind decides: its
+holomorphic monomial family and their chart values, its sampling round,
+and `canonical`, True when the curve is not hyperelliptic.  Points carry
+their affine coordinates, a chart tag saying which coordinate
+trivializes differentials at that point, and for hyperelliptic curves a
+sheet sign.
 
 Sampling is deterministic given a seed: x is drawn from a disk of radius
 2 (complex mode) or the interval [-2, 2] (real mode), and candidates are
@@ -53,6 +56,7 @@ __all__ = [
 
 ON_CURVE_RTOL = 1e-10
 CHART_RATIO_MIN = 1e-6
+CHART_FLOOR = 1e-10  # chart_values flags a point whose tested quantity falls below this scale
 MIN_POINT_SEPARATION = 1e-4
 MAX_DRAWS_PER_POINT = 50
 BRANCH_MARGIN = 0.05  # hyperelliptic draws closer than this to a branch point are rejected
@@ -77,7 +81,7 @@ class SamplingError(RuntimeError):
 class PlaneCurve:
     """Smooth plane curve F(x, y) = 0 of total degree d >= 4."""
 
-    kind = "plane"
+    canonical = True  # never hyperelliptic, so the pair products span 3g-3 (Max Noether)
 
     def __init__(self, degree: int, coeffs):
         if not isinstance(degree, (int, np.integer)) or degree < 4:
@@ -167,6 +171,98 @@ class PlaneCurve:
         x = np.asarray(x, dtype=complex)[..., None]
         return (self._c * self._r * x ** np.maximum(self._r - 1, 0)) @ self._y_slots
 
+    def monomials(self, weight: int) -> list[tuple[int, int]]:
+        """Exponents (r, s) of the holomorphic family x^r y^s dx / F_y, r + s <= d - 3."""
+        if weight != 1:
+            raise ValueError("plane models only carry the weight-1 monomial family")
+        return [(r, s) for r in range(self.degree - 2) for s in range(self.degree - 2 - r)]
+
+    def chart_values(self, points, monomials, weight: int):
+        """Coefficients of x^r y^s (dx / F_y)^n, one row per monomial and one
+        column per point, in each point's chart, with the chart test:
+        (values, flagged points, name of the tested quantity, its values)."""
+        x, y, a, b = _monomial_powers(points, monomials)
+        on_x = np.array([pt.chart == "x" for pt in points], dtype=bool)
+        denom = np.where(on_x, self.fy(x, y), self.fx(x, y))
+        big = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+        scale = self.coeff_scale * big ** (self.degree - 1)
+        sign = np.where(on_x, 1.0, (-1.0) ** weight)
+        with np.errstate(divide="ignore", invalid="ignore"):  # flagged points
+            values = sign * x**a * y**b / denom**weight
+        return values, np.abs(denom) < CHART_FLOOR * scale, "|denominator|", denom
+
+    def _draw_round(self, sets, mode):
+        """One draw per set of as many candidates as it is short, as lists of
+        (x, y, chart, sheet, reason); reason is None when acceptable.
+
+        A draw reads x, then the root number rng.integers(k) when F(x, .) has
+        k >= 1 roots.  x is decoded at every word position of each set, F(x, .)
+        and k at all of them at once, and a plain loop walks each set's words
+        draw by draw.  The drawn roots of every set then come from one
+        `_pick_roots` call and three row-wise Newton steps.  A set gets fewer
+        candidates than it is short only when rejected bounded draws ran past
+        the words read for them.
+        """
+        per_x = 1 if mode == "real" else 2
+        d = self.degree
+        xs = []
+        for s in sets:
+            s.words.read((per_x + 1) * s.short)
+            xs.append(_x_draws(s.words.doubles(), mode))
+        sizes = [len(x) for x in xs]
+        xs = np.concatenate(xs)
+        coeffs = self.y_poly_coeffs(xs)
+        nz = coeffs != 0
+        nroots = np.where(nz.any(axis=1), d - np.argmax(nz, axis=1), 0).tolist()
+        at, pick, ends, start = [], [], [], 0
+        for s, size in zip(sets, sizes):
+            stop, pos = len(at) + s.short, 0
+            while len(at) < stop and pos < size:
+                at.append(start + pos)
+                k = nroots[start + pos]
+                pos += per_x
+                if k:
+                    v, pos = s.words.integer(k, pos)
+                else:
+                    v = -1
+                pick.append(v)
+            s.words.used(pos)
+            ends.append(len(at))
+            start += size
+        xs, coeffs, pick = xs[at], coeffs[at], np.array(pick)
+        ok = np.flatnonzero(pick >= 0)
+        x, f = xs[ok], coeffs[ok]
+        y = _pick_roots(f, pick[ok])
+        fy = f[:, :-1] * np.arange(d, 0, -1)
+        for _ in range(3):  # Newton polish on the drawn roots
+            dfy = _horner_rows(fy, y)
+            y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
+        fv = np.abs(_horner_rows(f, y))
+        gx = np.abs(_horner_rows(self.fx_y_poly_coeffs(x), y))
+        gy = np.abs(_horner_rows(fy, y))
+        grad = gx + gy
+        verdict = np.select(
+            [
+                fv > ON_CURVE_RTOL * self.on_curve_scale(x, y),
+                grad == 0.0,
+                gy >= CHART_RATIO_MIN * grad,
+                gx >= CHART_RATIO_MIN * grad,
+            ],
+            [
+                "root polish left the curve residual too large",
+                "vanishing gradient (singular point)",
+                "x",
+                "y",
+            ],
+            "near-singular chart",
+        )
+        xl = xs.tolist()
+        out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
+        for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
+            out[i] = ((xl[i], yi, v, None, None) if v in ("x", "y")
+                      else (xl[i], yi, None, None, v))
+        return [out[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
     def __repr__(self) -> str:
         return f"PlaneCurve(degree={self.degree}, genus={self.genus})"
 
@@ -174,7 +270,7 @@ class PlaneCurve:
 class HyperellipticCurve:
     """Hyperelliptic curve y^2 = prod (x - e_i) with sorted real branch points."""
 
-    kind = "hyperelliptic"
+    canonical = False  # the pair products span only 2g-1 dimensions
 
     def __init__(self, branch_points):
         e = np.asarray(branch_points, dtype=float)
@@ -206,6 +302,64 @@ class HyperellipticCurve:
         x = np.atleast_1d(np.asarray(x, dtype=complex))
         return np.maximum(1.0, np.abs(x)) ** len(self._e)
 
+    def monomials(self, weight: int) -> list[tuple[int, int]]:
+        """Exponents (j, m) of the holomorphic family x^j (dx)^n / y^m."""
+        if weight >= 2 and self.genus < 2:
+            raise ValueError("weight >= 2 requires genus >= 2")
+        # x^j (dx)^n / y^n is holomorphic up to j = n(g-1); the y^(n-1) family
+        # only exists once n(2g-2) clears the ramification weight 2g+1.
+        mono = [(j, weight) for j in range(weight * (self.genus - 1) + 1)]
+        extra = weight * (2 * self.genus - 2) - (2 * self.genus + 1)
+        if extra >= 0:
+            mono.extend((j, weight - 1) for j in range(extra // 2 + 1))
+        return mono
+
+    def chart_values(self, points, monomials, weight: int):
+        """Values of x^j (dx)^n / y^m in the x chart, as `PlaneCurve.chart_values` gives them."""
+        x, y, a, b = _monomial_powers(points, monomials)
+        bad = np.zeros(len(points), dtype=bool)
+        if np.any(b > 0):
+            bad = np.abs(y) < CHART_FLOOR * np.sqrt(self.on_curve_scale(x, y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x**a / y**b, bad, "|y|", y
+
+    def _draw_round(self, sets, mode):
+        """One draw per set of as many candidates as it is short, as lists of
+        (x, y, chart, sheet, reason); reason is None when acceptable.
+
+        A candidate reads doubles: x, then the sheet when x is far enough
+        from the branch points.  Every word position of every set is decoded
+        at once as if a candidate started there, and a plain loop walks each
+        set's words candidate by candidate.
+        """
+        per_x = 1 if mode == "real" else 2
+        xs, sheets = [], []
+        for s in sets:
+            s.words.read((per_x + 1) * s.short)
+            u = s.words.doubles()
+            usable = len(u) - per_x  # positions followed by a sheet double
+            xs.append(_x_draws(u, mode)[:usable])
+            sheets.append(u[per_x:])
+        x = np.concatenate(xs)
+        near = (self.branch_distance(x) < BRANCH_MARGIN).tolist()
+        sheet = np.where(np.concatenate(sheets) < 0.5, 1, -1)
+        y = (sheet * np.sqrt(self.f(x))).tolist()
+        xl, sheet = x.tolist(), sheet.tolist()
+        out, start = [], 0
+        for s, block in zip(sets, xs):
+            cands, pos = [], start
+            for _ in range(s.short):
+                if near[pos]:
+                    cands.append((xl[pos], 0j, None, None, "too close to a branch point"))
+                    pos += per_x
+                else:
+                    cands.append((xl[pos], y[pos], "x", sheet[pos], None))
+                    pos += per_x + 1
+            s.words.used(pos - start)
+            out.append(cands)
+            start += len(block)
+        return out
+
     def __repr__(self) -> str:
         return f"HyperellipticCurve(genus={self.genus}, branch_points={self.branch_points})"
 
@@ -233,6 +387,14 @@ def _too_close(x, y, accepted) -> bool:
         if abs(x - p.x) + abs(y - p.y) < MIN_POINT_SEPARATION:
             return True
     return False
+
+
+def _monomial_powers(points, monomials):
+    """x and y of the points as arrays, and the monomials' exponent columns a, b."""
+    x = np.array([pt.x for pt in points], dtype=complex)
+    y = np.array([pt.y for pt in points], dtype=complex)
+    a, b = (np.array(e)[:, None] for e in zip(*monomials))
+    return x, y, a, b
 
 
 def _horner_rows(coeffs, z):
@@ -418,116 +580,6 @@ class _PointSet:
         return self.count - len(self.points)
 
 
-def _plane_round(model: PlaneCurve, sets, mode):
-    """One draw per set of as many candidates as it is short, as lists of
-    (x, y, chart, sheet, reason); reason is None when acceptable.
-
-    A draw reads x, then the root number rng.integers(k) when F(x, .) has
-    k >= 1 roots.  x is decoded at every word position of each set, F(x, .)
-    and k at all of them at once, and a plain loop walks each set's words
-    draw by draw.  The drawn roots of every set then come from one
-    `_pick_roots` call and three row-wise Newton steps.  A set gets fewer
-    candidates than it is short only when rejected bounded draws ran past
-    the words read for them.
-    """
-    per_x = 1 if mode == "real" else 2
-    d = model.degree
-    xs = []
-    for s in sets:
-        s.words.read((per_x + 1) * s.short)
-        xs.append(_x_draws(s.words.doubles(), mode))
-    sizes = [len(x) for x in xs]
-    xs = np.concatenate(xs)
-    coeffs = model.y_poly_coeffs(xs)
-    nz = coeffs != 0
-    nroots = np.where(nz.any(axis=1), d - np.argmax(nz, axis=1), 0).tolist()
-    at, pick, ends, start = [], [], [], 0
-    for s, size in zip(sets, sizes):
-        stop, pos = len(at) + s.short, 0
-        while len(at) < stop and pos < size:
-            at.append(start + pos)
-            k = nroots[start + pos]
-            pos += per_x
-            if k:
-                v, pos = s.words.integer(k, pos)
-            else:
-                v = -1
-            pick.append(v)
-        s.words.used(pos)
-        ends.append(len(at))
-        start += size
-    xs, coeffs, pick = xs[at], coeffs[at], np.array(pick)
-    ok = np.flatnonzero(pick >= 0)
-    x, f = xs[ok], coeffs[ok]
-    y = _pick_roots(f, pick[ok])
-    fy = f[:, :-1] * np.arange(d, 0, -1)
-    for _ in range(3):  # Newton polish on the drawn roots
-        dfy = _horner_rows(fy, y)
-        y = y - np.divide(_horner_rows(f, y), dfy, out=np.zeros_like(y), where=dfy != 0)
-    fv = np.abs(_horner_rows(f, y))
-    gx = np.abs(_horner_rows(model.fx_y_poly_coeffs(x), y))
-    gy = np.abs(_horner_rows(fy, y))
-    grad = gx + gy
-    verdict = np.select(
-        [
-            fv > ON_CURVE_RTOL * model.on_curve_scale(x, y),
-            grad == 0.0,
-            gy >= CHART_RATIO_MIN * grad,
-            gx >= CHART_RATIO_MIN * grad,
-        ],
-        [
-            "root polish left the curve residual too large",
-            "vanishing gradient (singular point)",
-            "x",
-            "y",
-        ],
-        "near-singular chart",
-    )
-    xl = xs.tolist()
-    out = [(xi, 0j, None, None, "no y roots at drawn x") for xi in xl]
-    for i, yi, v in zip(ok.tolist(), y.tolist(), verdict.tolist()):
-        out[i] = (xl[i], yi, v, None, None) if v in ("x", "y") else (xl[i], yi, None, None, v)
-    return [out[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _hyperelliptic_round(model: HyperellipticCurve, sets, mode):
-    """One draw per set of as many candidates as it is short, as lists of
-    (x, y, chart, sheet, reason); reason is None when acceptable.
-
-    A candidate reads doubles: x, then the sheet when x is far enough
-    from the branch points.  Every word position of every set is decoded
-    at once as if a candidate started there, and a plain loop walks each
-    set's words candidate by candidate.
-    """
-    per_x = 1 if mode == "real" else 2
-    xs, sheets = [], []
-    for s in sets:
-        s.words.read((per_x + 1) * s.short)
-        u = s.words.doubles()
-        usable = len(u) - per_x  # positions followed by a sheet double
-        xs.append(_x_draws(u, mode)[:usable])
-        sheets.append(u[per_x:])
-    x = np.concatenate(xs)
-    near = (model.branch_distance(x) < BRANCH_MARGIN).tolist()
-    sheet = np.where(np.concatenate(sheets) < 0.5, 1, -1)
-    y = (sheet * np.sqrt(model.f(x))).tolist()
-    xl, sheet = x.tolist(), sheet.tolist()
-    out, start = [], 0
-    for s, block in zip(sets, xs):
-        cands, pos = [], start
-        for _ in range(s.short):
-            if near[pos]:
-                cands.append((xl[pos], 0j, None, None, "too close to a branch point"))
-                pos += per_x
-            else:
-                cands.append((xl[pos], y[pos], "x", sheet[pos], None))
-                pos += per_x + 1
-        s.words.used(pos - start)
-        out.append(cands)
-        start += len(block)
-    return out
-
-
 def _accept(model, s: _PointSet, cands):
     """Accept a set's candidates in draw order within its per-point budget;
     the set's error is set when the budget runs out."""
@@ -561,16 +613,13 @@ def sample_sets(model, requests, mode: str = "complex"):
         raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
     if any(count < 0 for count, _ in requests):
         raise ValueError("count must be nonnegative")
-    if isinstance(model, PlaneCurve):
-        draw = _plane_round
-    elif isinstance(model, HyperellipticCurve):
-        draw = _hyperelliptic_round
-    else:
+    draw = getattr(model, "_draw_round", None)
+    if draw is None:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     sets = [_PointSet(count, seed) for count, seed in requests]
     pending = [s for s in sets if s.count]
     while pending:
-        for s, cands in zip(pending, draw(model, pending, mode)):
+        for s, cands in zip(pending, draw(pending, mode)):
             _accept(model, s, cands)
         pending = [s for s in pending if s.error is None and s.short]
     return [s.error or s.points for s in sets]

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -54,17 +55,11 @@ def test_siegel_default_passes(capsys):
     assert "overall=PASS" in out
 
 
-def test_siegel_force_failure_exits_one(capsys):
-    assert main(["verify-siegel", "--force-failure"]) == 1
-    out = capsys.readouterr().out
-    assert "forced failure injected" in out
-    assert "overall=FAIL" in out
-
-
 def test_siegel_genus_bounds(capsys):
     assert main(["verify-siegel", "--genus", "0"]) == 2
     assert main(["verify-siegel", "--genus", "9"]) == 2
     assert main(["verify-siegel", "--threads", "4"]) == 2
+    assert main(["verify-siegel", "--force-failure"]) == 2
     capsys.readouterr()
 
 
@@ -73,6 +68,7 @@ def test_tolerance_overrides_echoed(capsys):
     out = capsys.readouterr().out
     assert "tolerance det-power=1.000000e-30" in out
     assert "check=siegel-det-power anchor=det-power status=FAIL" in out
+    assert "overall=FAIL" in out
 
 
 def test_tolerance_override_does_not_carry_into_next_call(capsys):
@@ -531,6 +527,28 @@ def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):
     assert main(["verify-fay", "--genus", "2", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "genus-2" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["periods"], "periods needs a hyperelliptic curve file"),
+    (["verify-fay", "--genus", "2"], "genus 2 mode needs a genus-2 hyperelliptic curve file"),
+])
+def test_plane_curve_refused_where_a_hyperelliptic_one_is_needed(argv, message, capsys):
+    spec = resources.files("holodiff").joinpath("data", "fermat_quintic.json")
+    assert main(argv + ["--spec", str(spec)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fay_genus_one_refuses_a_curve_file(tmp_path, capsys):
+    # the genus-1 trials draw their own tau, so a curve file would be unread
+    spec = tmp_path / "g1.json"
+    spec.write_text(json.dumps(
+        {"type": "hyperelliptic", "branch_points": [-1.0, 0.0, 1.0]}
+    ))
+    assert main(["verify-fay", "--genus", "1", "--spec", str(spec)]) == 2
+    assert "genus 1 mode draws its own tau and reads no curve file" in capsys.readouterr().err
+    assert main(["verify-fay", "--spec", str(spec)]) == 2
+    capsys.readouterr()
 
 
 def test_periods_subcommand(capsys):

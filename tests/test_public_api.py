@@ -5,7 +5,8 @@ longer exists breaks ``from holodiff.X import *``; a listed name that
 nothing outside its own definition refers to is code that only its own
 unit tests keep alive.  Callers are looked for in the package itself, the
 acceptance tests, the test oracles, the benchmark harness and the tools,
-but not in the unit tests.
+but not in the unit tests.  Outside ``curves.py`` no module branches on
+the class of a curve model.
 """
 
 import ast
@@ -95,3 +96,30 @@ def test_awaiting_names_are_still_idle():
     public = {n for module in PUBLIC.values() for n in module.__all__}
     assert set(AWAITING_CHECK) <= public
     assert not set(AWAITING_CHECK) & _callers()
+
+
+MODEL_CLASSES = {"PlaneCurve", "HyperellipticCurve"}
+
+
+def _model_isinstance_calls(path):
+    """Line numbers of the isinstance calls in `path` that name a model class."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"):
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & MODEL_CLASSES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_curves_branches_on_the_model_class():
+    # what a curve model decides (its monomials, chart values, sampling and
+    # `canonical`) lives on the model; other modules read those, so a new
+    # model kind needs no new branch outside curves.py
+    branches = {path.name: lines
+                for path in sorted((ROOT / "src" / "holodiff").glob("*.py"))
+                if path.name != "curves.py" and (lines := _model_isinstance_calls(path))}
+    assert not branches, f"isinstance on a curve model class outside curves.py: {branches}"
