@@ -547,8 +547,8 @@ def _parse_tols(pairs, command, parser):
             val = float(value)
         except ValueError:
             parser.error(f"--tol value for {name!r} is not a number: {value!r}")
-        if val <= 0:
-            parser.error(f"--tol value for {name!r} must be positive")
+        if not 0 < val < float("inf"):
+            parser.error(f"--tol value for {name!r} must be a positive finite number")
         if name not in known:
             parser.error(f"{command} reads no tolerance {name!r}; "
                          f"accepted names: {', '.join(known)}")
@@ -572,9 +572,12 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, parser, tol) -> int:
+    if args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     digest = "-"
     model = None
-    if args.command in _BUILTIN_CURVES:
+    # the genus-1 trisecant trials draw their own tau and read no curve
+    if args.command in _BUILTIN_CURVES and getattr(args, "genus", None) != 1:
         model, digest = _load_curve(args.spec, _BUILTIN_CURVES[args.command])
 
     if args.command == "verify-petri":

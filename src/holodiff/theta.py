@@ -15,18 +15,18 @@ matmul and one real exp, and only the unit phases are factored: one
 complex exp per lattice point, shared by every row, and two per row and
 axis, so no complex exp runs per (row, point) term.  On top of
 the engine: the Fay trisecant residual and the end-to-end cross-ratio
-comparison between cardinal bases and theta quotients at genus 2 and up
-(one lattice sum of eight rows per pair), with the Riemann constant in
-closed form from `jacobian`.  The trisecant residual takes a batch of T
-trials at one tau: one lattice sum of T (3m^2 - m + 2) rows, split into
-groups only where MAX_TERMS demands it, then one stacked O(m^3) scaled
-determinant; a single trial is the batch of one.
+comparison between cardinal bases and theta quotients at genus 2 and up,
+with the Riemann constant in closed form from `jacobian`.  Each makes
+one lattice sum per identity, split into groups only where MAX_TERMS
+demands it.  The trisecant residual takes a batch of T trials at one
+tau: T (3m^2 - m + 2) rows, then one stacked O(m^3) scaled determinant;
+a single trial is the batch of one.  The cross-ratio check sums, per
+draw, theta(w) and eight rows per anchor pair.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +53,6 @@ __all__ = [
     "scaled_det",
     "odd_characteristics",
     "fay_residual",
-    "theta_side_cross_ratio",
     "CrossRatioResult",
     "gamma_cross_ratio_check",
 ]
@@ -692,29 +691,6 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
             for lhs, rhs in zip(zip(lhs_m, lhs_l), zip(rhs_m, rhs_l))], error
 
 
-def theta_side_cross_ratio(w, z1, z2, pi_img, pj_img, tau,
-                           delta: ThetaCharacteristic) -> complex:
-    """Cross-ratio of theta translates and prime forms at two probes.
-
-    Every factor that depends on local trivializations or on the
-    half-differential normalization cancels in this combination.
-    """
-    if not delta.is_odd:
-        raise ValueError("the prime-form characteristic must be odd")
-    point = _siegel(tau)
-    w = np.asarray(w, dtype=complex)
-    # one lattice sum: the four even translates, then the four odd ones
-    mant, logs, _, peak = _theta_arrays(point, *_fold(
-        point, ([w + z1 - pi_img, w + z2 - pj_img, w + z2 - pi_img, w + z1 - pj_img], None),
-        ([z1 - pj_img, z2 - pi_img, z1 - pi_img, z2 - pj_img], delta)))
-    if np.any(np.abs(mant) < 1e-10 * peak):
-        raise ThetaNearZeroError("cross-ratio factor too close to zero")
-    mant, logs = _normalized(mant, logs)
-    num, den = [0, 1, 4, 5], [2, 3, 6, 7]
-    return complex(np.prod(mant[num]) / np.prod(mant[den])
-                   * np.exp(np.sum(logs[num]) - np.sum(logs[den])))
-
-
 @dataclass
 class CrossRatioResult:
     """Outcome of the curve-side vs theta-side cross-ratio comparison."""
@@ -729,8 +705,12 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
 
     Anchors and probes are sampled on the curve, mapped to the Jacobian,
     and the shift w is assembled from the anchor images and the Riemann
-    constant of `jacobian.riemann_constant`.  Non-generic draws retry
-    with a bumped seed.
+    constant of `jacobian.riemann_constant`.  Each draw makes one lattice
+    sum, of theta(w) and, for every anchor pair, the four theta translates
+    and four prime forms (odd translates) of its cross-ratio, in which
+    every factor that depends on local trivializations or on the
+    half-differential normalization cancels; rows beyond MAX_TERMS go in
+    further consecutive sums.  Non-generic draws retry with a bumped seed.
     """
     from .jacobian import abel_map, riemann_constant
 
@@ -742,6 +722,9 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
     delta = ThetaCharacteristic.first_odd(g)
     basis_n = holomorphic_basis(curve, weight)
     shift = (2 * weight - 1) * riemann_constant(pd)
+    point = pd.tau
+    step = max(1, MAX_TERMS // _cell_box_points(point))
+    i, j = _pairs(n)
     last_error = None
     for attempt in range(CROSS_RATIO_ATTEMPTS):
         s = seed + 7919 * attempt
@@ -750,27 +733,34 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
         probes = pts[n:]
         try:
             gam = cardinal_basis(basis_n, anchors)
-            imgs = [img.vector for img in abel_map(pd, pts)]
-            anchor_imgs, probe_imgs = imgs[:n], imgs[n:]
-            w = sum(anchor_imgs) - shift
-            tw = theta(w, pd.tau)
-            if abs(tw.mantissa) < THETA_FLOOR * tw.peak:
+            imgs = np.array([img.vector for img in abel_map(pd, pts)])
+            z1, z2, p_i, p_j = imgs[n], imgs[n + 1], imgs[i], imgs[j]
+            w = imgs[:n].sum(axis=0) - shift
+            # rows: theta(w), the four even translates of every pair, then
+            # the four odd ones; in each four, two numerators, then two
+            # denominators
+            even = np.stack([w + z1 - p_i, w + z2 - p_j, w + z2 - p_i, w + z1 - p_j], axis=1)
+            odd = np.stack([z1 - p_j, z2 - p_i, z1 - p_i, z2 - p_j], axis=1)
+            tau, rows, facs = _fold(point, (np.vstack([w, even.reshape(-1, g)]), None),
+                                    (odd.reshape(-1, g), delta))
+            parts = [_theta_arrays(point, tau, rows[a:a + step], facs[a:a + step])
+                     for a in range(0, len(rows), step)]
+            mant, logs, _, peak = (np.concatenate(x) for x in zip(*parts))
+            if abs(mant[0]) < THETA_FLOOR * peak[0]:
                 raise ThetaNearZeroError("theta(w) below floor")
             gvals = gam.evaluate(probes)
             if np.min(np.abs(gvals)) < 1e-10 * np.max(np.abs(gvals)):
                 raise ThetaNearZeroError("cardinal basis nearly vanishing at a probe")
-            worst = 0.0
-            for i, j in itertools.combinations(range(n), 2):
-                curve_ratio = (gvals[i, 0] * gvals[j, 1]) / (gvals[i, 1] * gvals[j, 0])
-                theta_ratio = theta_side_cross_ratio(
-                    w, probe_imgs[0], probe_imgs[1],
-                    anchor_imgs[i], anchor_imgs[j], pd.tau, delta,
-                )
-                dev = abs(curve_ratio - theta_ratio) / max(
-                    abs(curve_ratio), abs(theta_ratio)
-                )
-                worst = max(worst, dev)
-            return CrossRatioResult(weight, worst, attempt + 1)
+            if np.any(np.abs(mant[1:]) < 1e-10 * peak[1:]):
+                raise ThetaNearZeroError("cross-ratio factor too close to zero")
+            mant, logs = (x.reshape(2, -1, 4) for x in _normalized(mant[1:], logs[1:]))
+            theta_ratio = (np.prod(mant[..., :2], axis=(0, 2)) / np.prod(mant[..., 2:], axis=(0, 2))
+                           * np.exp(np.sum(logs[..., :2], axis=(0, 2))
+                                    - np.sum(logs[..., 2:], axis=(0, 2))))
+            curve_ratio = (gvals[i, 0] * gvals[j, 1]) / (gvals[i, 1] * gvals[j, 0])
+            dev = np.abs(curve_ratio - theta_ratio) / np.maximum(np.abs(curve_ratio),
+                                                                 np.abs(theta_ratio))
+            return CrossRatioResult(weight, float(np.max(dev)), attempt + 1)
         except (NonGenericAnchorsError, ThetaNearZeroError) as exc:
             last_error = exc
     raise ThetaNearZeroError(

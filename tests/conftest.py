@@ -51,6 +51,11 @@ def pd_g3(hyp_g3):
     return jacobian.compute_periods(hyp_g3)
 
 
+@pytest.fixture(scope="session")
+def pd_g4(hyp_g4):
+    return jacobian.compute_periods(hyp_g4)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)

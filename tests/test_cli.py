@@ -100,6 +100,20 @@ def test_tolerance_syntax_errors(capsys):
     assert main(["verify-siegel", "--tol", "x=-1"]) == 2
     assert main(["verify-siegel", "--tol", "x=junk"]) == 2
     capsys.readouterr()
+    for value in ("nan", "inf"):
+        assert main(["verify-siegel", "--tol", f"trace={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance trace" not in captured.out
+        assert "must be a positive finite number" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-petri", "verify-siegel", "verify-fay", "periods",
+                                     "selftest"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    assert main([command, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be a non-negative integer" in captured.err
 
 
 def test_tolerance_name_the_subcommand_never_reads(capsys):
@@ -578,6 +592,15 @@ def test_report_header_carries_curve_digest(tmp_path, capsys):
 def test_siegel_report_has_no_curve_digest(tmp_path, capsys):
     report = tmp_path / "r.txt"
     assert main(["verify-siegel", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert "curve-sha256=-" in report.read_text()
+
+
+def test_fay_genus_one_report_has_no_curve_digest(monkeypatch, tmp_path, capsys):
+    # the genus-1 trials draw their own tau, so no curve is read or hashed
+    monkeypatch.setattr(cli, "_load_curve", lambda *a: pytest.fail("a curve was loaded"))
+    report = tmp_path / "r.txt"
+    assert main(["verify-fay", "--genus", "1", "--report", str(report)]) == 0
     capsys.readouterr()
     assert "curve-sha256=-" in report.read_text()
 

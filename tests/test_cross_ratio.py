@@ -26,6 +26,54 @@ def test_cross_ratio_matches_theta_side_genus_three(pd_g3, weight):
     assert result.residual <= 1e-6
 
 
+@pytest.mark.parametrize("weight", [1, 2])
+def test_cross_ratio_matches_theta_side_genus_four(pd_g4, weight):
+    result = th.gamma_cross_ratio_check(pd_g4, weight, seed=20260818)
+    assert result.weight == weight
+    assert result.residual <= 1e-6
+
+
+def _spy_theta_arrays(monkeypatch):
+    """Record the (rows, returned arrays) of every `_theta_arrays` call."""
+    calls = []
+    arrays = th._theta_arrays
+
+    def spy(point, tau, zs, log_fac):
+        out = arrays(point, tau, zs, log_fac)
+        calls.append((len(zs), out))
+        return out
+
+    monkeypatch.setattr(th, "_theta_arrays", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pd_name", ["pd_g2", "pd_g4"])
+def test_cross_ratio_makes_one_lattice_sum_per_attempt(pd_name, request, monkeypatch):
+    pd = request.getfixturevalue(pd_name)
+    calls = _spy_theta_arrays(monkeypatch)
+    result = th.gamma_cross_ratio_check(pd, 2, seed=20260818)
+    # theta(w), then four even and four odd translates for each anchor pair
+    n = 3 * pd.genus - 3
+    assert [rows for rows, _ in calls] == [1 + 4 * n * (n - 1)] * result.attempts
+
+
+def test_cross_ratio_split_sum_matches_one_sum(pd_g2, monkeypatch):
+    calls = _spy_theta_arrays(monkeypatch)
+    whole = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
+    [(_, (mant, logs, _, peak))] = calls
+    calls.clear()
+    # room for eight rows per sum: the 25 rows go in four sums
+    monkeypatch.setattr(th, "MAX_TERMS", 8 * th._cell_box_points(pd_g2.tau))
+    split = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
+    assert [rows for rows, _ in calls] == [8, 8, 8, 1]
+    assert split.attempts == whole.attempts
+    # the residual is a relative deviation, so it is compared absolutely
+    assert abs(split.residual - whole.residual) <= 1e-12
+    mant_s = np.concatenate([out[0] for _, out in calls])
+    logs_s = np.concatenate([out[1] for _, out in calls])
+    assert np.max(np.abs(mant_s * np.exp(logs_s - logs) - mant) / peak) <= 1e-12
+
+
 def test_cross_ratio_needs_genus_two(pd_g1):
     # at genus 1 there is one anchor and so no pair to compare
     with pytest.raises(ValueError, match="genus >= 2"):

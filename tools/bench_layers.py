@@ -18,9 +18,9 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
   and retries, periods included) by m, at one seed, without the report;
 - ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
-  at one seed, on the bundled genus-2 curve and on a genus-3 curve with
-  real branch points; a genus the checkout refuses with ``ValueError``
-  has no key;
+  at one seed, on the bundled genus-2 curve, on a genus-3 curve with
+  real branch points and on the bundled ``hyperelliptic_g4.json``; a
+  genus the checkout refuses with ``ValueError`` has no key;
 - ``sample_points`` at one seed: on the bundled plane quintic at the
   point counts ``verify-petri`` draws (keys ``quintic_6`` ...), and on
   the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
@@ -189,7 +189,8 @@ def bench_cross_ratio(holodiff) -> dict:
 
     out = {}
     for curve in (_bundled(holodiff, "hyperelliptic_g2.json"),
-                  curves.HyperellipticCurve(list(G3_BRANCH_POINTS))):
+                  curves.HyperellipticCurve(list(G3_BRANCH_POINTS)),
+                  _bundled(holodiff, "hyperelliptic_g4.json")):
         pd = jacobian.compute_periods(curve)
         for weight in CROSS_RATIO_WEIGHTS:
             try:
