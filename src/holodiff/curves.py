@@ -38,6 +38,7 @@ set gets the points, or the error, that drawing it alone gives.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -644,6 +645,16 @@ def _require(cond, field, message):
         raise CurveSpecError(f"field {field!r}: {message}")
 
 
+def _real(v) -> bool:
+    """Whether v is a JSON number that a float holds finitely: json reads
+    NaN, Infinity and 1e999 as non-finite floats, and an integer past the
+    float range does not convert."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def parse_curve_spec(text: str):
     """Parse a JSON curve description into a curve model.
 
@@ -687,11 +698,8 @@ def parse_curve_spec(text: str):
                 field,
                 "exponents must be integers",
             )
-            _require(
-                isinstance(re, (int, float)) and isinstance(im, (int, float)),
-                field,
-                "coefficient parts must be numbers",
-            )
+            _require(_real(re) and _real(im), field,
+                     f"coefficient parts must be finite numbers, got {re!r}, {im!r}")
             _require(
                 0 <= r and 0 <= s and r + s <= degree,
                 field,
@@ -706,11 +714,7 @@ def parse_curve_spec(text: str):
     raw = doc["branch_points"]
     _require(isinstance(raw, list), "branch_points", "expected a list")
     for i, v in enumerate(raw):
-        _require(
-            isinstance(v, (int, float)),
-            f"branch_points[{i}]",
-            f"expected a real number, got {v!r}",
-        )
+        _require(_real(v), f"branch_points[{i}]", f"expected a finite real number, got {v!r}")
     try:
         return HyperellipticCurve([float(v) for v in raw])
     except ValueError as exc:

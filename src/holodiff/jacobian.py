@@ -470,10 +470,9 @@ def riemann_constant(pd: PeriodData) -> np.ndarray:
     return pd.normalization @ ((g - np.arange(2 * g) // 2) @ pd.seg_values)
 
 
-def lattice_distance(source, v) -> float:
-    """Max-norm distance of v from the period lattice of source (PeriodData or tau)."""
-    tau = source.tau if isinstance(source, PeriodData) else source
-    r, _, _ = theta.lattice_reduce_tau(v, tau)
+def lattice_distance(pd: PeriodData, v) -> float:
+    """Max-norm distance of v from the period lattice of pd."""
+    r, _, _ = theta.lattice_reduce_tau(v, pd.tau)
     return float(np.max(np.abs(r)))
 
 

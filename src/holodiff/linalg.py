@@ -1,12 +1,13 @@
 """Small dense complex linear algebra with certified degeneracy checks.
 
-Determinants, solves, inverses and the positive-definiteness test are
-numpy's LAPACK calls.  What this module adds is the certification around
-them: determinant residuals are ratios to a Hadamard bound, taken on the
-row-normalized matrix so that they cannot underflow, a solve or
-inverse whose row-scaled reciprocal condition falls below a threshold
-fails loudly with that magnitude, and numerical rank uses complete
-pivoting (which LAPACK's LU does not offer) with a relative threshold.
+Determinants, solves and inverses are numpy's LAPACK calls.  What this
+module adds is the certification around them: determinant residuals are
+ratios to a Hadamard bound, taken on the row-normalized matrix so that
+they cannot underflow, a solve or inverse whose row-scaled reciprocal
+condition falls below a threshold fails loudly with that magnitude, and
+numerical rank uses complete pivoting (which LAPACK's LU does not offer)
+with a relative threshold.  Positivity of Im tau is certified where the
+point is built, by `siegel.SiegelPoint`.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ __all__ = [
     "pivot_rows",
     "numerical_rank",
     "scale_rows",
-    "is_positive_definite",
 ]
 
 _TINY = np.finfo(float).tiny
 PIVOT_RTOL = 1e-13  # floor on the row-scaled reciprocal condition in solve/inverse
-FLOOR_RTOL = 1e-12  # floor on each Cholesky pivot, relative to the trace
 RANK_RTOL = 1e-8  # floor on each rank pivot, relative to the largest entry
 
 
@@ -224,18 +223,3 @@ def scale_rows(a) -> np.ndarray:
     rows[rows == 0] = 1.0
     return a / rows
 
-
-def is_positive_definite(a) -> bool:
-    """Positive definiteness of a Hermitian matrix by LAPACK's Cholesky.
-
-    Each squared Cholesky diagonal entry, the pivot of symmetric
-    elimination, must exceed FLOOR_RTOL times the trace.
-    """
-    h = np.array(a, dtype=complex)
-    h = (h + h.conj().T) / 2.0
-    floor = FLOOR_RTOL * max(abs(float(np.trace(h).real)), _TINY)
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.diagonal(chol).real ** 2 > floor))

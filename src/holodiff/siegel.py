@@ -30,22 +30,25 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 SYMPLECTIC_WORD_LENGTH = 6  # factors in a random_symplectic word
 
 
 class SiegelPoint:
     """Symmetric complex matrix with positive-definite imaginary part.
 
-    The one owner of what is derived from tau: the symmetry and
-    positivity checks run once here, and Y^-1, the smallest eigenvalue
-    of Y and the radius of the theta truncation ellipsoid are computed on
-    first use and kept.
+    The one owner of what is derived from tau: the finiteness, symmetry
+    and positivity checks run once here, and give the smallest eigenvalue
+    `lambda_min` of Y; Y^-1 and the radius of the theta truncation
+    ellipsoid are computed on first use and kept.
     """
 
     def __init__(self, z):
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"need a square matrix, got shape {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("matrix has a non-finite entry")
         scale = max(float(np.max(np.abs(z))), 1e-300)
         dev = float(np.max(np.abs(z - z.T)))
         if dev > SYMMETRY_RTOL * scale:
@@ -53,17 +56,19 @@ class SiegelPoint:
         self.z = (z + z.T) / 2
         self.g = z.shape[0]
         self.y = np.ascontiguousarray(self.z.imag)
-        if not linalg.is_positive_definite(self.y):
-            raise ValueError("imaginary part is not positive definite")
+        # LAPACK's symmetric eigensolver is backward stable: each computed
+        # eigenvalue lies within p(g) eps |Y|_2 of an exact one (LAPACK
+        # Users' Guide, section 4.7).  Taking p(g) = g, a smallest computed
+        # eigenvalue above g eps times the largest certifies Y > 0.
+        lam = np.linalg.eigvalsh(self.y)
+        if not lam[0] > self.g * _EPS * lam[-1]:
+            raise ValueError(f"imaginary part is not positive definite: "
+                             f"eigenvalues {lam[0]:.3e} to {lam[-1]:.3e}")
+        self.lambda_min = float(lam[0])
 
     @cached_property
     def y_inv(self) -> np.ndarray:
         return linalg.inverse(self.y).real
-
-    @cached_property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of Y."""
-        return float(np.min(np.linalg.eigvalsh(self.y)))
 
     @cached_property
     def theta_ellipsoid(self) -> tuple:
@@ -207,23 +212,13 @@ def random_symplectic(g: int, rng: np.random.Generator) -> SymplecticElement:
     return SymplecticElement(a, b, c, d)
 
 
-def _y_inverse(y) -> np.ndarray:
-    """Y^-1 of a SiegelPoint (cached) or of a positive-definite matrix."""
-    if isinstance(y, SiegelPoint):
-        return y.y_inv
-    ymat = np.asarray(y, dtype=float)
-    if not linalg.is_positive_definite(ymat):
-        raise ValueError("needs a positive-definite matrix")
-    return linalg.inverse(ymat).real
-
-
-def siegel_metric(y, pm: PairIndexMap) -> np.ndarray:
+def siegel_metric(tau: SiegelPoint, pm: PairIndexMap) -> np.ndarray:
     """Pair-indexed metric: row weight (2 - delta) times sym_square(Y^-1).
 
     Symmetric because the weights cancel the asymmetric normalization of
     the symmetric square.
     """
-    return pm.weight[:, None] * sym_square(_y_inverse(y), pm)
+    return pm.weight[:, None] * sym_square(tau.y_inv, pm)
 
 
 def modular_transform(tau: SiegelPoint, m: SymplecticElement):
@@ -247,9 +242,9 @@ def modular_transform(tau: SiegelPoint, m: SymplecticElement):
     return SiegelPoint((zt + zt.T) / 2), den.T, inv_den
 
 
-def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:
+def volume_minor(tau: SiegelPoint, pm: PairIndexMap, rows, cols) -> complex:
     """Minor of the Siegel metric on the given slot selections: the
-    determinant of sym_square(tau2^-1) on them, times the row weights.
+    determinant of sym_square(Y^-1) on them, times the row weights.
 
     Both selections are strictly increasing 0-based slot lists of equal
     length.
@@ -263,10 +258,10 @@ def volume_minor(tau2, pm: PairIndexMap, rows, cols) -> complex:
             raise ValueError(f"slot index out of range 0..{pm.m - 1}")
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ValueError("selections must be strictly increasing")
-    return linalg.det(siegel_metric(tau2, pm)[np.ix_(rows, cols)])
+    return linalg.det(siegel_metric(tau, pm)[np.ix_(rows, cols)])
 
 
-def induced_metric_xi(w_table: np.ndarray, tau2, pm: PairIndexMap) -> np.ndarray:
+def induced_metric_xi(w_table: np.ndarray, tau: SiegelPoint, pm: PairIndexMap) -> np.ndarray:
     """Metric induced on the expansion family: W^T diag(2-delta) S conj(W).
 
     `w_table` is the (M, N) expansion table; the result is N x N
@@ -275,27 +270,25 @@ def induced_metric_xi(w_table: np.ndarray, tau2, pm: PairIndexMap) -> np.ndarray
     w_table = np.asarray(w_table, dtype=complex)
     if w_table.ndim != 2 or w_table.shape[0] != pm.m:
         raise ValueError(f"expected table with {pm.m} rows, got shape {w_table.shape}")
-    return w_table.T @ siegel_metric(tau2, pm) @ np.conj(w_table)
+    return w_table.T @ siegel_metric(tau, pm) @ np.conj(w_table)
 
 
-def bergman_kernel(omega_at_z, omega_at_w, tau2) -> complex:
-    """Kernel value: omega(z)^T tau2^-1 conj(omega(w))."""
+def bergman_kernel(omega_at_z, omega_at_w, tau: SiegelPoint) -> complex:
+    """Kernel value: omega(z)^T Y^-1 conj(omega(w))."""
     u = np.asarray(omega_at_z, dtype=complex)
     v = np.asarray(omega_at_w, dtype=complex)
-    return complex(u @ _y_inverse(tau2) @ np.conj(v))
+    return complex(u @ tau.y_inv @ np.conj(v))
 
 
-def bergman_square_lhs(u, v, tau2, pm: PairIndexMap) -> complex:
+def bergman_square_lhs(u, v, tau: SiegelPoint, pm: PairIndexMap) -> complex:
     """Pair-index double sum that must reproduce the squared kernel."""
     uu = pair_vector(np.asarray(u, dtype=complex), pm)
     vv = pair_vector(np.asarray(v, dtype=complex), pm)
-    return complex(uu @ siegel_metric(tau2, pm) @ np.conj(vv))
+    return complex(uu @ siegel_metric(tau, pm) @ np.conj(vv))
 
 
-def ambient_volume_density(y, pm: PairIndexMap):
+def ambient_volume_density(tau: SiegelPoint, pm: PairIndexMap):
     """Determinant of the metric and its closed form 2^(M-g)/det(Y)^(g+1)."""
-    metric = siegel_metric(y, pm)
-    det_metric = linalg.det(metric).real
-    ymat = y.y if isinstance(y, SiegelPoint) else np.asarray(y, dtype=float)
-    closed = 2.0 ** (pm.m - pm.g) / linalg.det(ymat).real ** (pm.g + 1)
+    det_metric = linalg.det(siegel_metric(tau, pm)).real
+    closed = 2.0 ** (pm.m - pm.g) / linalg.det(tau.y).real ** (pm.g + 1)
     return det_metric, closed

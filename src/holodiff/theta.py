@@ -281,6 +281,7 @@ def _ellipsoid_radius(g: int, lam: float):
     """(R_e, bound): the radius where `_tail_bound` falls to THETA_EPS for
     the lattice sqrt(pi) T Z^g, Y = T^T T, whose smallest eigenvalue is
     lam, with the ball radius of `_packing_radius`, and the bound there.
+    lam > 0 is certified by `SiegelPoint`.
 
     The log of the bound is concave in the radius: it is the tail integral
     of the log-concave (t + r)^(g-1) exp(-t^2) (Prekopa).  So Newton's
@@ -288,9 +289,6 @@ def _ellipsoid_radius(g: int, lam: float):
     from above, where the bound holds up to rounding; `err` carries the
     bound itself.
     """
-    if not lam > 0:
-        # Y passed the pivot test but its computed spectrum reaches zero
-        raise TruncationError(f"smallest eigenvalue of Im tau is {lam:.3e}; no tail bound")
     r = _packing_radius(g, lam)
     radius = 2.0 * r
     bound, slope = _tail_bound(g, r, radius)

@@ -1,9 +1,23 @@
 """Shared fixtures: example curves and period data, computed once."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from holodiff import curves, jacobian
+
+# When a property test fails, hypothesis's pytest plugin imports its patch
+# writer, and through it libcst, whose import warns DeprecationWarning;
+# under filterwarnings = error that warning ends the whole run with an
+# INTERNALERROR.  Importing the writer here, once, with that warning
+# silenced lets a failing property report like any other failing test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

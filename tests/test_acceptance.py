@@ -145,17 +145,18 @@ def test_criterion_05_siegel_identities(capsys):
         direct = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
         worst_trace = max(worst_trace, abs(quad - direct) / abs(direct))
         v = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-        bl = siegel.bergman_square_lhs(u, v, tau.y, pm)
-        br = siegel.bergman_kernel(u, v, tau.y) ** 2
+        bl = siegel.bergman_square_lhs(u, v, tau, pm)
+        br = siegel.bergman_kernel(u, v, tau) ** 2
         worst_berg = max(worst_berg, abs(bl - br) / abs(br))
-        dm, closed = siegel.ambient_volume_density(tau.y, pm)
+        dm, closed = siegel.ambient_volume_density(tau, pm)
         worst_dens = max(worst_dens, abs(dm - closed) / abs(closed))
     pm2 = build_pair_index(2)
     b2 = rng.standard_normal((2, 2))
     t2 = b2 @ b2.T + 0.5 * np.eye(2)
+    tau2 = siegel.SiegelPoint(1j * t2)
     worst_minor = 0.0
     for rows, cols in [([0, 1, 2], [0, 1, 2]), ([0, 1], [1, 2]), ([0, 2], [0, 2])]:
-        got = siegel.volume_minor(t2, pm2, rows, cols)
+        got = siegel.volume_minor(tau2, pm2, rows, cols)
         want = weighted_minor_g2(t2, pm2, rows, cols)
         worst_minor = max(worst_minor, abs(got - want) / max(abs(want), 1e-30))
     elapsed = time.perf_counter() - t0

@@ -543,6 +543,13 @@ def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):
     assert "genus-2" in err
 
 
+def test_non_finite_curve_file_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "nan.json"
+    spec.write_text('{"type": "hyperelliptic", "branch_points": [NaN, 0.5, 1.5]}')
+    assert main(["periods", "--spec", str(spec)]) == 2
+    assert "field 'branch_points[0]': expected a finite real number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["periods"], "periods needs a hyperelliptic curve file"),
     (["verify-fay", "--genus", "2"], "genus 2 mode needs a genus-2 hyperelliptic curve file"),

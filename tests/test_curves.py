@@ -1,7 +1,12 @@
 """Curve models, point sampling, and the JSON curve-file parser."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holodiff import curves
 from oracles import sample_hyperelliptic, sample_plane
@@ -466,6 +471,52 @@ def test_parse_reports_field():
     with pytest.raises(curves.CurveSpecError) as exc:
         curves.parse_curve_spec('{"type": "plane", "degree": 2, "coeffs": []}')
     assert "field 'degree'" in str(exc.value)
+
+
+_QUINTIC = [[5, 0, 1, 0], [0, 5, 1, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("doc,field", [
+    ('{"type": "hyperelliptic", "branch_points": [NaN, 0.5, 1.5]}', "branch_points[0]"),
+    ('{"type": "hyperelliptic", "branch_points": [-1, 0.5, Infinity]}', "branch_points[2]"),
+    ('{"type": "hyperelliptic", "branch_points": [-1, -Infinity, 1.5]}', "branch_points[1]"),
+    ('{"type": "hyperelliptic", "branch_points": [-1, 0.5, 1e999]}', "branch_points[2]"),
+    ('{"type": "hyperelliptic", "branch_points": [-1, 0.5, 1%s]}' % ("0" * 400),
+     "branch_points[2]"),
+    ('{"type": "plane", "degree": 5, "coeffs": [[5, 0, 1, 0], [0, 5, 1, 0], [0, 0, NaN, 0]]}',
+     "coeffs[2]"),
+    ('{"type": "plane", "degree": 5, "coeffs": [[5, 0, 1, 0], [0, 5, 1, Infinity]]}',
+     "coeffs[1]"),
+], ids=["nan", "inf", "minus-inf", "1e999", "big-int", "nan-coeff", "inf-coeff"])
+def test_parse_refuses_non_finite_numbers(doc, field):
+    with pytest.raises(curves.CurveSpecError, match=re.escape(f"field '{field}'")):
+        curves.parse_curve_spec(doc)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_any_non_finite_number_in_a_spec_is_refused(data):
+    # a valid spec with one number, at a drawn place, spelled as a JSON
+    # token that no float holds finitely
+    token = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-2e400"]))
+    number = st.floats(-3.0, 3.0)
+    if data.draw(st.booleans()):
+        doc = {"type": "hyperelliptic",
+               "branch_points": data.draw(st.lists(number, min_size=3, max_size=9))}
+        at = data.draw(st.integers(0, len(doc["branch_points"]) - 1))
+        doc["branch_points"][at] = "@"
+        field = f"branch_points[{at}]"
+    else:
+        extra = data.draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), number, number)
+            .filter(lambda t: t[0] + t[1] <= 5).map(list), max_size=6))
+        doc = {"type": "plane", "degree": 5, "coeffs": [list(t) for t in _QUINTIC] + extra}
+        at = data.draw(st.integers(0, len(doc["coeffs"]) - 1))
+        doc["coeffs"][at][data.draw(st.sampled_from([2, 3]))] = "@"
+        field = f"coeffs[{at}]"
+    text = json.dumps(doc).replace('"@"', token)
+    with pytest.raises(curves.CurveSpecError, match=re.escape(f"field '{field}'")):
+        curves.parse_curve_spec(text)
 
 
 def test_point_chart_validation(hyp_g2):

@@ -229,15 +229,3 @@ def test_pivot_rows_match_deleting_oracle():
         for m in (a, linalg.scale_rows(a)):
             assert linalg.pivot_rows(m) == pivot_rows_by_deletion(m)
 
-
-def test_is_positive_definite():
-    rng = np.random.default_rng(9)
-    b = _rand_c(rng, (5, 5))
-    h = b @ b.conj().T + 0.1 * np.eye(5)
-    assert linalg.is_positive_definite(h)
-    assert not linalg.is_positive_definite(-h)
-    ind = np.diag([1.0, -1.0, 3.0])
-    assert not linalg.is_positive_definite(ind)
-    # positive definite, but the second pivot is below 1e-12 times the trace
-    assert not linalg.is_positive_definite(np.diag([1.0, 1e-13]))
-    assert linalg.is_positive_definite(np.diag([1.0, 1e-11]))

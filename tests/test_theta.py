@@ -271,24 +271,21 @@ def test_tail_bound_holds_against_a_brute_tail(g, monkeypatch):
 
 def test_near_singular_imaginary_part_is_refused_at_once():
     # Y = L L^T, L unit lower-triangular with entries -10: every Cholesky
-    # pivot is 1, so the point is accepted, but eigvalsh gives about 3e-15
+    # pivot is 1, but eigvalsh gives a smallest eigenvalue about 3e-15,
+    # below g eps times the largest, so the point is refused when built
     g = 8
     lower = np.eye(g) + np.tril(np.full((g, g), -10.0), -1)
-    point = SiegelPoint(1j * lower @ lower.T)
-    assert 0 < point.lambda_min < 1e-12
+    lam = np.linalg.eigvalsh(lower @ lower.T)
+    assert 0 < lam[0] < 1e-12 and not lam[0] > g * np.finfo(float).eps * lam[-1]
+    with pytest.raises(ValueError, match="not positive definite"):
+        SiegelPoint(1j * lower @ lower.T)
+    with pytest.raises(ValueError, match="not positive definite"):
+        th.theta(np.zeros(g), 1j * lower @ lower.T)
+    # a certified Y still too thin for the box cap is refused by the
+    # truncation, from its spectrum
+    thin = SiegelPoint(1j * np.diag([1e-6, 1.0]))
     with pytest.raises(th.TruncationError, match=r"needs radius \d+\.\d > cap"):
-        th._truncation(point)
-    with pytest.raises(th.TruncationError, match="needs radius"):
-        th.theta(np.zeros(g), point)
-
-
-def test_truncation_needs_positive_spectrum():
-    # a Y can pass the pivot test while its computed smallest eigenvalue
-    # is not positive; the tail bound must refuse it, not fall to radius 3
-    point = SiegelPoint(1j * np.eye(2))
-    point.__dict__["lambda_min"] = 0.0
-    with pytest.raises(th.TruncationError, match="smallest eigenvalue"):
-        th.theta(np.zeros(2), point)
+        th.theta(np.zeros(2), thin)
 
 
 # theta values from the engine that summed the cube of half-width

@@ -5,12 +5,13 @@
 
 `run` imports ``holodiff`` from DIR (default: this checkout's ``src``) and
 runs each command below in-process through ``holodiff.cli.main``, once per
-seed, plus ``periods`` on the bundled genus-2 and lemniscatic curves.  A
-``--spec`` names a curve file of the imported package's ``data/``; the run
-is keyed by the file name, so sweeps of two checkouts line up.  It
+seed, plus ``periods`` on the bundled genus-2, lemniscatic and genus-4
+curves.  A ``--spec`` names a curve file of the imported package's
+``data/``; the run is keyed by the file name, so sweeps of two checkouts
+line up.  It
 stores the resolved path of the ``holodiff/__init__.py`` it imported, and
 every run's exit code and report with the ``ms=`` timings stripped, in
-OUT.json.  The default seeds give 7 x 40 + 2 = 282 runs.
+OUT.json.  The default seeds give 7 x 40 + 3 = 283 runs.
 
 `diff` first prints the two sides' ``holodiff`` paths (``?`` for a file
 written before they were stored), so a sweep that loaded the same tree
@@ -45,7 +46,7 @@ SEEDED_COMMANDS = (
     "verify-petri --spec hyperelliptic_g4.json",
     "selftest",
 )
-PERIOD_CURVES = ("hyperelliptic_g2.json", "lemniscatic_g1.json")
+PERIOD_CURVES = ("hyperelliptic_g2.json", "lemniscatic_g1.json", "hyperelliptic_g4.json")
 
 _MS = re.compile(r" ms=\S+")
 _CHECK = re.compile(r"^check=(\S+) .*?status=(\S+)")
