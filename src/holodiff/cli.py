@@ -29,8 +29,8 @@ FAY_ATTEMPTS = 8  # draws per trial before the check gives up
 # together, over one lattice box (at most 7 x 9 = 63 points on the bundled
 # genus-2 curve), then factors one m x m matrix per trial.  At m = 48 that
 # is 3 x 6866 rows, at most about 1.30M terms, 0.31 of theta.MAX_TERMS;
-# where a round would exceed it, fay_residual splits its trials into groups
-# that fit.  The elimination is negligible beside the sum.
+# where a round would exceed it, the theta engine sums its rows in
+# consecutive chunks that fit.  The elimination is negligible beside the sum.
 FAY_MAX_PAIRS = 48
 
 # the --tol names each subcommand reads

@@ -647,10 +647,11 @@ def _require(cond, field, message):
 
 def _real(v) -> bool:
     """Whether v is a JSON number that a float holds finitely: json reads
-    NaN, Infinity and 1e999 as non-finite floats, and an integer past the
-    float range does not convert."""
+    NaN, Infinity and 1e999 as non-finite floats, an integer past the
+    float range does not convert, and true and false are bools, which
+    Python counts as ints but a spec does not count as numbers."""
     try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return type(v) in (int, float) and math.isfinite(v)
     except OverflowError:
         return False
 
@@ -677,7 +678,7 @@ def parse_curve_spec(text: str):
         _require("degree" in doc, "degree", "missing")
         degree = doc["degree"]
         _require(
-            isinstance(degree, int) and degree >= 4,
+            type(degree) is int and degree >= 4,
             "degree",
             f"expected an integer >= 4, got {degree!r}",
         )
@@ -694,7 +695,7 @@ def parse_curve_spec(text: str):
             )
             r, s, re, im = entry
             _require(
-                isinstance(r, int) and isinstance(s, int),
+                type(r) is int and type(s) is int,
                 field,
                 "exponents must be integers",
             )

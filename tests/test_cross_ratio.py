@@ -1,5 +1,7 @@
 """Tests linking cardinal-basis cross-ratios to theta quotients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,19 @@ def test_cross_ratio_matches_theta_side_genus_four(pd_g4, weight):
     assert result.residual <= 1e-6
 
 
+@pytest.mark.parametrize("bits", range(1, 16))
+def test_weight_two_refuses_every_half_period_shift_of_k(pd_g2, bits, monkeypatch):
+    # negative control: K + h for each of the 15 nonzero half-periods
+    # h = tau a + b; weight 2 passes at K (1.8e-13) and fails at every K + h
+    a = np.array([(bits >> k) & 1 for k in range(2)]) / 2
+    b = np.array([(bits >> k) & 1 for k in range(2, 4)]) / 2
+    closed_form = jac.riemann_constant
+    monkeypatch.setattr(jac, "riemann_constant",
+                        lambda pd: closed_form(pd) + pd.tau.z @ a + b)
+    result = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
+    assert result.residual >= 0.1
+
+
 def _spy_theta_arrays(monkeypatch):
     """Record the (rows, returned arrays) of every `_theta_arrays` call."""
     calls = []
@@ -62,15 +77,20 @@ def test_cross_ratio_split_sum_matches_one_sum(pd_g2, monkeypatch):
     whole = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
     [(_, (mant, logs, _, peak))] = calls
     calls.clear()
-    # room for eight rows per sum: the 25 rows go in four sums
-    monkeypatch.setattr(th, "MAX_TERMS", 8 * th._cell_box_points(pd_g2.tau))
+    # the 25 rows, reduced into the fundamental cell, reach across it: their
+    # box is the cell's, 2 floor(h_k + 1/2) + 1 points on axis k.  With room
+    # for eight rows of it, the one call on the 25 rows sums them in
+    # consecutive chunks of eight, each in its own box
+    box = math.prod(2 * math.floor(h + 0.5) + 1 for h in th._truncation(pd_g2.tau)[0])
+    monkeypatch.setattr(th, "MAX_TERMS", 8 * box)
     split = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
-    assert [rows for rows, _ in calls] == [8, 8, 8, 1]
+    *chunks, (rows, _) = calls
+    assert rows == 25 and [n for n, _ in chunks] == [8, 8, 8, 1]
     assert split.attempts == whole.attempts
     # the residual is a relative deviation, so it is compared absolutely
     assert abs(split.residual - whole.residual) <= 1e-12
-    mant_s = np.concatenate([out[0] for _, out in calls])
-    logs_s = np.concatenate([out[1] for _, out in calls])
+    mant_s = np.concatenate([out[0] for _, out in chunks])
+    logs_s = np.concatenate([out[1] for _, out in chunks])
     assert np.max(np.abs(mant_s * np.exp(logs_s - logs) - mant) / peak) <= 1e-12
 
 

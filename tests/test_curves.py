@@ -487,7 +487,11 @@ _QUINTIC = [[5, 0, 1, 0], [0, 5, 1, 0], [0, 0, 1, 0]]
      "coeffs[2]"),
     ('{"type": "plane", "degree": 5, "coeffs": [[5, 0, 1, 0], [0, 5, 1, Infinity]]}',
      "coeffs[1]"),
-], ids=["nan", "inf", "minus-inf", "1e999", "big-int", "nan-coeff", "inf-coeff"])
+    # json reads false as a bool, which Python counts as the int 0
+    ('{"type": "plane", "degree": 5, "coeffs": [[5, 0, 1, 0], [false, 5, 1, 0], [0, 0, 1, 0]]}',
+     "coeffs[1]"),
+], ids=["nan", "inf", "minus-inf", "1e999", "big-int", "nan-coeff", "inf-coeff",
+        "bool-exponent"])
 def test_parse_refuses_non_finite_numbers(doc, field):
     with pytest.raises(curves.CurveSpecError, match=re.escape(f"field '{field}'")):
         curves.parse_curve_spec(doc)
@@ -497,8 +501,9 @@ def test_parse_refuses_non_finite_numbers(doc, field):
 @given(st.data())
 def test_any_non_finite_number_in_a_spec_is_refused(data):
     # a valid spec with one number, at a drawn place, spelled as a JSON
-    # token that no float holds finitely
-    token = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-2e400"]))
+    # token that no float holds finitely or as a boolean
+    token = data.draw(st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "1e999", "-2e400", "true", "false"]))
     number = st.floats(-3.0, 3.0)
     if data.draw(st.booleans()):
         doc = {"type": "hyperelliptic",

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holodiff import theta as th
 from holodiff.curves import sample_points
@@ -327,12 +329,22 @@ def test_ellipsoid_box_matches_the_cube_engine(g):
         assert abs(val - want) <= 1e-13 * abs(want)
 
 
+def _box_points(point):
+    """(most, least): lattice points in the box of any batch of rows reduced
+    into the fundamental cell, at most 2 floor(h_k + 1/2) + 1 on axis k for
+    the truncation half-widths h, and in any one row's box, at least
+    floor(2 h_k)."""
+    half = th._truncation(point)[0]
+    return (math.prod(2 * math.floor(h + 0.5) + 1 for h in half),
+            math.prod(math.floor(2.0 * h) for h in half))
+
+
 def test_genus_six_point_beyond_the_cube_budget_evaluates():
     # the cube of half-width R(lambda_min) needed 8 067 360 terms for one
     # row at this point, beyond MAX_TERMS; the ellipsoid's box fits
     rng = np.random.default_rng([11, 6])
     point = random_siegel_point(6, rng)
-    assert th._cell_box_points(point) <= th.MAX_TERMS
+    assert _box_points(point)[0] <= th.MAX_TERMS
     z = 0.3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
     m = rng.integers(-1, 2, size=6).astype(float)
     n = rng.integers(-2, 3, size=6).astype(float)
@@ -506,19 +518,19 @@ def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
     rows_per_trial = 3 * m * m - m + 2
     w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 320)
     whole, _ = th.fay_residual(w, xs, ys, tau, delta)
-    box = th._cell_box_points(th._siegel(tau))
-    # room for two trials per lattice sum, not three: groups [0, 1], [2]
-    monkeypatch.setattr(th, "MAX_TERMS", 2 * rows_per_trial * box)
+    cell, least = _box_points(tau)
     rows = _counted_kernel(monkeypatch)
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    assert err is None and rows == [2 * rows_per_trial, rows_per_trial]
-    assert np.max(np.abs(np.subtract(got, whole))) <= 1e-12
-    monkeypatch.setattr(th, "MAX_TERMS", rows_per_trial * box)
-    rows.clear()
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    assert err is None and rows == [rows_per_trial] * 3
-    # below one trial's box a trial runs alone and is refused as a single call is
-    monkeypatch.setattr(th, "MAX_TERMS", rows_per_trial * box - 1)
+    # room for one trial's rows, then for one row: one call on the three
+    # trials' rows sums them in consecutive chunks
+    for budget in (rows_per_trial * cell, cell):
+        monkeypatch.setattr(th, "MAX_TERMS", budget)
+        rows.clear()
+        got, err = th.fay_residual(w, xs, ys, tau, delta)
+        assert err is None and rows[0] == 3 * rows_per_trial
+        assert len(rows) > 2 and sum(rows[1:]) == rows[0]
+        assert np.max(np.abs(np.subtract(got, whole))) <= 1e-12
+    # below one row's box the batch and the single trial are refused alike
+    monkeypatch.setattr(th, "MAX_TERMS", least - 1)
     with pytest.raises(th.TruncationError, match="budget"):
         th.fay_residual(w, xs, ys, tau, delta)
     with pytest.raises(th.TruncationError, match="budget"):
@@ -629,19 +641,52 @@ def test_theta_is_one_row_of_theta_batch(rng):
     assert isinstance(th.theta(0.2, 1j), th.ScaledComplex)
 
 
+def _assert_same_theta(got, want):
+    """Each scaled value of got equals want's to within 1e-12 of its peak."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a.mantissa * np.exp(a.log_scale - b.log_scale) - b.mantissa) <= 1e-12 * b.peak
+
+
 def test_theta_batch_term_budget(rng, monkeypatch):
-    # a row's box spans at least floor(2 h_k) points on axis k, so enough
-    # rows need more than 900 terms; the check runs before the lattice is
-    # built
+    # enough rows need more than 900 terms; the batch is summed in chunks
+    # that fit
     tau = random_siegel_point(2, rng)
-    least = math.prod(math.floor(2.0 * h) for h in th._truncation(tau)[0])
+    cell, least = _box_points(tau)
+    assert cell <= 900
     rows = 900 // least + 1
     zs = 0.3 * (rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2)))
+    alone = [th.theta(z, tau.z) for z in zs]
     monkeypatch.setattr(th, "MAX_TERMS", 900)
-    with pytest.raises(th.TruncationError, match="budget 900"):
+    calls = _counted_kernel(monkeypatch)
+    _assert_same_theta(th.theta(zs, tau.z), alone)
+    assert calls[0] == rows and len(calls) > 2 and sum(calls[1:]) == rows
+    # one row whose box alone is over the budget is refused before the
+    # lattice is built
+    monkeypatch.setattr(th, "MAX_TERMS", least - 1)
+    with pytest.raises(th.TruncationError, match=f"budget {least - 1}"):
+        th.theta(zs[0], tau.z)
+    with pytest.raises(th.TruncationError, match=f"budget {least - 1}"):
         th.theta(zs, tau.z)
-    monkeypatch.setattr(th, "MAX_TERMS", 10**4)
-    assert len(th.theta(zs[:1], tau.z)) == 1
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(g=st.integers(1, 3), rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_theta_chunked_sum_matches_one_sum(g, rows, seed, data):
+    # any budget from a row's largest box up to rows times the least one
+    # splits the batch, and no value moves beyond rounding
+    rng = np.random.default_rng(seed)
+    point = random_siegel_point(g, rng)
+    zs = rng.standard_normal((rows, g)) + 1j * rng.standard_normal((rows, g))
+    char = th.ThetaCharacteristic.from_bits(
+        data.draw(st.integers(0, 2**g - 1)), data.draw(st.integers(0, 2**g - 1)), g)
+    want = th.theta(zs, point, char)
+    cell, least = _box_points(point)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(th, "MAX_TERMS", data.draw(st.integers(cell, max(cell, rows * least - 1))))
+        got = th.theta(zs, point, char)
+    _assert_same_theta(got, want)
 
 
 def _scaled_matrix(mant, logs):

@@ -20,7 +20,10 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
   at one seed, on the bundled genus-2 curve, on a genus-3 curve with
   real branch points and on the bundled ``hyperelliptic_g4.json``; a
-  genus the checkout refuses with ``ValueError`` has no key;
+  genus the checkout refuses with ``ValueError`` has no key; and at
+  weight 2 on a genus-5 curve with real branch points (key ``g5_w2``),
+  whose 529 theta rows per draw exceed ``theta.MAX_TERMS`` in one box, so
+  it is the one timing in which the lattice sum is split into chunks;
 - ``sample_points`` at one seed: on the bundled plane quintic at the
   point counts ``verify-petri`` draws (keys ``quintic_6`` ...), and on
   the bundled genus-2 curve at the 12 real points of a ``verify-fay -m 6``
@@ -80,6 +83,7 @@ FAY_CHECK_PAIRS = (6, 12)
 FAY_CHECK_SEED = 7
 CROSS_RATIO_WEIGHTS = (1, 2)
 G3_BRANCH_POINTS = (-3.1, -2.0, -0.7, 0.0, 1.3, 2.2, 3.5)
+G5_BRANCH_POINTS = (-2.6, -2.05, -1.5, -0.95, -0.4, 0.15, 0.7, 1.25, 1.8, 2.35, 2.9)
 PLANE_SAMPLES = (6, 16, 20)
 HYPERELLIPTIC_SAMPLES = 12
 EVALUATE_POINTS = (16, 89)
@@ -187,12 +191,14 @@ def bench_fay_check(holodiff) -> dict:
 def bench_cross_ratio(holodiff) -> dict:
     from holodiff import curves, jacobian, theta
 
+    cases = [(_bundled(holodiff, "hyperelliptic_g2.json"), CROSS_RATIO_WEIGHTS),
+             (curves.HyperellipticCurve(list(G3_BRANCH_POINTS)), CROSS_RATIO_WEIGHTS),
+             (_bundled(holodiff, "hyperelliptic_g4.json"), CROSS_RATIO_WEIGHTS),
+             (curves.HyperellipticCurve(list(G5_BRANCH_POINTS)), (2,))]
     out = {}
-    for curve in (_bundled(holodiff, "hyperelliptic_g2.json"),
-                  curves.HyperellipticCurve(list(G3_BRANCH_POINTS)),
-                  _bundled(holodiff, "hyperelliptic_g4.json")):
+    for curve, weights in cases:
         pd = jacobian.compute_periods(curve)
-        for weight in CROSS_RATIO_WEIGHTS:
+        for weight in weights:
             try:
                 theta.gamma_cross_ratio_check(pd, weight, SEED)
             except ValueError:
