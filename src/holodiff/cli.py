@@ -56,8 +56,11 @@ def _builtin_text(name: str) -> str:
 def _load_curve(path, default_name):
     """Returns (model, sha256 of the JSON text actually used)."""
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise curves.CurveSpecError(f"not UTF-8 text: {exc.reason}") from exc
     else:
         text = _builtin_text(default_name)
     return curves.parse_curve_spec(text), sha256_digest(text)
@@ -359,8 +362,8 @@ def _fay_rounds(model, m, seed, rng, delta):
                 ok = int(low[0])
         res, err = [], None
         if ok:
-            imgs = np.array([img.vector for img in jacobian.abel_map(
-                pd, [p for pts in sets[:ok] for p in pts])]).reshape(ok, 2, m, 2)
+            imgs = jacobian.abel_map(pd, [p for pts in sets[:ok] for p in pts])[0]
+            imgs = imgs.reshape(ok, 2, m, 2)
             res, err = theta.fay_residual(np.array(ws[:ok]), imgs[:, 0], imgs[:, 1],
                                           pd.tau, delta)
             worst = max([worst] + res)
@@ -400,9 +403,11 @@ def _periods_records(model, tol):
     rec.ms = ms
     records.append(rec)
 
-    lam = pd.tau.lambda_min
+    # the SiegelPoint certificate lambda_min > g eps lambda_max, as a ratio
+    tau = pd.tau
     rec = _record("periods-positivity", "tau-positivity",
-                  0.0 if lam > 0 else 1.0, 0.5, note=f"min-eig={lam:.6e}")
+                  tau.g * np.finfo(float).eps * tau.lambda_max / tau.lambda_min, 1.0,
+                  note=f"min-eig={tau.lambda_min:.6e}")
     records.append(rec)
 
     g = pd.genus

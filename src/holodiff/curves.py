@@ -667,6 +667,10 @@ def parse_curve_spec(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CurveSpecError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CurveSpecError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise CurveSpecError(str(exc)) from exc
     _require(isinstance(doc, dict), "<root>", "expected a JSON object")
     kind = doc.get("type")
     _require(

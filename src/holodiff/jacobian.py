@@ -12,8 +12,10 @@ bookkeeping error fails hard there.
 Abel maps integrate the normalized differentials along a real-axis
 chain plus, for complex targets, straight legs with continuity-tracked
 square roots.  A sequence of points shares one array quadrature for the
-real-axis parts, each point doubling its nodes until it converges, and
-gives the same vectors bit for bit as one point at a time.  The Riemann
+real-axis parts, each point doubling its nodes until it converges; the
+normalization and the sheet flip act on the whole block of vectors, and
+only complex targets take a per-point leg.  The vectors and error
+bounds are bit for bit those of one point at a time.  The Riemann
 constant for this base point and these cycles is a sum of branch-point
 images, read off the segment integrals.  A separate helper handles
 genus-1 cubics with complex roots, where the real-segment machinery does
@@ -36,7 +38,6 @@ __all__ = [
     "PathError",
     "PeriodCertificateError",
     "PeriodData",
-    "AbelImage",
     "quad_segment",
     "compute_periods",
     "abel_map",
@@ -282,16 +283,6 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     )
 
 
-@dataclass
-class AbelImage:
-    """Image of a curve point in the Jacobian, with its path record."""
-
-    point: object
-    vector: np.ndarray
-    path: tuple
-    err: float
-
-
 # i^k for k = 0..3, as Python's complex power gives them
 _I_POWERS = np.array([1j**k for k in range(4)])
 
@@ -307,12 +298,12 @@ def _axis_y(curve: HyperellipticCurve, xs: np.ndarray) -> np.ndarray:
 def _real_chains(pd: PeriodData, xs: np.ndarray):
     """Monomial integrals from the first branch point to real abscissae.
 
-    Returns (vectors, continued y at the endpoints, path records,
-    errors), one row or entry per abscissa.  Full cached segments are
-    chained in order; the final partial segment, or the leg left of the
-    first branch point, runs as one array quadrature over all abscissae,
-    singular at its branch-point end, each abscissa doubling its nodes
-    until it alone converges.
+    Returns (vectors, continued y at the endpoints, errors), one row or
+    entry per abscissa.  Full cached segments are chained in order; the
+    final partial segment, or the leg left of the first branch point, runs
+    as one array quadrature over all abscissae, singular at its
+    branch-point end, each abscissa doubling its nodes until it alone
+    converges.
     """
     curve = pd.curve
     g = curve.genus
@@ -333,7 +324,6 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
     chained = np.where(left, 0, np.searchsorted(e[1:], xs + 1e-12, side="right"))
     totals = prefix[chained]
     errs = err_prefix[chained]
-    paths = [[f"seg:{j}" for j in range(c)] for c in chained]
 
     # partial segments start at the branch point left of the abscissa;
     # right of every branch point y continues as +sqrt|f|
@@ -354,14 +344,9 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
         part = coef[:, None] * vals
         totals[k] = np.where(left[k][:, None], part, totals[k] + part)
         errs[k] += np.sum(gaps, axis=1)
-        for kk, x in zip(k.tolist(), xs[k].tolist()):
-            if left[kk]:
-                paths[kk].append(f"real:{e[0]}->{x}")
-            else:
-                paths[kk].append(f"partial:{float(e[j_left[kk]])}->{x}")
     ys = _axis_y(curve, xs)
     ys[on_branch & ~left] = 0.0
-    return totals, ys, paths, errs.tolist()
+    return totals, ys, errs
 
 
 def _segment_branch_distance(curve: HyperellipticCurve, z0: complex, z1: complex) -> float:
@@ -406,55 +391,46 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
 def abel_map(pd: PeriodData, p, *, via=None):
     """Integral of the normalized differentials from the first branch point.
 
-    `p` is one CurvePoint, giving one AbelImage, or a sequence of them,
-    giving a list with one AbelImage per point.  Real targets use the
-    segment chain, computed for all points of a sequence at once; complex
-    targets add a straight leg from the real axis per point, optionally
-    detoured through `via` for path-independence experiments.  Landing on
-    the opposite sheet is fixed by negation, which is exact for a
-    branch-point base.
+    `p` is one CurvePoint, giving its (g,) vector and its error bound, or
+    a sequence of n of them, giving an (n, g) block of vectors and an
+    (n,) array of error bounds.  The real-axis chains of all points run
+    as one array quadrature; complex targets add a straight leg from the
+    real axis per point, optionally detoured through `via` for
+    path-independence experiments.  Landing on the opposite sheet is
+    fixed by negation, which is exact for a branch-point base.
     """
     points = [p] if isinstance(p, CurvePoint) else list(p)
     curve = pd.curve
     if any(q.model is not curve for q in points):
         raise ValueError("point does not belong to this period data's curve")
-    if not points:
-        return []
-    if via is not None:
+    xs = np.array([complex(q.x) for q in points], dtype=complex)
+    if via is None:
+        anchors = xs.real
+        legged = np.flatnonzero(np.abs(xs.imag) > 1e-14)
+    else:
         via = complex(via)
-    anchors, routes = [], []
-    for q in points:
-        x_t = complex(q.x)
-        if via is not None:
-            anchors.append(via.real)
-            routes.append([(via.real, via), (via, x_t)])
-        elif abs(x_t.imag) > 1e-14:
-            anchors.append(x_t.real)
-            routes.append([(x_t.real, x_t)])
-        else:
-            anchors.append(x_t.real)
-            routes.append([])
-
-    totals, ys, paths, errs = _real_chains(pd, np.array(anchors, dtype=float))
-    out = []
-    for q, legs, total, y_run, path, err in zip(points, routes, totals, ys, paths, errs):
-        for z0, z1 in legs:
-            z0c = complex(z0)
-            if abs(z0c - z1) < 1e-15:
+        anchors = np.full(len(xs), via.real)
+        legged = np.arange(len(xs))
+    totals, ys, errs = _real_chains(pd, anchors)
+    for k in legged.tolist():
+        x_t = complex(xs[k])
+        route = [(x_t.real, x_t)] if via is None else [(via.real, via), (via, x_t)]
+        for z0, z1 in route:
+            z0 = complex(z0)
+            if abs(z0 - z1) < 1e-15:
                 continue
-            vals, y_run, dq = _complex_leg(pd, z0c, z1, y_run)
-            total = total + vals
-            err += dq
-            path.append(f"leg:{z0c}->{z1}")
+            vals, ys[k], dq = _complex_leg(pd, z0, z1, ys[k])
+            totals[k] += vals
+            errs[k] += dq
 
-        vec = pd.normalization @ total
-        y_t = complex(q.y)
-        if abs(y_t) > 0 and abs(y_run) > 0:
-            if abs(y_run - y_t) > abs(y_run + y_t):
-                vec = -vec
-                path.append("sheet-flip")
-        out.append(AbelImage(q, vec, tuple(path), err))
-    return out[0] if isinstance(p, CurvePoint) else out
+    # stacked matrix-vector products: each row the bits of N @ total
+    vecs = np.matmul(pd.normalization, totals[:, :, None])[:, :, 0]
+    y_t = np.array([complex(q.y) for q in points], dtype=complex)
+    flip = (np.abs(y_t) > 0) & (np.abs(ys) > 0) & (np.abs(ys - y_t) > np.abs(ys + y_t))
+    vecs[flip] = -vecs[flip]
+    if isinstance(p, CurvePoint):
+        return vecs[0], float(errs[0])
+    return vecs, errs
 
 
 def riemann_constant(pd: PeriodData) -> np.ndarray:

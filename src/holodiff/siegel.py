@@ -38,9 +38,10 @@ class SiegelPoint:
     """Symmetric complex matrix with positive-definite imaginary part.
 
     The one owner of what is derived from tau: the finiteness, symmetry
-    and positivity checks run once here, and give the smallest eigenvalue
-    `lambda_min` of Y; Y^-1 and the radius of the theta truncation
-    ellipsoid are computed on first use and kept.
+    and positivity checks run once here, and give the smallest and
+    largest eigenvalues `lambda_min` and `lambda_max` of Y; Y^-1 and the
+    radius of the theta truncation ellipsoid are computed on first use
+    and kept.
     """
 
     def __init__(self, z):
@@ -64,7 +65,7 @@ class SiegelPoint:
         if not lam[0] > self.g * _EPS * lam[-1]:
             raise ValueError(f"imaginary part is not positive definite: "
                              f"eigenvalues {lam[0]:.3e} to {lam[-1]:.3e}")
-        self.lambda_min = float(lam[0])
+        self.lambda_min, self.lambda_max = float(lam[0]), float(lam[-1])
 
     @cached_property
     def y_inv(self) -> np.ndarray:

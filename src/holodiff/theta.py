@@ -725,7 +725,7 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
         probes = pts[n:]
         try:
             gam = cardinal_basis(basis_n, anchors)
-            imgs = np.array([img.vector for img in abel_map(pd, pts)])
+            imgs = abel_map(pd, pts)[0]
             z1, z2, p_i, p_j = imgs[n], imgs[n + 1], imgs[i], imgs[j]
             w = imgs[:n].sum(axis=0) - shift
             # rows: theta(w), the four even translates of every pair, then

@@ -473,7 +473,7 @@ def fay_check_sequential(model, m, seed, rng, delta):
                 tw = th.theta(w, pd.tau)
                 if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
                     raise th.ThetaNearZeroError("theta(w) below floor")
-                imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
+                imgs, _ = jacobian.abel_map(pd, pts)
                 r = th.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
                 worst = max(worst, r)
                 break

@@ -621,6 +621,21 @@ def test_broken_curve_file(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    # a binary file, brackets nested past the JSON parser's recursion
+    # limit, and an integer literal past Python's 4300-digit conversion limit
+    (b"\x7fELF\x02\x01\x01\x00\xff\xfe", "not UTF-8 text: invalid start byte"),
+    (b"[" * 2000, "JSON nested too deeply"),
+    (b'{"type": "hyperelliptic", "branch_points": [1' + b"0" * 5000 + b", 2, 3]}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+])
+def test_malformed_curve_file_is_a_usage_error(content, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify-petri", "--spec", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid curve file: {message}")
+
+
 def test_wrong_field_curve_file(tmp_path, capsys):
     bad = tmp_path / "deg2.json"
     bad.write_text(json.dumps({

@@ -63,8 +63,9 @@ def test_abel_map_converges_next_to_a_branch_point():
     pd = jac.compute_periods(curve)
     x = -0.9501638
     y = complex(np.sqrt(curve.f(np.array([x]))[0]))
-    img = jac.abel_map(pd, curves.CurvePoint(curve, complex(x), y, "x", 1))
-    assert img.path[0] == "real:-0.95->-0.9501638"
+    p = curves.CurvePoint(curve, complex(x), y, "x", 1)
+    vec, err = jac.abel_map(pd, p)
+    assert abel_map_per_point(pd, p)[1][0] == "real:-0.95->-0.9501638"
     with mpmath.workdps(40):
         e0, reach = mpmath.mpf(e[0]), mpmath.sqrt(mpmath.mpf(e[0]) - mpmath.mpf(x))
 
@@ -75,8 +76,8 @@ def test_abel_map_converges_next_to_a_branch_point():
                             [0, reach]) for k in range(curve.genus)]
         scale = -mpmath.sqrt(abs(mpmath.fprod(mpmath.mpf(x) - mpmath.mpf(ei) for ei in e))) / y
         want = pd.normalization @ np.array([complex(scale * leg) for leg in legs])
-    assert np.max(np.abs(img.vector - want)) <= 1e-12 * np.max(np.abs(want))
-    assert img.err <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(vec - want)) <= 1e-12 * np.max(np.abs(want))
+    assert err <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("sing_a, sing_b", [(True, True), (False, True), (True, False)])
@@ -208,6 +209,11 @@ def test_periods_report_on_the_bundled_genus_four_curve(capsys):
     assert {r["status"] for r in records.values()} == {"PASS"}
     assert float(records["check=periods-symmetry"]["residual"]) <= 1e-13
     assert abs(float(records["check=periods-positivity"]["note"].split("=")[1]) - 0.5311) <= 1e-6
+    # positivity reports the SiegelPoint certificate g eps lambda_max / lambda_min < 1
+    lam = np.linalg.eigvalsh(jac.compute_periods(curves.parse_curve_spec(spec.read_text())).tau.y)
+    ratio = float(records["check=periods-positivity"]["residual"])
+    assert ratio == float(f"{4 * np.finfo(float).eps * lam[-1] / lam[0]:.6e}")
+    assert records["check=periods-positivity"]["tol"] == "1.000000e+00"
 
 
 def test_phase_y_squares_to_f(hyp_g2):
@@ -220,22 +226,22 @@ def test_phase_y_squares_to_f(hyp_g2):
 
 def test_abel_base_point_is_zero(pd_g2):
     p = CurvePoint(pd_g2.curve, -2.0, 0.0)
-    img = jac.abel_map(pd_g2, p)
-    assert np.max(np.abs(img.vector)) <= 1e-12
+    vec, _ = jac.abel_map(pd_g2, p)
+    assert np.max(np.abs(vec)) <= 1e-12
 
 
 def test_abel_branch_points_are_half_periods(pd_g2):
     for e in pd_g2.curve.branch_points:
-        img = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, e, 0.0))
-        assert jac.lattice_distance(pd_g2, 2.0 * img.vector) <= 1e-6
+        vec, _ = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, e, 0.0))
+        assert jac.lattice_distance(pd_g2, 2.0 * vec) <= 1e-6
 
 
 def test_riemann_constant_is_the_sum_of_even_branch_images(pd_g1, pd_g2, pd_g3):
     for pd in (pd_g1, pd_g2, pd_g3):
         e = pd.curve.branch_points
-        imgs = jac.abel_map(pd, [CurvePoint(pd.curve, e[2 * j], 0.0)
-                                 for j in range(1, pd.genus + 1)])
-        total = sum(img.vector for img in imgs)
+        imgs, _ = jac.abel_map(pd, [CurvePoint(pd.curve, e[2 * j], 0.0)
+                                    for j in range(1, pd.genus + 1)])
+        total = imgs.sum(axis=0)
         assert np.max(np.abs(jac.riemann_constant(pd) - total)) <= 1e-12
 
 
@@ -246,8 +252,7 @@ def test_riemann_vanishing_at_the_closed_form(name, request):
     pd = request.getfixturevalue(name)
     g = pd.genus
     pts = curves.sample_points(pd.curve, 6 * (g - 1), seed=2718)
-    divisors = np.array([img.vector for img in jac.abel_map(pd, pts)])
-    divisors = divisors.reshape(6, g - 1, g).sum(axis=1)
+    divisors = jac.abel_map(pd, pts)[0].reshape(6, g - 1, g).sum(axis=1)
     halves = [pd.tau.z @ ch.a + ch.b
               for ch in (theta.ThetaCharacteristic.from_bits(ia, ib, g)
                          for ia in range(2**g) for ib in range(2**g))]
@@ -262,18 +267,18 @@ def test_abel_path_independence(pd_g2):
     x = 0.6 + 0.8j
     y = np.sqrt(complex(pd_g2.curve.f(x)[0]))
     p = CurvePoint(pd_g2.curve, x, y)
-    direct = jac.abel_map(pd_g2, p)
-    detour = jac.abel_map(pd_g2, p, via=0.6 + 1.6j)
-    assert jac.lattice_distance(pd_g2, direct.vector - detour.vector) <= 1e-8
-    assert any(tag.startswith("leg:") for tag in direct.path)
+    direct, _ = jac.abel_map(pd_g2, p)
+    detour, _ = jac.abel_map(pd_g2, p, via=0.6 + 1.6j)
+    assert jac.lattice_distance(pd_g2, direct - detour) <= 1e-8
+    assert any(tag.startswith("leg:") for tag in abel_map_per_point(pd_g2, p)[1])
 
 
 def test_abel_involution_negates(pd_g2):
     x = -0.4 + 0.9j
     y = np.sqrt(complex(pd_g2.curve.f(x)[0]))
-    up = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, x, y))
-    down = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, x, -y))
-    assert jac.lattice_distance(pd_g2, up.vector + down.vector) <= 1e-8
+    up, _ = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, x, y))
+    down, _ = jac.abel_map(pd_g2, CurvePoint(pd_g2.curve, x, -y))
+    assert jac.lattice_distance(pd_g2, up + down) <= 1e-8
 
 
 def test_abel_rejects_foreign_point(pd_g2, lemniscatic):
@@ -288,39 +293,67 @@ def pd_bundled():
     return jac.compute_periods(curve)
 
 
-def _assert_matches_oracle(pd, pts, imgs, via=None):
-    assert len(imgs) == len(pts)
-    for p, img in zip(pts, imgs):
+def _assert_matches_oracle(pd, pts, via=None):
+    """One abel_map call on pts against the per-point oracle, bit for bit
+    in every vector and error sum, and each point as a one-point call;
+    returns the oracle's path records."""
+    vecs, errs = jac.abel_map(pd, pts, via=via)
+    assert vecs.shape == (len(pts), pd.genus) and errs.shape == (len(pts),)
+    paths = []
+    for p, got, got_err in zip(pts, vecs, errs):
         vec, path, err = abel_map_per_point(pd, p, via)
-        assert img.point is p
-        assert np.array_equal(img.vector, vec)
-        assert img.path == path
-        assert img.err == err
+        assert np.array_equal(got, vec)
+        assert got_err == err
+        one, one_err = jac.abel_map(pd, p, via=via)
+        assert one.shape == (pd.genus,) and type(one_err) is float
+        assert np.array_equal(one, vec) and one_err == err
+        paths.append(path)
+    return paths
 
 
 def test_abel_sequence_matches_per_point_chain(pd_bundled):
     # 200 seeds x 12 real points: one call per point set, bit for bit the
-    # per-point vectors, path records and error sums
+    # per-point vectors and error sums
     for seed in range(200):
         pts = curves.sample_points(pd_bundled.curve, 12, seed, mode="real")
-        _assert_matches_oracle(pd_bundled, pts, jac.abel_map(pd_bundled, pts))
+        _assert_matches_oracle(pd_bundled, pts)
 
 
 def _on_curve(curve, x, sheet=1.0):
     return CurvePoint(curve, x, sheet * np.sqrt(complex(curve.f(x)[0])))
 
 
+def _axis_points(curve):
+    """Real points left of e0, right of the last branch point and on
+    branch points, on both sheets where y is nonzero."""
+    e = curve.branch_points
+    return [
+        _on_curve(curve, e[0] - 0.7),
+        _on_curve(curve, e[0] - 0.7, -1.0),
+        _on_curve(curve, e[-1] + 0.5),
+        _on_curve(curve, e[-1] + 0.5, -1.0),
+        CurvePoint(curve, e[0], 0.0),
+        CurvePoint(curve, e[2], 0.0),
+        CurvePoint(curve, e[-1], 0.0),
+    ]
+
+
+@pytest.mark.parametrize("g", [1, 3, 4, 5])
+def test_abel_block_matches_per_point_chain_at_every_genus(g):
+    # the stacked normalization of a block keeps the bits of one
+    # matrix-vector product per point on real-branch-point curves of
+    # other genera than the bundled one, where a reordered sum would not
+    rng = np.random.default_rng([20261020, g])
+    for seed in range(4):
+        pd = jac.compute_periods(_real_branch_curve(rng, g))
+        pts = curves.sample_points(pd.curve, 36, seed, mode="real")
+        _assert_matches_oracle(pd, pts + _axis_points(pd.curve))
+
+
 def test_abel_sequence_matches_per_point_chain_on_hand_built_points(pd_bundled):
     curve = pd_bundled.curve
     e = curve.branch_points
-    pts = [
-        _on_curve(curve, e[0] - 0.7),                 # left of e0
-        _on_curve(curve, e[0] - 0.7, -1.0),           # ... on the opposite sheet
-        _on_curve(curve, e[-1] + 0.5),                # right of the last branch point
-        _on_curve(curve, e[-1] + 0.5, -1.0),
-        CurvePoint(curve, e[0], 0.0),                 # exactly on branch points
-        CurvePoint(curve, e[2], 0.0),
-        CurvePoint(curve, e[-1], 0.0),
+    pts = _axis_points(curve) + [
         _on_curve(curve, 0.6 + 0.8j),                 # complex x
         _on_curve(curve, 0.6 + 0.8j, -1.0),
         _on_curve(curve, e[0] - 0.5 + 0.3j),          # leg from left of e0
@@ -328,16 +361,15 @@ def test_abel_sequence_matches_per_point_chain_on_hand_built_points(pd_bundled):
         _on_curve(curve, 0.3),
         _on_curve(curve, -1.4, -1.0),
     ]
-    # one mixed real/complex sequence, and each point as a one-element call
-    _assert_matches_oracle(pd_bundled, pts, jac.abel_map(pd_bundled, pts))
-    for p in pts:
-        _assert_matches_oracle(pd_bundled, [p], [jac.abel_map(pd_bundled, p)])
+    # one mixed real/complex sequence, and each point as a one-point call
+    paths = _assert_matches_oracle(pd_bundled, pts)
+    assert [any(tag.startswith("leg:") for tag in path) for path in paths] == [
+        False] * 7 + [True] * 4 + [False] * 2
     # a via detour applies to every point of the sequence
     detoured = pts[7:9] + pts[11:]
     for via in (0.6 + 1.6j, e[0] - 1.0 + 0.5j):
-        imgs = jac.abel_map(pd_bundled, detoured, via=via)
-        _assert_matches_oracle(pd_bundled, detoured, imgs, via)
-        assert all(any(tag.startswith("leg:") for tag in img.path) for img in imgs)
+        paths = _assert_matches_oracle(pd_bundled, detoured, via)
+        assert all(any(tag.startswith("leg:") for tag in path) for path in paths)
 
 
 def test_abel_sequence_errors(pd_g2, lemniscatic):
@@ -350,7 +382,8 @@ def test_abel_sequence_errors(pd_g2, lemniscatic):
     assert str(info.value) == f"endpoint {near} is within {jac.BRANCH_CLEARANCE} of a branch point"
     with pytest.raises(ValueError, match="curve"):
         jac.abel_map(pd_g2, [good, CurvePoint(lemniscatic, 0.5, 0.1)])
-    assert jac.abel_map(pd_g2, []) == []
+    vecs, errs = jac.abel_map(pd_g2, [])
+    assert vecs.shape == (0, 2) and errs.shape == (0,)
 
 
 def test_abel_path_error_near_branch_point(pd_g2):

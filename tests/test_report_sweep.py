@@ -83,6 +83,18 @@ def test_sweep_diff_counts_an_edited_residual_digit(sweep, tmp_path, capsys):
     assert "residual drift" in out
 
 
+def test_sweep_diff_of_a_run_with_a_residual_free_record(sweep, tmp_path, capsys):
+    # a changed periods report still holds the periods-values line, whose
+    # residual is "-": the diff skips it rather than parse it as a number
+    def edit_note(line):
+        return line.replace("note=min-eig=", "note=min-eig=+", 1)
+
+    code, out = _diff(sweep, _edited(sweep, tmp_path, edit_note), capsys)
+    assert code == 0
+    assert "== periods" in out
+    assert "1 changed lines, 0 changed exit codes or verdicts" in out
+
+
 def test_sweep_diff_fails_on_a_flipped_verdict(sweep, tmp_path, capsys):
     def flip(line):
         return line.replace("status=PASS", "status=FAIL", 1)

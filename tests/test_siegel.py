@@ -61,7 +61,8 @@ def test_positivity_is_certified_from_the_spectrum(g, log_ratio, log_scale, seed
     y = (y + y.T) / 2
     spectrum = np.linalg.eigvalsh(y)
     if spectrum[0] > g * np.finfo(float).eps * spectrum[-1]:
-        assert siegel.SiegelPoint(1j * y).lambda_min == spectrum[0]
+        point = siegel.SiegelPoint(1j * y)
+        assert (point.lambda_min, point.lambda_max) == (spectrum[0], spectrum[-1])
     else:
         with pytest.raises(ValueError, match="not positive definite"):
             siegel.SiegelPoint(1j * y)

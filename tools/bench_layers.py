@@ -141,7 +141,7 @@ def bench_fay(holodiff, np) -> dict:
         rng = np.random.default_rng([SEED, m])
         for attempt in range(8):
             pts = curves.sample_points(pd.curve, 2 * m, SEED + 1000 * m + attempt, mode="real")
-            imgs = [img.vector for img in jacobian.abel_map(pd, pts)]
+            imgs = jacobian.abel_map(pd, pts)[0]
             w = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             args = (w, imgs[:m], imgs[m:], pd.tau, delta)
             try:

@@ -91,7 +91,8 @@ def _verdicts(report: list[str]) -> dict:
 
 
 def _residuals(report: list[str]) -> dict:
-    return {m[1]: float(m[2]) for m in map(_RESIDUAL.match, report) if m}
+    # a record without a residual (periods-values) prints residual=-
+    return {m[1]: float(m[2]) for m in map(_RESIDUAL.match, report) if m and m[2] != "-"}
 
 
 def _log_drift(before: float, after: float) -> float:
