@@ -54,16 +54,17 @@ def _builtin_text(name: str) -> str:
 
 
 def _load_curve(path, default_name):
-    """Returns (model, sha256 of the JSON text actually used)."""
+    """Returns (model, sha256 of the spec file's bytes)."""
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise curves.CurveSpecError(f"not UTF-8 text: {exc.reason}") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
     else:
-        text = _builtin_text(default_name)
-    return curves.parse_curve_spec(text), sha256_digest(text)
+        data = resources.files("holodiff").joinpath("data", default_name).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise curves.CurveSpecError(f"not UTF-8 text: {exc.reason}") from exc
+    return curves.parse_curve_spec(text), sha256_digest(data)
 
 
 def _seed_seq(seed: int, name: str) -> np.random.SeedSequence:
@@ -300,29 +301,37 @@ def _fay_check(model, genus, m, seed, tol):
     def check():
         t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
         rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
-        delta = theta.ThetaCharacteristic.first_odd(genus)
         if genus == 2:
-            worst = _fay_rounds(model, m, seed, rng, delta)
+            worst = _fay_rounds(model, m, seed, rng, theta.ThetaCharacteristic.first_odd(2))
         else:
-            worst = 0.0
-            for _ in range(FAY_TRIALS):
-                last = None
-                for _ in range(FAY_ATTEMPTS):
-                    tau = np.array([[rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.8, 1.8)]])
-                    w = _rand_complex(rng, (1,), 0.6)
-                    xs = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
-                    ys = [_rand_complex(rng, (1,), 0.6) for _ in range(m)]
-                    try:
-                        worst = max(worst, theta.fay_residual(w, xs, ys, tau, delta))
-                        break
-                    except _FAY_RETRY as exc:
-                        last = exc
-                else:
-                    raise last
+            worst = _fay_genus_one(rng, m, FAY_TRIALS, 0.4, (0.8, 1.8), 0.6)
         return _record("fay-trisecant", "fay-trisecant", worst, t,
                        note=f"genus={genus} m={m} trials={FAY_TRIALS}")
 
     return [("fay-trisecant", check)]
+
+
+def _fay_genus_one(rng, m, trials, re_tau, im_tau, scale):
+    """Worst trisecant residual of `trials` genus-1 trials.  Each attempt
+    draws tau, with real part in (-re_tau, re_tau) and imaginary part in
+    im_tau, then w, the m x's and the m y's, each `scale` times a complex
+    normal; after FAY_ATTEMPTS failed draws the last error is raised."""
+    delta = theta.ThetaCharacteristic.first_odd(1)
+    worst = 0.0
+    for _ in range(trials):
+        for _ in range(FAY_ATTEMPTS):
+            tau = np.array([[rng.uniform(-re_tau, re_tau) + 1j * rng.uniform(*im_tau)]])
+            w = _rand_complex(rng, (1,), scale)
+            xs = [_rand_complex(rng, (1,), scale) for _ in range(m)]
+            ys = [_rand_complex(rng, (1,), scale) for _ in range(m)]
+            try:
+                worst = max(worst, theta.fay_residual(w, xs, ys, tau, delta))
+                break
+            except _FAY_RETRY as exc:
+                last = exc
+        else:
+            raise last
+    return worst
 
 
 def _fay_rounds(model, m, seed, rng, delta):
@@ -356,8 +365,7 @@ def _fay_rounds(model, m, seed, rng, delta):
             states.append(rng.bit_generator.state)
         ok = len(ws)  # the trials that reach their residual
         if ws:
-            low = np.flatnonzero([abs(tw.mantissa) < theta.THETA_FLOOR * tw.peak
-                                  for tw in theta.theta(np.array(ws), pd.tau)])
+            low = np.flatnonzero(theta.theta(np.array(ws), pd.tau).below(theta.THETA_FLOOR))
             if len(low):
                 ok = int(low[0])
         res, err = [], None
@@ -463,19 +471,8 @@ def _selftest_checks(seed, tol):
     def check_fay():
         t = tol.get("fay", 1e-9)
         rng = np.random.default_rng(_seed_seq(seed, "self-fay"))
-        delta = theta.ThetaCharacteristic.first_odd(1)
-        for attempt in range(8):
-            tau = np.array([[rng.uniform(-0.3, 0.3) + 1j * rng.uniform(0.9, 1.6)]])
-            try:
-                r = theta.fay_residual(
-                    _rand_complex(rng, (1,), 0.5),
-                    [_rand_complex(rng, (1,), 0.5) for _ in range(2)],
-                    [_rand_complex(rng, (1,), 0.5) for _ in range(2)],
-                    tau, delta)
-                return _record("self-fay", "fay-trisecant", r, t)
-            except (theta.ThetaNearZeroError, theta.CoincidentPointsError):
-                continue
-        raise theta.ThetaNearZeroError("no usable self-test draw")
+        r = _fay_genus_one(rng, 2, 1, 0.3, (0.9, 1.6), 0.5)
+        return _record("self-fay", "fay-trisecant", r, t)
 
     def check_periods():
         t = tol.get("lemniscatic", 1e-8)

@@ -17,8 +17,8 @@ __all__ = ["CheckRecord", "Report", "sha256_digest"]
 _FLOAT_FMT = "%.6e"
 
 
-def sha256_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def sha256_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _fmt_float(x) -> str:

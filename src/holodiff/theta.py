@@ -13,16 +13,16 @@ over the ellipsoid's bounding box, so a batch of arguments at one tau
 shares a single lattice box.  Within it, term moduli come from one real
 matmul and one real exp, and only the unit phases are factored: one
 complex exp per lattice point, shared by every row, and two per row and
-axis, so no complex exp runs per (row, point) term.  On top of
-the engine: the Fay trisecant residual and the end-to-end cross-ratio
+axis, so no complex exp runs per (row, point) term.  On top of the
+engine: the Fay trisecant residual and the end-to-end cross-ratio
 comparison between cardinal bases and theta quotients at genus 2 and up,
 with the Riemann constant in closed form from `jacobian`.  Each hands
 all its rows to one engine call, which splits them into consecutive
-chunks only where MAX_TERMS demands it.  The trisecant residual takes a
+chunks only where MAX_TERMS demands it, and works on the one
+array-valued `ScaledComplex` it returns.  The trisecant residual takes a
 batch of T trials at one tau: T (3m^2 - m + 2) rows, then one stacked
 O(m^3) scaled determinant; a single trial is the batch of one.  The
-cross-ratio check sums, per draw, theta(w) and eight rows per anchor
-pair.
+cross-ratio check sums, per draw, theta(w) and eight rows per anchor pair.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "ScaledComplex",
     "ThetaCharacteristic",
     "theta",
-    "theta_value",
     "scaled_det",
     "odd_characteristics",
     "fay_residual",
@@ -73,81 +72,110 @@ class CoincidentPointsError(ValueError):
 
 
 class ScaledComplex:
-    """Complex value stored as mantissa * exp(log_scale).
+    """Complex values mantissa * exp(log_scale), element by element.
 
-    `err` bounds the absolute error of the mantissa; `peak` records the
-    mantissa-scale magnitude of the largest series term, the natural
-    yardstick for is-this-zero tests.  Negation keeps both, and a plain
-    factor c scales both by |c|.  For a = a.m + da with |da| <= a.err, and
-    b alike, a * b has err |a.m| b.err + |b.m| a.err + a.err b.err and
-    peak a.peak b.peak; a / b has err (|b.m| a.err + |a.m| b.err) /
-    (|b.m| (|b.m| - b.err)), infinite once b.err reaches |b.m|, and peak
-    a.peak / |b.m|.
+    `mantissa`, `log_scale`, `err` and `peak` share one shape: 0-d for one
+    number, held as numpy scalars, whose * and abs round as Python's do; a
+    row axis for a stacked `theta` call; (..., m, m) for determinant
+    entries.  Arithmetic, `normalized` and indexing act element by element
+    and broadcast.  `err` bounds the absolute error of the mantissa, inf
+    where no bound is known; `peak` is the mantissa-scale magnitude of the
+    largest series term, the yardstick of `below`.  Negation keeps both,
+    and a plain factor c scales both by |c|.  For a = a.m + da with
+    |da| <= a.err, and b alike, a * b has err
+    |a.m| b.err + |b.m| a.err + a.err b.err and peak a.peak b.peak; a / b
+    has err (|b.m| a.err + |a.m| b.err) / (|b.m| (|b.m| - b.err)),
+    infinite once b.err reaches |b.m|, and peak a.peak / |b.m|.
     """
 
     __slots__ = ("mantissa", "log_scale", "err", "peak")
 
-    def __init__(self, mantissa: complex, log_scale: float = 0.0,
-                 err: float = 0.0, peak: float = 1.0):
-        self.mantissa = complex(mantissa)
-        self.log_scale = float(log_scale)
-        self.err = float(err)
-        self.peak = float(peak)
+    def __init__(self, mantissa, log_scale=0.0, err=0.0, peak=1.0):
+        m, s = np.asarray(mantissa, dtype=complex), np.asarray(log_scale, dtype=float)
+        e, p = np.asarray(err, dtype=float), np.asarray(peak, dtype=float)
+        # np.broadcast_arrays costs several times the rest of the call
+        if not m.shape == s.shape == e.shape == p.shape:
+            m, s, e, p = np.broadcast_arrays(m, s, e, p)
+        self.mantissa, self.log_scale, self.err, self.peak = m[()], s[()], e[()], p[()]
+
+    @classmethod
+    def concatenate(cls, values, axis=0) -> "ScaledComplex":
+        return cls(*(np.concatenate([getattr(v, n) for v in values], axis) for n in cls.__slots__))
 
     @property
-    def value(self) -> complex:
+    def value(self):
         return self.mantissa * np.exp(self.log_scale)
 
+    def __getitem__(self, index) -> "ScaledComplex":
+        return ScaledComplex(self.mantissa[index], self.log_scale[index],
+                             self.err[index], self.peak[index])
+
+    def reshape(self, *shape) -> "ScaledComplex":
+        return ScaledComplex(self.mantissa.reshape(shape), self.log_scale.reshape(shape),
+                             self.err.reshape(shape), self.peak.reshape(shape))
+
+    def below(self, floor: float):
+        """Where |mantissa| < floor * peak."""
+        return np.abs(self.mantissa) < floor * self.peak
+
     def normalized(self) -> "ScaledComplex":
-        m = abs(self.mantissa)
-        if m == 0:
-            return ScaledComplex(0.0, 0.0, self.err, self.peak)
-        shift = float(np.log(m))
-        return ScaledComplex(self.mantissa / m, self.log_scale + shift,
-                             self.err / m, self.peak / m)
+        """Unit mantissas, moduli moved into the log scales; zeros stay zero."""
+        mod = np.where(self.mantissa == 0, 1.0, np.abs(self.mantissa))
+        return ScaledComplex(self.mantissa / mod, self.log_scale + np.log(mod),
+                             self.err / mod, self.peak / mod)
+
+    def prod(self, axis) -> "ScaledComplex":
+        """Product along axis, with the err and peak that repeated `*` gives."""
+        mod = np.abs(self.mantissa)
+        return ScaledComplex(self.mantissa.prod(axis=axis), self.log_scale.sum(axis=axis),
+                             (mod + self.err).prod(axis=axis) - mod.prod(axis=axis),
+                             self.peak.prod(axis=axis))
 
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
-            err = (abs(self.mantissa) * other.err + abs(other.mantissa) * self.err
+            err = (np.abs(self.mantissa) * other.err + np.abs(other.mantissa) * self.err
                    + self.err * other.err)
             return ScaledComplex(self.mantissa * other.mantissa,
                                  self.log_scale + other.log_scale, err, self.peak * other.peak)
-        c = abs(other)
+        c = np.abs(other)
         return ScaledComplex(self.mantissa * other, self.log_scale, self.err * c, self.peak * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, ScaledComplex):
-            if other.mantissa == 0:
+            if np.any(other.mantissa == 0):
                 raise ZeroDivisionError("division by an exactly zero scaled value")
-            b = abs(other.mantissa)
-            err = math.inf
-            if other.err < b:
-                err = (b * self.err + abs(self.mantissa) * other.err) / (b * (b - other.err))
+            b = np.abs(other.mantissa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                err = np.where(other.err < b, (b * self.err + np.abs(self.mantissa) * other.err)
+                               / (b * (b - other.err)), math.inf)
             return ScaledComplex(self.mantissa / other.mantissa,
                                  self.log_scale - other.log_scale, err, self.peak / b)
-        c = abs(other)
+        c = np.abs(other)
         return ScaledComplex(self.mantissa / other, self.log_scale, self.err / c, self.peak / c)
 
     def __neg__(self):
         return ScaledComplex(-self.mantissa, self.log_scale, self.err, self.peak)
 
-    def __repr__(self):
-        return f"ScaledComplex({self.mantissa!r}, log_scale={self.log_scale:.6g})"
 
+def scaled_rel_diff(a: ScaledComplex, b: ScaledComplex):
+    """|a - b| / max(|a|, |b|) per element, evaluated at a shared scale.
 
-def scaled_rel_diff(a: ScaledComplex, b: ScaledComplex) -> float:
-    """|a - b| / max(|a|, |b|) evaluated at a shared scale."""
-    a = a.normalized()
-    b = b.normalized()
-    if a.mantissa == 0 and b.mantissa == 0:
-        return 0.0
-    top = max(a.log_scale if a.mantissa != 0 else -np.inf,
-              b.log_scale if b.mantissa != 0 else -np.inf)
-    av = a.mantissa * np.exp(a.log_scale - top) if a.mantissa != 0 else 0.0
-    bv = b.mantissa * np.exp(b.log_scale - top) if b.mantissa != 0 else 0.0
-    return float(abs(av - bv) / max(abs(av), abs(bv)))
+    A 0-d pair gives a float, stacks an array of their broadcast shape.
+    Each element is computed in Python scalars from `.tolist()`: numpy's
+    complex abs and division can differ from Python's in the last bit.
+    """
+    fields = np.broadcast_arrays(a.mantissa, a.log_scale, b.mantissa, b.log_scale)
+    out = []
+    for am, al, bm, bl in zip(*(x.ravel().tolist() for x in fields)):
+        # unit mantissas, moduli moved into the log scales; a zero side is -inf
+        sides = [(x / abs(x), log + float(np.log(abs(x)))) if x != 0 else (0.0, -math.inf)
+                 for x, log in ((am, al), (bm, bl))]
+        top = max(log for _, log in sides)
+        av, bv = (x * np.exp(log - top) if x != 0 else 0.0 for x, log in sides)
+        out.append(0.0 if am == 0 and bm == 0 else float(abs(av - bv) / max(abs(av), abs(bv))))
+    return out[0] if fields[0].ndim == 0 else np.reshape(out, fields[0].shape)
 
 
 class ThetaCharacteristic:
@@ -419,7 +447,7 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     only a row whose box alone is over the budget raises TruncationError,
     before any lattice is built.
 
-    Returns arrays (mantissa, log scale, err, peak), one entry per row.
+    Returns one ScaledComplex with an entry per row.
     Each term is a modulus exp(Re w) times a unit phase, with
     Re w = -pi u.Y.u - 2 pi u.y0 at the reduced argument z0 = x0 + i y0.
     The moduli come from one real matmul and one real exp, after the
@@ -450,9 +478,9 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
         if rows == 1:
             raise TruncationError(f"one row's lattice sum needs {box} terms > budget {MAX_TERMS}")
         step = max(1, MAX_TERMS // box)
-        return tuple(np.concatenate(x) for x in zip(*(
+        return ScaledComplex.concatenate([
             _theta_arrays(point, tau, zs[a:a + step], log_fac[a:a + step])
-            for a in range(0, rows, step))))
+            for a in range(0, rows, step)])
     axes = [np.arange(lo[k], hi[k] + 1, dtype=float) for k in range(g)]
     # the box's lattice points as the columns of u, in C order
     u = np.empty([g] + sizes)
@@ -483,36 +511,28 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
         acc = np.matmul(phase.T[:, None, :], acc.reshape(rows, sizes[k], -1))
     mant = acc.reshape(rows) * np.exp(1j * pref.imag)
     peak_mant = np.exp(peak_log - mx)
-    return mant, mx + pref.real, peak_mant * bound, peak_mant
+    return ScaledComplex(mant, mx + pref.real, peak_mant * bound, peak_mant)
 
 
 def theta(z, tau, char: ThetaCharacteristic | None = None):
     """Theta series with characteristic at z, by one lattice sum.
 
-    z of shape (g,) gives one ScaledComplex; a stack of rows (n, g) gives
-    a list with one ScaledComplex per row.  The characteristic is folded
+    Returns one ScaledComplex: 0-d for z of shape (g,), and with one entry
+    per row for a stack of rows (n, g).  The characteristic is folded
     into the argument (see `_fold`), then each row is translated into the
     fundamental cell; both prefactors go into its log scale and phase.
     The truncation ellipsoid does not depend on z, so one lattice box, the
     union of the per-row boxes, serves every row: the neglected tail of
     each row is below THETA_EPS relative to its peak term, and that
-    certified bound is stored in `err`.  A batch whose rows times box
-    points exceed MAX_TERMS is summed in consecutive chunks that fit; a
-    row whose box alone exceeds it raises TruncationError before
-    allocating.
+    certified bound is stored in `err`.  A batch over MAX_TERMS is summed
+    in chunks as `_theta_arrays` describes.
     """
     point = _siegel(tau)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     if zs.ndim > 2 or zs.shape[-1] != point.g:
         raise ValueError(f"arguments are not rows of length {point.g}: shape {zs.shape}")
-    vals = [ScaledComplex(mk, sk, err=ek, peak=pk)
-            for mk, sk, ek, pk in zip(*_theta_arrays(point, *_fold(point, (zs, char))))]
+    vals = _theta_arrays(point, *_fold(point, (zs, char)))
     return vals if zs.ndim == 2 else vals[0]
-
-
-def theta_value(z, tau, char=None) -> complex:
-    """Plain complex theta value; only safe at moderate scales."""
-    return theta(z, tau, char).value
 
 
 def lattice_reduce_tau(v, tau):
@@ -548,38 +568,27 @@ def _separation(points, point: SiegelPoint):
         f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian")
 
 
-def _normalized(mant: np.ndarray, logs: np.ndarray):
-    """Array form of ScaledComplex.normalized: unit mantissas, moduli moved
-    into the log scales; zero mantissas stay zero."""
-    mod = np.abs(mant)
-    mod[mod == 0] = 1.0
-    return mant / mod, logs + np.log(mod)
+def scaled_det(entries: ScaledComplex) -> ScaledComplex:
+    """Determinant of a matrix of scaled entries, by pivoted elimination.
 
-
-def _scaled_det(mant: np.ndarray, logs: np.ndarray):
-    """(mantissa, log scale) of det(mant * exp(logs)), by pivoted elimination.
-
-    After normalizing each entry, every row, then every column, is brought
-    to the scale of its largest entry, so the mantissa matrix handed to
+    entries has shape (m, m), or (..., m, m) for a stack of matrices, which
+    gives one determinant per matrix from one `linalg.det` call.  After
+    normalizing each entry, every row, then every column, is brought to the
+    scale of its largest entry, so the mantissa matrix handed to
     `linalg.det` has entries of modulus at most one; the row and column
-    scales return as the log scale.  A stack of matrices (..., m, m) gives
-    arrays of mantissas and log scales, one per matrix, from one `det`.
+    scales return as the log scale.  The err is inf: no bound is carried
+    through the elimination.
     """
-    mant, logs = _normalized(mant, logs)
-    logs[mant == 0] = -np.inf
+    entries = entries.normalized()
+    logs = np.where(entries.mantissa == 0, -np.inf, entries.log_scale)
     row_top = np.max(logs, axis=-1, keepdims=True)
     row_top[~np.isfinite(row_top)] = 0.0
     col_top = np.max(logs - row_top, axis=-2, keepdims=True)
     col_top[~np.isfinite(col_top)] = 0.0
-    scaled = mant * np.exp(logs - row_top - col_top)
-    return linalg.det(scaled), np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1))
-
-
-def scaled_det(entries) -> ScaledComplex:
-    """Determinant of a square matrix of scaled entries; see _scaled_det."""
-    mant = np.array([[e.mantissa for e in row] for row in entries], dtype=complex)
-    logs = np.array([[e.log_scale for e in row] for row in entries], dtype=float)
-    return ScaledComplex(*_scaled_det(mant, logs))
+    scaled = entries.mantissa * np.exp(logs - row_top - col_top)
+    return ScaledComplex(linalg.det(scaled),
+                         np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1)),
+                         np.full(scaled.shape[:-2], math.inf))
 
 
 THETA_FLOOR = 1e-8
@@ -593,7 +602,7 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
     """Relative deviation between the two sides of the trisecant identity.
 
     Both sides are formed from theta translates and reduced prime forms
-    in scaled arithmetic, as arrays of mantissas and log scales; the
+    in scaled arithmetic, as stacked ScaledComplex values; the
     half-differential normalizations cancel between the two sides, so the
     reduced form suffices.
 
@@ -646,39 +655,34 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     iu, ju = _pairs(m)
     cross = (xs[:, :, None, :] - ys[:, None, :, :]).reshape(trials, k, g)
     shift = w + xs.sum(axis=1) - ys.sum(axis=1)
-    mant, logs, _, peak = _theta_arrays(point, *_fold(
+    vals = _theta_arrays(point, *_fold(
         point, (np.concatenate([w[:, None], shift[:, None], w[:, None] + cross], axis=1), None),
         (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
     even = trials * (k + 2)
-    even_m, odd_m = mant[:even].reshape(trials, k + 2), mant[even:].reshape(trials, -1)
-    even_l, odd_l = logs[:even].reshape(trials, k + 2), logs[even:].reshape(trials, -1)
-    low = np.abs(even_m[:, 0]) < THETA_FLOOR * peak[:even:k + 2]
-    zero = np.any(odd_m[:, :k] == 0, axis=1)
-    bad = np.flatnonzero(low | zero)
-    done, error = trials, None
-    if len(bad):
-        done = bad[0]
-        error = (ThetaNearZeroError("theta(w) is below the nonvanishing floor") if low[done]
-                 else ZeroDivisionError("division by an exactly zero scaled value"))
+    even, odd = vals[:even].reshape(trials, k + 2), vals[even:].reshape(trials, -1)
+    low = even.below(THETA_FLOOR)[:, 0]
+    bad = np.flatnonzero(low | np.any(odd.mantissa[:, :k] == 0, axis=1))
+    done, error = (bad[0] if len(bad) else trials), None
+    if len(bad) and low[done]:
+        error = ThetaNearZeroError("theta(w) is below the nonvanishing floor")
+    elif len(bad):  # an exactly zero prime form, which the division refuses
+        try:
+            even[done, 2:] / odd[done, :k]
+        except ZeroDivisionError as exc:
+            error = exc
     # only the trials before the first failing one go on
-    tw_m, sh_m, num_m, odd_m = (even_m[:done, :1], even_m[:done, 1:2], even_m[:done, 2:],
-                                odd_m[:done])
-    tw_l, sh_l, num_l, odd_l = (even_l[:done, :1], even_l[:done, 1:2], even_l[:done, 2:],
-                                odd_l[:done])
+    tw, sh, num = even[:done, :1], even[:done, 1:2], even[:done, 2:]
+    exy, pairs = odd[:done, :k], odd[:done, k:]
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
     # (theta(w) E(x_i, y_j))
-    top_m, top_l = _normalized(np.hstack([sh_m, odd_m[:, k:]]), np.hstack([sh_l, odd_l[:, k:]]))
-    den_m, den_l = _normalized(np.hstack([tw_m, odd_m[:, :k]]), np.hstack([tw_l, odd_l[:, :k]]))
-    lhs_m = np.prod(top_m, axis=1) / np.prod(den_m, axis=1)
-    lhs_l = np.sum(top_l, axis=1) - np.sum(den_l, axis=1)
-    rhs_m, rhs_l = _scaled_det((num_m / (tw_m * odd_m[:, :k])).reshape(-1, m, m),
-                               (num_l - (tw_l + odd_l[:, :k])).reshape(-1, m, m))
+    lhs = (ScaledComplex.concatenate([sh, pairs], axis=1).normalized().prod(axis=1)
+           / ScaledComplex.concatenate([tw, exy], axis=1).normalized().prod(axis=1))
+    rhs = scaled_det((num / (tw * exy)).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
-        rhs_m = -rhs_m
-    return [scaled_rel_diff(ScaledComplex(*lhs), ScaledComplex(*rhs))
-            for lhs, rhs in zip(zip(lhs_m, lhs_l), zip(rhs_m, rhs_l))], error
+        rhs = -rhs
+    return scaled_rel_diff(lhs, rhs).tolist(), error
 
 
 @dataclass
@@ -715,16 +719,12 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
     delta = ThetaCharacteristic.first_odd(g)
     basis_n = holomorphic_basis(curve, weight)
     shift = (2 * weight - 1) * riemann_constant(pd)
-    point = pd.tau
     i, j = _pairs(n)
     last_error = None
     for attempt in range(CROSS_RATIO_ATTEMPTS):
-        s = seed + 7919 * attempt
-        pts = sample_points(curve, n + 2, s, mode="real")
-        anchors = pts[:n]
-        probes = pts[n:]
+        pts = sample_points(curve, n + 2, seed + 7919 * attempt, mode="real")
         try:
-            gam = cardinal_basis(basis_n, anchors)
+            gam = cardinal_basis(basis_n, pts[:n])
             imgs = abel_map(pd, pts)[0]
             z1, z2, p_i, p_j = imgs[n], imgs[n + 1], imgs[i], imgs[j]
             w = imgs[:n].sum(axis=0) - shift
@@ -733,19 +733,18 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
             # denominators
             even = np.stack([w + z1 - p_i, w + z2 - p_j, w + z2 - p_i, w + z1 - p_j], axis=1)
             odd = np.stack([z1 - p_j, z2 - p_i, z1 - p_i, z2 - p_j], axis=1)
-            mant, logs, _, peak = _theta_arrays(point, *_fold(
-                point, (np.vstack([w, even.reshape(-1, g)]), None), (odd.reshape(-1, g), delta)))
-            if abs(mant[0]) < THETA_FLOOR * peak[0]:
+            vals = _theta_arrays(pd.tau, *_fold(
+                pd.tau, (np.vstack([w, even.reshape(-1, g)]), None), (odd.reshape(-1, g), delta)))
+            if vals[0].below(THETA_FLOOR):
                 raise ThetaNearZeroError("theta(w) below floor")
-            gvals = gam.evaluate(probes)
+            gvals = gam.evaluate(pts[n:])
             if np.min(np.abs(gvals)) < 1e-10 * np.max(np.abs(gvals)):
                 raise ThetaNearZeroError("cardinal basis nearly vanishing at a probe")
-            if np.any(np.abs(mant[1:]) < 1e-10 * peak[1:]):
+            if np.any(vals[1:].below(1e-10)):
                 raise ThetaNearZeroError("cross-ratio factor too close to zero")
-            mant, logs = (x.reshape(2, -1, 4) for x in _normalized(mant[1:], logs[1:]))
-            theta_ratio = (np.prod(mant[..., :2], axis=(0, 2)) / np.prod(mant[..., 2:], axis=(0, 2))
-                           * np.exp(np.sum(logs[..., :2], axis=(0, 2))
-                                    - np.sum(logs[..., 2:], axis=(0, 2))))
+            factors = vals[1:].normalized().reshape(2, -1, 4)
+            theta_ratio = (factors[..., :2].prod(axis=(0, 2))
+                           / factors[..., 2:].prod(axis=(0, 2))).value
             curve_ratio = (gvals[i, 0] * gvals[j, 1]) / (gvals[i, 1] * gvals[j, 0])
             dev = np.abs(curve_ratio - theta_ratio) / np.maximum(np.abs(curve_ratio),
                                                                  np.abs(theta_ratio))
@@ -753,5 +752,4 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
         except (NonGenericAnchorsError, ThetaNearZeroError) as exc:
             last_error = exc
     raise ThetaNearZeroError(
-        f"no usable configuration after {CROSS_RATIO_ATTEMPTS} attempts: {last_error}"
-    )
+        f"no usable configuration after {CROSS_RATIO_ATTEMPTS} attempts: {last_error}")

@@ -138,7 +138,7 @@ def riemann_constant_search(tau, probe_images):
             h = point.z @ ch.a + ch.b
             vals = th.theta(probes - h, point)
             halves.append(h)
-            scores.append(max(abs(v.mantissa) / v.peak for v in vals))
+            scores.append(np.max(np.abs(vals.mantissa) / vals.peak))
     order = np.argsort(scores, kind="stable")
     return np.array(halves)[order], np.array(scores)[order]
 
@@ -406,11 +406,12 @@ def abel_map_per_point(pd, p, via=None):
 
 
 def fay_residual_objects(w, xs, ys, tau, delta):
-    """Trisecant residual assembled from one ScaledComplex per factor.
+    """Trisecant residual assembled from one 0-d ScaledComplex per factor.
 
     Same theta batches as the package, then every quotient, product and
-    determinant entry is an object operation: normalize, multiply,
-    divide, and `scaled_det` over a list of lists.
+    determinant entry is an operation on single values: normalize,
+    multiply, divide, and `scaled_det` on the matrix stacked from its
+    entries.
     """
     from holodiff import theta as th
 
@@ -437,14 +438,14 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     iu, ju = np.triu_indices(m, 1)
     cross = (xs[:, None, :] - ys[None, :, :]).reshape(m * m, g)
     odd = th.theta(np.concatenate([cross, xs[iu] - xs[ju], ys[iu] - ys[ju]]),
-                         point, delta)
+                   point, delta)
+    odd = [odd[r] for r in range(len(odd.mantissa))]
     shift = w + xs.sum(axis=0) - ys.sum(axis=0)
     even = th.theta(np.concatenate([shift[None, :], w + cross]), point)
     exy = odd[:m * m]
     lhs = prod([even[0]] + odd[m * m:]) / prod([tw] + exy)
-    entries = [[even[1 + i * m + j] / (tw * exy[i * m + j]) for j in range(m)]
-               for i in range(m)]
-    rhs = th.scaled_det(entries)
+    entries = [(even[1 + r] / (tw * exy[r])).reshape(1) for r in range(m * m)]
+    rhs = th.scaled_det(th.ScaledComplex.concatenate(entries).reshape(m, m))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return th.scaled_rel_diff(lhs, rhs)

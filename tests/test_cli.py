@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -354,6 +355,21 @@ def test_fay_genus_one_passes(capsys):
     assert "overall=PASS" in out
 
 
+def test_self_fay_ends_with_the_last_retry_error(monkeypatch, capsys):
+    draws = []
+
+    def vanishing(*args):
+        draws.append(args)
+        raise theta.ThetaNearZeroError(f"draw {len(draws)}")
+
+    monkeypatch.setattr(theta, "fay_residual", vanishing)
+    assert main(["selftest"]) == 1
+    [line] = [line for line in _lines(capsys) if line.startswith("check=self-fay ")]
+    assert "anchor=internal-error" in line
+    assert line.endswith(f"note=ThetaNearZeroError: draw {cli.FAY_ATTEMPTS}")
+    assert len(draws) == cli.FAY_ATTEMPTS
+
+
 def test_fay_pair_count_validation(capsys):
     assert main(["verify-fay", "-m", "1"]) == 2
     err = capsys.readouterr().err
@@ -489,10 +505,9 @@ def _low_theta_draws(monkeypatch, seed, draws):
     def faulty(z, tau, char=None):
         vals = evaluate(z, tau, char)
         rows = np.asarray(z, dtype=complex).reshape(-1, 2)
-        out = [theta.ScaledComplex(0.0, v.log_scale, v.err, v.peak)
-               if r.tobytes() in low else v
-               for r, v in zip(rows, vals if isinstance(vals, list) else [vals])]
-        return out if isinstance(vals, list) else out[0]
+        hit = np.array([r.tobytes() in low for r in rows]).reshape(np.shape(vals.mantissa))
+        return theta.ScaledComplex(np.where(hit, 0.0, vals.mantissa), vals.log_scale,
+                                   vals.err, vals.peak)
 
     monkeypatch.setattr(theta, "theta", faulty)
 
@@ -594,6 +609,17 @@ def test_report_header_carries_curve_digest(tmp_path, capsys):
     assert lines[3].startswith("seed=")
     digest = lines[4].split("=", 1)[1]
     assert len(digest) == 64  # hex sha256 of the curve text
+
+
+def test_curve_digest_hashes_the_file_bytes(tmp_path, capsys):
+    # a CRLF copy of the bundled spec parses alike; its digest is the file's
+    data = resources.files("holodiff").joinpath("data", "hyperelliptic_g2.json").read_bytes()
+    assert b"\r" not in data
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    for argv, want in ((["periods"], data), (["periods", "--spec", str(crlf)], crlf.read_bytes())):
+        assert main(argv) == 0
+        assert f"curve-sha256={hashlib.sha256(want).hexdigest()}" in _lines(capsys)
 
 
 def test_siegel_report_has_no_curve_digest(tmp_path, capsys):

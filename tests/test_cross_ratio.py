@@ -49,7 +49,7 @@ def test_weight_two_refuses_every_half_period_shift_of_k(pd_g2, bits, monkeypatc
 
 
 def _spy_theta_arrays(monkeypatch):
-    """Record the (rows, returned arrays) of every `_theta_arrays` call."""
+    """Record the (rows, returned value) of every `_theta_arrays` call."""
     calls = []
     arrays = th._theta_arrays
 
@@ -75,7 +75,7 @@ def test_cross_ratio_makes_one_lattice_sum_per_attempt(pd_name, request, monkeyp
 def test_cross_ratio_split_sum_matches_one_sum(pd_g2, monkeypatch):
     calls = _spy_theta_arrays(monkeypatch)
     whole = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
-    [(_, (mant, logs, _, peak))] = calls
+    [(_, one)] = calls
     calls.clear()
     # the 25 rows, reduced into the fundamental cell, reach across it: their
     # box is the cell's, 2 floor(h_k + 1/2) + 1 points on axis k.  With room
@@ -89,9 +89,9 @@ def test_cross_ratio_split_sum_matches_one_sum(pd_g2, monkeypatch):
     assert split.attempts == whole.attempts
     # the residual is a relative deviation, so it is compared absolutely
     assert abs(split.residual - whole.residual) <= 1e-12
-    mant_s = np.concatenate([out[0] for _, out in chunks])
-    logs_s = np.concatenate([out[1] for _, out in chunks])
-    assert np.max(np.abs(mant_s * np.exp(logs_s - logs) - mant) / peak) <= 1e-12
+    parts = th.ScaledComplex.concatenate([out for _, out in chunks])
+    assert np.max(np.abs(parts.mantissa * np.exp(parts.log_scale - one.log_scale)
+                         - one.mantissa) / one.peak) <= 1e-12
 
 
 def test_cross_ratio_needs_genus_two(pd_g1):

@@ -258,7 +258,7 @@ def test_riemann_vanishing_at_the_closed_form(name, request):
                          for ia in range(2**g) for ib in range(2**g))]
     shifted = jac.riemann_constant(pd) + np.array(halves)
     vals = theta.theta((divisors[None] - shifted[:, None]).reshape(-1, g), pd.tau)
-    ratio = np.array([abs(v.mantissa) / v.peak for v in vals]).reshape(len(halves), 6)
+    ratio = (np.abs(vals.mantissa) / vals.peak).reshape(len(halves), 6)
     assert np.max(ratio[0]) <= 1e-12
     assert np.all(np.max(ratio[1:], axis=1) > 1e-2)
 

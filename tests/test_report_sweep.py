@@ -50,7 +50,7 @@ def _diff(before, after, capsys):
 def test_sweep_of_one_seed_matches_itself(sweep, capsys):
     data = json.loads(sweep.read_text(encoding="utf-8"))
     assert data["seeds"] == [1000, 1000]
-    assert len(data["runs"]) == 7 + 3
+    assert len(data["runs"]) == 8 + 3
     petri_g4 = data["runs"]["verify-petri --spec hyperelliptic_g4.json --seed 1000"]["report"]
     assert any("rank=7 expected=7" in line for line in petri_g4)
     periods_g4 = data["runs"]["periods hyperelliptic_g4.json"]
@@ -58,7 +58,7 @@ def test_sweep_of_one_seed_matches_itself(sweep, capsys):
     assert any("min-eig=" in line for line in periods_g4["report"])
     code, out = _diff(sweep, sweep, capsys)
     assert code == 0
-    assert "runs: 10 before, 10 after, 10 identical, 0 changed lines" in out
+    assert "runs: 11 before, 11 after, 11 identical, 0 changed lines" in out
 
 
 def test_sweep_records_the_holodiff_it_imported(sweep, capsys):

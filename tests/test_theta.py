@@ -31,6 +31,21 @@ def test_scaled_complex_algebra():
     assert (2.0 * a).value == pytest.approx(2.0 * a.value)
     with pytest.raises(ZeroDivisionError):
         a / th.ScaledComplex(0.0)
+    # a stack acts element by element, a scalar field broadcasting
+    s = th.ScaledComplex(np.array([2.0, 0.5j, -1.0]), 3.0)
+    t = th.ScaledComplex(np.array([4.0, 1.0, 2j]), np.array([1.0, -1.0, 0.0]))
+    assert s.mantissa.shape == s.log_scale.shape == (3,)
+    for op in (lambda x, y: x * y, lambda x, y: x / y, lambda x, y: -x * 2.0,
+               lambda x, y: x.normalized()):
+        whole = op(s, t)
+        for i in range(3):
+            one = op(s[i], t[i])
+            assert np.isscalar(one.mantissa) and one.value == pytest.approx(whole[i].value)
+    assert s.reshape(3, 1)[2, 0].value == s[2].value
+    assert th.ScaledComplex.concatenate([s, t[:1]]).mantissa.shape == (4,)
+    assert s.prod(axis=0).value == pytest.approx(np.prod(s.value))
+    with pytest.raises(ZeroDivisionError, match="exactly zero"):
+        t / th.ScaledComplex(np.array([1.0, 0.0, 2.0]))
 
 
 def test_scaled_complex_plain_factors_keep_error_data():
@@ -66,12 +81,54 @@ def test_scaled_complex_plain_factors_keep_error_data():
         assert abs(x / y - quot.mantissa) <= quot.err * (1 + 1e-9)
 
 
+def test_scaled_complex_error_rules_hold_element_by_element():
+    # stacks give every element the err and peak of the scalar formulas,
+    # the bounds hold on perturbed stacks, and the product along an axis
+    # has the err and peak of repeated products
+    rng = np.random.default_rng(8)
+    n = 50
+    mant = lambda: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = th.ScaledComplex(mant(), rng.uniform(-3, 3, n), rng.uniform(0, 1e-3, n),
+                         rng.uniform(1, 4, n))
+    b = th.ScaledComplex(mant(), rng.uniform(-3, 3, n), rng.uniform(0, 1e-3, n),
+                         rng.uniform(1, 4, n))
+    b.err[0] = 2 * abs(b.mantissa[0])  # a divisor whose err reaches its modulus
+    prod, quot = a * b, a / b
+    for i in range(n):
+        for whole, one in ((prod, a[i] * b[i]), (quot, a[i] / b[i])):
+            assert whole.err[i] == pytest.approx(one.err, rel=1e-15)
+            assert (whole.peak[i], whole.log_scale[i]) == (one.peak, one.log_scale)
+    assert quot.err[0] == math.inf and np.all(np.isfinite(quot.err[1:]))
+    for _ in range(200):
+        da, db = (e * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+                  for e in (a.err, b.err))
+        x, y = a.mantissa + da, b.mantissa + db
+        assert np.all(np.abs(x * y - prod.mantissa) <= prod.err * (1 + 1e-9))
+        assert np.all(np.abs(x / y - quot.mantissa)[1:] <= quot.err[1:] * (1 + 1e-9))
+    stack = a.reshape(5, 10)
+    along = stack.prod(axis=1)
+    for r in range(5):
+        one = stack[r, 0]
+        for j in range(1, 10):
+            one = one * stack[r, j]
+        assert along.err[r] == pytest.approx(one.err, rel=1e-9)
+        assert along.peak[r] == pytest.approx(one.peak, rel=1e-14)
+
+
 def test_scaled_rel_diff():
     a = th.ScaledComplex(1.0, 50.0)
     assert th.scaled_rel_diff(a, a) == 0.0
     b = th.ScaledComplex(2.0, 50.0)
     assert th.scaled_rel_diff(a, b) == pytest.approx(0.5)
     assert th.scaled_rel_diff(th.ScaledComplex(0.0), th.ScaledComplex(0.0)) == 0.0
+    assert type(th.scaled_rel_diff(a, b)) is float
+    # stacks give one residual per element, each the 0-d pair's
+    s = th.ScaledComplex(np.array([[1.0, 0.0], [3.0, 1j]]), np.array([[50.0, 0.0], [-4.0, 700.0]]))
+    t = th.ScaledComplex(np.array([2.0, 0.0]), 50.0)
+    got = th.scaled_rel_diff(s, t)
+    assert got.shape == (2, 2)
+    for i, j in itertools.product(range(2), repeat=2):
+        assert got[i, j] == th.scaled_rel_diff(s[i, j], t[j])
 
 
 def test_characteristic_validation():
@@ -123,7 +180,7 @@ def test_theta_reference_value_at_i():
     # independent oracle: direct n in [-30, 30] sum of exp(-pi n^2)
     n = np.arange(-30, 31)
     oracle = float(np.sum(np.exp(-np.pi * n**2)))
-    val = th.theta_value(0.0, 1j)
+    val = th.theta(0.0, 1j).value
     assert abs(val - oracle) <= 1e-12
     assert abs(val - 1.0864348112133082) <= 1e-12
     assert abs(val.imag) <= 1e-14
@@ -182,7 +239,7 @@ def test_theta1_series_proportionality(rng):
                 * 2.0
                 * np.sin((2 * k + 1) * np.pi * w)
             )
-        got = th.theta_value(np.array([w]), np.array([[tau]]), odd)
+        got = th.theta(np.array([w]), np.array([[tau]]), odd).value
         assert abs(got + series) <= 1e-12 * abs(series)
 
 
@@ -323,7 +380,7 @@ def _pinned_cases(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_ellipsoid_box_matches_the_cube_engine(g):
-    got = [v.value for case in _pinned_cases(g) for v in th.theta(*case)]
+    got = np.concatenate([th.theta(*case).value for case in _pinned_cases(g)])
     assert len(got) == len(PINNED_THETA[g])
     for val, want in zip(got, PINNED_THETA[g]):
         assert abs(val - want) <= 1e-13 * abs(want)
@@ -510,6 +567,27 @@ def test_fay_batch_stops_at_the_first_failing_trial(pd_g2, monkeypatch):
         th.fay_residual(w[1], xs[1], ys[1], tau, delta)
 
 
+def test_fay_batch_stops_at_an_exactly_zero_prime_form(pd_g2, monkeypatch):
+    m = 3
+    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 330)
+    first = th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+    kernel = th._theta_arrays
+    # the even rows of the three trials come first, then each trial's
+    # m^2 + m(m - 1) odd ones: zero trial 1's E(x_0, y_1)
+    row = 3 * (m * m + 2) + (2 * m * m - m) + 1
+
+    def zeroed(point, tau, zs, log_fac):
+        vals = kernel(point, tau, zs, log_fac)
+        mant = vals.mantissa.copy()
+        mant[row] = 0.0
+        return th.ScaledComplex(mant, vals.log_scale, vals.err, vals.peak)
+
+    monkeypatch.setattr(th, "_theta_arrays", zeroed)
+    got, err = th.fay_residual(w, xs, ys, tau, delta)
+    assert isinstance(err, ZeroDivisionError) and "exactly zero" in str(err)
+    assert len(got) == 1 and abs(got[0] - first) <= 1e-12
+
+
 def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
     m = 3
     rows_per_trial = 3 * m * m - m + 2
@@ -597,10 +675,10 @@ def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     lam = float(np.min(np.linalg.eigvalsh(tau.y)))
     radius = int(np.ceil(np.sqrt(40.0 / (np.pi * lam)))) + 2
     got = th.theta(zs, tau.z, char)
-    assert len(got) == len(zs)
-    for z, val in zip(zs, got):
+    assert got.mantissa.shape == (len(zs),)
+    for z, val in zip(zs, got.value):
         want = lattice_theta(z, tau.z, char.a, char.b, radius)
-        assert abs(val.value - want) <= 1e-13 * abs(want)
+        assert abs(val - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("im", [0.05, 1.0, 60.0])
@@ -633,16 +711,16 @@ def test_theta_is_one_row_of_theta_batch(rng):
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
         with pytest.raises(ValueError, match="rows of length"):
             th.theta(bad, tau.z)
-    # at genus 1 a stack is (n, 1); a scalar or a length-1 z is one value
-    assert len(th.theta(np.zeros((3, 1)), 1j)) == 3
-    assert isinstance(th.theta(0.2, 1j), th.ScaledComplex)
+    # at genus 1 a stack is (n, 1); a scalar or a length-1 z is one 0-d value
+    assert th.theta(np.zeros((3, 1)), 1j).mantissa.shape == (3,)
+    assert np.shape(th.theta(0.2, 1j).mantissa) == ()
 
 
 def _assert_same_theta(got, want):
     """Each scaled value of got equals want's to within 1e-12 of its peak."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert abs(a.mantissa * np.exp(a.log_scale - b.log_scale) - b.mantissa) <= 1e-12 * b.peak
+    assert got.mantissa.shape == want.mantissa.shape
+    assert np.all(np.abs(got.mantissa * np.exp(got.log_scale - want.log_scale) - want.mantissa)
+                  <= 1e-12 * want.peak)
 
 
 def test_theta_batch_term_budget(rng, monkeypatch):
@@ -653,7 +731,7 @@ def test_theta_batch_term_budget(rng, monkeypatch):
     assert cell <= 900
     rows = 900 // least + 1
     zs = 0.3 * (rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2)))
-    alone = [th.theta(z, tau.z) for z in zs]
+    alone = th.ScaledComplex.concatenate([th.theta(z, tau.z).reshape(1) for z in zs])
     monkeypatch.setattr(th, "MAX_TERMS", 900)
     calls = _counted_kernel(monkeypatch)
     _assert_same_theta(th.theta(zs, tau.z), alone)
@@ -686,19 +764,19 @@ def test_theta_chunked_sum_matches_one_sum(g, rows, seed, data):
     _assert_same_theta(got, want)
 
 
-def _scaled_matrix(mant, logs):
-    m = mant.shape[0]
-    return [[th.ScaledComplex(mant[i, j], logs[i, j]) for j in range(m)]
-            for i in range(m)]
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_scaled_det_matches_leibniz(m, rng):
-    mant = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    logs = rng.uniform(-2.0, 2.0, (m, m))
-    want = leibniz_det(mant * np.exp(logs))
-    got = th.scaled_det(_scaled_matrix(mant, logs)).value
-    assert abs(got - want) <= 1e-12 * abs(want)
+    mant = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+    logs = rng.uniform(-2.0, 2.0, (3, m, m))
+    # a stack gives one determinant per matrix, and no error bound
+    got = th.scaled_det(th.ScaledComplex(mant, logs))
+    assert got.mantissa.shape == (3,) and np.all(got.err == math.inf)
+    for k in range(3):
+        want = leibniz_det(mant[k] * np.exp(logs[k]))
+        assert abs(got.value[k] - want) <= 1e-12 * abs(want)
+        one = th.scaled_det(th.ScaledComplex(mant[k], logs[k]))
+        assert np.shape(one.mantissa) == () and one.err == math.inf
+        assert abs(one.value - want) <= 1e-12 * abs(want)
 
 
 def test_scaled_det_survives_extreme_scales(rng):
@@ -710,7 +788,7 @@ def test_scaled_det_survives_extreme_scales(rng):
     c = np.array([400.0, -400.0, 0.0, -400.0, 400.0])
     logs = r[:, None] + c[None, :]
     assert logs.max() == 800.0 and logs.min() == -800.0
-    got = th.scaled_det(_scaled_matrix(mant, logs))
+    got = th.scaled_det(th.ScaledComplex(mant, logs))
     assert np.isfinite(got.mantissa) and got.mantissa != 0
     base = leibniz_det(mant)
     expect = th.ScaledComplex(base, float(r.sum() + c.sum()))
@@ -718,6 +796,5 @@ def test_scaled_det_survives_extreme_scales(rng):
 
 
 def test_scaled_det_zero_row():
-    zero = th.ScaledComplex(0.0)
-    one = th.ScaledComplex(1.0, 900.0)
-    assert th.scaled_det([[zero, zero], [one, one]]).mantissa == 0
+    entries = th.ScaledComplex(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0.0], [900.0]]))
+    assert th.scaled_det(entries).mantissa == 0

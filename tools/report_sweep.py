@@ -11,7 +11,7 @@ curves.  A ``--spec`` names a curve file of the imported package's
 line up.  It
 stores the resolved path of the ``holodiff/__init__.py`` it imported, and
 every run's exit code and report with the ``ms=`` timings stripped, in
-OUT.json.  The default seeds give 7 x 40 + 3 = 283 runs.
+OUT.json.  The default seeds give 8 x 40 + 3 = 323 runs.
 
 `diff` first prints the two sides' ``holodiff`` paths (``?`` for a file
 written before they were stored), so a sweep that loaded the same tree
@@ -39,6 +39,7 @@ from pathlib import Path
 
 SEEDED_COMMANDS = (
     "verify-fay --genus 2 -m 6",
+    "verify-fay --genus 2 -m 24",
     "verify-fay --genus 1 -m 3",
     "verify-siegel --genus 8",
     "verify-siegel --genus 3",
