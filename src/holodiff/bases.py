@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .curves import ChartError, sample_points
+from .curves import ChartError
 from .pairindex import build_pair_index, pair_vector
 
 __all__ = [
@@ -28,12 +28,10 @@ __all__ = [
     "differential_dimension",
     "holomorphic_basis",
     "cardinal_basis",
-    "petri_basis",
     "expansion_coefficients",
 ]
 
 ANCHOR_COND_LIMIT = 1e8
-CERTIFICATE_SEED = 104729  # petri_basis draws its certificate points here by default
 
 
 class NonGenericAnchorsError(RuntimeError):
@@ -134,12 +132,13 @@ def holomorphic_basis(model, weight: int = 1) -> DifferentialBasis:
     return DifferentialBasis(model, weight, model.monomials(weight))
 
 
-def _cardinal(phi: np.ndarray):
-    """(phi^-1, condition number of phi) for the basis values phi at the anchors."""
+def _cardinal(phi: np.ndarray) -> np.ndarray:
+    """phi^-1 for the basis values phi at the anchors, refused when phi is
+    ill conditioned."""
     phi_inv, cond = linalg.inverse_cond1(phi)
     if not np.isfinite(cond) or cond > ANCHOR_COND_LIMIT:
         raise NonGenericAnchorsError("non-generic anchors", cond)
-    return phi_inv, cond
+    return phi_inv
 
 
 def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
@@ -150,7 +149,7 @@ def cardinal_basis(basis: DifferentialBasis, anchors) -> DifferentialBasis:
     """
     if len(anchors) != basis.dim:
         raise ValueError(f"need {basis.dim} anchors, got {len(anchors)}")
-    return basis.transform(_cardinal(basis.evaluate(anchors))[0])
+    return basis.transform(_cardinal(basis.evaluate(anchors)))
 
 
 class PetriBasis:
@@ -172,7 +171,7 @@ class PetriBasis:
             raise ValueError(f"need {g} anchors, got {omega_anchors.shape[1]}")
         self.omega = omega
         self.omega_anchors = omega_anchors
-        self.phi_inv, self.anchor_condition = _cardinal(omega_anchors)
+        self.phi_inv = _cardinal(omega_anchors)
         self.sigma = omega.transform(self.phi_inv)
         self.rank_certificate = -1
         self.pm = build_pair_index(g)
@@ -208,18 +207,6 @@ class PetriBasis:
                 self.rank_certificate,
             )
         return self.rank_certificate
-
-
-def petri_basis(model, anchors, *, certificate=None) -> PetriBasis:
-    """Build the cardinal sigma basis at `anchors` and certify the span of
-    its products at the 3g-3 points `certificate`, by default drawn at
-    CERTIFICATE_SEED once the anchors pass."""
-    omega = holomorphic_basis(model, 1)
-    petri = PetriBasis(omega, omega.evaluate(anchors))
-    if certificate is None:
-        certificate = sample_points(model, 3 * model.genus - 3, CERTIFICATE_SEED)
-    petri.certify(omega.evaluate(certificate))
-    return petri
 
 
 def expansion_coefficients(petri: PetriBasis, nodes) -> np.ndarray:

@@ -119,15 +119,30 @@ def _petri_rank_sets(g, seed, attempt):
     return {"petri-rank": (g, rank_seed), "petri-rank-certificate": (3 * g - 3, rank_seed + 7919)}
 
 
+def _petri_skipped(model):
+    """The note of each verify-petri check that has nothing to check on
+    `model`, by check name."""
+    if not model.canonical:
+        note = "determinantal labels need a plane model; skipped"
+        return {"petri-determinants": note, "petri-relations": note}
+    if not petri.relation_labels(model.genus):
+        note = f"genus {model.genus} has no determinantal labels; skipped"
+        return {"petri-determinants": note, "petri-annihilation": note}
+    return {}
+
+
 def _petri_point_sets(model, seed):
     """(count, seed) of every point set a verify-petri request draws unless
     its rank check retries, by name."""
     g = model.genus
     sets = {}
     if model.canonical:
+        skipped = _petri_skipped(model)
         for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
-            sets[name] = (3 * g - 2, _sub_seed(seed, name))
-        sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
+            if name not in skipped:
+                sets[name] = (3 * g - 2, _sub_seed(seed, name))
+        if "petri-annihilation" not in skipped:
+            sets["petri-annihilation-points"] = (20, _sub_seed(seed, "petri-annihilation-points"))
     return sets | _petri_rank_sets(g, seed, 0)
 
 
@@ -156,44 +171,38 @@ def _petri_checks(model, seed, tol):
         om = values(request(), name)
         return petri.RelationInput(om[:, :g], om[:, g:])
 
-    if model.canonical:
-        def check_dets():
-            t = tol.get("det", 1e-8)
-            inp = fresh_input("petri-determinants")
-            ratios, _ = petri.verify_theorem1(inp, tol=t)
-            worst = max(r for _, r in ratios)
-            return _record("petri-determinants", "theorem1-dets", worst, t,
-                           note=f"labels={len(ratios)}")
+    def check_dets():
+        t = tol.get("det", 1e-8)
+        ratios = petri.verify_theorem1(fresh_input("petri-determinants"))
+        worst = max(r for _, r in ratios)
+        return _record("petri-determinants", "theorem1-dets", worst, t,
+                       note=f"labels={len(ratios)}")
 
-        def check_annihilation():
-            t = tol.get("annihilation", 1e-8)
-            inp = fresh_input("petri-annihilation")
-            omega_fresh = values(request(), "petri-annihilation-points")
-            coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
-            res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
-            return _record("petri-annihilation", "annihilation",
-                           float(np.max(res, initial=0.0)), t)
+    def check_annihilation():
+        t = tol.get("annihilation", 1e-8)
+        inp = fresh_input("petri-annihilation")
+        omega_fresh = values(request(), "petri-annihilation-points")
+        coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
+        res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
+        return _record("petri-annihilation", "annihilation",
+                       float(np.max(res)), t)
 
-        def check_relation_set():
-            inp = fresh_input("petri-relations")
-            rs = petri.build_relation_set(inp, provenance={"seed": seed})
-            resid = float(abs(rs.rank - rs.expected_rank))
-            return _record("petri-relations", "relation-rank", resid, 0.5,
-                           note=f"count={len(rs.labels)} rank={rs.rank}")
+    def check_relation_set():
+        rs = petri.build_relation_set(fresh_input("petri-relations"))
+        resid = float(abs(rs.rank - rs.expected_rank))
+        return _record("petri-relations", "relation-rank", resid, 0.5,
+                       note=f"count={len(rs.labels)} rank={rs.rank}")
 
-        checks += [
-            ("petri-determinants", check_dets),
-            ("petri-annihilation", check_annihilation),
-            ("petri-relations", check_relation_set),
-        ]
-    else:
-        note = "determinantal labels need a plane model; skipped"
-        checks += [
-            ("petri-determinants",
-             lambda: CheckRecord("petri-determinants", "theorem1-dets", "WARN", note=note)),
-            ("petri-relations",
-             lambda: CheckRecord("petri-relations", "relation-rank", "WARN", note=note)),
-        ]
+    # a skipped check reports WARN; a non-plane model has no annihilation check
+    skipped = _petri_skipped(model)
+    for name, anchor, check in (("petri-determinants", "theorem1-dets", check_dets),
+                                ("petri-annihilation", "annihilation", check_annihilation),
+                                ("petri-relations", "relation-rank", check_relation_set)):
+        if name in skipped:
+            checks.append((name, functools.partial(CheckRecord, name, anchor, "WARN",
+                                                   note=skipped[name])))
+        elif model.canonical:
+            checks.append((name, check))
 
     def check_rank():
         expected = 3 * g - 3 if model.canonical else 2 * g - 1
@@ -302,7 +311,7 @@ def _fay_check(model, genus, m, seed, tol):
         t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
         rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
         if genus == 2:
-            worst = _fay_rounds(model, m, seed, rng, theta.ThetaCharacteristic.first_odd(2))
+            worst = _fay_rounds(model, m, seed, rng)
         else:
             worst = _fay_genus_one(rng, m, FAY_TRIALS, 0.4, (0.8, 1.8), 0.6)
         return _record("fay-trisecant", "fay-trisecant", worst, t,
@@ -334,8 +343,9 @@ def _fay_genus_one(rng, m, trials, re_tau, im_tau, scale):
     return worst
 
 
-def _fay_rounds(model, m, seed, rng, delta):
-    """Worst residual of the genus-2 trials, run in rounds of one batch.
+def _fay_rounds(model, m, seed, rng):
+    """Worst trisecant residual of the trials on the curve `model`, run in
+    rounds of one batch, at the first odd characteristic of its genus.
 
     A round takes every trial still to run: one `sample_sets` call draws
     their point sets, the first trial at its current attempt and the
@@ -351,6 +361,8 @@ def _fay_rounds(model, m, seed, rng, delta):
     it would get if the trials ran one after another.
     """
     pd = jacobian.compute_periods(model)
+    g = pd.genus
+    delta = theta.ThetaCharacteristic.first_odd(g)
     firsts = [_sub_seed(seed, f"fay-points-{t}") for t in range(FAY_TRIALS)]
     worst = 0.0
     trial, attempt = 0, 0
@@ -361,7 +373,7 @@ def _fay_rounds(model, m, seed, rng, delta):
         for pts in sets:
             if isinstance(pts, curves.SamplingError):
                 break
-            ws.append(_rand_complex(rng, (2,), 0.4))
+            ws.append(_rand_complex(rng, (g,), 0.4))
             states.append(rng.bit_generator.state)
         ok = len(ws)  # the trials that reach their residual
         if ws:
@@ -371,7 +383,7 @@ def _fay_rounds(model, m, seed, rng, delta):
         res, err = [], None
         if ok:
             imgs = jacobian.abel_map(pd, [p for pts in sets[:ok] for p in pts])[0]
-            imgs = imgs.reshape(ok, 2, m, 2)
+            imgs = imgs.reshape(ok, 2, m, g)
             res, err = theta.fay_residual(np.array(ws[:ok]), imgs[:, 0], imgs[:, 1],
                                           pd.tau, delta)
             worst = max([worst] + res)
@@ -465,7 +477,7 @@ def _selftest_checks(seed, tol):
         pts = curves.sample_points(model, 3 * g - 2, _sub_seed(seed, "self-petri"))
         om = bases.holomorphic_basis(model).evaluate(pts)
         inp = petri.RelationInput(om[:, :g], om[:, g:])
-        ratios, _ = petri.verify_theorem1(inp, tol=t)
+        ratios = petri.verify_theorem1(inp)
         return _record("self-petri", "theorem1-dets", max(r for _, r in ratios), t)
 
     def check_fay():
@@ -583,6 +595,8 @@ def _dispatch(args, parser, tol) -> int:
         model, digest = _load_curve(args.spec, _BUILTIN_CURVES[args.command])
 
     if args.command == "verify-petri":
+        if model.genus < 2:
+            parser.error("verify-petri needs a curve of genus >= 2")
         checks = _petri_checks(model, args.seed, tol)
         records = _run_checks(checks)
     elif args.command == "verify-siegel":

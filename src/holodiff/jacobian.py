@@ -10,11 +10,11 @@ the resulting period matrix are computed, not assumed, and any
 bookkeeping error fails hard there.
 
 Abel maps integrate the normalized differentials along a real-axis
-chain plus, for complex targets, straight legs with continuity-tracked
-square roots.  A sequence of points shares one array quadrature for the
-real-axis parts, each point doubling its nodes until it converges; the
-normalization and the sheet flip act on the whole block of vectors, and
-only complex targets take a per-point leg.  The vectors and error
+chain plus, for a complex target x, a straight leg from x.real to x with
+a continuity-tracked square root.  A sequence of points shares one array
+quadrature for the real-axis parts, each point doubling its nodes until
+it converges; the normalization and the sheet flip act on the whole
+block of vectors, and only complex targets take a per-point leg.  The vectors and error
 bounds are bit for bit those of one point at a time.  The Riemann
 constant for this base point and these cycles is a sum of branch-point
 images, read off the segment integrals.  A separate helper handles
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, theta
+from . import linalg
 from .curves import CurvePoint, HyperellipticCurve
 from .siegel import SiegelPoint
 
@@ -42,7 +42,6 @@ __all__ = [
     "compute_periods",
     "abel_map",
     "riemann_constant",
-    "lattice_distance",
     "elliptic_tau_from_cubic",
 ]
 
@@ -134,48 +133,31 @@ def _one_sided_rule(f, a, b, sing_a, n: int):
     return np.sum(f(np.where(sing_a, a, b) + d, d) * 2.0 * tt * ww, axis=-1)
 
 
-def quad_segment(f, a, b, sing_a: bool, sing_b: bool):
-    """Integrate f over [a, b] with inverse-square-root endpoint flags.
+def quad_segment(f, a, b):
+    """Integrate f over the intervals [a_k, b_k], with an inverse-square-root
+    singularity at both ends of each, by Gauss-Chebyshev.
 
-    Both ends flagged: Gauss-Chebyshev absorbs both singularities.  One
-    end flagged: the substitution x = a + t^2 (resp. b - t^2) removes it,
-    then Gauss-Legendre.  Node counts double until two successive values
-    agree to SEGMENT_RTOL; returns (value, last doubling difference).  An f
-    returning rows of shape (k, n) integrates all k rows on shared nodes
-    and returns both as length-k vectors.
-
-    a and b may also be arrays of intervals, all with the same flags,
-    integrated in one node-doubling loop, each interval stopping on its
-    own; f then maps (intervals, n) abscissae to (..., intervals, n), and
-    values and differences come back with the interval as leading index.
+    a and b are 1-d arrays; f maps (intervals, n) abscissae to
+    (..., intervals, n), so rows of f share their nodes.  All intervals run
+    in one node-doubling loop, each stopping when two successive values
+    agree to SEGMENT_RTOL; returns (values, last doubling differences) with
+    the interval as leading index.
     """
-    lo = np.atleast_1d(np.asarray(a, dtype=float))
-    hi = np.atleast_1d(np.asarray(b, dtype=float))
+    lo = np.asarray(a, dtype=float)
+    hi = np.asarray(b, dtype=float)
     bad = np.flatnonzero(~(lo < hi))
     if len(bad):
         raise ValueError(f"need a < b, got [{lo[bad[0]]}, {hi[bad[0]]}]")
-    lo, hi = lo[:, None], hi[:, None]
-    half = (hi - lo) / 2
-    mid = (lo + hi) / 2
+    half = (hi - lo)[:, None] / 2
+    mid = (lo + hi)[:, None] / 2
 
     def rule(n: int, idx):
-        if sing_a and sing_b:
-            t = _chebyshev_nodes(n)
-            x = mid[idx] + half[idx] * t
-            val = (np.pi / n) * np.sum(f(x) * half[idx] * np.sqrt(1.0 - t * t), axis=-1)
-        elif sing_a or sing_b:
-            val = _one_sided_rule(lambda x, _: f(x), lo[idx], hi[idx], sing_a, n)
-        else:
-            t, w = _gauss_legendre(n)
-            val = np.sum(f(mid[idx] + half[idx] * t) * w * half[idx], axis=-1)
+        t = _chebyshev_nodes(n)
+        x = mid[idx] + half[idx] * t
+        val = (np.pi / n) * np.sum(f(x) * half[idx] * np.sqrt(1.0 - t * t), axis=-1)
         return np.moveaxis(val, -1, 0)
 
-    vals, gaps = _node_doubling(rule, len(lo), SEGMENT_RTOL, QUAD_CAP, "segment quadrature")
-    if np.ndim(a):
-        return vals, gaps
-    if vals.ndim == 1:
-        return complex(vals[0]), float(gaps[0])
-    return vals[0], gaps[0]
+    return _node_doubling(rule, len(lo), SEGMENT_RTOL, QUAD_CAP, "segment quadrature")
 
 
 def _f_real(curve: HyperellipticCurve, x: np.ndarray) -> np.ndarray:
@@ -250,7 +232,7 @@ def compute_periods(curve: HyperellipticCurve) -> PeriodData:
     """
     g = curve.genus
     e = np.asarray(curve.branch_points)
-    vals, seg_err = quad_segment(_monomial_rows(curve), e[:-1], e[1:], True, True)
+    vals, seg_err = quad_segment(_monomial_rows(curve), e[:-1], e[1:])
     seg = np.array([_segment_phase(curve, j) for j in range(2 * g)])[:, None] * vals
 
     # cycle i rings the cut [e_{2i}, e_{2i+1}] (0-based); its crossing
@@ -388,40 +370,27 @@ def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
     return vals, y_end, float(np.max(gap))
 
 
-def abel_map(pd: PeriodData, p, *, via=None):
+def abel_map(pd: PeriodData, p):
     """Integral of the normalized differentials from the first branch point.
 
     `p` is one CurvePoint, giving its (g,) vector and its error bound, or
     a sequence of n of them, giving an (n, g) block of vectors and an
-    (n,) array of error bounds.  The real-axis chains of all points run
-    as one array quadrature; complex targets add a straight leg from the
-    real axis per point, optionally detoured through `via` for
-    path-independence experiments.  Landing on the opposite sheet is
-    fixed by negation, which is exact for a branch-point base.
+    (n,) array of error bounds.  The real-axis chains of all points, to
+    the real parts of their x, run as one array quadrature; a complex
+    target adds a straight leg from x.real to x.  Landing on the opposite
+    sheet is fixed by negation, which is exact for a branch-point base.
     """
     points = [p] if isinstance(p, CurvePoint) else list(p)
     curve = pd.curve
     if any(q.model is not curve for q in points):
         raise ValueError("point does not belong to this period data's curve")
     xs = np.array([complex(q.x) for q in points], dtype=complex)
-    if via is None:
-        anchors = xs.real
-        legged = np.flatnonzero(np.abs(xs.imag) > 1e-14)
-    else:
-        via = complex(via)
-        anchors = np.full(len(xs), via.real)
-        legged = np.arange(len(xs))
-    totals, ys, errs = _real_chains(pd, anchors)
-    for k in legged.tolist():
+    totals, ys, errs = _real_chains(pd, xs.real)
+    for k in np.flatnonzero(np.abs(xs.imag) > 1e-14).tolist():
         x_t = complex(xs[k])
-        route = [(x_t.real, x_t)] if via is None else [(via.real, via), (via, x_t)]
-        for z0, z1 in route:
-            z0 = complex(z0)
-            if abs(z0 - z1) < 1e-15:
-                continue
-            vals, ys[k], dq = _complex_leg(pd, z0, z1, ys[k])
-            totals[k] += vals
-            errs[k] += dq
+        vals, ys[k], dq = _complex_leg(pd, complex(x_t.real), x_t, ys[k])
+        totals[k] += vals
+        errs[k] += dq
 
     # stacked matrix-vector products: each row the bits of N @ total
     vecs = np.matmul(pd.normalization, totals[:, :, None])[:, :, 0]
@@ -444,12 +413,6 @@ def riemann_constant(pd: PeriodData) -> np.ndarray:
     """
     g = pd.genus
     return pd.normalization @ ((g - np.arange(2 * g) // 2) @ pd.seg_values)
-
-
-def lattice_distance(pd: PeriodData, v) -> float:
-    """Max-norm distance of v from the period lattice of pd."""
-    r, _, _ = theta.lattice_reduce_tau(v, pd.tau)
-    return float(np.max(np.abs(r)))
 
 
 def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex):

@@ -63,12 +63,6 @@ class PairIndexMap:
             (int(a) + 1, int(b) + 1) for a, b in zip(self.first, self.second)
         )
 
-    def pair_at(self, slot: int) -> tuple[int, int]:
-        """Pair (1-based) stored at 1-based slot."""
-        if not 1 <= slot <= self.m:
-            raise IndexError(f"slot {slot} out of range 1..{self.m}")
-        return int(self.first[slot - 1]) + 1, int(self.second[slot - 1]) + 1
-
     def slot_of(self, a: int, b: int) -> int:
         """1-based slot of the unordered pair (a, b), members 1-based."""
         try:

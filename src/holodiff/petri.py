@@ -13,7 +13,7 @@ All vanishing tests are ratios against Hadamard bounds, never absolute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,13 @@ __all__ = [
     "build_A",
     "verify_theorem1",
     "verify_block_singular",
-    "relation_coefficients",
-    "coefficients_from_matrices",
     "label_relations",
     "annihilation_residual",
     "build_relation_set",
 ]
 
-DET_TOL = 1e-8
 DELTA_RTOL = 1e-10
-EXPANDED_ROW = 1  # the replaced row build_relation_set expands every label along
+EXPANDED_ROW = 1  # the replaced row label_relations expands every label along
 
 
 class DegenerateRowError(RuntimeError):
@@ -143,13 +140,11 @@ def build_A(inp: RelationInput, k: int, l: int) -> np.ndarray:
     return _labeled_matrices(a_tensor(inp), _column_pairs(g, [(k, l)]))[0]
 
 
-def verify_theorem1(inp: RelationInput, tol: float = DET_TOL):
-    """Determinant-to-Hadamard ratios of every labeled matrix, plus overall PASS."""
+def verify_theorem1(inp: RelationInput) -> list:
+    """(label, determinant-to-Hadamard ratio) of every labeled matrix."""
     labels = relation_labels(inp.genus)
     amats = _labeled_matrices(a_tensor(inp), _column_pairs(inp.genus, labels))
-    ratios = list(zip(labels, linalg.hadamard_ratio(amats).tolist()))
-    ok = all(r <= tol for _, r in ratios)
-    return ratios, ok
+    return list(zip(labels, linalg.hadamard_ratio(amats).tolist()))
 
 
 @dataclass
@@ -247,21 +242,6 @@ def _relations(amats: np.ndarray, dmat: np.ndarray, row: int, cols: np.ndarray,
             for i, lab in enumerate(labels)]
 
 
-def coefficients_from_matrices(amat: np.ndarray, dmat: np.ndarray, row: int, g: int,
-                               k: int, l: int) -> RelationCoefficients:
-    """Relation coefficients by expanding a replaced row of the labeled
-    matrix of label (k, l): the one-label case of `label_relations`."""
-    labels = [(k, l)]
-    return _relations(np.asarray(amat)[None], dmat, row, _column_pairs(g, labels), labels)[0]
-
-
-def relation_coefficients(inp: RelationInput, row: int, k: int, l: int) -> RelationCoefficients:
-    """Extract the symmetric quadric-relation coefficients for one label."""
-    amat = build_A(inp, k, l)
-    dmat = minor_table(inp)
-    return coefficients_from_matrices(amat, dmat, row, inp.genus, k, l)
-
-
 def label_relations(inp: RelationInput) -> dict:
     """Coefficients of every label's relation along EXPANDED_ROW, keyed by label."""
     labels = relation_labels(inp.genus)
@@ -295,7 +275,6 @@ class RelationSet:
     labels: tuple
     coefficients: dict
     rank: int
-    provenance: dict = field(default_factory=dict)
 
     @property
     def expected_rank(self) -> int:
@@ -303,15 +282,12 @@ class RelationSet:
         return (g - 2) * (g - 3) // 2
 
 
-def build_relation_set(inp: RelationInput, provenance=None) -> RelationSet:
+def build_relation_set(inp: RelationInput) -> RelationSet:
     """Extract every label's coefficients and certify their joint rank."""
     g = inp.genus
     labels = relation_labels(g)
     coeffs = label_relations(inp)
-    prov = {"row": EXPANDED_ROW}
-    if provenance:
-        prov.update(provenance)
-    rs = RelationSet(g, tuple(labels), coeffs, 0, prov)
+    rs = RelationSet(g, tuple(labels), coeffs, 0)
     if labels:
         pm = build_pair_index(g)
         flat = np.empty((len(labels), pm.m), dtype=complex)

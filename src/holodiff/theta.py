@@ -41,6 +41,7 @@ from .bases import (
     holomorphic_basis,
 )
 from .curves import sample_points
+from .jacobian import abel_map, riemann_constant
 from .siegel import SiegelPoint
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "ThetaCharacteristic",
     "theta",
     "scaled_det",
-    "odd_characteristics",
     "fay_residual",
     "CrossRatioResult",
     "gamma_cross_ratio_check",
@@ -85,7 +85,8 @@ class ScaledComplex:
     |da| <= a.err, and b alike, a * b has err
     |a.m| b.err + |b.m| a.err + a.err b.err and peak a.peak b.peak; a / b
     has err (|b.m| a.err + |a.m| b.err) / (|b.m| (|b.m| - b.err)),
-    infinite once b.err reaches |b.m|, and peak a.peak / |b.m|.
+    infinite once b.err reaches |b.m|, and peak a.peak / |b.m|.  An err
+    or peak that overflows is inf, with no warning: an inf err is no bound.
     """
 
     __slots__ = ("mantissa", "log_scale", "err", "peak")
@@ -121,24 +122,31 @@ class ScaledComplex:
     def normalized(self) -> "ScaledComplex":
         """Unit mantissas, moduli moved into the log scales; zeros stay zero."""
         mod = np.where(self.mantissa == 0, 1.0, np.abs(self.mantissa))
-        return ScaledComplex(self.mantissa / mod, self.log_scale + np.log(mod),
-                             self.err / mod, self.peak / mod)
+        with np.errstate(over="ignore"):
+            err, peak = self.err / mod, self.peak / mod
+        return ScaledComplex(self.mantissa / mod, self.log_scale + np.log(mod), err, peak)
 
     def prod(self, axis) -> "ScaledComplex":
         """Product along axis, with the err and peak that repeated `*` gives."""
         mod = np.abs(self.mantissa)
+        with np.errstate(over="ignore"):
+            err = (mod + self.err).prod(axis=axis) - mod.prod(axis=axis)
+            peak = self.peak.prod(axis=axis)
         return ScaledComplex(self.mantissa.prod(axis=axis), self.log_scale.sum(axis=axis),
-                             (mod + self.err).prod(axis=axis) - mod.prod(axis=axis),
-                             self.peak.prod(axis=axis))
+                             err, peak)
 
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
-            err = (np.abs(self.mantissa) * other.err + np.abs(other.mantissa) * self.err
-                   + self.err * other.err)
+            with np.errstate(over="ignore"):
+                err = (np.abs(self.mantissa) * other.err + np.abs(other.mantissa) * self.err
+                       + self.err * other.err)
+                peak = self.peak * other.peak
             return ScaledComplex(self.mantissa * other.mantissa,
-                                 self.log_scale + other.log_scale, err, self.peak * other.peak)
+                                 self.log_scale + other.log_scale, err, peak)
         c = np.abs(other)
-        return ScaledComplex(self.mantissa * other, self.log_scale, self.err * c, self.peak * c)
+        with np.errstate(over="ignore"):
+            err, peak = self.err * c, self.peak * c
+        return ScaledComplex(self.mantissa * other, self.log_scale, err, peak)
 
     __rmul__ = __mul__
 
@@ -147,13 +155,16 @@ class ScaledComplex:
             if np.any(other.mantissa == 0):
                 raise ZeroDivisionError("division by an exactly zero scaled value")
             b = np.abs(other.mantissa)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 err = np.where(other.err < b, (b * self.err + np.abs(self.mantissa) * other.err)
                                / (b * (b - other.err)), math.inf)
+                peak = self.peak / b
             return ScaledComplex(self.mantissa / other.mantissa,
-                                 self.log_scale - other.log_scale, err, self.peak / b)
+                                 self.log_scale - other.log_scale, err, peak)
         c = np.abs(other)
-        return ScaledComplex(self.mantissa / other, self.log_scale, self.err / c, self.peak / c)
+        with np.errstate(over="ignore"):
+            err, peak = self.err / c, self.peak / c
+        return ScaledComplex(self.mantissa / other, self.log_scale, err, peak)
 
     def __neg__(self):
         return ScaledComplex(-self.mantissa, self.log_scale, self.err, self.peak)
@@ -211,27 +222,13 @@ class ThetaCharacteristic:
 
     @classmethod
     def first_odd(cls, g: int) -> "ThetaCharacteristic":
-        """odd_characteristics(g)[0]: every a-bits 0 is even, and at a-bits 1
-        the b-bits 1 is the first odd one."""
+        """The first odd characteristic in the order of ascending a-bits, then
+        b-bits: every a-bits 0 is even, and at a-bits 1 the b-bits 1 is the
+        first odd one."""
         return cls.from_bits(1, 1, g)
 
     def __repr__(self):
         return f"ThetaCharacteristic(a={self.a.tolist()}, b={self.b.tolist()})"
-
-
-def odd_characteristics(g: int, count=None) -> list:
-    """Odd characteristics in the fixed (a-bits, b-bits) enumeration order."""
-    out = []
-    for ia in range(2**g):
-        for ib in range(2**g):
-            ch = ThetaCharacteristic.from_bits(ia, ib, g)
-            if ch.is_odd:
-                out.append(ch)
-                if count is not None and len(out) == count:
-                    return out
-    if count is not None and len(out) < count:
-        raise ValueError(f"only {len(out)} odd characteristics exist at g={g}")
-    return out
 
 
 # Truncation policy: target error relative to the peak term, cap on the
@@ -535,14 +532,6 @@ def theta(z, tau, char: ThetaCharacteristic | None = None):
     return vals if zs.ndim == 2 else vals[0]
 
 
-def lattice_reduce_tau(v, tau):
-    """Split v = tau m + n + r with integer m, n and a small remainder r."""
-    point = _siegel(tau)
-    v = np.asarray(v, dtype=complex).reshape(1, point.g)
-    r, mvec, nvec = _reduce(point, v)
-    return r[0], mvec[0], nvec[0]
-
-
 @functools.cache
 def _pairs(n: int):
     """Read-only index arrays (i, j) of the pairs i < j below n."""
@@ -709,8 +698,6 @@ def gamma_cross_ratio_check(pd, weight: int, seed: int) -> CrossRatioResult:
     weight 1 passes 6 of the 15 shifts K + h by a nonzero half-period h at
     residuals <= 2.1e-14, while weight 2 fails all 15 at 0.48 or more.
     """
-    from .jacobian import abel_map, riemann_constant
-
     curve = pd.curve
     g = curve.genus
     if g < 2:

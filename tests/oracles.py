@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: explicit loops, permutation sums,
 closed-form pair-slot offsets, hand-written 2x2 inverses, term-by-term
-lattice sums, a search over all half-periods for the Riemann constant,
+lattice sums, a written-out lattice distance, a parity test of every
+characteristic, a search over all half-periods for the Riemann constant,
 one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
 a one-point-at-a-time Abel map, an object-form trisecant residual, the
 trial-by-trial CLI trisecant loop, a factor-by-factor symplectic word
@@ -11,7 +12,9 @@ samplers call the Generator's own `uniform` and `integers` where the
 package decodes the raw words of its bit generator.  The last six, and
 the hyperelliptic sampler, repeat the package's arithmetic step for
 step, so the package's array forms can be held to equal or near-equal
-results.
+results.  Two helpers build package objects for the tests: a certified
+`PetriBasis` at seeded points, and one label's relation coefficients
+from a labeled matrix.
 """
 
 import cmath
@@ -115,6 +118,51 @@ def lattice_theta(z, tau, a, b, radius):
         lin = sum(u[i] * (z[i] + float(b[i])) for i in range(g))
         total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
     return total
+
+
+def lattice_distance(v, tau):
+    """Max-norm distance of v from the period lattice tau Z^g + Z^g.
+
+    tau is a SiegelPoint or a matrix.  Written out: m is the rounded
+    solution of Im(tau) m = Im v, n the rounded real part of v - tau m, and
+    the distance is the largest modulus of the remainder v - tau m - n.
+    """
+    z = np.atleast_2d(np.asarray(getattr(tau, "z", tau), dtype=complex))
+    v = np.asarray(v, dtype=complex).reshape(len(z))
+    m = np.rint(np.linalg.solve(z.imag, v.imag))
+    n = np.rint((v - z @ m).real)
+    return float(np.max(np.abs(v - z @ m - n)))
+
+
+def odd_characteristics(g):
+    """The odd characteristics at genus g in ascending (a-bits, b-bits)
+    order, by the parity of the bit count of a-bits & b-bits."""
+    from holodiff.theta import ThetaCharacteristic
+
+    return [ThetaCharacteristic.from_bits(ia, ib, g)
+            for ia in range(2**g) for ib in range(2**g) if bin(ia & ib).count("1") % 2]
+
+
+def petri_basis(model, anchor_seed, certificate_seed):
+    """The PetriBasis of the monomial basis's values at g anchors drawn at
+    `anchor_seed`, certified at 3g-3 points drawn at `certificate_seed`."""
+    from holodiff import bases, curves
+
+    g = model.genus
+    omega = bases.holomorphic_basis(model)
+    petri = bases.PetriBasis(omega, omega.evaluate(curves.sample_points(model, g, anchor_seed)))
+    petri.certify(omega.evaluate(curves.sample_points(model, 3 * g - 3, certificate_seed)))
+    return petri
+
+
+def coefficients_from_matrices(amat, dmat, row, g, k, l):
+    """Relation coefficients of label (k, l) by expanding row `row` of its
+    labeled matrix `amat`: the one-label case of `petri.label_relations`."""
+    from holodiff import petri
+
+    labels = [(k, l)]
+    return petri._relations(np.asarray(amat)[None], dmat, row,
+                            petri._column_pairs(g, labels), labels)[0]
 
 
 def riemann_constant_search(tau, probe_images):
@@ -287,8 +335,8 @@ def periods_by_segment(curve):
     seg = np.empty((2 * g, g), dtype=complex)
     seg_err = np.empty((2 * g, g))
     for j in range(2 * g):
-        val, seg_err[j] = jac.quad_segment(rows, float(e[j]), float(e[j + 1]), True, True)
-        seg[j] = (-1j) ** ((2 * g - j) % 4) * val
+        val, gap = jac.quad_segment(rows, e[j:j + 1], e[j + 1:j + 2])
+        seg[j], seg_err[j] = (-1j) ** ((2 * g - j) % 4) * val[0], gap[0]
     a_mat = np.array([2.0 * seg[2 * i] for i in range(g)])
     b_mat = np.array([2.0 * np.sum(seg[2 * i + 1 :: 2], axis=0) for i in range(g)])
     tau = b_mat @ linalg.inverse_cond1(a_mat)[0]
@@ -428,8 +476,7 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     ys = np.array([np.asarray(y, dtype=complex).reshape(g) for y in ys])
     pts = np.concatenate([xs, ys])
     for i, j in itertools.combinations(range(len(pts)), 2):
-        r, _, _ = th.lattice_reduce_tau(pts[i] - pts[j], point)
-        if np.max(np.abs(r)) < th.MIN_SEPARATION:
+        if lattice_distance(pts[i] - pts[j], point) < th.MIN_SEPARATION:
             raise th.CoincidentPointsError(
                 f"points {i} and {j} are within {th.MIN_SEPARATION} on the Jacobian")
     tw = th.theta(w, point)
@@ -451,8 +498,8 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     return th.scaled_rel_diff(lhs, rhs)
 
 
-def fay_check_sequential(model, m, seed, rng, delta):
-    """Worst genus-2 residual of the CLI trisecant check, one trial at a time.
+def fay_check_sequential(model, m, seed, rng):
+    """Worst residual of the CLI trisecant check on a curve, one trial at a time.
 
     Takes the arguments of `cli._fay_rounds` and runs the loop it
     replaced: per trial and attempt, seeded points, a w from the shared
@@ -463,6 +510,7 @@ def fay_check_sequential(model, m, seed, rng, delta):
     from holodiff import theta as th
 
     pd = jacobian.compute_periods(model)
+    delta = th.ThetaCharacteristic.first_odd(pd.genus)
     worst = 0.0
     for trial in range(cli.FAY_TRIALS):
         last = None
@@ -470,7 +518,7 @@ def fay_check_sequential(model, m, seed, rng, delta):
             try:
                 s = cli._sub_seed(seed, f"fay-points-{trial}") + attempt
                 pts = curves.sample_points(model, 2 * m, s, mode="real")
-                w = cli._rand_complex(rng, (2,), 0.4)
+                w = cli._rand_complex(rng, (pd.genus,), 0.4)
                 tw = th.theta(w, pd.tau)
                 if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
                     raise th.ThetaNearZeroError("theta(w) below floor")

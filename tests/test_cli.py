@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -154,6 +155,30 @@ def test_petri_hyperelliptic_warns(tmp_path, capsys):
     assert "check=petri-relations anchor=relation-rank status=WARN" in out
     assert "rank=3 expected=3" in out
     assert "overall=PASS checks=3 failures=0 warnings=2" in out
+
+
+def test_petri_plane_quartic_has_no_labels_to_check(tmp_path, capsys):
+    # genus 3 has (g-2)(g-3)/2 = 0 determinantal labels: the determinant
+    # and annihilation checks warn, and neither draws its points
+    spec = tmp_path / "quartic.json"
+    spec.write_text(json.dumps({"type": "plane", "degree": 4, "coeffs": [
+        [4, 0, 1.0, 0.0], [0, 4, 1.0, 0.0], [0, 0, 1.0, 0.0]]}))
+    assert main(["verify-petri", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    note = "residual=- tol=- ms=0 note=genus 3 has no determinantal labels; skipped"
+    assert f"check=petri-determinants anchor=theorem1-dets status=WARN {note}" in out
+    assert f"check=petri-annihilation anchor=annihilation status=WARN {note}" in out
+    assert "note=count=0 rank=0" in out and "rank=6 expected=6" in out
+    assert "overall=PASS checks=4 failures=0 warnings=2" in out
+    model = curves.parse_curve_spec(spec.read_text())
+    assert set(cli._petri_point_sets(model, 1)) == {
+        "petri-relations", "petri-rank", "petri-rank-certificate"}
+
+
+def test_petri_refuses_a_genus_one_curve(capsys):
+    spec = resources.files("holodiff").joinpath("data", "lemniscatic_g1.json")
+    assert main(["verify-petri", "--spec", str(spec)]) == 2
+    assert "verify-petri needs a curve of genus >= 2" in capsys.readouterr().err
 
 
 def test_petri_rank_retries_rank_deficient_draw(monkeypatch, capsys):
@@ -546,6 +571,26 @@ def test_fay_rounds_retry_theta_floor(draws, abel_points, rounds, note, monkeypa
         assert rec.status == "PASS"
     else:
         assert rec.anchor == "internal-error" and rec.note == note
+
+
+def test_fay_scaled_overflow_does_not_warn(capsys):
+    # the err of a product of normalized prime forms overflowed to inf
+    # here, and numpy's overflow warning, an error under warnings as
+    # errors, turned the check into an internal error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rec = _fay_g2(1003, m=24)
+    assert code == 1 and rec.anchor == "fay-trisecant"
+    assert (rec.status, f"{rec.residual:.6e}") == ("FAIL", "1.085255e-05")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_fay_rounds_read_the_genus_from_the_curve(m):
+    # the trials draw w, reshape the Abel images and pick the odd
+    # characteristic at the curve's own genus
+    model = curves.parse_curve_spec(cli._builtin_text("hyperelliptic_g4.json"))
+    rng = np.random.default_rng(cli._seed_seq(7, "fay-trisecant"))
+    assert cli._fay_rounds(model, m, 7, rng) <= 1e-9
 
 
 def test_fay_genus_two_needs_matching_curve(tmp_path, capsys):

@@ -30,13 +30,12 @@ def test_slot_order_g4():
 def test_slot_count_and_inverse_maps(g):
     pm = build_pair_index(g)
     assert pm.m == g * (g + 1) // 2
+    assert len(pm.pairs) == pm.m
     for slot in range(1, pm.m + 1):
-        a, b = pm.pair_at(slot)
+        a, b = pm.pairs[slot - 1]
         assert 1 <= a <= b <= g
         assert pm.slot_of(a, b) == slot
         assert pm.slot_of(b, a) == slot
-    with pytest.raises(IndexError):
-        pm.pair_at(pm.m + 1)
     with pytest.raises(IndexError):
         pm.slot_of(1, g + 1)
 
@@ -48,13 +47,13 @@ def test_explicit_slot_formula_matches_enumeration(g):
     layout = product_layout(g)
     assert len(layout) == pm.m
     for slot, pair in enumerate(layout, start=1):
-        assert pm.pair_at(slot) == pair
+        assert pm.pairs[slot - 1] == pair
 
 
 def test_weights_are_two_minus_delta():
     pm = build_pair_index(5)
     for i in range(pm.m):
-        a, b = pm.pair_at(i + 1)
+        a, b = pm.pairs[i]
         assert pm.weight[i] == (1.0 if a == b else 2.0)
 
 
@@ -108,7 +107,7 @@ def test_pair_vector_entries():
     u = np.array([2.0, 3.0, 5.0])
     pv = pair_vector(u, pm)
     for i in range(pm.m):
-        a, b = pm.pair_at(i + 1)
+        a, b = pm.pairs[i]
         assert pv[i] == u[a - 1] * u[b - 1]
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from holodiff import curves, linalg, petri
-from holodiff.bases import holomorphic_basis, petri_basis
+from holodiff.bases import holomorphic_basis
 from holodiff.curves import sample_points
 
-from oracles import cofactor_row
+from oracles import coefficients_from_matrices, cofactor_row, petri_basis
 
 SEED = 1234
 
@@ -26,12 +26,12 @@ def rel_input(quintic):
 
 @pytest.fixture(scope="module")
 def rel_coeff(rel_input):
-    return petri.relation_coefficients(rel_input, 1, 3, 4)
+    return petri.label_relations(rel_input)[(3, 4)]
 
 
 @pytest.fixture(scope="module")
 def quintic_petri(quintic):
-    return petri_basis(quintic, sample_points(quintic, 6, seed=SEED))
+    return petri_basis(quintic, SEED, SEED + 1)
 
 
 def test_relation_labels_enumeration():
@@ -139,8 +139,7 @@ def test_build_a_rejects_bad_labels(rel_input, quartic):
 
 
 def test_theorem1_all_labels_vanish(rel_input):
-    ratios, ok = petri.verify_theorem1(rel_input)
-    assert ok
+    ratios = petri.verify_theorem1(rel_input)
     assert [lab for lab, _ in ratios] == petri.relation_labels(6)
     assert max(r for _, r in ratios) <= 1e-8
 
@@ -152,8 +151,7 @@ def test_theorem1_detects_off_curve_data(quintic):
     inp = _input(quintic, pts[:6], pts[6:])
     rng = np.random.default_rng(20260818)
     inp.omega_q = rng.normal(size=inp.omega_q.shape) * np.mean(np.abs(inp.omega_q)) + 0j
-    ratios, ok = petri.verify_theorem1(inp)
-    assert not ok
+    ratios = petri.verify_theorem1(inp)
     assert max(r for _, r in ratios) > 1e-6
 
 
@@ -161,8 +159,7 @@ def test_theorem1_hyperelliptic_vanishing(hyp_g4):
     # products depend on the index sum only, so two label columns coincide
     pts = sample_points(hyp_g4, 10, seed=20260818)
     inp = _input(hyp_g4, pts[:4], pts[4:])
-    ratios, ok = petri.verify_theorem1(inp)
-    assert ok
+    ratios = petri.verify_theorem1(inp)
     assert [lab for lab, _ in ratios] == [(3, 4)]
     assert max(r for _, r in ratios) <= 1e-8
 
@@ -179,8 +176,8 @@ def test_theorem1_ratios_do_not_underflow_at_genus_ten():
     bound = np.prod(np.linalg.norm(mat, axis=1))
     assert bound < 1e-300
     assert abs(linalg.det(mat)) / max(bound, 1e-300) == 0.0
-    ratios, ok = petri.verify_theorem1(inp)
-    assert ok and len(ratios) == 28
+    ratios = petri.verify_theorem1(inp)
+    assert len(ratios) == 28
     assert all(0.0 < r <= 1e-8 for _, r in ratios)
 
 
@@ -234,7 +231,8 @@ def test_relation_annihilates_fresh_points(quintic, rel_coeff):
 
 
 def test_row_choice_rescales_coefficients(rel_input, rel_coeff):
-    other = petri.relation_coefficients(rel_input, 5, 3, 4)
+    other = coefficients_from_matrices(petri.build_A(rel_input, 3, 4),
+                                       petri.minor_table(rel_input), 5, 6, 3, 4)
     c1, c5 = rel_coeff.coefficients, other.coefficients
     i, j = np.unravel_index(np.argmax(np.abs(c1)), c1.shape)
     ratio = c1[i, j] / c5[i, j]
@@ -244,7 +242,7 @@ def test_row_choice_rescales_coefficients(rel_input, rel_coeff):
 def test_probe_choice_rescales_coefficients(quintic, rel_input, rel_coeff):
     fresh = sample_points(quintic, 10, seed=SEED + 77)
     alt = petri.RelationInput(rel_input.omega_p, holomorphic_basis(quintic).evaluate(fresh))
-    c_alt = petri.relation_coefficients(alt, 1, 3, 4).coefficients
+    c_alt = petri.label_relations(alt)[(3, 4)].coefficients
     c = rel_coeff.coefficients
     i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
     ratio = c[i, j] / c_alt[i, j]
@@ -255,9 +253,9 @@ def test_row_out_of_range(rel_input):
     amat = petri.build_A(rel_input, 3, 4)
     dmat = petri.minor_table(rel_input)
     with pytest.raises(ValueError, match="row"):
-        petri.coefficients_from_matrices(amat, dmat, 0, 6, 3, 4)
+        coefficients_from_matrices(amat, dmat, 0, 6, 3, 4)
     with pytest.raises(ValueError, match="row"):
-        petri.coefficients_from_matrices(amat, dmat, 11, 6, 3, 4)
+        coefficients_from_matrices(amat, dmat, 11, 6, 3, 4)
 
 
 def test_degenerate_row_raises(rng):
@@ -266,7 +264,7 @@ def test_degenerate_row_raises(rng):
     amat[1, :5] = amat[2, :5]  # kills the cofactor dropping row 0, column 5
     dmat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     with pytest.raises(petri.DegenerateRowError, match="cofactor"):
-        petri.coefficients_from_matrices(amat, dmat, 1, 4, 3, 4)
+        coefficients_from_matrices(amat, dmat, 1, 4, 3, 4)
 
 
 def test_cofactor_row_matches_leibniz_oracle(rng):
@@ -276,7 +274,7 @@ def test_cofactor_row_matches_leibniz_oracle(rng):
         amat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         dmat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         for row in range(1, 7):
-            rc = petri.coefficients_from_matrices(amat, dmat, row, 4, 3, 4)
+            rc = coefficients_from_matrices(amat, dmat, row, 4, 3, 4)
             cof = cofactor_row(amat, row - 1)
             want = sum(
                 (cof[c] / cof[-1]) * np.outer(dmat[a - 1], dmat[b - 1])
@@ -297,7 +295,7 @@ def test_block_report_structure(rel_input, quintic_petri):
 
 
 def test_block_report_anchor_mismatch(quintic, rel_input, quintic_petri):
-    other = petri_basis(quintic, sample_points(quintic, 6, seed=SEED + 9))
+    other = petri_basis(quintic, SEED + 9, SEED + 10)
     with pytest.raises(ValueError, match="anchored"):
         petri.verify_block_singular(rel_input, other, 3, 4)
     with pytest.raises(ValueError, match="out of range"):
@@ -305,15 +303,14 @@ def test_block_report_anchor_mismatch(quintic, rel_input, quintic_petri):
 
 
 def test_relation_set_spans_expected_rank(rel_input):
-    rs = petri.build_relation_set(rel_input, provenance={"seed": SEED})
+    rs = petri.build_relation_set(rel_input)
     assert rs.genus == 6
     assert rs.labels == tuple(petri.relation_labels(6))
     assert rs.rank == 6
     assert rs.rank == rs.expected_rank
     assert set(rs.coefficients) == set(rs.labels)
     assert rs.coefficients[(3, 5)].label == (3, 5)
-    assert rs.provenance["row"] == 1
-    assert rs.provenance["seed"] == SEED
+    assert rs.coefficients[(3, 5)].row == petri.EXPANDED_ROW == 1
 
 
 def test_relation_set_empty_below_genus_four(quartic):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,31 @@ def test_sweep_diff_fails_on_a_flipped_verdict(sweep, tmp_path, capsys):
     assert code == 1
     assert "-> FAIL" in out
     assert "1 changed lines, 1 changed exit codes or verdicts" in out
+
+
+def test_sweep_records_each_runs_warnings():
+    def warns(argv):
+        warnings.warn("overflow encountered in reduce", RuntimeWarning)
+        warnings.warn("overflow encountered in reduce", RuntimeWarning)
+        return 1
+
+    run = _load_tool()._run_one(warns, [])
+    assert run == {"exit": 1, "report": [],
+                   "warnings": ["RuntimeWarning: overflow encountered in reduce"] * 2}
+
+
+def test_sweep_diff_counts_runs_with_warnings(sweep, tmp_path, capsys):
+    data = json.loads(sweep.read_text(encoding="utf-8"))
+    assert all(run["warnings"] == [] for run in data["runs"].values())
+    key = "verify-fay --genus 2 -m 24 --seed 1000"
+    data["runs"][key]["warnings"] = ["RuntimeWarning: overflow encountered in reduce"]
+    warned = tmp_path / "warned.json"
+    warned.write_text(json.dumps(data), encoding="utf-8")
+    # a warning changes neither the identical count nor the exit code
+    code, out = _diff(warned, sweep, capsys)
+    assert code == 0
+    assert "runs: 11 before, 11 after, 11 identical, 0 changed lines" in out
+    assert out.splitlines()[-1] == (
+        "warnings in verify-fay --genus 2 -m 24: 1 of 1 runs before, 0 of 1 after")
+    code, out = _diff(sweep, sweep, capsys)
+    assert "warnings in" not in out

@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 
 from holodiff import theta as th
 from holodiff.curves import sample_points
-from holodiff.jacobian import abel_map, lattice_distance, riemann_constant
+from holodiff.jacobian import abel_map, riemann_constant
 from holodiff.siegel import SiegelPoint, random_siegel_point
 
-from oracles import fay_residual_objects, lattice_theta, leibniz_det, riemann_constant_search
+from oracles import (
+    fay_residual_objects,
+    lattice_distance,
+    lattice_theta,
+    leibniz_det,
+    odd_characteristics,
+    riemann_constant_search,
+)
 
 
 def test_scaled_complex_algebra():
@@ -161,19 +168,17 @@ def test_characteristic_bits_and_first_odd():
 @pytest.mark.parametrize("g", range(1, 7))
 def test_first_odd_is_the_first_enumerated_odd_characteristic(g):
     # first_odd builds from_bits(1, 1, g) without walking the enumeration
-    first, want = th.ThetaCharacteristic.first_odd(g), th.odd_characteristics(g, 1)[0]
+    first, want = th.ThetaCharacteristic.first_odd(g), odd_characteristics(g)[0]
     assert first.a.tobytes() == want.a.tobytes()
     assert first.b.tobytes() == want.b.tobytes()
 
 
 @pytest.mark.parametrize("g,count", [(1, 1), (2, 6), (3, 28)])
 def test_odd_characteristic_counts(g, count):
-    odd = th.odd_characteristics(g)
-    assert len(odd) == count
+    # 2^(g-1) (2^g - 1) odd characteristics, each odd by the package's parity
+    odd = odd_characteristics(g)
+    assert len(odd) == count == 2 ** (g - 1) * (2**g - 1)
     assert all(ch.is_odd for ch in odd)
-    assert len(th.odd_characteristics(g, 1)) == 1
-    with pytest.raises(ValueError, match="odd characteristics"):
-        th.odd_characteristics(g, count + 1)
 
 
 def test_theta_reference_value_at_i():
@@ -446,10 +451,11 @@ def test_ellipsoid_radius_is_solved_once_per_point(monkeypatch):
 def test_lattice_reduce_tau(rng):
     tau = random_siegel_point(2, rng)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2) + tau.z @ [3.0, -2.0]
-    r, m, n = th.lattice_reduce_tau(v, tau.z)
+    [r], [m], [n] = th._reduce(tau, v[None])
     assert np.array_equal(m, np.rint(m))
     assert np.array_equal(n, np.rint(n))
     assert np.max(np.abs(tau.z @ m + n + r - v)) <= 1e-12
+    assert abs(np.max(np.abs(r)) - lattice_distance(v, tau)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -639,7 +645,7 @@ def test_fay_rejects_vanishing_theta_shift():
 def test_riemann_constants_genus_one(pd_g1):
     # at genus 1, K is the half-period (1 + tau)/2, the zero of theta
     half = (1.0 + pd_g1.tau.z[0]) / 2.0
-    assert lattice_distance(pd_g1, riemann_constant(pd_g1) - half) <= 1e-12
+    assert lattice_distance(riemann_constant(pd_g1) - half, pd_g1.tau) <= 1e-12
     halves, scores = riemann_constant_search(pd_g1.tau, [np.zeros(1), np.zeros(1)])
     assert np.max(np.abs(halves[0] - half)) <= 1e-12
     assert scores[0] <= 1e-6

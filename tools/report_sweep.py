@@ -10,8 +10,8 @@ curves.  A ``--spec`` names a curve file of the imported package's
 ``data/``; the run is keyed by the file name, so sweeps of two checkouts
 line up.  It
 stores the resolved path of the ``holodiff/__init__.py`` it imported, and
-every run's exit code and report with the ``ms=`` timings stripped, in
-OUT.json.  The default seeds give 8 x 40 + 3 = 323 runs.
+every run's exit code, its report with the ``ms=`` timings stripped and
+the messages of the warnings it raised, in OUT.json.  The default seeds give 8 x 40 + 3 = 323 runs.
 
 `diff` first prints the two sides' ``holodiff`` paths (``?`` for a file
 written before they were stored), so a sweep that loaded the same tree
@@ -19,7 +19,9 @@ twice shows at once.  Then it prints every changed exit code, every
 changed report line and every changed check verdict, then each check's
 FAIL count per command on both sides, then for each check the number of
 changed residuals and the largest |log10(after/before)| among them (inf
-when one side is 0).
+when one side is 0), then, per command, the number of runs that raised a
+warning on each side.  Warnings count toward neither the identical runs
+nor the exit code.
 It exits 1 when an exit code or a verdict changed, else 0.  To compare two
 commits, run the sweep once with ``--src`` pointing at each checkout.
 """
@@ -34,6 +36,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -61,9 +64,12 @@ def _seed_range(text: str) -> range:
 
 def _run_one(main, argv: list[str]) -> dict:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
-    return {"exit": code, "report": _MS.sub("", out.getvalue()).splitlines()}
+    return {"exit": code, "report": _MS.sub("", out.getvalue()).splitlines(),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
 
 
 def run_sweep(src: Path, seeds: range) -> dict:
@@ -120,7 +126,7 @@ def diff_sweeps(before: dict, after: dict) -> int:
     drift: dict[str, list[float]] = {}
     for key in (k for k in a if k in b):
         ra, rb = a[key], b[key]
-        if ra == rb:
+        if (ra["exit"], ra["report"]) == (rb["exit"], rb["report"]):
             same += 1
             continue
         print(f"== {key}")
@@ -153,6 +159,13 @@ def diff_sweeps(before: dict, after: dict) -> int:
     for check, logs in sorted(drift.items()):
         print(f"residual drift {check}: {len(logs)} changed, "
               f"max |log10(after/before)| = {max(logs):.3g}")
+    # a file written before warnings were recorded counts none
+    warned = [Counter(_command(key) for key, r in side.items() if r.get("warnings"))
+              for side in (a, b)]
+    for command in sorted(warned[0].keys() | warned[1].keys()):
+        n = runs[command]
+        print(f"warnings in {command}: {warned[0][command]} of {n} runs before, "
+              f"{warned[1][command]} of {n} after")
     return 1 if changed else 0
 
 
