@@ -172,7 +172,6 @@ class PetriBasis:
         self.omega = omega
         self.omega_anchors = omega_anchors
         self.phi_inv = _cardinal(omega_anchors)
-        self.sigma = omega.transform(self.phi_inv)
         self.rank_certificate = -1
         self.pm = build_pair_index(g)
 

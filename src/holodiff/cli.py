@@ -67,13 +67,14 @@ def _load_curve(path, default_name):
     return curves.parse_curve_spec(text), sha256_digest(data)
 
 
-def _seed_seq(seed: int, name: str) -> np.random.SeedSequence:
-    """The seed sequence of the check called `name`, derived from the run seed."""
-    return np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()),))
+def _seed_seq(seed: int, name: str, *index: int) -> np.random.SeedSequence:
+    """The seed sequence of the check called `name`, derived from the run
+    seed; an index, such as a trial and an attempt, extends the spawn key."""
+    return np.random.SeedSequence(seed, spawn_key=(zlib.crc32(name.encode()), *index))
 
 
-def _sub_seed(seed: int, name: str) -> int:
-    return int(_seed_seq(seed, name).generate_state(1, np.uint64)[0])
+def _sub_seed(seed: int, name: str, *index: int) -> int:
+    return int(_seed_seq(seed, name, *index).generate_state(1, np.uint64)[0])
 
 
 def _rand_complex(rng, shape, scale=1.0):
@@ -115,8 +116,9 @@ def _emit(rep: Report, report_path) -> int:
 
 def _petri_rank_sets(g, seed, attempt):
     """(count, seed) of the anchor and certificate sets of a petri-rank attempt."""
-    rank_seed = _sub_seed(seed, "petri-rank") + attempt
-    return {"petri-rank": (g, rank_seed), "petri-rank-certificate": (3 * g - 3, rank_seed + 7919)}
+    return {"petri-rank": (g, _sub_seed(seed, "petri-rank", attempt)),
+            "petri-rank-certificate": (3 * g - 3,
+                                       _sub_seed(seed, "petri-rank-certificate", attempt))}
 
 
 def _petri_skipped(model):
@@ -127,7 +129,8 @@ def _petri_skipped(model):
         return {"petri-determinants": note, "petri-relations": note}
     if not petri.relation_labels(model.genus):
         note = f"genus {model.genus} has no determinantal labels; skipped"
-        return {"petri-determinants": note, "petri-annihilation": note}
+        return dict.fromkeys(("petri-determinants", "petri-annihilation", "petri-relations"),
+                             note)
     return {}
 
 
@@ -309,10 +312,10 @@ _FAY_RETRY = (theta.ThetaNearZeroError, theta.CoincidentPointsError, curves.Samp
 def _fay_check(model, genus, m, seed, tol):
     def check():
         t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
-        rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
         if genus == 2:
-            worst = _fay_rounds(model, m, seed, rng)
+            worst = _fay_rounds(model, m, seed)
         else:
+            rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
             worst = _fay_genus_one(rng, m, FAY_TRIALS, 0.4, (0.8, 1.8), 0.6)
         return _record("fay-trisecant", "fay-trisecant", worst, t,
                        note=f"genus={genus} m={m} trials={FAY_TRIALS}")
@@ -333,73 +336,54 @@ def _fay_genus_one(rng, m, trials, re_tau, im_tau, scale):
             w = _rand_complex(rng, (1,), scale)
             xs = [_rand_complex(rng, (1,), scale) for _ in range(m)]
             ys = [_rand_complex(rng, (1,), scale) for _ in range(m)]
-            try:
-                worst = max(worst, theta.fay_residual(w, xs, ys, tau, delta))
+            [r] = theta.fay_residual(w[None], np.array([xs]), np.array([ys]), tau, delta)
+            if not isinstance(r, Exception):
+                worst = max(worst, r)
                 break
-            except _FAY_RETRY as exc:
-                last = exc
+            if not isinstance(r, _FAY_RETRY):
+                raise r
+            last = r
         else:
             raise last
     return worst
 
 
-def _fay_rounds(model, m, seed, rng):
-    """Worst trisecant residual of the trials on the curve `model`, run in
-    rounds of one batch, at the first odd characteristic of its genus.
-
-    A round takes every trial still to run: one `sample_sets` call draws
-    their point sets, the first trial at its current attempt and the
-    others at their first; each trial with points then draws its w in
-    trial order, and one `theta` call on the stacked w rows tests them
-    against the floor.  The trials before the first failed set or
-    vanishing theta(w) are mapped with one `abel_map` call, and their
-    residuals come from one batched `fay_residual`.  At the first trial
-    whose set, theta(w) or residual fails, the trials before it are done,
-    the rng is put back to its state right after that trial's w (a failed
-    set draws none), the later w are dropped, and the next round starts
-    at that trial's next attempt.  So every trial gets the points and w
-    it would get if the trials ran one after another.
-    """
+def _fay_rounds(model, m, seed):
+    """Worst trisecant residual of the trials on the curve `model`, at the
+    first odd characteristic of its genus.  Attempt a of trial t draws its
+    points and its w from streams named by seed, t and a; each round runs
+    every pending trial as one batch, and a failed trial retries at its
+    next attempt."""
     pd = jacobian.compute_periods(model)
     g = pd.genus
     delta = theta.ThetaCharacteristic.first_odd(g)
-    firsts = [_sub_seed(seed, f"fay-points-{t}") for t in range(FAY_TRIALS)]
+    pending = dict.fromkeys(range(FAY_TRIALS), 0)  # trial -> attempt
     worst = 0.0
-    trial, attempt = 0, 0
-    while True:
-        sets = curves.sample_sets(model, [(2 * m, firsts[t] + (attempt if t == trial else 0))
-                                          for t in range(trial, FAY_TRIALS)], mode="real")
-        ws, states = [], []
-        for pts in sets:
-            if isinstance(pts, curves.SamplingError):
-                break
-            ws.append(_rand_complex(rng, (g,), 0.4))
-            states.append(rng.bit_generator.state)
-        ok = len(ws)  # the trials that reach their residual
-        if ws:
-            low = np.flatnonzero(theta.theta(np.array(ws), pd.tau).below(theta.THETA_FLOOR))
-            if len(low):
-                ok = int(low[0])
-        res, err = [], None
+    while pending:
+        keys = list(pending.items())
+        out = curves.sample_sets(model, [(2 * m, _sub_seed(seed, "fay-points", t, a))
+                                         for t, a in keys], mode="real")
+        ws = np.array([_rand_complex(np.random.default_rng(_seed_seq(seed, "fay-w", t, a)),
+                                     (g,), 0.4) for t, a in keys])
+        for k in np.flatnonzero(theta.theta(ws, pd.tau).below(theta.THETA_FLOOR)):
+            if not isinstance(out[k], curves.SamplingError):
+                out[k] = theta.ThetaNearZeroError("theta(w) below floor")
+        ok = [k for k, pts in enumerate(out) if not isinstance(pts, Exception)]
         if ok:
-            imgs = jacobian.abel_map(pd, [p for pts in sets[:ok] for p in pts])[0]
-            imgs = imgs.reshape(ok, 2, m, g)
-            res, err = theta.fay_residual(np.array(ws[:ok]), imgs[:, 0], imgs[:, 1],
-                                          pd.tau, delta)
-            worst = max([worst] + res)
-        j = len(res)  # the round's first trial without a residual
-        if j == len(sets):
-            return worst
-        if err is None:
-            err = sets[j] if j == len(ws) else theta.ThetaNearZeroError("theta(w) below floor")
-        elif not isinstance(err, _FAY_RETRY):
-            raise err
-        a = attempt if j == 0 else 0
-        if a + 1 == FAY_ATTEMPTS:
-            raise err
-        if j < len(ws):
-            rng.bit_generator.state = states[j]
-        trial, attempt = trial + j, a + 1
+            imgs = jacobian.abel_map(pd, [p for k in ok for p in out[k]])[0]
+            imgs = imgs.reshape(len(ok), 2, m, g)
+            res = theta.fay_residual(ws[ok], imgs[:, 0], imgs[:, 1], pd.tau, delta)
+            for k, r in zip(ok, res):
+                out[k] = r
+        for (t, a), r in zip(keys, out):
+            if not isinstance(r, Exception):
+                worst = max(worst, r)
+                del pending[t]
+            elif not isinstance(r, _FAY_RETRY) or a + 1 == FAY_ATTEMPTS:
+                raise r
+            else:
+                pending[t] = a + 1
+    return worst
 
 
 # -------------------------------------------------------------- periods

@@ -56,13 +56,6 @@ class PairIndexMap:
             self._slot[(a, b)] = i + 1
             self._slot[(b, a)] = i + 1
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All pairs in slot order, 1-based."""
-        return tuple(
-            (int(a) + 1, int(b) + 1) for a, b in zip(self.first, self.second)
-        )
-
     def slot_of(self, a: int, b: int) -> int:
         """1-based slot of the unordered pair (a, b), members 1-based."""
         try:

@@ -20,9 +20,11 @@ with the Riemann constant in closed form from `jacobian`.  Each hands
 all its rows to one engine call, which splits them into consecutive
 chunks only where MAX_TERMS demands it, and works on the one
 array-valued `ScaledComplex` it returns.  The trisecant residual takes a
-batch of T trials at one tau: T (3m^2 - m + 2) rows, then one stacked
-O(m^3) scaled determinant; a single trial is the batch of one.  The
-cross-ratio check sums, per draw, theta(w) and eight rows per anchor pair.
+batch of T trials at one tau and gives one entry per trial, its residual
+or the error that stopped it: T (3m^2 - m + 2) rows, then one stacked
+O(m^3) scaled determinant over the trials that reach it; a single trial
+is the batch of one.  The cross-ratio check sums, per draw, theta(w) and
+eight rows per anchor pair.
 """
 
 from __future__ import annotations
@@ -541,20 +543,19 @@ def _pairs(n: int):
 
 
 def _separation(points, point: SiegelPoint):
-    """(t, error): the first point set of points (T, n, g) with two points
-    closer than MIN_SEPARATION modulo the lattice, and its
-    CoincidentPointsError; (T, None) when every set is separated."""
+    """One entry per point set of points (T, n, g): the CoincidentPointsError
+    of its first two points closer than MIN_SEPARATION modulo the lattice,
+    or None when the set is separated."""
     n, g = points.shape[1:]
     i, j = _pairs(n)
     r, _, _ = _reduce(point, (points[:, i] - points[:, j]).reshape(-1, g))
     close = np.max(np.abs(r), axis=1).reshape(len(points), -1) < MIN_SEPARATION
-    bad = np.flatnonzero(close.any(axis=1))
-    if not len(bad):
-        return len(points), None
-    t = int(bad[0])
-    k = np.argmax(close[t])
-    return t, CoincidentPointsError(
-        f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian")
+    out = [None] * len(points)
+    for t in np.flatnonzero(close.any(axis=1)):
+        k = np.argmax(close[t])
+        out[t] = CoincidentPointsError(
+            f"points {i[k]} and {j[k]} are within {MIN_SEPARATION} on the Jacobian")
+    return out
 
 
 def scaled_det(entries: ScaledComplex) -> ScaledComplex:
@@ -588,53 +589,39 @@ CROSS_RATIO_ATTEMPTS = 6
 
 
 def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
-    """Relative deviation between the two sides of the trisecant identity.
+    """Relative deviation between the two sides of the trisecant identity,
+    for T trials at one tau.
 
-    Both sides are formed from theta translates and reduced prime forms
-    in scaled arithmetic, as stacked ScaledComplex values; the
+    w has shape (T, g) and xs, ys have shape (T, m, g).  The result has one
+    entry per trial, in trial order: its residual, or the
+    CoincidentPointsError, ThetaNearZeroError or ZeroDivisionError that
+    stopped it.  Both sides are formed from theta translates and reduced
+    prime forms in scaled arithmetic, as stacked ScaledComplex values; the
     half-differential normalizations cancel between the two sides, so the
-    reduced form suffices.
-
-    With w of length g and m points xs and ys, the residual is returned
-    and a failing configuration raises.  With w of shape (T, g) and xs, ys
-    of shape (T, m, g), T trials at one tau run as one batch and the
-    result is (residuals, error): the residuals of the trials before the
-    first failing trial, in trial order, and that trial's
-    CoincidentPointsError, ThetaNearZeroError or ZeroDivisionError, or
-    None when every trial passes.  The batch makes one separation test,
-    one `_theta_arrays` call on the 3m^2 - m + 2 rows of each trial before
-    the first with coincident points, and one stacked determinant.
+    reduced form suffices.  The batch makes one separation test, one
+    `_theta_arrays` call on the 3m^2 - m + 2 rows of each separated trial,
+    and one stacked determinant.
     """
-    one = np.ndim(w) != 2
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
-    if one:
-        w, xs, ys = [w], xs[None], ys[None]
     m = xs.shape[1]
     if m < 2 or ys.shape[1] != m:
         raise ValueError("need m >= 2 points on each side")
     if not delta.is_odd:
         raise ValueError("the prime-form characteristic must be odd")
     point = _siegel(tau)
-    g = point.g
-    w = np.asarray(w, dtype=complex).reshape(-1, g)
-    xs = xs.reshape(len(w), m, g)
-    ys = ys.reshape(len(w), m, g)
-    usable, error = _separation(np.concatenate([xs, ys], axis=1), point)
-    out = []
-    if usable:
-        out, err = _fay_trials(point, w[:usable], xs[:usable], ys[:usable], delta)
-        error = error if err is None else err
-    if not one:
-        return out, error
-    if error is not None:
-        raise error
-    return out[0]
+    w = np.asarray(w, dtype=complex)
+    out = _separation(np.concatenate([xs, ys], axis=1), point)
+    ok = [t for t, err in enumerate(out) if err is None]
+    if ok:
+        for t, r in zip(ok, _fay_trials(point, w[ok], xs[ok], ys[ok], delta)):
+            out[t] = r
+    return out
 
 
 def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
-    """(residuals, error) of fay_residual for trials at separated points,
-    from one lattice sum."""
+    """fay_residual's entries for trials at separated points, from one
+    lattice sum."""
     trials, m, g = xs.shape
     # Per trial, 3m^2 - m + 2 rows: theta(w), the shifted
     # theta(w + sum x - sum y) and the m^2 matrix numerators
@@ -649,19 +636,16 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
         (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
     even = trials * (k + 2)
     even, odd = vals[:even].reshape(trials, k + 2), vals[even:].reshape(trials, -1)
+    # a trial with theta(w) below the floor, or an exactly zero prime form,
+    # which the stacked division would refuse for every trial, is left out
     low = even.below(THETA_FLOOR)[:, 0]
-    bad = np.flatnonzero(low | np.any(odd.mantissa[:, :k] == 0, axis=1))
-    done, error = (bad[0] if len(bad) else trials), None
-    if len(bad) and low[done]:
-        error = ThetaNearZeroError("theta(w) is below the nonvanishing floor")
-    elif len(bad):  # an exactly zero prime form, which the division refuses
-        try:
-            even[done, 2:] / odd[done, :k]
-        except ZeroDivisionError as exc:
-            error = exc
-    # only the trials before the first failing one go on
-    tw, sh, num = even[:done, :1], even[:done, 1:2], even[:done, 2:]
-    exy, pairs = odd[:done, :k], odd[:done, k:]
+    zero = np.any(odd.mantissa[:, :k] == 0, axis=1)
+    out = [ThetaNearZeroError("theta(w) is below the nonvanishing floor") if lo
+           else ZeroDivisionError("a prime form E(x_i, y_j) is exactly zero") if z
+           else None for lo, z in zip(low, zero)]
+    good = np.flatnonzero(~(low | zero))
+    tw, sh, num = even[good, :1], even[good, 1:2], even[good, 2:]
+    exy, pairs = odd[good, :k], odd[good, k:]
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
@@ -671,7 +655,9 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     rhs = scaled_det((num / (tw * exy)).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
-    return scaled_rel_diff(lhs, rhs).tolist(), error
+    for t, r in zip(good, scaled_rel_diff(lhs, rhs).tolist()):
+        out[t] = r
+    return out
 
 
 @dataclass

@@ -80,7 +80,7 @@ def weighted_minor_g2(t2, pm, rows, cols):
     p, q, r = t2[0, 0], t2[0, 1], t2[1, 1]
     det_t2 = p * r - q * q
     b = np.array([[r, -q], [-q, p]]) / det_t2
-    pairs = [(int(x) - 1, int(y) - 1) for x, y in pm.pairs]
+    pairs = list(zip(pm.first.tolist(), pm.second.tolist()))
     size = len(rows)
     total = 0.0
     for perm in itertools.permutations(range(size)):
@@ -498,13 +498,26 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     return th.scaled_rel_diff(lhs, rhs)
 
 
-def fay_check_sequential(model, m, seed, rng):
+def fay_single(w, xs, ys, tau, delta):
+    """The residual of one trisecant trial, as `fay_residual` gives it for a
+    batch of one; raises the error that stopped the trial."""
+    from holodiff import theta as th
+
+    [r] = th.fay_residual(np.asarray(w, dtype=complex)[None], np.asarray(xs, dtype=complex)[None],
+                          np.asarray(ys, dtype=complex)[None], tau, delta)
+    if isinstance(r, Exception):
+        raise r
+    return r
+
+
+def fay_check_sequential(model, m, seed):
     """Worst residual of the CLI trisecant check on a curve, one trial at a time.
 
-    Takes the arguments of `cli._fay_rounds` and runs the loop it
-    replaced: per trial and attempt, seeded points, a w from the shared
-    rng, a theta(w) floor test, the attempt's own `abel_map` call and a
-    single-trial `fay_residual`, retrying as the CLI does.
+    Takes the arguments of `cli._fay_rounds` and runs each trial's attempts
+    alone, in trial order: the attempt's points and w from the streams
+    named by seed, trial and attempt, a theta(w) floor test, the attempt's
+    own `abel_map` call and a `fay_residual` batch of one, retrying as the
+    CLI does.
     """
     from holodiff import cli, curves, jacobian
     from holodiff import theta as th
@@ -514,17 +527,17 @@ def fay_check_sequential(model, m, seed, rng):
     worst = 0.0
     for trial in range(cli.FAY_TRIALS):
         last = None
-        for attempt in range(8):
+        for attempt in range(cli.FAY_ATTEMPTS):
             try:
-                s = cli._sub_seed(seed, f"fay-points-{trial}") + attempt
+                s = cli._sub_seed(seed, "fay-points", trial, attempt)
                 pts = curves.sample_points(model, 2 * m, s, mode="real")
+                rng = np.random.default_rng(cli._seed_seq(seed, "fay-w", trial, attempt))
                 w = cli._rand_complex(rng, (pd.genus,), 0.4)
                 tw = th.theta(w, pd.tau)
                 if abs(tw.mantissa) < th.THETA_FLOOR * tw.peak:
                     raise th.ThetaNearZeroError("theta(w) below floor")
                 imgs, _ = jacobian.abel_map(pd, pts)
-                r = th.fay_residual(w, imgs[:m], imgs[m:], pd.tau, delta)
-                worst = max(worst, r)
+                worst = max(worst, fay_single(w, imgs[:m], imgs[m:], pd.tau, delta))
                 break
             except (th.ThetaNearZeroError, th.CoincidentPointsError,
                     curves.SamplingError) as exc:

@@ -18,7 +18,13 @@ from holodiff.cli import main as cli_main
 from holodiff.curves import CurvePoint, sample_points
 from holodiff.pairindex import build_pair_index, pair_vector, sym_square
 
-from oracles import lattice_distance, odd_characteristics, petri_basis, weighted_minor_g2
+from oracles import (
+    fay_single,
+    lattice_distance,
+    odd_characteristics,
+    petri_basis,
+    weighted_minor_g2,
+)
 
 SEED = 20260818
 
@@ -241,7 +247,7 @@ def test_criterion_08_trisecant_identity(pd_g2, capsys):
             ys = [0.4 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
                   for _ in range(m)]
             try:
-                worst_g1 = max(worst_g1, th.fay_residual(w, xs, ys, tau, delta1))
+                worst_g1 = max(worst_g1, fay_single(w, xs, ys, tau, delta1))
             except (th.ThetaNearZeroError, th.CoincidentPointsError):
                 continue
             done += 1
@@ -255,7 +261,7 @@ def test_criterion_08_trisecant_identity(pd_g2, capsys):
             imgs, _ = jac.abel_map(pd_g2, pts)
             w = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             try:
-                r = th.fay_residual(w, imgs[:2], imgs[2:], pd_g2.tau, delta)
+                r = fay_single(w, imgs[:2], imgs[2:], pd_g2.tau, delta)
             except (th.ThetaNearZeroError, th.CoincidentPointsError):
                 continue
             worst_g2 = max(worst_g2, r)

@@ -206,10 +206,9 @@ def test_petri_products_are_pair_products(quintic):
     pts = curves.sample_points(quintic, 4, 34)
     omega_pts = pb.omega.evaluate(pts)
     prods = pb.products(omega_pts)
-    sig = pb.sigma.evaluate(pts)
-    for slot in range(pb.pm.m):
-        a, b = pb.pm.pairs[slot]
-        assert np.allclose(prods[slot], sig[a - 1] * sig[b - 1], rtol=1e-12)
+    sig = pb.phi_inv @ omega_pts  # the cardinal basis sigma = phi^-1 omega
+    for slot, (a, b) in enumerate(zip(pb.pm.first, pb.pm.second)):
+        assert np.allclose(prods[slot], sig[a] * sig[b], rtol=1e-12)
     # the v family is the leading slice of the product family
     vmat = pb.v_matrix(omega_pts)
     assert np.allclose(vmat, prods[: pb.v_dim], rtol=1e-12)

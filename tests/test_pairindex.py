@@ -17,22 +17,26 @@ def _rand_c(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _pairs(pm):
+    """Every pair in slot order, 1-based."""
+    return list(zip((pm.first + 1).tolist(), (pm.second + 1).tolist()))
+
+
 def test_slot_order_g4():
     pm = build_pair_index(4)
     assert pm.m == 10
-    assert pm.pairs == (
+    assert _pairs(pm) == [
         (1, 1), (2, 2), (3, 3), (4, 4),
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-    )
+    ]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_slot_count_and_inverse_maps(g):
     pm = build_pair_index(g)
     assert pm.m == g * (g + 1) // 2
-    assert len(pm.pairs) == pm.m
-    for slot in range(1, pm.m + 1):
-        a, b = pm.pairs[slot - 1]
+    assert len(_pairs(pm)) == pm.m
+    for slot, (a, b) in enumerate(_pairs(pm), start=1):
         assert 1 <= a <= b <= g
         assert pm.slot_of(a, b) == slot
         assert pm.slot_of(b, a) == slot
@@ -46,14 +50,12 @@ def test_explicit_slot_formula_matches_enumeration(g):
     pm = build_pair_index(g)
     layout = product_layout(g)
     assert len(layout) == pm.m
-    for slot, pair in enumerate(layout, start=1):
-        assert pm.pairs[slot - 1] == pair
+    assert _pairs(pm) == layout
 
 
 def test_weights_are_two_minus_delta():
     pm = build_pair_index(5)
-    for i in range(pm.m):
-        a, b = pm.pairs[i]
+    for i, (a, b) in enumerate(_pairs(pm)):
         assert pm.weight[i] == (1.0 if a == b else 2.0)
 
 
@@ -106,8 +108,7 @@ def test_pair_vector_entries():
     pm = build_pair_index(3)
     u = np.array([2.0, 3.0, 5.0])
     pv = pair_vector(u, pm)
-    for i in range(pm.m):
-        a, b = pm.pairs[i]
+    for i, (a, b) in enumerate(_pairs(pm)):
         assert pv[i] == u[a - 1] * u[b - 1]
 
 

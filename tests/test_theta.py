@@ -16,6 +16,7 @@ from holodiff.siegel import SiegelPoint, random_siegel_point
 
 from oracles import (
     fay_residual_objects,
+    fay_single,
     lattice_distance,
     lattice_theta,
     leibniz_det,
@@ -267,7 +268,7 @@ def test_entry_points_reject_non_symmetric_tau():
     with pytest.raises(ValueError, match="symmetric"):
         th.theta(np.zeros((1, 2)), tau)
     with pytest.raises(ValueError, match="symmetric"):
-        th.fay_residual(np.array([0.1j, 0.2]), pts, pts[::-1], tau, delta)
+        fay_single(np.array([0.1j, 0.2]), pts, pts[::-1], tau, delta)
 
 
 def test_theta_at_point_matches_theta_at_matrix(rng):
@@ -471,7 +472,7 @@ def test_fay_trisecant_genus_one(m):
         ys = [0.3 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
               for _ in range(m)]
         try:
-            worst = max(worst, th.fay_residual(w, xs, ys, tau, delta))
+            worst = max(worst, fay_single(w, xs, ys, tau, delta))
         except th.ThetaNearZeroError:
             continue
     assert worst <= 1e-10
@@ -499,7 +500,7 @@ def test_fay_residual_matches_object_form(m, pd_g2):
                 want = fay_residual_objects(*args)
             except (th.ThetaNearZeroError, th.CoincidentPointsError):
                 continue
-            assert abs(th.fay_residual(*args) - want) <= 1e-12
+            assert abs(fay_single(*args) - want) <= 1e-12
             compared += 1
     assert compared >= 8
 
@@ -518,7 +519,7 @@ def test_fay_residual_sums_one_lattice(pd_g2, monkeypatch):
         return kernel(point, tau, zs, log_fac)
 
     monkeypatch.setattr(th, "_theta_arrays", counted)
-    got = th.fay_residual(*args)
+    got = fay_single(*args)
     assert rows == [3 * m * m - m + 2]
     assert abs(got - want) <= 1e-12
 
@@ -546,37 +547,54 @@ def _counted_kernel(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_fay_batch_matches_single_trials(m, pd_g2, monkeypatch):
     w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 300 + m)
-    want = [th.fay_residual(w[t], xs[t], ys[t], tau, delta) for t in range(3)]
+    want = [fay_single(w[t], xs[t], ys[t], tau, delta) for t in range(3)]
     rows = _counted_kernel(monkeypatch)
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    assert err is None and rows == [3 * (3 * m * m - m + 2)]
+    got = th.fay_residual(w, xs, ys, tau, delta)
+    assert rows == [3 * (3 * m * m - m + 2)]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
-def test_fay_batch_stops_at_the_first_failing_trial(pd_g2, monkeypatch):
+def _single_entries(w, xs, ys, tau, delta):
+    """fay_residual's entry of each trial run as a batch of one."""
+    return [th.fay_residual(w[t:t + 1], xs[t:t + 1], ys[t:t + 1], tau, delta)[0]
+            for t in range(len(w))]
+
+
+def _assert_entries(got, want):
+    """Equal errors by class and message, equal residuals to 1e-12."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Exception):
+            assert (type(a), str(a)) == (type(b), str(b))
+        else:
+            assert abs(a - b) <= 1e-12
+
+
+def test_fay_batch_failing_trials_leave_the_others(pd_g2, monkeypatch):
     m = 3
     w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 310, trials=4)
     xs[2, 1] = xs[2, 0]
-    first = th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+    want = _single_entries(w, xs, ys, tau, delta)
     rows = _counted_kernel(monkeypatch)
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    # trial 2's points coincide: trials 0 and 1 are summed, 2 and 3 are not
-    assert isinstance(err, th.CoincidentPointsError) and "points 0 and 1" in str(err)
-    assert len(got) == 2 and abs(got[0] - first) <= 1e-12
-    assert rows == [2 * (3 * m * m - m + 2)]
-    # theta(w) vanishing at trial 1 is reported after trial 0's residual
+    got = th.fay_residual(w, xs, ys, tau, delta)
+    # trial 2's points coincide: the other three are summed, and trial 3
+    # after it keeps its batch-of-one residual
+    assert isinstance(got[2], th.CoincidentPointsError) and "points 0 and 1" in str(got[2])
+    assert all(isinstance(got[t], float) for t in (0, 1, 3))
+    assert rows == [3 * (3 * m * m - m + 2)]
+    _assert_entries(got, want)
+    # theta(w) vanishing at trial 1 leaves trials 0 and 3 their residuals
     w[1] = pd_g2.tau.z @ [0.5, 0.0] + [0.5, 0.0]  # an odd half-period: theta = 0
-    rows.clear()
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    assert isinstance(err, th.ThetaNearZeroError) and len(got) == 1
-    with pytest.raises(th.ThetaNearZeroError, match="floor"):
-        th.fay_residual(w[1], xs[1], ys[1], tau, delta)
+    got = th.fay_residual(w, xs, ys, tau, delta)
+    assert isinstance(got[1], th.ThetaNearZeroError) and "floor" in str(got[1])
+    assert all(isinstance(got[t], float) for t in (0, 3))
+    _assert_entries(got, _single_entries(w, xs, ys, tau, delta))
 
 
-def test_fay_batch_stops_at_an_exactly_zero_prime_form(pd_g2, monkeypatch):
+def test_fay_batch_reports_an_exactly_zero_prime_form(pd_g2, monkeypatch):
     m = 3
     w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 330)
-    first = th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+    want = _single_entries(w, xs, ys, tau, delta)
     kernel = th._theta_arrays
     # the even rows of the three trials come first, then each trial's
     # m^2 + m(m - 1) odd ones: zero trial 1's E(x_0, y_1)
@@ -589,16 +607,16 @@ def test_fay_batch_stops_at_an_exactly_zero_prime_form(pd_g2, monkeypatch):
         return th.ScaledComplex(mant, vals.log_scale, vals.err, vals.peak)
 
     monkeypatch.setattr(th, "_theta_arrays", zeroed)
-    got, err = th.fay_residual(w, xs, ys, tau, delta)
-    assert isinstance(err, ZeroDivisionError) and "exactly zero" in str(err)
-    assert len(got) == 1 and abs(got[0] - first) <= 1e-12
+    got = th.fay_residual(w, xs, ys, tau, delta)
+    assert isinstance(got[1], ZeroDivisionError) and "exactly zero" in str(got[1])
+    _assert_entries(got[::2], want[::2])
 
 
 def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
     m = 3
     rows_per_trial = 3 * m * m - m + 2
     w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 320)
-    whole, _ = th.fay_residual(w, xs, ys, tau, delta)
+    whole = th.fay_residual(w, xs, ys, tau, delta)
     cell, least = _box_points(tau)
     rows = _counted_kernel(monkeypatch)
     # room for one trial's rows, then for one row: one call on the three
@@ -606,29 +624,29 @@ def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
     for budget in (rows_per_trial * cell, cell):
         monkeypatch.setattr(th, "MAX_TERMS", budget)
         rows.clear()
-        got, err = th.fay_residual(w, xs, ys, tau, delta)
-        assert err is None and rows[0] == 3 * rows_per_trial
+        got = th.fay_residual(w, xs, ys, tau, delta)
+        assert rows[0] == 3 * rows_per_trial
         assert len(rows) > 2 and sum(rows[1:]) == rows[0]
         assert np.max(np.abs(np.subtract(got, whole))) <= 1e-12
-    # below one row's box the batch and the single trial are refused alike
+    # below one row's box the batch and the batch of one are refused alike
     monkeypatch.setattr(th, "MAX_TERMS", least - 1)
     with pytest.raises(th.TruncationError, match="budget"):
         th.fay_residual(w, xs, ys, tau, delta)
     with pytest.raises(th.TruncationError, match="budget"):
-        th.fay_residual(w[0], xs[0], ys[0], tau, delta)
+        th.fay_residual(w[:1], xs[:1], ys[:1], tau, delta)
 
 
 def test_fay_residual_validation():
     delta = th.ThetaCharacteristic.first_odd(1)
     tau = np.array([[1j]])
-    w = np.array([0.1 + 0.1j])
-    pts = [np.array([0.2]), np.array([0.4 + 0.1j])]
+    w = np.array([[0.1 + 0.1j]])
+    pts = np.array([[[0.2], [0.4 + 0.1j]]])
     with pytest.raises(ValueError, match="m >= 2"):
-        th.fay_residual(w, pts[:1], pts[:1], tau, delta)
+        th.fay_residual(w, pts[:, :1], pts[:, :1], tau, delta)
     with pytest.raises(ValueError, match="odd"):
-        th.fay_residual(w, pts, pts[::-1], tau, th.ThetaCharacteristic.zero(1))
-    with pytest.raises(th.CoincidentPointsError, match="Jacobian"):
-        th.fay_residual(w, [pts[0], pts[0]], pts, tau, delta)
+        th.fay_residual(w, pts, pts[:, ::-1], tau, th.ThetaCharacteristic.zero(1))
+    [err] = th.fay_residual(w, pts[:, [0, 0]], pts, tau, delta)
+    assert isinstance(err, th.CoincidentPointsError) and "Jacobian" in str(err)
 
 
 def test_fay_rejects_vanishing_theta_shift():
@@ -639,7 +657,7 @@ def test_fay_rejects_vanishing_theta_shift():
     xs = [np.array([0.21]), np.array([0.55 + 0.2j])]
     ys = [np.array([0.1 - 0.1j]), np.array([0.37])]
     with pytest.raises(th.ThetaNearZeroError, match="floor"):
-        th.fay_residual(w, xs, ys, tau, delta)
+        fay_single(w, xs, ys, tau, delta)
 
 
 def test_riemann_constants_genus_one(pd_g1):

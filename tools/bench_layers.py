@@ -10,8 +10,8 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   random tau built once as a ``SiegelPoint`` (a genus the checkout
   refuses with ``TruncationError`` has no key), and at the period matrix
   of the bundled ``hyperelliptic_g4.json`` (key ``g4_hyperelliptic``);
-- ``fay_residual`` by number of point pairs m, on the bundled genus-2
-  curve, at seeded curve points mapped by ``abel_map``;
+- ``fay_residual`` by number of point pairs m, on a batch of one trial on
+  the bundled genus-2 curve, at seeded curve points mapped by ``abel_map``;
 - ``abel_map`` by number of seeded real points on that curve, as one call;
 - ``compute_periods`` by genus: the bundled lemniscatic curve (g = 1), the
   bundled genus-2 curve and a genus-3 curve with real branch points;
@@ -143,10 +143,8 @@ def bench_fay(holodiff, np) -> dict:
             pts = curves.sample_points(pd.curve, 2 * m, SEED + 1000 * m + attempt, mode="real")
             imgs = jacobian.abel_map(pd, pts)[0]
             w = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            args = (w, imgs[:m], imgs[m:], pd.tau, delta)
-            try:
-                theta.fay_residual(*args)
-            except (theta.ThetaNearZeroError, theta.CoincidentPointsError):
+            args = (w[None], imgs[None, :m], imgs[None, m:], pd.tau, delta)
+            if isinstance(theta.fay_residual(*args)[0], Exception):
                 continue
             out[str(m)] = _min_ms(lambda: theta.fay_residual(*args))
             break
