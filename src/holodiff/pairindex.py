@@ -65,9 +65,16 @@ class PairIndexMap:
 
     @cached_property
     def square_grids(self) -> tuple:
-        """The np.ix_ grids (ff, ss, fs, sf) that `sym_square` reads through."""
+        """The read-only (M, M) flat indices (ff, ss, fs, sf) that `sym_square`
+        gathers through, built on first use: ff[i, j] = first[i] * g + first[j]
+        is where A[first[i], first[j]] sits in the row-major ``A.ravel()``,
+        and ss, fs, sf likewise pair second/second, first/second, second/first."""
         f, s = self.first, self.second
-        return np.ix_(f, f), np.ix_(s, s), np.ix_(f, s), np.ix_(s, f)
+        grids = tuple(self.g * rows[:, None] + cols
+                      for rows, cols in ((f, f), (s, s), (f, s), (s, f)))
+        for grid in grids:
+            grid.flags.writeable = False
+        return grids
 
     @cached_property
     def square_divisor(self) -> np.ndarray:
@@ -107,9 +114,14 @@ def sym_square(a, pm: PairIndexMap) -> np.ndarray:
     where (1i, 2i) is the pair at slot i and delta_j flags a diagonal
     column slot.  With this normalization the map is functorial and acts
     on pair_vector flattenings the way the matrix acts on vectors.
+
+    The factors are gathered from the row-major ``A.ravel()`` through
+    `PairIndexMap.square_grids`: the same products and sums in the same
+    order as indexing A itself, so the same bits.
     """
     a = np.asarray(a)
     if a.shape != (pm.g, pm.g):
         raise ValueError(f"expected {pm.g} x {pm.g} matrix, got shape {a.shape}")
+    r = a.ravel()
     ff, ss, fs, sf = pm.square_grids
-    return (a[ff] * a[ss] + a[fs] * a[sf]) / pm.square_divisor
+    return (r[ff] * r[ss] + r[fs] * r[sf]) / pm.square_divisor

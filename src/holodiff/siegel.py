@@ -46,11 +46,14 @@ class SiegelPoint:
 
     def __init__(self, z):
         z = np.asarray(z, dtype=complex)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
+        if z.ndim != 2 or z.shape[0] != z.shape[1] or z.size == 0:
+            raise ValueError(f"need a non-empty square matrix, got shape {z.shape}")
+        # the largest modulus is NaN or infinite exactly when some entry is
+        # (or when a modulus overflows), and is the symmetry test's scale
+        peak = float(np.max(np.abs(z)))
+        if not np.isfinite(peak):
             raise ValueError("matrix has a non-finite entry")
-        scale = max(float(np.max(np.abs(z))), 1e-300)
+        scale = max(peak, 1e-300)
         dev = float(np.max(np.abs(z - z.T)))
         if dev > SYMMETRY_RTOL * scale:
             raise ValueError(f"matrix is not symmetric: deviation {dev:.3e} vs scale {scale:.3e}")
@@ -121,17 +124,15 @@ class SymplecticElement:
             if blk.shape != (g, g):
                 raise ValueError("all four blocks must be square of equal size")
         self.g = g
-        m = self.matrix()
-        j = self._form(g)
-        if not np.array_equal(m.T @ j @ m, j):
+        # M^T J M = J block by block: A^T C and B^T D symmetric and
+        # A^T D - C^T B = I (the lower-left block is minus the transpose of
+        # that one).  int64 products wrap, so this decides it in Z/2^64.
+        ac = self.a.T @ self.c
+        bd = self.b.T @ self.d
+        if not (np.array_equal(ac, ac.T) and np.array_equal(bd, bd.T)
+                and np.array_equal(self.a.T @ self.d - self.c.T @ self.b,
+                                   np.eye(g, dtype=np.int64))):
             raise ValueError("blocks do not satisfy the symplectic form condition")
-
-    @staticmethod
-    def _form(g: int) -> np.ndarray:
-        j = np.zeros((2 * g, 2 * g), dtype=np.int64)
-        j[:g, g:] = np.eye(g, dtype=np.int64)
-        j[g:, :g] = -np.eye(g, dtype=np.int64)
-        return j
 
     def matrix(self) -> np.ndarray:
         g = self.g

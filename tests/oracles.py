@@ -1,7 +1,8 @@
 """Brute-force reference computations shared by the test modules.
 
 Everything here is deliberately naive: explicit loops, permutation sums,
-closed-form pair-slot offsets, hand-written 2x2 inverses, term-by-term
+closed-form pair-slot offsets, the symplectic test on the whole 2g x 2g
+matrix, hand-written 2x2 inverses, term-by-term
 lattice sums, a written-out lattice distance, a parity test of every
 characteristic, a search over all half-periods for the Riemann constant,
 one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
@@ -567,6 +568,23 @@ def random_symplectic_word(g, rng):
                       else SymplecticElement.lower_shear(s))
         elem = elem @ factor
     return elem
+
+
+def symplectic_form(g):
+    """The standard symplectic form J = [[0, I], [-I, 0]] of size 2g, int64."""
+    j = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    j[:g, g:] = np.eye(g, dtype=np.int64)
+    j[g:, :g] = -np.eye(g, dtype=np.int64)
+    return j
+
+
+def is_symplectic_by_form(a, b, c, d):
+    """M^T J M == J on the assembled 2g x 2g int64 matrix M = [[A, B], [C, D]],
+    with wrapping int64 products: the reference for the block-by-block test
+    of `SymplecticElement`."""
+    m = np.block([[a, b], [c, d]]).astype(np.int64)
+    j = symplectic_form(m.shape[0] // 2)
+    return np.array_equal(m.T @ j @ m, j)
 
 
 def pivot_rows_by_deletion(a):

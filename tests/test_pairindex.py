@@ -81,6 +81,31 @@ def test_sym_square_matches_explicit_index_formula(g, rng):
         assert np.array_equal(sym_square(a, pm), num / divisor)
 
 
+def _ix_square(a, pm):
+    """sym_square read through np.ix_ grids on A itself."""
+    f, s = pm.first, pm.second
+    num = a[np.ix_(f, f)] * a[np.ix_(s, s)] + a[np.ix_(f, s)] * a[np.ix_(s, f)]
+    return num / (1.0 + pm.diagonal.astype(float))[None, :]
+
+
+@pytest.mark.parametrize("g", [2, 3, 8])
+def test_sym_square_of_a_non_contiguous_matrix(g, rng):
+    # ravel copies these in row-major order, so the flat gather reads the
+    # same entries as indexing their contiguous copy
+    pm = build_pair_index(g)
+    for base in (rng.standard_normal((2 * g, 2 * g)), _rand_c(rng, (2 * g, 2 * g))):
+        square = base[:g, :g]
+        for a in (square.T, base[::2, 1::2], np.asfortranarray(square)):
+            assert not a.flags.c_contiguous
+            assert np.array_equal(sym_square(a, pm), _ix_square(np.ascontiguousarray(a), pm))
+
+
+def test_sym_square_of_a_nested_list():
+    pm = build_pair_index(2)
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    assert np.array_equal(sym_square(rows, pm), _ix_square(np.array(rows), pm))
+
+
 def test_sym_square_grids_are_built_on_first_use():
     pm = PairIndexMap(3)  # build_pair_index shares one map, which earlier tests used
     assert "square_grids" not in vars(pm) and "square_divisor" not in vars(pm)
@@ -136,6 +161,7 @@ def test_shape_validation():
 def test_pair_index_is_shared_and_read_only():
     pm = build_pair_index(5)
     assert build_pair_index(5) is pm
-    for arr in (pm.first, pm.second, pm.diagonal, pm.weight, pm.square_divisor):
+    for arr in (pm.first, pm.second, pm.diagonal, pm.weight, pm.square_divisor,
+                *pm.square_grids):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

@@ -10,7 +10,8 @@ from holodiff.bases import holomorphic_basis
 from holodiff.curves import sample_points
 from holodiff.pairindex import build_pair_index, pair_vector, sym_square
 
-from oracles import random_symplectic_word, weighted_minor_g2
+from oracles import (is_symplectic_by_form, random_symplectic_word, symplectic_form,
+                     weighted_minor_g2)
 
 
 def _rand_pd(rng, g):
@@ -38,13 +39,21 @@ def test_siegel_point_validation(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
-                                 complex(np.nan, 1.0)])
+                                 complex(np.nan, 1.0), complex(1.5e308, 1.5e308)])
 def test_non_finite_entries_are_refused_first(bad):
-    # refused before the symmetry test, whose subtraction would warn on inf
+    # refused before the symmetry test, whose subtraction would warn on inf;
+    # a finite entry whose modulus overflows a double counts as non-finite
     z = np.eye(2) * 1j
     z[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         siegel.SiegelPoint(z)
+
+
+def test_empty_matrix_is_refused_with_its_shape(rng):
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        siegel.SiegelPoint(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        siegel.random_siegel_point(0, rng)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -78,7 +87,7 @@ def test_random_siegel_point_is_admissible(g, rng):
 
 def test_symplectic_constructors():
     for g in (1, 2, 3):
-        j = siegel.SymplecticElement._form(g)
+        j = symplectic_form(g)
         for elem in (
             siegel.SymplecticElement.identity(g),
             siegel.SymplecticElement.inversion(g),
@@ -131,9 +140,58 @@ def test_random_symplectic_is_exactly_symplectic(g, seed):
     rng = np.random.default_rng(seed)
     elem = siegel.random_symplectic(g, rng)
     m = elem.matrix()
-    j = siegel.SymplecticElement._form(g)
+    j = symplectic_form(g)
     assert m.dtype == np.int64
     assert np.array_equal(m.T @ j @ m, j)
+
+
+def _bumped(blocks, which, i, j, delta):
+    """The four blocks with entry (i, j) of block `which` moved by delta,
+    wrapping in int64."""
+    bump = np.zeros_like(blocks[which])
+    bump[i, j] = delta
+    return [blk + bump if k == which else blk for k, blk in enumerate(blocks)]
+
+
+def _agrees_with_the_whole_form(blocks):
+    if is_symplectic_by_form(*blocks):
+        siegel.SymplecticElement(*blocks)
+    else:
+        with pytest.raises(ValueError, match="symplectic form"):
+            siegel.SymplecticElement(*blocks)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(g=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), which=st.integers(0, 3),
+       delta=st.sampled_from([-1, 1]), data=st.data())
+def test_blockwise_symplectic_test_matches_the_whole_form(g, seed, which, delta, data):
+    # every word is accepted; one entry moved by +-1 is refused exactly
+    # when M^T J M = J on the whole matrix refuses it
+    elem = siegel.random_symplectic(g, np.random.default_rng(seed))
+    blocks = [elem.a, elem.b, elem.c, elem.d]
+    assert is_symplectic_by_form(*blocks)
+    i, j = data.draw(st.integers(0, g - 1)), data.draw(st.integers(0, g - 1))
+    _agrees_with_the_whole_form(_bumped(blocks, which, i, j, delta))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(g=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), which=st.integers(0, 3),
+       delta=st.sampled_from([-1, 0, 1]))
+def test_blockwise_symplectic_test_on_wrapping_products(g, seed, which, delta):
+    # [[I, S], [0, I]] [[I, 0], [T, I]] = [[I + ST, S], [T, I]] with entries
+    # near 2^62: I + ST wraps, and so do the products of either test, which
+    # both decide M^T J M = J in Z/2^64
+    rng = np.random.default_rng(seed)
+    raw_s, raw_t = (rng.integers(2**40, 2**61, size=(2, g, g))
+                    * rng.choice([-1, 1], size=(2, g, g)))
+    s, t = raw_s + raw_s.T, raw_t + raw_t.T
+    eye = np.eye(g, dtype=np.int64)
+    blocks = [eye + s @ t, s, t, eye]
+    exact = np.eye(g, dtype=object) + s.astype(object) @ t.astype(object)
+    assert not np.array_equal(blocks[0].astype(object), exact)
+    assert is_symplectic_by_form(*blocks)
+    i, j = rng.integers(g, size=2)
+    _agrees_with_the_whole_form(_bumped(blocks, which, i, j, delta))
 
 
 def test_modular_transform_cocycle(rng):

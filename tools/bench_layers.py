@@ -39,7 +39,12 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   evaluates them: one ``evaluate_sets`` pass (key ``quintic_sets``);
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, on the holomorphic basis's values at seeded base and
-  probe points.
+  probe points;
+- the pair-index Siegel layer: ``sym_square`` of a seeded real and a
+  seeded complex g x g matrix at g = 3 and 8 (keys ``sym_square_g3_real``
+  ...), the ``SiegelPoint`` checks on a seeded genus-8 matrix (key
+  ``siegel_point_g8``) and one ``random_symplectic`` word at genus 8 from
+  a fresh seeded Generator (key ``random_symplectic_g8``).
 
 Each timed call is bracketed by two readings of the benchmark's
 reference work (``perfbench/speed.py``) and scaled to the speed at which
@@ -87,6 +92,7 @@ G5_BRANCH_POINTS = (-2.6, -2.05, -1.5, -0.95, -0.4, 0.15, 0.7, 1.25, 1.8, 2.35, 
 PLANE_SAMPLES = (6, 16, 20)
 HYPERELLIPTIC_SAMPLES = 12
 EVALUATE_POINTS = (16, 89)
+SYM_SQUARE_GENERA = (3, 8)
 REPEATS = 15
 SEED = 11
 
@@ -267,6 +273,23 @@ def bench_label_relations(holodiff) -> dict:
     return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 
+def bench_pair_index(siegel, np) -> dict:
+    from holodiff.pairindex import build_pair_index, sym_square
+
+    out = {}
+    for g in SYM_SQUARE_GENERA:
+        pm = build_pair_index(g)
+        rng = np.random.default_rng([SEED, g])
+        real = rng.standard_normal((g, g))
+        for kind, a in (("real", real), ("complex", real + 1j * rng.standard_normal((g, g)))):
+            out[f"sym_square_g{g}_{kind}"] = _min_ms(lambda: sym_square(a, pm))
+    z = siegel.random_siegel_point(8, np.random.default_rng([SEED, 8])).z
+    out["siegel_point_g8"] = _min_ms(lambda: siegel.SiegelPoint(z))
+    out["random_symplectic_g8"] = _min_ms(
+        lambda: siegel.random_symplectic(8, np.random.default_rng(SEED)))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
@@ -295,6 +318,7 @@ def main(argv=None) -> int:
         "pick_roots_ms_per_call": bench_pick_roots(holodiff),
         "evaluate_ms_per_call": bench_evaluate(holodiff),
         "label_relations_ms_per_call": bench_label_relations(holodiff),
+        "pair_index_ms_per_call": bench_pair_index(siegel, np),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
