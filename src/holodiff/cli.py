@@ -33,13 +33,22 @@ FAY_ATTEMPTS = 8  # draws per trial before the check gives up
 # consecutive chunks that fit.  The elimination is negligible beside the sum.
 FAY_MAX_PAIRS = 48
 
-# the --tol names each subcommand reads
-TOLERANCE_NAMES = {
-    "verify-petri": ("det", "annihilation"),
-    "verify-siegel": ("functoriality", "det-power", "trace", "invariance", "density"),
-    "verify-fay": ("fay",),
-    "periods": ("symmetry",),
-    "selftest": ("functoriality", "solve", "theta", "det", "fay", "lemniscatic"),
+# The --tol names each subcommand reads, each with its default; verify-fay's
+# "fay" default is given per --genus.  A name that two subcommands share is
+# the same bound on the same residual, so selftest takes its value from the
+# subcommand that owns the check.
+_PETRI_TOLS = {"det": 1e-8, "annihilation": 1e-8}
+_SIEGEL_TOLS = {"functoriality": 1e-10, "det-power": 1e-10, "trace": 1e-12,
+                "invariance": 1e-10, "density": 1e-10}
+_FAY_TOLS = {"fay": {1: 1e-9, 2: 1e-6}}
+TOLERANCES = {
+    "verify-petri": _PETRI_TOLS,
+    "verify-siegel": _SIEGEL_TOLS,
+    "verify-fay": _FAY_TOLS,
+    "periods": {"symmetry": jacobian.SYMMETRY_TOL},
+    "selftest": {"functoriality": _SIEGEL_TOLS["functoriality"], "solve": 1e-10,
+                 "theta": 1e-10, "det": _PETRI_TOLS["det"], "fay": _FAY_TOLS["fay"][1],
+                 "lemniscatic": 1e-8},
 }
 
 _BUILTIN_CURVES = {
@@ -175,20 +184,18 @@ def _petri_checks(model, seed, tol):
         return petri.RelationInput(om[:, :g], om[:, g:])
 
     def check_dets():
-        t = tol.get("det", 1e-8)
         ratios = petri.verify_theorem1(fresh_input("petri-determinants"))
         worst = max(r for _, r in ratios)
-        return _record("petri-determinants", "theorem1-dets", worst, t,
+        return _record("petri-determinants", "theorem1-dets", worst, tol["det"],
                        note=f"labels={len(ratios)}")
 
     def check_annihilation():
-        t = tol.get("annihilation", 1e-8)
         inp = fresh_input("petri-annihilation")
         omega_fresh = values(request(), "petri-annihilation-points")
         coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
         res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
         return _record("petri-annihilation", "annihilation",
-                       float(np.max(res)), t)
+                       float(np.max(res)), tol["annihilation"])
 
     def check_relation_set():
         rs = petri.build_relation_set(fresh_input("petri-relations"))
@@ -235,31 +242,28 @@ def _petri_checks(model, seed, tol):
 
 def _functoriality_check(name, pm, seed, tol):
     """sym_square(A) pair_vector(u) = pair_vector(A u) on a draw seeded by `name`."""
-    t = tol.get("functoriality", 1e-10)
     rng = np.random.default_rng(_seed_seq(seed, name))
     a = _rand_complex(rng, (pm.g, pm.g))
     u = _rand_complex(rng, (pm.g,))
     lhs = sym_square(a, pm) @ pair_vector(u, pm)
     rhs = pair_vector(a @ u, pm)
     resid = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1.0)
-    return _record(name, "sym-square-functoriality", resid, t)
+    return _record(name, "sym-square-functoriality", resid, tol["functoriality"])
 
 
 def _siegel_checks(genus, seed, tol):
     pm = build_pair_index(genus)
 
     def check_det_power():
-        t = tol.get("det-power", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-det-power"))
         a = _rand_complex(rng, (genus, genus))
         a /= np.sqrt(genus) * float(np.max(np.abs(a)))
         d1 = linalg.det(sym_square(a, pm))
         d2 = linalg.det(a) ** (genus + 1)
         resid = abs(d1 - d2) / max(abs(d2), 1e-300)
-        return _record("siegel-det-power", "det-power", resid, t)
+        return _record("siegel-det-power", "det-power", resid, tol["det-power"])
 
     def check_trace():
-        t = tol.get("trace", 1e-12)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-trace"))
         tau = siegel.random_siegel_point(genus, rng)
         metric = siegel.siegel_metric(tau, pm)
@@ -269,10 +273,9 @@ def _siegel_checks(genus, seed, tol):
         quad = complex(dzp @ metric @ np.conj(dzp)).real
         direct = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
         resid = abs(quad - direct) / max(abs(direct), 1e-30)
-        return _record("siegel-trace", "metric-trace", resid, t)
+        return _record("siegel-trace", "metric-trace", resid, tol["trace"])
 
     def check_invariance():
-        t = tol.get("invariance", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-invariance"))
         tau = siegel.random_siegel_point(genus, rng)
         dz = _rand_complex(rng, (genus, genus))
@@ -283,15 +286,14 @@ def _siegel_checks(genus, seed, tol):
         q1 = complex(np.trace(tau.y_inv @ dz @ tau.y_inv @ np.conj(dz))).real
         q2 = complex(np.trace(tau2.y_inv @ dz2 @ tau2.y_inv @ np.conj(dz2))).real
         resid = abs(q1 - q2) / max(abs(q1), 1e-30)
-        return _record("siegel-invariance", "metric-invariance", resid, t)
+        return _record("siegel-invariance", "metric-invariance", resid, tol["invariance"])
 
     def check_density():
-        t = tol.get("density", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "siegel-density"))
         tau = siegel.random_siegel_point(genus, rng)
         lhs, rhs = siegel.ambient_volume_density(tau, pm)
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        return _record("siegel-density", "volume-density", resid, t)
+        return _record("siegel-density", "volume-density", resid, tol["density"])
 
     return [
         ("siegel-functoriality",
@@ -311,13 +313,12 @@ _FAY_RETRY = (theta.ThetaNearZeroError, theta.CoincidentPointsError, curves.Samp
 
 def _fay_check(model, genus, m, seed, tol):
     def check():
-        t = tol.get("fay", 1e-9 if genus == 1 else 1e-6)
         if genus == 2:
             worst = _fay_rounds(model, m, seed)
         else:
             rng = np.random.default_rng(_seed_seq(seed, "fay-trisecant"))
             worst = _fay_genus_one(rng, m, FAY_TRIALS, 0.4, (0.8, 1.8), 0.6)
-        return _record("fay-trisecant", "fay-trisecant", worst, t,
+        return _record("fay-trisecant", "fay-trisecant", worst, tol["fay"],
                        note=f"genus={genus} m={m} trials={FAY_TRIALS}")
 
     return [("fay-trisecant", check)]
@@ -402,8 +403,7 @@ def _periods_records(model, tol):
         return [rec]
     ms = (time.perf_counter() - t0) * 1000.0
 
-    t_sym = tol.get("symmetry", 1e-6)
-    rec = _record("periods-symmetry", "tau-symmetry", pd.symmetry_dev, t_sym)
+    rec = _record("periods-symmetry", "tau-symmetry", pd.symmetry_dev, tol["symmetry"])
     rec.ms = ms
     records.append(rec)
 
@@ -429,17 +429,15 @@ def _periods_records(model, tol):
 
 def _selftest_checks(seed, tol):
     def check_linalg():
-        t = tol.get("solve", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "self-linalg"))
         a = _rand_complex(rng, (8, 8))
         b = _rand_complex(rng, (8,))
         x = linalg.solve(a, b)
         resid = float(np.max(np.abs(a @ x - b)))
         scale = float(np.max(np.abs(a)) * np.max(np.abs(x)))
-        return _record("self-linalg", "solve-residual", resid / max(scale, 1e-300), t)
+        return _record("self-linalg", "solve-residual", resid / max(scale, 1e-300), tol["solve"])
 
     def check_theta():
-        t = tol.get("theta", 1e-10)
         rng = np.random.default_rng(_seed_seq(seed, "self-theta"))
         tau = siegel.random_siegel_point(2, rng)
         char = theta.ThetaCharacteristic.from_bits(1, 2, 2)
@@ -452,30 +450,27 @@ def _selftest_checks(seed, tol):
         rhs = theta.theta(z, tau, char) * theta.ScaledComplex(
             np.exp(1j * factor_log.imag), float(factor_log.real))
         resid = theta.scaled_rel_diff(lhs, rhs)
-        return _record("self-theta", "theta-quasiperiodicity", resid, t)
+        return _record("self-theta", "theta-quasiperiodicity", resid, tol["theta"])
 
     def check_petri():
-        t = tol.get("det", 1e-8)
         model = curves.parse_curve_spec(_builtin_text("fermat_quintic.json"))
         g = model.genus
         pts = curves.sample_points(model, 3 * g - 2, _sub_seed(seed, "self-petri"))
         om = bases.holomorphic_basis(model).evaluate(pts)
         inp = petri.RelationInput(om[:, :g], om[:, g:])
         ratios = petri.verify_theorem1(inp)
-        return _record("self-petri", "theorem1-dets", max(r for _, r in ratios), t)
+        return _record("self-petri", "theorem1-dets", max(r for _, r in ratios), tol["det"])
 
     def check_fay():
-        t = tol.get("fay", 1e-9)
         rng = np.random.default_rng(_seed_seq(seed, "self-fay"))
         r = _fay_genus_one(rng, 2, 1, 0.3, (0.9, 1.6), 0.5)
-        return _record("self-fay", "fay-trisecant", r, t)
+        return _record("self-fay", "fay-trisecant", r, tol["fay"])
 
     def check_periods():
-        t = tol.get("lemniscatic", 1e-8)
         model = curves.parse_curve_spec(_builtin_text("lemniscatic_g1.json"))
         pd = jacobian.compute_periods(model)
         resid = abs(complex(pd.tau.z[0, 0]) - 1j)
-        return _record("self-periods", "lemniscatic-tau", resid, t)
+        return _record("self-periods", "lemniscatic-tau", resid, tol["lemniscatic"])
 
     return [
         ("self-pairindex",
@@ -491,13 +486,24 @@ def _selftest_checks(seed, tol):
 # ----------------------------------------------------------------- main
 
 
-def _add_common(sub, with_spec):
-    if with_spec:
+def _tol_help(command):
+    """--tol help naming each tolerance of `command` with its default."""
+    def default(value):
+        if isinstance(value, dict):
+            return ", ".join(f"{v:g} at --genus {g}" for g, v in value.items())
+        return f"{value:g}"
+
+    return "override a named tolerance; repeatable (defaults: " + "; ".join(
+        f"{name}={default(value)}" for name, value in TOLERANCES[command].items()) + ")"
+
+
+def _add_common(sub, command):
+    if command in _BUILTIN_CURVES:
         sub.add_argument("--spec", default=None,
                          help="path to a curve description JSON file")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                     help="override a named tolerance; repeatable")
+                     help=_tol_help(command))
     sub.add_argument("--report", default=None,
                      help="also write a timing-pinned report file")
 
@@ -514,28 +520,28 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-petri", help="determinant and relation checks")
-    _add_common(p, with_spec=True)
+    _add_common(p, "verify-petri")
 
     p = subs.add_parser("verify-siegel", help="pair-index metric identities")
     p.add_argument("--genus", type=int, default=3)
-    _add_common(p, with_spec=False)
+    _add_common(p, "verify-siegel")
 
     p = subs.add_parser("verify-fay", help="trisecant identity checks")
     p.add_argument("--genus", type=int, choices=(1, 2), default=1)
     p.add_argument("-m", "--pairs", type=int, default=2, dest="m",
                    help=f"number of point pairs (2 to {FAY_MAX_PAIRS})")
-    _add_common(p, with_spec=True)
+    _add_common(p, "verify-fay")
 
     p = subs.add_parser("periods", help="period matrix with certificates")
-    _add_common(p, with_spec=True)
+    _add_common(p, "periods")
 
     p = subs.add_parser("selftest", help="fixed deterministic check suite")
-    _add_common(p, with_spec=False)
+    _add_common(p, "selftest")
     return parser
 
 
 def _parse_tols(pairs, command, parser):
-    known = TOLERANCE_NAMES[command]
+    known = TOLERANCES[command]
     out = {}
     for item in pairs:
         name, sep, value = item.partition("=")
@@ -569,9 +575,13 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args, parser, tol) -> int:
+def _dispatch(args, parser, overrides) -> int:
     if args.seed < 0:
         parser.error("--seed must be a non-negative integer")
+    defaults = TOLERANCES[args.command]
+    if args.command == "verify-fay":
+        defaults = {"fay": defaults["fay"][args.genus]}
+    tol = defaults | overrides
     digest = "-"
     model = None
     # the genus-1 trisecant trials draw their own tau and read no curve
@@ -609,7 +619,7 @@ def _dispatch(args, parser, tol) -> int:
     else:  # pragma: no cover
         parser.error(f"unknown command {args.command!r}")
 
-    rep = Report(args.command, __version__, args.seed, digest, tol)
+    rep = Report(args.command, __version__, args.seed, digest, overrides)
     for rec in records:
         rep.add(rec)
     return _emit(rep, args.report)

@@ -134,56 +134,6 @@ class SymplecticElement:
                                    np.eye(g, dtype=np.int64))):
             raise ValueError("blocks do not satisfy the symplectic form condition")
 
-    def matrix(self) -> np.ndarray:
-        g = self.g
-        m = np.empty((2 * g, 2 * g), dtype=np.int64)
-        m[:g, :g] = self.a
-        m[:g, g:] = self.b
-        m[g:, :g] = self.c
-        m[g:, g:] = self.d
-        return m
-
-    @classmethod
-    def from_matrix(cls, m) -> "SymplecticElement":
-        m = _int64_block(m)
-        g = m.shape[0] // 2
-        return cls(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
-
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticElement":
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(eye, zero, zero, eye)
-
-    @classmethod
-    def inversion(cls, g: int) -> "SymplecticElement":
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(zero, -eye, eye, zero)
-
-    @classmethod
-    def upper_shear(cls, s) -> "SymplecticElement":
-        s = _int64_block(s)
-        g = s.shape[0]
-        if not np.array_equal(s, s.T):
-            raise ValueError("shear block must be symmetric")
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(eye, s, zero, eye)
-
-    @classmethod
-    def lower_shear(cls, s) -> "SymplecticElement":
-        s = _int64_block(s)
-        g = s.shape[0]
-        if not np.array_equal(s, s.T):
-            raise ValueError("shear block must be symmetric")
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(eye, zero, s, eye)
-
-    def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
-        return SymplecticElement.from_matrix(self.matrix() @ other.matrix())
-
 
 def random_symplectic(g: int, rng: np.random.Generator) -> SymplecticElement:
     """Random word in shears and the inversion; exact integer arithmetic.

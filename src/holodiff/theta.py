@@ -213,10 +213,6 @@ class ThetaCharacteristic:
         return self.parity == 1
 
     @classmethod
-    def zero(cls, g: int) -> "ThetaCharacteristic":
-        return cls(np.zeros(g), np.zeros(g))
-
-    @classmethod
     def from_bits(cls, ia: int, ib: int, g: int) -> "ThetaCharacteristic":
         a = np.array([(ia >> i) & 1 for i in range(g)], dtype=float) / 2
         b = np.array([(ib >> i) & 1 for i in range(g)], dtype=float) / 2

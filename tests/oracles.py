@@ -7,7 +7,8 @@ lattice sums, a written-out lattice distance, a parity test of every
 characteristic, a search over all half-periods for the Riemann constant,
 one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
 a one-point-at-a-time Abel map, an object-form trisecant residual, the
-trial-by-trial CLI trisecant loop, a factor-by-factor symplectic word
+trial-by-trial CLI trisecant loop, symplectic elements built and
+multiplied as whole matrices with a factor-by-factor word from them,
 and a rank elimination that deletes each pivot's row and column.  The
 samplers call the Generator's own `uniform` and `integers` where the
 package decodes the raw words of its bit generator.  The last six, and
@@ -548,25 +549,73 @@ def fay_check_sequential(model, m, seed):
     return worst
 
 
+def symplectic_matrix(elem):
+    """The blocks of a `SymplecticElement` as one 2g x 2g matrix [[A, B], [C, D]]."""
+    return np.block([[elem.a, elem.b], [elem.c, elem.d]])
+
+
+def symplectic_from_matrix(m):
+    """The `SymplecticElement` of the 2g x 2g matrix m = [[A, B], [C, D]]."""
+    from holodiff.siegel import SymplecticElement
+
+    m = np.asarray(m)
+    g = m.shape[0] // 2
+    return SymplecticElement(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
+
+
+def symplectic_product(x, y):
+    """The element x y, from the product of the whole matrices."""
+    return symplectic_from_matrix(symplectic_matrix(x) @ symplectic_matrix(y))
+
+
+def _blocks(g):
+    return np.eye(g, dtype=np.int64), np.zeros((g, g), dtype=np.int64)
+
+
+def symplectic_identity(g):
+    from holodiff.siegel import SymplecticElement
+
+    eye, zero = _blocks(g)
+    return SymplecticElement(eye, zero, zero, eye)
+
+
+def symplectic_inversion(g):
+    """The inversion [[0, -I], [I, 0]]."""
+    from holodiff.siegel import SymplecticElement
+
+    eye, zero = _blocks(g)
+    return SymplecticElement(zero, -eye, eye, zero)
+
+
+def symplectic_shear(s, upper):
+    """The upper shear [[I, S], [0, I]] or the lower shear [[I, 0], [S, I]]
+    of a symmetric integer matrix S."""
+    from holodiff.siegel import SymplecticElement
+
+    s = np.asarray(s)
+    if not np.array_equal(s, s.T):
+        raise ValueError("shear block must be symmetric")
+    eye, zero = _blocks(len(s))
+    return SymplecticElement(eye, s, zero, eye) if upper else SymplecticElement(eye, zero, s, eye)
+
+
 def random_symplectic_word(g, rng):
     """Random word in shears and the inversion, one factor element at a time.
 
     Reads the RNG as `siegel.random_symplectic` does and multiplies whole
-    `SymplecticElement`s with `@`, each factor built by its constructor.
+    matrices, each factor built as its own element.
     """
-    from holodiff.siegel import SYMPLECTIC_WORD_LENGTH, SymplecticElement
+    from holodiff.siegel import SYMPLECTIC_WORD_LENGTH
 
-    elem = SymplecticElement.identity(g)
+    elem = symplectic_identity(g)
     for _ in range(SYMPLECTIC_WORD_LENGTH):
         kind = rng.integers(3)
         if kind == 2:
-            factor = SymplecticElement.inversion(g)
+            factor = symplectic_inversion(g)
         else:
             raw = rng.integers(-2, 3, size=(g, g))
-            s = raw + raw.T
-            factor = (SymplecticElement.upper_shear(s) if kind == 0
-                      else SymplecticElement.lower_shear(s))
-        elem = elem @ factor
+            factor = symplectic_shear(raw + raw.T, upper=kind == 0)
+        elem = symplectic_product(elem, factor)
     return elem
 
 

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import hashlib
+import itertools
 import json
 import re
 import warnings
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from holodiff import bases, cli, curves, jacobian, petri, theta
 from holodiff.cli import main
 
 from oracles import fay_check_sequential
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _lines(capsys):
@@ -131,6 +135,72 @@ def test_tolerance_name_the_subcommand_never_reads(capsys):
     assert "accepted names: symmetry" in capsys.readouterr().err
     assert main(["verify-siegel", "--genus", "2", "--tol", "invariance=1", "--seed", "3"]) == 0
     assert "tolerance invariance=1.000000e+00" in capsys.readouterr().out
+
+
+# one quick run of each subcommand, and one per --genus where a default
+# depends on it
+TOLERANCE_RUNS = {
+    "verify-petri": [["verify-petri"]],
+    "verify-siegel": [["verify-siegel", "--genus", "2"]],
+    "verify-fay": [["verify-fay", "--genus", "1"], ["verify-fay", "--genus", "2"]],
+    "periods": [["periods"]],
+    "selftest": [["selftest"]],
+}
+
+
+def _check_tols(argv, capsys):
+    """The tol= field of each check line of the report of `argv`, by check."""
+    main(argv)
+    return dict(re.findall(r"^check=(\S+) .*? tol=(\S+)", capsys.readouterr().out, re.M))
+
+
+@pytest.mark.parametrize("command, name", [(command, name)
+                                           for command, names in cli.TOLERANCES.items()
+                                           for name in names])
+def test_every_tolerance_is_read_and_defaults_to_the_table(command, name, capsys):
+    # the checks that read `name` are those whose tol= follows its override;
+    # without the override each of them shows the table's default
+    for argv in TOLERANCE_RUNS[command]:
+        default = cli.TOLERANCES[command][name]
+        if isinstance(default, dict):
+            default = default[int(argv[argv.index("--genus") + 1])]
+        plain = _check_tols(argv, capsys)
+        overridden = _check_tols([*argv, "--tol", f"{name}=0.25"], capsys)
+        readers = [check for check in plain if overridden[check] == "2.500000e-01"]
+        assert readers, f"{' '.join(argv)} accepts --tol {name} but no check reads it"
+        assert {plain[check] for check in readers} == {"%.6e" % default}
+
+
+def test_hand_set_tolerances_do_not_grow():
+    # every default in the table is a hand-set number; a change that derives
+    # a bound lowers these counts in the same change, and none may raise them
+    per_name = [[v for v in (d.values() if isinstance(d, dict) else [d]) if isinstance(v, float)]
+                for names in cli.TOLERANCES.values() for d in names.values()]
+    assert (sum(map(bool, per_name)), sum(map(len, per_name))) == (15, 16)
+
+
+@pytest.mark.parametrize("command", sorted(cli.TOLERANCES))
+def test_tol_help_lists_every_name_and_default(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, default in cli.TOLERANCES[command].items():
+        assert f"{name}=" in text
+        for value in default.values() if isinstance(default, dict) else [default]:
+            assert f"{value:g}" in text
+
+
+def test_readme_tolerance_table_matches_the_cli():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | `--tol` name | default |\n|---|---|---|\n")[1]
+    documented = {}
+    for row in itertools.takewhile(lambda ln: ln.startswith("|"), table.splitlines()):
+        command, name, cell = re.fullmatch(r"\| `(\S+)` \| `(\S+)` \| (.+) \|", row).groups()
+        per_genus = re.findall(r"(\S+) at `--genus (\d+)`", cell)
+        default = ({int(g): float(v) for v, g in per_genus} if per_genus
+                   else float(cell.split()[0]))
+        documented.setdefault(command, []).append((name, default))
+    assert documented == {command: list(names.items())
+                          for command, names in cli.TOLERANCES.items()}
 
 
 def test_petri_default_quintic(capsys):

@@ -5,8 +5,9 @@ longer exists breaks ``from holodiff.X import *``; a listed name that
 nothing outside its own definition refers to is code that only tests keep
 alive.  Callers are looked for in the package itself, the benchmark
 harness and the tools, but not in any test: a reference the tests need
-lives in ``tests/oracles.py``.  Outside ``curves.py`` no module branches
-on the class of a curve model.
+lives in ``tests/oracles.py``.  The same rule holds for the methods and
+properties of the package's classes, reached by attribute name.  Outside
+``curves.py`` no module branches on the class of a curve model.
 """
 
 import ast
@@ -100,6 +101,38 @@ def test_awaiting_names_are_still_idle():
     public = {n for module in PUBLIC.values() for n in module.__all__}
     assert set(AWAITING_CHECK) <= public
     assert not set(AWAITING_CHECK) & _callers()
+
+
+def _attribute_callers() -> set[str]:
+    """Attribute names read in the caller files, and the dotted parts of
+    their string constants: the ways a member is reached by name."""
+    used = set()
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(node.value.split("."))
+    return used
+
+
+def _members():
+    """(module, class, name) of every method and property of a package
+    class.  Dunder methods answer to syntax such as `@` or `repr`, not to
+    their names, so they are left out."""
+    for path in sorted((ROOT / "src" / "holodiff").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")):
+                        yield path.stem, cls.name, item.name
+
+
+def test_members_have_callers():
+    used = _attribute_callers()
+    idle = [f"{module}.{cls}.{name}" for module, cls, name in _members() if name not in used]
+    assert not idle, f"methods and properties with no caller outside the unit tests: {idle}"
 
 
 MODEL_CLASSES = {"PlaneCurve", "HyperellipticCurve"}

@@ -147,7 +147,7 @@ def test_characteristic_validation():
 
 
 def test_characteristic_parity():
-    assert not th.ThetaCharacteristic.zero(2).is_odd
+    assert not th.ThetaCharacteristic.from_bits(0, 0, 2).is_odd
     assert th.ThetaCharacteristic([0.5], [0.5]).is_odd
     assert not th.ThetaCharacteristic([0.5], [0.0]).is_odd
     ch = th.ThetaCharacteristic([0.5, 0.5], [0.5, 0.5])
@@ -213,7 +213,7 @@ def test_quasi_periodicity(g, rng):
 def test_parity_under_negation(g, rng):
     tau = random_siegel_point(g, rng)
     z = 0.4 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-    even = th.ThetaCharacteristic.zero(g)
+    even = th.ThetaCharacteristic.from_bits(0, 0, g)
     ve_plus = th.theta(z, tau.z, even)
     ve_minus = th.theta(-z, tau.z, even)
     assert th.scaled_rel_diff(ve_plus, ve_minus) <= 1e-10
@@ -411,7 +411,7 @@ def test_genus_six_point_beyond_the_cube_budget_evaluates():
     z = 0.3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
     m = rng.integers(-1, 2, size=6).astype(float)
     n = rng.integers(-2, 3, size=6).astype(float)
-    for char in (th.ThetaCharacteristic.zero(6), th.ThetaCharacteristic.first_odd(6)):
+    for char in (th.ThetaCharacteristic.from_bits(0, 0, 6), th.ThetaCharacteristic.first_odd(6)):
         base, shifted, mirrored = th.theta(np.stack([z, z + point.z @ m + n, -z]), point, char)
         assert base.err <= th.THETA_EPS * (1 + 1e-12) * base.peak
         fac = (-1j * np.pi * (m @ point.z @ m) - 2j * np.pi * (m @ (z + char.b))
@@ -428,7 +428,8 @@ def test_theta_far_below_its_peak_keeps_relative_accuracy():
     tau = np.array([[0.3 + 0.5j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 60j]])
     for c in ([0.3, 0.45], [0.0, 0.5], [-0.49, 0.49]):
         z = np.array([0.2, -0.1]) + 1j * (tau.imag @ c)
-        for char in (th.ThetaCharacteristic.zero(2), th.ThetaCharacteristic.first_odd(2)):
+        for char in (th.ThetaCharacteristic.from_bits(0, 0, 2),
+                     th.ThetaCharacteristic.first_odd(2)):
             got = th.theta(z, tau, char)
             want = lattice_theta(z, tau, char.a, char.b, 12)
             assert abs(want) <= 1e-15 * got.peak * math.exp(got.log_scale)
@@ -644,7 +645,7 @@ def test_fay_residual_validation():
     with pytest.raises(ValueError, match="m >= 2"):
         th.fay_residual(w, pts[:, :1], pts[:, :1], tau, delta)
     with pytest.raises(ValueError, match="odd"):
-        th.fay_residual(w, pts, pts[:, ::-1], tau, th.ThetaCharacteristic.zero(1))
+        th.fay_residual(w, pts, pts[:, ::-1], tau, th.ThetaCharacteristic.from_bits(0, 0, 1))
     [err] = th.fay_residual(w, pts[:, [0, 0]], pts, tau, delta)
     assert isinstance(err, th.CoincidentPointsError) and "Jacobian" in str(err)
 
@@ -682,7 +683,8 @@ def test_riemann_constants_ambiguous_for_generic_probes(rng):
 @pytest.mark.parametrize("odd", [False, True])
 def test_theta_batch_matches_lattice_oracle(g, odd, rng):
     tau = random_siegel_point(g, rng)
-    char = th.ThetaCharacteristic.first_odd(g) if odd else th.ThetaCharacteristic.zero(g)
+    char = (th.ThetaCharacteristic.first_odd(g) if odd
+            else th.ThetaCharacteristic.from_bits(0, 0, g))
     zs = 0.4 * (rng.standard_normal((5, g)) + 1j * rng.standard_normal((5, g)))
     # one row outside the fundamental cell exercises the translation
     # prefactor; two rows at opposite corners of the cell widen the
