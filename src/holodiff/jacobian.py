@@ -205,9 +205,13 @@ def _segment_phase(curve: HyperellipticCurve, seg_index: int) -> complex:
     return (-1j) ** (m % 4)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PeriodData:
-    """Periods of the monomial differentials and the normalized matrix."""
+    """Periods of the monomial differentials and the normalized matrix.
+
+    Frozen, with read-only arrays: one instance may serve many callers,
+    and a write by one would change what the others compute.
+    """
 
     curve: HyperellipticCurve
     a_periods: np.ndarray
@@ -217,6 +221,11 @@ class PeriodData:
     seg_values: np.ndarray
     seg_errors: np.ndarray
     symmetry_dev: float
+
+    def __post_init__(self):
+        for arr in (self.a_periods, self.b_periods, self.normalization,
+                    self.seg_values, self.seg_errors):
+            arr.setflags(write=False)
 
     @property
     def genus(self) -> int:

@@ -41,7 +41,7 @@ class SiegelPoint:
     and positivity checks run once here, and give the smallest and
     largest eigenvalues `lambda_min` and `lambda_max` of Y; Y^-1 and the
     radius of the theta truncation ellipsoid are computed on first use
-    and kept.
+    and kept.  Its arrays z, y and y_inv are read-only.
     """
 
     def __init__(self, z):
@@ -60,6 +60,8 @@ class SiegelPoint:
         self.z = (z + z.T) / 2
         self.g = z.shape[0]
         self.y = np.ascontiguousarray(self.z.imag)
+        self.z.setflags(write=False)
+        self.y.setflags(write=False)
         # LAPACK's symmetric eigensolver is backward stable: each computed
         # eigenvalue lies within p(g) eps |Y|_2 of an exact one (LAPACK
         # Users' Guide, section 4.7).  Taking p(g) = g, a smallest computed
@@ -72,7 +74,9 @@ class SiegelPoint:
 
     @cached_property
     def y_inv(self) -> np.ndarray:
-        return linalg.inverse(self.y).real
+        out = linalg.inverse(self.y).real
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def theta_ellipsoid(self) -> tuple:

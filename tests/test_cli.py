@@ -20,6 +20,11 @@ from oracles import fay_check_sequential
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _bundled(name):
+    """A bundled curve file parsed afresh, outside the CLI's memo."""
+    return curves.parse_curve_spec(resources.files("holodiff").joinpath("data", name).read_text())
+
+
 def _lines(capsys):
     return capsys.readouterr().out.splitlines()
 
@@ -344,7 +349,7 @@ def test_petri_failing_set_fails_only_its_check(target, check, monkeypatch, caps
     seed = cli.DEFAULT_SEED
     assert main(["verify-petri"]) == 0
     want = _report_lines(capsys.readouterr().out)
-    model = curves.parse_curve_spec(cli._builtin_text("fermat_quintic.json"))
+    model = _bundled("fermat_quintic.json")
     _, bad = cli._petri_point_sets(model, seed)[target]
     sample_sets = curves.sample_sets
 
@@ -379,7 +384,7 @@ def test_petri_chart_breakdown_fails_only_its_check(target, check, monkeypatch, 
     seed = cli.DEFAULT_SEED
     assert main(["verify-petri"]) == 0
     want = _report_lines(capsys.readouterr().out)
-    model = curves.parse_curve_spec(cli._builtin_text("fermat_quintic.json"))
+    model = _bundled("fermat_quintic.json")
     _, bad = cli._petri_point_sets(model, seed)[target]
     first, second = (curves.CurvePoint(None, np.exp(1j * np.pi * k / 5), 0j, "x")
                      for k in (3, 5))
@@ -427,7 +432,7 @@ def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
     # number above 1e11; the relation's cofactor row is solved from that
     # matrix (one elimination per cofactor left such draws at 4e-7 against
     # the 1e-8 tolerance)
-    model = curves.parse_curve_spec(cli._builtin_text("fermat_quintic.json"))
+    model = _bundled("fermat_quintic.json")
     g = model.genus
     count, draw_seed = cli._petri_point_sets(model, seed)["petri-annihilation"]
     pts = curves.sample_points(model, count, draw_seed)
@@ -674,7 +679,7 @@ def test_fay_scaled_overflow_does_not_warn(capsys):
 def test_fay_rounds_read_the_genus_from_the_curve(m):
     # the trials draw w, reshape the Abel images and pick the odd
     # characteristic at the curve's own genus
-    model = curves.parse_curve_spec(cli._builtin_text("hyperelliptic_g4.json"))
+    model = _bundled("hyperelliptic_g4.json")
     assert cli._fay_rounds(model, m, 7) <= 1e-9
 
 
@@ -750,6 +755,132 @@ def test_curve_digest_hashes_the_file_bytes(tmp_path, capsys):
     for argv, want in ((["periods"], data), (["periods", "--spec", str(crlf)], crlf.read_bytes())):
         assert main(argv) == 0
         assert f"curve-sha256={hashlib.sha256(want).hexdigest()}" in _lines(capsys)
+
+
+@pytest.fixture
+def empty_memo():
+    """The CLI's curve memo, emptied before and after the test, so that no
+    entry made under a patched constant reaches another test."""
+    def clear():
+        cli._models.clear()
+        cli._periods.clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def _spy(monkeypatch, module, name):
+    """The first arguments of the calls of module.name, as a list that grows."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg: calls.append(arg) or fn(arg))
+    return calls
+
+
+def _hyperelliptic_spec(path, branch_points):
+    path.write_text(json.dumps({"type": "hyperelliptic", "branch_points": branch_points}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["verify-fay", "--genus", "2", "-m", "6"], ["verify-petri"],
+                                  ["periods"], ["selftest"]], ids=lambda argv: argv[0])
+def test_memo_hits_give_the_reports_of_an_empty_memo(argv, empty_memo, tmp_path, capsys):
+    runs = []
+    for k in range(4):
+        if k == 3:
+            assert cli._models  # the three runs before read a memoized model
+            empty_memo()
+        report = tmp_path / f"r{k}.txt"
+        runs.append((main(argv + ["--report", str(report)]), report.read_bytes()))
+    capsys.readouterr()
+    assert runs[:3] == [runs[3]] * 3
+
+
+def test_memo_parses_and_computes_once_per_file_bytes(empty_memo, monkeypatch, tmp_path, capsys):
+    parses = _spy(monkeypatch, curves, "parse_curve_spec")
+    periods = _spy(monkeypatch, jacobian, "compute_periods")
+    spec = _hyperelliptic_spec(tmp_path / "g2.json", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    runs = (["periods", "--spec", str(spec)], ["verify-fay", "--genus", "2", "--spec", str(spec)])
+
+    def tau_entries():
+        out = []
+        for argv in runs * 3:
+            assert main(argv) == 0
+            out += [ln for ln in _lines(capsys) if ln.startswith("check=periods-values")]
+        assert out == out[:1] * 3
+        return out[0]
+
+    before = tau_entries()
+    assert (len(parses), len(periods)) == (1, 1)
+    # the same path with other bytes is another curve
+    _hyperelliptic_spec(spec, [-2.0, -1.0, 0.0, 1.0, 2.5])
+    after = tau_entries()
+    assert (len(parses), len(periods)) == (2, 2)
+    assert periods[1] is not periods[0] and after != before
+
+
+@pytest.mark.parametrize("branch_points, error", [
+    ([-2.0, -1.0, 0.0, 1.0, 2.0], "PeriodCertificateError"),
+    ([0.0, 1.0, 2.0, 3.0, 1e6], "QuadratureError"),
+])
+def test_memo_keeps_no_failed_periods(branch_points, error, empty_memo, monkeypatch,
+                                      tmp_path, capsys):
+    # the symmetry certificate fails on the bundled genus-2 curve's tau,
+    # which deviates by 5e-15, under a tolerance of 1e-16; the segment
+    # quadrature of the second curve does not converge
+    if error == "PeriodCertificateError":
+        monkeypatch.setattr(jacobian, "SYMMETRY_TOL", 1e-16)
+    spec = _hyperelliptic_spec(tmp_path / "c.json", branch_points)
+    periods = _spy(monkeypatch, jacobian, "compute_periods")
+    report = tmp_path / "r.txt"
+    for argv in (["periods"], ["verify-fay", "--genus", "2"]):
+        texts = []
+        for _ in range(3):
+            assert main(argv + ["--spec", str(spec), "--report", str(report)]) == 1
+            texts.append(report.read_text())
+        assert texts == texts[:1] * 3
+        assert f"status=FAIL residual=- tol=- ms=0 note={error}: " in texts[0]
+    capsys.readouterr()
+    assert len(periods) == 6 and not cli._periods
+
+
+def test_memo_evicts_the_least_recently_used_curve(empty_memo, monkeypatch, tmp_path, capsys):
+    parses = _spy(monkeypatch, curves, "parse_curve_spec")
+    specs = [_hyperelliptic_spec(tmp_path / f"c{k}.json", [-2.0, -1.0, 0.0, 1.0, 2.0 + k / 8])
+             for k in range(cli._MEMO_CURVES + 1)]
+
+    def load(k):
+        assert main(["periods", "--spec", str(specs[k])]) == 0
+
+    for k in range(cli._MEMO_CURVES):
+        load(k)
+    load(0)  # a hit: curve 1 is now the least recently used
+    load(cli._MEMO_CURVES)  # one curve past the bound
+    capsys.readouterr()
+    assert len(parses) == cli._MEMO_CURVES + 1
+    assert len(cli._models) == len(cli._periods) == cli._MEMO_CURVES
+    load(0)
+    assert len(parses) == cli._MEMO_CURVES + 1
+    load(1)
+    assert len(parses) == cli._MEMO_CURVES + 2
+
+
+def test_memoized_curve_data_is_read_only(empty_memo):
+    # a caller writing into a shared entry would change every later run
+    hyperelliptic, _ = cli._load_curve(None, "hyperelliptic_g2.json")
+    plane, _ = cli._load_curve(None, "fermat_quintic.json")
+    pd = cli._curve_periods(hyperelliptic)
+    assert cli._curve_periods(hyperelliptic) is pd
+    for arr in (pd.tau.z, pd.tau.y, pd.tau.y_inv, pd.a_periods, pd.b_periods, pd.normalization,
+                pd.seg_values, pd.seg_errors, hyperelliptic._e, plane._r, plane._s, plane._c,
+                plane._y_slots):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        pd.tau.z += 1
+    with pytest.raises(AttributeError):
+        pd.tau = None
 
 
 def test_siegel_report_has_no_curve_digest(tmp_path, capsys):

@@ -16,7 +16,9 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``compute_periods`` by genus: the bundled lemniscatic curve (g = 1), the
   bundled genus-2 curve and a genus-3 curve with real branch points;
 - the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
-  and retries, periods included) by m, at one seed, without the report;
+  and retries) by m, at one seed, without the report; the timed calls
+  reuse the period data that the warm-up call computed and the CLI
+  memoized, so the key times the trials without ``compute_periods``;
 - ``gamma_cross_ratio_check`` by genus and weight (keys ``g2_w1`` ...),
   at one seed, on the bundled genus-2 curve, on a genus-3 curve with
   real branch points and on the bundled ``hyperelliptic_g4.json``; a
@@ -182,6 +184,8 @@ def bench_periods(holodiff) -> dict:
 
 
 def bench_fay_check(holodiff) -> dict:
+    """The genus-2 trisecant check by m.  Periods are computed once, in the
+    warm-up call, and reused from the CLI's memo by the timed calls."""
     from holodiff import cli
 
     model = _bundled(holodiff, "hyperelliptic_g2.json")
