@@ -9,7 +9,6 @@ status: 0 when every check passes or is merely skipped with a warning,
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import sys
 import time
@@ -60,26 +59,14 @@ _BUILTIN_CURVES = {
 
 
 # Repeated runs in one process (a sweep, the benchmark) reuse each curve's
-# parsed model, keyed by the sha256 of its spec file's bytes, and its
-# certified period data, keyed by the model.  Each table keeps its
-# _MEMO_CURVES most recently used entries; a call that raises stores
-# nothing, so it raises again on the next run.
+# parsed model, keyed by its spec file's bytes, and its certified period
+# data, keyed by the model.  Each cache keeps its _MEMO_CURVES most
+# recently used entries; a call that raises stores nothing, so it raises
+# again on the next run.
 _MEMO_CURVES = 8
-_models = collections.OrderedDict()
-_periods = collections.OrderedDict()
 
 
-def _memo(table, key, make):
-    """table[key], from make() on a miss, as the most recently used entry."""
-    if key in table:
-        table.move_to_end(key)
-        return table[key]
-    value = table[key] = make()
-    if len(table) > _MEMO_CURVES:
-        table.popitem(last=False)
-    return value
-
-
+@functools.lru_cache(maxsize=_MEMO_CURVES)
 def _parse(data: bytes):
     try:
         text = data.decode("utf-8")
@@ -96,14 +83,14 @@ def _load_curve(path, default_name):
             data = fh.read()
     else:
         data = resources.files("holodiff").joinpath("data", default_name).read_bytes()
-    digest = sha256_digest(data)
-    return _memo(_models, digest, lambda: _parse(data)), digest
+    return _parse(data), sha256_digest(data)
 
 
+@functools.lru_cache(maxsize=_MEMO_CURVES)
 def _curve_periods(model):
     """Certified period data of `model`: jacobian.compute_periods on its
     first use, the same object on later ones."""
-    return _memo(_periods, model, lambda: jacobian.compute_periods(model))
+    return jacobian.compute_periods(model)
 
 
 def _seed_seq(seed: int, name: str, *index: int) -> np.random.SeedSequence:

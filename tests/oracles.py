@@ -14,7 +14,8 @@ samplers call the Generator's own `uniform` and `integers` where the
 package decodes the raw words of its bit generator.  The last six, and
 the hyperelliptic sampler, repeat the package's arithmetic step for
 step, so the package's array forms can be held to equal or near-equal
-results.  Two helpers build package objects for the tests: a certified
+results.  Three helpers build package objects for the tests: a bundled
+curve file parsed afresh, outside the CLI's memo, a certified
 `PetriBasis` at seeded points, and one label's relation coefficients
 from a labeled matrix.
 """
@@ -143,6 +144,15 @@ def odd_characteristics(g):
 
     return [ThetaCharacteristic.from_bits(ia, ib, g)
             for ia in range(2**g) for ib in range(2**g) if bin(ia & ib).count("1") % 2]
+
+
+def bundled(name):
+    """The bundled curve file `name` parsed afresh, outside the CLI's memo."""
+    from importlib import resources
+
+    from holodiff import curves
+
+    return curves.parse_curve_spec(resources.files("holodiff").joinpath("data", name).read_text())
 
 
 def petri_basis(model, anchor_seed, certificate_seed):

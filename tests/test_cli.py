@@ -15,14 +15,9 @@ import pytest
 from holodiff import bases, cli, curves, jacobian, petri, theta
 from holodiff.cli import main
 
-from oracles import fay_check_sequential
+from oracles import bundled, fay_check_sequential
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _bundled(name):
-    """A bundled curve file parsed afresh, outside the CLI's memo."""
-    return curves.parse_curve_spec(resources.files("holodiff").joinpath("data", name).read_text())
 
 
 def _lines(capsys):
@@ -349,7 +344,7 @@ def test_petri_failing_set_fails_only_its_check(target, check, monkeypatch, caps
     seed = cli.DEFAULT_SEED
     assert main(["verify-petri"]) == 0
     want = _report_lines(capsys.readouterr().out)
-    model = _bundled("fermat_quintic.json")
+    model = bundled("fermat_quintic.json")
     _, bad = cli._petri_point_sets(model, seed)[target]
     sample_sets = curves.sample_sets
 
@@ -384,7 +379,7 @@ def test_petri_chart_breakdown_fails_only_its_check(target, check, monkeypatch, 
     seed = cli.DEFAULT_SEED
     assert main(["verify-petri"]) == 0
     want = _report_lines(capsys.readouterr().out)
-    model = _bundled("fermat_quintic.json")
+    model = bundled("fermat_quintic.json")
     _, bad = cli._petri_point_sets(model, seed)[target]
     first, second = (curves.CurvePoint(None, np.exp(1j * np.pi * k / 5), 0j, "x")
                      for k in (3, 5))
@@ -432,7 +427,7 @@ def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
     # number above 1e11; the relation's cofactor row is solved from that
     # matrix (one elimination per cofactor left such draws at 4e-7 against
     # the 1e-8 tolerance)
-    model = _bundled("fermat_quintic.json")
+    model = bundled("fermat_quintic.json")
     g = model.genus
     count, draw_seed = cli._petri_point_sets(model, seed)["petri-annihilation"]
     pts = curves.sample_points(model, count, draw_seed)
@@ -679,7 +674,7 @@ def test_fay_scaled_overflow_does_not_warn(capsys):
 def test_fay_rounds_read_the_genus_from_the_curve(m):
     # the trials draw w, reshape the Abel images and pick the odd
     # characteristic at the curve's own genus
-    model = _bundled("hyperelliptic_g4.json")
+    model = bundled("hyperelliptic_g4.json")
     assert cli._fay_rounds(model, m, 7) <= 1e-9
 
 
@@ -762,8 +757,8 @@ def empty_memo():
     """The CLI's curve memo, emptied before and after the test, so that no
     entry made under a patched constant reaches another test."""
     def clear():
-        cli._models.clear()
-        cli._periods.clear()
+        cli._parse.cache_clear()
+        cli._curve_periods.cache_clear()
 
     clear()
     yield clear
@@ -789,7 +784,7 @@ def test_memo_hits_give_the_reports_of_an_empty_memo(argv, empty_memo, tmp_path,
     runs = []
     for k in range(4):
         if k == 3:
-            assert cli._models  # the three runs before read a memoized model
+            assert cli._parse.cache_info().currsize  # the three runs before read a memoized model
             empty_memo()
         report = tmp_path / f"r{k}.txt"
         runs.append((main(argv + ["--report", str(report)]), report.read_bytes()))
@@ -842,7 +837,7 @@ def test_memo_keeps_no_failed_periods(branch_points, error, empty_memo, monkeypa
         assert texts == texts[:1] * 3
         assert f"status=FAIL residual=- tol=- ms=0 note={error}: " in texts[0]
     capsys.readouterr()
-    assert len(periods) == 6 and not cli._periods
+    assert len(periods) == 6 and cli._curve_periods.cache_info().currsize == 0
 
 
 def test_memo_evicts_the_least_recently_used_curve(empty_memo, monkeypatch, tmp_path, capsys):
@@ -859,7 +854,8 @@ def test_memo_evicts_the_least_recently_used_curve(empty_memo, monkeypatch, tmp_
     load(cli._MEMO_CURVES)  # one curve past the bound
     capsys.readouterr()
     assert len(parses) == cli._MEMO_CURVES + 1
-    assert len(cli._models) == len(cli._periods) == cli._MEMO_CURVES
+    assert (cli._parse.cache_info().currsize == cli._curve_periods.cache_info().currsize
+            == cli._MEMO_CURVES)
     load(0)
     assert len(parses) == cli._MEMO_CURVES + 1
     load(1)

@@ -10,12 +10,7 @@ from holodiff import cli, curves, theta
 from holodiff import jacobian as jac
 from holodiff.curves import CurvePoint, HyperellipticCurve
 
-from oracles import abel_map_per_point, lattice_distance, periods_by_segment
-
-
-def _bundled(name):
-    """A bundled curve file parsed afresh, outside the CLI's memo."""
-    return curves.parse_curve_spec((Path(cli.__file__).parent / "data" / name).read_text())
+from oracles import abel_map_per_point, bundled, lattice_distance, periods_by_segment
 
 
 def _integrate(f, a, b, sing_a=True, sing_b=True):
@@ -122,7 +117,7 @@ def _real_branch_curve(rng, g):
 def test_periods_match_segment_loop_on_bundled_curves(name):
     # all segments in one node-doubling loop, bit for bit the loop of one
     # quad_segment call per segment
-    _assert_periods_match_segment_loop(_bundled(name))
+    _assert_periods_match_segment_loop(bundled(name))
 
 
 def test_periods_match_segment_loop_on_random_curves(hyp_g3):
@@ -301,7 +296,7 @@ def test_abel_rejects_foreign_point(pd_g2, lemniscatic):
 
 @pytest.fixture(scope="module")
 def pd_bundled():
-    curve = _bundled("hyperelliptic_g2.json")
+    curve = bundled("hyperelliptic_g2.json")
     return jac.compute_periods(curve)
 
 
