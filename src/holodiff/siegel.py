@@ -39,9 +39,12 @@ class SiegelPoint:
 
     The one owner of what is derived from tau: the finiteness, symmetry
     and positivity checks run once here, and give the smallest and
-    largest eigenvalues `lambda_min` and `lambda_max` of Y; Y^-1 and the
-    radius of the theta truncation ellipsoid are computed on first use
-    and kept.  Its arrays z, y and y_inv are read-only.
+    largest eigenvalues `lambda_min` and `lambda_max` of Y.  Computed on
+    first use and kept: Y^-1, the radius of the theta truncation
+    ellipsoid, the theta lattice box's half-widths with their tail bound,
+    and the split of tau into a real-reduced matrix and an integer one.
+    A point that theta refuses at `theta.RADIUS_CAP` keeps no box and is
+    refused again at every use.  Its arrays are read-only.
     """
 
     def __init__(self, z):
@@ -86,6 +89,28 @@ class SiegelPoint:
         from .theta import _ellipsoid_radius
 
         return _ellipsoid_radius(self.g, self.lambda_min)
+
+    @cached_property
+    def theta_truncation(self) -> tuple:
+        """(half-widths, bound) of `theta._box_half_widths`: the theta
+        lattice box around a row's centre and the tail bound outside it."""
+        from .theta import _box_half_widths
+
+        half, bound = _box_half_widths(self)
+        half.setflags(write=False)
+        return half, bound
+
+    @cached_property
+    def real_split(self) -> tuple:
+        """(tau - S, S) for the integer symmetric S, even on the diagonal,
+        that brings Re tau into [-1, 1] on the diagonal and [-1/2, 1/2] off
+        it (see `theta._split_real`)."""
+        period = 1.0 + np.eye(self.g)
+        s = period * np.rint(self.z.real / period)
+        split = self.z - s, s
+        for a in split:
+            a.setflags(write=False)
+        return split
 
     def __repr__(self) -> str:
         return f"SiegelPoint(g={self.g})"

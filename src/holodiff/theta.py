@@ -8,23 +8,28 @@ quasi-periodicity; the prefactors are kept as a separate log scale so
 nothing overflows.  Truncation follows Deconinck, Heil, Bobenko, van
 Hoeij and Schmies (2004): terms outside the ellipsoid pi v.Y.v < R_e^2
 around a row's centre sum to a certified fraction of its peak term, and
-R_e, solved once per tau, does not depend on the argument.  The sum runs
-over the ellipsoid's bounding box, so a batch of arguments at one tau
-shares a single lattice box.  Within it, term moduli come from one real
-matmul and one real exp, and only the unit phases are factored: one
+R_e does not depend on the argument.  R_e, the box half-widths it gives
+and the split of Re tau into a reduced and an integer part depend on tau
+alone, so each is computed once and kept on the `SiegelPoint`.  The sum
+runs over the ellipsoid's bounding box, so a batch of arguments at one
+tau shares a single lattice box.  Within it, term moduli come from one
+real matmul and one real exp, and only the unit phases are factored: one
 complex exp per lattice point, shared by every row, and two per row and
 axis, so no complex exp runs per (row, point) term.  On top of the
 engine: the Fay trisecant residual and the end-to-end cross-ratio
 comparison between cardinal bases and theta quotients at genus 2 and up,
 with the Riemann constant in closed form from `jacobian`.  Each hands
 all its rows to one engine call, which splits them into consecutive
-chunks only where MAX_TERMS demands it, and works on the one
-array-valued `ScaledComplex` it returns.  The trisecant residual takes a
-batch of T trials at one tau and gives one entry per trial, its residual
-or the error that stopped it: T (3m^2 - m + 2) rows, then one stacked
-O(m^3) scaled determinant over the trials that reach it; a single trial
-is the batch of one.  The cross-ratio check sums, per draw, theta(w) and
-eight rows per anchor pair.
+chunks only where MAX_TERMS demands it and returns one array-valued
+`ScaledComplex`.  The cross-ratio check works on that value; the
+trisecant reads its mantissa and log-scale arrays through index arrays
+and forms no err or peak, reading only theta(w)'s peak for the floor
+test.  The trisecant residual takes a batch of T trials at one tau and
+gives one entry per trial, its residual or the error that stopped it:
+T (3m^2 - m + 2) rows, then one stacked O(m^3) scaled determinant over
+the trials that reach it; a single trial is the batch of one.  The
+cross-ratio check sums, per draw, theta(w) and eight rows per anchor
+pair.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ __all__ = [
     "ScaledComplex",
     "ThetaCharacteristic",
     "theta",
-    "scaled_det",
     "fay_residual",
     "CrossRatioResult",
     "gamma_cross_ratio_check",
@@ -123,10 +127,10 @@ class ScaledComplex:
 
     def normalized(self) -> "ScaledComplex":
         """Unit mantissas, moduli moved into the log scales; zeros stay zero."""
-        mod = np.where(self.mantissa == 0, 1.0, np.abs(self.mantissa))
+        mant, logs, mod = _normalize(self.mantissa, self.log_scale)
         with np.errstate(over="ignore"):
             err, peak = self.err / mod, self.peak / mod
-        return ScaledComplex(self.mantissa / mod, self.log_scale + np.log(mod), err, peak)
+        return ScaledComplex(mant, logs, err, peak)
 
     def prod(self, axis) -> "ScaledComplex":
         """Product along axis, with the err and peak that repeated `*` gives."""
@@ -172,14 +176,30 @@ class ScaledComplex:
         return ScaledComplex(-self.mantissa, self.log_scale, self.err, self.peak)
 
 
+def _normalize(mant, logs):
+    """(mant / mod, logs + log(mod), mod), mod = |mant| or 1 where mant is 0:
+    unit mantissas, moduli moved into the log scales; zeros stay zero."""
+    mod = np.where(mant == 0, 1.0, np.abs(mant))
+    return mant / mod, logs + np.log(mod), mod
+
+
 def scaled_rel_diff(a: ScaledComplex, b: ScaledComplex):
     """|a - b| / max(|a|, |b|) per element, evaluated at a shared scale.
 
     A 0-d pair gives a float, stacks an array of their broadcast shape.
+    """
+    diff = _rel_diff(a.mantissa, a.log_scale, b.mantissa, b.log_scale)
+    return float(diff) if diff.ndim == 0 else diff
+
+
+def _rel_diff(a_mant, a_log, b_mant, b_log) -> np.ndarray:
+    """`scaled_rel_diff` of a = a_mant exp(a_log) and b = b_mant exp(b_log),
+    as an array of their broadcast shape.
+
     Each element is computed in Python scalars from `.tolist()`: numpy's
     complex abs and division can differ from Python's in the last bit.
     """
-    fields = np.broadcast_arrays(a.mantissa, a.log_scale, b.mantissa, b.log_scale)
+    fields = np.broadcast_arrays(a_mant, a_log, b_mant, b_log)
     out = []
     for am, al, bm, bl in zip(*(x.ravel().tolist() for x in fields)):
         # unit mantissas, moduli moved into the log scales; a zero side is -inf
@@ -188,7 +208,7 @@ def scaled_rel_diff(a: ScaledComplex, b: ScaledComplex):
         top = max(log for _, log in sides)
         av, bv = (x * np.exp(log - top) if x != 0 else 0.0 for x, log in sides)
         out.append(0.0 if am == 0 and bm == 0 else float(abs(av - bv) / max(abs(av), abs(bv))))
-    return out[0] if fields[0].ndim == 0 else np.reshape(out, fields[0].shape)
+    return np.reshape(out, fields[0].shape)
 
 
 class ThetaCharacteristic:
@@ -335,6 +355,12 @@ def _ellipsoid_radius(g: int, lam: float):
 
 
 def _truncation(point: SiegelPoint):
+    """(half-widths h, bound) of `_box_half_widths`, computed on the point's
+    first call and kept on it (`SiegelPoint.theta_truncation`), h read-only."""
+    return point.theta_truncation
+
+
+def _box_half_widths(point: SiegelPoint):
     """(half-widths h, bound): the box |n_k + c0_k| <= h_k around a row's
     centre -c0 holds its ellipsoid pi (n + c0).Y.(n + c0) < R_e^2, and the
     terms outside that sum to at most bound times the peak term.
@@ -343,7 +369,7 @@ def _truncation(point: SiegelPoint):
     sqrt((Y^-1)_kk), by Cauchy-Schwarz in the Y inner product; h_k is that,
     or 1 where that is smaller.  R_e is solved once per point
     (`SiegelPoint.theta_ellipsoid`); none of this depends on the argument
-    z.
+    z.  Raises TruncationError where the widest h_k exceeds RADIUS_CAP.
     """
     radius, bound = point.theta_ellipsoid
     # max_k (Y^-1)_kk >= tr(Y^-1) / g >= 1 / (g lam_min), so a Y too close
@@ -374,21 +400,21 @@ def _reduce(point: SiegelPoint, v: np.ndarray, tau: np.ndarray | None = None):
     """
     tau = point.z if tau is None else tau
     mvec = np.rint(v.imag @ point.y_inv.T)
-    nvec = np.rint((v - mvec @ tau.T).real)
-    return v - mvec @ tau.T - nvec, mvec, nvec
+    v = v - mvec @ tau.T
+    nvec = np.rint(v.real)
+    return v - nvec, mvec, nvec
 
 
 def _split_real(point: SiegelPoint):
-    """(tau - S, S) for the integer symmetric S, even on the diagonal, that
-    brings Re tau into [-1, 1] on the diagonal and [-1/2, 1/2] off it.
+    """(tau - S, S), kept on the point (`SiegelPoint.real_split`), for the
+    integer symmetric S, even on the diagonal, that brings Re tau into
+    [-1, 1] on the diagonal and [-1/2, 1/2] off it.
 
     exp(i pi n.S.n) = 1 for integer n, so a theta sum over Z^g is the same
     at tau and tau - S; the subtraction is exact, and phases computed at
     tau - S no longer lose digits to a large Re tau.
     """
-    period = 1.0 + np.eye(point.g)
-    s = period * np.rint(point.z.real / period)
-    return point.z - s, s
+    return point.real_split
 
 
 def _fold(point: SiegelPoint, *groups):
@@ -558,23 +584,32 @@ def scaled_det(entries: ScaledComplex) -> ScaledComplex:
     """Determinant of a matrix of scaled entries, by pivoted elimination.
 
     entries has shape (m, m), or (..., m, m) for a stack of matrices, which
-    gives one determinant per matrix from one `linalg.det` call.  After
-    normalizing each entry, every row, then every column, is brought to the
-    scale of its largest entry, so the mantissa matrix handed to
-    `linalg.det` has entries of modulus at most one; the row and column
-    scales return as the log scale.  The err is inf: no bound is carried
-    through the elimination.
+    gives one determinant per matrix from one `linalg.det` call, as
+    `_det_arrays` describes.  The err is inf: no bound is carried through
+    the elimination.  Not public: the trisecant calls `_det_arrays` on bare
+    arrays, and nothing outside the tests calls this wrapper.
     """
-    entries = entries.normalized()
-    logs = np.where(entries.mantissa == 0, -np.inf, entries.log_scale)
+    mant, logs = _det_arrays(entries.mantissa, entries.log_scale)
+    return ScaledComplex(mant, logs, np.full(np.shape(mant), math.inf))
+
+
+def _det_arrays(mant, logs):
+    """(mantissas, log scales) of the determinants of the (..., m, m)
+    entries mant exp(logs).
+
+    After normalizing each entry, every row, then every column, is brought
+    to the scale of its largest entry, so the mantissa matrix handed to
+    `linalg.det` has entries of modulus at most one; the row and column
+    scales return as the log scale.
+    """
+    mant, logs, _ = _normalize(mant, logs)
+    logs = np.where(mant == 0, -np.inf, logs)
     row_top = np.max(logs, axis=-1, keepdims=True)
     row_top[~np.isfinite(row_top)] = 0.0
     col_top = np.max(logs - row_top, axis=-2, keepdims=True)
     col_top[~np.isfinite(col_top)] = 0.0
-    scaled = entries.mantissa * np.exp(logs - row_top - col_top)
-    return ScaledComplex(linalg.det(scaled),
-                         np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1)),
-                         np.full(scaled.shape[:-2], math.inf))
+    scaled = mant * np.exp(logs - row_top - col_top)
+    return linalg.det(scaled), np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1))
 
 
 THETA_FLOOR = 1e-8
@@ -588,25 +623,27 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
     """Relative deviation between the two sides of the trisecant identity,
     for T trials at one tau.
 
-    w has shape (T, g) and xs, ys have shape (T, m, g).  The result has one
-    entry per trial, in trial order: its residual, or the
+    w has shape (T, g) and xs, ys have shape (T, m, g), with m >= 2 and g
+    the genus of tau; any other shapes raise ValueError.  The result has
+    one entry per trial, in trial order: its residual, or the
     CoincidentPointsError, ThetaNearZeroError or ZeroDivisionError that
     stopped it.  Both sides are formed from theta translates and reduced
-    prime forms in scaled arithmetic, as stacked ScaledComplex values; the
-    half-differential normalizations cancel between the two sides, so the
-    reduced form suffices.  The batch makes one separation test, one
-    `_theta_arrays` call on the 3m^2 - m + 2 rows of each separated trial,
-    and one stacked determinant.
+    prime forms in scaled arithmetic, on the mantissa and log-scale arrays
+    of one lattice sum; the half-differential normalizations cancel
+    between the two sides, so the reduced form suffices.  The batch makes
+    one separation test, one `_theta_arrays` call on the 3m^2 - m + 2 rows
+    of each separated trial, and one stacked determinant.
     """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    m = xs.shape[1]
-    if m < 2 or ys.shape[1] != m:
-        raise ValueError("need m >= 2 points on each side")
-    if not delta.is_odd:
-        raise ValueError("the prime-form characteristic must be odd")
     point = _siegel(tau)
     w = np.asarray(w, dtype=complex)
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if (w.ndim != 2 or xs.ndim != 3 or xs.shape != ys.shape or xs.shape[::2] != w.shape
+            or w.shape[1] != point.g or xs.shape[1] < 2):
+        raise ValueError(f"need w of shape (T, g) and xs, ys of shape (T, m, g) with m >= 2 "
+                         f"at g = {point.g}; got w {w.shape}, xs {xs.shape}, ys {ys.shape}")
+    if not delta.is_odd:
+        raise ValueError("the prime-form characteristic must be odd")
     out = _separation(np.concatenate([xs, ys], axis=1), point)
     ok = [t for t, err in enumerate(out) if err is None]
     if ok:
@@ -617,7 +654,8 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
 
 def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     """fay_residual's entries for trials at separated points, from one
-    lattice sum."""
+    lattice sum, whose mantissas and log scales are read through index
+    arrays; err and peak are not formed, and only theta(w)'s peak is read."""
     trials, m, g = xs.shape
     # Per trial, 3m^2 - m + 2 rows: theta(w), the shifted
     # theta(w + sum x - sum y) and the m^2 matrix numerators
@@ -630,28 +668,42 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     vals = _theta_arrays(point, *_fold(
         point, (np.concatenate([w[:, None], shift[:, None], w[:, None] + cross], axis=1), None),
         (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
-    even = trials * (k + 2)
-    even, odd = vals[:even].reshape(trials, k + 2), vals[even:].reshape(trials, -1)
+    mant, logs = vals.mantissa, vals.log_scale
+    # trial t's theta(w) is row e_t and its first prime form row o_t: all
+    # trials' k + 2 even rows come first, then their 2k - m odd ones
+    e = np.arange(trials) * (k + 2)
+    o = trials * (k + 2) + np.arange(trials) * (2 * k - m)
     # a trial with theta(w) below the floor, or an exactly zero prime form,
     # which the stacked division would refuse for every trial, is left out
-    low = even.below(THETA_FLOOR)[:, 0]
-    zero = np.any(odd.mantissa[:, :k] == 0, axis=1)
+    low = np.abs(mant[e]) < THETA_FLOOR * vals.peak[e]
+    zero = np.any(mant[o[:, None] + np.arange(k)] == 0, axis=1)
     out = [ThetaNearZeroError("theta(w) is below the nonvanishing floor") if lo
            else ZeroDivisionError("a prime form E(x_i, y_j) is exactly zero") if z
            else None for lo, z in zip(low, zero)]
     good = np.flatnonzero(~(low | zero))
-    tw, sh, num = even[good, :1], even[good, 1:2], even[good, 2:]
-    exy, pairs = odd[good, :k], odd[good, k:]
+    tw, exy = e[good, None], o[good, None] + np.arange(k)
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
     # (theta(w) E(x_i, y_j))
-    lhs = (ScaledComplex.concatenate([sh, pairs], axis=1).normalized().prod(axis=1)
-           / ScaledComplex.concatenate([tw, exy], axis=1).normalized().prod(axis=1))
-    rhs = scaled_det((num / (tw * exy)).reshape(-1, m, m))
+    top = np.hstack([tw + 1, o[good, None] + np.arange(k, 2 * k - m)])
+    bot = np.hstack([tw, exy])
+    top_m, top_l, _ = _normalize(mant[top], logs[top])
+    bot_m, bot_l, _ = _normalize(mant[bot], logs[bot])
+    bot_m = bot_m.prod(axis=1)
+    den = mant[tw] * mant[exy]
+    # a zero left after the floor and prime-form tests, from an underflowed
+    # product, refuses the whole batch, as a stacked division does
+    if np.any(bot_m == 0) or np.any(den == 0):
+        raise ZeroDivisionError("division by an exactly zero scaled value")
+    num = tw + np.arange(2, k + 2)
+    rhs_m, rhs_l = _det_arrays((mant[num] / den).reshape(-1, m, m),
+                               (logs[num] - (logs[tw] + logs[exy])).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
-        rhs = -rhs
-    for t, r in zip(good, scaled_rel_diff(lhs, rhs).tolist()):
+        rhs_m = -rhs_m
+    diff = _rel_diff(top_m.prod(axis=1) / bot_m, top_l.sum(axis=1) - bot_l.sum(axis=1),
+                     rhs_m, rhs_l)
+    for t, r in zip(good, diff.tolist()):
         out[t] = r
     return out
 

@@ -510,6 +510,74 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     return th.scaled_rel_diff(lhs, rhs)
 
 
+def scaled_det_stacked(entries):
+    """`theta.scaled_det` as ScaledComplex steps: normalize the entries,
+    bring every row, then every column, to its largest entry's scale, and
+    hand the mantissas to `linalg.det`."""
+    from holodiff import linalg
+    from holodiff import theta as th
+
+    mod = np.where(entries.mantissa == 0, 1.0, np.abs(entries.mantissa))
+    entries = th.ScaledComplex(entries.mantissa / mod, entries.log_scale + np.log(mod))
+    logs = np.where(entries.mantissa == 0, -np.inf, entries.log_scale)
+    row_top = np.max(logs, axis=-1, keepdims=True)
+    row_top[~np.isfinite(row_top)] = 0.0
+    col_top = np.max(logs - row_top, axis=-2, keepdims=True)
+    col_top[~np.isfinite(col_top)] = 0.0
+    scaled = entries.mantissa * np.exp(logs - row_top - col_top)
+    return th.ScaledComplex(linalg.det(scaled),
+                            np.sum(row_top, axis=(-2, -1)) + np.sum(col_top, axis=(-2, -1)),
+                            np.full(scaled.shape[:-2], np.inf))
+
+
+def fay_residual_stacked(w, xs, ys, tau, delta):
+    """`theta.fay_residual` on stacked ScaledComplex values: the same
+    separation test and lattice sum, then slices, reshapes, `concatenate`,
+    `normalized`, `prod`, `*`, `/` and negation of whole stacks, each
+    carrying err and peak, and `scaled_det_stacked`.  The package's array
+    tail performs the same mantissa and log-scale operations in the same
+    order, so the two agree bit for bit, errors included."""
+    from holodiff import theta as th
+
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    point = th._siegel(tau)
+    out = th._separation(np.concatenate([xs, ys], axis=1), point)
+    ok = [t for t, err in enumerate(out) if err is None]
+    if not ok:
+        return out
+    xs, ys, w = xs[ok], ys[ok], w[ok]
+    trials, m, g = xs.shape
+    k = m * m
+    iu, ju = np.triu_indices(m, 1)
+    cross = (xs[:, :, None, :] - ys[:, None, :, :]).reshape(trials, k, g)
+    shift = w + xs.sum(axis=1) - ys.sum(axis=1)
+    vals = th._theta_arrays(point, *th._fold(
+        point, (np.concatenate([w[:, None], shift[:, None], w[:, None] + cross], axis=1), None),
+        (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
+    even = trials * (k + 2)
+    even, odd = vals[:even].reshape(trials, k + 2), vals[even:].reshape(trials, -1)
+    low = even.below(th.THETA_FLOOR)[:, 0]
+    zero = np.any(odd.mantissa[:, :k] == 0, axis=1)
+    res = [th.ThetaNearZeroError("theta(w) is below the nonvanishing floor") if lo
+           else ZeroDivisionError("a prime form E(x_i, y_j) is exactly zero") if z
+           else None for lo, z in zip(low, zero)]
+    good = np.flatnonzero(~(low | zero))
+    tw, sh, num = even[good, :1], even[good, 1:2], even[good, 2:]
+    exy, pairs = odd[good, :k], odd[good, k:]
+    lhs = (th.ScaledComplex.concatenate([sh, pairs], axis=1).normalized().prod(axis=1)
+           / th.ScaledComplex.concatenate([tw, exy], axis=1).normalized().prod(axis=1))
+    rhs = scaled_det_stacked((num / (tw * exy)).reshape(-1, m, m))
+    if (m * (m - 1) // 2) % 2 == 1:
+        rhs = -rhs
+    for t, r in zip(good, th.scaled_rel_diff(lhs, rhs).tolist()):
+        res[t] = r
+    for t, r in zip(ok, res):
+        out[t] = r
+    return out
+
+
 def fay_single(w, xs, ys, tau, delta):
     """The residual of one trisecant trial, as `fay_residual` gives it for a
     batch of one; raises the error that stopped the trial."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from holodiff import theta as th
 from holodiff.curves import sample_points
-from holodiff.jacobian import abel_map, riemann_constant
+from holodiff.jacobian import abel_map, compute_periods, riemann_constant
 from holodiff.siegel import SiegelPoint, random_siegel_point
 
 from oracles import (
+    bundled,
     fay_residual_objects,
+    fay_residual_stacked,
     fay_single,
     lattice_distance,
     lattice_theta,
@@ -450,6 +453,30 @@ def test_ellipsoid_radius_is_solved_once_per_point(monkeypatch):
     assert len(solves) == 2
 
 
+def test_point_keeps_its_truncation_box_and_real_split(monkeypatch):
+    point = SiegelPoint(np.array([[1.2j + 3.4, 0.3 + 0.2j], [0.3 + 0.2j, 0.9j - 2.6]]))
+    for kept in (th._truncation, th._split_real):
+        first, again = kept(point), kept(point)
+        assert all(a is b for a, b in zip(first, again))
+    half, bound = th._truncation(point)
+    tau_s, s = th._split_real(point)
+    assert (np.array_equal(half, th._box_half_widths(point)[0])
+            and bound == th._box_half_widths(point)[1])
+    assert np.array_equal(s, [[4.0, 0.0], [0.0, -2.0]]) and np.array_equal(tau_s + s, point.z)
+    for arr in (half, tau_s, s):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1.0
+    # a point refused at the cap keeps nothing: it is refused again, and
+    # evaluates once the cap is back
+    refused = SiegelPoint(point.z)
+    monkeypatch.setattr(th, "RADIUS_CAP", 2.0)
+    for _ in range(2):
+        with pytest.raises(th.TruncationError, match="cap"):
+            th._truncation(refused)
+    monkeypatch.undo()
+    assert np.array_equal(th._truncation(refused)[0], half)
+
+
 def test_lattice_reduce_tau(rng):
     tau = random_siegel_point(2, rng)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2) + tau.z @ [3.0, -2.0]
@@ -561,14 +588,14 @@ def _single_entries(w, xs, ys, tau, delta):
             for t in range(len(w))]
 
 
-def _assert_entries(got, want):
-    """Equal errors by class and message, equal residuals to 1e-12."""
+def _assert_entries(got, want, tol=1e-12):
+    """Equal errors by class and message, residuals equal to within tol."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(b, Exception):
             assert (type(a), str(a)) == (type(b), str(b))
         else:
-            assert abs(a - b) <= 1e-12
+            assert type(a) is float and (a == b or abs(a - b) <= tol)
 
 
 def test_fay_batch_failing_trials_leave_the_others(pd_g2, monkeypatch):
@@ -592,22 +619,27 @@ def test_fay_batch_failing_trials_leave_the_others(pd_g2, monkeypatch):
     _assert_entries(got, _single_entries(w, xs, ys, tau, delta))
 
 
-def test_fay_batch_reports_an_exactly_zero_prime_form(pd_g2, monkeypatch):
-    m = 3
-    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 330)
-    want = _single_entries(w, xs, ys, tau, delta)
+def _zeroed_kernel(monkeypatch, rows):
+    """_theta_arrays with the mantissas of the given rows of its result set
+    to zero."""
     kernel = th._theta_arrays
-    # the even rows of the three trials come first, then each trial's
-    # m^2 + m(m - 1) odd ones: zero trial 1's E(x_0, y_1)
-    row = 3 * (m * m + 2) + (2 * m * m - m) + 1
 
     def zeroed(point, tau, zs, log_fac):
         vals = kernel(point, tau, zs, log_fac)
         mant = vals.mantissa.copy()
-        mant[row] = 0.0
+        mant[list(rows)] = 0.0
         return th.ScaledComplex(mant, vals.log_scale, vals.err, vals.peak)
 
     monkeypatch.setattr(th, "_theta_arrays", zeroed)
+
+
+def test_fay_batch_reports_an_exactly_zero_prime_form(pd_g2, monkeypatch):
+    m = 3
+    w, xs, ys, tau, delta = _fay_batch_args(pd_g2, m, 330)
+    want = _single_entries(w, xs, ys, tau, delta)
+    # the even rows of the three trials come first, then each trial's
+    # m^2 + m(m - 1) odd ones: zero trial 1's E(x_0, y_1)
+    _zeroed_kernel(monkeypatch, [3 * (m * m + 2) + (2 * m * m - m) + 1])
     got = th.fay_residual(w, xs, ys, tau, delta)
     assert isinstance(got[1], ZeroDivisionError) and "exactly zero" in str(got[1])
     _assert_entries(got[::2], want[::2])
@@ -635,6 +667,72 @@ def test_fay_batch_splits_trials_to_fit_the_term_budget(pd_g2, monkeypatch):
         th.fay_residual(w, xs, ys, tau, delta)
     with pytest.raises(th.TruncationError, match="budget"):
         th.fay_residual(w[:1], xs[:1], ys[:1], tau, delta)
+
+
+@pytest.fixture(scope="module")
+def pd_bundled_g2():
+    return compute_periods(bundled("hyperelliptic_g2.json"))
+
+
+def _fay_pin_args(genus, m, trials, pd):
+    """A batch of trials at a seeded random genus-1 tau, or at seeded points
+    of the bundled genus-2 curve."""
+    rng = np.random.default_rng([genus, m, trials])
+    if genus == 1:
+        tau = np.array([[rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.8, 1.8)]])
+        xs, ys = 0.4 * (rng.standard_normal((2, trials, m, 1))
+                        + 1j * rng.standard_normal((2, trials, m, 1)))
+    else:
+        tau = pd.tau
+        pts = sample_points(pd.curve, 2 * m * trials, 500 + m + trials, mode="real")
+        xs, ys = abel_map(pd, pts)[0].reshape(trials, 2, m, 2).transpose(1, 0, 2, 3)
+    w = 0.3 * (rng.standard_normal((trials, genus)) + 1j * rng.standard_normal((trials, genus)))
+    return w, xs, ys, tau, th.ThetaCharacteristic.first_odd(genus)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("m", [2, 3, 6, 12])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_fay_residual_is_bitwise_the_stacked_form(genus, m, trials, pd_bundled_g2):
+    args = _fay_pin_args(genus, m, trials, pd_bundled_g2)
+    got = th.fay_residual(*args)
+    assert any(isinstance(r, float) for r in got)
+    _assert_entries(got, fay_residual_stacked(*args), tol=0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 12])
+def test_fay_residual_faults_are_bitwise_the_stacked_form(m, pd_bundled_g2, monkeypatch):
+    # trial 0 at coincident points, trial 1 with theta(w) zeroed below the
+    # floor, trial 2 with its E(x_0, y_1) exactly zero, trial 3 kept: the
+    # kernel sees trials 1 to 3, so trial 1's theta(w) is its row 0, and
+    # trial 2's first prime form follows all 3 (k + 2) even rows and
+    # trial 1's 2k - m odd ones
+    w, xs, ys, tau, delta = _fay_pin_args(2, m, 4, pd_bundled_g2)
+    xs[0, 1] = xs[0, 0]
+    k = m * m
+    _zeroed_kernel(monkeypatch, [0, 3 * (k + 2) + (2 * k - m) + 1])
+    got = th.fay_residual(w, xs, ys, tau, delta)
+    assert [type(r) for r in got] == [th.CoincidentPointsError, th.ThetaNearZeroError,
+                                      ZeroDivisionError, float]
+    _assert_entries(got, fay_residual_stacked(w, xs, ys, tau, delta), tol=0.0)
+
+
+@pytest.mark.parametrize("shapes", [
+    # two rows of w for one trial of points: the second row was dropped
+    ((2, 1), (1, 2, 1), (1, 2, 1)),
+    # an unbatched call
+    ((1,), (2, 1), (2, 1)),
+    # fewer points on the y side
+    ((1, 1), (1, 3, 1), (1, 2, 1)),
+    # points of genus 2 at a genus-1 tau
+    ((1, 1), (1, 2, 2), (1, 2, 2)),
+])
+def test_fay_residual_names_bad_shapes(shapes):
+    rng = np.random.default_rng(5)
+    w, xs, ys = (0.2 * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in shapes)
+    named = ", ".join(f"{n} {s}" for n, s in zip(("w", "xs", "ys"), shapes))
+    with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+        th.fay_residual(w, xs, ys, np.array([[1j]]), th.ThetaCharacteristic.first_odd(1))
 
 
 def test_fay_residual_validation():

@@ -10,8 +10,13 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   random tau built once as a ``SiegelPoint`` (a genus the checkout
   refuses with ``TruncationError`` has no key), and at the period matrix
   of the bundled ``hyperelliptic_g4.json`` (key ``g4_hyperelliptic``);
+  and on 3 stacked seeded rows at the period matrix of the bundled
+  genus-2 curve (key ``g2_bundled_3rows``), the theta(w) test of one
+  genus-2 ``verify-fay`` round;
 - ``fay_residual`` by number of point pairs m, on a batch of one trial on
-  the bundled genus-2 curve, at seeded curve points mapped by ``abel_map``;
+  the bundled genus-2 curve, at seeded curve points mapped by ``abel_map``,
+  and on a batch of 3 such trials at m = 6 (key ``6x3``), the batch of one
+  ``verify-fay -m 6`` round;
 - ``abel_map`` by number of seeded real points on that curve, as one call;
 - ``compute_periods`` by genus: the bundled lemniscatic curve (g = 1), the
   bundled genus-2 curve and a genus-3 curve with real branch points;
@@ -85,6 +90,9 @@ HYPERELLIPTIC_G4_Y = (1.4959228059907947, 0.8059756641399558, 0.5296940621115547
                       0.37054075091075456, 1.2453665359638166, 0.49473775863340697,
                       0.9942697166921114)
 FAY_PAIRS = (2, 6, 12, 24, 48)
+# the trials, and so the theta(w) rows, of one genus-2 verify-fay round
+FAY_BATCH = 3
+FAY_BATCH_PAIRS = 6
 ABEL_POINTS = (1, 12, 36)
 FAY_CHECK_PAIRS = (6, 12)
 FAY_CHECK_SEED = 7
@@ -119,7 +127,7 @@ def _bundled(holodiff, name):
     return curves.parse_curve_spec(path.read_text(encoding="utf-8"))
 
 
-def bench_theta(theta, siegel, np) -> dict:
+def bench_theta(holodiff, theta, siegel, np) -> dict:
     points = {}
     for g in THETA_GENERA:
         rng = np.random.default_rng([SEED, g])
@@ -136,6 +144,12 @@ def bench_theta(theta, siegel, np) -> dict:
         except theta.TruncationError:
             continue
         out[key] = _min_ms(lambda: theta.theta(z, point))
+    from holodiff import jacobian
+
+    tau = jacobian.compute_periods(_bundled(holodiff, "hyperelliptic_g2.json")).tau
+    rng = np.random.default_rng([SEED, 2, FAY_BATCH])
+    ws = 0.4 * (rng.standard_normal((FAY_BATCH, 2)) + 1j * rng.standard_normal((FAY_BATCH, 2)))
+    out[f"g2_bundled_{FAY_BATCH}rows"] = _min_ms(lambda: theta.theta(ws, tau))
     return out
 
 
@@ -145,19 +159,21 @@ def bench_fay(holodiff, np) -> dict:
     pd = jacobian.compute_periods(_bundled(holodiff, "hyperelliptic_g2.json"))
     delta = theta.ThetaCharacteristic.first_odd(2)
     out = {}
-    for m in FAY_PAIRS:
-        rng = np.random.default_rng([SEED, m])
+    for m, trials in [(m, 1) for m in FAY_PAIRS] + [(FAY_BATCH_PAIRS, FAY_BATCH)]:
+        key = str(m) if trials == 1 else f"{m}x{trials}"
+        rng = np.random.default_rng([SEED, m] if trials == 1 else [SEED, m, trials])
         for attempt in range(8):
-            pts = curves.sample_points(pd.curve, 2 * m, SEED + 1000 * m + attempt, mode="real")
-            imgs = jacobian.abel_map(pd, pts)[0]
-            w = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            args = (w[None], imgs[None, :m], imgs[None, m:], pd.tau, delta)
-            if isinstance(theta.fay_residual(*args)[0], Exception):
+            pts = curves.sample_points(pd.curve, 2 * m * trials, SEED + 1000 * m + attempt,
+                                       mode="real")
+            imgs = jacobian.abel_map(pd, pts)[0].reshape(trials, 2 * m, 2)
+            w = 0.4 * (rng.standard_normal((trials, 2)) + 1j * rng.standard_normal((trials, 2)))
+            args = (w, imgs[:, :m], imgs[:, m:], pd.tau, delta)
+            if any(isinstance(r, Exception) for r in theta.fay_residual(*args)):
                 continue
-            out[str(m)] = _min_ms(lambda: theta.fay_residual(*args))
+            out[key] = _min_ms(lambda: theta.fay_residual(*args))
             break
         else:
-            raise RuntimeError(f"no usable point set for m={m}")
+            raise RuntimeError(f"no usable point sets for m={m}, {trials} trials")
     return out
 
 
@@ -312,7 +328,7 @@ def main(argv=None) -> int:
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "repeats": REPEATS,
         "reference_s": speed.REFERENCE_S,
-        "theta_ms_per_call": bench_theta(theta, siegel, np),
+        "theta_ms_per_call": bench_theta(holodiff, theta, siegel, np),
         "fay_residual_ms_per_call": bench_fay(holodiff, np),
         "abel_map_ms_per_call": bench_abel(holodiff),
         "compute_periods_ms_per_call": bench_periods(holodiff),
