@@ -94,6 +94,8 @@ class PlaneCurve:
             r, s, c = int(r), int(s), complex(c)
             if r < 0 or s < 0 or r + s > self.degree:
                 raise ValueError(f"monomial exponents ({r}, {s}) out of range")
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"coefficient of monomial ({r}, {s}) is not finite: {c!r}")
             if (r, s) in seen:
                 raise ValueError(f"duplicate monomial ({r}, {s})")
             seen.add((r, s))
@@ -281,6 +283,8 @@ class HyperellipticCurve:
             raise ValueError(
                 f"need an odd number >= 3 of branch points, got {len(e)}"
             )
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"branch points must be finite, got {e.tolist()}")
         if np.any(np.diff(e) <= 0):
             raise ValueError("branch points must be strictly increasing")
         if np.min(np.diff(e)) < MIN_BRANCH_SEPARATION:

@@ -40,11 +40,11 @@ class SiegelPoint:
     The one owner of what is derived from tau: the finiteness, symmetry
     and positivity checks run once here, and give the smallest and
     largest eigenvalues `lambda_min` and `lambda_max` of Y.  Computed on
-    first use and kept: Y^-1, the radius of the theta truncation
-    ellipsoid, the theta lattice box's half-widths with their tail bound,
-    and the split of tau into a real-reduced matrix and an integer one.
-    A point that theta refuses at `theta.RADIUS_CAP` keeps no box and is
-    refused again at every use.  Its arrays are read-only.
+    first use and kept: Y^-1, the theta lattice box's half-widths with
+    their tail bound, and the split of tau into a real-reduced matrix and
+    an integer one.  A point that theta refuses at `theta.RADIUS_CAP`
+    keeps no box and is refused again at every use.  Its arrays are
+    read-only.
     """
 
     def __init__(self, z):
@@ -82,15 +82,6 @@ class SiegelPoint:
         return out
 
     @cached_property
-    def theta_ellipsoid(self) -> tuple:
-        """(R_e, bound) of `theta._ellipsoid_radius`: the theta lattice terms
-        outside pi v.Y.v < R_e^2 around a row's centre sum to at most bound
-        times its peak term."""
-        from .theta import _ellipsoid_radius
-
-        return _ellipsoid_radius(self.g, self.lambda_min)
-
-    @cached_property
     def theta_truncation(self) -> tuple:
         """(half-widths, bound) of `theta._box_half_widths`: the theta
         lattice box around a row's centre and the tail bound outside it."""
@@ -104,7 +95,9 @@ class SiegelPoint:
     def real_split(self) -> tuple:
         """(tau - S, S) for the integer symmetric S, even on the diagonal,
         that brings Re tau into [-1, 1] on the diagonal and [-1/2, 1/2] off
-        it (see `theta._split_real`)."""
+        it.  exp(i pi n.S.n) = 1 for integer n, so a theta sum over Z^g is
+        the same at tau and tau - S; the subtraction is exact, and phases
+        computed at tau - S no longer lose digits to a large Re tau."""
         period = 1.0 + np.eye(self.g)
         s = period * np.rint(self.z.real / period)
         split = self.z - s, s

@@ -8,9 +8,9 @@ quasi-periodicity; the prefactors are kept as a separate log scale so
 nothing overflows.  Truncation follows Deconinck, Heil, Bobenko, van
 Hoeij and Schmies (2004): terms outside the ellipsoid pi v.Y.v < R_e^2
 around a row's centre sum to a certified fraction of its peak term, and
-R_e does not depend on the argument.  R_e, the box half-widths it gives
-and the split of Re tau into a reduced and an integer part depend on tau
-alone, so each is computed once and kept on the `SiegelPoint`.  The sum
+R_e does not depend on the argument.  The box half-widths R_e gives and
+the split of Re tau into a reduced and an integer part depend on tau
+alone, so both are computed once and kept on the `SiegelPoint`.  The sum
 runs over the ellipsoid's bounding box, so a batch of arguments at one
 tau shares a single lattice box.  Within it, term moduli come from one
 real matmul and one real exp, and only the unit phases are factored: one
@@ -22,14 +22,14 @@ with the Riemann constant in closed form from `jacobian`.  Each hands
 all its rows to one engine call, which splits them into consecutive
 chunks only where MAX_TERMS demands it and returns one array-valued
 `ScaledComplex`.  The cross-ratio check works on that value; the
-trisecant reads its mantissa and log-scale arrays through index arrays
-and forms no err or peak, reading only theta(w)'s peak for the floor
-test.  The trisecant residual takes a batch of T trials at one tau and
-gives one entry per trial, its residual or the error that stopped it:
-T (3m^2 - m + 2) rows, then one stacked O(m^3) scaled determinant over
-the trials that reach it; a single trial is the batch of one.  The
-cross-ratio check sums, per draw, theta(w) and eight rows per anchor
-pair.
+trisecant reads its mantissa and log-scale arrays as one block of even
+rows and one of odd rows per trial and forms no err or peak, reading
+only theta(w)'s peak for the floor test.  The trisecant residual takes a
+batch of T trials at one tau and gives one entry per trial, its residual
+or the error that stopped it: T (3m^2 - m + 2) rows, then one stacked
+O(m^3) scaled determinant over the trials that reach it; a single trial
+is the batch of one.  The cross-ratio check sums, per draw, theta(w)
+and eight rows per anchor pair.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class ScaledComplex:
     """Complex values mantissa * exp(log_scale), element by element.
 
     `mantissa`, `log_scale`, `err` and `peak` share one shape: 0-d for one
-    number, held as numpy scalars, whose * and abs round as Python's do; a
-    row axis for a stacked `theta` call; (..., m, m) for determinant
-    entries.  Arithmetic, `normalized` and indexing act element by element
-    and broadcast.  `err` bounds the absolute error of the mantissa, inf
+    number, held as numpy scalars, whose * and abs round as Python's do, or
+    a row axis for a stacked `theta` call, reshaped as its callers need.
+    Arithmetic, `normalized` and indexing act element by element and
+    broadcast.  `err` bounds the absolute error of the mantissa, inf
     where no bound is known; `peak` is the mantissa-scale magnitude of the
     largest series term, the yardstick of `below`.  Negation keeps both,
     and a plain factor c scales both by |c|.  For a = a.m + da with
@@ -234,6 +234,8 @@ class ThetaCharacteristic:
 
     @classmethod
     def from_bits(cls, ia: int, ib: int, g: int) -> "ThetaCharacteristic":
+        if not (0 <= ia < 1 << g and 0 <= ib < 1 << g):
+            raise ValueError(f"characteristic bits ({ia}, {ib}) outside [0, {1 << g}) at g = {g}")
         a = np.array([(ia >> i) & 1 for i in range(g)], dtype=float) / 2
         b = np.array([(ib >> i) & 1 for i in range(g)], dtype=float) / 2
         return cls(a, b)
@@ -354,12 +356,6 @@ def _ellipsoid_radius(g: int, lam: float):
     return radius, bound
 
 
-def _truncation(point: SiegelPoint):
-    """(half-widths h, bound) of `_box_half_widths`, computed on the point's
-    first call and kept on it (`SiegelPoint.theta_truncation`), h read-only."""
-    return point.theta_truncation
-
-
 def _box_half_widths(point: SiegelPoint):
     """(half-widths h, bound): the box |n_k + c0_k| <= h_k around a row's
     centre -c0 holds its ellipsoid pi (n + c0).Y.(n + c0) < R_e^2, and the
@@ -367,11 +363,11 @@ def _box_half_widths(point: SiegelPoint):
 
     On that ellipsoid (n + c0)_k reaches at most (R_e / sqrt(pi))
     sqrt((Y^-1)_kk), by Cauchy-Schwarz in the Y inner product; h_k is that,
-    or 1 where that is smaller.  R_e is solved once per point
-    (`SiegelPoint.theta_ellipsoid`); none of this depends on the argument
-    z.  Raises TruncationError where the widest h_k exceeds RADIUS_CAP.
+    or 1 where that is smaller.  None of this depends on the argument z,
+    so the point computes it once and keeps it (`SiegelPoint.theta_truncation`).
+    Raises TruncationError where the widest h_k exceeds RADIUS_CAP.
     """
-    radius, bound = point.theta_ellipsoid
+    radius, bound = _ellipsoid_radius(point.g, point.lambda_min)
     # max_k (Y^-1)_kk >= tr(Y^-1) / g >= 1 / (g lam_min), so a Y too close
     # to singular is refused from its spectrum, before Y^-1 is formed
     widest = radius / math.sqrt(math.pi * point.g * point.lambda_min)
@@ -405,30 +401,16 @@ def _reduce(point: SiegelPoint, v: np.ndarray, tau: np.ndarray | None = None):
     return v - nvec, mvec, nvec
 
 
-def _split_real(point: SiegelPoint):
-    """(tau - S, S), kept on the point (`SiegelPoint.real_split`), for the
-    integer symmetric S, even on the diagonal, that brings Re tau into
-    [-1, 1] on the diagonal and [-1/2, 1/2] off it.
-
-    exp(i pi n.S.n) = 1 for integer n, so a theta sum over Z^g is the same
-    at tau and tau - S; the subtraction is exact, and phases computed at
-    tau - S no longer lose digits to a large Re tau.
-    """
-    return point.real_split
-
-
 def _fold(point: SiegelPoint, *groups):
-    """(tau_s, rows w, log factors L) with theta[a,b](z) = exp(L) theta(w).
+    """(rows w, log factors L) with theta[a,b](z) = exp(L) theta(w).
 
     Each group is (zs, char), char a ThetaCharacteristic or None.  By
     theta[a,b](z) = exp(i pi a.tau.a + 2 pi i a.(z + b)) theta(z + tau a + b),
     w is z + tau a + b up to a lattice vector, so one lattice sum over Z^g
     at the returned rows, in group order, serves every characteristic.
-    tau_s is the real-reduced matrix of `_split_real`, split once here
-    for the fold and for the kernel.
     """
     g = point.g
-    tau, s = _split_real(point)
+    tau, s = point.real_split
     rows, logs = [], []
     for zs, char in groups:
         zs = np.asarray(zs, dtype=complex)
@@ -453,16 +435,16 @@ def _fold(point: SiegelPoint, *groups):
                     + 2j * np.pi * (((nvec - mvec @ s) @ a) % 1.0)
                     + 1j * np.pi * (a @ tau @ a + (a @ sa) % 2.0) + 2j * np.pi * ((r + b) @ a))
         rows.append(r + (tau @ a + b + sa % 1.0))
-    return tau, np.concatenate(rows), np.concatenate(logs)
+    return np.concatenate(rows), np.concatenate(logs)
 
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: np.ndarray):
-    """exp(log_fac) theta(z) at every row of zs, by one lattice sum over Z^g.
+def _theta_arrays(point: SiegelPoint, zs: np.ndarray, log_fac: np.ndarray):
+    """exp(log_fac) theta(z) at every row of zs, by one lattice sum over Z^g,
+    summed at the point's real-reduced matrix (`SiegelPoint.real_split`).
 
-    tau is the real-reduced matrix that `_fold` returns with the rows.
     Where rows times box points exceed MAX_TERMS, consecutive chunks of
     MAX_TERMS // box rows (at least one) are summed each in its own box;
     only a row whose box alone is over the budget raises TruncationError,
@@ -482,7 +464,8 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
     product does not.
     """
     g = point.g
-    half, bound = _truncation(point)
+    tau = point.real_split[0]
+    half, bound = point.theta_truncation
     z0, mvec, _ = _reduce(point, zs, tau)
     # quasi-periodicity: -i pi m.tau.m - 2 pi i m.z0
     pref = log_fac - 1j * np.pi * np.einsum("bi,bi->b", mvec, mvec @ tau + 2.0 * z0)
@@ -500,7 +483,7 @@ def _theta_arrays(point: SiegelPoint, tau: np.ndarray, zs: np.ndarray, log_fac: 
             raise TruncationError(f"one row's lattice sum needs {box} terms > budget {MAX_TERMS}")
         step = max(1, MAX_TERMS // box)
         return ScaledComplex.concatenate([
-            _theta_arrays(point, tau, zs[a:a + step], log_fac[a:a + step])
+            _theta_arrays(point, zs[a:a + step], log_fac[a:a + step])
             for a in range(0, rows, step)])
     axes = [np.arange(lo[k], hi[k] + 1, dtype=float) for k in range(g)]
     # the box's lattice points as the columns of u, in C order
@@ -580,22 +563,10 @@ def _separation(points, point: SiegelPoint):
     return out
 
 
-def scaled_det(entries: ScaledComplex) -> ScaledComplex:
-    """Determinant of a matrix of scaled entries, by pivoted elimination.
-
-    entries has shape (m, m), or (..., m, m) for a stack of matrices, which
-    gives one determinant per matrix from one `linalg.det` call, as
-    `_det_arrays` describes.  The err is inf: no bound is carried through
-    the elimination.  Not public: the trisecant calls `_det_arrays` on bare
-    arrays, and nothing outside the tests calls this wrapper.
-    """
-    mant, logs = _det_arrays(entries.mantissa, entries.log_scale)
-    return ScaledComplex(mant, logs, np.full(np.shape(mant), math.inf))
-
-
 def _det_arrays(mant, logs):
     """(mantissas, log scales) of the determinants of the (..., m, m)
-    entries mant exp(logs).
+    entries mant exp(logs), one per matrix of a stack, by pivoted
+    elimination in one `linalg.det` call; no error bound is carried.
 
     After normalizing each entry, every row, then every column, is brought
     to the scale of its largest entry, so the mantissa matrix handed to
@@ -654,8 +625,8 @@ def fay_residual(w, xs, ys, tau, delta: ThetaCharacteristic):
 
 def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     """fay_residual's entries for trials at separated points, from one
-    lattice sum, whose mantissas and log scales are read through index
-    arrays; err and peak are not formed, and only theta(w)'s peak is read."""
+    lattice sum, whose mantissas and log scales are read as per-trial
+    blocks; err and peak are not formed, and only theta(w)'s peak is read."""
     trials, m, g = xs.shape
     # Per trial, 3m^2 - m + 2 rows: theta(w), the shifted
     # theta(w + sum x - sum y) and the m^2 matrix numerators
@@ -668,37 +639,36 @@ def _fay_trials(point: SiegelPoint, w, xs, ys, delta):
     vals = _theta_arrays(point, *_fold(
         point, (np.concatenate([w[:, None], shift[:, None], w[:, None] + cross], axis=1), None),
         (np.concatenate([cross, xs[:, iu] - xs[:, ju], ys[:, iu] - ys[:, ju]], axis=1), delta)))
-    mant, logs = vals.mantissa, vals.log_scale
-    # trial t's theta(w) is row e_t and its first prime form row o_t: all
-    # trials' k + 2 even rows come first, then their 2k - m odd ones
-    e = np.arange(trials) * (k + 2)
-    o = trials * (k + 2) + np.arange(trials) * (2 * k - m)
+    # all trials' k + 2 even rows come first, then their 2k - m odd ones
+    n_even = trials * (k + 2)
+    (even_m, odd_m), (even_l, odd_l) = (
+        (a[:n_even].reshape(trials, -1), a[n_even:].reshape(trials, -1))
+        for a in (vals.mantissa, vals.log_scale))
     # a trial with theta(w) below the floor, or an exactly zero prime form,
     # which the stacked division would refuse for every trial, is left out
-    low = np.abs(mant[e]) < THETA_FLOOR * vals.peak[e]
-    zero = np.any(mant[o[:, None] + np.arange(k)] == 0, axis=1)
+    low = np.abs(even_m[:, 0]) < THETA_FLOOR * vals.peak[:n_even:k + 2]
+    zero = np.any(odd_m[:, :k] == 0, axis=1)
     out = [ThetaNearZeroError("theta(w) is below the nonvanishing floor") if lo
            else ZeroDivisionError("a prime form E(x_i, y_j) is exactly zero") if z
            else None for lo, z in zip(low, zero)]
     good = np.flatnonzero(~(low | zero))
-    tw, exy = e[good, None], o[good, None] + np.arange(k)
+    even_m, odd_m, even_l, odd_l = even_m[good], odd_m[good], even_l[good], odd_l[good]
 
     # lhs: theta(shift) prod_{i<j} E(x_i, x_j) E(y_i, y_j) over
     # theta(w) prod_{i,j} E(x_i, y_j); rhs: det theta(w + x_i - y_j) /
     # (theta(w) E(x_i, y_j))
-    top = np.hstack([tw + 1, o[good, None] + np.arange(k, 2 * k - m)])
-    bot = np.hstack([tw, exy])
-    top_m, top_l, _ = _normalize(mant[top], logs[top])
-    bot_m, bot_l, _ = _normalize(mant[bot], logs[bot])
+    top_m, top_l, _ = _normalize(np.hstack([even_m[:, 1:2], odd_m[:, k:]]),
+                                 np.hstack([even_l[:, 1:2], odd_l[:, k:]]))
+    bot_m, bot_l, _ = _normalize(np.hstack([even_m[:, :1], odd_m[:, :k]]),
+                                 np.hstack([even_l[:, :1], odd_l[:, :k]]))
     bot_m = bot_m.prod(axis=1)
-    den = mant[tw] * mant[exy]
+    den = even_m[:, :1] * odd_m[:, :k]
     # a zero left after the floor and prime-form tests, from an underflowed
     # product, refuses the whole batch, as a stacked division does
     if np.any(bot_m == 0) or np.any(den == 0):
         raise ZeroDivisionError("division by an exactly zero scaled value")
-    num = tw + np.arange(2, k + 2)
-    rhs_m, rhs_l = _det_arrays((mant[num] / den).reshape(-1, m, m),
-                               (logs[num] - (logs[tw] + logs[exy])).reshape(-1, m, m))
+    rhs_m, rhs_l = _det_arrays((even_m[:, 2:] / den).reshape(-1, m, m),
+                               (even_l[:, 2:] - (even_l[:, :1] + odd_l[:, :k])).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs_m = -rhs_m
     diff = _rel_diff(top_m.prod(axis=1) / bot_m, top_l.sum(axis=1) - bot_l.sum(axis=1),

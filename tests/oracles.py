@@ -470,8 +470,8 @@ def fay_residual_objects(w, xs, ys, tau, delta):
 
     Same theta batches as the package, then every quotient, product and
     determinant entry is an operation on single values: normalize,
-    multiply, divide, and `scaled_det` on the matrix stacked from its
-    entries.
+    multiply, divide, and `scaled_det_stacked` on the matrix stacked from
+    its entries.
     """
     from holodiff import theta as th
 
@@ -504,14 +504,14 @@ def fay_residual_objects(w, xs, ys, tau, delta):
     exy = odd[:m * m]
     lhs = prod([even[0]] + odd[m * m:]) / prod([tw] + exy)
     entries = [(even[1 + r] / (tw * exy[r])).reshape(1) for r in range(m * m)]
-    rhs = th.scaled_det(th.ScaledComplex.concatenate(entries).reshape(m, m))
+    rhs = scaled_det_stacked(th.ScaledComplex.concatenate(entries).reshape(m, m))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
     return th.scaled_rel_diff(lhs, rhs)
 
 
 def scaled_det_stacked(entries):
-    """`theta.scaled_det` as ScaledComplex steps: normalize the entries,
+    """`theta._det_arrays` as ScaledComplex steps: normalize the entries,
     bring every row, then every column, to its largest entry's scale, and
     hand the mantissas to `linalg.det`."""
     from holodiff import linalg

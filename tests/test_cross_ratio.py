@@ -53,8 +53,8 @@ def _spy_theta_arrays(monkeypatch):
     calls = []
     arrays = th._theta_arrays
 
-    def spy(point, tau, zs, log_fac):
-        out = arrays(point, tau, zs, log_fac)
+    def spy(point, zs, log_fac):
+        out = arrays(point, zs, log_fac)
         calls.append((len(zs), out))
         return out
 
@@ -81,7 +81,7 @@ def test_cross_ratio_split_sum_matches_one_sum(pd_g2, monkeypatch):
     # box is the cell's, 2 floor(h_k + 1/2) + 1 points on axis k.  With room
     # for eight rows of it, the one call on the 25 rows sums them in
     # consecutive chunks of eight, each in its own box
-    box = math.prod(2 * math.floor(h + 0.5) + 1 for h in th._truncation(pd_g2.tau)[0])
+    box = math.prod(2 * math.floor(h + 0.5) + 1 for h in pd_g2.tau.theta_truncation[0])
     monkeypatch.setattr(th, "MAX_TERMS", 8 * box)
     split = th.gamma_cross_ratio_check(pd_g2, 2, seed=20260818)
     *chunks, (rows, _) = calls

@@ -25,6 +25,11 @@ def test_plane_curve_validation():
         curves.PlaneCurve(5, [(5, 0, 0.0)])  # zero coefficient
 
 
+def test_plane_curve_refuses_a_non_finite_coefficient():
+    with pytest.raises(ValueError, match=r"coefficient of monomial \(0, 4\) is not finite"):
+        curves.PlaneCurve(4, [(4, 0, 1.0), (0, 4, float("nan")), (0, 0, -1.0)])
+
+
 def test_plane_genus_and_values(quintic):
     assert quintic.genus == 6
     assert quintic.degree == 5
@@ -45,6 +50,12 @@ def test_hyperelliptic_validation():
         curves.HyperellipticCurve([1.0, 0.0, 2.0])  # not increasing
     with pytest.raises(ValueError, match="separation floor 0.001"):
         curves.HyperellipticCurve([0.0, 1e-9, 1.0])  # too close
+
+
+@pytest.mark.parametrize("points", [[0.0, float("nan"), 2.0], [0.0, 1.0, float("inf")]])
+def test_hyperelliptic_refuses_non_finite_branch_points(points):
+    with pytest.raises(ValueError, match="branch points must be finite"):
+        curves.HyperellipticCurve(points)
 
 
 def test_hyperelliptic_model(hyp_g2):

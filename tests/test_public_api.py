@@ -5,8 +5,10 @@ longer exists breaks ``from holodiff.X import *``; a listed name that
 nothing outside its own definition refers to is code that only tests keep
 alive.  Callers are looked for in the package itself, the benchmark
 harness and the tools, but not in any test: a reference the tests need
-lives in ``tests/oracles.py``.  The same rule holds for the methods and
-properties of the package's classes, reached by attribute name.  Outside
+lives in ``tests/oracles.py``.  The same rule holds for every
+module-level function of the package, with or without a leading
+underscore, and for the methods and properties of its classes, reached
+by attribute name.  Outside
 ``curves.py`` no module branches on the class of a curve model.
 """
 
@@ -101,6 +103,23 @@ def test_awaiting_names_are_still_idle():
     public = {n for module in PUBLIC.values() for n in module.__all__}
     assert set(AWAITING_CHECK) <= public
     assert not set(AWAITING_CHECK) & _callers()
+
+
+def _functions():
+    """(module, name) of every module-level function of the package."""
+    for path in sorted((ROOT / "src" / "holodiff").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, stmt.name
+
+
+def test_module_functions_have_callers():
+    # a function that only the tests call, private or not, is code that
+    # only tests keep alive; a reference the tests need goes to oracles.py
+    used = _callers()
+    idle = [f"{module}.{name}" for module, name in _functions()
+            if name not in used and name not in AWAITING_CHECK]
+    assert not idle, f"module-level functions with no caller outside the unit tests: {idle}"
 
 
 def _attribute_callers() -> set[str]:

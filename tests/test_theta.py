@@ -169,6 +169,13 @@ def test_characteristic_bits_and_first_odd():
     assert d2.is_odd
 
 
+@pytest.mark.parametrize("ia,ib,g", [(16, 0, 4), (-1, 0, 2), (0, 4, 2), (0, -3, 3)])
+def test_characteristic_bits_out_of_range_are_refused(ia, ib, g):
+    # 16 at g = 4 read as the zero characteristic, -1 at g = 2 as a = (1/2, 1/2)
+    with pytest.raises(ValueError, match=rf"bits \({ia}, {ib}\) outside \[0, {2**g}\)"):
+        th.ThetaCharacteristic.from_bits(ia, ib, g)
+
+
 @pytest.mark.parametrize("g", range(1, 7))
 def test_first_odd_is_the_first_enumerated_odd_characteristic(g):
     # first_odd builds from_bits(1, 1, g) without walking the enumeration
@@ -400,7 +407,7 @@ def _box_points(point):
     into the fundamental cell, at most 2 floor(h_k + 1/2) + 1 on axis k for
     the truncation half-widths h, and in any one row's box, at least
     floor(2 h_k)."""
-    half = th._truncation(point)[0]
+    half = point.theta_truncation[0]
     return (math.prod(2 * math.floor(h + 0.5) + 1 for h in half),
             math.prod(math.floor(2.0 * h) for h in half))
 
@@ -455,11 +462,11 @@ def test_ellipsoid_radius_is_solved_once_per_point(monkeypatch):
 
 def test_point_keeps_its_truncation_box_and_real_split(monkeypatch):
     point = SiegelPoint(np.array([[1.2j + 3.4, 0.3 + 0.2j], [0.3 + 0.2j, 0.9j - 2.6]]))
-    for kept in (th._truncation, th._split_real):
+    for kept in (lambda p: p.theta_truncation, lambda p: p.real_split):
         first, again = kept(point), kept(point)
         assert all(a is b for a, b in zip(first, again))
-    half, bound = th._truncation(point)
-    tau_s, s = th._split_real(point)
+    half, bound = point.theta_truncation
+    tau_s, s = point.real_split
     assert (np.array_equal(half, th._box_half_widths(point)[0])
             and bound == th._box_half_widths(point)[1])
     assert np.array_equal(s, [[4.0, 0.0], [0.0, -2.0]]) and np.array_equal(tau_s + s, point.z)
@@ -472,9 +479,9 @@ def test_point_keeps_its_truncation_box_and_real_split(monkeypatch):
     monkeypatch.setattr(th, "RADIUS_CAP", 2.0)
     for _ in range(2):
         with pytest.raises(th.TruncationError, match="cap"):
-            th._truncation(refused)
+            refused.theta_truncation
     monkeypatch.undo()
-    assert np.array_equal(th._truncation(refused)[0], half)
+    assert np.array_equal(refused.theta_truncation[0], half)
 
 
 def test_lattice_reduce_tau(rng):
@@ -542,9 +549,9 @@ def test_fay_residual_sums_one_lattice(pd_g2, monkeypatch):
     rows = []
     kernel = th._theta_arrays
 
-    def counted(point, tau, zs, log_fac):
+    def counted(point, zs, log_fac):
         rows.append(len(zs))
-        return kernel(point, tau, zs, log_fac)
+        return kernel(point, zs, log_fac)
 
     monkeypatch.setattr(th, "_theta_arrays", counted)
     got = fay_single(*args)
@@ -564,9 +571,9 @@ def _counted_kernel(monkeypatch):
     rows = []
     kernel = th._theta_arrays
 
-    def counted(point, tau, zs, log_fac):
+    def counted(point, zs, log_fac):
         rows.append(len(zs))
-        return kernel(point, tau, zs, log_fac)
+        return kernel(point, zs, log_fac)
 
     monkeypatch.setattr(th, "_theta_arrays", counted)
     return rows
@@ -624,8 +631,8 @@ def _zeroed_kernel(monkeypatch, rows):
     to zero."""
     kernel = th._theta_arrays
 
-    def zeroed(point, tau, zs, log_fac):
-        vals = kernel(point, tau, zs, log_fac)
+    def zeroed(point, zs, log_fac):
+        vals = kernel(point, zs, log_fac)
         mant = vals.mantissa.copy()
         mant[list(rows)] = 0.0
         return th.ScaledComplex(mant, vals.log_scale, vals.err, vals.peak)
@@ -889,21 +896,21 @@ def test_theta_chunked_sum_matches_one_sum(g, rows, seed, data):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_scaled_det_matches_leibniz(m, rng):
+def test_det_arrays_matches_leibniz(m, rng):
     mant = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
     logs = rng.uniform(-2.0, 2.0, (3, m, m))
-    # a stack gives one determinant per matrix, and no error bound
-    got = th.scaled_det(th.ScaledComplex(mant, logs))
-    assert got.mantissa.shape == (3,) and np.all(got.err == math.inf)
+    # a stack gives one determinant per matrix
+    got_m, got_l = th._det_arrays(mant, logs)
+    assert got_m.shape == (3,)
     for k in range(3):
         want = leibniz_det(mant[k] * np.exp(logs[k]))
-        assert abs(got.value[k] - want) <= 1e-12 * abs(want)
-        one = th.scaled_det(th.ScaledComplex(mant[k], logs[k]))
-        assert np.shape(one.mantissa) == () and one.err == math.inf
-        assert abs(one.value - want) <= 1e-12 * abs(want)
+        assert abs(got_m[k] * np.exp(got_l[k]) - want) <= 1e-12 * abs(want)
+        one_m, one_l = th._det_arrays(mant[k], logs[k])
+        assert np.shape(one_m) == ()
+        assert abs(one_m * np.exp(one_l) - want) <= 1e-12 * abs(want)
 
 
-def test_scaled_det_survives_extreme_scales(rng):
+def test_det_arrays_survives_extreme_scales(rng):
     # entry log scales r_i + c_j span [-800, 800]; exp(800) overflows a
     # float and exp(-800) underflows, so no entry can be formed directly
     m = 5
@@ -912,13 +919,13 @@ def test_scaled_det_survives_extreme_scales(rng):
     c = np.array([400.0, -400.0, 0.0, -400.0, 400.0])
     logs = r[:, None] + c[None, :]
     assert logs.max() == 800.0 and logs.min() == -800.0
-    got = th.scaled_det(th.ScaledComplex(mant, logs))
+    got = th.ScaledComplex(*th._det_arrays(mant, logs))
     assert np.isfinite(got.mantissa) and got.mantissa != 0
     base = leibniz_det(mant)
     expect = th.ScaledComplex(base, float(r.sum() + c.sum()))
     assert th.scaled_rel_diff(got, expect) <= 1e-12
 
 
-def test_scaled_det_zero_row():
-    entries = th.ScaledComplex(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[0.0], [900.0]]))
-    assert th.scaled_det(entries).mantissa == 0
+def test_det_arrays_zero_row():
+    mant = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
+    assert th._det_arrays(mant, np.array([[0.0], [900.0]]))[0] == 0
