@@ -896,7 +896,7 @@ def test_theta_chunked_sum_matches_one_sum(g, rows, seed, data):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_det_arrays_matches_leibniz(m, rng):
+def test_scaled_det_matches_leibniz(m, rng):
     mant = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
     logs = rng.uniform(-2.0, 2.0, (3, m, m))
     # a stack gives one determinant per matrix
@@ -910,7 +910,7 @@ def test_det_arrays_matches_leibniz(m, rng):
         assert abs(one_m * np.exp(one_l) - want) <= 1e-12 * abs(want)
 
 
-def test_det_arrays_survives_extreme_scales(rng):
+def test_scaled_det_survives_extreme_scales(rng):
     # entry log scales r_i + c_j span [-800, 800]; exp(800) overflows a
     # float and exp(-800) underflows, so no entry can be formed directly
     m = 5
@@ -926,6 +926,6 @@ def test_det_arrays_survives_extreme_scales(rng):
     assert th.scaled_rel_diff(got, expect) <= 1e-12
 
 
-def test_det_arrays_zero_row():
+def test_scaled_det_zero_row():
     mant = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
     assert th._det_arrays(mant, np.array([[0.0], [900.0]]))[0] == 0
