@@ -139,6 +139,9 @@ def _emit(rep: Report, report_path) -> int:
 
 # ---------------------------------------------------------------- petri
 
+# the point sets of the three determinantal checks, each named by its check
+_RELATION_SETS = ("petri-determinants", "petri-annihilation", "petri-relations")
+
 
 def _petri_rank_sets(g, seed, attempt):
     """(count, seed) of the anchor and certificate sets of a petri-rank attempt."""
@@ -155,8 +158,7 @@ def _petri_skipped(model):
         return {"petri-determinants": note, "petri-relations": note}
     if not petri.relation_labels(model.genus):
         note = f"genus {model.genus} has no determinantal labels; skipped"
-        return dict.fromkeys(("petri-determinants", "petri-annihilation", "petri-relations"),
-                             note)
+        return dict.fromkeys(_RELATION_SETS, note)
     return {}
 
 
@@ -167,7 +169,7 @@ def _petri_point_sets(model, seed):
     sets = {}
     if model.canonical:
         skipped = _petri_skipped(model)
-        for name in ("petri-determinants", "petri-annihilation", "petri-relations"):
+        for name in _RELATION_SETS:
             if name not in skipped:
                 sets[name] = (3 * g - 2, _sub_seed(seed, name))
         if "petri-annihilation" not in skipped:
@@ -191,31 +193,52 @@ def _petri_checks(model, seed, tol):
     request = functools.cache(lambda: evaluated(_petri_point_sets(model, seed)))
 
     def values(slots, name):
-        """omega's values on set `name`; raises the error its slot holds."""
+        """The slot of set `name`; raises the error it holds."""
         if isinstance(slots[name], Exception):
             raise slots[name]
         return slots[name]
 
-    def fresh_input(name):
-        om = values(request(), name)
-        return petri.RelationInput(om[:, :g], om[:, g:])
+    def drawn(slots, names):
+        """The names of `names` whose slots hold no error."""
+        return [name for name in names
+                if name in slots and not isinstance(slots[name], Exception)]
+
+    @functools.cache
+    def inputs():
+        """The request's slots, with each drawn relation set's values
+        replaced by its RelationInput or refusal from one stacked test."""
+        slots = request()
+        ok = drawn(slots, _RELATION_SETS)
+        return slots | dict(zip(ok, petri.relation_inputs(
+            [(slots[name][:, :g], slots[name][:, g:]) for name in ok])))
+
+    @functools.cache
+    def relations():
+        """The slots of `inputs`, with each accepted input replaced by its
+        check's result or refusal from one stacked relation pass."""
+        slots = inputs()
+        dets = drawn(slots, ["petri-determinants"])
+        rels = drawn(slots, ["petri-annihilation", "petri-relations"])
+        ratios, coeffs = petri.relation_pass([slots[name] for name in dets],
+                                             [slots[name] for name in rels])
+        return slots | dict(zip(dets, ratios)) | dict(zip(rels, coeffs))
 
     def check_dets():
-        ratios = petri.verify_theorem1(fresh_input("petri-determinants"))
+        ratios = values(relations(), "petri-determinants")
         worst = max(r for _, r in ratios)
         return _record("petri-determinants", "theorem1-dets", worst, tol["det"],
                        note=f"labels={len(ratios)}")
 
     def check_annihilation():
-        inp = fresh_input("petri-annihilation")
+        values(inputs(), "petri-annihilation")  # its errors come before the fresh points'
         omega_fresh = values(request(), "petri-annihilation-points")
-        coeffs = [rc.coefficients for rc in petri.label_relations(inp).values()]
+        coeffs = [rc.coefficients for rc in values(relations(), "petri-annihilation").values()]
         res = petri.annihilation_residual(np.reshape(coeffs, (-1, g, g)), omega_fresh)
         return _record("petri-annihilation", "annihilation",
                        float(np.max(res)), tol["annihilation"])
 
     def check_relation_set():
-        rs = petri.build_relation_set(fresh_input("petri-relations"))
+        rs = petri.certify_relation_set(g, values(relations(), "petri-relations"))
         resid = float(abs(rs.rank - rs.expected_rank))
         return _record("petri-relations", "relation-rank", resid, 0.5,
                        note=f"count={len(rs.labels)} rank={rs.rank}")

@@ -279,7 +279,9 @@ class HyperellipticCurve:
 
     def __init__(self, branch_points):
         e = np.asarray(branch_points, dtype=float)
-        if e.ndim != 1 or len(e) < 3 or len(e) % 2 == 0:
+        if e.ndim != 1:
+            raise ValueError(f"branch points must be a flat sequence, got shape {e.shape}")
+        if len(e) < 3 or len(e) % 2 == 0:
             raise ValueError(
                 f"need an odd number >= 3 of branch points, got {len(e)}"
             )

@@ -4,8 +4,9 @@ Determinants, solves and inverses are numpy's LAPACK calls.  What this
 module adds is the certification around them: determinant residuals are
 ratios to a Hadamard bound, taken on the row-normalized matrix so that
 they cannot underflow, a solve or inverse whose row-scaled reciprocal
-condition falls below a threshold fails loudly with that magnitude, and
-numerical rank uses complete pivoting (which LAPACK's LU does not offer)
+condition falls below a threshold fails loudly with that magnitude (a
+stack of sets solved in one call is refused set by set), and numerical
+rank uses complete pivoting (which LAPACK's LU does not offer)
 with a relative threshold.  Positivity of Im tau is certified where the
 point is built, by `siegel.SiegelPoint`.
 """
@@ -20,6 +21,7 @@ __all__ = [
     "det",
     "signed_minor",
     "solve",
+    "solve_sets",
     "inverse",
     "inverse_cond1",
     "pivot_rows",
@@ -101,38 +103,52 @@ def signed_minor(a, p: int, q: int):
     return (-1.0) ** (p + q) * det(sub)
 
 
-def _certify_inverse(a: np.ndarray, a_inv: np.ndarray) -> None:
-    """Refuse a when its row-scaled reciprocal condition is below PIVOT_RTOL.
+def _conditions(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """Row-scaled condition of each matrix of a stack (..., n, n), given its inverse.
 
-    That condition is 1/(|D^-1 a|_inf |a^-1 D|_inf) with D the row
-    max-norms of a, so scaling a row of a leaves it unchanged.  A stack of
-    matrices is refused when any one of them is, with the smallest
-    condition as the reported magnitude.  The rows are summed from a
-    C-contiguous copy, so a transposed or sliced a gets the condition of
-    its contiguous copy.
+    That condition is |D^-1 a|_inf |a^-1 D|_inf with D the row max-norms
+    of a, so scaling a row of a leaves it unchanged.  The rows are summed
+    from a C-contiguous copy, so a transposed or sliced a gets the
+    condition of its contiguous copy.
     """
-    if a.size == 0:
-        return
     abs_a = np.abs(np.ascontiguousarray(a))
     d = np.maximum(abs_a.max(axis=-1), _TINY)
-    cond = (abs_a.sum(axis=-1) / d).max(axis=-1) * (
+    return (abs_a.sum(axis=-1) / d).max(axis=-1) * (
         np.abs(a_inv) @ d[..., None]).max(axis=(-2, -1))
+
+
+def _refusal(cond: np.ndarray):
+    """The DegenerateMatrixError that refuses matrices of conditions `cond`,
+    or None: a group is refused when its reciprocal condition 1/max(cond)
+    is below PIVOT_RTOL, and that reciprocal is the reported magnitude."""
     rcond = 1.0 / float(cond.max())
     if rcond < PIVOT_RTOL:
-        raise DegenerateMatrixError(
+        return DegenerateMatrixError(
             "degenerate configuration: row-scaled reciprocal condition below threshold",
             rcond,
         )
+    return None
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b, refusing a numerically singular a.
+def _singular() -> DegenerateMatrixError:
+    """The refusal of a matrix in which LAPACK meets an exactly zero pivot."""
+    return DegenerateMatrixError("degenerate configuration: singular matrix", 0.0)
 
-    One LAPACK factorization also yields a^-1 for `_certify_inverse`; the
-    reported magnitude is the row-scaled reciprocal condition of a, or 0
-    when LAPACK meets an exactly zero pivot.  A stack a (..., n, n) with b
-    (..., n) or (..., n, k) is solved by one LAPACK call, certified matrix
-    by matrix; one refused matrix fails the call.
+
+def solve_sets(a, b):
+    """Solve a stack of sets of systems a x = b, refusing set by set.
+
+    Set s is a[s] with b[s]: a is (S, ..., n, n) and b (S, ..., n) or
+    (S, ..., n, k).  One LAPACK factorization of each matrix solves
+    [b | I], so it also yields a^-1, which certifies the solution.
+    Returns (x, a_inv, refusals): the solutions shaped like b, the
+    inverses, and per set None or the DegenerateMatrixError that refuses
+    it.  A set is refused when its smallest row-scaled reciprocal
+    condition is below PIVOT_RTOL, with that condition as the magnitude,
+    or with magnitude 0 when LAPACK meets an exactly zero pivot in one of
+    its matrices.  One call solves every set; only when a zero pivot
+    fails that call is each set solved alone, so a refused set leaves
+    the others' bits unchanged.  The rows of a zero-pivot set are NaN.
     """
     a = _as_square(a, stack=True)
     b = np.asarray(b, dtype=complex)
@@ -146,10 +162,31 @@ def solve(a, b) -> np.ndarray:
     aug[..., k:] = np.eye(n)
     try:
         sol = np.linalg.solve(a, aug)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("degenerate configuration: singular matrix", 0.0) from exc
-    _certify_inverse(a, sol[..., k:])
-    return sol[..., :k].reshape(b.shape)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            aug[...] = np.nan
+            return aug[..., :k].reshape(b.shape), aug[..., k:], [_singular()]
+        parts = [solve_sets(a[s:s + 1], b[s:s + 1]) for s in range(len(a))]
+        return (np.concatenate([x for x, _, _ in parts]),
+                np.concatenate([inv for _, inv, _ in parts]),
+                [r for _, _, [r] in parts])
+    if a.size == 0:
+        refusals = [None] * len(a)
+    else:
+        cond = _conditions(a, sol[..., k:])
+        refusals = [_refusal(c) for c in cond.reshape(len(a), -1)]
+    return sol[..., :k].reshape(b.shape), sol[..., k:], refusals
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b, refusing a numerically singular a: the one-set case
+    of `solve_sets`, raising its refusal.  A stack a (..., n, n) with b
+    (..., n) or (..., n, k) is one set, so one refused matrix fails the
+    call."""
+    x, _, [refusal] = solve_sets(np.asarray(a)[None], np.asarray(b)[None])
+    if refusal is not None:
+        raise refusal
+    return x[0]
 
 
 def inverse(a) -> np.ndarray:
@@ -158,8 +195,10 @@ def inverse(a) -> np.ndarray:
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("degenerate configuration: singular matrix", 0.0) from exc
-    _certify_inverse(a, a_inv)
+        raise _singular() from exc
+    refusal = _refusal(_conditions(a, a_inv)) if a.size else None
+    if refusal is not None:
+        raise refusal
     return a_inv
 
 

@@ -9,7 +9,11 @@ one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
 a one-point-at-a-time Abel map, an object-form trisecant residual, the
 trial-by-trial CLI trisecant loop, symplectic elements built and
 multiplied as whole matrices with a factor-by-factor word from them,
-and a rank elimination that deletes each pivot's row and column.  The
+a rank elimination that deletes each pivot's row and column, and the
+determinantal checks of one relation input as a chain of one-set LAPACK
+calls (the substituted determinants, the minor table from its own
+inversion, the a tensor, and `relation_chain`, which repeats the
+package's arithmetic step for step).  The
 samplers call the Generator's own `uniform` and `integers` where the
 package decodes the raw words of its bit generator.  The last six, and
 the hyperelliptic sampler, repeat the package's arithmetic step for
@@ -23,6 +27,7 @@ from a labeled matrix.
 import cmath
 import functools
 import itertools
+import types
 
 import numpy as np
 
@@ -169,12 +174,98 @@ def petri_basis(model, anchor_seed, certificate_seed):
 
 def coefficients_from_matrices(amat, dmat, row, g, k, l):
     """Relation coefficients of label (k, l) by expanding row `row` of its
-    labeled matrix `amat`: the one-label case of `petri.label_relations`."""
+    labeled matrix `amat`: the one-label, one-set case of `petri._relations`."""
     from holodiff import petri
 
     labels = [(k, l)]
-    return petri._relations(np.asarray(amat)[None], dmat, row,
-                            petri._column_pairs(g, labels), labels)[0]
+    [coeffs] = petri._relations(np.asarray(amat)[None, None], np.asarray(dmat)[None], row,
+                                petri._column_pairs(g, labels), labels)
+    if isinstance(coeffs, Exception):
+        raise coeffs
+    return coeffs[0]
+
+
+def substituted_determinants(inp):
+    """d[i,r] = det of the base matrix with column i replaced by probe r,
+    through the solved system d = det_p * (omega_p^-1 omega_q)."""
+    from holodiff import linalg
+
+    return inp.det_p * linalg.solve(inp.omega_p, inp.omega_q)
+
+
+def minor_table(inp):
+    """D[m,i]: signed minors of the transposed base evaluation matrix, from
+    its own inversion.  Contracting D with probe values reproduces
+    substituted_determinants: (D @ omega_q)[m,r] = d[m,r]."""
+    from holodiff import linalg
+
+    return inp.det_p * linalg.inverse(inp.omega_p)
+
+
+def a_tensor(inp):
+    """a[i,j,r]: product of the two point-substituted determinants."""
+    d = substituted_determinants(inp)
+    return np.einsum("ir,jr->ijr", d, d)
+
+
+def relation_chain(omega_p, omega_q):
+    """The determinantal checks of one input as a chain of one-set LAPACK
+    calls: (theorem1 ratios, relation coefficients by label, rank) of the
+    holomorphic basis's values `omega_p` at the base points and `omega_q`
+    at the probes, each slot the result or the exception that ended it.
+
+    Every step is on its own: the base test by one `det` and one Hadamard
+    ratio, the substituted determinants by one solve, the minor table by
+    one inversion, and each label set's null vectors by one stacked solve
+    that refuses the whole set.  This is the bitwise reference for
+    `petri.relation_pass`.
+    """
+    from holodiff import linalg, petri
+
+    g = omega_p.shape[0]
+    det_p = linalg.det(omega_p)
+    ratio = linalg.hadamard_ratio(omega_p)
+    if ratio < 1e-12:
+        err = linalg.DegenerateMatrixError("base-point evaluation matrix is singular", ratio)
+        return err, err, err
+    inp = types.SimpleNamespace(omega_p=omega_p, omega_q=omega_q, det_p=det_p)
+    labels = petri.relation_labels(g)
+    cols = petri._column_pairs(g, labels)
+    try:
+        a = a_tensor(inp)
+    except linalg.DegenerateMatrixError as err:
+        return err, err, err
+    amats = a[cols[..., 0], cols[..., 1]].transpose(0, 2, 1)
+    ratios = list(zip(labels, linalg.hadamard_ratio(amats).tolist()))
+    try:
+        dmat = minor_table(inp)
+    except linalg.DegenerateMatrixError as err:
+        return ratios, err, err
+    size = amats.shape[-1]
+    r0 = petri.EXPANDED_ROW - 1
+    deltas = linalg.signed_minor(amats, r0, size - 1).tolist()
+    rest = np.delete(amats, r0, axis=-2)
+    try:
+        y = linalg.solve(rest[..., :-1], -rest[..., -1])
+    except linalg.DegenerateMatrixError:
+        y = None
+    if y is None or np.max(np.abs(y), initial=0.0) > 1.0 / petri.DELTA_RTOL:
+        err = petri.DegenerateRowError(f"normalizing cofactor vanished for row "
+                                       f"{petri.EXPANDED_ROW}; try a different row")
+        return ratios, err, err
+    ratios_y = np.concatenate([y, np.ones((len(y), 1))], axis=-1)
+    raw = np.zeros((len(y),) + (dmat.shape[-1],) * 2, dtype=complex)
+    for c in range(cols.shape[1]):
+        outer = dmat[cols[:, c, 0], :, None] * dmat[cols[:, c, 1], None, :]
+        raw += ratios_y[:, c, None, None] * outer
+    sym = (raw + raw.transpose(0, 2, 1)) / 2
+    coeffs = {lab: petri.RelationCoefficients(lab, petri.EXPANDED_ROW, sym[i], raw[i], deltas[i])
+              for i, lab in enumerate(labels)}
+    try:
+        rank = petri.certify_relation_set(g, coeffs).rank
+    except petri.RelationRankError as err:
+        rank = err
+    return ratios, coeffs, rank
 
 
 def riemann_constant_search(tau, probe_images):

@@ -70,7 +70,7 @@ def test_criterion_02_relation_coefficients(quintic, capsys):
     t0 = time.perf_counter()
     pts = sample_points(quintic, 16, seed=SEED)
     inp = _input(quintic, pts[:6], pts[6:])
-    rs = petri.build_relation_set(inp)
+    rs = petri.certify_relation_set(inp.genus, petri.label_relations(inp))
     fresh = sample_points(quintic, 20, seed=SEED + 11)
     omega_fresh = holomorphic_basis(quintic).evaluate(fresh)
     worst = 0.0

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holodiff import bases, cli, curves, jacobian, petri, theta
+from holodiff import bases, cli, curves, jacobian, linalg, petri, theta
 from holodiff.cli import main
 
-from oracles import bundled, fay_check_sequential
+from oracles import a_tensor, bundled, fay_check_sequential
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -365,6 +365,54 @@ def test_petri_failing_set_fails_only_its_check(target, check, monkeypatch, caps
                for a, _ in changed)
 
 
+@pytest.mark.parametrize("target", ["petri-determinants", "petri-annihilation",
+                                    "petri-relations"])
+def test_petri_singular_base_fails_only_its_check(target, monkeypatch, capsys):
+    # two equal base-point columns make one set's base matrix singular; the
+    # stacked relation pass refuses that set alone, with the note its
+    # one-set RelationInput raises, and every other line keeps its bytes
+    assert main(["verify-petri"]) == 0
+    want = _report_lines(capsys.readouterr().out)
+    model = bundled("fermat_quintic.json")
+    g = model.genus
+    _, bad = cli._petri_point_sets(model, cli.DEFAULT_SEED)[target]
+    drawn, broken = {}, []
+    sample_sets = curves.sample_sets
+
+    def recording(model, requests, mode="complex"):
+        out = sample_sets(model, requests, mode)
+        drawn.update((s, pts) for (_, s), pts in zip(requests, out))
+        return out
+
+    basis_type = type(bases.holomorphic_basis(model))
+    evaluate_sets = basis_type.evaluate_sets
+
+    def faulty(self, point_sets):
+        out = evaluate_sets(self, point_sets)
+        for pts, om in zip(point_sets, out):
+            if pts is drawn.get(bad):
+                om[:, 1] = om[:, 0]
+                broken.append(om)
+        return out
+
+    monkeypatch.setattr(curves, "sample_sets", recording)
+    monkeypatch.setattr(basis_type, "evaluate_sets", faulty)
+    assert main(["verify-petri"]) == 1
+    got = _report_lines(capsys.readouterr().out)
+    [om] = broken
+    with pytest.raises(linalg.DegenerateMatrixError) as one_set:
+        petri.RelationInput(om[:, :g], om[:, g:])
+    note = f"DegenerateMatrixError: {one_set.value}"
+    assert note.startswith("DegenerateMatrixError: base-point evaluation matrix is singular "
+                           "(pivot magnitude ")
+    changed = [(a, b) for a, b in zip(want, got) if a != b]
+    assert len(want) == len(got)
+    assert [b for _, b in changed] == [
+        f"check={target} anchor=internal-error status=FAIL residual=- tol=- note={note}",
+        "overall=FAIL checks=4 failures=1 warnings=0"]
+    assert changed[0][0].startswith(f"check={target} ")
+
+
 @pytest.mark.parametrize("target,check", [
     ("petri-determinants", "petri-determinants"),
     ("petri-annihilation", "petri-annihilation"),
@@ -434,7 +482,7 @@ def test_petri_annihilation_survives_near_singular_cofactors(seed, capsys):
     om = bases.holomorphic_basis(model).evaluate(pts)
     inp = petri.RelationInput(om[:, :g], om[:, g:])
     labels = petri.relation_labels(g)
-    amats = petri._labeled_matrices(petri.a_tensor(inp), petri._column_pairs(g, labels))
+    amats = petri._labeled_matrices(a_tensor(inp), petri._column_pairs(g, labels))
     cofactor = np.delete(amats, petri.EXPANDED_ROW - 1, axis=-2)[..., :-1]
     assert np.max(np.linalg.cond(cofactor, 1)) > 1e11
     assert main(["verify-petri", "--seed", str(seed)]) == 0

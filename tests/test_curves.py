@@ -52,6 +52,14 @@ def test_hyperelliptic_validation():
         curves.HyperellipticCurve([0.0, 1e-9, 1.0])  # too close
 
 
+@pytest.mark.parametrize("points,shape", [(5.0, "()"), ([[0.0, 1.0, 2.0]], "(1, 3)")])
+def test_hyperelliptic_refuses_a_branch_point_array_that_is_not_flat(points, shape):
+    # a scalar has no length and a row of three is one row, not one point:
+    # both are refused by their shape
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        curves.HyperellipticCurve(points)
+
+
 @pytest.mark.parametrize("points", [[0.0, float("nan"), 2.0], [0.0, 1.0, float("inf")]])
 def test_hyperelliptic_refuses_non_finite_branch_points(points):
     with pytest.raises(ValueError, match="branch points must be finite"):

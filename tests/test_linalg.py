@@ -112,6 +112,28 @@ def test_solve_certificate_independent_of_memory_layout(n, monkeypatch):
             assert got.value.pivot == want.value.pivot
 
 
+def test_solve_sets_refuses_set_by_set():
+    # set 1 meets an exact zero pivot, set 2 falls below the condition
+    # floor; each gets the refusal its one-set solve raises, and the other
+    # sets their one-set bits
+    rng = np.random.default_rng(41)
+    a = _rand_c(rng, (4, 3, 5, 5))
+    b = _rand_c(rng, (4, 3, 5))
+    a[1, 2, 3] = 0.0
+    a[2, 0, :, 4] = a[2, 0, :, 1] * (1 + 1e-15)
+    x, inv, refusals = linalg.solve_sets(a, b)
+    assert x.shape == b.shape and inv.shape == a.shape
+    assert refusals[1].pivot == 0.0 and np.isnan(x[1]).all()
+    for s in range(4):
+        if refusals[s] is None:
+            assert x[s].tobytes() == linalg.solve(a[s], b[s]).tobytes()
+            continue
+        with pytest.raises(linalg.DegenerateMatrixError) as one_set:
+            linalg.solve(a[s], b[s])
+        assert str(refusals[s]) == str(one_set.value)
+    assert [r is None for r in refusals] == [True, False, False, True]
+
+
 def test_signed_minor_expansion():
     rng = np.random.default_rng(7)
     a = _rand_c(rng, (5, 5))

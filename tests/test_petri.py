@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from holodiff import curves, linalg, petri
+from holodiff import cli, curves, linalg, petri
 from holodiff.bases import holomorphic_basis
 from holodiff.curves import sample_points
 
-from oracles import coefficients_from_matrices, cofactor_row, petri_basis
+from oracles import (a_tensor, coefficients_from_matrices, cofactor_row, minor_table,
+                     petri_basis, relation_chain, substituted_determinants)
 
 SEED = 1234
 
@@ -83,7 +84,7 @@ def test_relation_input_rejects_singular_base(quintic):
 
 def test_substituted_determinants_match_cramer(rel_input):
     # oracle: literally replace column i with probe column r and take det
-    d = petri.substituted_determinants(rel_input)
+    d = substituted_determinants(rel_input)
     scale = np.max(np.abs(d))
     for i in range(6):
         for r in range(10):
@@ -93,14 +94,14 @@ def test_substituted_determinants_match_cramer(rel_input):
 
 
 def test_minor_table_contracts_to_substitutions(rel_input):
-    dmat = petri.minor_table(rel_input)
-    d = petri.substituted_determinants(rel_input)
+    dmat = minor_table(rel_input)
+    d = substituted_determinants(rel_input)
     dev = np.max(np.abs(dmat @ rel_input.omega_q - d))
     assert dev <= 1e-10 * np.max(np.abs(d))
 
 
 def test_minor_table_entries_are_signed_minors(rel_input):
-    dmat = petri.minor_table(rel_input)
+    dmat = minor_table(rel_input)
     scale = np.max(np.abs(dmat))
     for m, i in [(0, 0), (2, 5), (4, 1)]:
         want = linalg.signed_minor(rel_input.omega_p.T, m, i)
@@ -108,8 +109,8 @@ def test_minor_table_entries_are_signed_minors(rel_input):
 
 
 def test_a_tensor_is_symmetric_product(rel_input):
-    d = petri.substituted_determinants(rel_input)
-    a = petri.a_tensor(rel_input)
+    d = substituted_determinants(rel_input)
+    a = a_tensor(rel_input)
     assert a.shape == (6, 6, 10)
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
     dev = np.max(np.abs(a - np.einsum("ir,jr->ijr", d, d)))
@@ -117,7 +118,7 @@ def test_a_tensor_is_symmetric_product(rel_input):
 
 
 def test_build_a_columns_follow_labels(rel_input):
-    a = petri.a_tensor(rel_input)
+    a = a_tensor(rel_input)
     amat = petri.build_A(rel_input, 3, 5)
     assert amat.shape == (10, 10)
     cols = petri.fixed_column_labels(6) + [(3, 5)]
@@ -232,7 +233,7 @@ def test_relation_annihilates_fresh_points(quintic, rel_coeff):
 
 def test_row_choice_rescales_coefficients(rel_input, rel_coeff):
     other = coefficients_from_matrices(petri.build_A(rel_input, 3, 4),
-                                       petri.minor_table(rel_input), 5, 6, 3, 4)
+                                       minor_table(rel_input), 5, 6, 3, 4)
     c1, c5 = rel_coeff.coefficients, other.coefficients
     i, j = np.unravel_index(np.argmax(np.abs(c1)), c1.shape)
     ratio = c1[i, j] / c5[i, j]
@@ -251,7 +252,7 @@ def test_probe_choice_rescales_coefficients(quintic, rel_input, rel_coeff):
 
 def test_row_out_of_range(rel_input):
     amat = petri.build_A(rel_input, 3, 4)
-    dmat = petri.minor_table(rel_input)
+    dmat = minor_table(rel_input)
     with pytest.raises(ValueError, match="row"):
         coefficients_from_matrices(amat, dmat, 0, 6, 3, 4)
     with pytest.raises(ValueError, match="row"):
@@ -265,6 +266,22 @@ def test_degenerate_row_raises(rng):
     dmat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     with pytest.raises(petri.DegenerateRowError, match="cofactor"):
         coefficients_from_matrices(amat, dmat, 1, 4, 3, 4)
+
+
+def test_degenerate_row_refuses_only_its_set(rng):
+    # three genus-4 sets of one labeled matrix each; the middle one made
+    # exactly singular as above is refused, the others keep their bits
+    amats = rng.standard_normal((3, 1, 6, 6)) + 1j * rng.standard_normal((3, 1, 6, 6))
+    amats[1, 0, 1, :5] = amats[1, 0, 2, :5]
+    dmat = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    labels = [(3, 4)]
+    out = petri._relations(amats, dmat, 1, petri._column_pairs(4, labels), labels)
+    assert isinstance(out[1], petri.DegenerateRowError)
+    assert "cofactor" in str(out[1])
+    for s in (0, 2):
+        [got] = out[s]
+        want = coefficients_from_matrices(amats[s, 0], dmat[s], 1, 4, 3, 4)
+        assert np.array_equal(got.raw, want.raw) and got.delta == want.delta
 
 
 def test_cofactor_row_matches_leibniz_oracle(rng):
@@ -302,8 +319,12 @@ def test_block_report_anchor_mismatch(quintic, rel_input, quintic_petri):
         petri.verify_block_singular(rel_input, quintic_petri, 2, 3)
 
 
+def _relation_set(inp):
+    return petri.certify_relation_set(inp.genus, petri.label_relations(inp))
+
+
 def test_relation_set_spans_expected_rank(rel_input):
-    rs = petri.build_relation_set(rel_input)
+    rs = _relation_set(rel_input)
     assert rs.genus == 6
     assert rs.labels == tuple(petri.relation_labels(6))
     assert rs.rank == 6
@@ -316,7 +337,7 @@ def test_relation_set_spans_expected_rank(rel_input):
 def test_relation_set_empty_below_genus_four(quartic):
     pts = sample_points(quartic, 7, seed=SEED)
     inp = _input(quartic, pts[:3], pts[3:])
-    rs = petri.build_relation_set(inp)
+    rs = _relation_set(inp)
     assert rs.labels == ()
     assert rs.rank == 0
     assert rs.expected_rank == 0
@@ -329,20 +350,14 @@ def test_expected_rank_formula(g, want):
     assert rs.expected_rank == want
 
 
-def test_relation_set_names_dependent_label(rel_input, monkeypatch):
+def test_relation_set_names_dependent_label(rel_input):
     # make (4, 6)'s relation a power-of-two multiple of (3, 4)'s, so after
     # row scaling the two rows are bit-equal and the elimination picks
     # (3, 4) and zeroes (4, 6)
-    real = petri.label_relations
-
-    def dependent(inp):
-        coeffs = real(inp)
-        coeffs[(4, 6)].coefficients = 4.0 * coeffs[(3, 4)].coefficients
-        return coeffs
-
-    monkeypatch.setattr(petri, "label_relations", dependent)
+    coeffs = petri.label_relations(rel_input)
+    coeffs[(4, 6)].coefficients = 4.0 * coeffs[(3, 4)].coefficients
     with pytest.raises(petri.RelationRankError, match="rank 5 below expected 6") as err:
-        petri.build_relation_set(rel_input)
+        petri.certify_relation_set(rel_input.genus, coeffs)
     assert err.value.offending_labels == ((4, 6),)
 
 
@@ -377,3 +392,70 @@ def test_annihilation_residual_stack_matches_one_matrix_calls():
         for row, c in zip(res, coeff):
             assert row.tobytes() == petri.annihilation_residual(c, vals).tobytes()
     assert petri.annihilation_residual(np.zeros((0, 4, 4)), np.ones((4, 5))).shape == (0, 5)
+
+
+PASS_SEEDS = [*range(1000, 1040), 1094, 2804, 14127, 73751]
+
+
+def _assert_same_relations(got, want):
+    assert list(got) == list(want)
+    for lab, rc in got.items():
+        ref = want[lab]
+        assert (rc.label, rc.row, rc.delta) == (ref.label, ref.row, ref.delta)
+        assert (rc.coefficients == ref.coefficients).all()
+        assert (rc.raw == ref.raw).all()
+
+
+def test_relation_pass_matches_the_per_set_chain(quintic):
+    # the three determinantal sets of a verify-petri request, through one
+    # stacked pass as the CLI runs it and with every set in both roles,
+    # bit for bit what the chain of one-set LAPACK calls gives each set
+    g = quintic.genus
+    basis = holomorphic_basis(quintic)
+    for seed in PASS_SEEDS:
+        sets = cli._petri_point_sets(quintic, seed)
+        oms = basis.evaluate_sets(curves.sample_sets(quintic, [sets[name] for name in
+                                                               cli._RELATION_SETS]))
+        pairs = [(om[:, :g], om[:, g:]) for om in oms]
+        inputs = petri.relation_inputs(pairs)
+        chains = [relation_chain(*pair) for pair in pairs]
+        assert [inp.det_p for inp in inputs] == [linalg.det(p) for p, _ in pairs]
+        ratios, coeffs = petri.relation_pass(inputs[:1], inputs[1:])
+        assert ratios == [chains[0][0]]
+        for got, (_, want, rank) in zip(coeffs, chains[1:]):
+            _assert_same_relations(got, want)
+            assert petri.certify_relation_set(g, got).rank == rank == 6
+        ratios, coeffs = petri.relation_pass(inputs, inputs)
+        assert ratios == [chain[0] for chain in chains]
+        for got, (_, want, _) in zip(coeffs, chains):
+            _assert_same_relations(got, want)
+
+
+def test_relation_pass_refuses_set_by_set(quintic):
+    # a singular base matrix is refused by relation_inputs and a base
+    # matrix below the solve's condition floor by relation_pass; each
+    # refused set gets its one-set call's exception, the others their bits
+    g = quintic.genus
+    basis = holomorphic_basis(quintic)
+    pts = sample_points(quintic, 4 * (3 * g - 2), seed=SEED)
+    oms = [basis.evaluate(pts[i:i + 3 * g - 2]) for i in range(0, len(pts), 3 * g - 2)]
+    pairs = [(om[:, :g], om[:, g:]) for om in oms]
+    singular = pairs[0][0].copy()
+    singular[:, 1] = singular[:, 0]
+    [refused] = petri.relation_inputs([(singular, pairs[0][1])])
+    with pytest.raises(linalg.DegenerateMatrixError) as one_set:
+        petri.RelationInput(singular, pairs[0][1])
+    assert str(refused) == str(one_set.value) and refused.pivot == one_set.value.pivot
+    inputs = petri.relation_inputs(pairs)
+    # a near-singular base matrix: the solve refuses it, not the Hadamard test
+    near = inputs[1]
+    near.omega_p = near.omega_p.copy()
+    near.omega_p[:, 1] = near.omega_p[:, 0] * (1 + 1e-15)
+    with pytest.raises(linalg.DegenerateMatrixError) as base_refusal:
+        petri.label_relations(near)
+    ratios, coeffs = petri.relation_pass(inputs[:2], inputs[1:])
+    assert str(ratios[1]) == str(base_refusal.value)
+    assert str(coeffs[0]) == str(base_refusal.value)
+    assert ratios[0] == petri.verify_theorem1(inputs[0])
+    for got, inp in zip(coeffs[1:], inputs[2:]):
+        _assert_same_relations(got, petri.label_relations(inp))

@@ -47,6 +47,11 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, on the holomorphic basis's values at seeded base and
   probe points;
+- the four ``verify-petri`` checks on the bundled quintic (key
+  ``quintic``), at one seed, without the report: each timed call builds
+  the checks with ``cli._petri_checks`` and runs them with
+  ``cli._run_checks``, so it draws and evaluates the request's point
+  sets and runs the relation pass and the rank check;
 - the pair-index Siegel layer: ``sym_square`` of a seeded real and a
   seeded complex g x g matrix at g = 3 and 8 (keys ``sym_square_g3_real``
   ...), the ``SiegelPoint`` checks on a seeded genus-8 matrix (key
@@ -294,6 +299,14 @@ def bench_label_relations(holodiff) -> dict:
     return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 
+def bench_petri_check(holodiff) -> dict:
+    from holodiff import cli
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    tol = cli.TOLERANCES["verify-petri"]
+    return {"quintic": _min_ms(lambda: cli._run_checks(cli._petri_checks(quintic, SEED, tol)))}
+
+
 def bench_pair_index(siegel, np) -> dict:
     from holodiff.pairindex import build_pair_index, sym_square
 
@@ -339,6 +352,7 @@ def main(argv=None) -> int:
         "pick_roots_ms_per_call": bench_pick_roots(holodiff),
         "evaluate_ms_per_call": bench_evaluate(holodiff),
         "label_relations_ms_per_call": bench_label_relations(holodiff),
+        "petri_check_ms_per_call": bench_petri_check(holodiff),
         "pair_index_ms_per_call": bench_pair_index(siegel, np),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
