@@ -297,7 +297,6 @@ class HyperellipticCurve:
         self._e = np.array(self.branch_points)
         self._e.setflags(write=False)
         self.genus = (len(e) - 1) // 2
-        self.coeff_scale = 1.0
 
     def f(self, x):
         """f(x) = prod (x - e_i), vectorized."""

@@ -6,9 +6,8 @@ ratios to a Hadamard bound, taken on the row-normalized matrix so that
 they cannot underflow, a solve or inverse whose row-scaled reciprocal
 condition falls below a threshold fails loudly with that magnitude (a
 stack of sets solved in one call is refused set by set), and numerical
-rank uses complete pivoting (which LAPACK's LU does not offer)
-with a relative threshold.  Positivity of Im tau is certified where the
-point is built, by `siegel.SiegelPoint`.
+rank comes from singular values with a relative threshold.  Positivity
+of Im tau is certified where the point is built, by `siegel.SiegelPoint`.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ __all__ = [
     "solve_sets",
     "inverse",
     "inverse_cond1",
-    "pivot_rows",
     "numerical_rank",
     "scale_rows",
 ]
 
 _TINY = np.finfo(float).tiny
 PIVOT_RTOL = 1e-13  # floor on the row-scaled reciprocal condition in solve/inverse
-RANK_RTOL = 1e-8  # floor on each rank pivot, relative to the largest entry
+RANK_RTOL = 1e-8  # floor on each singular value, relative to the largest entry
 
 
 class DegenerateMatrixError(ArithmeticError):
@@ -218,41 +216,17 @@ def inverse_cond1(a):
     return a_inv, na * float(np.max(np.sum(np.abs(a_inv), axis=0)))
 
 
-def pivot_rows(a) -> list[int]:
-    """Rows chosen as pivots by complete-pivoting elimination, in pivot order.
-
-    Pivots are accepted while they stay above RANK_RTOL times the largest
-    magnitude of the original matrix; the rows never chosen depend
-    numerically on the chosen ones.
-    """
-    m = np.array(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size == 0:
-        return []
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return []
-    # Elimination runs in place and zeroes each pivot's row and column, so
-    # the row-major scan below meets the remaining entries in the order of
-    # the remaining submatrix; a zeroed entry can win it only when every
-    # remaining entry is zero, and then the threshold ends the loop.
-    pivots = []
-    for _ in range(min(m.shape)):
-        i, j = divmod(int(np.argmax(np.abs(m))), m.shape[1])
-        piv = m[i, j]
-        if abs(piv) < RANK_RTOL * scale:
-            break
-        pivots.append(i)
-        m -= (m[:, j] / piv)[:, None] * m[i]
-        m[i] = 0.0
-        m[:, j] = 0.0
-    return pivots
-
-
 def numerical_rank(a) -> int:
-    """Rank by complete-pivoting elimination at the RANK_RTOL threshold."""
-    return len(pivot_rows(a))
+    """Number of singular values at or above RANK_RTOL times the largest
+    magnitude of a."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale == 0.0:
+        return 0
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(sigma >= RANK_RTOL * scale))
 
 
 def scale_rows(a) -> np.ndarray:

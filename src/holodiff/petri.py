@@ -374,10 +374,13 @@ def certify_relation_set(genus: int, coefficients: dict) -> RelationSet:
         for idx, lab in enumerate(labels):
             c = coefficients[lab].coefficients
             flat[idx] = c[pm.first, pm.second]
-        pivots = linalg.pivot_rows(linalg.scale_rows(flat))
-        rs.rank = len(pivots)
+        flat = linalg.scale_rows(flat)
+        rs.rank = linalg.numerical_rank(flat)
         if rs.rank < rs.expected_rank:
-            bad = [lab for idx, lab in enumerate(labels) if idx not in pivots]
+            # a label is dependent when its row leaves the rank of the rows
+            # before it unchanged
+            ranks = [linalg.numerical_rank(flat[:k]) for k in range(len(labels) + 1)]
+            bad = [lab for idx, lab in enumerate(labels) if ranks[idx + 1] == ranks[idx]]
             raise RelationRankError(
                 f"relation rank {rs.rank} below expected {rs.expected_rank}; "
                 f"dependent labels: {bad}",

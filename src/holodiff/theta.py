@@ -106,8 +106,8 @@ class ScaledComplex:
         self.mantissa, self.log_scale, self.err, self.peak = m[()], s[()], e[()], p[()]
 
     @classmethod
-    def concatenate(cls, values, axis=0) -> "ScaledComplex":
-        return cls(*(np.concatenate([getattr(v, n) for v in values], axis) for n in cls.__slots__))
+    def concatenate(cls, values) -> "ScaledComplex":
+        return cls(*(np.concatenate([getattr(v, n) for v in values]) for n in cls.__slots__))
 
     @property
     def value(self):

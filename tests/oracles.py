@@ -9,13 +9,12 @@ one-draw-at-a-time point samplers, a one-segment-at-a-time period loop,
 a one-point-at-a-time Abel map, an object-form trisecant residual, the
 trial-by-trial CLI trisecant loop, symplectic elements built and
 multiplied as whole matrices with a factor-by-factor word from them,
-a rank elimination that deletes each pivot's row and column, and the
-determinantal checks of one relation input as a chain of one-set LAPACK
-calls (the substituted determinants, the minor table from its own
-inversion, the a tensor, and `relation_chain`, which repeats the
-package's arithmetic step for step).  The
+and the determinantal checks of one relation input as a chain of
+one-set LAPACK calls (the substituted determinants, the minor table
+from its own inversion, the a tensor, and `relation_chain`, which
+repeats the package's arithmetic step for step).  The
 samplers call the Generator's own `uniform` and `integers` where the
-package decodes the raw words of its bit generator.  The last six, and
+package decodes the raw words of its bit generator.  The last five, and
 the hyperelliptic sampler, repeat the package's arithmetic step for
 step, so the package's array forms can be held to equal or near-equal
 results.  Three helpers build package objects for the tests: a bundled
@@ -623,7 +622,7 @@ def scaled_det_stacked(entries):
 
 def fay_residual_stacked(w, xs, ys, tau, delta):
     """`theta.fay_residual` on stacked ScaledComplex values: the same
-    separation test and lattice sum, then slices, reshapes, `concatenate`,
+    separation test and lattice sum, then slices, reshapes, column joins,
     `normalized`, `prod`, `*`, `/` and negation of whole stacks, each
     carrying err and peak, and `scaled_det_stacked`.  The package's array
     tail performs the same mantissa and log-scale operations in the same
@@ -657,8 +656,13 @@ def fay_residual_stacked(w, xs, ys, tau, delta):
     good = np.flatnonzero(~(low | zero))
     tw, sh, num = even[good, :1], even[good, 1:2], even[good, 2:]
     exy, pairs = odd[good, :k], odd[good, k:]
-    lhs = (th.ScaledComplex.concatenate([sh, pairs], axis=1).normalized().prod(axis=1)
-           / th.ScaledComplex.concatenate([tw, exy], axis=1).normalized().prod(axis=1))
+
+    def columns(*parts):
+        return th.ScaledComplex(*(np.concatenate([getattr(p, n) for p in parts], axis=1)
+                                  for n in th.ScaledComplex.__slots__))
+
+    lhs = (columns(sh, pairs).normalized().prod(axis=1)
+           / columns(tw, exy).normalized().prod(axis=1))
     rhs = scaled_det_stacked((num / (tw * exy)).reshape(-1, m, m))
     if (m * (m - 1) // 2) % 2 == 1:
         rhs = -rhs
@@ -803,29 +807,3 @@ def is_symplectic_by_form(a, b, c, d):
     m = np.block([[a, b], [c, d]]).astype(np.int64)
     j = symplectic_form(m.shape[0] // 2)
     return np.array_equal(m.T @ j @ m, j)
-
-
-def pivot_rows_by_deletion(a):
-    """Complete-pivoting pivot rows, rebuilding the remaining matrix each step.
-
-    Each step subtracts the pivot's rank-one update from the remaining
-    matrix, deletes the pivot's row and column with `np.delete`, and takes
-    the next pivot as the first largest entry of what is left, in
-    row-major order.  Pivots stop below `linalg.RANK_RTOL` times the
-    largest entry of a, as in the package.
-    """
-    from holodiff import linalg
-
-    m = np.array(a, dtype=complex)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    rows = list(range(m.shape[0]))
-    pivots = []
-    while m.size and scale > 0.0:
-        i, j = divmod(int(np.argmax(np.abs(m))), m.shape[1])
-        piv = m[i, j]
-        if abs(piv) < linalg.RANK_RTOL * scale:
-            break
-        pivots.append(rows.pop(i))
-        m = m - np.outer(m[:, j] / piv, m[i, :])
-        m = np.delete(np.delete(m, i, axis=0), j, axis=1)
-    return pivots

@@ -1,13 +1,14 @@
 """Dense solver, determinants, and rank with independent oracles."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holodiff import linalg
-
-from oracles import pivot_rows_by_deletion
+from holodiff import linalg, petri
 
 
 def _rand_c(rng, shape, scale=1.0):
@@ -238,16 +239,47 @@ def test_numerical_rank_threshold(monkeypatch):
     assert linalg.numerical_rank(np.zeros((3, 3))) == 0
 
 
-def test_pivot_rows_match_deleting_oracle():
-    # small-integer factors give rank-deficient matrices whose entries,
-    # and after row scaling whole rows, tie in magnitude, so the pivot
-    # order rests on the row-major tie-break
-    rng = np.random.default_rng(41)
-    for _ in range(400):
-        r, c = (int(v) for v in rng.integers(1, 9, size=2))
-        rank = int(rng.integers(0, min(r, c) + 1))
-        left = rng.integers(-2, 3, size=(r, rank)) + 1j * rng.integers(-1, 2, size=(r, rank))
-        a = left @ rng.integers(-2, 3, size=(rank, c))
-        for m in (a, linalg.scale_rows(a)):
-            assert linalg.pivot_rows(m) == pivot_rows_by_deletion(m)
+def _unitary_columns(rng, n, k):
+    q, _ = np.linalg.qr(_rand_c(rng, (n, k)))
+    return q
 
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rows=st.integers(1, 15), cols=st.integers(1, 21), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-8.0, 8.0), data=st.data())
+def test_numerical_rank_counts_a_singular_value_gap(rows, cols, seed, log_scale, data):
+    # A = U diag(sigma) V^H with r singular values at 10 RANK_RTOL max|a_ij|
+    # or more and the rest at RANK_RTOL max|a_ij| / 10 or less; max|a_ij|
+    # lies in [sigma_1 / sqrt(rows cols), sigma_1], so sigma_1 places the gap
+    k = min(rows, cols)
+    r = data.draw(st.integers(0, k))
+    rng = np.random.default_rng(seed)
+    top, tol = 10.0**log_scale, linalg.RANK_RTOL
+    sigma = np.zeros(k)
+    if r:
+        sigma[:r] = top * 10.0 ** rng.uniform(np.log10(10.0 * tol), 0.0, r)
+        sigma[0] = top
+        small = top * tol / (10.0 * np.sqrt(rows * cols)) * 10.0 ** rng.uniform(-12.0, 0.0, k - r)
+        sigma[r:] = np.where(rng.uniform(size=k - r) < 0.25, 0.0, small)
+    a = (_unitary_columns(rng, rows, k) * sigma) @ _unitary_columns(rng, cols, k).conj().T
+    scale = np.max(np.abs(a))
+    assert np.all(sigma[:r] >= 10.0 * tol * scale)
+    assert np.all(sigma[r:] <= tol * scale / 10.0)
+    assert linalg.numerical_rank(a) == r
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(g=st.integers(5, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relation_set_names_only_the_multiple_row(g, seed, data):
+    # one label's relation is a complex multiple of an earlier label's, so
+    # its row alone leaves the rank of the rows before it unchanged
+    labels = petri.relation_labels(g)
+    later = data.draw(st.integers(1, len(labels) - 1))
+    earlier = data.draw(st.integers(0, later - 1))
+    rng = np.random.default_rng(seed)
+    coeffs = {lab: types.SimpleNamespace(coefficients=_rand_c(rng, (g, g))) for lab in labels}
+    factor = complex(_rand_c(rng, ()))
+    coeffs[labels[later]].coefficients = factor * coeffs[labels[earlier]].coefficients
+    with pytest.raises(petri.RelationRankError) as err:
+        petri.certify_relation_set(g, coeffs)
+    assert err.value.offending_labels == (labels[later],)

@@ -351,9 +351,9 @@ def test_expected_rank_formula(g, want):
 
 
 def test_relation_set_names_dependent_label(rel_input):
-    # make (4, 6)'s relation a power-of-two multiple of (3, 4)'s, so after
-    # row scaling the two rows are bit-equal and the elimination picks
-    # (3, 4) and zeroes (4, 6)
+    # make (4, 6)'s relation a multiple of (3, 4)'s, which precedes it in
+    # label order, so (4, 6)'s row alone leaves the rank of the rows before
+    # it unchanged
     coeffs = petri.label_relations(rel_input)
     coeffs[(4, 6)].coefficients = 4.0 * coeffs[(3, 4)].coefficients
     with pytest.raises(petri.RelationRankError, match="rank 5 below expected 6") as err:

@@ -1,5 +1,5 @@
 """Per-call timings of the theta, Abel-map, period, trisecant, cross-ratio,
-sampling and relation layers, written to BENCH_<tag>.json.
+sampling, relation and rank layers, written to BENCH_<tag>.json.
 
     python tools/bench_layers.py --tag TAG [--src DIR]
 
@@ -47,6 +47,11 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
 - ``label_relations`` (every label's relation, key ``quintic``) on the
   bundled quintic, on the holomorphic basis's values at seeded base and
   probe points;
+- the two rank certificates on the bundled quintic: ``numerical_rank``
+  of the row-scaled v-matrix of one ``PetriBasis`` with seeded anchors
+  and certificate points (key ``quintic_v``, 15 x 15), and
+  ``certify_relation_set`` on the six relations of one seeded input
+  (key ``quintic_relations``, 6 x 21);
 - the four ``verify-petri`` checks on the bundled quintic (key
   ``quintic``), at one seed, without the report: each timed call builds
   the checks with ``cli._petri_checks`` and runs them with
@@ -299,6 +304,21 @@ def bench_label_relations(holodiff) -> dict:
     return {"quintic": _min_ms(lambda: petri.label_relations(inp))}
 
 
+def bench_rank(holodiff) -> dict:
+    from holodiff import bases, curves, linalg, petri
+
+    quintic = _bundled(holodiff, "fermat_quintic.json")
+    g = quintic.genus
+    omega = bases.holomorphic_basis(quintic)
+    pb = bases.PetriBasis(omega, omega.evaluate(curves.sample_points(quintic, g, SEED)))
+    vmat = linalg.scale_rows(pb.v_matrix(
+        omega.evaluate(curves.sample_points(quintic, 3 * g - 3, SEED + 1))))
+    om = omega.evaluate(curves.sample_points(quintic, 3 * g - 2, SEED))
+    relations = petri.label_relations(petri.RelationInput(om[:, :g], om[:, g:]))
+    return {"quintic_v": _min_ms(lambda: linalg.numerical_rank(vmat)),
+            "quintic_relations": _min_ms(lambda: petri.certify_relation_set(g, relations))}
+
+
 def bench_petri_check(holodiff) -> dict:
     from holodiff import cli
 
@@ -352,6 +372,7 @@ def main(argv=None) -> int:
         "pick_roots_ms_per_call": bench_pick_roots(holodiff),
         "evaluate_ms_per_call": bench_evaluate(holodiff),
         "label_relations_ms_per_call": bench_label_relations(holodiff),
+        "rank_ms_per_call": bench_rank(holodiff),
         "petri_check_ms_per_call": bench_petri_check(holodiff),
         "pair_index_ms_per_call": bench_pair_index(siegel, np),
     }
