@@ -32,6 +32,15 @@ FAY_ATTEMPTS = 8  # draws per trial before the check gives up
 # where a round would exceed it, the theta engine sums its rows in
 # consecutive chunks that fit.  The elimination is negligible beside the sum.
 FAY_MAX_PAIRS = 48
+# Upper limit on the relation entries of a verify-petri request on a plane
+# model of genus g: the relation pass forms L (2g-2) g^2 complex entries per
+# relation set, L = (g-2)(g-3)/2 labels, 16 bytes each, plus a temporary of
+# the same size, for two sets.  On Fermat curves x^d + y^d + 1 at the
+# default seed: d = 8 (g = 21, 3.0M entries) passes all four checks in
+# 0.4 s at 271 MB peak RSS; d = 9 (g = 28, 13.8M entries) takes 536 MB and
+# fails three checks on valid input; d = 10 (50.9M entries) would need
+# about 3.3 GB if its base matrices were accepted.
+PETRI_MAX_RELATION_ENTRIES = 4_000_000
 
 # The --tol names each subcommand reads, each with its default; verify-fay's
 # "fay" default is given per --genus.  A name that two subcommands share is
@@ -630,6 +639,11 @@ def _dispatch(args, parser, overrides) -> int:
     if args.command == "verify-petri":
         if model.genus < 2:
             parser.error("verify-petri needs a curve of genus >= 2")
+        g = model.genus
+        entries = (g - 2) * (g - 3) // 2 * (2 * g - 2) * g * g
+        if model.canonical and entries > PETRI_MAX_RELATION_ENTRIES:
+            parser.error(f"verify-petri at genus {g} exceeds the relation budget of "
+                         f"{PETRI_MAX_RELATION_ENTRIES} entries per point set")
         checks = _petri_checks(model, args.seed, tol)
         records = _run_checks(checks)
     elif args.command == "verify-siegel":

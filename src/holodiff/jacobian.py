@@ -12,14 +12,13 @@ bookkeeping error fails hard there.
 Abel maps integrate the normalized differentials along a real-axis
 chain plus, for a complex target x, a straight leg from x.real to x with
 a continuity-tracked square root.  A sequence of points shares one array
-quadrature for the real-axis parts, each point doubling its nodes until
-it converges; the normalization and the sheet flip act on the whole
-block of vectors, and only complex targets take a per-point leg.  The vectors and error
-bounds are bit for bit those of one point at a time.  The Riemann
-constant for this base point and these cycles is a sum of branch-point
-images, read off the segment integrals.  A separate helper handles
-genus-1 cubics with complex roots, where the real-segment machinery does
-not apply.
+quadrature for the real-axis parts and one for the legs, each point
+doubling its nodes until it converges; the normalization and the sheet
+flip act on the whole block of vectors.  The vectors and error bounds
+are bit for bit those of one point at a time.  The Riemann constant for
+this base point and these cycles is a sum of branch-point images, read
+off the segment integrals.  A separate helper handles genus-1 cubics
+with complex roots, where the real-segment machinery does not apply.
 """
 
 from __future__ import annotations
@@ -107,12 +106,6 @@ def _node_doubling(rule, count: int, rtol: float, cap: int, what: str):
     raise QuadratureError(
         f"{what}: no convergence at {cap} nodes; last difference {np.max(gap[0]):.3e}"
     )
-
-
-def _node_doubling_one(rule, rtol: float, cap: int, what: str):
-    """_node_doubling on a single integral given by rule(n)."""
-    vals, gaps = _node_doubling(lambda n, _: np.asarray(rule(n))[None], 1, rtol, cap, what)
-    return vals[0], gaps[0]
 
 
 def _one_sided_rule(f, a, b, sing_a, n: int):
@@ -340,43 +333,45 @@ def _real_chains(pd: PeriodData, xs: np.ndarray):
     return totals, ys, errs
 
 
-def _segment_branch_distance(curve: HyperellipticCurve, z0: complex, z1: complex) -> float:
-    return min(_point_segment_distance(ee, z0, z1) for ee in curve.branch_points)
+def _tracked_sqrt(s: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Square roots s, rows of nodes along paths, signs flipped so that each
+    stays on the branch of its predecessor, the first on that of its row's
+    `prev`: |s - p| > |s + p| exactly when Re(s conj p) < 0, so the flips
+    are a running product of that test against the untracked predecessor."""
+    before = np.concatenate([prev[:, None], s[:, :-1]], axis=1)
+    turn = s.real * before.real + s.imag * before.imag < 0
+    flip = np.cumprod(np.where(turn, -1.0, 1.0), axis=1) < 0
+    return np.where(flip, -s, s)
 
 
-def _tracked_sqrt(s: np.ndarray, prev: complex) -> np.ndarray:
-    """Square roots s with signs flipped in order so that each stays on the
-    branch of its predecessor, the first one on the branch of `prev`."""
-    for idx in range(len(s)):
-        if abs(s[idx] - prev) > abs(s[idx] + prev):
-            s[idx] = -s[idx]
-        prev = s[idx]
-    return s
-
-
-def _complex_leg(pd: PeriodData, z0: complex, z1: complex, y_start: complex):
-    """Straight-leg monomial integrals with continuity-tracked square root."""
+def _complex_legs(pd: PeriodData, z0: np.ndarray, z1: np.ndarray, y_start: np.ndarray):
+    """Monomial integrals along straight legs z0 -> z1, y tracked from
+    y_start, one entry per leg, in one node-doubling loop; returns (vectors,
+    continued y at the ends, errors).  Every leg is checked against the
+    branch points before any is integrated."""
     curve = pd.curve
     g = curve.genus
-    if _segment_branch_distance(curve, z0, z1) < BRANCH_CLEARANCE:
-        raise PathError(
-            f"leg {z0} -> {z1} passes within {BRANCH_CLEARANCE} of a branch point"
-        )
+    e = np.asarray(curve.branch_points)
+    for a, b in zip(z0.tolist(), z1.tolist()):
+        if _point_segment_distance(e, a, b) < BRANCH_CLEARANCE:
+            raise PathError(f"leg {a} -> {b} passes within {BRANCH_CLEARANCE} of a branch point")
 
-    y_end = None
+    step = (z1 - z0)[:, None]
+    y_end = np.empty(len(z0), dtype=complex)
 
-    def rule(n: int):
-        nonlocal y_end
+    def rule(n: int, idx):
         t, w = _gauss_legendre(n)
         tt = (t + 1) / 2
-        zs = z0 + tt * (z1 - z0)
-        ys = _tracked_sqrt(np.sqrt(curve.f(zs)), y_start)
-        y_end = _tracked_sqrt(np.sqrt(curve.f(np.array([z1]))), ys[-1])[0]
-        powers = np.stack([zs**k for k in range(g)])
-        return np.sum(w / 2 * powers * (z1 - z0) / ys, axis=-1)
+        zs = z0[idx, None] + tt * step[idx]
+        # the end of each leg rides as one more node of its row
+        path = np.concatenate([zs, z1[idx, None]], axis=1)
+        ys = _tracked_sqrt(np.sqrt(curve.f(path.ravel())).reshape(path.shape), y_start[idx])
+        y_end[idx] = ys[:, -1]
+        powers = np.stack([zs**k for k in range(g)], axis=1)
+        return np.sum(w / 2 * powers * step[idx, :, None] / ys[:, None, :-1], axis=-1)
 
-    vals, gap = _node_doubling_one(rule, QUAD_RTOL, QUAD_CAP, "leg integration")
-    return vals, y_end, float(np.max(gap))
+    vals, gaps = _node_doubling(rule, len(z0), QUAD_RTOL, QUAD_CAP, "leg integration")
+    return vals, y_end, np.max(gaps, axis=1)
 
 
 def abel_map(pd: PeriodData, p):
@@ -395,9 +390,9 @@ def abel_map(pd: PeriodData, p):
         raise ValueError("point does not belong to this period data's curve")
     xs = np.array([complex(q.x) for q in points], dtype=complex)
     totals, ys, errs = _real_chains(pd, xs.real)
-    for k in np.flatnonzero(np.abs(xs.imag) > 1e-14).tolist():
-        x_t = complex(xs[k])
-        vals, ys[k], dq = _complex_leg(pd, complex(x_t.real), x_t, ys[k])
+    k = np.flatnonzero(np.abs(xs.imag) > 1e-14)
+    if len(k):
+        vals, ys[k], dq = _complex_legs(pd, xs[k].real + 0j, xs[k], ys[k])
         totals[k] += vals
         errs[k] += dq
 
@@ -428,25 +423,24 @@ def _aligned_inverse_sqrt_sum(p: complex, q: complex, third: complex):
     """Chebyshev sum of 1/sqrt(x - third) along [p, q], branch tracked."""
     half = (q - p) / 2
     mid = (p + q) / 2
-    dist = _point_segment_distance(third, p, q)
-    if dist < 1e-9:
+    if _point_segment_distance(third, p, q) < 1e-9:
         raise PathError("third root sits on the integration segment")
 
-    def rule(n: int) -> complex:
+    def rule(n: int, _):
         t = _chebyshev_nodes(n)
-        x = mid + half * t
-        s = np.sqrt(x - third)
-        return (np.pi / n) * complex(np.sum(1.0 / _tracked_sqrt(s, s[0])))
+        s = np.sqrt(mid + half * t - third)[None]
+        return np.array([(np.pi / n) * complex(np.sum(1.0 / _tracked_sqrt(s, s[:, 0])))])
 
-    return _node_doubling_one(rule, SEGMENT_RTOL, QUAD_CAP, "cubic segment sum")[0]
+    return _node_doubling(rule, 1, SEGMENT_RTOL, QUAD_CAP, "cubic segment sum")[0][0]
 
 
-def _point_segment_distance(pt: complex, a: complex, b: complex) -> float:
+def _point_segment_distance(pts, a: complex, b: complex) -> float:
+    """Distance from the segment [a, b] to the nearest of the points pts."""
     d = b - a
     if d == 0:
-        return abs(pt - a)
-    t = np.clip(((pt - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-    return float(abs(pt - (a + t * d)))
+        return float(np.min(np.abs(pts - a)))
+    t = np.clip(((pts - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+    return float(np.min(np.abs(pts - (a + t * d))))
 
 
 def reduce_to_fundamental_domain(t: complex) -> complex:

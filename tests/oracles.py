@@ -455,8 +455,9 @@ def abel_map_per_point(pd, p, via=None):
     left of the first branch point, gets its own node-doubling loop of
     one-sided Gauss-Legendre rules, whose f forms each factor x - e_i
     from the offset d = +-t^2 from the singular branch point e_end, as
-    (e_end - e_i) + d, from the curve's complex product.  Complex legs use the package's
-    `_complex_leg`, which works one point at a time anyway.
+    (e_end - e_i) + d, from the curve's complex product.  Complex legs use
+    the package's `_complex_legs` on a batch of one, which the package runs
+    on all legs of a call at once.
     """
     from holodiff import jacobian as jac
 
@@ -543,7 +544,8 @@ def abel_map_per_point(pd, p, via=None):
         z0c = complex(z0)
         if abs(z0c - z1) < 1e-15:
             continue
-        vals, y_run, dq = jac._complex_leg(pd, z0c, z1, y_run)
+        [vals], [y_run], [dq] = jac._complex_legs(
+            pd, np.array([z0c]), np.array([z1]), np.array([y_run], dtype=complex))
         total = total + vals
         err += dq
         path.append(f"leg:{z0c}->{z1}")

@@ -251,6 +251,32 @@ def test_petri_refuses_a_genus_one_curve(capsys):
     assert "verify-petri needs a curve of genus >= 2" in capsys.readouterr().err
 
 
+def _fermat_spec(tmp_path, d):
+    spec = tmp_path / f"fermat{d}.json"
+    spec.write_text(json.dumps({"type": "plane", "degree": d, "coeffs": [
+        [d, 0, 1.0, 0.0], [0, d, 1.0, 0.0], [0, 0, 1.0, 0.0]]}))
+    return spec
+
+
+def test_petri_refuses_a_plane_curve_over_the_relation_budget(tmp_path, monkeypatch, capsys):
+    # degree 9 is genus 28: 13.8M relation entries per point set, refused
+    # before any point is drawn
+    def never_drawn(*args, **kwargs):
+        raise AssertionError("no point set may be drawn")
+
+    monkeypatch.setattr(curves, "sample_sets", never_drawn)
+    assert main(["verify-petri", "--spec", str(_fermat_spec(tmp_path, 9))]) == 2
+    err = capsys.readouterr().err
+    assert (f"verify-petri at genus 28 exceeds the relation budget of "
+            f"{cli.PETRI_MAX_RELATION_ENTRIES} entries per point set") in err
+
+
+def test_petri_runs_a_plane_curve_within_the_relation_budget(tmp_path, capsys):
+    # degree 8 is genus 21: 3.0M relation entries per point set
+    assert main(["verify-petri", "--spec", str(_fermat_spec(tmp_path, 8))]) == 0
+    assert "overall=PASS checks=4 failures=0" in capsys.readouterr().out
+
+
 def test_petri_rank_retries_rank_deficient_draw(monkeypatch, capsys):
     # the first anchor draw at this seed certifies rank 14 < 15, and the
     # retry certifies the full rank

@@ -20,9 +20,10 @@ def _integrate(f, a, b, sing_a=True, sing_b=True):
     if sing_a and sing_b:
         vals, gaps = jac.quad_segment(f, np.array([a]), np.array([b]))
         return vals[0], gaps[0]
-    return jac._node_doubling_one(
-        lambda n: jac._one_sided_rule(lambda x, _: f(x), a, b, sing_a, n),
-        jac.SEGMENT_RTOL, jac.QUAD_CAP, "segment quadrature")
+    vals, gaps = jac._node_doubling(
+        lambda n, _: jac._one_sided_rule(lambda x, _: f(x), a, b, sing_a, n)[None],
+        1, jac.SEGMENT_RTOL, jac.QUAD_CAP, "segment quadrature")
+    return vals[0], gaps[0]
 
 
 def test_quad_segment_both_singular_endpoints():
@@ -400,6 +401,60 @@ def test_abel_path_error_near_branch_point(pd_g2):
     p = CurvePoint(pd_g2.curve, e1 + 1e-8 + 1e-8j, 0.1)
     with pytest.raises(jac.PathError):
         jac.abel_map(pd_g2, p)
+
+
+def _spy_node_doubling(monkeypatch):
+    """Record (what, count) of every `_node_doubling` call."""
+    calls, inner = [], jac._node_doubling
+
+    def spy(rule, count, rtol, cap, what):
+        calls.append((what, count))
+        return inner(rule, count, rtol, cap, what)
+
+    monkeypatch.setattr(jac, "_node_doubling", spy)
+    return calls
+
+
+def test_abel_block_integrates_all_complex_legs_in_one_loop(pd_bundled, monkeypatch):
+    # every complex leg of a call shares one node-doubling loop, each leg
+    # stopping on its own; the real chains of all points share another
+    curve = pd_bundled.curve
+    pts = curves.sample_points(curve, 12, 0, mode="complex") + [_on_curve(curve, 0.3)]
+    legs = sum(abs(p.x.imag) > 1e-14 for p in pts)
+    assert legs > 1
+    calls = _spy_node_doubling(monkeypatch)
+    jac.abel_map(pd_bundled, pts)
+    assert calls == [("segment quadrature", len(pts)), ("leg integration", legs)]
+
+
+def test_abel_block_refuses_a_leg_near_a_branch_point_before_integrating(pd_bundled, monkeypatch):
+    # the second complex leg of the block starts on a branch point: its
+    # PathError comes before any leg is integrated
+    curve = pd_bundled.curve
+    e = curve.branch_points
+    pts = [_on_curve(curve, 0.6 + 0.8j), _on_curve(curve, 0.3),
+           _on_curve(curve, e[2] + 0.5j), _on_curve(curve, e[3] + 0.5j)]
+    calls = _spy_node_doubling(monkeypatch)
+    with pytest.raises(jac.PathError) as info:
+        jac.abel_map(pd_bundled, pts)
+    assert str(info.value) == (f"leg {complex(e[2])} -> {e[2] + 0.5j} passes within "
+                               f"{jac.BRANCH_CLEARANCE} of a branch point")
+    assert "leg integration" not in [c[0] for c in calls]
+
+
+def test_tracked_sqrt_matches_the_sequential_distance_test():
+    # the running product of Re(s conj p) < 0 flips the same nodes as
+    # comparing |s - p| with |s + p| node by node against the tracked p
+    rng = np.random.default_rng(20261022)
+    s = np.sqrt(rng.standard_normal((50, 40)) + 1j * rng.standard_normal((50, 40)))
+    prev = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    want = s.copy()
+    for row, p in zip(want, prev):
+        for k in range(len(row)):
+            if abs(row[k] - p) > abs(row[k] + p):
+                row[k] = -row[k]
+            p = row[k]
+    assert np.array_equal(jac._tracked_sqrt(s, prev), want)
 
 
 def test_lattice_reduce_round_trip(pd_g2, rng):

@@ -8,7 +8,8 @@ harness and the tools, but not in any test: a reference the tests need
 lives in ``tests/oracles.py``.  The same rule holds for every
 module-level function of the package, with or without a leading
 underscore, and for the methods and properties of its classes, reached
-by attribute name.  Outside
+by attribute name, and for the parameters with default values of
+both, passed by position or keyword in some call.  Outside
 ``curves.py`` no module branches on the class of a curve model.
 """
 
@@ -152,6 +153,59 @@ def test_members_have_callers():
     used = _attribute_callers()
     idle = [f"{module}.{cls}.{name}" for module, cls, name in _members() if name not in used]
     assert not idle, f"methods and properties with no caller outside the unit tests: {idle}"
+
+
+def _defaulted_parameters():
+    """(module, callee name, position, parameter) of every parameter with a
+    default value of a package function or method.  A method is called
+    by its name, `__init__` by its class's name, and position counts the
+    arguments a call passes, after `self` or `cls` for a method."""
+    for path in sorted((ROOT / "src" / "holodiff").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [(None, tree.body)] + [(cls.name, cls.body) for cls in ast.walk(tree)
+                                         if isinstance(cls, ast.ClassDef)]
+        for cls, body in owners:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list)
+                name = cls if fn.name == "__init__" else fn.name
+                first = len(positional) - len(args.defaults)
+                for pos in range(first, len(positional)):
+                    yield path.stem, name, pos - bound, positional[pos].arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield path.stem, name, None, arg.arg
+
+
+def _passed_arguments() -> set:
+    """(callee name, position or keyword) of every argument a call in the
+    caller files passes; a starred argument passes every position, a
+    double-starred one every keyword."""
+    passed = set()
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for pos, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else pos))
+            passed.update((name, kw.arg or "**") for kw in node.keywords)
+    return passed
+
+
+def test_defaulted_parameters_are_passed_by_some_caller():
+    # a parameter with a default that no caller outside the unit tests
+    # ever passes is an unused knob: every call takes its default
+    passed = _passed_arguments()
+    idle = [f"{module}.{name}({param})" for module, name, pos, param in _defaulted_parameters()
+            if not {(name, pos), (name, "*"), (name, param), (name, "**")} & passed]
+    assert not idle, f"parameters with defaults no caller outside the unit tests passes: {idle}"
 
 
 MODEL_CLASSES = {"PlaneCurve", "HyperellipticCurve"}

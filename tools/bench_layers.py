@@ -17,7 +17,9 @@ times, as the minimum over REPEATS calls after one untimed warm-up call:
   the bundled genus-2 curve, at seeded curve points mapped by ``abel_map``,
   and on a batch of 3 such trials at m = 6 (key ``6x3``), the batch of one
   ``verify-fay -m 6`` round;
-- ``abel_map`` by number of seeded real points on that curve, as one call;
+- ``abel_map`` by number of seeded real points on that curve, as one call,
+  and on 12 seeded complex points of that curve and of the bundled
+  ``hyperelliptic_g4.json`` (keys ``12_complex``, ``g4_12_complex``);
 - ``compute_periods`` by genus: the bundled lemniscatic curve (g = 1), the
   bundled genus-2 curve and a genus-3 curve with real branch points;
 - the genus-2 ``verify-fay`` check (``cli._fay_check``, all its trials
@@ -104,6 +106,7 @@ FAY_PAIRS = (2, 6, 12, 24, 48)
 FAY_BATCH = 3
 FAY_BATCH_PAIRS = 6
 ABEL_POINTS = (1, 12, 36)
+ABEL_COMPLEX_POINTS = 12
 FAY_CHECK_PAIRS = (6, 12)
 FAY_CHECK_SEED = 7
 CROSS_RATIO_WEIGHTS = (1, 2)
@@ -195,6 +198,11 @@ def bench_abel(holodiff) -> dict:
     for n in ABEL_POINTS:
         pts = curves.sample_points(pd.curve, n, SEED + n, mode="real")
         out[str(n)] = _min_ms(lambda: jacobian.abel_map(pd, pts))
+    n = ABEL_COMPLEX_POINTS
+    for prefix, name in (("", "hyperelliptic_g2.json"), ("g4_", "hyperelliptic_g4.json")):
+        cpd = jacobian.compute_periods(_bundled(holodiff, name))
+        pts = curves.sample_points(cpd.curve, n, SEED + n, mode="complex")
+        out[f"{prefix}{n}_complex"] = _min_ms(lambda: jacobian.abel_map(cpd, pts))
     return out
 
 
